@@ -2,38 +2,31 @@
 
 Every benchmark regenerates one table or figure of the paper at the scale of
 the selected experiment profile (``REPRO_PROFILE``, default ``smoke``) and
-writes its rows to ``benchmarks/results/`` so EXPERIMENTS.md can be refreshed
-from the latest run.
+writes its rows to ``benchmarks/results/``.  Performance is measured by
+``perfbench/``, not here.
 """
 
-import contextlib
 import json
 import os
 
 import pytest
 
 from repro.experiments import get_profile
+from repro.runtime.kernels import ENV_VAR as KERNELS_ENV_VAR
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-@contextlib.contextmanager
-def pin_env(var, value):
-    """Temporarily pin one environment variable (restored on exit).
+@pytest.fixture(autouse=True)
+def heuristic_kernels(monkeypatch):
+    """Pin conv dispatch to the static heuristic for every benchmark.
 
-    Benchmarks isolate the dimension they measure by pinning the runtime's
-    selection switches (``REPRO_KERNELS``, ``REPRO_RUNTIME_PASSES``) around
-    the compiles they time.
+    The autotuner times the candidate kernels in each process and can pick
+    different ones from run to run, which moves float results in their last
+    bits.  The heuristic picks the same kernels every time, so each run
+    rewrites the committed result files with identical numbers.
     """
-    previous = os.environ.get(var)
-    os.environ[var] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = previous
+    monkeypatch.setenv(KERNELS_ENV_VAR, "heuristic")
 
 
 @pytest.fixture(scope="session")

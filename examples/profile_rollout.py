@@ -15,8 +15,8 @@ A3C-S agent, runs one compiled A2C train step, and then:
    ring, plan caches, autotuner selections and health counters in one view.
 
 The first (untraced) rollout pays compilation and kernel autotuning so the
-traced one measures steady-state execution, the same discipline the
-benchmarks use.
+traced one measures steady-state execution, the same warm-up discipline
+``perfbench/run.py`` uses before its measured window.
 
 Run:  python examples/profile_rollout.py
 """

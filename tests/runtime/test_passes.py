@@ -9,6 +9,7 @@ from repro.networks import AgentSuperNet, build_backbone
 from repro.nn import SGD, Sequential, Tensor, no_grad
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
+from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
 from repro.runtime.passes import ENV_VAR, PASS_NAMES, enabled_passes
 from repro.runtime.plan import BatchNormStep
 
@@ -286,6 +287,37 @@ class TestBufferAliasing:
         for name in plain_grads:
             np.testing.assert_allclose(aliased_grads[name], plain_grads[name],
                                        atol=0.0, err_msg=name)
+
+    def test_derived_agent_plans_shrink(self, monkeypatch):
+        """The passes cut >= 30% of the derived agent's rollout and search plans.
+
+        Conv dispatch is pinned to whole-batch im2col so the comparison sees
+        the passes alone: other kernels shrink the pass-free workspaces too.
+        """
+        monkeypatch.setenv(KERNELS_ENV, "im2col")
+
+        def agent(derived):
+            supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,
+                                     base_width=16, rng=np.random.default_rng(0))
+            backbone = supernet.derive([4, 5, 6] * 4) if derived else supernet
+            agent = ActorCriticAgent(backbone, num_actions=6, feature_dim=128,
+                                     rng=np.random.default_rng(0))
+            return agent.train(not derived)
+
+        rollout = {
+            passes: compile_plan(agent(derived=True), (16, 2, 32, 32), dtype=np.float32,
+                                 passes=passes)
+            for passes in ("none", "all")
+        }
+        gated_paths = tuple((1, 4) for _ in range(12))
+        train = {
+            passes: compile_plan(agent(derived=False), (8, 2, 32, 32), train=True,
+                                 gated_paths=gated_paths, passes=passes)
+            for passes in ("none", "all")
+        }
+        for plans in (rollout, train):
+            assert plans["all"].alloc_bytes <= 0.7 * plans["none"].alloc_bytes
+        assert len(rollout["all"].steps) < len(rollout["none"].steps)
 
     def test_repeated_runs_are_stable(self, rng):
         """Aliased buffers must not leak state between runs."""

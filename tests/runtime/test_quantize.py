@@ -21,6 +21,8 @@ Four layers of guarantees:
 import numpy as np
 import pytest
 
+from repro.drl.agent import ActorCriticAgent
+from repro.networks import AgentSuperNet
 from repro.nn import Conv2d, ReLU, Sequential
 from repro.runtime import Calibrator, QuantCalibration, compile_plan
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
@@ -367,6 +369,31 @@ class TestQuantizedPlans:
         assert q8_rows
         for row in q8_rows.values():
             assert row["kernel"].endswith("_q8")
+
+    def test_derived_agent_boundary_steps_stay_rare(self, monkeypatch):
+        """int8 chains run through consecutive convs of the derived agent.
+
+        One quantize/dequantize pair per conv would erase the int8 win; the pass
+        must pay only a few boundary steps for the whole inverted-residual stack.
+        """
+        monkeypatch.setenv(KERNELS_ENV, "heuristic")
+        supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,
+                                 base_width=16, rng=np.random.default_rng(0))
+        agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
+                                 feature_dim=128, rng=np.random.default_rng(0))
+        agent.eval()
+        shape = (16, 2, 32, 32)
+        calibrator = Calibrator(agent, shape, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            calibrator.observe(rng.random(shape).astype(np.float32))
+        plan = compile_plan(agent, shape, dtype=np.float32, quantize=calibrator.result("q8"))
+        quantized = sum(
+            1 for s in plan.steps if isinstance(s, Conv2dStep) and s.quant is not None
+        )
+        boundary = sum(1 for s in plan.steps if isinstance(s, (QuantizeStep, DequantizeStep)))
+        assert quantized >= 1, "quantize pass lowered nothing"
+        assert boundary <= quantized // 4 + 4, (quantized, boundary)
 
 
 class TestQuantLint:
