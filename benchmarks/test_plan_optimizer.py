@@ -1,24 +1,25 @@
-"""Plan-optimizer passes: rollout throughput and peak plan memory.
+"""Plan-optimizer passes: output parity, plan steps and peak plan memory.
 
-Measures what the graph-level optimisation pipeline (conv-BN folding,
+Records what the graph-level optimisation pipeline (conv-BN folding,
 epilogue fusion, slot/workspace aliasing — see ``repro.runtime.passes``)
 buys on the two plan classes the co-search loop lives on:
 
-* the **no-grad rollout plan** of a derived A3C-S agent (batch 16, float32),
-  timed through the same rollout-collection loop as
-  ``test_runtime_throughput`` with the passes disabled vs enabled;
+* the **no-grad rollout plan** of a derived A3C-S agent (batch 16, float32
+  and float64);
 * the **gated training plan** of the supernet one-level update (float64),
   where the aliasing pass interval-shares the reverse program's gradient
   buffers.
 
-Acceptance: all passes preserve output parity (<= 1e-6 f32 / 1e-12 f64),
-peak plan memory drops by >= 30%, and the optimised rollout loop beats the
-pass-free one by >= 1.2x in-run (the committed JSON additionally records the
-ratio against the PR-2 ``runtime_f32`` baseline, which must show >= 1.5x).
-"""
+Each plan is compiled with the passes off (``"none"``) and on (``"all"``).
+Acceptance: the passes preserve output parity (<= 1e-6 f32 / 1e-12 f64),
+remove steps from the rollout plan, and cut peak plan memory by >= 30%.
 
-import json
-import os
+Conv dispatch is pinned to the whole-batch ``im2col`` kernel so the
+comparison sees the passes alone: the other kernels shrink the pass-free
+plans' workspaces too.  Every value recorded here is a deterministic count
+or a parity bound; the speed of the compiled plans is measured by
+``perfbench`` (see ``perfbench/README.md``), not here.
+"""
 
 import numpy as np
 
@@ -26,138 +27,80 @@ from repro.drl.agent import ActorCriticAgent
 from repro.networks import AgentSuperNet
 from repro.runtime import compile_plan
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV_VAR
-from repro.runtime.passes import ENV_VAR
 
-from conftest import RESULTS_DIR, pin_env, run_once
-from test_runtime_throughput import build_agent, collect_rollouts, configure, make_env
+from conftest import run_once
 
+NUM_ENVS = 16
+OBS_SHAPE = (2, 32, 32)
 PARITY_F32 = 1e-6
 PARITY_F64 = 1e-12
-REQUIRED_IN_RUN_SPEEDUP = 1.2
 REQUIRED_MEMORY_REDUCTION = 0.30
 
+#: Derived architecture: inverted-residual-heavy, like the paper's searched agents.
+DERIVED_PATH = [4, 5, 6, 4, 5, 6, 4, 5, 6, 4, 5, 6]
+#: Two candidate ops kept per gated cell in the one-level search update.
 GATED_PATHS = tuple((1, 4) for _ in range(12))
 
 
-def _rollout_throughput(passes, steps, warmup):
-    previous = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = passes
-    try:
-        agent = build_agent()
-        configure(agent, "runtime_f32")
-        env = make_env()
-        collect_rollouts(agent, env, warmup)
-        rate = collect_rollouts(agent, env, steps)
-        env.close()
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous
-    return rate
-
-
-def _plan_pair(factory, **kwargs):
-    """Compile the same signature with the passes off and on."""
-    return (
-        compile_plan(factory(), passes="none", **kwargs),
-        compile_plan(factory(), passes="all", **kwargs),
-    )
-
-
-def _search_agent():
+def _agent(derived):
+    """The derived agent in eval mode, or the supernet agent in train mode."""
     supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128, base_width=16,
                              rng=np.random.default_rng(0))
-    agent = ActorCriticAgent(supernet, num_actions=6, feature_dim=128,
+    backbone = supernet.derive(DERIVED_PATH) if derived else supernet
+    agent = ActorCriticAgent(backbone, num_actions=6, feature_dim=128,
                              rng=np.random.default_rng(0))
-    agent.train()
-    return agent
+    return agent.train(not derived)
 
 
-def _pr2_rollout_baseline():
-    """The committed PR-2 ``runtime_f32`` rollout throughput (steps/sec)."""
-    path = os.path.join(RESULTS_DIR, "runtime_throughput.json")
-    try:
-        with open(path) as handle:
-            return float(json.load(handle)["data"]["steps_per_sec"]["runtime_f32"])
-    except (OSError, KeyError, ValueError):
-        return None
+def _plan_pair(derived, **kwargs):
+    """Compile the same signature with the passes off and on."""
+    return {passes: compile_plan(_agent(derived), passes=passes, **kwargs)
+            for passes in ("none", "all")}
 
 
-def measure(steps, warmup):
-    obs = np.random.default_rng(0).random((16, 2, 32, 32))
+def _parity(plans, obs):
+    """Worst |probs| difference between the pass-free and optimised plans."""
+    probs = {passes: np.array(plan.run(obs)[0]) for passes, plan in plans.items()}
+    return float(np.abs(probs["all"] - probs["none"]).max())
 
-    # Inference (rollout) plan: float32, derived agent, batch 16.
-    def eval_agent():
-        agent = build_agent()
-        return agent
 
-    plain, optimized = _plan_pair(eval_agent, input_shape=obs.shape, dtype=np.float32)
-    probs_plain, _ = plain.run(obs.astype(np.float32))
-    probs_opt, _ = optimized.run(obs.astype(np.float32))
-    parity_f32 = float(np.abs(probs_opt - probs_plain).max())
-    rollout_bytes = {"passes_off": plain.alloc_bytes, "passes_on": optimized.alloc_bytes}
-
-    plain64, optimized64 = _plan_pair(eval_agent, input_shape=obs.shape, dtype=np.float64)
-    parity_f64 = float(np.abs(np.asarray(optimized64.run(obs)[0]) - np.asarray(plain64.run(obs)[0])).max())
-
-    # Gated training plan: float64, supernet one-level update signature.
-    train_plain, train_opt = _plan_pair(
-        _search_agent, input_shape=(8, 2, 32, 32), train=True, gated_paths=GATED_PATHS
-    )
-    train_bytes = {"passes_off": train_plain.alloc_bytes, "passes_on": train_opt.alloc_bytes}
-
-    # Rollout-collection throughput, passes off vs on.
-    rate_off = _rollout_throughput("none", steps, warmup)
-    rate_on = _rollout_throughput("all", steps, warmup)
-
-    baseline = _pr2_rollout_baseline()
-    payload = {
+def measure():
+    obs = np.random.default_rng(0).random((NUM_ENVS,) + OBS_SHAPE)
+    rollout = _plan_pair(True, input_shape=obs.shape, dtype=np.float32)
+    rollout64 = _plan_pair(True, input_shape=obs.shape, dtype=np.float64)
+    train = _plan_pair(False, input_shape=(8,) + OBS_SHAPE, train=True,
+                       gated_paths=GATED_PATHS)
+    return {
         "config": {
-            "num_envs": 16,
-            "obs_size": 32,
-            "measured_steps": steps,
+            "num_envs": NUM_ENVS,
+            "obs_size": OBS_SHAPE[-1],
+            "derived_path": DERIVED_PATH,
             "gated_paths_per_cell": len(GATED_PATHS[0]),
         },
-        "steps_per_sec": {
-            "rollout_f32_passes_off": rate_off,
-            "rollout_f32_passes_on": rate_on,
-        },
-        "speedup": {
-            "passes_on_vs_off": rate_on / rate_off,
-            "vs_pr2_runtime_f32": (rate_on / baseline) if baseline else None,
-            "pr2_runtime_f32_baseline": baseline,
-        },
         "peak_plan_bytes": {
-            "rollout_f32_passes_off": rollout_bytes["passes_off"],
-            "rollout_f32_passes_on": rollout_bytes["passes_on"],
-            "train_gated_f64_passes_off": train_bytes["passes_off"],
-            "train_gated_f64_passes_on": train_bytes["passes_on"],
+            "rollout_f32_passes_off": rollout["none"].alloc_bytes,
+            "rollout_f32_passes_on": rollout["all"].alloc_bytes,
+            "train_gated_f64_passes_off": train["none"].alloc_bytes,
+            "train_gated_f64_passes_on": train["all"].alloc_bytes,
         },
         "memory_reduction": {
-            "rollout_f32": 1.0 - rollout_bytes["passes_on"] / rollout_bytes["passes_off"],
-            "train_gated_f64": 1.0 - train_bytes["passes_on"] / train_bytes["passes_off"],
+            "rollout_f32": 1.0 - rollout["all"].alloc_bytes / rollout["none"].alloc_bytes,
+            "train_gated_f64": 1.0 - train["all"].alloc_bytes / train["none"].alloc_bytes,
         },
-        "parity": {"rollout_f32": parity_f32, "rollout_f64": parity_f64},
+        "parity": {
+            "rollout_f32": _parity(rollout, obs.astype(np.float32)),
+            "rollout_f64": _parity(rollout64, obs),
+        },
         "plan_steps": {
-            "rollout_passes_off": len(plain.steps),
-            "rollout_passes_on": len(optimized.steps),
+            "rollout_passes_off": len(rollout["none"].steps),
+            "rollout_passes_on": len(rollout["all"].steps),
         },
     }
-    return payload
 
 
-def test_plan_optimizer(benchmark, profile, save_result):
-    steps = max(10, profile.train_steps // 8)
-    # This benchmark isolates the graph-level *pass* pipeline, so conv
-    # dispatch is pinned to the whole-batch im2col kernel — the
-    # configuration the committed pass-on/pass-off baselines were recorded
-    # under.  Autotuned kernels shrink the pass-free plans' workspaces on
-    # their own (block-sized columns instead of whole-batch), which would
-    # fold the kernel win into the pass measurement; the kernel dimension
-    # is benchmarked separately by ``test_conv_kernels.py``.
-    with pin_env(KERNELS_ENV_VAR, "im2col"):
-        payload = run_once(benchmark, measure, steps=steps, warmup=3)
+def test_plan_optimizer(benchmark, save_result, monkeypatch):
+    monkeypatch.setenv(KERNELS_ENV_VAR, "im2col")
+    payload = run_once(benchmark, measure)
     save_result("plan_optimizer", payload)
 
     assert payload["parity"]["rollout_f32"] <= PARITY_F32
@@ -169,9 +112,3 @@ def test_plan_optimizer(benchmark, profile, save_result):
                 key, reduction, REQUIRED_MEMORY_REDUCTION
             )
         )
-    speedup = payload["speedup"]["passes_on_vs_off"]
-    assert speedup >= REQUIRED_IN_RUN_SPEEDUP, (
-        "optimised rollout only {:.2f}x the pass-free plan (required {:.1f}x): {}".format(
-            speedup, REQUIRED_IN_RUN_SPEEDUP, payload["steps_per_sec"]
-        )
-    )
