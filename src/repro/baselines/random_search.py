@@ -31,9 +31,9 @@ def make_rollout_score_fn(agent, game, episodes=2, max_steps=120, seed=0, env_kw
     backbone is an :class:`~repro.networks.supernet.AgentSuperNet`; each
     candidate architecture is scored with the standard evaluation protocol
     along the fixed path (null-op starts disabled, short episodes).  Every
-    per-step action query is served by the runtime engine's per-path plan
-    cache, so random search over many architectures never touches the
-    autograd tape.
+    per-step action query is served by the runtime engine's supernet plan,
+    which every sampled path shares, so random search over many
+    architectures never touches the autograd tape.
     """
     from ..drl.evaluation import evaluate_agent
 

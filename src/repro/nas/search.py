@@ -34,6 +34,7 @@ from ..nn import Adam, RMSProp, Tensor, clip_grad_norm, no_grad
 from ..nn.serialization import load_state_dict, save_state_dict, validate_state
 from ..reliability import health
 from ..reliability.faults import get_injector
+from ..runtime import cache_stats
 from ..telemetry.metrics import Reporter
 from ..utils.logging import MetricLogger
 from .arch_params import ArchitectureParameters
@@ -137,6 +138,18 @@ class SearchResult:
         return [CANDIDATE_OPERATORS[i].name for i in self.op_indices]
 
 
+def _runtime_counters(stats):
+    """The plan-cache and buffer-pool totals of one ``cache_stats()``."""
+    return {
+        "train_plan_hits": stats["train_plans"]["cache_hits"],
+        "train_plan_misses": stats["train_plans"]["cache_misses"],
+        "rollout_plan_hits": stats["inference_plans"]["cache_hits"],
+        "rollout_plan_misses": stats["inference_plans"]["cache_misses"],
+        "pool_bytes_recycled": stats["buffer_pools"]["bytes_pooled"],
+        "pool_bytes_fresh": stats["buffer_pools"]["bytes_fresh"],
+    }
+
+
 class DRLArchitectureSearch:
     """DNAS over the agent supernet driven by actor-critic training.
 
@@ -226,6 +239,9 @@ class DRLArchitectureSearch:
         self._train_step = None
         self._guard_streak = 0
         self._update_skipped = False
+        #: Runtime counter totals at the previous update's log (see
+        #: :meth:`_log_runtime_stats`).
+        self._runtime_counters = _runtime_counters(cache_stats())
         #: Override for the periodic autosave (the co-search points this at
         #: its combined searcher+DAS checkpoint); ``None`` uses
         #: :meth:`save_checkpoint` on ``config.autosave_path``.
@@ -258,7 +274,7 @@ class DRLArchitectureSearch:
 
         buffer = collector.collect(policy, seed=self.config.seed, on_step=on_step)
         # Bootstrap values are pure inference along the sampled path: the
-        # runtime engine serves them from its per-path plan cache.
+        # runtime engine serves them from the rollout's cached plan.
         _, bootstrap = self.agent.policy_value(
             collector.observations, op_indices=sampled_indices
         )
@@ -321,85 +337,17 @@ class DRLArchitectureSearch:
             )
         return self._train_step
 
-    def _compiled_one_level(self, batch, gates, active, sampled):
+    def _compiled_stacked_one_level(self, batch, samples):
         """One-level update on the compiled runtime (Eq. 6-8, tape-free weights).
 
         The supernet weights take the gated multi-path reverse plan plus the
-        fused RMSProp step; the architecture parameters receive the per-gate
-        gradients the plan produced, chained through the (tiny, eager) Gumbel
-        relaxation together with the hardware penalty of Eq. 8.
-        """
-        cfg = self.config
-        step = self._compiled_train_step()
-        gated_key = tuple(tuple(int(i) for i in cell) for cell in active)
-        # Compile (or fetch) the plan before the teacher forward, so an
-        # uncompilable supernet falls back without a wasted teacher inference.
-        step.plan_for(np.asarray(batch["observations"]).shape, gated_paths=gated_key)
-        teacher_probs = teacher_values = None
-        if self.distiller.enabled:
-            teacher_probs, values = self.distiller.teacher_targets(batch["observations"])
-            if self.distiller.mode == DistillationMode.AC:
-                teacher_values = values
-        result = step.step(
-            batch["observations"],
-            batch["actions"],
-            batch["returns"],
-            batch["advantages"],
-            max_grad_norm=cfg.max_grad_norm,
-            weights=cfg.loss_weights(),
-            teacher_probs=teacher_probs,
-            teacher_values=teacher_values,
-            gated_paths=gated_key,
-            gate_values=[
-                np.array([gates[c].data[i] for i in cell], dtype=np.float64)
-                for c, cell in enumerate(active)
-            ],
-        )
-        if result.skipped:
-            # The non-finite guard suppressed the weight update; the gate
-            # gradients came from the same poisoned backward, so alpha skips
-            # too (and the search loop notes the trip for rollback streaks).
-            self._note_guard(True)
-            components = dict(result.components)
-            components.setdefault("actor_distill", 0.0)
-            components.setdefault("critic_distill", 0.0)
-            return result.total, components, 0.0
-        self._note_guard(False)
-        # Alpha update: seed the gate gradients back through the Gumbel graph.
-        self.alpha_optimizer.zero_grad()
-        seed = None
-        for gate, gate_grad, cell in zip(gates, result.gate_grads, active):
-            full = np.zeros(gate.data.shape)
-            full[list(cell)] = gate_grad
-            term = (gate * Tensor(full)).sum()
-            seed = term if seed is None else seed + term
-        total_value = result.total
-        hw_value = 0.0
-        if self.hardware_penalty is not None and cfg.hw_penalty_weight > 0.0:
-            penalty = self.hardware_penalty(sampled, gates)
-            if penalty is not None:
-                if isinstance(penalty, Tensor):
-                    seed = seed + penalty * cfg.hw_penalty_weight
-                    hw_value = penalty.item()
-                else:
-                    hw_value = float(penalty)
-                total_value += hw_value * cfg.hw_penalty_weight
-        seed.backward()
-        self.alpha_optimizer.step()
-
-        components = dict(result.components)
-        components.setdefault("actor_distill", 0.0)
-        components.setdefault("critic_distill", 0.0)
-        return total_value, components, hw_value
-
-    def _compiled_stacked_one_level(self, batch, samples):
-        """Stacked-path one-level update: K Gumbel samples, one compiled plan.
-
-        The plan's cells hold the union of the samples' active candidates;
-        per-sample gate values select each sample's paths (zero for branches
-        a sample did not activate), and alpha receives each sample's gate
-        gradients masked to *its own* active set — exactly the mean of K
-        per-path compiled updates, for one compile and one GEMM sweep.
+        fused RMSProp step.  The plan runs the union of the K samples'
+        active candidates; per-sample gate values select each sample's paths
+        (zero for branches a sample did not activate), and alpha receives
+        each sample's gate gradients masked to *its own* active set, chained
+        through the (tiny, eager) Gumbel relaxation together with the
+        hardware penalty of Eq. 8 — exactly the mean of K per-path compiled
+        updates, for one plan run.
         """
         cfg = self.config
         step = self._compiled_train_step()
@@ -416,7 +364,8 @@ class DRLArchitectureSearch:
                 for i in active[c]:
                     values[k, union[c].index(i)] = gates[c].data[i]
             gate_values.append(values)
-        # Compile (or fetch) before the teacher forward, mirroring the K=1 path.
+        # Compile (or fetch) the plan before the teacher forward, so an
+        # uncompilable supernet falls back without a wasted teacher inference.
         step.plan_for(
             np.asarray(batch["observations"]).shape,
             gated_paths=union,
@@ -440,28 +389,29 @@ class DRLArchitectureSearch:
             gate_values=gate_values,
             num_samples=num_samples,
         )
-        gates0, _, sampled0 = samples[0]
+        components = dict(result.components)
+        components.setdefault("actor_distill", 0.0)
+        components.setdefault("critic_distill", 0.0)
         if result.skipped:
+            # The non-finite guard suppressed the weight update; the gate
+            # gradients came from the same poisoned backward, so alpha skips
+            # too (and the search loop notes the trip for rollback streaks).
             self._note_guard(True)
-            components = dict(result.components)
-            components.setdefault("actor_distill", 0.0)
-            components.setdefault("critic_distill", 0.0)
             return result.total, components, 0.0
         self._note_guard(False)
+        # Alpha update: seed the gate gradients back through the Gumbel graph.
         self.alpha_optimizer.zero_grad()
         seed = None
         for k, (gates, active, _) in enumerate(samples):
-            for c, cell in enumerate(result.gate_layout):
+            for c, cell in enumerate(union):
+                gate_grad = np.reshape(result.gate_grads[c], (num_samples, len(cell)))[k]
                 full = np.zeros(gates[c].data.shape)
-                touched = False
                 for pos, i in enumerate(cell):
                     if i in active[c]:
-                        full[i] = result.gate_grads[c][k, pos]
-                        touched = True
-                if not touched:
-                    continue
+                        full[i] = gate_grad[pos]
                 term = (gates[c] * Tensor(full)).sum()
                 seed = term if seed is None else seed + term
+        gates0, _, sampled0 = samples[0]
         total_value = result.total
         hw_value = 0.0
         if self.hardware_penalty is not None and cfg.hw_penalty_weight > 0.0:
@@ -475,14 +425,15 @@ class DRLArchitectureSearch:
                 total_value += hw_value * cfg.hw_penalty_weight
         seed.backward()
         self.alpha_optimizer.step()
-
-        components = dict(result.components)
-        components.setdefault("actor_distill", 0.0)
-        components.setdefault("critic_distill", 0.0)
         return total_value, components, hw_value
 
-    def _stacked_one_level_update(self):
-        """One-level update averaging the loss over K sampled architectures."""
+    def _one_level_update(self):
+        """One-level: weights and alpha updated from the same rollout loss.
+
+        The loss is the mean over ``config.grad_samples`` Gumbel samples
+        (one sample is the plain one-level update); the rollout follows the
+        first sample's hard path.
+        """
         cfg = self.config
         temperature = self.temperature.value(self.total_env_steps)
         samples = [
@@ -514,32 +465,6 @@ class DRLArchitectureSearch:
         total.backward()
         self._guarded_eager_step(total)
         return total.item(), components_mean, hw_value
-
-    def _one_level_update(self):
-        """One-level: weights and alpha updated from the same rollout loss."""
-        if self.config.grad_samples > 1:
-            return self._stacked_one_level_update()
-        temperature = self.temperature.value(self.total_env_steps)
-        gates, active, sampled = self.arch.sample(
-            temperature, self.rng, num_backward_paths=self.config.num_backward_paths
-        )
-        buffer, bootstrap = self._collect_rollout(sampled)
-        batch = buffer.compute_targets(bootstrap, self.config.gamma)
-        if self.config.use_compiled_train:
-            from ..runtime.compiler import CompileError
-
-            try:
-                return self._compiled_one_level(batch, gates, active, sampled)
-            except CompileError:
-                health.record("eager_fallbacks")
-        total, components = self._task_loss(batch, gates, active)
-        total, hw_value = self._add_hardware_penalty(total, sampled, gates)
-
-        self.weight_optimizer.zero_grad()
-        self.alpha_optimizer.zero_grad()
-        total.backward()
-        self._guarded_eager_step(total)
-        return total.item(), components, hw_value
 
     def _guarded_eager_step(self, total, update_alpha=True):
         """Clip, guard, and apply the eager optimiser step(s).
@@ -749,30 +674,23 @@ class DRLArchitectureSearch:
         return self
 
     def _log_runtime_stats(self):
-        """Log plan-cache / buffer-pool counters so compilation amortisation
-        (and the fusion/aliasing wins behind it) stays observable, plus the
-        process-wide reliability counters (restarts, guard trips, fallbacks)
-        so recovery activity shows up in the same per-update stream."""
-        from ..runtime import cache_stats
+        """Log this update's plan compiles and buffer-pool traffic.
 
+        The runtime counters (plan-cache hits and misses, recycled and
+        freshly allocated pool bytes, summed over the process's live engines)
+        are logged as per-update deltas, so a steady-state recompile shows as
+        a non-zero value.  The process-wide reliability counters (restarts,
+        guard trips, fallbacks) are logged as totals, so recovery activity
+        shows up in the same per-update stream.
+        """
         stats = cache_stats()
         step = self.total_env_steps
         for name, value in stats["health"].items():
             self.logger.log("health/" + name, value, step=step)
-        self.logger.log("runtime/train_plan_hits", stats["train_plans"]["cache_hits"], step=step)
-        self.logger.log("runtime/train_plan_misses", stats["train_plans"]["cache_misses"], step=step)
-        self.logger.log(
-            "runtime/rollout_plan_hits", stats["inference_plans"]["cache_hits"], step=step
-        )
-        self.logger.log(
-            "runtime/rollout_plan_misses", stats["inference_plans"]["cache_misses"], step=step
-        )
-        self.logger.log(
-            "runtime/pool_bytes_recycled", stats["buffer_pools"]["bytes_pooled"], step=step
-        )
-        self.logger.log(
-            "runtime/pool_bytes_fresh", stats["buffer_pools"]["bytes_fresh"], step=step
-        )
+        counters = _runtime_counters(stats)
+        for name, value in counters.items():
+            self.logger.log("runtime/" + name, value - self._runtime_counters[name], step=step)
+        self._runtime_counters = counters
 
     def derive_agent(self, rng=None):
         """Derive the final stand-alone agent from the current alpha."""

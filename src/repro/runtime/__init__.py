@@ -15,8 +15,8 @@ all pure inference, so this subsystem executes them on a different engine:
   per-call allocations on the hot path and no ``Tensor`` wrapping;
 * :class:`~repro.runtime.engine.RuntimePolicy` wraps an
   :class:`~repro.drl.agent.ActorCriticAgent` and serves ``(probs, values)``
-  batches for rollout collection, including sampled supernet paths (plans are
-  cached per path).
+  batches for rollout collection, including sampled supernet paths (one plan
+  per batch shape holds every candidate; each call selects its path).
 
 The engine reads parameters live from the source module on every run, so a
 module can keep training between rollouts without invalidating its plans.
@@ -79,9 +79,11 @@ __all__ = [
 def cache_stats():
     """Aggregate plan-cache, :class:`BufferPool` and kernel-dispatch counters.
 
-    Sums hits / misses / evictions over every live :class:`InferenceEngine`
-    and :class:`CompiledTrainStep`, recycled vs freshly-allocated bytes over
-    every live pool, and reports the conv kernel chosen per op signature
+    Sums hits / misses / evictions over every :class:`InferenceEngine` and
+    :class:`CompiledTrainStep` the process created, recycled vs
+    freshly-allocated bytes over every pool (collected objects included, so
+    the counters only grow; ``engines`` / ``executors`` / ``pools`` count the
+    live ones), and reports the conv kernel chosen per op signature
     (with the autotuner's candidate timings where a timing run decided), so
     search loops can log how well compilation amortises and which compute
     kernels their plans actually run on.  The ``"health"`` entry mirrors the
@@ -100,19 +102,12 @@ def cache_stats():
     from .plan import _POOLS
     from .train import _TRAIN_STEPS
 
-    def _sum(objects, keys):
-        out = dict.fromkeys(keys, 0)
-        for obj in objects:
-            for key in keys:
-                out[key] += getattr(obj, key)
-        return out
-
-    inference = _sum(list(_ENGINES), ("cache_hits", "cache_misses", "cache_evictions"))
-    inference["engines"] = len(_ENGINES)
-    train = _sum(list(_TRAIN_STEPS), ("cache_hits", "cache_misses", "cache_evictions"))
-    train["executors"] = len(_TRAIN_STEPS)
-    pools = _sum(list(_POOLS), ("hits", "misses", "bytes_pooled", "bytes_fresh"))
-    pools["pools"] = len(_POOLS)
+    inference, engines = _ENGINES.totals()
+    inference["engines"] = engines
+    train, executors = _TRAIN_STEPS.totals()
+    train["executors"] = executors
+    pools, live_pools = _POOLS.totals()
+    pools["pools"] = live_pools
     return {
         "inference_plans": inference,
         "train_plans": train,

@@ -40,9 +40,14 @@ from .plan import (
     TileStep,
 )
 
-__all__ = ["compile_plan", "register_expander", "supported_module_types", "CompileError"]
+__all__ = [
+    "ALL_CANDIDATES", "compile_plan", "register_expander", "supported_module_types", "CompileError"
+]
 
 _EXPANDERS = {}
+
+#: ``gated_paths`` value compiling every candidate branch of every cell.
+ALL_CANDIDATES = "all"
 
 
 class CompileError(RuntimeError):
@@ -377,31 +382,36 @@ def _register_network_expanders():
     @_expander(AgentSuperNet)
     def _expand_supernet(module, ctx, in_slot):
         if ctx.gated is not None:
-            return _expand_supernet_gated(module, ctx, in_slot)
-        if ctx.path is None:
+            ctx.gated_consumed = True
+            gated = ctx.gated
+        elif ctx.path is not None:
+            # A sampled path is the all-candidate plan with one branch per
+            # cell selected (at gate 1): every path shares one compile.
+            if len(ctx.path) != module.num_cells:
+                raise CompileError(
+                    "expected {} op indices, got {}".format(module.num_cells, len(ctx.path))
+                )
+            if any(not 0 <= i < cell.num_choices for cell, i in zip(module.cells, ctx.path)):
+                raise CompileError("op index out of range in path {}".format(ctx.path))
+            ctx.path_consumed = True
+            gated = ALL_CANDIDATES
+        else:
             raise CompileError(
                 "AgentSuperNet requires a fixed path (op_indices) or per-cell "
                 "active paths (gated_paths) to compile"
             )
-        if len(ctx.path) != module.num_cells:
-            raise CompileError(
-                "expected {} op indices, got {}".format(module.num_cells, len(ctx.path))
-            )
-        ctx.path_consumed = True
-        slot = ctx.emit(module.stem, in_slot)
-        for cell, op_index in zip(module.cells, ctx.path):
-            slot = ctx.emit(cell.candidates[int(op_index)], slot)
-        slot = ctx.emit(module.pool, slot)
-        out_slot = ctx.slot((ctx.shape(slot)[0], module.fc.out_features))
-        ctx.add(LinearStep(module.fc, slot, out_slot, activation="relu"))
-        return out_slot
+        if gated == ALL_CANDIDATES:
+            gated = tuple(tuple(range(cell.num_choices)) for cell in module.cells)
+        return _expand_supernet_gated(module, ctx, in_slot, gated)
 
-    def _expand_supernet_gated(module, ctx, in_slot):
-        """Multi-path (gate-weighted) expansion for search-time train steps.
+    def _expand_supernet_gated(module, ctx, in_slot, gated):
+        """Multi-path (gate-weighted) expansion of the listed candidates.
 
-        Each active candidate expands into its own branch slots; a
-        :class:`GateCombineStep` sums them with per-run gate values, in the
-        same left-to-right order as the eager gated forward.
+        Each candidate expands into its own branch slots, and every step it
+        emits is tagged with its ``(cell, candidate)`` branch; a
+        :class:`GateCombineStep` sums the branches a run selects with per-run
+        gate values, in the same left-to-right order as the eager gated
+        forward.
 
         In stacked-path mode (``num_samples = K > 1``) the stem runs once on
         the real batch, a :class:`TileStep` replicates its output into ``K``
@@ -409,14 +419,11 @@ def _register_network_expanders():
         combines its branches with per-sample gate values — one compile and
         one GEMM sweep serve all ``K`` sampled architectures.
         """
-        if len(ctx.gated) != module.num_cells:
+        if len(gated) != module.num_cells:
             raise CompileError(
-                "expected {} active-path tuples, got {}".format(
-                    module.num_cells, len(ctx.gated)
-                )
+                "expected {} active-path tuples, got {}".format(module.num_cells, len(gated))
             )
-        ctx.gated_consumed = True
-        ctx.plan.set_gate_layout(ctx.gated)
+        ctx.plan.set_gate_layout(gated)
         k = ctx.plan.num_samples
         if k > 1:
             # Shared trunk: repeat the BN running-stat EMA K times per run so
@@ -430,12 +437,18 @@ def _register_network_expanders():
             ctx.add(TileStep(slot, stacked, k))
             slot = stacked
             ctx.stack_k = k
-        for cell_index, (cell, active) in enumerate(zip(module.cells, ctx.gated)):
+        steps = ctx.plan.steps
+        for cell_index, (cell, active) in enumerate(zip(module.cells, gated)):
             if not active:
                 raise CompileError("at least one path must be active per cell")
-            branches = [ctx.emit(cell.candidates[int(i)], slot) for i in active]
+            branches = []
+            for i in active:
+                first = len(steps)
+                branches.append(ctx.emit(cell.candidates[int(i)], slot))
+                for step in steps[first:]:
+                    step.branch = (cell_index, int(i))
             out_slot = ctx.slot(ctx.shape(branches[0]))
-            ctx.add(GateCombineStep(cell_index, branches, out_slot, num_samples=k))
+            ctx.add(GateCombineStep(cell_index, branches, out_slot, active, num_samples=k))
             slot = out_slot
         slot = ctx.emit(module.pool, slot)
         out_slot = ctx.slot((ctx.shape(slot)[0], module.fc.out_features))
@@ -466,8 +479,7 @@ def _register_network_expanders():
 
 
 def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, gated_paths=None,
-                 pool=None, passes=None, num_samples=1, gate_weights=None, gate_topk=None,
-                 gate_threshold=None, quantize=None):
+                 pool=None, passes=None, num_samples=1, quantize=None):
     """Compile ``module`` for a concrete ``input_shape`` into a ready :class:`Plan`.
 
     Parameters
@@ -481,15 +493,19 @@ def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, 
         Compute dtype of every buffer; ``np.float64`` matches the autograd
         engine to a few ulps, ``np.float32`` is the fast path.
     path:
-        Operator index per cell when compiling a sampled supernet path.
+        Operator index per cell when compiling a sampled supernet path.  The
+        plan holds every candidate branch with this path selected (gate 1);
+        :meth:`Plan.set_path` re-selects another path without recompiling.
     train:
         Also build the reverse-mode program (gradient buffers + per-step
         VJPs).  Modules the runtime cannot differentiate (opaque fallbacks,
         active dropout) raise :class:`CompileError` so callers fall back to
         the eager tape.
     gated_paths:
-        Per-cell tuples of active candidate indices for a gated (multi-path
-        backward) supernet expansion; gate *values* are provided per run via
+        Per-cell tuples of the candidate indices to compile for a gated
+        (multi-path backward) supernet expansion, or :data:`ALL_CANDIDATES`
+        for every candidate of every cell.  Gate *values*, and the subset of
+        compiled branches each run executes, are provided per run via
         :meth:`Plan.set_gates`.
     pool:
         Optional :class:`~repro.runtime.plan.BufferPool` the plan draws its
@@ -502,12 +518,7 @@ def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, 
     num_samples:
         Stacked-path mode: compile ``K`` sampled architectures into one plan
         with a leading sample axis folded into the batch (requires
-        ``gated_paths``, whose cells then hold the *union* of the samples'
-        active candidates).  Gate values/gradients gain a ``(K, ...)`` axis.
-    gate_weights / gate_topk / gate_threshold:
-        Compile-time gate weights (aligned with ``gated_paths``) and pruning
-        limits for the gate-aware dead-branch-elimination pass.  The plan's
-        final per-cell layout is ``plan.gate_layout``.
+        ``gated_paths``).  Gate values/gradients have a leading ``K`` axis.
     quantize:
         A :class:`~repro.runtime.quantize.QuantCalibration` (or an iterable
         of them) enabling the ``quantize`` pass for inference plans.  The
@@ -538,23 +549,21 @@ def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, 
     trace.begin("compile/" + type(module).__name__, "compile")
     try:
         return _compile_plan_body(
-            module, input_shape, dtype, path, train, gated_paths, plan,
-            num_samples, gate_weights, gate_topk, gate_threshold, quantize,
-            enabled,
+            module, input_shape, dtype, path, gated_paths, plan, quantize, enabled,
         )
     finally:
         trace.end()
 
 
-def _compile_plan_body(module, input_shape, dtype, path, train, gated_paths, plan,
-                       num_samples, gate_weights, gate_topk, gate_threshold,
-                       quantize, enabled):
+def _compile_plan_body(module, input_shape, dtype, path, gated_paths, plan, quantize, enabled):
+    if gated_paths is not None and not isinstance(gated_paths, str):
+        gated_paths = tuple(tuple(int(i) for i in cell) for cell in gated_paths)
+    elif gated_paths not in (None, ALL_CANDIDATES):
+        raise CompileError("unknown gated_paths {!r}".format(gated_paths))
     ctx = CompileContext(
         plan,
         path=tuple(int(i) for i in path) if path is not None else None,
-        gated=tuple(tuple(int(i) for i in cell) for cell in gated_paths)
-        if gated_paths is not None
-        else None,
+        gated=gated_paths,
     )
     input_slot = plan.new_slot(input_shape)
     out_slot = ctx.emit(module, input_slot)
@@ -577,7 +586,7 @@ def _compile_plan_body(module, input_shape, dtype, path, train, gated_paths, pla
     protected.update(outputs)
     protected.update(plan.named_slots.values())
     calibration = None
-    if quantize is not None and not train:
+    if quantize is not None and not plan.train:
         from .quantize import QuantCalibration
 
         candidates = (
@@ -592,9 +601,6 @@ def _compile_plan_body(module, input_shape, dtype, path, train, gated_paths, pla
         PassContext(
             protected_slots=protected,
             zero_slots=zero_slots,
-            gate_weights=gate_weights,
-            gate_topk=gate_topk,
-            gate_threshold=gate_threshold,
             quantize=calibration,
         ),
         enabled=enabled,
@@ -605,4 +611,6 @@ def _compile_plan_body(module, input_shape, dtype, path, train, gated_paths, pla
     for slot in zero_slots:
         if plan.bufs[slot] is not None:
             plan.bufs[slot][...] = 0.0
+    if ctx.path_consumed:
+        plan.set_path(ctx.path)
     return plan

@@ -1,9 +1,10 @@
 """Inference engines: plan caching, buffer reuse, and the policy fast path.
 
 :class:`InferenceEngine` wraps one module and lazily compiles a :class:`Plan`
-per ``(path, input shape)`` signature, so changing the rollout batch size (or
-the sampled supernet path) transparently triggers re-compilation and buffer
-re-allocation while steady-state execution is allocation-free.
+per input shape, so changing the rollout batch size transparently triggers
+re-compilation and buffer re-allocation while steady-state execution is
+allocation-free.  A supernet's plan holds every candidate branch, so a new
+sampled path only re-selects which branches run; it never recompiles.
 
 :class:`RuntimePolicy` specialises the engine for
 :class:`~repro.drl.agent.ActorCriticAgent`: one plan evaluates backbone,
@@ -14,7 +15,6 @@ ever touching the autograd tape.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -22,12 +22,12 @@ import numpy as np
 from ..reliability.faults import get_injector
 from ..telemetry import trace
 from .compiler import CompileError, compile_plan
-from .plan import BufferPool
+from .plan import BufferPool, CounterTally
 
 __all__ = ["InferenceEngine", "RuntimePolicy"]
 
-#: Live engines, for :func:`repro.runtime.cache_stats` aggregation.
-_ENGINES = weakref.WeakSet()
+#: Engines, for :func:`repro.runtime.cache_stats` aggregation.
+_ENGINES = CounterTally(("cache_hits", "cache_misses", "cache_evictions"))
 
 
 class InferenceEngine:
@@ -43,9 +43,8 @@ class InferenceEngine:
         engine's numerics to a few ulps; ``np.float32`` is the production
         fast path.
     max_plans:
-        Number of compiled ``(path, shape)`` signatures kept in the LRU
-        cache.  Rollout collection alternates over a handful of signatures;
-        supernet co-search churns through sampled paths, hence the bound.
+        Number of compiled ``(shape, supernet)`` signatures kept in the LRU
+        cache.  Rollout collection alternates over a handful of batch shapes.
     quantize:
         Optional :class:`~repro.runtime.quantize.QuantCalibration` (or an
         iterable of them, e.g. one per batch size) forwarded to every
@@ -59,26 +58,34 @@ class InferenceEngine:
         self.max_plans = int(max_plans)
         self.quantize = quantize
         self._plans = OrderedDict()
-        #: Evicted plans hand their buffers back here, so the per-sampled-path
-        #: recompiles of co-search rollouts reuse warm pages.
+        #: Evicted plans hand their buffers back here, so later compiles reuse
+        #: warm pages.
         self.pool = BufferPool()
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
         _ENGINES.add(self)
 
+    def __del__(self):
+        _ENGINES.retire(self)
+
     def plan_for(self, input_shape, path=None):
-        """Fetch (or compile) the plan for ``input_shape`` / ``path``."""
+        """Fetch (or compile) the plan for ``input_shape``, selecting ``path``.
+
+        Every supernet path shares one plan per input shape; the returned
+        plan runs ``path``'s branches until the next selection.
+        """
         injector = get_injector()
         if injector is not None and injector.should_fire("compile_error"):
             # Injected before the cache lookup so a fault never replaces (or
             # shadows) a good cached plan — the next call compiles normally.
             raise CompileError("injected compile_error fault")
-        key = (tuple(input_shape), tuple(int(i) for i in path) if path is not None else None)
+        path = tuple(int(i) for i in path) if path is not None else None
+        key = (tuple(input_shape), path is not None)
         plan = self._plans.get(key)
         if plan is None:
             self.cache_misses += 1
-            plan = compile_plan(self.module, key[0], dtype=self.dtype, path=key[1],
+            plan = compile_plan(self.module, key[0], dtype=self.dtype, path=path,
                                 pool=self.pool, quantize=self.quantize)
             self._plans[key] = plan
             while len(self._plans) > self.max_plans:
@@ -88,6 +95,11 @@ class InferenceEngine:
         else:
             self.cache_hits += 1
             self._plans.move_to_end(key)
+            if path is not None:
+                try:
+                    plan.set_path(path)
+                except ValueError as exc:
+                    raise CompileError(str(exc)) from None
         return plan
 
     def cache_stats(self):
@@ -139,7 +151,7 @@ class RuntimePolicy:
 
     This is what rollout collection, evaluation and teacher-target queries
     call instead of the autograd forward.  Sampled supernet paths are passed
-    as ``op_indices`` and compiled/cached per path; gated multi-path forwards
+    as ``op_indices`` and select branches of one cached plan; gated multi-path forwards
     (which need gradients anyway) are rejected with :class:`CompileError` so
     callers can fall back to the eager engine.
     """

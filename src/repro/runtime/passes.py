@@ -4,15 +4,6 @@ The structural compiler emits a faithful one-op-per-node program; this module
 rewrites that program *between emission and finalisation* — the classic
 deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
 
-``dead_branch``
-    Gate-aware dead-branch elimination for gated supernet plans: candidate
-    branches whose compile-time gate weight falls outside the requested
-    top-k / threshold are pruned from every :class:`GateCombineStep`, and the
-    orphaned branch subgraphs are swept by dead-code elimination.  Pruning to
-    top-k reproduces exactly the plan that compiling the pre-pruned
-    active-path layout would produce (the Eq. 7 multi-path-backward
-    semantics the ``ablation_topk_paths`` benchmark studies).
-
 ``fuse_epilogue``
     Epilogue fusion for inference plans: standalone batch-norm, activation
     and residual-add steps are folded into the producing compute step
@@ -83,7 +74,9 @@ bisection, mirroring the ``use_compiled_train`` fallback style.
 
 from __future__ import annotations
 
+import heapq
 import os
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -120,15 +113,12 @@ __all__ = [
     "lint_enabled",
 ]
 
-#: Pipeline order matters: branch pruning first (smaller graph for everything
-#: after), then structural fusion, then weight folding, then layout
-#: assignment (which may insert transpose steps), then quantization (whose
-#: slot-identity contract with calibration depends on all earlier passes
-#: having run identically), then the liveness analysis over the final step
-#: list.
-PASS_NAMES = (
-    "dead_branch", "fuse_epilogue", "fold_bn", "layout", "quantize", "alias_slots"
-)
+#: Pipeline order matters: structural fusion first, then weight folding,
+#: then layout assignment (which may insert transpose steps), then
+#: quantization (whose slot-identity contract with calibration depends on
+#: all earlier passes having run identically), then the liveness analysis
+#: over the final step list.
+PASS_NAMES = ("fuse_epilogue", "fold_bn", "layout", "quantize", "alias_slots")
 
 ENV_VAR = "REPRO_RUNTIME_PASSES"
 
@@ -192,26 +182,13 @@ def enabled_passes(spec=None):
 class PassContext:
     """Compile-time facts the passes need beyond the plan itself."""
 
-    def __init__(
-        self,
-        protected_slots=(),
-        zero_slots=(),
-        gate_weights=None,
-        gate_topk=None,
-        gate_threshold=None,
-        quantize=None,
-    ):
+    def __init__(self, protected_slots=(), zero_slots=(), quantize=None):
         #: Slots with externally visible contents (plan input/outputs, named
         #: slots): never re-routed, never storage-shared, never dead.
         self.protected_slots = frozenset(protected_slots)
         #: Shared all-zero helper slots: contents persist across runs, so
         #: they may go dead but never share storage.
         self.zero_slots = frozenset(zero_slots)
-        #: Per-cell gate weights aligned with the plan's gate layout (the
-        #: soft Gumbel probabilities at compile time); enables ``dead_branch``.
-        self.gate_weights = gate_weights
-        self.gate_topk = gate_topk
-        self.gate_threshold = gate_threshold
         #: :class:`~repro.runtime.quantize.QuantCalibration` matching this
         #: compile, or ``None``; enables the ``quantize`` pass.
         self.quantize = quantize
@@ -277,67 +254,6 @@ def _ensure_storage(plan):
 
 
 # --------------------------------------------------------------------------- #
-# dead_branch: gate-aware branch pruning + DCE sweep
-# --------------------------------------------------------------------------- #
-def dead_branch(plan, ctx):
-    """Prune gated-cell branches outside the top-k / threshold gate weights.
-
-    ``ctx.gate_weights`` holds, per cell, weights aligned with the plan's
-    current ``gate_layout``.  The surviving layout (always containing each
-    cell's arg-max branch) replaces ``plan.gate_layout``; callers remap their
-    per-run gate values through it.
-    """
-    if plan.gate_layout is None or ctx.gate_weights is None:
-        return
-    if ctx.gate_topk is None and ctx.gate_threshold is None:
-        return
-    new_layout = list(plan.gate_layout)
-    changed = False
-    for step in plan.steps:
-        if not isinstance(step, GateCombineStep):
-            continue
-        cell = step.cell_index
-        layout = plan.gate_layout[cell]
-        weights = np.asarray(ctx.gate_weights[cell], dtype=np.float64)
-        if weights.shape[-1] != len(layout):
-            raise ValueError(
-                "gate_weights for cell {} must align with its {} active paths".format(
-                    cell, len(layout)
-                )
-            )
-        order = np.argsort(-weights)
-        keep = set(
-            int(i) for i in (order[: int(ctx.gate_topk)] if ctx.gate_topk else order)
-        )
-        if ctx.gate_threshold is not None:
-            keep = {i for i in keep if weights[i] >= ctx.gate_threshold}
-        keep.add(int(np.argmax(weights)))
-        keep = sorted(keep)
-        if len(keep) == len(layout):
-            continue
-        step.in_slots = tuple(step.in_slots[i] for i in keep)
-        new_layout[cell] = tuple(layout[i] for i in keep)
-        changed = True
-    if changed:
-        plan.set_gate_layout(new_layout)
-        _dce(plan, ctx)
-
-
-def _dce(plan, ctx):
-    """Drop steps whose outputs nothing (transitively) consumes."""
-    needed = set(ctx.protected_slots)
-    keep = [False] * len(plan.steps)
-    for index in range(len(plan.steps) - 1, -1, -1):
-        step = plan.steps[index]
-        writes = step_writes(step)
-        if isinstance(step, OpaqueStep) or any(slot in needed for slot in writes):
-            keep[index] = True
-            needed.update(step_reads(step))
-            needed.update(writes)
-    plan.steps = [step for index, step in enumerate(plan.steps) if keep[index]]
-
-
-# --------------------------------------------------------------------------- #
 # fuse_epilogue: BN / activation / residual-add into the producing GEMM
 # --------------------------------------------------------------------------- #
 def _single_consumer(slot, readers, ctx):
@@ -349,7 +265,11 @@ def _single_consumer(slot, readers, ctx):
 
 
 def fuse_epilogue(plan, ctx):
-    """Fold elementwise epilogues into the preceding GEMM step (inference only)."""
+    """Fold elementwise epilogues into the preceding GEMM step (inference only).
+
+    Fusion never crosses a gated-supernet branch boundary: the fused step
+    must run exactly when both originals would.
+    """
     if plan.train:
         return
     changed = True
@@ -373,6 +293,7 @@ def fuse_epilogue(plan, ctx):
                 _, prod = producer_of(step.in_slot)
                 if (
                     isinstance(prod, Conv2dStep)
+                    and prod.branch == step.branch
                     and prod.bn is None
                     and prod.activation is None
                     and prod.res_slot is None
@@ -397,6 +318,7 @@ def fuse_epilogue(plan, ctx):
                 _, prod = producer_of(source)
                 if (
                     isinstance(prod, (Conv2dStep, LinearStep, BatchNormStep, AddStep))
+                    and prod.branch == step.branch
                     and prod.activation is None
                     and _single_consumer(source, readers, ctx)
                 ):
@@ -417,6 +339,7 @@ def fuse_epilogue(plan, ctx):
                 prod_index, prod = producer_of(body, before=index)
                 if (
                     not isinstance(prod, Conv2dStep)
+                    or prod.branch != step.branch
                     or prod.activation is not None
                     or prod.res_slot is not None
                 ):
@@ -642,6 +565,157 @@ def _conv_components(plan, convs):
     return list(groups.values())
 
 
+def _feed_branch(step, slot):
+    """Branch tag of a boundary step inserted to feed ``slot`` into ``step``.
+
+    A combine reads each branch's output only when that branch runs, so a
+    boundary feeding a combine input belongs to that input's branch.
+    """
+    if isinstance(step, GateCombineStep):
+        return step.branch_of(slot)
+    return step.branch
+
+
+def _share_boundary(boundary, step, slot):
+    """Retag a memoised boundary step reused by another reader.
+
+    A boundary serving readers of different branches must run whenever any
+    of them does, so it moves to the trunk.
+    """
+    if boundary.branch != _feed_branch(step, slot):
+        boundary.branch = None
+
+
+class _LayoutSearch:
+    """Costs of conv-layout assignments for the hill-climb in :func:`assign_layouts`.
+
+    An assignment costs its conv kernels plus a transpose per distinct
+    boundary ``(slot, version, layout)`` of the propagation walk.
+    :meth:`full_cost` walks the whole program and is the reference.
+    :meth:`move_cost` re-walks only the steps a move can change: the flipped
+    convs, then every step reading a slot whose tag now differs from the
+    incumbent's walk, up to that slot's next writer.  Plans whose walk
+    re-tags all-zero wildcard slots (an order-dependent first claim) always
+    take the full walk.
+    """
+
+    def __init__(self, plan, ctx, conv_costs, trans_cost):
+        self.plan = plan
+        self.ctx = ctx
+        self.conv_costs = conv_costs
+        self.trans_cost = trans_cost
+        self.conv_index = {
+            id(step): index for index, step in enumerate(plan.steps)
+            if isinstance(step, Conv2dStep)
+        }
+        # A training-plan transpose also runs (reversed) in the backward pass.
+        self.weight = 2.0 if plan.train else 1.0
+        self.incremental = not any(
+            slot in ctx.zero_slots for step in plan.steps for slot in step_reads(step)
+        )
+
+    def cost(self, assign, boundaries):
+        """Kernel costs plus weighted transposes, summed in a fixed order."""
+        total = sum(self.conv_costs[cid][layout] for cid, layout in assign.items())
+        trans = sum(self.trans_cost(slot) for slot, _, _ in sorted(boundaries))
+        return total + self.weight * trans
+
+    def full_cost(self, assign):
+        boundaries = set()
+
+        def on_boundary(step, slot, version, current, needed):
+            boundaries.add((slot, version, needed))
+
+        _walk_layouts(self.plan, self.ctx, assign, on_boundary)
+        return self.cost(assign, boundaries)
+
+    def set_incumbent(self, assign):
+        """Walk ``assign`` once, recording what each step saw and produced."""
+        if not self.incremental:
+            return self.full_cost(assign)
+        layouts = list(self.plan._layouts)
+        versions = {}
+        self.seen = []      # per step: {slot: tag} before the step
+        self.versions = []  # per step: {read slot: write version}
+        self.keys = []      # per step: boundary keys it adds
+        self.outs = []      # per step: {slot: tag} after the step
+        self.touch, self.writers, self.counts = {}, {}, {}
+        for index, step in enumerate(self.plan.steps):
+            reads = step_reads(step)
+            self.versions.append({slot: versions.get(slot, 0) for slot in reads})
+            keys, after = self._effect(index, layouts.__getitem__, assign)
+            slots = set(reads) | set(after)
+            self.seen.append({slot: layouts[slot] for slot in slots})
+            self.keys.append(keys)
+            self.outs.append(after)
+            for slot in slots:
+                self.touch.setdefault(slot, []).append(index)
+            for key in keys:
+                self.counts[key] = self.counts.get(key, 0) + 1
+            for slot, tag in after.items():
+                self.writers.setdefault(slot, []).append(index)
+                layouts[slot] = tag
+                versions[slot] = versions.get(slot, 0) + 1
+        return self.cost(assign, self.counts)
+
+    def _effect(self, index, lay, assign):
+        """Boundary keys and output tags of step ``index`` under ``lay``."""
+        step = self.plan.steps[index]
+        _, requires, outs = _step_layout_plan(step, lay, assign, self.ctx.zero_slots)
+        versions = self.versions[index]
+        keys = []
+        for slot, needed in requires.items():
+            current = lay(slot)
+            if current is not None and current != needed:
+                keys.append((slot, versions[slot], needed))
+        after = {
+            slot: (tag if tag is not None else lay(slot)) for slot, tag in outs.items()
+        }
+        return keys, after
+
+    def move_cost(self, candidate, flipped):
+        """Cost of ``candidate``, the incumbent with the convs ``flipped`` changed."""
+        if not self.incremental:
+            return self.full_cost(candidate)
+        heap = sorted(self.conv_index[cid] for cid in flipped)
+        queued = set(heap)
+        dirty = {}
+        delta = {}
+        while heap:
+            index = heapq.heappop(heap)
+            seen = self.seen[index]
+
+            def lay(slot):
+                return dirty[slot] if slot in dirty else seen[slot]
+
+            keys, after = self._effect(index, lay, candidate)
+            if keys != self.keys[index]:
+                for key in self.keys[index]:
+                    delta[key] = delta.get(key, 0) - 1
+                for key in keys:
+                    delta[key] = delta.get(key, 0) + 1
+            for slot, tag in after.items():
+                if tag == self.outs[index][slot]:
+                    dirty.pop(slot, None)
+                    continue
+                dirty[slot] = tag
+                # Readers up to (and including) the slot's next writer see
+                # the new tag; past that writer the tag is recomputed there.
+                touch = self.touch[slot]
+                writers = self.writers[slot]
+                nxt = bisect_right(writers, index)
+                end = writers[nxt] if nxt < len(writers) else len(self.plan.steps)
+                for other in touch[bisect_right(touch, index):bisect_left(touch, end + 1)]:
+                    if other not in queued:
+                        queued.add(other)
+                        heapq.heappush(heap, other)
+        boundaries = [key for key, count in self.counts.items() if count + delta.get(key, 0) > 0]
+        boundaries.extend(
+            key for key, change in delta.items() if key not in self.counts and change > 0
+        )
+        return self.cost(candidate, boundaries)
+
+
 def assign_layouts(plan, ctx):
     """Assign NCHW/NHWC per conv by cost, then materialise transpose steps.
 
@@ -651,7 +725,8 @@ def assign_layouts(plan, ctx):
     (no timing) a deterministic synthetic cost model prefers NHWC for
     depthwise / pointwise convolutions.  A hill-climb from the all-NCHW
     assignment tries whole-component flips and single-conv toggles, accepting
-    moves that beat the incumbent by more than 3%.
+    moves that beat the incumbent by more than 3%.  Boundary transposes
+    inserted for a gated-supernet branch take that branch's tag.
     """
     convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
     if not convs:
@@ -682,32 +757,16 @@ def assign_layouts(plan, ctx):
             return _SYN_TRANSPOSE
 
     else:
+        trans_seconds = {}
 
         def trans_cost(slot):
-            return conv_kernels.transpose_seconds(plan.shape(slot), plan.dtype)
+            if slot not in trans_seconds:
+                trans_seconds[slot] = conv_kernels.transpose_seconds(plan.shape(slot), plan.dtype)
+            return trans_seconds[slot]
 
-    def evaluate(assign):
-        boundaries = set()
-
-        def on_boundary(step, slot, version, current, needed):
-            boundaries.add((slot, version, needed))
-            return None
-
-        _walk_layouts(plan, ctx, assign, on_boundary)
-        total = sum(conv_costs[cid][layout] for cid, layout in assign.items())
-        # A training-plan transpose also runs (reversed) in the backward pass.
-        weight = 2.0 if plan.train else 1.0
-        return total + weight * sum(trans_cost(slot) for slot, _, _ in boundaries)
-
-    def feasible_flip(assign, cid, layout):
-        if conv_costs[cid][layout] == float("inf"):
-            return None
-        if assign[cid] == layout:
-            return None
-        return layout
-
+    search = _LayoutSearch(plan, ctx, conv_costs, trans_cost)
     assign = {id(step): "NCHW" for step in convs}
-    best = evaluate(assign)
+    best = search.set_incumbent(assign)
     components = _conv_components(plan, convs)
     for _ in range(_LAYOUT_ROUNDS):
         moves = []
@@ -721,19 +780,22 @@ def assign_layouts(plan, ctx):
         winner_cost = best
         for move in moves:
             candidate = dict(assign)
-            changed = False
-            for cid, layout in move:
-                if feasible_flip(candidate, cid, layout):
-                    candidate[cid] = layout
-                    changed = True
-            if not changed:
+            flipped = [
+                cid for cid, layout in move
+                if candidate[cid] != layout and conv_costs[cid][layout] != float("inf")
+            ]
+            if not flipped:
                 continue
-            cost = evaluate(candidate)
+            for cid, layout in move:
+                if cid in flipped:
+                    candidate[cid] = layout
+            cost = search.move_cost(candidate, flipped)
             if cost < winner_cost * _LAYOUT_MARGIN:
                 winner, winner_cost = candidate, cost
         if winner is None:
             break
-        assign, best = winner, winner_cost
+        assign = winner
+        best = search.set_incumbent(assign)
 
     if all(layout == "NCHW" for layout in assign.values()):
         return
@@ -745,13 +807,17 @@ def assign_layouts(plan, ctx):
 
     def on_boundary(step, slot, version, current, needed):
         key = (slot, version, needed)
-        twin = twins.get(key)
-        if twin is None:
-            twin = plan.new_slot(plan.shape(slot), layout=needed)
-            new_steps.append(TransposeStep(slot, twin, current, needed))
-            twins[key] = twin
-            if slot == plan.input_slot or slot in plan._no_grad_slots:
-                plan._no_grad_slots.add(twin)
+        if key in twins:
+            twin, transpose = twins[key]
+            _share_boundary(transpose, step, slot)
+            return twin
+        twin = plan.new_slot(plan.shape(slot), layout=needed)
+        transpose = TransposeStep(slot, twin, current, needed)
+        transpose.branch = _feed_branch(step, slot)
+        new_steps.append(transpose)
+        twins[key] = (twin, transpose)
+        if slot == plan.input_slot or slot in plan._no_grad_slots:
+            plan._no_grad_slots.add(twin)
         return twin
 
     _walk_layouts(plan, ctx, assign, on_boundary, materialize=new_steps)
@@ -772,7 +838,8 @@ def quantize_plan(plan, ctx):
     correctness requirement).
 
     A conv is eligible when it is NHWC depthwise or pointwise, inference
-    direction, its activation quantizes losslessly into the requant clip
+    direction, outside any gated-supernet branch (a calibration observes one
+    path, and the plan serves every path), its activation quantizes losslessly into the requant clip
     (``None`` / ``relu``), its BN (if any) is folded into the weights, its
     output slot is unprotected and single-writer, a registered kernel serves
     the quantized signature, and calibration observed all its slots with the
@@ -809,6 +876,7 @@ def quantize_plan(plan, ctx):
         spec = step._spec(plan)
         if (
             step.layout != "NHWC"
+            or step.branch is not None
             or step.activation not in (None, "relu")
             or spec.op_class not in ("pointwise", "depthwise")
             or (step.bn is not None and not step.fold_bn)
@@ -834,24 +902,30 @@ def quantize_plan(plan, ctx):
     ftwins = {}     # integer slot -> float twin
     versions = {}
 
-    def int_view(slot, scale, layout):
+    def int_view(slot, scale, layout, reader):
         key = (slot, versions.get(slot, 0))
-        twin = qtwins.get(key)
-        if twin is None:
-            twin = plan.new_slot(plan.shape(slot), layout=layout, dtype=act_dtype)
-            new_steps.append(QuantizeStep(slot, twin, scale, qmax, layout=layout))
-            int_scale[twin] = scale
-            qtwins[key] = twin
+        if key in qtwins:
+            twin, boundary = qtwins[key]
+            _share_boundary(boundary, reader, slot)
+            return twin
+        twin = plan.new_slot(plan.shape(slot), layout=layout, dtype=act_dtype)
+        boundary = QuantizeStep(slot, twin, scale, qmax, layout=layout)
+        boundary.branch = _feed_branch(reader, slot)
+        new_steps.append(boundary)
+        int_scale[twin] = scale
+        qtwins[key] = (twin, boundary)
         return twin
 
-    def float_view(slot, layout):
-        twin = ftwins.get(slot)
-        if twin is None:
-            twin = plan.new_slot(plan.shape(slot), layout=layout)
-            new_steps.append(
-                DequantizeStep(slot, twin, int_scale[slot], layout=layout)
-            )
-            ftwins[slot] = twin
+    def float_view(slot, layout, reader):
+        if slot in ftwins:
+            twin, boundary = ftwins[slot]
+            _share_boundary(boundary, reader, slot)
+            return twin
+        twin = plan.new_slot(plan.shape(slot), layout=layout)
+        boundary = DequantizeStep(slot, twin, int_scale[slot], layout=layout)
+        boundary.branch = _feed_branch(reader, slot)
+        new_steps.append(boundary)
+        ftwins[slot] = (twin, boundary)
         return twin
 
     for step in plan.steps:
@@ -861,18 +935,18 @@ def quantize_plan(plan, ctx):
             if step.in_slot in int_scale:
                 in_scale = int_scale[step.in_slot]
             else:
-                step.in_slot = int_view(step.in_slot, in_scale, step.layout)
+                step.in_slot = int_view(step.in_slot, in_scale, step.layout, step)
             if step.res_slot is not None:
                 if step.res_slot in int_scale:
                     res_scale = int_scale[step.res_slot]
                 else:
-                    step.res_slot = int_view(step.res_slot, res_scale, step.layout)
+                    step.res_slot = int_view(step.res_slot, res_scale, step.layout, step)
             plan.set_slot_dtype(step.out_slot, act_dtype)
             int_scale[step.out_slot] = out_scale
             step.quant = QuantInfo(mode, in_scale, out_scale, res_scale)
         else:
             remap = {
-                slot: float_view(slot, plan.layout(slot))
+                slot: float_view(slot, plan.layout(slot), step)
                 for slot in step_reads(step)
                 if slot in int_scale
             }
@@ -1220,7 +1294,6 @@ def lint_plan(plan, ctx=None):
 
 
 _PASS_FUNCS = {
-    "dead_branch": dead_branch,
     "fuse_epilogue": fuse_epilogue,
     "fold_bn": fold_bn,
     "layout": assign_layouts,

@@ -69,8 +69,39 @@ __all__ = [
     "apply_activation",
 ]
 
-#: Live pools, for :func:`repro.runtime.cache_stats` aggregation.
-_POOLS = weakref.WeakSet()
+class CounterTally:
+    """Counters of live objects of one kind plus those of collected ones.
+
+    :func:`repro.runtime.cache_stats` reports :meth:`totals`, so its
+    counters only grow: a collected engine or pool never makes a per-update
+    delta negative.  Tracked classes call :meth:`retire` from ``__del__``.
+    """
+
+    def __init__(self, keys):
+        self.keys = tuple(keys)
+        self._live = weakref.WeakSet()
+        self._retired = dict.fromkeys(self.keys, 0)
+
+    def add(self, obj):
+        self._live.add(obj)
+
+    def retire(self, obj):
+        for key in self.keys:
+            self._retired[key] += getattr(obj, key, 0)
+
+    def totals(self):
+        """``(counter sums over live and retired objects, live count)``."""
+        # Holding the live objects keeps them from retiring mid-sum.
+        live = list(self._live)
+        out = dict(self._retired)
+        for obj in live:
+            for key in self.keys:
+                out[key] += getattr(obj, key)
+        return out, len(live)
+
+
+#: Pools, for :func:`repro.runtime.cache_stats` aggregation.
+_POOLS = CounterTally(("hits", "misses", "bytes_pooled", "bytes_fresh"))
 
 # The shared scratch-arena channel ids (SCRATCH_MAIN / SCRATCH_GEMM /
 # SCRATCH_PAD) are defined in repro.runtime.kernels.registry — the kernel
@@ -120,11 +151,10 @@ class BufferPool:
     """Recycles the large backing blocks of released plans.
 
     Page-faulting freshly ``mmap``-ed buffers is expensive (hundreds of ms
-    per GB on typical virtualised hosts), and supernet co-search compiles a
-    new gated training plan for almost every sampled architecture.  Plans
-    allocated against a pool return their blocks on :meth:`Plan.release`, so
-    the next compile re-uses warm, already-faulted pages instead of paying
-    the fault storm again.
+    per GB on typical virtualised hosts).  Plans allocated against a pool
+    return their blocks on :meth:`Plan.release` (engines release the plans
+    their caches evict), so the next compile re-uses warm, already-faulted
+    pages instead of paying the fault storm again.
 
     Blocks are raw byte arrays handed out best-fit (never more than
     ``max_waste`` times the requested size, so odd-sized requests don't pin
@@ -140,6 +170,9 @@ class BufferPool:
         self.bytes_pooled = 0
         self.bytes_fresh = 0
         _POOLS.add(self)
+
+    def __del__(self):
+        _POOLS.retire(self)
 
     def take(self, nbytes):
         """A byte block of capacity >= ``nbytes`` (recycled when possible)."""
@@ -192,6 +225,10 @@ class Step:
     #: trace, and conv labels need the bound kernel, known only after
     #: ``allocate``).
     _trace_label = None
+
+    #: ``(cell, candidate)`` of the gated-supernet branch this step belongs
+    #: to; ``None`` for steps that run on every run (trunk, heads, combines).
+    branch = None
 
     def trace_label(self):
         """The span name a traced plan run records for this step."""
@@ -996,19 +1033,27 @@ class SoftmaxStep(Step):
 class GateCombineStep(Step):
     """Gate-weighted sum of candidate-branch slots (gated supernet cell).
 
-    Gate *values* are per-run inputs (they change with every architecture
-    sample) read from the plan's ``gate_values`` table; backward writes the
-    per-gate scalar gradients into ``gate_grads`` so the caller can propagate
-    them through the (eager, tiny) Gumbel relaxation onto alpha.
+    ``in_slots`` holds one slot per compiled candidate (``candidates``).  Each
+    run sums only the branches the plan's active set selects, in the order
+    of that set, weighted by per-run gate values read from the plan's
+    ``gate_values`` table.  Gate values and gradients have shape
+    ``(K, num_candidates)``: stacked-path plans fold a leading sample axis
+    of ``K`` groups into the batch, and every other plan has ``K = 1``.
+    Backward writes the active branches' per-gate scalar gradients into
+    ``gate_grads`` so the caller can propagate them through the (eager,
+    tiny) Gumbel relaxation onto alpha.
     """
 
-    def __init__(self, cell_index, in_slots, out_slot, num_samples=1):
+    def __init__(self, cell_index, in_slots, out_slot, candidates, num_samples=1):
         self.cell_index = int(cell_index)
         self.in_slots = tuple(in_slots)
         self.out_slot = out_slot
-        #: Stacked-path plans carry a leading sample axis folded into the
-        #: batch: gate values/gradients then have shape ``(K, num_active)``.
+        self.candidates = tuple(int(i) for i in candidates)
         self.num_samples = int(num_samples)
+
+    def branch_of(self, slot):
+        """The ``(cell, candidate)`` branch whose output ``slot`` carries here."""
+        return (self.cell_index, self.candidates[self.in_slots.index(slot)])
 
     def scratch_requests(self, plan):
         nbytes = int(np.prod(plan.shape(self.out_slot))) * plan.dtype.itemsize
@@ -1021,40 +1066,31 @@ class GateCombineStep(Step):
     def _views(self, array):
         return stacked_view(array, self.num_samples)
 
+    def _gate_shape(self, ndim):
+        return (self.num_samples,) + (1,) * (ndim - 1)
+
     def run(self, bufs):
         gate = self._plan.gate_values[self.cell_index]
-        out = bufs[self.out_slot]
-        if self.num_samples == 1:
-            np.multiply(bufs[self.in_slots[0]], gate[0], out=out)
-            for i in range(1, len(self.in_slots)):
-                np.multiply(bufs[self.in_slots[i]], gate[i], out=self._ws)
-                out += self._ws
-            return
-        outv = self._views(out)
+        positions = self._plan.active_positions[self.cell_index]
+        outv = self._views(bufs[self.out_slot])
         wsv = self._views(self._ws)
-        gshape = (self.num_samples,) + (1,) * (outv.ndim - 1)
-        np.multiply(self._views(bufs[self.in_slots[0]]), gate[:, 0].reshape(gshape), out=outv)
-        for i in range(1, len(self.in_slots)):
+        gshape = self._gate_shape(outv.ndim)
+        first = positions[0]
+        np.multiply(self._views(bufs[self.in_slots[first]]), gate[:, first].reshape(gshape), out=outv)
+        for i in positions[1:]:
             np.multiply(self._views(bufs[self.in_slots[i]]), gate[:, i].reshape(gshape), out=wsv)
             outv += wsv
 
     def backward(self, bufs, grads):
         gate = self._plan.gate_values[self.cell_index]
         gate_grad = self._plan.gate_grads[self.cell_index]
-        gout = grads[self.out_slot]
-        if self.num_samples == 1:
-            for i, slot in enumerate(self.in_slots):
-                gate_grad[i] = float(np.vdot(gout, bufs[slot]))
-                np.multiply(gout, gate[i], out=self._ws)
-                grads[slot] += self._ws
-            return
         k = self.num_samples
-        goutv = self._views(gout)
+        goutv = self._views(grads[self.out_slot])
         wsv = self._views(self._ws)
-        gshape = (k,) + (1,) * (goutv.ndim - 1)
-        for i, slot in enumerate(self.in_slots):
-            bv = self._views(bufs[slot])
-            np.multiply(goutv, bv, out=wsv)
+        gshape = self._gate_shape(goutv.ndim)
+        for i in self._plan.active_positions[self.cell_index]:
+            slot = self.in_slots[i]
+            np.multiply(goutv, self._views(bufs[slot]), out=wsv)
             gate_grad[:, i] = wsv.reshape(k, -1).sum(axis=1)
             np.multiply(goutv, gate[:, i].reshape(gshape), out=wsv)
             self._views(grads[slot])[...] += wsv
@@ -1285,11 +1321,18 @@ class Plan:
     With ``train=True`` the plan also owns the reverse-mode state: per-slot
     gradient buffers (views alias their source buffer), per-parameter
     gradient accumulators keyed by parameter identity, and — for gated
-    supernet plans — per-cell gate value/gradient tables.
+    supernet plans — per-cell gate value/gradient tables of shape
+    ``(num_samples, num_candidates)``.
 
     ``num_samples > 1`` marks a *stacked-path* plan: past the
     :class:`TileStep` the batch axis holds ``num_samples`` independent
-    sample groups, and gate tables gain a leading sample axis.
+    sample groups.
+
+    Gated supernet plans tag every step of a candidate branch with its
+    ``(cell, candidate)`` (:attr:`Step.branch`).  :meth:`set_gates` picks
+    the branches each run executes: the plan skips the steps, gradient
+    zeroing and gradient fills of the others, and :meth:`param_grad` reports
+    ``None`` for their parameters, so one compiled plan serves every sample.
     """
 
     def __init__(self, dtype=np.float64, train=False, pool=None, num_samples=1):
@@ -1313,6 +1356,20 @@ class Plan:
         self.gate_layout = None
         self.gate_values = None
         self.gate_grads = None
+        #: Per-cell candidate indices the next run executes (``None``: every
+        #: compiled branch) and their positions in :attr:`gate_layout`.
+        self.active_paths = None
+        self.active_positions = None
+        #: Step list of the current selection, its reverse program of
+        #: ``(gradient slots to zero first, step)`` pairs, and the gradient
+        #: buffers :meth:`zero_grads` clears.
+        self._run_steps = None
+        self._backward_program = None
+        self._zero_bufs = ()
+        self._inactive_params = frozenset()
+        #: Parameter id -> branch of the step that registered its gradient.
+        self._param_branch = {}
+        self._grad_owner = None
         self._pool = pool
         self._blocks = []
         #: Set by the aliasing pass before finalize; ``None`` = one buffer
@@ -1444,6 +1501,8 @@ class Plan:
         if entry is None:
             buf = self.alloc(param.data.shape, zero=True)
             self.param_grads[key] = (param, buf)
+            if self._grad_owner is not None:
+                self._param_branch[key] = self._grad_owner
             return buf
         return entry[1]
 
@@ -1487,15 +1546,12 @@ class Plan:
         for step in self.steps:
             step.allocate(self)
         if self.gate_layout is not None:
-            gate_shape = (
-                (self.num_samples,) if self.num_samples > 1 else ()
-            )
             self.gate_values = [
-                np.zeros(gate_shape + (len(cell),), dtype=self.dtype)
+                np.zeros((self.num_samples, len(cell)), dtype=self.dtype)
                 for cell in self.gate_layout
             ]
             self.gate_grads = [
-                np.zeros(gate_shape + (len(cell),), dtype=np.float64)
+                np.zeros((self.num_samples, len(cell)), dtype=np.float64)
                 for cell in self.gate_layout
             ]
         if self.train:
@@ -1515,7 +1571,10 @@ class Plan:
                 )
             self.grad_bufs = self._slot_buffers(grad_arena, grad_blocks, grad_dead)
             for step in self.steps:
+                self._grad_owner = step.branch
                 step.allocate_backward(self)
+            self._grad_owner = None
+        self._select(None)
         return self
 
     # ------------------------------------------------------------------ #
@@ -1533,7 +1592,7 @@ class Plan:
         # tracer costs one attribute load per plan run, not per step.
         if trace.enabled:
             return self._run_traced(bufs)
-        for step in self.steps:
+        for step in self._run_steps:
             step.run(bufs)
         if len(self.output_slots) == 1:
             return bufs[self.output_slots[0]]
@@ -1543,7 +1602,7 @@ class Plan:
         """The :meth:`run` step loop with one span per plan run and per step."""
         trace.begin(self.trace_name, "plan")
         try:
-            for step in self.steps:
+            for step in self._run_steps:
                 trace.begin(step.trace_label(), "step")
                 step.run(bufs)
                 trace.end()
@@ -1553,23 +1612,91 @@ class Plan:
             return bufs[self.output_slots[0]]
         return tuple(bufs[slot] for slot in self.output_slots)
 
-    def set_gates(self, values):
-        """Load per-cell gate values for the next run of a gated plan."""
-        for buf, cell_values in zip(self.gate_values, values):
-            buf[...] = cell_values
+    def set_gates(self, values, active=None):
+        """Select the branches the next runs execute and load their gates.
+
+        ``active`` holds per-cell candidate indices, each a subset of the
+        cell's :attr:`gate_layout` entry; ``None`` selects every compiled
+        branch.  ``values`` holds per-cell gate values aligned with the
+        selection: shape ``(n,)`` or ``(num_samples, n)``.  Combines sum the
+        selected branches in the order given.
+        """
+        self._select(active)
+        for buf, positions, cell_values in zip(self.gate_values, self.active_positions, values):
+            buf[:, list(positions)] = np.reshape(
+                np.asarray(cell_values), (self.num_samples, len(positions))
+            )
+
+    def set_path(self, path):
+        """Run exactly one branch per cell, ``path[c]``, at gate value 1."""
+        path = tuple(int(i) for i in path)
+        self.set_gates(
+            [np.ones((self.num_samples, 1))] * len(path), active=[(i,) for i in path]
+        )
+
+    def _select(self, active):
+        """Rebuild the run and reverse programs for a per-cell active set."""
+        layout = self.gate_layout or ()
+        key = None if active is None else tuple(tuple(int(i) for i in cell) for cell in active)
+        if key is not None and key == self.active_paths:
+            return
+        chosen = layout if key is None else key
+        if len(chosen) != len(layout) or any(
+            not want or not set(want) <= set(cell) for cell, want in zip(layout, chosen)
+        ):
+            raise ValueError(
+                "active sets {} do not select from the compiled candidates {}".format(key, layout)
+            )
+        self.active_paths = key
+        self.active_positions = [
+            tuple(cell.index(i) for i in want) for cell, want in zip(layout, chosen)
+        ]
+        inactive = {
+            (c, i) for c, (cell, want) in enumerate(zip(layout, chosen)) for i in cell if i not in want
+        }
+        self._run_steps = [step for step in self.steps if step.branch not in inactive]
+        if self.train:
+            self._select_backward(inactive)
+
+    def _select_backward(self, inactive):
+        # Gradient buffers of the slots inactive steps produce stay untouched:
+        # no zeroing, no fills.
+        idle = {
+            step.out_slot for step in self.steps
+            if step.branch in inactive and hasattr(step, "out_slot")
+        }
+        skip = self._view_slots | self._grad_scheduled | idle
+        self._inactive_params = frozenset(
+            key for key, branch in self._param_branch.items() if branch in inactive
+        )
+        self._zero_bufs = [
+            buf for slot, buf in enumerate(self.grad_bufs) if buf is not None and slot not in skip
+        ] + [
+            buf for key, (_, buf) in self.param_grads.items() if key not in self._inactive_params
+        ]
+        # A fill scheduled at an inactive step moves to the next step the
+        # reverse program runs: the slot's first active toucher is no
+        # earlier, and every slot sharing its storage is done by then.
+        program, pending = [], []
+        for index in range(len(self.steps) - 1, -1, -1):
+            pending.extend(
+                slot for slot in self._grad_fill_schedule.get(index, ()) if slot not in idle
+            )
+            step = self.steps[index]
+            if step.branch not in inactive:
+                program.append((tuple(pending), step))
+                pending = []
+        self._backward_program = program
 
     def zero_grads(self):
         """Reset slot and parameter gradient accumulators to zero.
 
         Slots covered by the aliasing pass's fill schedule are skipped here:
         their (shared) storage is zeroed by :meth:`run_backward` right when
-        their live interval begins.
+        their live interval begins.  Inactive branches keep their buffers
+        untouched.
         """
-        scheduled = self._grad_scheduled
-        for slot, buf in enumerate(self.grad_bufs):
-            if buf is not None and slot not in self._view_slots and slot not in scheduled:
-                buf.fill(0.0)
-        for _, buf in self.param_grads.values():
+        for buf in self._zero_bufs:
             buf.fill(0.0)
 
     def seed_grad(self, slot, value):
@@ -1577,37 +1704,27 @@ class Plan:
         self.grad_bufs[slot][...] = value
 
     def run_backward(self):
-        """Run the reverse-mode program (the forward steps, reversed).
+        """Run the reverse-mode program (the selected forward steps, reversed).
 
         Callers must have ``zero_grads()``-ed and seeded the output-slot
         gradients first; parameter gradients land in :attr:`param_grads`.
         """
         bufs = self.bufs
         grads = self.grad_bufs
-        schedule = self._grad_fill_schedule
         if trace.enabled:
-            return self._run_backward_traced(bufs, grads, schedule)
-        if not schedule:
-            for step in reversed(self.steps):
-                step.backward(bufs, grads)
-            return
-        for index in range(len(self.steps) - 1, -1, -1):
-            fills = schedule.get(index)
-            if fills:
-                for slot in fills:
-                    grads[slot].fill(0.0)
-            self.steps[index].backward(bufs, grads)
+            return self._run_backward_traced(bufs, grads)
+        for fills, step in self._backward_program:
+            for slot in fills:
+                grads[slot].fill(0.0)
+            step.backward(bufs, grads)
 
-    def _run_backward_traced(self, bufs, grads, schedule):
+    def _run_backward_traced(self, bufs, grads):
         """The :meth:`run_backward` loop with per-step backward spans."""
         trace.begin(self.trace_name + "/backward", "plan")
         try:
-            for index in range(len(self.steps) - 1, -1, -1):
-                fills = schedule.get(index) if schedule else None
-                if fills:
-                    for slot in fills:
-                        grads[slot].fill(0.0)
-                step = self.steps[index]
+            for fills, step in self._backward_program:
+                for slot in fills:
+                    grads[slot].fill(0.0)
                 trace.begin(step.trace_label() + "/bwd", "step")
                 step.backward(bufs, grads)
                 trace.end()
@@ -1615,9 +1732,16 @@ class Plan:
             trace.end()
 
     def param_grad(self, param):
-        """The accumulated gradient buffer for ``param`` (``None`` if untouched)."""
-        entry = self.param_grads.get(id(param))
-        return entry[1] if entry is not None else None
+        """The accumulated gradient buffer for ``param``.
+
+        ``None`` when no step of the plan, or none of the selected branches,
+        touches ``param``.
+        """
+        key = id(param)
+        entry = self.param_grads.get(key)
+        if entry is None or key in self._inactive_params:
+            return None
+        return entry[1]
 
     def memory_stats(self):
         """Resident-footprint accounting (drives the peak-memory benchmarks).

@@ -22,10 +22,11 @@ Eq. 12 without ever touching the autograd tape:
    parameter arrays, reusing one scratch buffer instead of materialising
    intermediate tensors.
 
-Plans are cached per ``(batch shape, sampled path, gated active-paths)``
-signature, so steady-state A2C training compiles exactly once; supernet
-co-search re-compiles when the sampled active paths change (a structural walk
-plus buffer allocation — microseconds next to the update itself).
+Plans are cached per ``(batch shape, K samples, supernet or not)``
+signature, so steady-state A2C training compiles exactly once, and so does
+supernet co-search: its plan holds every candidate branch of every cell, and
+each update's sampled path or gated active set only selects which branches
+run (:meth:`~repro.runtime.plan.Plan.set_gates`).
 
 Anything the compiler cannot differentiate (opaque modules, active dropout)
 raises :class:`~repro.runtime.compiler.CompileError`, and every caller keeps
@@ -34,7 +35,6 @@ the eager tape as the always-available reference path.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -42,13 +42,13 @@ import numpy as np
 from ..reliability import health
 from ..reliability.faults import get_injector
 from ..telemetry import trace
-from .compiler import CompileError, compile_plan
-from .plan import BufferPool
+from .compiler import ALL_CANDIDATES, CompileError, compile_plan
+from .plan import BufferPool, CounterTally
 
 __all__ = ["CompiledTrainStep", "TrainStepResult", "DEFAULT_LOSS_WEIGHTS"]
 
-#: Live train-step executors, for :func:`repro.runtime.cache_stats`.
-_TRAIN_STEPS = weakref.WeakSet()
+#: Train-step executors, for :func:`repro.runtime.cache_stats`.
+_TRAIN_STEPS = CounterTally(("cache_hits", "cache_misses", "cache_evictions"))
 
 
 class _LossWeights:
@@ -86,9 +86,8 @@ class TrainStepResult:
         ``(K, num_active)`` for stacked-path steps), for the caller to chain
         through the Gumbel relaxation onto alpha.  ``None`` otherwise.
     gate_layout:
-        The plan's final per-cell active-candidate tuples.  Differs from the
-        requested ``gated_paths`` when the dead-branch-elimination pass
-        pruned low-weight branches.
+        The per-cell active-candidate tuples of the step (the requested
+        ``gated_paths``).
     skipped:
         True when the non-finite guard suppressed the optimiser stage: the
         loss or the global gradient norm was NaN/Inf, so no parameter (or
@@ -125,26 +124,17 @@ class CompiledTrainStep:
         autograd engine's gradients to ~1e-12; ``np.float32`` is the
         production fast path.
     max_plans:
-        LRU bound on cached ``(shape, path, gated)`` signatures.  Training
+        LRU bound on cached ``(shape, K, supernet)`` signatures.  Training
         plans own gradient buffers too, so the bound is deliberately small;
         evicted plans release their buffers into a shared
-        :class:`~repro.runtime.plan.BufferPool`, so the per-sample recompiles
-        of supernet co-search reuse warm pages instead of page-faulting
-        gigabytes of fresh workspace every update.
+        :class:`~repro.runtime.plan.BufferPool` that later compiles reuse.
     """
 
-    def __init__(self, agent, optimizer=None, dtype=np.float64, max_plans=2,
-                 gate_topk=None, gate_threshold=None):
+    def __init__(self, agent, optimizer=None, dtype=np.float64, max_plans=2):
         self.agent = agent
         self.optimizer = optimizer
         self.dtype = np.dtype(dtype)
         self.max_plans = int(max_plans)
-        #: Optional dead-branch-elimination limits applied to gated plans
-        #: (see :func:`repro.runtime.passes.dead_branch`): prune active paths
-        #: beyond the top-k / below the threshold of the per-run gate
-        #: weights.  ``None`` keeps every requested path.
-        self.gate_topk = gate_topk
-        self.gate_threshold = gate_threshold
         self._plans = OrderedDict()
         self._failed = set()
         self._pool = BufferPool()
@@ -153,18 +143,26 @@ class CompiledTrainStep:
         self.cache_evictions = 0
         _TRAIN_STEPS.add(self)
 
+    def __del__(self):
+        _TRAIN_STEPS.retire(self)
+
     # ------------------------------------------------------------------ #
     # Plan cache
     # ------------------------------------------------------------------ #
-    def plan_for(self, input_shape, path=None, gated_paths=None, num_samples=1,
-                 gate_weights=None):
-        """Fetch (or compile) the training plan for one signature."""
+    def plan_for(self, input_shape, path=None, gated_paths=None, num_samples=1):
+        """Fetch (or compile) the training plan for one signature.
+
+        A sampled ``path`` or ``gated_paths`` only marks the agent as a
+        supernet: every path shares one plan holding all candidate branches,
+        and :meth:`compute_gradients` selects the branches per call.
+        """
         injector = get_injector()
         if injector is not None and injector.should_fire("compile_error"):
             # Injected before the negative cache on purpose: a fault must not
             # poison ``_failed`` and permanently disable the compiled path.
             raise CompileError("injected compile_error fault")
-        key = (tuple(input_shape), path, gated_paths, int(num_samples))
+        supernet = path is not None or gated_paths is not None
+        key = (tuple(input_shape), int(num_samples), supernet)
         plan = self._plans.get(key)
         if plan is None:
             # Negative cache: an uncompilable agent raises once per signature
@@ -179,14 +177,10 @@ class CompiledTrainStep:
                     self.agent,
                     key[0],
                     dtype=self.dtype,
-                    path=path,
                     train=True,
-                    gated_paths=gated_paths,
+                    gated_paths=ALL_CANDIDATES if supernet else None,
                     pool=self._pool,
                     num_samples=num_samples,
-                    gate_weights=gate_weights,
-                    gate_topk=self.gate_topk,
-                    gate_threshold=self.gate_threshold,
                 )
                 if "logits" not in plan.named_slots:
                     plan.release()
@@ -246,7 +240,6 @@ class CompiledTrainStep:
         gated_paths=None,
         gate_values=None,
         num_samples=1,
-        gate_weights=None,
     ):
         """Run forward, evaluate the loss head, and fill the gradient buffers.
 
@@ -254,8 +247,10 @@ class CompiledTrainStep:
         the rollout targets, ``teacher_probs`` enables the actor-distillation
         KL term and ``teacher_values`` the critic-distillation MSE term
         (pass ``None`` to disable either).  ``op_indices`` selects a sampled
-        supernet path; ``gated_paths`` + ``gate_values`` select a gated
-        multi-path-backward expansion.
+        supernet path; ``gated_paths`` (per-cell active candidates) +
+        ``gate_values`` (aligned with them) select a gated
+        multi-path-backward expansion.  Either way the plan runs only the
+        selected branches, and their parameters alone get gradients.
 
         ``num_samples = K > 1`` selects stacked-path mode: ``gated_paths``
         holds the per-cell *union* of K sampled active sets, ``gate_values``
@@ -264,9 +259,9 @@ class CompiledTrainStep:
         the plan a per-path compilation of that sample would produce).  The
         rollout targets are tiled across the sample axis internally.
 
-        Returns ``(plan, result)``: the plan holds the parameter gradients in
-        ``plan.param_grads``, the result the scalar losses (and gate grads,
-        aligned with ``result.gate_layout``).
+        Returns ``(plan, result)``: ``plan.param_grad(param)`` holds each
+        parameter's gradient (``None`` for unselected branches), the result
+        the scalar losses (and gate grads, aligned with ``gated_paths``).
         """
         obs = np.asarray(observations)
         num_samples = int(num_samples)
@@ -278,17 +273,11 @@ class CompiledTrainStep:
         )
         plan = self.plan_for(
             obs.shape, path=path, gated_paths=gated, num_samples=num_samples,
-            gate_weights=gate_weights,
         )
         if gated is not None:
-            if plan.gate_layout != gated:
-                # Dead-branch elimination pruned some paths: select the kept
-                # positions out of the caller's per-cell gate values.
-                gate_values = [
-                    np.asarray(values)[..., [cell.index(i) for i in kept]]
-                    for values, cell, kept in zip(gate_values, gated, plan.gate_layout)
-                ]
-            plan.set_gates(gate_values)
+            plan.set_gates(gate_values, active=gated)
+        elif path is not None:
+            plan.set_path(path)
         trace.begin("train/forward", "train")
         plan.run(obs)
         trace.end()
@@ -370,9 +359,14 @@ class CompiledTrainStep:
 
         gate_grads = None
         if gated is not None:
-            gate_grads = [g.copy() for g in plan.gate_grads]
+            gate_grads = [
+                grads[:, list(positions)]
+                for grads, positions in zip(plan.gate_grads, plan.active_positions)
+            ]
+            if num_samples == 1:
+                gate_grads = [grads[0] for grads in gate_grads]
         return plan, TrainStepResult(
-            float(total), components, gate_grads=gate_grads, gate_layout=plan.gate_layout
+            float(total), components, gate_grads=gate_grads, gate_layout=gated
         )
 
     # ------------------------------------------------------------------ #

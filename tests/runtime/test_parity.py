@@ -44,7 +44,7 @@ class TestBackboneParity:
                     np.random.default_rng(trial).integers(supernet.num_choices_per_cell, size=12)]
             expected = eager_forward(supernet, obs, op_indices=path)
             np.testing.assert_allclose(engine.run(obs, path=path), expected, atol=ATOL)
-        assert engine.num_plans == 3  # one cached plan per sampled path
+        assert engine.num_plans == 1  # every sampled path selects branches of one plan
 
     def test_derived_agent_matches_eager(self, obs):
         supernet = AgentSuperNet(in_channels=2, input_size=28, feature_dim=32, base_width=4,

@@ -198,50 +198,6 @@ class TestFoldInvalidation:
         self._assert_live(agent, plan, x)
 
 
-class TestDeadBranchElimination:
-    def test_topk_pruning_matches_pre_pruned_layout(self, rng):
-        supernet = build_supernet()
-        agent = ActorCriticAgent(supernet, num_actions=6, feature_dim=32,
-                                 rng=np.random.default_rng(0))
-        agent.train()
-        batch = 4
-        obs = rng.random((batch, 2, 28, 28))
-        actions = rng.integers(0, 6, size=batch)
-        returns = rng.standard_normal(batch)
-        advantages = rng.standard_normal(batch)
-        active = [(1, 4, 7)] * 12
-        weights = [np.array([0.2, 0.7, 0.1])] * 12
-        gate_values = [np.array([0.2, 0.7, 0.1])] * 12
-
-        pruned_step = CompiledTrainStep(agent, gate_topk=2)
-        plan, result = pruned_step.compute_gradients(
-            obs, actions, returns, advantages,
-            gated_paths=active, gate_values=gate_values, gate_weights=weights,
-        )
-        assert result.gate_layout == tuple([(1, 4)] * 12)
-        assert all(grad.shape == (2,) for grad in result.gate_grads)
-        pruned_grads = {
-            name: plan.param_grad(p).copy() if plan.param_grad(p) is not None else None
-            for name, p in agent.named_parameters()
-        }
-
-        reference_step = CompiledTrainStep(agent)
-        ref_plan, ref_result = reference_step.compute_gradients(
-            obs, actions, returns, advantages,
-            gated_paths=[(1, 4)] * 12, gate_values=[np.array([0.2, 0.7])] * 12,
-        )
-        for c in range(12):
-            np.testing.assert_allclose(result.gate_grads[c], ref_result.gate_grads[c],
-                                       atol=ATOL_F64)
-        for name, p in agent.named_parameters():
-            ref = ref_plan.param_grad(p)
-            got = pruned_grads[name]
-            if ref is None:
-                assert got is None or np.abs(got).max() == 0.0
-            else:
-                np.testing.assert_allclose(got, ref, atol=ATOL_F64, err_msg=name)
-
-
 class TestBufferAliasing:
     def test_inference_plan_memory_shrinks(self, rng):
         backbone = build_backbone("ResNet-20", in_channels=2, input_size=28,
@@ -272,7 +228,7 @@ class TestBufferAliasing:
             shape = obs.shape
             plan = compile_plan(fresh, shape, train=True, passes=passes)
             step = CompiledTrainStep(fresh)
-            step._plans[(tuple(shape), None, None, 1)] = plan
+            step._plans[(tuple(shape), 1, False)] = plan
             plan_out, _ = step.compute_gradients(obs, actions, returns, advantages)
             return plan_out, {
                 name: plan_out.param_grad(p)
