@@ -2,7 +2,7 @@
 """Quantized inference: calibrate from a rollout, then score int8 vs float32.
 
 The runtime's quantized path needs activation ranges before it can lower
-convolutions to int8/int16 kernels, and the ranges that matter are the ones
+convolutions to int8 kernels, and the ranges that matter are the ones
 the policy actually visits.  This example walks the full production recipe:
 
 1. build a derived A3C-S agent (the supernet-derived single-path network),

@@ -141,42 +141,13 @@ class HardwarePenalty:
     normalize:
         Divide per-cell latencies by the total network latency so the penalty
         magnitude is architecture-scale independent.
-    latency_mode:
-        ``"analytical"`` (default) charges cells the accelerator cost
-        model's cycle counts for the current ``hw(phi*)``.  ``"measured"``
-        charges them the host runtime's autotuner timings instead: each
-        conv layer is mapped to its :class:`~repro.runtime.kernels.registry.ConvSpec`
-        (best over layout and quant variants, benchmarked once and cached
-        per process by :mod:`repro.runtime.kernels.autotune`), so the
-        penalty ranks operators by what they *actually* cost where rollouts
-        run.  Any conv layer without a measurable variant makes the whole
-        call fall back to the analytical table (``latency_source`` records
-        which one served the last call); FC head layers contribute zero
-        measured seconds either way.
-    measured_batch / measured_dtype / measured_quant:
-        The runtime signature probed in ``"measured"`` mode — batch size,
-        compute dtype, and quantization mode (``""`` float, ``"q8"``,
-        ``"q16"``; layers whose quant variant has no kernels, e.g. dense
-        convs, automatically fall back to their float timing).
     """
 
-    def __init__(self, supernet, das, das_steps_per_call=1, normalize=True,
-                 latency_mode="analytical", measured_batch=16,
-                 measured_dtype="float32", measured_quant=""):
-        if latency_mode not in ("analytical", "measured"):
-            raise ValueError(
-                "latency_mode must be 'analytical' or 'measured', got {!r}".format(latency_mode)
-            )
+    def __init__(self, supernet, das, das_steps_per_call=1, normalize=True):
         self.supernet = supernet
         self.das = das
         self.das_steps_per_call = int(das_steps_per_call)
         self.normalize = bool(normalize)
-        self.latency_mode = latency_mode
-        self.measured_batch = int(measured_batch)
-        self.measured_dtype = str(measured_dtype)
-        self.measured_quant = str(measured_quant)
-        #: Which table served the most recent :meth:`cell_latencies` call.
-        self.latency_source = None
         self.last_metrics = None
         self.last_config = None
         self.history = []
@@ -194,73 +165,15 @@ class HardwarePenalty:
         self.history.append(cost)
         return config, metrics
 
-    def _measured_seconds(self, spec):
-        """Best autotuner seconds for one conv layer spec (``None`` = no variant)."""
-        from ..runtime.kernels import autotune
-        from ..runtime.kernels.registry import ConvSpec, candidates
-
-        best = None
-        for quant in dict.fromkeys((self.measured_quant, "")):
-            for layout in ("NHWC", "NCHW"):
-                conv_spec = ConvSpec(
-                    batch=self.measured_batch,
-                    in_channels=int(spec["in_channels"]),
-                    out_channels=int(spec["out_channels"]),
-                    height=int(spec["input_size"]),
-                    width=int(spec["input_size"]),
-                    kernel=int(spec["kernel_size"]),
-                    stride=int(spec["stride"]),
-                    padding=int(spec["kernel_size"]) // 2,
-                    groups=int(spec.get("groups", 1)),
-                    dtype=self.measured_dtype,
-                    direction="infer",
-                    layout=layout,
-                    quant=quant,
-                )
-                cands = candidates(conv_spec)
-                if not cands:
-                    continue
-                seconds = autotune.cost_for(conv_spec, cands)
-                if best is None or seconds < best:
-                    best = seconds
-        return best
-
-    def measured_layer_table(self, specs):
-        """Autotuner-measured seconds per layer, or ``None`` if any conv has none.
-
-        FC head layers are not conv signatures the runtime tunes; they
-        contribute zero measured seconds (their cost does not differ across
-        the searched cell operators anyway).
-        """
-        table = {}
-        for spec in specs:
-            if spec["type"] != "conv":
-                table[spec["name"]] = 0.0
-                continue
-            seconds = self._measured_seconds(spec)
-            if seconds is None:
-                return None
-            table[spec["name"]] = seconds
-        return table
-
     def cell_latencies(self, op_indices, config):
-        """Per-cell latency on ``config`` (cycles, or autotuner seconds).
+        """Per-cell latency on ``config``, in accelerator cost-model cycles.
 
-        In ``"measured"`` mode the analytical table is replaced by host
-        kernel timings when every conv layer has one; with ``normalize``
-        (the default) the two sources produce directly comparable
-        fraction-of-network penalties.
+        With ``normalize`` (the default) each cell's cycles are a fraction
+        of the whole network's.
         """
         specs = self.supernet.layer_specs(op_indices)
         units = unit_of_layer_map(specs, self.supernet.num_cells)
-        table = None
-        self.latency_source = "analytical"
-        if self.latency_mode == "measured":
-            table = self.measured_layer_table(specs)
-            if table is not None:
-                self.latency_source = "measured"
-        if table is None:
-            table = self.das.predictor.cost_model.layer_latency_table(specs, config)
+        table = self.das.predictor.cost_model.layer_latency_table(specs, config)
         per_unit = np.zeros(self.supernet.num_cells + 2)
         for spec, unit in zip(specs, units):
             per_unit[unit] += table[spec["name"]]

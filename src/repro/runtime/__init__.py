@@ -45,8 +45,8 @@ The quantized inference path rides the same machinery:
 :class:`~repro.runtime.quantize.Calibrator` harvests activation ranges from
 a short rollout, and passing the resulting
 :class:`~repro.runtime.quantize.QuantCalibration` to an engine (or
-``compile_plan(quantize=...)``) lowers eligible convolutions to int8/int16
-kernels with a fused requantization tail — eval-only, score-parity gated,
+``compile_plan(quantize=...)``) lowers eligible convolutions to int8 (the
+one quantized format) kernels with a fused requantization tail — eval-only, score-parity gated,
 and bitwise-reproducible across kernel candidates.
 """
 

@@ -11,6 +11,8 @@ Registered kernels (import order puts the general fallback last):
 
 * ``depthwise_direct`` — output-stationary direct depthwise convolution
   (forward + input/weight VJPs) that never materialises im2col columns;
+* ``depthwise_einsum`` — the same NHWC depthwise forward as one einsum
+  over a strided tap view (VJPs inherited from ``depthwise_direct``);
 * ``im2col_block`` — lane-blocked strided-view im2col keeping the gathered
   columns L2-resident (inference; NCHW any groups, NHWC ungrouped);
 * ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
@@ -18,12 +20,11 @@ Registered kernels (import order puts the general fallback last):
 * ``im2col`` — the original whole-batch im2col + batched GEMM, supporting
   every NCHW signature in both directions (the total fallback for that
   layout);
-* ``depthwise_native_q8/q16``, ``depthwise_direct_q8/q16``,
-  ``depthwise_einsum_q8/q16``, ``pointwise_q8/q16`` — the quantized
-  inference kernels (:mod:`~repro.runtime.kernels.quantized`): integer
-  activations, wide accumulation, fused per-channel requant tail.  They
-  serve only signatures whose ``quant`` field is set, so the float paths
-  are untouched.
+* ``depthwise_native_q8``, ``depthwise_einsum_q8``, ``pointwise_q8`` — the
+  int8 inference kernels (:mod:`~repro.runtime.kernels.quantized`): int8
+  activations, exact wide accumulation, fused per-channel requant tail.
+  They serve only signatures whose ``quant`` field is ``"q8"``, so the
+  float paths are untouched.
 
 Signatures carry a physical activation layout (``NCHW`` / ``NHWC``); the
 layout-assignment pass in :mod:`repro.runtime.passes` uses per-layout
@@ -37,7 +38,7 @@ applied to the NumPy runtime.
 
 from . import depthwise as _depthwise  # noqa: F401  (registers depthwise_direct)
 from . import conv as _conv  # noqa: F401  (registers im2col_block, pointwise_nhwc, im2col)
-from . import quantized as _quantized  # noqa: F401  (registers the q8/q16 kernels)
+from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count
 from .autotune import clear_cache as clear_autotune_cache
 from .autotune import transpose_seconds

@@ -1,23 +1,24 @@
-"""Tiny compiled helpers for the quantized depthwise kernels.
+"""Tiny compiled helpers for the int8 quantized kernels.
 
 NumPy has no fused integer multiply-accumulate: an ``int8`` einsum runs
 through the generic scalar inner loop, slower than the f32 path it is meant
 to replace.  The quantized depthwise convolution therefore ships a ~60-line
 C kernel compiled on demand with the system C compiler (no new dependency —
 the toolchain that built CPython is already on the host) and loaded through
-:mod:`ctypes`.  The int8 variant accumulates in ``int32`` with a fused
-per-channel requantization tail; the int16 variant accumulates in ``int64``
-and requantizes in ``double``.
+:mod:`ctypes`.  Two routines are built: ``dw_conv_q8`` (int8 depthwise conv,
+``int32`` accumulate, fused per-channel requantization tail) and
+``requant_q8`` (the same tail as one pass over a float32 accumulator, used
+by the float-accumulate fallback kernels).
 
 Exactness contract: the C kernels must be *bitwise identical* to the pure
 NumPy fallbacks in :mod:`repro.runtime.kernels.quantized`.  Both sides
 compute the same integer accumulation exactly (the fallbacks upcast to
-float, where every product and partial sum stays below 2**24 / 2**53, so
-the float arithmetic is exact integer arithmetic), and the requant tail
-uses the same rounding sequence: one multiply round, one add round per
-term, round-half-even to integer.  The build pins ``-ffp-contract=off`` so
-the compiler cannot fuse the multiply/add into an FMA, and ``rintf`` /
-``rint`` match ``np.rint`` under the default rounding mode.
+float32, where every product and partial sum stays below 2**24, so the
+float arithmetic is exact integer arithmetic), and the requant tail uses
+the same rounding sequence: one multiply round, one add round per term,
+round-half-even to integer.  The build pins ``-ffp-contract=off`` so the
+compiler cannot fuse the multiply/add into an FMA, and ``rintf`` matches
+``np.rint`` under the default rounding mode.
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
@@ -35,7 +36,7 @@ import os
 import subprocess
 import tempfile
 
-__all__ = ["available", "dw_conv_q8", "dw_conv_q16", "requant_q8", "requant_q16"]
+__all__ = ["available", "dw_conv_q8", "requant_q8"]
 
 ENV_VAR = "REPRO_NATIVE"
 
@@ -112,70 +113,6 @@ void dw_conv_q8(const int8_t *restrict x, const int8_t *restrict w,
     }
 }
 
-/* int16 twin: int64 accumulate, double requant. */
-void dw_conv_q16(const int16_t *restrict x, const int16_t *restrict w,
-                 const double *restrict scale, const double *restrict bias,
-                 const int16_t *restrict res, double res_scale,
-                 int16_t *restrict out, int64_t *restrict acc,
-                 int n, int h, int wd, int c, int k, int s, int p,
-                 int oh, int ow, double lo, double hi)
-{
-    const long in_row = (long)wd * c;
-    const long out_img = (long)oh * ow * c;
-    for (int b = 0; b < n; ++b) {
-        const int16_t *xb = x + (long)b * h * in_row;
-        int16_t *ob = out + (long)b * out_img;
-        const int16_t *rb = res ? res + (long)b * out_img : 0;
-        for (int y = 0; y < oh; ++y) {
-            memset(acc, 0, (size_t)ow * c * sizeof(int64_t));
-            for (int i = 0; i < k; ++i) {
-                int yi = y * s + i - p;
-                if (yi < 0 || yi >= h) continue;
-                const int16_t *xrow = xb + (long)yi * in_row;
-                for (int j = 0; j < k; ++j) {
-                    int xo_lo = 0, xo_hi = ow;
-                    if (j - p < 0) xo_lo = (p - j + s - 1) / s;
-                    if (s * (ow - 1) + j - p >= wd) xo_hi = (wd - 1 - j + p) / s + 1;
-                    const int16_t *wp = w + ((long)i * k + j) * c;
-                    for (int xo = xo_lo; xo < xo_hi; ++xo) {
-                        const int16_t *xp = xrow + (long)(xo * s + j - p) * c;
-                        int64_t *ap = acc + (long)xo * c;
-                        #pragma omp simd
-                        for (int ch = 0; ch < c; ++ch)
-                            ap[ch] += (int64_t)xp[ch] * (int64_t)wp[ch];
-                    }
-                }
-            }
-            int16_t *op = ob + (long)y * ow * c;
-            const int16_t *rp = rb ? rb + (long)y * ow * c : 0;
-            for (int xo = 0; xo < ow; ++xo) {
-                const int64_t *ap = acc + (long)xo * c;
-                int16_t *o = op + (long)xo * c;
-                if (rp) {
-                    const int16_t *r = rp + (long)xo * c;
-                    #pragma omp simd
-                    for (int ch = 0; ch < c; ++ch) {
-                        double v = (double)ap[ch] * scale[ch];
-                        v = v + bias[ch];
-                        double t = (double)r[ch] * res_scale;
-                        v = v + t;
-                        v = v < lo ? lo : (v > hi ? hi : v);
-                        o[ch] = (int16_t)rint(v);
-                    }
-                } else {
-                    #pragma omp simd
-                    for (int ch = 0; ch < c; ++ch) {
-                        double v = (double)ap[ch] * scale[ch];
-                        v = v + bias[ch];
-                        v = v < lo ? lo : (v > hi ? hi : v);
-                        o[ch] = (int16_t)rint(v);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /* Standalone requant tail for the float-accumulate fallback kernels: one
  * fused pass over a flat (rows, channels) accumulator instead of NumPy's
  * five (scale, bias, clip, round, narrow).  `acc` holds exact integer
@@ -212,37 +149,6 @@ void requant_q8(const float *restrict acc, const float *restrict scale,
     }
 }
 
-/* int16 twin: double accumulator/requant. */
-void requant_q16(const double *restrict acc, const double *restrict scale,
-                 const double *restrict bias, const int16_t *restrict res,
-                 double res_scale, int16_t *restrict out,
-                 long rows, int c, double lo, double hi)
-{
-    for (long m = 0; m < rows; ++m) {
-        const double *ap = acc + m * c;
-        int16_t *o = out + m * c;
-        if (res) {
-            const int16_t *r = res + m * c;
-            #pragma omp simd
-            for (int ch = 0; ch < c; ++ch) {
-                double v = ap[ch] * scale[ch];
-                v = v + bias[ch];
-                double t = (double)r[ch] * res_scale;
-                v = v + t;
-                v = v < lo ? lo : (v > hi ? hi : v);
-                o[ch] = (int16_t)rint(v);
-            }
-        } else {
-            #pragma omp simd
-            for (int ch = 0; ch < c; ++ch) {
-                double v = ap[ch] * scale[ch];
-                v = v + bias[ch];
-                v = v < lo ? lo : (v > hi ? hi : v);
-                o[ch] = (int16_t)rint(v);
-            }
-        }
-    }
-}
 """
 
 #: ``-ffp-contract=off`` is load-bearing: a fused multiply-add in the requant
@@ -287,31 +193,18 @@ def _build(so_path):
 
 def _bind(lib):
     i8p = ctypes.POINTER(ctypes.c_int8)
-    i16p = ctypes.POINTER(ctypes.c_int16)
     f32p = ctypes.POINTER(ctypes.c_float)
-    f64p = ctypes.POINTER(ctypes.c_double)
     i32p = ctypes.POINTER(ctypes.c_int32)
-    i64p = ctypes.POINTER(ctypes.c_int64)
     ints = [ctypes.c_int] * 9
     lib.dw_conv_q8.restype = None
     lib.dw_conv_q8.argtypes = [
         i8p, i8p, f32p, f32p, i8p, ctypes.c_float, i8p, i32p,
         *ints, ctypes.c_float, ctypes.c_float,
     ]
-    lib.dw_conv_q16.restype = None
-    lib.dw_conv_q16.argtypes = [
-        i16p, i16p, f64p, f64p, i16p, ctypes.c_double, i16p, i64p,
-        *ints, ctypes.c_double, ctypes.c_double,
-    ]
     lib.requant_q8.restype = None
     lib.requant_q8.argtypes = [
         f32p, f32p, f32p, i8p, ctypes.c_float, i8p,
         ctypes.c_long, ctypes.c_int, ctypes.c_float, ctypes.c_float,
-    ]
-    lib.requant_q16.restype = None
-    lib.requant_q16.argtypes = [
-        f64p, f64p, f64p, i16p, ctypes.c_double, i16p,
-        ctypes.c_long, ctypes.c_int, ctypes.c_double, ctypes.c_double,
     ]
 
 
@@ -364,22 +257,6 @@ def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,
     )
 
 
-def dw_conv_q16(x, w_taps, scale, bias, res, res_scale, out, acc,
-                k, stride, padding, lo, hi):
-    """int16 twin of :func:`dw_conv_q8` (int64 accumulate, double requant)."""
-    n, h, wd, c = x.shape
-    oh, ow = out.shape[1], out.shape[2]
-    _lib.dw_conv_q16(
-        _ptr(x, ctypes.c_int16), _ptr(w_taps, ctypes.c_int16),
-        _ptr(scale, ctypes.c_double), _ptr(bias, ctypes.c_double),
-        _ptr(res, ctypes.c_int16) if res is not None else None,
-        ctypes.c_double(res_scale),
-        _ptr(out, ctypes.c_int16), _ptr(acc, ctypes.c_int64),
-        n, h, wd, c, k, stride, padding, oh, ow,
-        ctypes.c_double(lo), ctypes.c_double(hi),
-    )
-
-
 def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
     """Fused requant pass over a contiguous float32 accumulator.
 
@@ -393,16 +270,4 @@ def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
         _ptr(res, ctypes.c_int8) if res is not None else None,
         ctypes.c_float(res_scale), _ptr(out, ctypes.c_int8),
         acc.size // c, c, ctypes.c_float(lo), ctypes.c_float(hi),
-    )
-
-
-def requant_q16(acc, scale, bias, res, res_scale, out, lo, hi):
-    """int16 twin of :func:`requant_q8` (double accumulator)."""
-    c = acc.shape[-1]
-    _lib.requant_q16(
-        _ptr(acc, ctypes.c_double), _ptr(scale, ctypes.c_double),
-        _ptr(bias, ctypes.c_double),
-        _ptr(res, ctypes.c_int16) if res is not None else None,
-        ctypes.c_double(res_scale), _ptr(out, ctypes.c_int16),
-        acc.size // c, c, ctypes.c_double(lo), ctypes.c_double(hi),
     )

@@ -1,37 +1,33 @@
-"""Quantized (int8 / int16) inference kernels with a fused requant tail.
+"""Int8 quantized inference kernels with a fused requant tail.
 
 These kernels serve conv signatures whose ``ConvSpec.quant`` field is
-``"q8"`` or ``"q16"``: activations and weights arrive as narrow integers,
-the convolution accumulates in a wide type, and a per-channel
-*requantization* epilogue (scale, bias, optional residual, clip,
-round-half-even, narrow) writes the next layer's integer activations — the
-software analogue of the paper's fixed-point accelerator arithmetic.
+``"q8"``: activations and weights arrive as int8, the convolution
+accumulates exactly in a wider type, and a per-channel *requantization*
+epilogue (scale, bias, optional residual, clip, round-half-even, narrow)
+writes the next layer's int8 activations — the software analogue of the
+paper's fixed-point accelerator arithmetic.
 
-Numerics contract (shared with :mod:`._native`): every kernel of one quant
-mode produces **bitwise identical** output.  The integer accumulation is
-exact everywhere — q8 products are at most ``127*127`` and the deepest sum
-stays far below ``2**24``, so float32 arithmetic (einsum, BLAS sgemm, the C
-kernel's int32 loop) computes the same exact integers in any association;
-q16 gets the same guarantee from float64 / int64 below ``2**53``.  The
+Numerics contract (shared with :mod:`._native`): every q8 kernel produces
+**bitwise identical** output.  The integer accumulation is exact
+everywhere — products are at most ``127*127`` and the deepest sum stays far
+below ``2**24``, so float32 arithmetic (einsum, BLAS sgemm, the C kernel's
+int32 loop) computes the same exact integers in any association.  The
 requant tail then performs one multiply round, one add round per term, and
 a round-half-even narrow, in the same order on every path.  This is what
 lets the autotuner pick freely between candidates without perturbing
 trajectories, and what the parity suite pins against an i64 reference.
 
-Candidates per mode (registration order puts the NumPy einsum fallback as
-the autotuner's incumbent for depthwise):
+Candidates (registration order makes the NumPy einsum fallback the
+autotuner's incumbent for depthwise):
 
-* ``depthwise_native_q8/q16`` — the compiled C kernel
-  (:mod:`repro.runtime.kernels._native`): true int32/int64 accumulation,
-  no upcast copies, requant fused into the row loop.  Absent when the host
+* ``depthwise_native_q8`` — the compiled C kernel
+  (:mod:`repro.runtime.kernels._native`): true int32 accumulation, no
+  upcast copies, requant fused into the row loop.  Absent when the host
   cannot build it.
-* ``depthwise_direct_q8/q16`` — per-tap MAC over an upcast padded NHWC
-  copy (the float direct kernel's loop, on exact-integer floats).
-* ``depthwise_einsum_q8/q16`` — single strided-view einsum contraction
-  over the upcast padded input; the always-available fallback.
-* ``pointwise_q8/q16`` — 1x1 conv as a row-blocked flat BLAS GEMM on
-  upcast activations (the GEMM's integer partial sums are exact, see
-  above).
+* ``depthwise_einsum_q8`` — single strided-view einsum contraction over an
+  upcast padded copy; the always-available depthwise fallback.
+* ``pointwise_q8`` — 1x1 conv as a row-blocked flat BLAS GEMM on upcast
+  activations (the GEMM's integer partial sums are exact, see above).
 
 All quantized kernels are NHWC, inference-only; float kernels never see
 these signatures (dispatch filters on the kernel's ``quant`` attribute).
@@ -55,13 +51,8 @@ from .registry import (
 __all__ = [
     "RequantEpilogue",
     "DepthwiseNativeQ8Kernel",
-    "DepthwiseNativeQ16Kernel",
-    "DepthwiseDirectQ8Kernel",
-    "DepthwiseDirectQ16Kernel",
     "DepthwiseEinsumQ8Kernel",
-    "DepthwiseEinsumQ16Kernel",
     "PointwiseQ8Kernel",
-    "PointwiseQ16Kernel",
 ]
 
 
@@ -114,9 +105,10 @@ class RequantEpilogue:
             and out.flags.c_contiguous
             and (res is None or res.flags.c_contiguous)
         ):
-            fn = _native.requant_q8 if out.dtype == np.int8 else _native.requant_q16
-            fn(acc, self.scale, self.bias, res, float(self.res_scale),
-               out, float(self.lo), float(self.hi))
+            _native.requant_q8(
+                acc, self.scale, self.bias, res, float(self.res_scale),
+                out, float(self.lo), float(self.hi),
+            )
             return
         np.multiply(acc, self.scale, out=acc)
         acc += self.bias
@@ -150,10 +142,12 @@ class _QuantKernel(ConvKernel):
 # --------------------------------------------------------------------------- #
 # Depthwise: compiled C kernel
 # --------------------------------------------------------------------------- #
-class _DepthwiseNativeBase(_QuantKernel):
-    """ctypes front-end of the C depthwise kernel (int accumulate, fused requant)."""
+@register_kernel
+class DepthwiseNativeQ8Kernel(_QuantKernel):
+    """ctypes front-end of the C depthwise kernel (int32 accumulate, fused requant)."""
 
-    _fn = None  # staticmethod set by subclasses
+    name = "depthwise_native_q8"
+    quant = "q8"
 
     @classmethod
     def _shape_ok(cls, spec):
@@ -161,15 +155,13 @@ class _DepthwiseNativeBase(_QuantKernel):
 
     @classmethod
     def scratch_requests(cls, spec):
-        acc_item = 4 if spec.quant == "q8" else 8
-        return ((SCRATCH_GEMM, spec.out_width * spec.in_channels * acc_item),)
+        return ((SCRATCH_GEMM, spec.out_width * spec.in_channels * 4),)  # int32 acc
 
     def __init__(self, spec, plan):
         super().__init__(spec, plan)
         c, k = spec.in_channels, spec.kernel
-        acc_dtype = np.int32 if spec.quant == "q8" else np.int64
         self._acc = plan.workspace(
-            (spec.out_width * c,), dtype=acc_dtype, channel=SCRATCH_GEMM
+            (spec.out_width * c,), dtype=np.int32, channel=SCRATCH_GEMM
         )
         #: Tap-major ``(k*k, C)`` integer weight, re-derived when the step
         #: requantizes (signalled by the epilogue version counter).
@@ -182,7 +174,7 @@ class _DepthwiseNativeBase(_QuantKernel):
         if self._wt_version != epilogue.version:
             self._wt[...] = weight.reshape(spec.in_channels, -1).T
             self._wt_version = epilogue.version
-        type(self)._fn(
+        _native.dw_conv_q8(
             x, self._wt, epilogue.scale, epilogue.bias,
             epilogue.res, float(epilogue.res_scale), out, self._acc,
             spec.kernel, spec.stride, spec.padding,
@@ -190,54 +182,37 @@ class _DepthwiseNativeBase(_QuantKernel):
         )
 
 
-@register_kernel
-class DepthwiseNativeQ8Kernel(_DepthwiseNativeBase):
-    name = "depthwise_native_q8"
-    quant = "q8"
-    _fn = staticmethod(_native.dw_conv_q8)
-
-
-@register_kernel
-class DepthwiseNativeQ16Kernel(_DepthwiseNativeBase):
-    name = "depthwise_native_q16"
-    quant = "q16"
-    _fn = staticmethod(_native.dw_conv_q16)
-
-
 # --------------------------------------------------------------------------- #
-# Depthwise: NumPy fallbacks over an upcast padded copy
+# Depthwise: NumPy fallback over an upcast padded copy
 # --------------------------------------------------------------------------- #
-class _DepthwisePaddedBase(_QuantKernel):
-    """Shared upcast-and-pad machinery of the NumPy depthwise quant kernels.
+@register_kernel
+class DepthwiseEinsumQ8Kernel(_QuantKernel):
+    """Strided-view einsum depthwise conv over an upcast padded copy.
 
-    The integer input block is widened into a float padded workspace (the
-    float arithmetic is exact for these magnitudes — module docstring), the
-    subclass contracts it into a float accumulator, and the epilogue
-    narrows the result back.
+    The int8 input block is widened into a float32 padded workspace (the
+    float arithmetic is exact for these magnitudes — module docstring),
+    contracted into a float32 accumulator, and the epilogue narrows the
+    result back.
     """
+
+    name = "depthwise_einsum_q8"
+    quant = "q8"
 
     @classmethod
     def _shape_ok(cls, spec):
         return spec.depthwise
 
     @classmethod
-    def _acc_itemsize(cls, spec):
-        return spec.acc_dtype.itemsize
-
-    @classmethod
-    def _lane_bytes(cls, spec):
+    def _block(cls, spec):
         tile = spec.out_height * spec.out_width
         padded = (spec.height + 2 * spec.padding) * (spec.width + 2 * spec.padding)
-        return (padded + tile) * spec.in_channels * cls._acc_itemsize(spec)
-
-    @classmethod
-    def _block(cls, spec):
-        return max(1, min(spec.batch, BLOCK_TARGET_BYTES // max(cls._lane_bytes(spec), 1)))
+        lane_bytes = (padded + tile) * spec.in_channels * spec.acc_dtype.itemsize
+        return max(1, min(spec.batch, BLOCK_TARGET_BYTES // max(lane_bytes, 1)))
 
     @classmethod
     def scratch_requests(cls, spec):
         block = cls._block(spec)
-        c, item = spec.in_channels, cls._acc_itemsize(spec)
+        c, item = spec.in_channels, spec.acc_dtype.itemsize
         padded = (
             block * (spec.height + 2 * spec.padding)
             * (spec.width + 2 * spec.padding) * c * item
@@ -285,32 +260,14 @@ class _DepthwisePaddedBase(_QuantKernel):
         np.copyto(xb[:, p:p + h, p:p + w, :], x[n0:n1])
         return xb
 
-    def _refresh_weight(self, weight, epilogue):
-        if self._wt_version != epilogue.version:
-            spec = self.spec
-            np.copyto(self._wt, weight.reshape(spec.in_channels, -1).T)
-            self._wt_version = epilogue.version
-
-    def _tap_view(self, buf, tap):
-        """The shifted ``(b, oh, ow, C)`` window of the padded workspace."""
-        spec = self.spec
-        i, j = divmod(tap, spec.kernel)
-        s = spec.stride
-        return buf[
-            :,
-            i : i + s * (spec.out_height - 1) + 1 : s,
-            j : j + s * (spec.out_width - 1) + 1 : s,
-            :,
-        ]
-
-
-class _DepthwiseEinsumQuantBase(_DepthwisePaddedBase):
     def forward(self, x, weight, out, epilogue):
         spec = self.spec
         n, c = spec.batch, spec.in_channels
         k, s = spec.kernel, spec.stride
         oh, ow = spec.out_height, spec.out_width
-        self._refresh_weight(weight, epilogue)
+        if self._wt_version != epilogue.version:
+            np.copyto(self._wt, weight.reshape(c, -1).T)
+            self._wt_version = epilogue.version
         wv = self._wt.reshape(k, k, c)
         for n0 in range(0, n, self._b):
             n1 = min(n0 + self._b, n)
@@ -329,85 +286,20 @@ class _DepthwiseEinsumQuantBase(_DepthwisePaddedBase):
             )
 
 
-class _DepthwiseDirectQuantBase(_DepthwisePaddedBase):
-    @classmethod
-    def _lane_bytes(cls, spec):
-        tile = spec.out_height * spec.out_width
-        padded = (spec.height + 2 * spec.padding) * (spec.width + 2 * spec.padding)
-        return (padded + 2 * tile) * spec.in_channels * cls._acc_itemsize(spec)
-
-    @classmethod
-    def scratch_requests(cls, spec):
-        requests = list(_DepthwisePaddedBase.scratch_requests.__func__(cls, spec))
-        tile = (
-            cls._block(spec) * spec.out_height * spec.out_width
-            * spec.in_channels * cls._acc_itemsize(spec)
-        )
-        requests.append((SCRATCH_GEMM, tile))
-        return tuple(requests)
-
-    def __init__(self, spec, plan):
-        super().__init__(spec, plan)
-        self._wsh = plan.workspace(
-            (self._b, spec.out_height, spec.out_width, spec.in_channels),
-            dtype=spec.acc_dtype,
-            channel=SCRATCH_GEMM,
-        )
-
-    def forward(self, x, weight, out, epilogue):
-        spec = self.spec
-        n = spec.batch
-        taps = spec.kernel * spec.kernel
-        self._refresh_weight(weight, epilogue)
-        for n0 in range(0, n, self._b):
-            n1 = min(n0 + self._b, n)
-            b = n1 - n0
-            xb = self._fill_block(x, n0, n1)
-            acc = self._acch[:b]
-            wb = self._wsh[:b]
-            np.multiply(self._tap_view(xb, 0), self._wt[0], out=acc)
-            for tap in range(1, taps):
-                np.multiply(self._tap_view(xb, tap), self._wt[tap], out=wb)
-                np.add(acc, wb, out=acc)
-            epilogue.requant(
-                acc, out[n0:n1], res=self._res_block(epilogue, slice(n0, n1))
-            )
-
-
-@register_kernel
-class DepthwiseDirectQ8Kernel(_DepthwiseDirectQuantBase):
-    name = "depthwise_direct_q8"
-    quant = "q8"
-
-
-@register_kernel
-class DepthwiseDirectQ16Kernel(_DepthwiseDirectQuantBase):
-    name = "depthwise_direct_q16"
-    quant = "q16"
-
-
-@register_kernel
-class DepthwiseEinsumQ8Kernel(_DepthwiseEinsumQuantBase):
-    name = "depthwise_einsum_q8"
-    quant = "q8"
-
-
-@register_kernel
-class DepthwiseEinsumQ16Kernel(_DepthwiseEinsumQuantBase):
-    name = "depthwise_einsum_q16"
-    quant = "q16"
-
-
 # --------------------------------------------------------------------------- #
 # Pointwise: row-blocked upcast GEMM
 # --------------------------------------------------------------------------- #
-class _PointwiseQuantBase(_QuantKernel):
+@register_kernel
+class PointwiseQ8Kernel(_QuantKernel):
     """1x1 conv as ``upcast(x2) @ W.T`` over ``(N*H*W, C)`` row blocks.
 
     BLAS partial sums of exact-integer floats are exact at these magnitudes
     (even under FMA and arbitrary blocking), so the GEMM result matches the
-    integer reference bitwise while running at sgemm/dgemm speed.
+    integer reference bitwise while running at sgemm speed.
     """
+
+    name = "pointwise_q8"
+    quant = "q8"
 
     @classmethod
     def _shape_ok(cls, spec):
@@ -467,15 +359,3 @@ class _PointwiseQuantBase(_QuantKernel):
                 acc, out2[r0:r1],
                 res=res2[r0:r1] if res2 is not None else None,
             )
-
-
-@register_kernel
-class PointwiseQ8Kernel(_PointwiseQuantBase):
-    name = "pointwise_q8"
-    quant = "q8"
-
-
-@register_kernel
-class PointwiseQ16Kernel(_PointwiseQuantBase):
-    name = "pointwise_q16"
-    quant = "q16"

@@ -19,6 +19,16 @@ The dispatcher (:func:`kernel_for`) picks one implementation per signature:
 Every selection is recorded in an in-process table (chosen kernel, how it was
 chosen, candidate timings) surfaced through ``repro.runtime.cache_stats()``.
 
+Survival rule: a registered kernel stays only while (a) the autotuner
+selects it on signatures of the ``perfbench`` workloads (``cosearch``,
+``derived_train``, ``serve``), or (b) a supported platform needs it as a
+fallback — ``im2col`` for every NCHW signature, and ``depthwise_einsum_q8``
+plus the NumPy requant tail of
+:class:`~repro.runtime.kernels.quantized.RequantEpilogue` on hosts where
+:mod:`~repro.runtime.kernels._native` cannot build.  A kernel that meets
+neither is deleted, not kept "just in case"; int8 (``q8``) is the only
+quantized format for the same reason.
+
 Kernels are *bound* per plan step: instantiating a kernel class with
 ``(spec, plan)`` allocates its persistent buffers through ``plan.alloc`` and
 its transient workspaces through ``plan.workspace``, so kernel memory obeys
@@ -100,7 +110,7 @@ class ConvSpec(NamedTuple):
     dtype: str      # numpy dtype name, e.g. "float32"
     direction: str  # "infer" (forward only) or "train" (forward + VJPs)
     layout: str = "NCHW"  # physical activation layout ("NCHW" or "NHWC")
-    quant: str = ""  # quantization mode: "" (float), "q8" (int8) or "q16" (int16)
+    quant: str = ""  # quantization mode: "" (float) or "q8" (int8)
 
     # Derived geometry ---------------------------------------------------- #
     @property
@@ -118,27 +128,23 @@ class ConvSpec(NamedTuple):
     @property
     def act_dtype(self):
         """Physical dtype of the activation buffers under this spec."""
-        if self.quant == "q8":
-            return np.dtype(np.int8)
-        if self.quant == "q16":
-            return np.dtype(np.int16)
-        return np.dtype(self.dtype)
+        return np.dtype(np.int8) if self.quant == "q8" else np.dtype(self.dtype)
 
     @property
     def acc_dtype(self):
-        """Float dtype whose arithmetic is exact for this quant mode.
+        """Float dtype whose arithmetic is exact for int8 accumulation.
 
-        Quantized products and sums stay below 2**24 (q8) / 2**53 (q16), so
-        float32 / float64 accumulation computes the exact integer result in
-        any summation order — the NumPy fallback kernels lean on this to
-        match the C kernels bitwise.
+        Quantized products and sums stay below 2**24, so float32
+        accumulation computes the exact integer result in any summation
+        order — the NumPy fallback kernels lean on this to match the C
+        kernels bitwise.
         """
-        return np.dtype(np.float32 if self.quant == "q8" else np.float64)
+        return np.dtype(np.float32)
 
     @property
     def qmax(self):
-        """Symmetric integer clip bound of the quant mode (127 / 32767)."""
-        return 127 if self.quant == "q8" else 32767
+        """Symmetric int8 clip bound."""
+        return 127
 
     @property
     def train(self):
@@ -400,9 +406,8 @@ def _heuristic(spec, cands):
     if spec.quant:
         # Quantized signatures: the compiled depthwise kernel when the host
         # could build it, the einsum upcast otherwise; pointwise has a single
-        # candidate per mode.
-        for name in ("depthwise_native_" + spec.quant,
-                     "depthwise_einsum_" + spec.quant):
+        # candidate.
+        for name in ("depthwise_native_q8", "depthwise_einsum_q8"):
             if name in by_name:
                 return by_name[name]
         return cands[-1]

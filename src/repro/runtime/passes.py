@@ -39,7 +39,7 @@ deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
     rules (deterministic, no timing).
 
 ``quantize``
-    Opt-in int8/int16 lowering for inference plans (requires a
+    Opt-in int8 lowering for inference plans (requires a
     :class:`~repro.runtime.quantize.QuantCalibration` in the pass context):
     eligible NHWC depthwise / pointwise convolutions are converted to
     integer arithmetic with per-tensor activation scales from calibration,
@@ -825,10 +825,10 @@ def assign_layouts(plan, ctx):
 
 
 # --------------------------------------------------------------------------- #
-# quantize: calibrated int8/int16 lowering of eligible convolutions
+# quantize: calibrated int8 lowering of eligible convolutions
 # --------------------------------------------------------------------------- #
 def quantize_plan(plan, ctx):
-    """Convert eligible convs to integer arithmetic (inference, opt-in).
+    """Convert eligible convs to int8 arithmetic (inference, opt-in).
 
     Runs only when the pass context carries a
     :class:`~repro.runtime.quantize.QuantCalibration` whose slot identity
@@ -858,8 +858,8 @@ def quantize_plan(plan, ctx):
     if calib.num_slots != len(plan._shapes):
         return  # slot identity drifted from calibration: fail safe to float
     mode = calib.mode
-    act_dtype = np.dtype(np.int8 if mode == "q8" else np.int16)
-    qmax = 127 if mode == "q8" else 32767
+    act_dtype = np.dtype(np.int8)
+    qmax = 127
 
     _, writers = _analyze(plan)
 

@@ -36,12 +36,7 @@ import numpy as np
 from .compiler import compile_plan
 from .passes import enabled_passes
 
-__all__ = ["Calibrator", "QuantCalibration", "POLICIES"]
-
-#: Range-harvesting policies: ``minmax`` tracks the exact per-channel amax,
-#: ``percentile`` tracks a per-batch |x| quantile (robust to rare spikes that
-#: would otherwise stretch the scale and waste integer resolution).
-POLICIES = ("minmax", "percentile")
+__all__ = ["Calibrator", "QuantCalibration"]
 
 
 def _norm_path(path):
@@ -64,20 +59,14 @@ class Calibrator:
 
     ``observe`` runs the internally compiled plan (float, full pass pipeline
     minus ``quantize`` and ``alias_slots``) and folds each written 4-D slot's
-    per-channel |x| statistic into the running profile.
+    per-channel max |x| into the running profile.
     """
 
     def __init__(self, module, input_shape, dtype=np.float64, path=None,
-                 passes=None, policy="minmax", percentile=99.9, pool=None):
-        if policy not in POLICIES:
-            raise ValueError(
-                "unknown calibration policy {!r}; valid: {}".format(policy, POLICIES)
-            )
+                 passes=None, pool=None):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.path = _norm_path(path)
         self.dtype = np.dtype(dtype)
-        self.policy = policy
-        self.percentile = float(percentile)
         # The profile plan must disable ``alias_slots`` as well as
         # ``quantize``: aliasing lets later steps reuse a dead slot's arena
         # region, so reading every slot buffer *after* the run would observe
@@ -108,12 +97,7 @@ class Calibrator:
                 continue
             axis = _channel_axis(plan.layout(slot))
             reduce_axes = tuple(a for a in range(4) if a != axis)
-            mag = np.abs(buf)
-            if self.policy == "percentile":
-                stat = np.quantile(mag, self.percentile / 100.0, axis=reduce_axes)
-            else:
-                stat = mag.max(axis=reduce_axes)
-            stat = np.asarray(stat, dtype=np.float64)
+            stat = np.abs(buf).max(axis=reduce_axes).astype(np.float64)
             prev = self._amax.get(slot)
             self._amax[slot] = stat if prev is None else np.maximum(prev, stat)
         self.num_batches += 1
@@ -127,7 +111,6 @@ class Calibrator:
             path=self.path,
             dtype=self.dtype.name,
             mode=mode,
-            policy=self.policy,
             num_slots=self.num_slots,
             amax={slot: stat.copy() for slot, stat in self._amax.items()},
         )
@@ -136,17 +119,15 @@ class Calibrator:
 class QuantCalibration:
     """Serializable per-slot activation ranges of one compiled signature."""
 
-    __slots__ = ("input_shape", "path", "dtype", "mode", "policy",
-                 "num_slots", "amax")
+    __slots__ = ("input_shape", "path", "dtype", "mode", "num_slots", "amax")
 
-    def __init__(self, input_shape, path, dtype, mode, policy, num_slots, amax):
-        if mode not in ("q8", "q16"):
-            raise ValueError("unknown quant mode {!r}".format(mode))
+    def __init__(self, input_shape, path, dtype, mode, num_slots, amax):
+        if mode != "q8":
+            raise ValueError("unknown quant mode {!r}; only 'q8'".format(mode))
         self.input_shape = tuple(int(d) for d in input_shape)
         self.path = _norm_path(path)
         self.dtype = str(np.dtype(dtype).name)
         self.mode = mode
-        self.policy = policy
         self.num_slots = int(num_slots)
         self.amax = {
             int(slot): np.asarray(stat, dtype=np.float64)
@@ -190,20 +171,19 @@ class QuantCalibration:
             "path": None if self.path is None else list(self.path),
             "dtype": self.dtype,
             "mode": self.mode,
-            "policy": self.policy,
             "num_slots": self.num_slots,
             "amax": {str(slot): stat.tolist() for slot, stat in self.amax.items()},
         })
 
     @classmethod
     def from_json(cls, text):
+        """Inverse of :meth:`to_json` (a stale ``policy`` key is ignored)."""
         payload = json.loads(text)
         return cls(
             input_shape=payload["input_shape"],
             path=payload["path"],
             dtype=payload["dtype"],
             mode=payload["mode"],
-            policy=payload["policy"],
             num_slots=payload["num_slots"],
             amax={int(slot): stat for slot, stat in payload["amax"].items()},
         )

@@ -161,67 +161,3 @@ class TestA3CSCoSearchEndToEnd:
         result = cosearch.run()
         assert cosearch.teacher is None
         assert result.teacher_score == 0.0
-
-
-class TestMeasuredLatencyMode:
-    """`latency_mode="measured"`: the Eq. 8 penalty charged from host
-    autotuner timings instead of the analytical cycle model."""
-
-    def _penalty(self, supernet, **kwargs):
-        das = UnitGranularityDAS(num_units=supernet.num_cells + 2, config=DASConfig(seed=0))
-        return HardwarePenalty(supernet, das, latency_mode="measured",
-                               measured_batch=2, **kwargs)
-
-    def test_unknown_latency_mode_raises(self, supernet):
-        das = UnitGranularityDAS(num_units=supernet.num_cells + 2, config=DASConfig(seed=0))
-        with pytest.raises(ValueError, match="latency_mode"):
-            HardwarePenalty(supernet, das, latency_mode="wallclock")
-
-    def test_measured_mode_serves_normalised_fractions(self, supernet):
-        penalty = self._penalty(supernet)
-        config, _ = penalty.update_accelerator([0] * 6)
-        latencies = penalty.cell_latencies([0] * 6, config)
-        assert penalty.latency_source == "measured"
-        assert latencies.shape == (6,)
-        assert np.all(latencies >= 0.0)
-        assert 0.0 <= latencies.sum() <= 1.0 + 1e-9
-
-    def test_injected_timings_flow_through(self, supernet, monkeypatch):
-        penalty = self._penalty(supernet)
-        config, _ = penalty.update_accelerator([0] * 6)
-        # Charge every conv layer exactly its out_channels in "seconds":
-        # the per-cell fractions are then exact, closed-form checkable.
-        monkeypatch.setattr(
-            type(penalty), "_measured_seconds", lambda self, spec: float(spec["out_channels"])
-        )
-        latencies = penalty.cell_latencies([0] * 6, config)
-        assert penalty.latency_source == "measured"
-        specs = supernet.layer_specs([0] * 6)
-        units = unit_of_layer_map(specs, supernet.num_cells)
-        expected = np.zeros(supernet.num_cells + 2)
-        for spec, unit in zip(specs, units):
-            expected[unit] += spec["out_channels"] if spec["type"] == "conv" else 0.0
-        expected = expected[1:-1] / expected.sum()
-        np.testing.assert_allclose(latencies, expected, rtol=1e-12)
-
-    def test_falls_back_analytical_when_unmeasurable(self, supernet, monkeypatch):
-        penalty = self._penalty(supernet)
-        config, _ = penalty.update_accelerator([0] * 6)
-        monkeypatch.setattr(type(penalty), "_measured_seconds", lambda self, spec: None)
-        measured = penalty.cell_latencies([0] * 6, config)
-        assert penalty.latency_source == "analytical"
-        analytical_penalty = HardwarePenalty(supernet, penalty.das)
-        np.testing.assert_allclose(
-            measured, analytical_penalty.cell_latencies([0] * 6, config)
-        )
-
-    def test_rank_agreement_on_extreme_operators(self, supernet):
-        """Both latency sources must agree that all-conv-k5 networks charge
-        the cells more than all-skip networks (which have no cell convs)."""
-        penalty = self._penalty(supernet)
-        config, _ = penalty.update_accelerator([1] * 6)
-        heavy = penalty.cell_latencies([1] * 6, config).sum()
-        assert penalty.latency_source == "measured"
-        config, _ = penalty.update_accelerator([8] * 6)
-        light = penalty.cell_latencies([8] * 6, config).sum()
-        assert heavy > light

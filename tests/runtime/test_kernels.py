@@ -156,10 +156,12 @@ class TestStackedAndTrainPlans:
 
 
 class TestDispatch:
-    def test_unknown_kernel_name_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "no_such_kernel")
+    # A pin naming a deleted kernel fails loudly like a typo, never silently.
+    @pytest.mark.parametrize("name", ["no_such_kernel", "depthwise_direct_q8"])
+    def test_unknown_kernel_name_raises(self, monkeypatch, name):
+        monkeypatch.setenv(ENV_VAR, name)
         net = conv_net(4, 4, 3, 1, 1, 4)
-        with pytest.raises(ValueError, match="no_such_kernel"):
+        with pytest.raises(ValueError, match="unknown kernel {!r}".format(name)):
             compile_plan(net, (2, 4, 6, 6))
 
     def test_unknown_op_class_raises(self, monkeypatch):

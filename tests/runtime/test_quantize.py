@@ -2,8 +2,8 @@
 
 Four layers of guarantees:
 
-* **Kernel numerics** — every registered q8/q16 kernel (including the
-  compiled C ones when the host can build them) is *bitwise identical* to
+* **Kernel numerics** — every registered q8 kernel (including the
+  compiled C one when the host can build it) is *bitwise identical* to
   an int64-accumulate reference that applies the documented requant
   sequence, across shapes, strides, fused ReLU and fused residuals.  This
   is the contract that lets the autotuner swap candidates freely.
@@ -12,11 +12,12 @@ Four layers of guarantees:
   refuses to apply to mismatched plans.
 * **Plan integration** — a calibrated compile lowers eligible convs to
   integer kernels bracketed by quantize/dequantize boundary steps, heads
-  stay float, accuracy degrades gracefully (q16 strictly tighter than q8),
-  and the opt-out path is bitwise identical to an uncalibrated compile.
+  stay float, accuracy degrades gracefully, and the opt-out path is bitwise identical to an uncalibrated compile.
 * **Lint** — scale-mismatched edges, un-dequantized integer reads and
   quantized convs in training plans are rejected.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from repro.runtime.passes import PlanLintError, lint_plan
 from repro.runtime.plan import Conv2dStep, DequantizeStep, QuantInfo, QuantizeStep
 
 #: mode -> (activation dtype, exact-accumulate float dtype, clip bound)
-QMODES = {"q8": (np.int8, np.float32, 127), "q16": (np.int16, np.float64, 32767)}
+QMODES = {"q8": (np.int8, np.float32, 127)}
 
 #: Kernel pins that force every depthwise/pointwise conv onto NHWC-only
 #: float kernels, so the layout pass deterministically assigns NHWC and the
@@ -93,9 +94,7 @@ def _requant_reference(acc_i64, epi, res, acc_dtype):
     if res is not None:
         acc = acc + res * acc_dtype.type(epi.res_scale)
     acc = np.clip(acc, acc_dtype.type(epi.lo), acc_dtype.type(epi.hi))
-    return np.rint(acc).astype(res.dtype if res is not None else epi.scale.dtype).astype(
-        np.int8 if acc_dtype == np.float32 else np.int16
-    )
+    return np.rint(acc).astype(np.int8)
 
 
 def _depthwise_reference(spec, x, weight, epi, res):
@@ -172,22 +171,22 @@ class TestQuantKernelParity:
     def test_requant_native_matches_numpy_fallback(self, monkeypatch):
         """The fused C requant pass and the 5-pass NumPy tail agree bitwise."""
         rng = np.random.default_rng(0)
-        for mode, (act_dtype, acc_dtype, qmax) in QMODES.items():
-            epi = RequantEpilogue(6, acc_dtype, qmax, relu=False)
-            epi.scale[...] = rng.uniform(1e-3, 2e-2, 6)
-            epi.bias[...] = rng.uniform(-2, 2, 6)
-            epi.res_scale = 0.7
-            acc = rng.integers(-qmax * 20, qmax * 20, (10, 6)).astype(acc_dtype)
-            res = rng.integers(-qmax, qmax + 1, (10, 6)).astype(act_dtype)
-            native_out = np.empty((10, 6), dtype=act_dtype)
-            epi.requant(acc.copy(), native_out, res=res)
-            monkeypatch.setattr(_native, "_lib", None)
-            monkeypatch.setattr(_native, "_load_attempted", True)
-            assert not _native.available()
-            numpy_out = np.empty((10, 6), dtype=act_dtype)
-            epi.requant(acc.copy(), numpy_out, res=res)
-            monkeypatch.undo()
-            assert np.array_equal(native_out, numpy_out), mode
+        act_dtype, acc_dtype, qmax = QMODES["q8"]
+        epi = RequantEpilogue(6, acc_dtype, qmax, relu=False)
+        epi.scale[...] = rng.uniform(1e-3, 2e-2, 6)
+        epi.bias[...] = rng.uniform(-2, 2, 6)
+        epi.res_scale = 0.7
+        acc = rng.integers(-qmax * 20, qmax * 20, (10, 6)).astype(acc_dtype)
+        res = rng.integers(-qmax, qmax + 1, (10, 6)).astype(act_dtype)
+        native_out = np.empty((10, 6), dtype=act_dtype)
+        epi.requant(acc.copy(), native_out, res=res)
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_load_attempted", True)
+        assert not _native.available()
+        numpy_out = np.empty((10, 6), dtype=act_dtype)
+        epi.requant(acc.copy(), numpy_out, res=res)
+        monkeypatch.undo()
+        assert np.array_equal(native_out, numpy_out)
 
 
 # --------------------------------------------------------------------- #
@@ -241,32 +240,21 @@ class TestCalibration:
     def test_scale_is_amax_over_qmax(self):
         calib = QuantCalibration(
             input_shape=SHAPE, path=None, dtype="float32", mode="q8",
-            policy="minmax", num_slots=2, amax={0: np.array([2.0, 254.0])},
+            num_slots=2, amax={0: np.array([2.0, 254.0])},
         )
         assert calib.scale(0, 127) == pytest.approx(2.0)
         assert calib.scale(1, 127) is None
         degenerate = QuantCalibration(
             input_shape=SHAPE, path=None, dtype="float32", mode="q8",
-            policy="minmax", num_slots=1, amax={0: np.array([0.0, 0.0])},
+            num_slots=1, amax={0: np.array([0.0, 0.0])},
         )
         assert degenerate.scale(0, 127) == pytest.approx(1.0 / 127)
 
-    def test_percentile_policy_is_no_looser_than_minmax(self):
-        net = quantizable_net()
-        batches = _batches()
-        minmax = _calibrate(net, batches).result(mode="q8")
-        pct = _calibrate(net, batches, policy="percentile", percentile=95.0).result(mode="q8")
-        pairs = 0
-        for slot in range(minmax.num_slots):
-            lo, hi = pct.scale(slot, 127), minmax.scale(slot, 127)
-            if lo is not None and hi is not None:
-                assert lo <= hi * (1 + 1e-12)
-                pairs += 1
-        assert pairs > 0
-
     def test_json_round_trip(self):
-        calib = _calibrate(quantizable_net(), _batches()).result(mode="q16")
-        clone = QuantCalibration.from_json(calib.to_json())
+        calib = _calibrate(quantizable_net(), _batches()).result(mode="q8")
+        payload = json.loads(calib.to_json())
+        payload["policy"] = "minmax"  # written by older versions; ignored
+        clone = QuantCalibration.from_json(json.dumps(payload))
         assert clone.mode == calib.mode
         assert clone.num_slots == calib.num_slots
         assert clone.input_shape == calib.input_shape
@@ -276,6 +264,16 @@ class TestCalibration:
             assert (ours is None) == (theirs is None)
             if ours is not None:
                 assert ours == pytest.approx(theirs, rel=0, abs=0)
+
+    def test_from_json_rejects_stale_mode(self):
+        """int8 is the only quant mode: a removed mode is refused, not served."""
+        cal = _calibrate(quantizable_net(), _batches())
+        with pytest.raises(ValueError, match="quant mode"):
+            cal.result(mode="q16")
+        payload = json.loads(cal.result(mode="q8").to_json())
+        payload["mode"] = "q16"
+        with pytest.raises(ValueError, match="quant mode"):
+            QuantCalibration.from_json(json.dumps(payload))
 
     def test_matches_keys_on_shape_path_dtype(self):
         calib = _calibrate(quantizable_net(), _batches()).result()
@@ -289,11 +287,11 @@ class TestCalibration:
 # Plan integration
 # --------------------------------------------------------------------- #
 
-def _quantized_setup(monkeypatch, mode="q8"):
+def _quantized_setup(monkeypatch):
     monkeypatch.setenv(KERNELS_ENV, NHWC_PINS)
     net = quantizable_net()
     batches = _batches()
-    calib = _calibrate(net, batches).result(mode=mode)
+    calib = _calibrate(net, batches).result(mode="q8")
     return net, batches, calib
 
 
@@ -327,24 +325,11 @@ class TestQuantizedPlans:
         for x, ref in zip(batches, refs):
             assert np.array_equal(np.asarray(plain.run(x)), ref)
 
-    def test_q16_strictly_tighter_than_q8(self, monkeypatch):
-        net, batches, _ = _quantized_setup(monkeypatch)
-        ref_plan = compile_plan(net, SHAPE, dtype=np.float32)
-        refs = [np.asarray(ref_plan.run(x)).copy() for x in batches]
-        errs = {}
-        for mode in ("q8", "q16"):
-            calib = _calibrate(net, batches).result(mode=mode)
-            plan = compile_plan(net, SHAPE, dtype=np.float32, quantize=calib)
-            errs[mode] = max(
-                np.abs(np.asarray(plan.run(x)) - ref).max() for x, ref in zip(batches, refs)
-            )
-        assert errs["q16"] < errs["q8"] / 10
-
     def test_mismatched_calibration_declines(self, monkeypatch):
         net, batches, calib = _quantized_setup(monkeypatch)
         stale = QuantCalibration(
             input_shape=calib.input_shape, path=calib.path, dtype=calib.dtype,
-            mode="q8", policy="minmax", num_slots=3, amax={0: np.array([1.0])},
+            mode="q8", num_slots=3, amax={0: np.array([1.0])},
         )
         ref_plan = compile_plan(net, SHAPE, dtype=np.float32)
         plan = compile_plan(net, SHAPE, dtype=np.float32, quantize=stale)
@@ -437,7 +422,7 @@ class TestQuantDispatch:
         q_spec = _dw_spec("q8", 2, 8, 8, 3, 1, 1)
         float_names = {cls.name for cls in candidates(f_spec)}
         quant_names = {cls.name for cls in candidates(q_spec)}
-        assert not any(n.endswith(("_q8", "_q16")) for n in float_names)
+        assert not any(n.endswith("_q8") for n in float_names)
         assert all(n.endswith("_q8") for n in quant_names)
         # Quantized kernels are NHWC-only: the NCHW variant has no candidates.
         assert not candidates(q_spec._replace(layout="NCHW"))
@@ -456,7 +441,7 @@ class TestQuantDispatch:
         monkeypatch.setenv(KERNELS_ENV, "depthwise=depthwise_native_q8")
         spec = _dw_spec("", 2, 8, 8, 3, 1, 1)._replace(quant="")
         kernel = kernel_for(spec, _BenchArena(spec))
-        assert not kernel.name.endswith(("_q8", "_q16"))
+        assert not kernel.name.endswith("_q8")
         row = selection_table()[spec.describe()]
         assert row["source"] == "pin-fallback"
 
