@@ -12,9 +12,13 @@ Candidates are timed on *standalone* zero-filled buffers, not the plan's
 slot buffers: a losing candidate must not leave persistent allocations
 behind in the plan, and zero inputs keep the timing free of subnormal /
 NaN artefacts from uninitialised memory.  Only the forward pass is timed —
-for ``train`` signatures the backward rides with the forward winner (the
-two directions share their saved state, and forward cost dominates the
-shapes this runtime compiles).
+for ``train`` signatures the backward rides with the forward winner.  Not
+because the forward dominates: on the derived agent's depthwise train
+signatures the backward costs as much or more.  The two directions share
+their saved state, so they must run on one kernel, and the depthwise
+kernels share one VJP implementation (the strided einsum contractions), so
+timing the backward too would double the tuning cost without telling the
+depthwise candidates apart.
 
 A challenger only dethrones the general fallback when it wins by a clear
 relative margin (:data:`MARGIN`), so near-ties resolve deterministically:

@@ -17,17 +17,26 @@ the padded block, the accumulator and the tap workspace all stay
 L2-resident — the output tile is touched ``k^2`` times but never leaves the
 cache, and the fused epilogue runs on it while it is still hot.
 
-Reverse mode reuses the saved padded NHWC input: the weight VJP is the same
-tap loop with a channel reduction, and the input VJP scatters
-``gout * w[i, j]`` back through the shifted windows (into a padded workspace
-when ``padding > 0``).
+Reverse mode is two ``einsum`` contractions over zero-copy strided window
+views ``(n, oh, ow, k, k, C)``, shared by both kernels and both layouts::
+
+    gw[c, 0, i, j] += sum_nyx view(xpad)[n, y, x, i, j, c] * gout[n, y, x, c]
+    gin[n, y, x, c] += sum_ij view(gdil)[n, y, x, i, j, c] * w[k-1-i, k-1-j, c]
+
+The weight VJP contracts the forward's tap windows of the border-padded
+input with ``gout``.  The input VJP is the transposed correlation:
+``gdil`` is ``gout`` dilated by the stride and padded by ``k-1-p``, read
+through stride-1 windows against the flipped taps.  Every buffer involved
+(padded input, ``gdil``, the ``gin`` staging tile) is a call-transient
+scratch workspace whose border is re-zeroed per call, except the NCHW
+training path's padded input, which the forward saves persistently.
 
 When the slot itself is tagged NHWC by the layout-assignment pass the
 pack/unpack transposes disappear entirely: the forward needs only a border
 pad of the already-channels-last input (a row-contiguous copy, transient
 scratch in both directions) and accumulates directly into the NHWC output
-buffer, while the VJPs contract clipped strided windows of the plan's own
-input slot — the kernel then carries no persistent state at all.
+buffer, and the VJPs re-pad the plan's own input slot — the kernel then
+carries no persistent activation state at all.
 """
 
 from __future__ import annotations
@@ -45,6 +54,37 @@ from .registry import (
 )
 
 __all__ = ["DepthwiseDirectKernel", "DepthwiseEinsumKernel"]
+
+
+def _embed(dst, src, offset, step=1):
+    """Write NHWC ``src`` into ``dst`` at ``offset``, every ``step`` rows/cols.
+
+    Every other element of ``dst`` is zeroed: the scratch arenas are shared
+    with other steps, so borders (and the zeros a stride dilation inserts)
+    must be rewritten on every call.  Returns ``dst``.
+    """
+    h, w = src.shape[1:3]
+    rows = slice(offset, offset + step * (h - 1) + 1, step)
+    cols = slice(offset, offset + step * (w - 1) + 1, step)
+    if step == 1:
+        dst[:, :offset] = 0.0
+        dst[:, rows.stop:] = 0.0
+        dst[:, rows, :offset] = 0.0
+        dst[:, rows, cols.stop:] = 0.0
+    else:
+        dst.fill(0.0)
+    dst[:, rows, cols] = src
+    return dst
+
+
+def _windows(buf, oh, ow, k, s):
+    """Zero-copy ``(n, oh, ow, k, k, C)`` tap-window view of an NHWC buffer."""
+    st = buf.strides
+    return as_strided(
+        buf,
+        (buf.shape[0], oh, ow, k, k, buf.shape[3]),
+        (st[0], st[1] * s, st[2] * s, st[1], st[2], st[3]),
+    )
 
 
 @register_kernel
@@ -70,7 +110,9 @@ class DepthwiseDirectKernel(ConvKernel):
 
     @classmethod
     def supports(cls, spec):
-        return spec.depthwise
+        # The input VJP pads the dilated gout by ``k-1-p``, which must not
+        # be negative (no real network pads by a whole kernel or more).
+        return spec.depthwise and spec.padding < spec.kernel
 
     @classmethod
     def scratch_requests(cls, spec):
@@ -83,8 +125,8 @@ class DepthwiseDirectKernel(ConvKernel):
         )
         if spec.layout == "NHWC":
             # The accumulator is the output buffer itself; the padded copy is
-            # call-transient in both directions (the VJPs re-read the plan's
-            # own input slot instead of saved state).
+            # call-transient in both directions (the VJPs re-pad the plan's
+            # own input slot instead of saving state).
             requests = [(SCRATCH_MAIN, tile)]
             if spec.padding > 0:
                 requests.append((SCRATCH_PAD, padded))
@@ -97,16 +139,20 @@ class DepthwiseDirectKernel(ConvKernel):
     @classmethod
     def backward_scratch_requests(cls, spec, input_grad_needed):
         n, c, item = spec.batch, spec.in_channels, spec.itemsize
-        tile = n * spec.out_height * spec.out_width * c * item
-        if spec.layout == "NHWC":
-            return ((SCRATCH_MAIN, tile),)
-        requests = [(SCRATCH_GEMM, tile), (SCRATCH_MAIN, tile)]
-        if input_grad_needed and spec.padding > 0:
-            padded = (
-                n * (spec.height + 2 * spec.padding)
-                * (spec.width + 2 * spec.padding) * c * item
-            )
-            requests.append((SCRATCH_PAD, padded))
+        h, w, k, p = spec.height, spec.width, spec.kernel, spec.padding
+        requests = []
+        # SCRATCH_PAD holds the padded input during the weight VJP, then
+        # the dilated gout during the input VJP.
+        pad = 0
+        if spec.layout == "NCHW":
+            requests.append((SCRATCH_GEMM, n * spec.out_height * spec.out_width * c * item))
+        elif p > 0:
+            pad = n * (h + 2 * p) * (w + 2 * p) * c * item
+        if input_grad_needed:
+            pad = max(pad, n * (h + k - 1) * (w + k - 1) * c * item)
+            requests.append((SCRATCH_MAIN, n * h * w * c * item))
+        if pad:
+            requests.append((SCRATCH_PAD, pad))
         return tuple(requests)
 
     # ------------------------------------------------------------------ #
@@ -165,23 +211,6 @@ class DepthwiseDirectKernel(ConvKernel):
             :,
         ]
 
-    def _tap_bounds(self, tap):
-        """Clipped tap geometry for the in-place (no padded copy) NHWC mode.
-
-        Returns ``(y0, y1, x0, x1, r0, c0)``: the tap contributes to output
-        rows ``y0:y1`` / cols ``x0:x1``, reading input rows from ``r0`` and
-        cols from ``c0`` (both stepped by the stride).  Padding is realised
-        by this clipping — out-of-image taps simply shrink their region.
-        """
-        spec = self.spec
-        i, j = divmod(tap, spec.kernel)
-        s, p = spec.stride, spec.padding
-        y0 = max(0, -(-(p - i) // s))
-        y1 = min(spec.out_height, (spec.height - 1 - i + p) // s + 1)
-        x0 = max(0, -(-(p - j) // s))
-        x1 = min(spec.out_width, (spec.width - 1 - j + p) // s + 1)
-        return y0, y1, x0, x1, y0 * s + i - p, x0 * s + j - p
-
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
@@ -204,15 +233,7 @@ class DepthwiseDirectKernel(ConvKernel):
             if spec.train:
                 xb = self._xph[n0:n1]
             else:
-                xb = self._xph[:b]
-                if p > 0:
-                    # The scratch arena is shared with other steps, so the
-                    # padding border must be re-zeroed per block.
-                    xb[:, :p] = 0.0
-                    xb[:, p + h:] = 0.0
-                    xb[:, p:p + h, :p] = 0.0
-                    xb[:, p:p + h, p + w:] = 0.0
-                xb[:, p:p + h, p:p + w, :] = np.moveaxis(x[n0:n1], 1, -1)
+                xb = _embed(self._xph[:b], np.moveaxis(x[n0:n1], 1, -1), p)
             ob = self._outh[:b]
             wb = self._wsh[:b]
             np.multiply(self._tap_view(xb, 0), self._wt[0], out=ob)
@@ -234,24 +255,13 @@ class DepthwiseDirectKernel(ConvKernel):
         output buffer itself rather than an unpack staging tile.
         """
         spec = self.spec
-        n, c, p = spec.batch, spec.in_channels, spec.padding
-        h, w = spec.height, spec.width
+        n, p = spec.batch, spec.padding
         taps = spec.kernel * spec.kernel
         blockwise = epilogue.blockwise
         for n0 in range(0, n, self._b):
             n1 = min(n0 + self._b, n)
             b = n1 - n0
-            if p > 0:
-                xb = self._xph[:b]
-                # The scratch arena is shared with other steps, so the
-                # padding border must be re-zeroed per block.
-                xb[:, :p] = 0.0
-                xb[:, p + h:] = 0.0
-                xb[:, p:p + h, :p] = 0.0
-                xb[:, p:p + h, p + w:] = 0.0
-                xb[:, p:p + h, p:p + w, :] = x[n0:n1]
-            else:
-                xb = x[n0:n1]
+            xb = _embed(self._xph[:b], x[n0:n1], p) if p > 0 else x[n0:n1]
             ob = out[n0:n1]
             wb = self._wsh[:b]
             np.multiply(self._tap_view(xb, 0), self._wt[0], out=ob)
@@ -268,65 +278,42 @@ class DepthwiseDirectKernel(ConvKernel):
     # ------------------------------------------------------------------ #
     def allocate_backward(self, plan, input_grad_needed):
         spec = self.spec
-        n, c = spec.batch, spec.in_channels
-        oh, ow = spec.out_height, spec.out_width
-        if spec.layout == "NHWC":
-            self._gtap = plan.workspace((n, oh, ow, c), channel=SCRATCH_MAIN)
-            return
-        self._gouth = plan.workspace((n, oh, ow, c), channel=SCRATCH_GEMM)
-        self._gtap = plan.workspace((n, oh, ow, c), channel=SCRATCH_MAIN)
-        self._gpadh = None
-        if input_grad_needed and spec.padding > 0:
-            ph = spec.height + 2 * spec.padding
-            pw = spec.width + 2 * spec.padding
-            self._gpadh = plan.workspace((n, ph, pw, c), channel=SCRATCH_PAD)
-
-    def _backward_nhwc(self, gout, x, gw, gin):
-        """Weight / input VJPs contracting the plan's own NHWC slot buffers."""
-        spec = self.spec
-        k, s = spec.kernel, spec.stride
-        for tap in range(k * k):
-            y0, y1, x0, x1, r0, c0 = self._tap_bounds(tap)
-            gv = gout[:, y0:y1, x0:x1, :]
-            xv = x[:, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s, :]
-            gt = self._gtap[:, :y1 - y0, :x1 - x0]
-            np.multiply(gv, xv, out=gt)
-            i, j = divmod(tap, k)
-            gw[:, 0, i, j] += gt.sum(axis=(0, 1, 2))
-            if gin is not None:
-                np.multiply(gv, self._wt[tap], out=gt)
-                gin[:, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s, :] += gt
+        n, c, k, p = spec.batch, spec.in_channels, spec.kernel, spec.padding
+        h, w = spec.height, spec.width
+        if spec.layout == "NCHW":
+            # The padded input is the persistent ``_xph`` the forward saved.
+            self._gouth = plan.workspace(
+                (n, spec.out_height, spec.out_width, c), channel=SCRATCH_GEMM
+            )
+        elif p > 0:
+            self._xpad = plan.workspace((n, h + 2 * p, w + 2 * p, c), channel=SCRATCH_PAD)
+        #: Weight-VJP staging in the contraction's natural ``(k, k, C)`` order.
+        self._gwt = plan.alloc((k, k, c))
+        if input_grad_needed:
+            self._gdil = plan.workspace((n, h + k - 1, w + k - 1, c), channel=SCRATCH_PAD)
+            self._ginh = plan.workspace((n, h, w, c), channel=SCRATCH_MAIN)
 
     def backward(self, gout, x, weight, gw, gin):
         spec = self.spec
-        c, p = spec.in_channels, spec.padding
-        h, w, k = spec.height, spec.width, spec.kernel
-        taps = k * k
-        self._wt[...] = weight.reshape(c, taps).T
+        c, p, k, s = spec.in_channels, spec.padding, spec.kernel, spec.stride
+        h, w = spec.height, spec.width
+        self._wt[...] = weight.reshape(c, k * k).T
         if spec.layout == "NHWC":
-            return self._backward_nhwc(gout, x, gw, gin)
-        np.copyto(self._gouth, np.moveaxis(gout, 1, -1))
-        # Weight VJP: per tap, reduce gout * (shifted saved input) over NHW.
-        for tap in range(taps):
-            np.multiply(self._gouth, self._tap_view(self._xph, tap), out=self._gtap)
-            i, j = divmod(tap, k)
-            gw[:, 0, i, j] += self._gtap.sum(axis=(0, 1, 2))
+            xpad = _embed(self._xpad, x, p) if p > 0 else x
+        else:
+            np.copyto(self._gouth, np.moveaxis(gout, 1, -1))
+            gout, xpad = self._gouth, self._xph
+        # Weight VJP: the forward's tap windows contracted with gout over NHW.
+        xv = _windows(xpad, spec.out_height, spec.out_width, k, s)
+        np.einsum("nhwijc,nhwc->ijc", xv, gout, out=self._gwt)
+        gw[:, 0] += self._gwt.transpose(2, 0, 1)
         if gin is None:
             return
-        # Input VJP: scatter gout * w through the shifted windows.  With no
-        # padding the target windows view the caller's accumulator directly;
-        # otherwise a zeroed padded workspace collects the taps and its
-        # interior is accumulated at the end.
-        if self._gpadh is not None:
-            target = self._gpadh
-            target.fill(0.0)
-        else:
-            target = np.moveaxis(gin, 1, -1)
-        for tap in range(taps):
-            np.multiply(self._gouth, self._wt[tap], out=self._gtap)
-            self._tap_view(target, tap)[...] += self._gtap
-        if self._gpadh is not None:
-            gin += np.moveaxis(self._gpadh[:, p:p + h, p:p + w, :], 3, 1)
+        # Input VJP: correlate the stride-dilated, (k-1-p)-padded gout with
+        # the flipped taps.  The staging tile keeps the ``+=`` contract.
+        gv = _windows(_embed(self._gdil, gout, k - 1 - p, s), h, w, k, 1)
+        np.einsum("nhwijc,ijc->nhwc", gv, self._wt[::-1].reshape(k, k, c), out=self._ginh)
+        gin += self._ginh if spec.layout == "NHWC" else np.moveaxis(self._ginh, 3, 1)
 
 
 @register_kernel
@@ -348,8 +335,9 @@ class DepthwiseEinsumKernel(DepthwiseDirectKernel):
     faster on wide-channel signatures (the direct kernel keeps winning the
     narrow-channel ones, which is exactly what the autotuner arbitrates).
 
-    Reverse mode is inherited: the NHWC VJPs of the direct kernel already
-    contract clipped windows of the plan's own slot buffers.
+    Reverse mode is inherited unchanged: the direct kernel's VJPs are
+    already the same strided-view ``einsum`` contractions (see the module
+    docstring), a weight contraction and a transposed correlation.
     """
 
     name = "depthwise_einsum"
@@ -363,7 +351,7 @@ class DepthwiseEinsumKernel(DepthwiseDirectKernel):
 
     @classmethod
     def supports(cls, spec):
-        return spec.depthwise and spec.layout == "NHWC"
+        return super().supports(spec) and spec.layout == "NHWC"
 
     @classmethod
     def scratch_requests(cls, spec):
@@ -398,32 +386,15 @@ class DepthwiseEinsumKernel(DepthwiseDirectKernel):
     def forward(self, x, weight, out, epilogue):
         spec = self.spec
         n, c, p = spec.batch, spec.in_channels, spec.padding
-        h, w, k, s = spec.height, spec.width, spec.kernel, spec.stride
+        k, s = spec.kernel, spec.stride
         oh, ow = spec.out_height, spec.out_width
         self._wt[...] = weight.reshape(c, k * k).T
         wv = self._wt.reshape(k, k, c)
         blockwise = epilogue.blockwise
         for n0 in range(0, n, self._b):
             n1 = min(n0 + self._b, n)
-            b = n1 - n0
-            if p > 0:
-                xb = self._xph[:b]
-                # The scratch arena is shared with other steps, so the
-                # padding border must be re-zeroed per block.
-                xb[:, :p] = 0.0
-                xb[:, p + h:] = 0.0
-                xb[:, p:p + h, :p] = 0.0
-                xb[:, p:p + h, p + w:] = 0.0
-                xb[:, p:p + h, p:p + w, :] = x[n0:n1]
-            else:
-                xb = x[n0:n1]
-            st = xb.strides
-            xv = as_strided(
-                xb,
-                (b, oh, ow, k, k, c),
-                (st[0], st[1] * s, st[2] * s, st[1], st[2], st[3]),
-            )
-            np.einsum("nhwijc,ijc->nhwc", xv, wv, out=out[n0:n1])
+            xb = _embed(self._xph[:n1 - n0], x[n0:n1], p) if p > 0 else x[n0:n1]
+            np.einsum("nhwijc,ijc->nhwc", _windows(xb, oh, ow, k, s), wv, out=out[n0:n1])
             if blockwise:
                 epilogue.apply(out[n0:n1], lanes=slice(n0, n1))
         if not blockwise:

@@ -25,11 +25,13 @@ from repro.runtime.kernels import (
     selection_table,
 )
 from repro.runtime.kernels.conv import BlockedIm2colKernel
-from repro.runtime.kernels.depthwise import DepthwiseDirectKernel
+from repro.runtime.kernels.depthwise import DepthwiseDirectKernel, DepthwiseEinsumKernel
 from repro.runtime.kernels.registry import reset_selections
+from repro.runtime.passes import PASS_NAMES
 
 F64_TOL = 1e-12
 F32_TOL = 1e-6
+NO_LAYOUT = frozenset(PASS_NAMES) - {"layout"}
 
 
 @pytest.fixture(autouse=True)
@@ -268,7 +270,6 @@ class TestScratchArenas:
         arena — a plan-owned block sized by the aliasing pass — not a fresh
         per-call (or even per-plan private) allocation."""
         from repro.nn import Sequential as Seq
-        from repro.runtime.kernels.depthwise import DepthwiseEinsumKernel
         from repro.runtime.kernels.registry import SCRATCH_PAD
         from repro.runtime.plan import Conv2dStep
 
@@ -289,6 +290,188 @@ class TestScratchArenas:
         for kernel in kernels:
             assert kernel._xph is not None
             assert np.shares_memory(kernel._xph, pad_block)
+
+    @pytest.mark.parametrize(
+        "pin,passes,layout",
+        [
+            ("depthwise=depthwise_einsum", None, "NHWC"),
+            ("depthwise=depthwise_direct", NO_LAYOUT, "NCHW"),
+        ],
+    )
+    def test_backward_workspaces_are_arena_backed(self, monkeypatch, pin, passes, layout):
+        """Every reverse-mode depthwise workspace (padded input, dilated gout,
+        gin staging, packed gout) views a shared scratch block."""
+        from repro.runtime.plan import Conv2dStep
+
+        monkeypatch.setenv(ENV_VAR, pin)
+        rng = np.random.default_rng(0)
+        net = Sequential(  # expand / depthwise / project, as in the agents
+            Conv2d(4, 8, 1, rng=rng),
+            Conv2d(8, 8, 3, stride=1, padding=1, groups=8, rng=rng),
+            Conv2d(8, 4, 1, rng=rng),
+        )
+        plan = compile_plan(net, (2, 4, 9, 9), dtype=np.float64, train=True, passes=passes)
+        kernels = [
+            step._kernel for step in plan.steps
+            if isinstance(step, Conv2dStep) and isinstance(step._kernel, DepthwiseDirectKernel)
+        ]
+        assert kernels and all(k.spec.layout == layout for k in kernels)
+        blocks = list(plan._scratch_blocks.values())
+        names = ("_gdil", "_ginh") + (("_xpad",) if layout == "NHWC" else ("_gouth",))
+        for kernel in kernels:
+            for name in names:
+                buf = getattr(kernel, name)
+                assert any(np.shares_memory(buf, block) for block in blocks), name
+
+    def test_derived_agent_training_allocates_nothing_in_steady_state(self, monkeypatch):
+        """An f64 A2C train plan for the inverted-residual derived agent, with
+        the einsum depthwise VJPs: updates 3-8 compile nothing and draw no
+        fresh pool bytes (counters, not time)."""
+        from repro.cosearch import A3CSConfig
+        from repro.drl import A2CConfig, A2CTrainer
+        from repro.envs import make_vector_env
+
+        monkeypatch.setenv(ENV_VAR, "depthwise=depthwise_einsum")
+        defaults = A3CSConfig()
+        supernet = AgentSuperNet(in_channels=2, input_size=28,
+                                 feature_dim=defaults.feature_dim,
+                                 base_width=defaults.base_width,
+                                 num_cells=defaults.num_cells,
+                                 rng=np.random.default_rng(0))
+        agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
+                                 feature_dim=defaults.feature_dim,
+                                 rng=np.random.default_rng(0))
+        env = make_vector_env("Breakout", num_envs=2, obs_size=28, frame_stack=2, seed=0)
+        trainer = A2CTrainer(agent, env, config=A2CConfig(num_envs=2, seed=0))
+
+        def counters():
+            stats = runtime.cache_stats()
+            return (stats["train_plans"]["cache_misses"],
+                    stats["inference_plans"]["cache_misses"],
+                    stats["buffer_pools"]["bytes_fresh"])
+
+        totals = [counters()]
+        try:
+            for _ in range(8):
+                trainer.train(total_steps=trainer.total_env_steps + 1)
+                totals.append(counters())
+        finally:
+            env.close()
+        # Update 1 compiled the train plan, on the einsum depthwise kernel ...
+        assert totals[1][0] > totals[0][0]
+        assert any(
+            row["kernel"] == "depthwise_einsum" and "/train/" in key
+            for key, row in selection_table().items()
+        )
+        # ... and updates 3-8 missed no plan cache and drew no fresh bytes.
+        assert totals[2:] == [totals[2]] * 7
+
+
+def _naive_depthwise(x, w, gout, stride, padding):
+    """Forward, weight VJP and input VJP of a depthwise conv by explicit loops.
+
+    Plain float64 NCHW arithmetic over every output position and tap; shares
+    no code (and no formulation) with the runtime kernels.
+    """
+    n, c, h, wd = x.shape
+    k = w.shape[-1]
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, c, oh, ow))
+    gw = np.zeros(w.shape)
+    gin = np.zeros(x.shape)
+    for y in range(oh):
+        for xo in range(ow):
+            for i in range(k):
+                for j in range(k):
+                    r = y * stride + i - padding
+                    q = xo * stride + j - padding
+                    if not (0 <= r < h and 0 <= q < wd):
+                        continue
+                    for b in range(n):
+                        for ch in range(c):
+                            out[b, ch, y, xo] += x[b, ch, r, q] * w[ch, 0, i, j]
+                            gw[ch, 0, i, j] += gout[b, ch, y, xo] * x[b, ch, r, q]
+                            gin[b, ch, r, q] += gout[b, ch, y, xo] * w[ch, 0, i, j]
+    return out, gw, gin
+
+
+def _assert_close_rel(got, expected, tol, what):
+    scale = max(1.0, float(np.abs(expected).max()))
+    err = float(np.abs(np.asarray(got, dtype=np.float64) - expected).max())
+    assert err <= tol * scale, "{}: max error {:.3g} > {:.3g}".format(what, err, tol * scale)
+
+
+class TestDepthwiseVJPReference:
+    """Both depthwise kernels, in every layout they serve, against naive loops.
+
+    ``gw`` / ``gin`` arrive pre-filled (pinning the ``+=`` contract), and the
+    plan's scratch arenas are filled with NaN bytes before each call, so a
+    border or dilation zero that is not rewritten per call shows up as NaN.
+    """
+
+    VARIANTS = (
+        (DepthwiseDirectKernel, "NCHW"),
+        (DepthwiseDirectKernel, "NHWC"),
+        (DepthwiseEinsumKernel, "NHWC"),
+    )
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    # One odd and one even extent: with s=2 one axis always has
+    # (size + 2p - k) % s != 0, i.e. input rows no output tap reads.
+    @pytest.mark.parametrize("hw", [(7, 8), (8, 7)])
+    def test_matches_naive_loops(self, k, s, p, hw):
+        from repro.runtime.kernels import scratch_upper_bound
+        from repro.runtime.kernels.autotune import NULL_EPILOGUE
+        from repro.runtime.plan import Plan
+
+        n, c = 3, 4
+        h, wd = hw
+        rng = np.random.default_rng(k * 100 + s * 10 + p)
+        x = rng.standard_normal((n, c, h, wd))
+        w = rng.standard_normal((c, 1, k, k))
+        oh = (h + 2 * p - k) // s + 1
+        ow = (wd + 2 * p - k) // s + 1
+        gout = rng.standard_normal((n, c, oh, ow))
+        gw0 = rng.standard_normal(w.shape)
+        gin0 = rng.standard_normal(x.shape)
+        ref_out, ref_gw, ref_gin = _naive_depthwise(x, w, gout, s, p)
+        for cls, layout in self.VARIANTS:
+            for dtype, tol in ((np.float64, F64_TOL), (np.float32, F32_TOL)):
+                for input_grad in (True, False):
+                    spec = ConvSpec(n, c, c, h, wd, k, s, p, c, np.dtype(dtype).name,
+                                    "train", layout)
+                    assert cls.supports(spec)
+                    plan = Plan(dtype=dtype, train=True)
+                    plan._scratch_blocks = {
+                        channel: plan.alloc((nbytes,), dtype=np.uint8)
+                        for channel, nbytes in scratch_upper_bound(
+                            spec, input_grad_needed=input_grad, layouts=(layout,)
+                        )
+                    }
+                    kernel = cls(spec, plan)
+                    kernel.allocate_backward(plan, input_grad)
+
+                    def phys(a):
+                        a = a.transpose(0, 2, 3, 1) if layout == "NHWC" else a
+                        return np.array(a, dtype=dtype, order="C")  # a fresh copy
+
+                    out = np.empty(spec.out_shape, dtype=dtype)
+                    for block in plan._scratch_blocks.values():
+                        block.fill(0xFF)  # all-ones bytes are NaN in f32 and f64
+                    kernel.forward(phys(x), w.astype(dtype), out, NULL_EPILOGUE)
+                    gw = gw0.astype(dtype)
+                    gin = phys(gin0) if input_grad else None
+                    for block in plan._scratch_blocks.values():
+                        block.fill(0xFF)
+                    kernel.backward(phys(gout), phys(x), w.astype(dtype), gw, gin)
+                    label = "{}/{}/{}".format(cls.name, layout, np.dtype(dtype).name)
+                    _assert_close_rel(out, phys(ref_out), tol, label + " forward")
+                    _assert_close_rel(gw, gw0 + ref_gw, tol, label + " weight VJP")
+                    if input_grad:
+                        _assert_close_rel(gin, phys(gin0 + ref_gin), tol, label + " input VJP")
 
 
 class TestBlasThreadRecording:
