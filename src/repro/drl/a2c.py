@@ -400,6 +400,7 @@ class A2CTrainer:
         self.updates = int(state["trainer.updates"])
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = json.loads(str(state["trainer.rng"].item()))
+        self._guard_streak = 0
         if self._collector is not None:
             self._collector.restart()
         return self

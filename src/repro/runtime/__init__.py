@@ -35,8 +35,8 @@ always-available reference path, selected per call on
 :class:`~repro.runtime.compiler.CompileError`.
 
 Convolution steps dispatch their compute through the pluggable kernel
-subsystem in :mod:`repro.runtime.kernels`: named implementations (direct
-depthwise, lane-blocked im2col, the general im2col+GEMM fallback) are
+subsystem in :mod:`repro.runtime.kernels`: named implementations (compiled
+channels-last depthwise, lane-blocked im2col, the general im2col+GEMM fallback) are
 selected per op signature by a registry with a ``REPRO_KERNELS`` override
 and a per-signature autotuner; :func:`cache_stats` reports the chosen
 kernel (and candidate timings) for every signature the process compiled.

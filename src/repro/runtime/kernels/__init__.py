@@ -9,10 +9,10 @@ each distinct signature once per process and caches the winner.
 
 Registered kernels (import order puts the general fallback last):
 
-* ``depthwise_direct`` — output-stationary direct depthwise convolution
-  (forward + input/weight VJPs) that never materialises im2col columns;
-* ``depthwise_einsum`` — the same NHWC depthwise forward as one einsum
-  over a strided tap view (VJPs inherited from ``depthwise_direct``);
+* ``depthwise_native`` — compiled C NHWC depthwise forward and fused
+  input/weight VJPs (float32/float64; :mod:`~repro.runtime.kernels._native`);
+* ``depthwise_einsum`` — the same NHWC depthwise conv and VJPs as strided
+  tap-view einsums: the float fallback where the C library cannot build;
 * ``im2col_block`` — lane-blocked strided-view im2col keeping the gathered
   columns L2-resident (inference; NCHW any groups, NHWC ungrouped);
 * ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
@@ -36,7 +36,7 @@ hardware — dataflow-specialised conv engines selected per workload shape —
 applied to the NumPy runtime.
 """
 
-from . import depthwise as _depthwise  # noqa: F401  (registers depthwise_direct)
+from . import depthwise as _depthwise  # noqa: F401  (registers the float depthwise kernels)
 from . import conv as _conv  # noqa: F401  (registers im2col_block, pointwise_nhwc, im2col)
 from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count

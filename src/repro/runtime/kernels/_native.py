@@ -1,31 +1,43 @@
-"""Tiny compiled helpers for the int8 quantized kernels.
+"""Tiny compiled helpers for the depthwise kernels (float and int8).
 
-NumPy has no fused integer multiply-accumulate: an ``int8`` einsum runs
-through the generic scalar inner loop, slower than the f32 path it is meant
-to replace.  The quantized depthwise convolution therefore ships a ~60-line
-C kernel compiled on demand with the system C compiler (no new dependency —
-the toolchain that built CPython is already on the host) and loaded through
-:mod:`ctypes`.  Two routines are built: ``dw_conv_q8`` (int8 depthwise conv,
-``int32`` accumulate, fused per-channel requantization tail) and
-``requant_q8`` (the same tail as one pass over a float32 accumulator, used
-by the float-accumulate fallback kernels).
+NumPy has no fused multiply-accumulate over a convolution window: an
+``einsum`` over 6-D strided tap windows runs at a fraction of what a plain C
+loop reaches, and an ``int8`` einsum runs through the generic scalar inner
+loop, slower than the f32 path it is meant to replace.  The depthwise
+convolutions therefore ship small C kernels compiled on demand with the
+system C compiler (no new dependency: the toolchain that built CPython is
+already on the host) and loaded through :mod:`ctypes`:
 
-Exactness contract: the C kernels must be *bitwise identical* to the pure
-NumPy fallbacks in :mod:`repro.runtime.kernels.quantized`.  Both sides
-compute the same integer accumulation exactly (the fallbacks upcast to
-float32, where every product and partial sum stays below 2**24, so the
-float arithmetic is exact integer arithmetic), and the requant tail uses
-the same rounding sequence: one multiply round, one add round per term,
-round-half-even to integer.  The build pins ``-ffp-contract=off`` so the
-compiler cannot fuse the multiply/add into an FMA, and ``rintf`` matches
-``np.rint`` under the default rounding mode.
+* ``dw_fwd_{f32,f64}`` / ``dw_bwd_{f32,f64}`` — float NHWC depthwise
+  forward and fused VJPs (weight VJP into a tap-major staging buffer, input
+  VJP added straight into ``gin``) for
+  :class:`~repro.runtime.kernels.depthwise.DepthwiseNativeKernel`;
+* ``dw_conv_q8`` — int8 depthwise conv, ``int32`` accumulate, fused
+  per-channel requantization tail;
+* ``requant_q8`` — the same tail as one pass over a float32 accumulator,
+  used by the float-accumulate q8 fallback kernels.
+
+Exactness contract.  The float routines sum the same products as the NumPy
+``depthwise_einsum`` kernel in another order, so the two agree only to
+float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative), like any
+two float kernels the autotuner chooses between.  The q8 routines must be
+*bitwise identical* to the pure NumPy fallbacks in
+:mod:`repro.runtime.kernels.quantized`.  Both sides compute the same integer
+accumulation exactly (the fallbacks upcast to float32, where every product
+and partial sum stays below 2**24, so the float arithmetic is exact integer
+arithmetic), and the requant tail uses the same rounding sequence: one
+multiply round, one add round per term, round-half-even to integer.  The
+build pins ``-ffp-contract=off`` so the compiler cannot fuse the
+multiply/add into an FMA, and ``rintf`` matches ``np.rint`` under the
+default rounding mode.
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
 (tempfile + rename) so concurrent processes race benignly.  Any failure —
 no compiler, sandboxed filesystem, exotic cc — degrades silently:
-``available()`` returns ``False`` and the NumPy fallbacks serve the plan
-with identical numerics.  ``REPRO_NATIVE=0`` disables the path outright.
+``available()`` returns ``False`` and the NumPy fallbacks
+(``depthwise_einsum``, ``depthwise_einsum_q8`` and the NumPy requant tail)
+serve the plan.  ``REPRO_NATIVE=0`` disables the path outright.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import os
 import subprocess
 import tempfile
 
-__all__ = ["available", "dw_conv_q8", "requant_q8"]
+__all__ = ["available", "dw_fwd", "dw_bwd", "dw_conv_q8", "requant_q8"]
 
 ENV_VAR = "REPRO_NATIVE"
 
@@ -44,6 +56,15 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 #include <string.h>
+
+/* Output columns [*lo, *hi) whose tap column j reads inside the unpadded
+ * row: clipping the loop bounds keeps the channel loops branch-free. */
+static inline void tap_cols(int j, int s, int p, int wd, int ow, int *lo, int *hi)
+{
+    int last = wd - 1 - j + p;
+    *lo = j < p ? (p - j + s - 1) / s : 0;
+    *hi = last < 0 ? 0 : (last / s + 1 < ow ? last / s + 1 : ow);
+}
 
 /* Depthwise NHWC convolution with implicit zero padding, int32 accumulate,
  * fused per-channel requantization (scale, bias, optional residual, clip,
@@ -70,9 +91,8 @@ void dw_conv_q8(const int8_t *restrict x, const int8_t *restrict w,
                 if (yi < 0 || yi >= h) continue;
                 const int8_t *xrow = xb + (long)yi * in_row;
                 for (int j = 0; j < k; ++j) {
-                    int xo_lo = 0, xo_hi = ow;
-                    if (j - p < 0) xo_lo = (p - j + s - 1) / s;
-                    if (s * (ow - 1) + j - p >= wd) xo_hi = (wd - 1 - j + p) / s + 1;
+                    int xo_lo, xo_hi;
+                    tap_cols(j, s, p, wd, ow, &xo_lo, &xo_hi);
                     const int8_t *wp = w + ((long)i * k + j) * c;
                     for (int xo = xo_lo; xo < xo_hi; ++xo) {
                         const int8_t *xp = xrow + (long)(xo * s + j - p) * c;
@@ -151,6 +171,90 @@ void requant_q8(const float *restrict acc, const float *restrict scale,
 
 """
 
+#: Float NHWC depthwise forward and fused VJPs, instantiated for ``float``
+#: and ``double`` by substituting ``REAL`` and ``SFX`` below.  The loop nest
+#: is ``dw_conv_q8``'s: implicit zero padding, per-tap clipped column range,
+#: contiguous channel loop innermost.
+_DW_FLOAT = r"""
+/* Depthwise forward: `out` (NHWC) is overwritten. */
+void dw_fwd_SFX(const REAL *restrict x, const REAL *restrict w,
+                REAL *restrict out, int n, int h, int wd, int c,
+                int k, int s, int p, int oh, int ow)
+{
+    const long in_row = (long)wd * c, out_row = (long)ow * c;
+    memset(out, 0, (size_t)n * oh * out_row * sizeof(REAL));
+    for (int b = 0; b < n; ++b) {
+        for (int y = 0; y < oh; ++y) {
+            REAL *orow = out + ((long)b * oh + y) * out_row;
+            for (int i = 0; i < k; ++i) {
+                int yi = y * s + i - p;
+                if (yi < 0 || yi >= h) continue;
+                const REAL *xrow = x + ((long)b * h + yi) * in_row;
+                for (int j = 0; j < k; ++j) {
+                    int xo_lo, xo_hi;
+                    tap_cols(j, s, p, wd, ow, &xo_lo, &xo_hi);
+                    const REAL *wp = w + ((long)i * k + j) * c;
+                    for (int xo = xo_lo; xo < xo_hi; ++xo) {
+                        const REAL *xp = xrow + (long)(xo * s + j - p) * c;
+                        REAL *op = orow + (long)xo * c;
+                        #pragma omp simd
+                        for (int ch = 0; ch < c; ++ch)
+                            op[ch] += xp[ch] * wp[ch];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/* Both depthwise VJPs in one pass over (n, y, i, j, x): the weight VJP
+ * overwrites the tap-major (k*k, C) staging buffer `gw`; the input VJP is
+ * added into `gin` (NHWC) unless it is NULL. */
+void dw_bwd_SFX(const REAL *restrict x, const REAL *restrict w,
+                const REAL *restrict gout, REAL *restrict gw,
+                REAL *restrict gin, int n, int h, int wd, int c,
+                int k, int s, int p, int oh, int ow)
+{
+    const long in_row = (long)wd * c, out_row = (long)ow * c;
+    memset(gw, 0, (size_t)k * k * c * sizeof(REAL));
+    for (int b = 0; b < n; ++b) {
+        for (int y = 0; y < oh; ++y) {
+            const REAL *grow = gout + ((long)b * oh + y) * out_row;
+            for (int i = 0; i < k; ++i) {
+                int yi = y * s + i - p;
+                if (yi < 0 || yi >= h) continue;
+                const long row = ((long)b * h + yi) * in_row;
+                for (int j = 0; j < k; ++j) {
+                    int xo_lo, xo_hi;
+                    tap_cols(j, s, p, wd, ow, &xo_lo, &xo_hi);
+                    const REAL *wp = w + ((long)i * k + j) * c;
+                    REAL *gwp = gw + ((long)i * k + j) * c;
+                    for (int xo = xo_lo; xo < xo_hi; ++xo) {
+                        const long at = row + (long)(xo * s + j - p) * c;
+                        const REAL *gp = grow + (long)xo * c;
+                        const REAL *xp = x + at;
+                        #pragma omp simd
+                        for (int ch = 0; ch < c; ++ch)
+                            gwp[ch] += gp[ch] * xp[ch];
+                        if (gin) {
+                            REAL *gip = gin + at;
+                            #pragma omp simd
+                            for (int ch = 0; ch < c; ++ch)
+                                gip[ch] += gp[ch] * wp[ch];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+"""
+
+_SOURCE += "".join(
+    _DW_FLOAT.replace("REAL", ctype).replace("SFX", suffix)
+    for ctype, suffix in (("float", "f32"), ("double", "f64"))
+)
+
 #: ``-ffp-contract=off`` is load-bearing: a fused multiply-add in the requant
 #: tail would round differently from the NumPy fallbacks and break the
 #: bitwise C-vs-NumPy contract.
@@ -201,6 +305,11 @@ def _bind(lib):
         i8p, i8p, f32p, f32p, i8p, ctypes.c_float, i8p, i32p,
         *ints, ctypes.c_float, ctypes.c_float,
     ]
+    for suffix in ("f32", "f64"):
+        fwd, bwd = getattr(lib, "dw_fwd_" + suffix), getattr(lib, "dw_bwd_" + suffix)
+        fwd.restype = bwd.restype = None
+        fwd.argtypes = [ctypes.c_void_p] * 3 + ints
+        bwd.argtypes = [ctypes.c_void_p] * 5 + ints
     lib.requant_q8.restype = None
     lib.requant_q8.argtypes = [
         f32p, f32p, f32p, i8p, ctypes.c_float, i8p,
@@ -229,12 +338,59 @@ def _load():
 
 
 def available():
-    """Whether the compiled depthwise quant kernels can be used."""
+    """Whether the compiled depthwise kernels can be used."""
     return _load() is not None
 
 
 def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
+
+
+def _float_call(name, x, w_taps, y, k, stride, padding, *extra):
+    """Validate the operands of a float routine, then call it.
+
+    The C loops trust every pointer and extent, so a wrong dtype, a strided
+    view or a mis-shaped buffer is rejected here rather than read out of
+    bounds.  ``y`` is the output-shaped operand; ``extra`` are
+    ``(array or None, expected shape)`` pairs.
+    """
+    n, h, wd, c = x.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    operands = [(x, x.shape), (w_taps, (k * k, c)), (y, (n, oh, ow, c)), *extra]
+    for arr, shape in operands:
+        if arr is None:
+            continue
+        if arr.dtype != x.dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(
+                "{}: expected a C-contiguous {} array of shape {}, got {} {}".format(
+                    name, x.dtype, shape, arr.dtype, arr.shape))
+    suffix = {"float32": "_f32", "float64": "_f64"}.get(x.dtype.name)
+    if suffix is None:
+        raise ValueError("{}: no {} variant".format(name, x.dtype))
+    getattr(_lib, name + suffix)(
+        *(None if arr is None else arr.ctypes.data for arr, _ in operands),
+        n, h, wd, c, k, stride, padding, oh, ow,
+    )
+
+
+def dw_fwd(x, w_taps, out, k, stride, padding):
+    """Float NHWC depthwise forward into ``out`` (see the C source).
+
+    ``x``/``out`` are C-contiguous NHWC float32 or float64; ``w_taps`` is the
+    tap-major ``(k*k, C)`` weight of the same dtype.
+    """
+    _float_call("dw_fwd", x, w_taps, out, k, stride, padding)
+
+
+def dw_bwd(x, w_taps, gout, gw_taps, gin, k, stride, padding):
+    """Float depthwise VJPs: ``gw_taps`` overwritten, ``gin`` accumulated.
+
+    Same layouts as :func:`dw_fwd`; ``gw_taps`` is ``(k*k, C)`` staging and
+    ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
+    """
+    _float_call("dw_bwd", x, w_taps, gout, k, stride, padding,
+                (gw_taps, w_taps.shape), (gin, x.shape))
 
 
 def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,

@@ -15,10 +15,10 @@ NaN artefacts from uninitialised memory.  Only the forward pass is timed —
 for ``train`` signatures the backward rides with the forward winner.  Not
 because the forward dominates: on the derived agent's depthwise train
 signatures the backward costs as much or more.  The two directions share
-their saved state, so they must run on one kernel, and the depthwise
-kernels share one VJP implementation (the strided einsum contractions), so
-timing the backward too would double the tuning cost without telling the
-depthwise candidates apart.
+their saved state, so they must run on one kernel, and the kernel that wins
+the forward wins the backward too (the compiled ``depthwise_native`` beats
+the einsum contractions in both directions), so timing the backward as
+well would double the tuning cost without changing a choice.
 
 A challenger only dethrones the general fallback when it wins by a clear
 relative margin (:data:`MARGIN`), so near-ties resolve deterministically:
@@ -125,7 +125,7 @@ def blas_thread_count():
     NumPy's BLAS honours the standard thread-count environment variables;
     when none is set it uses every core the process can see.  The measured
     balance between the threaded GEMM kernels and the single-threaded
-    per-tap kernels shifts with this number, so every timing run records it
+    depthwise kernels shifts with this number, so every timing run records it
     (see :func:`threads_for`): a selection table committed on a 1-core
     container is visibly stale on a 16-core serving host.
     """

@@ -12,9 +12,9 @@ fallback.
 sizing the block so the gathered column matrix stays L2-resident: the GEMM
 then reads cache-warm columns instead of streaming them back from DRAM, and
 the fused epilogue runs on the block while its output tile is still hot.
-On small-batch rollout shapes this is the strided-view gather that wins the
-early high-resolution depthwise/grouped cells (the wide late cells go to the
-direct kernel in :mod:`repro.runtime.kernels.depthwise`).
+On small-batch rollout shapes this is the strided-view gather that serves
+NCHW depthwise/grouped cells (channels-last depthwise cells go to the
+kernels in :mod:`repro.runtime.kernels.depthwise`).
 
 :class:`PointwiseNHWCKernel` serves 1x1 convolutions on channels-last slots:
 with channels trailing, the whole op is a single flat

@@ -14,7 +14,7 @@ The dispatcher (:func:`kernel_for`) picks one implementation per signature:
   signatures the pinned kernel rejects fall back to the heuristic choice;
 * ``REPRO_KERNELS=<class>=<name>,...`` — pin per op class, where the classes
   are ``pointwise`` / ``depthwise`` / ``grouped`` / ``dense`` (e.g.
-  ``depthwise=depthwise_direct,dense=im2col``).
+  ``depthwise=depthwise_einsum,dense=im2col``).
 
 Every selection is recorded in an in-process table (chosen kernel, how it was
 chosen, candidate timings) surfaced through ``repro.runtime.cache_stats()``.
@@ -22,12 +22,12 @@ chosen, candidate timings) surfaced through ``repro.runtime.cache_stats()``.
 Survival rule: a registered kernel stays only while (a) the autotuner
 selects it on signatures of the ``perfbench`` workloads (``cosearch``,
 ``derived_train``, ``serve``), or (b) a supported platform needs it as a
-fallback — ``im2col`` for every NCHW signature, and ``depthwise_einsum_q8``
-plus the NumPy requant tail of
-:class:`~repro.runtime.kernels.quantized.RequantEpilogue` on hosts where
-:mod:`~repro.runtime.kernels._native` cannot build.  A kernel that meets
-neither is deleted, not kept "just in case"; int8 (``q8``) is the only
-quantized format for the same reason.
+fallback — ``im2col`` for every NCHW signature, and, on hosts where
+:mod:`~repro.runtime.kernels._native` cannot build, ``depthwise_einsum``
+(float depthwise) plus ``depthwise_einsum_q8`` and the NumPy requant tail
+of :class:`~repro.runtime.kernels.quantized.RequantEpilogue` (int8).  A
+kernel that meets neither is deleted, not kept "just in case"; int8
+(``q8``) is the only quantized format for the same reason.
 
 Kernels are *bound* per plan step: instantiating a kernel class with
 ``(spec, plan)`` allocates its persistent buffers through ``plan.alloc`` and
@@ -77,7 +77,7 @@ ENV_VAR = "REPRO_KERNELS"
 #: single ``forward``/``backward`` call of one step; workspaces that must
 #: coexist within one call use distinct channels.
 SCRATCH_MAIN = 0   # im2col columns / column gradients / elementwise temps
-SCRATCH_GEMM = 1   # weight-gradient workspaces / direct-kernel accumulators
+SCRATCH_GEMM = 1   # weight-gradient workspaces / kernel accumulators
 SCRATCH_PAD = 2    # padded buffers / padded scatter targets
 
 #: Op classes a signature can be pinned by (``REPRO_KERNELS=<class>=<name>``).
@@ -397,10 +397,11 @@ def _parse_env():
 def _heuristic(spec, cands):
     """Static shape rules, in lieu of timing.
 
-    Encodes what the autotuner reliably finds on small-batch rollout shapes:
-    direct NHWC MAC wins for wide late-stage depthwise maps, the lane-blocked
-    gather wins for early high-resolution ones, and everything else stays on
-    the general GEMM path.
+    The lane-blocked gather for NCHW depthwise maps, the strided einsum for
+    NHWC ones, and the general GEMM path for everything else.  The float
+    rules never pick a kernel that only some hosts can build
+    (``depthwise_native``), so a heuristic-pinned run makes the same float
+    choices, and the same numerics, with or without a C compiler.
     """
     by_name = {cls.name: cls for cls in cands}
     if spec.quant:
@@ -412,12 +413,9 @@ def _heuristic(spec, cands):
                 return by_name[name]
         return cands[-1]
     if spec.depthwise:
-        if "depthwise_direct" in by_name and (
-            spec.in_channels >= 64 and spec.out_height * spec.out_width <= 64
-        ):
-            return by_name["depthwise_direct"]
-        if "im2col_block" in by_name:
-            return by_name["im2col_block"]
+        for name in ("im2col_block", "depthwise_einsum"):
+            if name in by_name:
+                return by_name[name]
     elif "im2col_block" in by_name and spec.kernel > 1:
         return by_name["im2col_block"]
     return cands[0] if len(cands) == 1 else by_name.get("im2col", cands[-1])
@@ -532,7 +530,7 @@ def selection_table():
     ``timed_blas_threads`` (the BLAS thread count the timings were measured
     under) next to the host's current ``host_blas_threads``: committed
     kernel choices whose two numbers disagree were tuned on a differently
-    threaded host — a threaded BLAS favours the GEMM kernels, the per-tap
+    threaded host — a threaded BLAS favours the GEMM kernels, the depthwise
     kernels are single-threaded — and deserve a re-tune before serving.
     """
     from .autotune import blas_thread_count, failures_for, threads_for, timings_for

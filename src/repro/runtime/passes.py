@@ -31,8 +31,8 @@ deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
     layout-agnostic follow steps (BN / activation / residual-add / gate
     combine / tile), so inverted-residual expand -> depthwise -> project
     chains run end-to-end NHWC: the pointwise convs become single flat GEMMs
-    over trailing channels with fused trailing-axis epilogues and the direct
-    depthwise kernel drops its per-call padded channels-last copy.  Explicit
+    over trailing channels with fused trailing-axis epilogues and the
+    depthwise convs run on the channels-last depthwise kernels.  Explicit
     :class:`~repro.runtime.plan.TransposeStep`\\ s are materialised only at
     surviving boundaries (anchor steps, the plan input, protected outputs);
     under ``REPRO_KERNELS=heuristic`` the assignment falls back to static

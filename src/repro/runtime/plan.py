@@ -443,7 +443,7 @@ class Conv2dStep(Step, _BNMixin):
     by the registry dispatcher (autotuned by default; pin with
     ``REPRO_KERNELS``).  Reverse mode delegates the weight / input VJPs to
     the same bound kernel, which keeps whatever forward state it needs
-    (saved im2col columns, padded channels-last input, ...).
+    (saved im2col columns, tap-major weight staging, ...).
 
     Training plans never fuse BN into the conv (the compiler emits a separate
     :class:`BatchNormStep` so the pre-normalisation activations survive).

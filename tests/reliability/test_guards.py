@@ -98,6 +98,21 @@ class TestTrainerGuards:
         for value in trainer.agent.state_dict().values():
             assert np.all(np.isfinite(np.asarray(value)))
 
+    def test_checkpoint_load_resets_the_guard_streak(self, set_faults, tmp_path):
+        # Two skipped updates, a load, then one more: the streak restarts at
+        # the load, so three trips in a row never reach the rollback.
+        set_faults("nan_grad=3@update:1")
+        path = str(tmp_path / "autosave.npz")
+        trainer = make_trainer(autosave_interval=1, autosave_path=path, guard_rollback_after=3)
+        rollbacks = health.get("checkpoint_rollbacks")
+        trips = health.get("guard_trips")
+        for _ in range(trainer.config.guard_rollback_after - 1):
+            trainer.train(total_steps=trainer.total_env_steps + 1)
+        trainer.load_checkpoint(path)
+        trainer.train(total_steps=trainer.total_env_steps + 1)
+        assert health.get("guard_trips") == trips + 3
+        assert health.get("checkpoint_rollbacks") == rollbacks
+
     def test_search_guard_skips_alpha_and_weight_updates(self, set_faults):
         from repro.nas import DRLArchitectureSearch, SearchConfig
 

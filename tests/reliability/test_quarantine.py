@@ -17,6 +17,7 @@ from repro.runtime.kernels import (
 )
 from repro.runtime.kernels.autotune import choose, failures_for
 from repro.runtime.kernels.registry import reset_selections
+from repro.runtime.passes import PASS_NAMES
 
 
 @pytest.fixture(autouse=True)
@@ -30,23 +31,24 @@ def _fresh_kernel_state():
     clear_quarantine()
 
 
-def depthwise_spec(size=9):
-    # Depthwise NCHW inference: served by both depthwise_direct and the
-    # im2col fallback, so the autotuner has a real decision to make.
+def depthwise_spec(size=24):
+    # Depthwise NCHW inference, large enough that im2col_block splits the
+    # batch: served by both im2col_block and the im2col fallback, so the
+    # autotuner has a real decision to make.
     # batch, cin, cout, h, w, kernel, stride, padding, groups, dtype, direction
-    return ConvSpec(2, 4, 4, size, size, 3, 1, 1, 4, "float64", "infer")
+    return ConvSpec(2, 16, 16, size, size, 3, 1, 1, 16, "float64", "infer")
 
 
 class TestQuarantineRegistry:
     def test_quarantine_excludes_from_candidates(self):
         spec = depthwise_spec()
         names = [cls.name for cls in candidates(spec)]
-        assert "depthwise_direct" in names
+        assert "im2col_block" in names
         counter = health.get("quarantined_kernels")
-        assert quarantine_kernel("depthwise_direct", "broken in test")
+        assert quarantine_kernel("im2col_block", "broken in test")
         assert health.get("quarantined_kernels") == counter + 1
-        assert "depthwise_direct" not in [cls.name for cls in candidates(spec)]
-        assert quarantined_kernels()["depthwise_direct"] == "broken in test"
+        assert "im2col_block" not in [cls.name for cls in candidates(spec)]
+        assert quarantined_kernels()["im2col_block"] == "broken in test"
 
     def test_requarantine_keeps_first_reason_without_recount(self):
         counter = health.get("quarantined_kernels")
@@ -69,17 +71,17 @@ class TestQuarantineRegistry:
 
 class TestAutotunerFailures:
     def test_raising_candidate_is_recorded_and_excluded(self, set_faults):
-        set_faults("kernel_error=depthwise_direct")
+        set_faults("kernel_error=im2col_block")
         spec = depthwise_spec()
         cls, source = choose(spec, candidates(spec))
-        assert cls.name != "depthwise_direct"
+        assert cls.name != "im2col_block"
         failures = failures_for(spec)
-        assert "depthwise_direct" in failures
-        assert "RuntimeError" in failures["depthwise_direct"]
-        assert "depthwise_direct" in quarantined_kernels()
+        assert "im2col_block" in failures
+        assert "RuntimeError" in failures["im2col_block"]
+        assert "im2col_block" in quarantined_kernels()
         # Subsequent signatures never see the broken candidate again.
-        other = depthwise_spec(size=7)
-        assert "depthwise_direct" not in [c.name for c in candidates(other)]
+        other = depthwise_spec(size=32)
+        assert "im2col_block" not in [c.name for c in candidates(other)]
 
     def test_clean_autotune_records_no_failures(self):
         spec = depthwise_spec()
@@ -88,15 +90,18 @@ class TestAutotunerFailures:
         assert quarantined_kernels() == {}
 
     def test_selection_table_reports_failures(self, set_faults, monkeypatch):
-        set_faults("kernel_error=depthwise_direct")
-        net = Sequential(Conv2d(4, 4, 3, stride=1, padding=1, groups=4,
+        set_faults("kernel_error=im2col_block")
+        net = Sequential(Conv2d(16, 16, 3, stride=1, padding=1, groups=16,
                                 rng=np.random.default_rng(0)))
         monkeypatch.setenv("REPRO_KERNELS", "auto")
-        plan = compile_plan(net, (2, 4, 9, 9))
-        x = np.random.default_rng(1).random((2, 4, 9, 9))
+        # Without the layout pass the conv stays NCHW, where the broken
+        # candidate competes.
+        shape = depthwise_spec().in_shape
+        plan = compile_plan(net, shape, passes=frozenset(PASS_NAMES) - {"layout"})
+        x = np.random.default_rng(1).random(shape)
         out = np.asarray(plan.run(x))
         assert np.all(np.isfinite(out))
         rows = [row for row in selection_table().values() if row.get("failures")]
         assert rows, "the autotuned row should carry the candidate failure"
-        assert any("depthwise_direct" in row["failures"] for row in rows)
-        assert all(row["kernel"] != "depthwise_direct" for row in rows)
+        assert any("im2col_block" in row["failures"] for row in rows)
+        assert all(row["kernel"] != "im2col_block" for row in rows)

@@ -19,19 +19,19 @@ from repro.runtime import compile_plan
 from repro.runtime.kernels import (
     ENV_VAR,
     ConvSpec,
+    _native,
     candidates,
     clear_autotune_cache,
+    kernel_for,
     kernel_names,
     selection_table,
 )
 from repro.runtime.kernels.conv import BlockedIm2colKernel
-from repro.runtime.kernels.depthwise import DepthwiseDirectKernel, DepthwiseEinsumKernel
+from repro.runtime.kernels.depthwise import DepthwiseEinsumKernel, DepthwiseNativeKernel
 from repro.runtime.kernels.registry import reset_selections
-from repro.runtime.passes import PASS_NAMES
 
 F64_TOL = 1e-12
 F32_TOL = 1e-6
-NO_LAYOUT = frozenset(PASS_NAMES) - {"layout"}
 
 
 @pytest.fixture(autouse=True)
@@ -54,11 +54,17 @@ SHAPES = (
 
 
 def conv_net(cin, cout, k, s, p, g, seed=3):
-    """Producer conv + conv-under-test, so the input VJP path is exercised."""
+    """Producer conv + conv-under-test + pointwise consumer.
+
+    The producer exercises the input VJP path; the consumer keeps the conv
+    under test off the plan's protected output, which must stay NCHW, so the
+    layout pass may run it on a channels-last kernel.
+    """
     rng = np.random.default_rng(seed)
     return Sequential(
         Conv2d(cin, cin, 3, stride=1, padding=1, rng=rng),
         Conv2d(cin, cout, k, stride=s, padding=p, groups=g, rng=rng),
+        Conv2d(cout, cout, 1, rng=rng),
     )
 
 
@@ -83,6 +89,16 @@ def run_pinned(monkeypatch, pin, shape, dtype, train=False):
     return out, grads
 
 
+def class_pin(shape, name):
+    """Pin ``name`` for the op class of the conv under test only.
+
+    A bare pin would make every other conv of the net infeasible in both
+    layouts, and with them the whole NHWC assignment: the channels-last
+    kernels would never run.
+    """
+    return "{}={}".format(spec_for(*shape).op_class, name)
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL), (np.float32, F32_TOL)])
@@ -93,7 +109,7 @@ class TestKernelParity:
                 continue
             # Pinning a kernel that rejects the signature falls back — the
             # result must be correct either way.
-            produced, _ = run_pinned(monkeypatch, name, shape, dtype)
+            produced, _ = run_pinned(monkeypatch, class_pin(shape, name), shape, dtype)
             np.testing.assert_allclose(produced, reference, atol=tol, err_msg=name)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -102,7 +118,9 @@ class TestKernelParity:
         for name in kernel_names():
             if name == "im2col":
                 continue
-            produced, grads = run_pinned(monkeypatch, name, shape, np.float64, train=True)
+            produced, grads = run_pinned(
+                monkeypatch, class_pin(shape, name), shape, np.float64, train=True
+            )
             np.testing.assert_allclose(produced, reference, atol=F64_TOL, err_msg=name)
             assert len(grads) == len(ref_grads)
             for got, expected in zip(grads, ref_grads):
@@ -118,10 +136,11 @@ class TestKernelParity:
         produced, _ = run_pinned(monkeypatch, "im2col_block", shape, np.float32)
         np.testing.assert_allclose(produced, reference, atol=F32_TOL)
 
-    def test_f32_fast_path_depthwise_direct(self, monkeypatch):
+    def test_f32_fast_path_depthwise_native(self, monkeypatch):
         shape = (6, 6, 3, 1, 1, 6, 9)
         reference, _ = run_pinned(monkeypatch, "im2col", shape, np.float32)
-        produced, _ = run_pinned(monkeypatch, "depthwise_direct", shape, np.float32)
+        produced, _ = run_pinned(monkeypatch, class_pin(shape, "depthwise_native"), shape,
+                                 np.float32)
         assert produced.dtype == np.float32
         np.testing.assert_allclose(produced, reference, atol=F32_TOL)
 
@@ -151,7 +170,7 @@ class TestStackedAndTrainPlans:
     def test_stacked_gated_train_plan_parity(self, monkeypatch):
         """Stacked-path supernet training: all kernels agree on alpha-path grads."""
         ref_probs, ref_grads = self._grads(monkeypatch, "im2col")
-        probs, grads = self._grads(monkeypatch, "depthwise_direct")
+        probs, grads = self._grads(monkeypatch, "depthwise=depthwise_native")
         np.testing.assert_allclose(probs, ref_probs, atol=F64_TOL)
         for got, expected in zip(grads, ref_grads):
             np.testing.assert_allclose(got, expected, atol=1e-11)
@@ -159,7 +178,9 @@ class TestStackedAndTrainPlans:
 
 class TestDispatch:
     # A pin naming a deleted kernel fails loudly like a typo, never silently.
-    @pytest.mark.parametrize("name", ["no_such_kernel", "depthwise_direct_q8"])
+    @pytest.mark.parametrize(
+        "name", ["no_such_kernel", "depthwise_direct_q8", "depthwise_direct"]
+    )
     def test_unknown_kernel_name_raises(self, monkeypatch, name):
         monkeypatch.setenv(ENV_VAR, name)
         net = conv_net(4, 4, 3, 1, 1, 4)
@@ -173,17 +194,17 @@ class TestDispatch:
             compile_plan(net, (2, 4, 6, 6))
 
     def test_pin_is_recorded_per_signature(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "depthwise_direct")
+        monkeypatch.setenv(ENV_VAR, "im2col")
         net = conv_net(4, 4, 3, 1, 1, 4)
         compile_plan(net, (2, 4, 6, 6))
         table = selection_table()
         row = next(v for k, v in table.items() if k.startswith("depthwise:n2c4"))
-        assert row["kernel"] == "depthwise_direct"
+        assert row["kernel"] == "im2col"
         assert row["source"] == "pinned"
 
     def test_pin_falls_back_when_unsupported(self, monkeypatch):
-        """depthwise_direct rejects dense convs; dispatch must fall back."""
-        monkeypatch.setenv(ENV_VAR, "depthwise_direct")
+        """depthwise_einsum rejects dense convs; dispatch must fall back."""
+        monkeypatch.setenv(ENV_VAR, "depthwise_einsum")
         rng = np.random.default_rng(0)
         net = Sequential(Conv2d(3, 5, 3, stride=1, padding=1, rng=rng))
         x = np.random.default_rng(1).random((2, 3, 8, 8))
@@ -191,7 +212,7 @@ class TestDispatch:
         row = next(
             v for k, v in selection_table().items() if k.startswith("dense:n2c3")
         )
-        assert row["kernel"] != "depthwise_direct"
+        assert row["kernel"] != "depthwise_einsum"
         assert row["source"] == "pin-fallback"
         monkeypatch.setenv(ENV_VAR, "im2col")
         reference = compile_plan(
@@ -201,26 +222,61 @@ class TestDispatch:
         np.testing.assert_allclose(plan.run(x), reference.run(x), atol=F64_TOL)
 
     def test_per_op_class_pins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "depthwise=depthwise_direct,dense=im2col")
+        monkeypatch.setenv(ENV_VAR, "depthwise=depthwise_einsum,dense=im2col")
         net = conv_net(4, 4, 5, 2, 2, 4)  # producer dense k3 + depthwise k5 s2
         compile_plan(net, (2, 4, 9, 9))
         table = selection_table()
         dense = next(v for k, v in table.items() if k.startswith("dense:n2c4"))
         depthwise = next(v for k, v in table.items() if k.startswith("depthwise:n2c4"))
         assert dense["kernel"] == "im2col"
-        assert depthwise["kernel"] == "depthwise_direct"
+        assert depthwise["kernel"] == "depthwise_einsum"
 
     def test_candidates_respect_training(self):
         infer = spec_for(4, 4, 3, 1, 1, 4, 6, direction="infer")
         train = spec_for(4, 4, 3, 1, 1, 4, 6, direction="train")
         assert {cls.name for cls in candidates(train)} <= {
             cls.name for cls in candidates(infer)
-        } | {"im2col", "depthwise_direct"}
+        }
         assert all(cls.trains for cls in candidates(train))
 
-    def test_depthwise_direct_rejects_dense(self):
-        assert not DepthwiseDirectKernel.supports(spec_for(3, 5, 3, 1, 1, 1, 8))
-        assert DepthwiseDirectKernel.supports(spec_for(4, 4, 3, 1, 1, 4, 8))
+    def test_depthwise_kernels_serve_nhwc_depthwise_only(self):
+        for cls in (DepthwiseNativeKernel, DepthwiseEinsumKernel):
+            assert not cls.supports(spec_for(3, 5, 3, 1, 1, 1, 8)._replace(layout="NHWC"))
+            assert not cls.supports(spec_for(4, 4, 3, 1, 1, 4, 8))  # NCHW
+        nhwc = spec_for(4, 4, 3, 1, 1, 4, 8)._replace(layout="NHWC")
+        assert DepthwiseEinsumKernel.supports(nhwc)
+        assert DepthwiseNativeKernel.supports(nhwc) == _native.available()
+
+    def test_native_routines_reject_mismatched_operands(self):
+        """The C loops trust their pointers, so the wrappers validate first."""
+        if not _native.available():
+            pytest.skip("the C library is disabled or cannot be built on this host")
+        x = np.zeros((2, 6, 6, 4))
+        w = np.zeros((9, 4))
+        out = np.zeros((2, 6, 6, 4))
+        _native.dw_fwd(x, w, out, 3, 1, 1)
+        for bad_x, bad_w, bad_out in (
+            (x[:, :, ::-1], w, out),            # strided view
+            (x, w.astype(np.float32), out),     # mixed dtypes
+            (x, w, out[:, :5]),                 # wrong output extent
+            (x.astype(np.int64), w, out),       # no integer variant
+        ):
+            with pytest.raises(ValueError):
+                _native.dw_fwd(bad_x, bad_w, bad_out, 3, 1, 1)
+        with pytest.raises(ValueError):
+            _native.dw_bwd(x, w, out, np.zeros((9, 4)), x[:1], 3, 1, 1)
+
+    def test_without_native_library_depthwise_falls_back_to_einsum(self, monkeypatch):
+        """With no C library, an f64 NHWC depthwise train signature has one
+        candidate left, the NumPy einsum kernel, and dispatch binds it."""
+        from repro.runtime.kernels.autotune import _BenchArena
+
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.setattr(_native, "available", lambda: False)
+        spec = spec_for(8, 8, 3, 1, 1, 8, 9, direction="train")._replace(layout="NHWC")
+        assert [cls.name for cls in candidates(spec)] == ["depthwise_einsum"]
+        assert isinstance(kernel_for(spec, _BenchArena(spec)), DepthwiseEinsumKernel)
+        assert selection_table()[spec.describe()]["kernel"] == "depthwise_einsum"
 
 
 class TestAutotuner:
@@ -251,7 +307,11 @@ class TestAutotuner:
             v for k, v in selection_table().items() if k.startswith("depthwise:n4c6")
         )
         if row["source"] == "autotuned":
-            assert set(row["timings_ms"]) >= {"im2col", "depthwise_direct"}
+            expected = (
+                {"im2col_block", "im2col"} if row["layout"] == "NCHW"
+                else {"depthwise_native", "depthwise_einsum"}
+            )
+            assert set(row["timings_ms"]) == expected
             assert all(t > 0 for t in row["timings_ms"].values())
 
     def test_cache_stats_reports_kernel_table(self, monkeypatch):
@@ -288,19 +348,13 @@ class TestScratchArenas:
         pad_block = plan._scratch_blocks.get(SCRATCH_PAD)
         assert pad_block is not None, "aliasing pass provisioned no pad arena"
         for kernel in kernels:
-            assert kernel._xph is not None
-            assert np.shares_memory(kernel._xph, pad_block)
+            assert kernel._xpad is not None
+            assert np.shares_memory(kernel._xpad, pad_block)
 
-    @pytest.mark.parametrize(
-        "pin,passes,layout",
-        [
-            ("depthwise=depthwise_einsum", None, "NHWC"),
-            ("depthwise=depthwise_direct", NO_LAYOUT, "NCHW"),
-        ],
-    )
-    def test_backward_workspaces_are_arena_backed(self, monkeypatch, pin, passes, layout):
-        """Every reverse-mode depthwise workspace (padded input, dilated gout,
-        gin staging, packed gout) views a shared scratch block."""
+    @pytest.mark.parametrize("pin", ["depthwise=depthwise_einsum"])
+    def test_backward_workspaces_are_arena_backed(self, monkeypatch, pin):
+        """Every reverse-mode einsum workspace (padded input, dilated gout,
+        gin staging) views a shared scratch block."""
         from repro.runtime.plan import Conv2dStep
 
         monkeypatch.setenv(ENV_VAR, pin)
@@ -310,28 +364,30 @@ class TestScratchArenas:
             Conv2d(8, 8, 3, stride=1, padding=1, groups=8, rng=rng),
             Conv2d(8, 4, 1, rng=rng),
         )
-        plan = compile_plan(net, (2, 4, 9, 9), dtype=np.float64, train=True, passes=passes)
+        plan = compile_plan(net, (2, 4, 9, 9), dtype=np.float64, train=True)
         kernels = [
             step._kernel for step in plan.steps
-            if isinstance(step, Conv2dStep) and isinstance(step._kernel, DepthwiseDirectKernel)
+            if isinstance(step, Conv2dStep) and isinstance(step._kernel, DepthwiseEinsumKernel)
         ]
-        assert kernels and all(k.spec.layout == layout for k in kernels)
+        assert kernels and all(k.spec.layout == "NHWC" for k in kernels)
         blocks = list(plan._scratch_blocks.values())
-        names = ("_gdil", "_ginh") + (("_xpad",) if layout == "NHWC" else ("_gouth",))
         for kernel in kernels:
-            for name in names:
+            for name in ("_gdil", "_ginh", "_xpad"):
                 buf = getattr(kernel, name)
                 assert any(np.shares_memory(buf, block) for block in blocks), name
 
-    def test_derived_agent_training_allocates_nothing_in_steady_state(self, monkeypatch):
-        """An f64 A2C train plan for the inverted-residual derived agent, with
-        the einsum depthwise VJPs: updates 3-8 compile nothing and draw no
-        fresh pool bytes (counters, not time)."""
+    @pytest.mark.parametrize("kernel", ["depthwise_einsum", "depthwise_native"])
+    def test_derived_agent_training_allocates_nothing_in_steady_state(self, monkeypatch, kernel):
+        """An f64 A2C train plan for the inverted-residual derived agent, on
+        each depthwise kernel: updates 3-8 compile nothing and draw no fresh
+        pool bytes (counters, not time)."""
         from repro.cosearch import A3CSConfig
         from repro.drl import A2CConfig, A2CTrainer
         from repro.envs import make_vector_env
 
-        monkeypatch.setenv(ENV_VAR, "depthwise=depthwise_einsum")
+        if kernel == "depthwise_native" and not _native.available():
+            pytest.skip("the C library is disabled or cannot be built on this host")
+        monkeypatch.setenv(ENV_VAR, "depthwise=" + kernel)
         defaults = A3CSConfig()
         supernet = AgentSuperNet(in_channels=2, input_size=28,
                                  feature_dim=defaults.feature_dim,
@@ -357,10 +413,10 @@ class TestScratchArenas:
                 totals.append(counters())
         finally:
             env.close()
-        # Update 1 compiled the train plan, on the einsum depthwise kernel ...
+        # Update 1 compiled the train plan, on the pinned depthwise kernel ...
         assert totals[1][0] > totals[0][0]
         assert any(
-            row["kernel"] == "depthwise_einsum" and "/train/" in key
+            row["kernel"] == kernel and "/train/" in key
             for key, row in selection_table().items()
         )
         # ... and updates 3-8 missed no plan cache and drew no fresh bytes.
@@ -403,18 +459,15 @@ def _assert_close_rel(got, expected, tol, what):
 
 
 class TestDepthwiseVJPReference:
-    """Both depthwise kernels, in every layout they serve, against naive loops.
+    """Both depthwise kernels against naive loops.
 
     ``gw`` / ``gin`` arrive pre-filled (pinning the ``+=`` contract), and the
     plan's scratch arenas are filled with NaN bytes before each call, so a
     border or dilation zero that is not rewritten per call shows up as NaN.
+    The compiled kernel runs wherever the C library builds.
     """
 
-    VARIANTS = (
-        (DepthwiseDirectKernel, "NCHW"),
-        (DepthwiseDirectKernel, "NHWC"),
-        (DepthwiseEinsumKernel, "NHWC"),
-    )
+    KERNELS = (DepthwiseNativeKernel, DepthwiseEinsumKernel)
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("s", [1, 2])
@@ -438,25 +491,25 @@ class TestDepthwiseVJPReference:
         gw0 = rng.standard_normal(w.shape)
         gin0 = rng.standard_normal(x.shape)
         ref_out, ref_gw, ref_gin = _naive_depthwise(x, w, gout, s, p)
-        for cls, layout in self.VARIANTS:
+        kernels = self.KERNELS if _native.available() else (DepthwiseEinsumKernel,)
+        for cls in kernels:
             for dtype, tol in ((np.float64, F64_TOL), (np.float32, F32_TOL)):
                 for input_grad in (True, False):
                     spec = ConvSpec(n, c, c, h, wd, k, s, p, c, np.dtype(dtype).name,
-                                    "train", layout)
+                                    "train", "NHWC")
                     assert cls.supports(spec)
                     plan = Plan(dtype=dtype, train=True)
                     plan._scratch_blocks = {
                         channel: plan.alloc((nbytes,), dtype=np.uint8)
                         for channel, nbytes in scratch_upper_bound(
-                            spec, input_grad_needed=input_grad, layouts=(layout,)
+                            spec, input_grad_needed=input_grad, layouts=("NHWC",)
                         )
                     }
                     kernel = cls(spec, plan)
                     kernel.allocate_backward(plan, input_grad)
 
                     def phys(a):
-                        a = a.transpose(0, 2, 3, 1) if layout == "NHWC" else a
-                        return np.array(a, dtype=dtype, order="C")  # a fresh copy
+                        return np.array(a.transpose(0, 2, 3, 1), dtype=dtype, order="C")
 
                     out = np.empty(spec.out_shape, dtype=dtype)
                     for block in plan._scratch_blocks.values():
@@ -467,7 +520,7 @@ class TestDepthwiseVJPReference:
                     for block in plan._scratch_blocks.values():
                         block.fill(0xFF)
                     kernel.backward(phys(gout), phys(x), w.astype(dtype), gw, gin)
-                    label = "{}/{}/{}".format(cls.name, layout, np.dtype(dtype).name)
+                    label = "{}/{}".format(cls.name, np.dtype(dtype).name)
                     _assert_close_rel(out, phys(ref_out), tol, label + " forward")
                     _assert_close_rel(gw, gw0 + ref_gw, tol, label + " weight VJP")
                     if input_grad:
