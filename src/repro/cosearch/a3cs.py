@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..accelerator.das import DASConfig, DifferentiableAcceleratorSearch
 from ..accelerator.fpga import ZC706
 from ..drl.distillation import DistillationMode
@@ -208,11 +206,9 @@ class A3CSCoSearch:
             self.searcher.supernet, self.das, das_steps_per_call=cfg.das_steps_per_iteration
         )
         self.searcher.hardware_penalty = self.penalty
-        if cfg.autosave_path:
-            # One autosave file covers both halves of the co-search: the
-            # searcher's periodic trigger calls back into save_checkpoint so
-            # the DAS phi / optimiser / RNG ride along atomically.
-            self.searcher.autosave_fn = lambda: self.save_checkpoint(cfg.autosave_path)
+        # The DAS phi, optimiser and RNG ride in every searcher checkpoint, so
+        # its autosaves and guard rollbacks cover both halves of the co-search.
+        self.searcher.checkpoint_parts["das"] = self.das
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume
@@ -220,71 +216,27 @@ class A3CSCoSearch:
     def save_checkpoint(self, path):
         """Atomically persist the searcher *and* the DAS engine state.
 
-        The searcher contributes its full resume state (supernet weights,
-        both optimisers, alphas, RNG, counters); the unit-granularity DAS
-        state rides along under the ``das.`` prefix.  Requires the moving
-        parts to be built (a checkpoint saved mid-:meth:`run`, e.g. by the
-        autosave hook, always is).
+        The searcher's checkpoint (supernet weights, both optimisers, alphas,
+        RNG, counters) carries the unit-granularity DAS state under the
+        ``das.`` prefix.  Requires the moving parts to be built (a checkpoint
+        saved mid-:meth:`run`, e.g. by the autosave, always is).
         """
-        if self.searcher is None or self.das is None:
+        if self.searcher is None:
             raise RuntimeError("co-search not built yet; nothing to checkpoint")
-        from ..nn.serialization import save_state_dict
-
-        state = self.searcher._checkpoint_state()
-        for key, value in self.das.state_dict().items():
-            state["das." + key] = value
-        return save_state_dict(state, path)
+        return self.searcher.save_checkpoint(path)
 
     def load_checkpoint(self, path):
         """Restore a checkpoint written by :meth:`save_checkpoint` (in place).
 
-        Builds the moving parts first when needed, validates the checkpoint
-        against the combined state layout (raising
+        Builds the moving parts first when needed; the searcher validates the
+        checkpoint against the combined layout (raising
         :class:`~repro.nn.serialization.CheckpointError` before any state is
-        touched), then restores the searcher and the DAS engine.
+        touched), then restores itself and the DAS engine.
         """
-        if self.searcher is None or self.das is None:
+        if self.searcher is None:
             self._build()
-        from ..nn.serialization import load_state_dict, validate_state
-
-        state = load_state_dict(path)
-        reference = self.searcher._checkpoint_state()
-        for key, value in self.das.state_dict().items():
-            reference["das." + key] = value
-        validate_state(state, reference, path)
-        searcher_state = {k: v for k, v in state.items() if not k.startswith("das.")}
-        self._restore_searcher(searcher_state)
-        self.das.load_state_dict(
-            {k[len("das."):]: v for k, v in state.items() if k.startswith("das.")}
-        )
+        self.searcher.load_checkpoint(path)
         return self
-
-    def _restore_searcher(self, state):
-        """Apply a pre-validated searcher state slice (no file round-trip)."""
-        import json
-
-        searcher = self.searcher
-        searcher.agent.load_state_dict(
-            {k[len("agent."):]: v for k, v in state.items() if k.startswith("agent.")}
-        )
-        searcher.weight_optimizer.load_state_dict(
-            {k[len("woptim."):]: v for k, v in state.items() if k.startswith("woptim.")}
-        )
-        searcher.alpha_optimizer.load_state_dict(
-            {k[len("aoptim."):]: v for k, v in state.items() if k.startswith("aoptim.")}
-        )
-        searcher.arch.load_state_dict(
-            {k[len("arch."):]: v for k, v in state.items() if k.startswith("arch.")}
-        )
-        searcher.total_env_steps = int(state["search.total_env_steps"])
-        searcher.updates = int(state["search.updates"])
-        searcher.rng = np.random.default_rng()
-        searcher.rng.bit_generator.state = json.loads(
-            str(np.asarray(state["search.rng"]).item())
-        )
-        searcher._guard_streak = 0
-        if searcher._collector is not None:
-            searcher._collector.restart()
 
     # ------------------------------------------------------------------ #
     # Main entry point

@@ -1,5 +1,6 @@
 """Crash-safe checkpointing: atomic writes, corruption detection, resume."""
 
+import json
 import os
 
 import numpy as np
@@ -25,6 +26,21 @@ def make_searcher(total_steps=160, seed=0, **overrides):
     return DRLArchitectureSearch(
         GAME, config=config, env_kwargs=dict(ENV_KW), supernet_kwargs=dict(SUPERNET_KW)
     )
+
+
+def make_cosearch(**overrides):
+    from repro.cosearch.a3cs import A3CSCoSearch, A3CSConfig
+    from repro.drl.distillation import DistillationMode
+
+    settings = dict(
+        obs_size=21, max_episode_steps=60, num_cells=6, base_width=4,
+        feature_dim=32, search_steps=20, final_das_steps=5,
+        distillation_mode=DistillationMode.NONE,
+    )
+    config = A3CSConfig(**dict(settings, **overrides))
+    co = A3CSCoSearch(GAME, config=config)
+    co._build()
+    return co
 
 
 def fresh_env(seed):
@@ -194,7 +210,6 @@ class TestCoSearchCheckpoint:
             return co
 
         first = build()
-        assert first.searcher.autosave_fn is not None
         first.save_checkpoint(path)
 
         second = build()
@@ -204,8 +219,71 @@ class TestCoSearchCheckpoint:
         assert_states_equal(state_first, state_second)
         assert_states_equal(first.das.state_dict(), second.das.state_dict())
 
+        # The searcher's own periodic autosave carries the DAS state.
+        os.remove(path)
+        second.searcher.search(total_steps=1)
+        das_keys = {"das." + key for key in second.das.state_dict()}
+        assert das_keys and das_keys <= set(load_state_dict(path))
+
+    def test_guard_rollback_restores_the_das_state(self, set_faults, tmp_path):
+        from repro.reliability import health
+
+        # Updates 2-4 trip the guard; the third trip rolls the searcher back
+        # to the autosave of update 3, which must restore the DAS state too.
+        path = str(tmp_path / "cosearch.npz")
+        set_faults("nan_grad=3@update:2")
+        co = make_cosearch(search_steps=60, autosave_interval=1, autosave_path=path)
+        rollbacks = health.get("checkpoint_rollbacks")
+        loaded = []
+        load = co.searcher.load_checkpoint
+
+        def spy(checkpoint):
+            saved = {
+                key[len("das."):]: np.array(value)
+                for key, value in load_state_dict(checkpoint).items() if key.startswith("das.")
+            }
+            load(checkpoint)
+            restored = {key: np.array(value) for key, value in co.das.state_dict().items()}
+            loaded.append((saved, restored))
+            return co.searcher
+
+        co.searcher.load_checkpoint = spy
+        co.run()
+        assert health.get("checkpoint_rollbacks") == rollbacks + 1
+        assert len(loaded) == 1
+        saved, restored = loaded[0]
+        assert saved
+        assert_states_equal(saved, restored)
+
     def test_unbuilt_cosearch_refuses_save(self, tmp_path):
         from repro.cosearch.a3cs import A3CSCoSearch
 
         with pytest.raises(RuntimeError, match="not built"):
             A3CSCoSearch(GAME).save_checkpoint(str(tmp_path / "x.npz"))
+
+
+class TestCheckpointLayouts:
+    """The checkpoint formats, pinned: key -> shape per tiny config.
+
+    Loads validate keys and shapes only, so equal layouts mean checkpoints
+    written before the shared training loop still load.
+    """
+
+    LAYOUTS = os.path.join(os.path.dirname(__file__), "data", "checkpoint_layouts.json")
+
+    @staticmethod
+    def layout(state):
+        return {key: list(np.shape(state[key])) for key in sorted(state)}
+
+    def test_layouts_match_the_pinned_formats(self):
+        from repro.drl import A2CConfig, A2CTrainer, make_agent
+        from repro.envs import make_vector_env
+
+        agent = make_agent("Vanilla", obs_size=21, frame_stack=2, feature_dim=16, seed=0)
+        env = make_vector_env(GAME, num_envs=2, seed=0, **ENV_KW)
+        trainer = A2CTrainer(agent, env, config=A2CConfig(total_steps=10, num_envs=2, seed=0))
+        with open(self.LAYOUTS) as handle:
+            pinned = json.load(handle)
+        assert self.layout(trainer._checkpoint_state()) == pinned["a2c"]
+        assert self.layout(make_searcher()._checkpoint_state()) == pinned["search"]
+        assert self.layout(make_cosearch().searcher._checkpoint_state()) == pinned["cosearch"]

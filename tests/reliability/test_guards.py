@@ -20,6 +20,18 @@ def make_trainer(total_steps=10, **config_overrides):
     return A2CTrainer(agent, env, config=config)
 
 
+def make_searcher(total_steps, **config_overrides):
+    from repro.nas import DRLArchitectureSearch, SearchConfig
+
+    return DRLArchitectureSearch(
+        GAME,
+        config=SearchConfig(total_steps=total_steps, num_envs=2, seed=0, **config_overrides),
+        env_kwargs={"obs_size": OBS_SIZE, "frame_stack": 2, "max_episode_steps": 60},
+        supernet_kwargs={"input_size": OBS_SIZE, "in_channels": 2, "feature_dim": 32,
+                         "base_width": 4, "num_cells": 6},
+    )
+
+
 def agent_params(trainer):
     return {k: v.copy() for k, v in trainer.agent.state_dict().items()}
 
@@ -112,6 +124,20 @@ class TestTrainerGuards:
         trainer.train(total_steps=trainer.total_env_steps + 1)
         assert health.get("guard_trips") == trips + 3
         assert health.get("checkpoint_rollbacks") == rollbacks
+
+    @pytest.mark.parametrize("make_loop", [make_trainer, make_searcher], ids=["a2c", "search"])
+    def test_counters_agree_after_a_rollback(self, set_faults, tmp_path, make_loop):
+        # Updates 2-4 trip the guard; the third trip rolls back to the
+        # autosave of update 3.  The update count must restart from the
+        # restored one, so it stays in step with the env-step count.
+        set_faults("nan_grad=3@update:2")
+        path = str(tmp_path / "autosave.npz")
+        loop = make_loop(total_steps=80, autosave_interval=1, autosave_path=path)
+        rollbacks = health.get("checkpoint_rollbacks")
+        (loop.train if isinstance(loop, A2CTrainer) else loop.search)()
+        assert health.get("checkpoint_rollbacks") == rollbacks + 1
+        cfg = loop.config
+        assert loop.updates * cfg.num_envs * cfg.rollout_length == loop.total_env_steps
 
     def test_search_guard_skips_alpha_and_weight_updates(self, set_faults):
         from repro.nas import DRLArchitectureSearch, SearchConfig

@@ -1,5 +1,7 @@
 """Process-wide health counters and their surfacing points."""
 
+import pytest
+
 from repro.reliability import KNOWN_COUNTERS, health
 
 
@@ -69,17 +71,31 @@ class TestSurfacing:
         stats = runtime.cache_stats()
         assert stats["health"] == health.stats()
 
-    def test_search_loop_logs_health_per_update(self):
+    @pytest.mark.parametrize("kind", ["a2c", "search"])
+    def test_search_loop_logs_health_per_update(self, kind):
+        from repro.drl import A2CConfig, A2CTrainer, make_agent
+        from repro.envs import make_vector_env
         from repro.nas import DRLArchitectureSearch, SearchConfig
 
-        searcher = DRLArchitectureSearch(
-            "Breakout",
-            config=SearchConfig(total_steps=10, num_envs=2, seed=0),
-            env_kwargs={"obs_size": 21, "frame_stack": 2, "max_episode_steps": 60},
-            supernet_kwargs={"input_size": 21, "in_channels": 2, "feature_dim": 32,
-                             "base_width": 4, "num_cells": 6},
-        )
-        searcher.search()
-        logged = searcher.logger.names()
+        env_kwargs = {"obs_size": 21, "frame_stack": 2, "max_episode_steps": 60}
+        if kind == "a2c":
+            agent = make_agent("Vanilla", obs_size=21, frame_stack=2, feature_dim=16, seed=0)
+            env = make_vector_env("Breakout", num_envs=2, seed=0, **env_kwargs)
+            loop = A2CTrainer(agent, env, config=A2CConfig(total_steps=10, num_envs=2, seed=0))
+            loop.train()
+        else:
+            loop = DRLArchitectureSearch(
+                "Breakout",
+                config=SearchConfig(total_steps=10, num_envs=2, seed=0),
+                env_kwargs=env_kwargs,
+                supernet_kwargs={"input_size": 21, "in_channels": 2, "feature_dim": 32,
+                                 "base_width": 4, "num_cells": 6},
+            )
+            loop.search()
+        logged = loop.logger.names()
         for name in KNOWN_COUNTERS:
             assert "health/" + name in logged
+        for name in ("train_plan_hits", "train_plan_misses", "rollout_plan_hits",
+                     "rollout_plan_misses", "pool_bytes_recycled", "pool_bytes_fresh"):
+            steps, _ = loop.logger.series("runtime/" + name)
+            assert len(steps) == loop.updates

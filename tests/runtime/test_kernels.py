@@ -419,8 +419,12 @@ class TestScratchArenas:
             row["kernel"] == kernel and "/train/" in key
             for key, row in selection_table().items()
         )
-        # ... and updates 3-8 missed no plan cache and drew no fresh bytes.
+        # ... and updates 3-8 missed no plan cache and drew no fresh bytes,
+        # which the trainer's own per-update runtime log reports too.
         assert totals[2:] == [totals[2]] * 7
+        for name in ("runtime/train_plan_misses", "runtime/pool_bytes_fresh"):
+            _, deltas = trainer.logger.series(name)
+            assert len(deltas) == 8 and deltas[2:] == [0] * 6, name
 
 
 def _naive_depthwise(x, w, gout, stride, padding):
