@@ -27,9 +27,10 @@ Registered kernels (import order puts the general fallback last):
   float paths are untouched.
 
 Signatures carry a physical activation layout (``NCHW`` / ``NHWC``); the
-layout-assignment pass in :mod:`repro.runtime.passes` uses per-layout
-candidate timings (:func:`~repro.runtime.kernels.registry.layout_costs`)
-to decide where channels-last propagation pays for its transposes.
+layout-assignment pass in :mod:`repro.runtime.passes` puts a conv
+channels-last only where
+:func:`~repro.runtime.kernels.registry.pinned_candidates` offers an NHWC
+kernel for it, and never consults timings.
 
 The same software structure the paper's accelerator templates use in
 hardware — dataflow-specialised conv engines selected per workload shape —
@@ -41,7 +42,6 @@ from . import conv as _conv  # noqa: F401  (registers im2col_block, pointwise_nh
 from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count
 from .autotune import clear_cache as clear_autotune_cache
-from .autotune import transpose_seconds
 from .quantized import RequantEpilogue
 from .registry import (
     ENV_VAR,
@@ -55,7 +55,7 @@ from .registry import (
     clear_quarantine,
     kernel_for,
     kernel_names,
-    layout_costs,
+    pinned_candidates,
     quarantine_kernel,
     quarantined_kernels,
     register_kernel,
@@ -77,8 +77,7 @@ __all__ = [
     "quarantined_kernels",
     "clear_quarantine",
     "kernel_for",
-    "layout_costs",
-    "transpose_seconds",
+    "pinned_candidates",
     "blas_thread_count",
     "scratch_upper_bound",
     "selection_table",

@@ -42,8 +42,6 @@ import numpy as np
 
 __all__ = [
     "choose",
-    "cost_for",
-    "transpose_seconds",
     "timings_for",
     "failures_for",
     "blas_thread_count",
@@ -63,15 +61,9 @@ REPS = 3
 #: between processes unless a kernel genuinely wins.
 MARGIN = 0.95
 
-#: spec -> {"kernel": name or None, "timings": {name: best seconds},
-#: "chosen": bool}.  ``cost_for`` (the layout pass) may populate timings
-#: before dispatch ever asks for a winner; only :func:`choose` sets
-#: ``chosen``, so the first real dispatch still reports ``"autotuned"``
-#: even when it reuses pre-measured timings.
+#: spec -> {"kernel": name, "timings": {name: best seconds},
+#: "failures": {name: reason}, "blas_threads": int or None}.
 _CACHE = {}
-
-#: (nchw shape, dtype) -> measured seconds for one materialised transpose.
-_TRANSPOSE_CACHE = {}
 
 
 class _BenchArena:
@@ -145,8 +137,7 @@ def blas_thread_count():
 def _entry(spec):
     entry = _CACHE.get(spec)
     if entry is None:
-        entry = {"kernel": None, "timings": {}, "failures": {}, "chosen": False,
-                 "blas_threads": None}
+        entry = {"kernel": None, "timings": {}, "failures": {}, "blas_threads": None}
         _CACHE[spec] = entry
     return entry
 
@@ -208,26 +199,18 @@ def choose(spec, cands):
     """The winning kernel class for ``spec`` among ``cands``.
 
     Returns ``(kernel_cls, source)`` where ``source`` is ``"autotuned"`` (a
-    fresh decision, possibly reusing timings pre-measured by ``cost_for``),
-    ``"cached"`` (a previous *decision* is reused), or ``"only"`` (a single
-    candidate needed no timing).
+    fresh decision), ``"cached"`` (a previous decision is reused), or
+    ``"only"`` (a single candidate needed no timing).
     """
-    entry = _CACHE.get(spec)
-    if entry is not None and entry.get("chosen"):
-        by_name = {cls.name: cls for cls in cands}
-        winner = by_name.get(entry["kernel"])
-        if winner is not None:
-            return winner, "cached"
     entry = _entry(spec)
+    winner = {cls.name: cls for cls in cands}.get(entry["kernel"])
+    if winner is not None:
+        return winner, "cached"
     if len(cands) == 1:
         entry["kernel"] = cands[0].name
-        entry["chosen"] = True
         return cands[0], "only"
 
-    missing = [cls for cls in cands if cls.name not in entry["timings"]]
-    if missing:
-        entry["timings"].update(_time_kernels(spec, missing))
-    timings = entry["timings"]
+    timings = entry["timings"] = _time_kernels(spec, cands)
     # The last-registered candidate (the general fallback) is the incumbent:
     # a challenger must beat it by MARGIN so near-ties resolve
     # deterministically regardless of timing jitter.
@@ -236,41 +219,7 @@ def choose(spec, cands):
         if timings[cls.name] < timings[winner.name] * MARGIN:
             winner = cls
     entry["kernel"] = winner.name
-    entry["chosen"] = True
     return winner, "autotuned"
-
-
-def cost_for(spec, cands):
-    """Best candidate forward seconds for ``spec`` among ``cands``.
-
-    Times candidates missing from the cache and stores the measurements, but
-    does *not* decide a winner — dispatch's first :func:`choose` call on the
-    signature still reports ``"autotuned"``.
-    """
-    entry = _entry(spec)
-    missing = [cls for cls in cands if cls.name not in entry["timings"]]
-    if missing:
-        entry["timings"].update(_time_kernels(spec, missing))
-    return min(entry["timings"][cls.name] for cls in cands)
-
-
-def transpose_seconds(shape, dtype):
-    """Measured seconds for one materialised NCHW<->NHWC transpose.
-
-    ``shape`` is the logical NCHW slot shape.  Both directions cost the same
-    copy, so one measurement (cached per shape/dtype) serves either boundary
-    the layout pass weighs.
-    """
-    key = (tuple(int(d) for d in shape), str(np.dtype(dtype)))
-    hit = _TRANSPOSE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n, c, h, w = key[0]
-    src = np.zeros(key[0], dtype=key[1])
-    dst = np.empty((n, h, w, c), dtype=key[1])
-    cost = _best_of(lambda: np.copyto(dst, np.moveaxis(src, 1, 3)))
-    _TRANSPOSE_CACHE[key] = cost
-    return cost
 
 
 def timings_for(spec):
@@ -304,4 +253,3 @@ def threads_for(spec):
 def clear_cache():
     """Forget every tuning decision (tests; re-tuning after CPU migration)."""
     _CACHE.clear()
-    _TRANSPOSE_CACHE.clear()

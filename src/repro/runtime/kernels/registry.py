@@ -61,7 +61,7 @@ __all__ = [
     "quarantined_kernels",
     "clear_quarantine",
     "kernel_for",
-    "layout_costs",
+    "pinned_candidates",
     "scratch_upper_bound",
     "selection_table",
     "reset_selections",
@@ -421,6 +421,28 @@ def _heuristic(spec, cands):
     return cands[0] if len(cands) == 1 else by_name.get("im2col", cands[-1])
 
 
+def _pinned_name(spec, mode, pins):
+    """The kernel ``REPRO_KERNELS`` pins for ``spec``'s op class, or ``None``."""
+    if mode != "pinned":
+        return None
+    return pins.get(spec.op_class, pins.get("*"))
+
+
+def pinned_candidates(spec):
+    """The candidates of ``spec`` that dispatch may serve it with.
+
+    That is :func:`candidates` narrowed to the ``REPRO_KERNELS`` pin of the
+    signature's op class, if it has one.  The layout pass puts a conv
+    channels-last only when this list is non-empty for its NHWC signature,
+    so a pinned run keeps its reproducible kernel choice.
+    """
+    cands = candidates(spec)
+    name = _pinned_name(spec, *_parse_env())
+    if name is None:
+        return cands
+    return [cls for cls in cands if cls.name == name]
+
+
 def kernel_for(spec, plan):
     """Select and bind the kernel serving ``spec`` on ``plan``.
 
@@ -434,24 +456,15 @@ def kernel_for(spec, plan):
             "total; was the registry mutated?)".format(spec.describe())
         )
     mode, pins = _parse_env()
-    source = None
-    cls = None
-    if mode == "pinned":
-        name = pins.get(spec.op_class, pins.get("*"))
-        if name is not None:
-            by_name = {c.name: c for c in cands}
-            if name in by_name:
-                cls = by_name[name]
-                source = "pinned"
-            else:
-                cls = _heuristic(spec, cands)
-                source = "pin-fallback"
-        else:
-            mode = "auto"
-    if cls is None and mode == "heuristic":
-        cls = _heuristic(spec, cands)
-        source = "heuristic"
-    if cls is None:
+    name = _pinned_name(spec, mode, pins)
+    by_name = {c.name: c for c in cands}
+    if name in by_name:
+        cls, source = by_name[name], "pinned"
+    elif name is not None:
+        cls, source = _heuristic(spec, cands), "pin-fallback"
+    elif mode == "heuristic":
+        cls, source = _heuristic(spec, cands), "heuristic"
+    else:
         from .autotune import choose
 
         with trace.span("autotune/" + spec.describe(), "kernel"):
@@ -464,10 +477,11 @@ def scratch_upper_bound(spec, input_grad_needed=True, layouts=LAYOUTS):
     """Per-channel scratch maxima over every candidate kernel and layout.
 
     The aliasing pass sizes the shared scratch arenas *before* the kernel is
-    selected, and the layout-assignment pass may re-tag a step after the
-    arenas were sized, so the bound covers every ``(candidate, layout)``
-    variant of the signature — the per-channel maxima in *bytes*, not one
-    NCHW geometry.  Returns ``(channel, nbytes)`` pairs.
+    selected, so the bound covers every candidate.  It also covers both
+    layouts by default — the per-channel maxima in *bytes*, not one NCHW
+    geometry — which over-provisions a little but keeps the arena sizes
+    independent of the ``layout`` pass's tags.  Returns ``(channel, nbytes)``
+    pairs.
     """
     channels = {}
     for layout in layouts:
@@ -481,44 +495,6 @@ def scratch_upper_bound(spec, input_grad_needed=True, layouts=LAYOUTS):
             for channel, nbytes in requests:
                 channels[channel] = max(channels.get(channel, 0), int(nbytes))
     return tuple(sorted(channels.items()))
-
-
-def layout_costs(spec):
-    """Estimated forward seconds per layout, for the layout-assignment pass.
-
-    Returns ``{layout: cost}`` where ``cost`` is ``inf`` when no kernel can
-    serve the signature in that layout (respecting ``REPRO_KERNELS`` pins:
-    a pinned kernel that rejects a layout makes the layout infeasible, so
-    pinned runs keep their reproducible kernel choice), ``None`` when no
-    timing is available (``heuristic`` mode — the pass falls back to static
-    rules), and otherwise the best candidate's measured forward time from
-    the autotuner cache.  When only one layout is feasible no timing runs at
-    all: there is nothing to compare.
-    """
-    from .autotune import cost_for
-
-    mode, pins = _parse_env()
-    cands_by_layout = {}
-    for layout in LAYOUTS:
-        variant = spec._replace(layout=layout)
-        cands = candidates(variant)
-        if mode == "pinned":
-            name = pins.get(variant.op_class, pins.get("*"))
-            if name is not None:
-                cands = [cls for cls in cands if cls.name == name]
-        cands_by_layout[layout] = (variant, cands)
-    feasible = [lay for lay, (_, cands) in cands_by_layout.items() if cands]
-    costs = {}
-    for layout, (variant, cands) in cands_by_layout.items():
-        if not cands:
-            costs[layout] = float("inf")
-        elif len(feasible) == 1:
-            costs[layout] = 0.0
-        elif mode == "heuristic":
-            costs[layout] = None
-        else:
-            costs[layout] = cost_for(variant, cands)
-    return costs
 
 
 def selection_table():

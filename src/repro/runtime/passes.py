@@ -23,20 +23,20 @@ deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
     automatically; train-mode BN falls back to the unfolded math at run time.
 
 ``layout``
-    Cost-driven layout assignment: every 4-D slot carries a physical layout
-    tag (NCHW / NHWC) and each convolution is assigned the layout whose
-    dispatched kernel candidates time fastest
-    (:func:`repro.runtime.kernels.layout_costs`), charged against measured
-    transpose costs at the boundaries.  Channels-last propagates through the
-    layout-agnostic follow steps (BN / activation / residual-add / gate
-    combine / tile), so inverted-residual expand -> depthwise -> project
-    chains run end-to-end NHWC: the pointwise convs become single flat GEMMs
-    over trailing channels with fused trailing-axis epilogues and the
-    depthwise convs run on the channels-last depthwise kernels.  Explicit
+    Static layout assignment: every 4-D slot carries a physical layout tag
+    (NCHW / NHWC).  Convs connected through the layout-agnostic follow steps
+    (BN / activation / residual-add / gate combine / tile) form a component;
+    a component that holds a depthwise or pointwise conv with an NHWC kernel
+    runs channels-last (each of its convs that has an NHWC kernel under the
+    ``REPRO_KERNELS`` pins), and dense-only components stay NCHW.  So
+    inverted-residual expand -> depthwise -> project chains run end-to-end
+    NHWC: the pointwise convs become single flat GEMMs over trailing
+    channels with fused trailing-axis epilogues and the depthwise convs run
+    on the channels-last depthwise kernels.  Explicit
     :class:`~repro.runtime.plan.TransposeStep`\\ s are materialised only at
-    surviving boundaries (anchor steps, the plan input, protected outputs);
-    under ``REPRO_KERNELS=heuristic`` the assignment falls back to static
-    rules (deterministic, no timing).
+    the boundaries (anchor steps, the plan input, protected outputs).  The
+    rule reads no timings, so the tags depend only on the plan structure,
+    the registered kernels and the pins.
 
 ``quantize``
     Opt-in int8 lowering for inference plans (requires a
@@ -74,9 +74,7 @@ bisection, mirroring the ``use_compiled_train`` fallback style.
 
 from __future__ import annotations
 
-import heapq
 import os
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -385,22 +383,8 @@ def fold_bn(plan, ctx):
 
 
 # --------------------------------------------------------------------------- #
-# layout: cost-driven NCHW/NHWC assignment + transpose materialisation
+# layout: static NCHW/NHWC assignment + transpose materialisation
 # --------------------------------------------------------------------------- #
-#: Hill-climb acceptance threshold (relative improvement) and round cap.
-_LAYOUT_MARGIN = 0.97
-_LAYOUT_ROUNDS = 8
-
-#: Synthetic costs for heuristic mode (``REPRO_KERNELS=heuristic``): a
-#: deterministic stand-in for measured seconds.  Depthwise / pointwise convs
-#: prefer NHWC strongly enough that a chain of two or more flips; a lone conv
-#: does not pay for its boundary transposes.
-_SYN_NCHW = 1.0
-_SYN_NHWC_GOOD = 0.5
-_SYN_NHWC_NEUTRAL = 0.99
-_SYN_TRANSPOSE = 0.25
-
-
 def _step_layout_plan(step, lay, conv_layout, zero_slots):
     """Decide the layout a step runs in and what it needs from its inputs.
 
@@ -469,18 +453,16 @@ def _step_layout_plan(step, lay, conv_layout, zero_slots):
     return "NCHW", requires, {}
 
 
-def _walk_layouts(plan, ctx, conv_layout, on_boundary, materialize=None):
-    """Shared propagation walk for the cost model and the materialiser.
+def _walk_layouts(plan, ctx, conv_layout, on_boundary, materialize):
+    """Propagate ``conv_layout`` through the program and re-wire its reads.
 
-    Walks the program in order tracking per-slot layout tags, slot write
-    versions and first-claim re-tagging of all-zero wildcard slots; calls
-    ``on_boundary(step, slot, version, current, needed)`` (returning a
-    replacement slot, or ``None``) for every read whose tag mismatches.
+    Walks the program in order tracking per-slot layout tags (the plan's
+    own, updated in place), slot write versions and first-claim re-tagging
+    of all-zero wildcard slots; calls ``on_boundary(step, slot, version,
+    current, needed)`` for every read whose tag mismatches, reads the
+    returned twin slot instead, and appends each step to ``materialize``.
     """
-    if materialize is None:
-        layouts = list(plan._layouts)
-    else:
-        layouts = plan._layouts  # mutated in place
+    layouts = plan._layouts
     versions = {}
     claimed_zero = set()
     for step in plan.steps:
@@ -497,15 +479,12 @@ def _walk_layouts(plan, ctx, conv_layout, on_boundary, materialize=None):
                 claimed_zero.add(slot)
                 layouts[slot] = needed
                 continue
-            twin = on_boundary(step, slot, versions.get(slot, 0), current, needed)
-            if twin is not None:
-                remap[slot] = twin
-        if materialize is not None:
-            if remap:
-                _rewire_reads(step, remap)
-            if isinstance(step, (Conv2dStep, BatchNormStep, GlobalAvgPoolStep)):
-                step.layout = layout
-            materialize.append(step)
+            remap[slot] = on_boundary(step, slot, versions.get(slot, 0), current, needed)
+        if remap:
+            _rewire_reads(step, remap)
+        if isinstance(step, (Conv2dStep, BatchNormStep, GlobalAvgPoolStep)):
+            step.layout = layout
+        materialize.append(step)
         for slot, new_layout in outs.items():
             if new_layout is not None:
                 layouts[slot] = new_layout
@@ -530,8 +509,8 @@ def _rewire_reads(step, remap):
 def _conv_components(plan, convs):
     """Group convs whose 4-D slots connect through layout-agnostic steps.
 
-    Components flip together during the search (an inverted-residual chain is
-    only worth NHWC end-to-end); anchor steps break the connectivity.
+    A component takes one layout decision (an inverted-residual chain is only
+    worth NHWC end-to-end); anchor steps break the connectivity.
     """
     parent = {}
 
@@ -561,7 +540,7 @@ def _conv_components(plan, convs):
                 union(slots[0], slot)
     groups = {}
     for step in convs:
-        groups.setdefault(find(step.in_slot), []).append(id(step))
+        groups.setdefault(find(step.in_slot), []).append(step)
     return list(groups.values())
 
 
@@ -586,221 +565,38 @@ def _share_boundary(boundary, step, slot):
         boundary.branch = None
 
 
-class _LayoutSearch:
-    """Costs of conv-layout assignments for the hill-climb in :func:`assign_layouts`.
-
-    An assignment costs its conv kernels plus a transpose per distinct
-    boundary ``(slot, version, layout)`` of the propagation walk.
-    :meth:`full_cost` walks the whole program and is the reference.
-    :meth:`move_cost` re-walks only the steps a move can change: the flipped
-    convs, then every step reading a slot whose tag now differs from the
-    incumbent's walk, up to that slot's next writer.  Plans whose walk
-    re-tags all-zero wildcard slots (an order-dependent first claim) always
-    take the full walk.
-    """
-
-    def __init__(self, plan, ctx, conv_costs, trans_cost):
-        self.plan = plan
-        self.ctx = ctx
-        self.conv_costs = conv_costs
-        self.trans_cost = trans_cost
-        self.conv_index = {
-            id(step): index for index, step in enumerate(plan.steps)
-            if isinstance(step, Conv2dStep)
-        }
-        # A training-plan transpose also runs (reversed) in the backward pass.
-        self.weight = 2.0 if plan.train else 1.0
-        self.incremental = not any(
-            slot in ctx.zero_slots for step in plan.steps for slot in step_reads(step)
-        )
-
-    def cost(self, assign, boundaries):
-        """Kernel costs plus weighted transposes, summed in a fixed order."""
-        total = sum(self.conv_costs[cid][layout] for cid, layout in assign.items())
-        trans = sum(self.trans_cost(slot) for slot, _, _ in sorted(boundaries))
-        return total + self.weight * trans
-
-    def full_cost(self, assign):
-        boundaries = set()
-
-        def on_boundary(step, slot, version, current, needed):
-            boundaries.add((slot, version, needed))
-
-        _walk_layouts(self.plan, self.ctx, assign, on_boundary)
-        return self.cost(assign, boundaries)
-
-    def set_incumbent(self, assign):
-        """Walk ``assign`` once, recording what each step saw and produced."""
-        if not self.incremental:
-            return self.full_cost(assign)
-        layouts = list(self.plan._layouts)
-        versions = {}
-        self.seen = []      # per step: {slot: tag} before the step
-        self.versions = []  # per step: {read slot: write version}
-        self.keys = []      # per step: boundary keys it adds
-        self.outs = []      # per step: {slot: tag} after the step
-        self.touch, self.writers, self.counts = {}, {}, {}
-        for index, step in enumerate(self.plan.steps):
-            reads = step_reads(step)
-            self.versions.append({slot: versions.get(slot, 0) for slot in reads})
-            keys, after = self._effect(index, layouts.__getitem__, assign)
-            slots = set(reads) | set(after)
-            self.seen.append({slot: layouts[slot] for slot in slots})
-            self.keys.append(keys)
-            self.outs.append(after)
-            for slot in slots:
-                self.touch.setdefault(slot, []).append(index)
-            for key in keys:
-                self.counts[key] = self.counts.get(key, 0) + 1
-            for slot, tag in after.items():
-                self.writers.setdefault(slot, []).append(index)
-                layouts[slot] = tag
-                versions[slot] = versions.get(slot, 0) + 1
-        return self.cost(assign, self.counts)
-
-    def _effect(self, index, lay, assign):
-        """Boundary keys and output tags of step ``index`` under ``lay``."""
-        step = self.plan.steps[index]
-        _, requires, outs = _step_layout_plan(step, lay, assign, self.ctx.zero_slots)
-        versions = self.versions[index]
-        keys = []
-        for slot, needed in requires.items():
-            current = lay(slot)
-            if current is not None and current != needed:
-                keys.append((slot, versions[slot], needed))
-        after = {
-            slot: (tag if tag is not None else lay(slot)) for slot, tag in outs.items()
-        }
-        return keys, after
-
-    def move_cost(self, candidate, flipped):
-        """Cost of ``candidate``, the incumbent with the convs ``flipped`` changed."""
-        if not self.incremental:
-            return self.full_cost(candidate)
-        heap = sorted(self.conv_index[cid] for cid in flipped)
-        queued = set(heap)
-        dirty = {}
-        delta = {}
-        while heap:
-            index = heapq.heappop(heap)
-            seen = self.seen[index]
-
-            def lay(slot):
-                return dirty[slot] if slot in dirty else seen[slot]
-
-            keys, after = self._effect(index, lay, candidate)
-            if keys != self.keys[index]:
-                for key in self.keys[index]:
-                    delta[key] = delta.get(key, 0) - 1
-                for key in keys:
-                    delta[key] = delta.get(key, 0) + 1
-            for slot, tag in after.items():
-                if tag == self.outs[index][slot]:
-                    dirty.pop(slot, None)
-                    continue
-                dirty[slot] = tag
-                # Readers up to (and including) the slot's next writer see
-                # the new tag; past that writer the tag is recomputed there.
-                touch = self.touch[slot]
-                writers = self.writers[slot]
-                nxt = bisect_right(writers, index)
-                end = writers[nxt] if nxt < len(writers) else len(self.plan.steps)
-                for other in touch[bisect_right(touch, index):bisect_left(touch, end + 1)]:
-                    if other not in queued:
-                        queued.add(other)
-                        heapq.heappush(heap, other)
-        boundaries = [key for key, count in self.counts.items() if count + delta.get(key, 0) > 0]
-        boundaries.extend(
-            key for key, change in delta.items() if key not in self.counts and change > 0
-        )
-        return self.cost(candidate, boundaries)
-
-
 def assign_layouts(plan, ctx):
-    """Assign NCHW/NHWC per conv by cost, then materialise transpose steps.
+    """Tag each conv NCHW or NHWC by a static rule, then materialise transposes.
 
-    Candidate layouts and their measured kernel costs come from
-    :func:`repro.runtime.kernels.layout_costs`; boundary costs from
-    :func:`repro.runtime.kernels.transpose_seconds`.  Under heuristic mode
-    (no timing) a deterministic synthetic cost model prefers NHWC for
-    depthwise / pointwise convolutions.  A hill-climb from the all-NCHW
-    assignment tries whole-component flips and single-conv toggles, accepting
-    moves that beat the incumbent by more than 3%.  Boundary transposes
-    inserted for a gated-supernet branch take that branch's tag.
+    The rule works per connected conv component (:func:`_conv_components`).
+    A component runs channels-last when one of its depthwise or pointwise
+    convs has an NHWC kernel; inside it, every conv with an NHWC kernel
+    (under the ``REPRO_KERNELS`` pins, see
+    :func:`repro.runtime.kernels.pinned_candidates`) and an unprotected
+    output runs NHWC and the rest stay NCHW.  Dense-only components stay
+    NCHW.  No timing is involved, so the same plan structure, registry and
+    pins give the same tags in every process.  Boundary transposes inserted
+    for a gated-supernet branch take that branch's tag.
     """
     convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
-    if not convs:
+    assign = {}
+    for comp in _conv_components(plan, convs):
+        specs = [step._spec(plan)._replace(layout="NHWC") for step in comp]
+        fits = [
+            step.out_slot not in ctx.protected_slots
+            and bool(conv_kernels.pinned_candidates(spec))
+            for step, spec in zip(comp, specs)
+        ]
+        channels_last = any(
+            fit and spec.op_class in ("depthwise", "pointwise")
+            for fit, spec in zip(fits, specs)
+        )
+        for step, fit in zip(comp, fits):
+            assign[id(step)] = "NHWC" if channels_last and fit else "NCHW"
+    if "NHWC" not in assign.values():
         return
 
-    conv_costs = {}
-    heuristic = False
-    for step in convs:
-        costs = dict(conv_kernels.layout_costs(step._spec(plan)))
-        if step.out_slot in ctx.protected_slots:
-            costs["NHWC"] = float("inf")  # externally observed contents
-        if any(cost is None for cost in costs.values()):
-            heuristic = True
-        conv_costs[id(step)] = costs
-    if heuristic:
-        for step in convs:
-            spec = step._spec(plan)
-            feasible = conv_costs[id(step)].get("NHWC") != float("inf")
-            good = spec.depthwise or spec.pointwise
-            conv_costs[id(step)] = {
-                "NCHW": _SYN_NCHW,
-                "NHWC": (_SYN_NHWC_GOOD if good else _SYN_NHWC_NEUTRAL)
-                if feasible
-                else float("inf"),
-            }
-
-        def trans_cost(slot):
-            return _SYN_TRANSPOSE
-
-    else:
-        trans_seconds = {}
-
-        def trans_cost(slot):
-            if slot not in trans_seconds:
-                trans_seconds[slot] = conv_kernels.transpose_seconds(plan.shape(slot), plan.dtype)
-            return trans_seconds[slot]
-
-    search = _LayoutSearch(plan, ctx, conv_costs, trans_cost)
-    assign = {id(step): "NCHW" for step in convs}
-    best = search.set_incumbent(assign)
-    components = _conv_components(plan, convs)
-    for _ in range(_LAYOUT_ROUNDS):
-        moves = []
-        for comp in components:
-            for layout in conv_kernels.LAYOUTS:
-                moves.append([(cid, layout) for cid in comp])
-        for step in convs:
-            cid = id(step)
-            moves.append([(cid, "NHWC" if assign[cid] == "NCHW" else "NCHW")])
-        winner = None
-        winner_cost = best
-        for move in moves:
-            candidate = dict(assign)
-            flipped = [
-                cid for cid, layout in move
-                if candidate[cid] != layout and conv_costs[cid][layout] != float("inf")
-            ]
-            if not flipped:
-                continue
-            for cid, layout in move:
-                if cid in flipped:
-                    candidate[cid] = layout
-            cost = search.move_cost(candidate, flipped)
-            if cost < winner_cost * _LAYOUT_MARGIN:
-                winner, winner_cost = candidate, cost
-        if winner is None:
-            break
-        assign = winner
-        best = search.set_incumbent(assign)
-
-    if all(layout == "NCHW" for layout in assign.values()):
-        return
-
-    # Materialise: insert transpose steps at surviving boundaries, re-tag
+    # Materialise: insert transpose steps at the boundaries, re-tag
     # slots and steps, rewire reads through versioned twin slots.
     twins = {}
     new_steps = []

@@ -506,7 +506,7 @@ class Conv2dStep(Step, _BNMixin):
     def scratch_requests(self, plan):
         # The shared scratch arenas are sized before the kernel is selected,
         # so provision the per-channel maxima over every candidate (and over
-        # both layouts: the layout pass may re-tag the step afterwards).
+        # both layouts, so arena sizes do not depend on the layout tags).
         return conv_kernels.scratch_upper_bound(
             self._spec(plan), input_grad_needed=self._input_grad(plan)
         )

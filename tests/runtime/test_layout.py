@@ -1,24 +1,27 @@
 """Layout-aware plan IR: propagation parity, opt-out, and plan lint.
 
-The ``layout`` pass re-tags slots channels-last (NHWC) wherever the
-autotuner's per-layout costs justify it, inserting explicit transposes only
-at boundaries.  Different layouts legitimately dispatch different kernels
-(e.g. the NHWC einsum depthwise vs the NCHW im2col path), which agree only
-up to float reassociation — so parity here is checked against the same
-plan compiled with the layout pass disabled, at the reassociation
-tolerances the kernel suite already enforces (1e-12 f64 / 1e-6 f32,
-relative to the output scale).
+The ``layout`` pass re-tags slots channels-last (NHWC) by a static rule —
+conv chains holding a depthwise or pointwise conv with an NHWC kernel —
+inserting explicit transposes only at boundaries.  Different layouts
+legitimately dispatch different kernels (e.g. the NHWC einsum depthwise vs
+the NCHW im2col path), which agree only up to float reassociation — so
+parity here is checked against the same plan compiled with the layout pass
+disabled, at the reassociation tolerances the kernel suite already enforces
+(1e-12 f64 / 1e-6 f32, relative to the output scale).
 """
 
 import numpy as np
 import pytest
 
+from repro.drl import make_agent
 from repro.drl.agent import ActorCriticAgent
 from repro.networks import AgentSuperNet, build_backbone
 from repro.nn import Sequential, no_grad, Tensor
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
+from repro.runtime.compiler import ALL_CANDIDATES
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
+from repro.runtime.kernels import autotune, clear_autotune_cache
 from repro.runtime.kernels.registry import reset_selections, scratch_upper_bound, ConvSpec
 from repro.runtime.passes import (
     ENV_VAR as PASSES_ENV,
@@ -235,9 +238,9 @@ class TestPropagationStructure:
         convs = [s for s in plan.steps if isinstance(s, Conv2dStep)]
         nhwc = [s for s in convs if s.layout == "NHWC"]
         transposes = [s for s in plan.steps if isinstance(s, TransposeStep)]
-        # The synthetic costs favour channels-last for every depthwise /
-        # pointwise conv; propagation through whole inverted-residual chains
-        # needs only a boundary transpose or two, never one per conv.
+        # Every depthwise / pointwise chain runs channels-last; propagation
+        # through whole inverted-residual chains needs only a boundary
+        # transpose or two, never one per conv.
         assert len(nhwc) >= len(convs) // 2
         assert len(transposes) <= 3
         assert plan.layout(plan.input_slot) in (None, "NCHW")
@@ -260,6 +263,93 @@ class TestPropagationStructure:
             for slot in (getattr(step, "out_slot", None),):
                 if slot is not None:
                     producer_is_transpose[slot] = isinstance(step, TransposeStep)
+
+
+def derived_agent():
+    """The 33-conv inverted-residual agent derived along path ``[4, 5, 6] * 4``."""
+    supernet = AgentSuperNet(in_channels=2, input_size=28, feature_dim=64, base_width=8,
+                             rng=np.random.default_rng(0))
+    agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
+                             feature_dim=64, rng=np.random.default_rng(0))
+    agent.eval()
+    return agent
+
+
+def conv_tags(plan):
+    return [step.layout for step in plan.steps if isinstance(step, Conv2dStep)]
+
+
+def num_transposes(plan):
+    return sum(1 for step in plan.steps if isinstance(step, TransposeStep))
+
+
+def resnet20_plan():
+    agent = make_agent("ResNet-20", obs_size=28, frame_stack=2, feature_dim=32,
+                       base_width=4, seed=0)
+    agent.eval()
+    return compile_plan(agent, (4, 2, 28, 28))
+
+
+def supernet_train_plan():
+    supernet = AgentSuperNet(in_channels=2, input_size=16, feature_dim=16, base_width=4,
+                             rng=np.random.default_rng(0))
+    agent = ActorCriticAgent(supernet, num_actions=4, feature_dim=16,
+                             rng=np.random.default_rng(0))
+    agent.train()
+    return compile_plan(agent, (4, 2, 16, 16), train=True, gated_paths=ALL_CANDIDATES)
+
+
+class TestStaticRule:
+    """Layout tags depend on plan structure, registered kernels and pins only."""
+
+    def test_adversarial_timings_keep_channels_last(self, monkeypatch):
+        monkeypatch.delenv(KERNELS_ENV, raising=False)
+        timed = autotune._time_kernels
+
+        def nhwc_slower(spec, cands):
+            timings = timed(spec, cands)
+            if spec.layout == "NHWC":
+                timings = {name: 10.0 * seconds for name, seconds in timings.items()}
+            return timings
+
+        monkeypatch.setattr(autotune, "_time_kernels", nhwc_slower)
+        clear_autotune_cache()
+        try:
+            plan = compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32)
+        finally:
+            clear_autotune_cache()
+        assert conv_tags(plan) == ["NHWC"] * 33
+        assert num_transposes(plan) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32),
+        resnet20_plan,
+        supernet_train_plan,
+    ], ids=["derived_agent", "resnet20", "supernet_train"])
+    def test_auto_and_heuristic_agree(self, monkeypatch, build):
+        tags = {}
+        for mode in ("auto", "heuristic"):
+            monkeypatch.setenv(KERNELS_ENV, mode)
+            tags[mode] = conv_tags(build())
+        assert tags["auto"] == tags["heuristic"]
+
+    def test_dense_only_chains_stay_nchw(self, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, "heuristic")
+        plan = resnet20_plan()
+        assert set(conv_tags(plan)) == {"NCHW"}
+        assert num_transposes(plan) == 0
+
+    def test_im2col_pin_keeps_every_conv_nchw(self, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, "im2col")
+        plan = compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32)
+        assert conv_tags(plan) == ["NCHW"] * 33
+        assert num_transposes(plan) == 0
+
+    def test_dense_pin_keeps_the_stem_nchw(self, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, "dense=im2col")
+        plan = compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32)
+        assert conv_tags(plan) == ["NCHW"] + ["NHWC"] * 32
+        assert num_transposes(plan) == 1
 
 
 class TestScratchBounds:

@@ -5,8 +5,9 @@ its rollout/bootstrap plan once per batch shape.  Each plan holds every
 candidate branch of every cell, and a sample only picks which branches run.
 These tests pin the three promises that rest on: no steady-state recompiles
 or fresh buffers, results identical to a plan compiled with exactly the
-sample's branches, and a layout pass whose incremental move costs equal a
-full re-walk while keeping the derived agent's layout decisions.
+sample's branches, and layout tags that are the same with and without the
+autotuner, need no transpose a full re-walk would add, and keep boundary
+transposes inside their branch.
 """
 
 import numpy as np
@@ -191,23 +192,13 @@ class TestAllCandidatePlanParity:
                 np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
 
-class TestLayoutSearch:
-    """The incremental layout search keeps the full walk's costs and decisions."""
+class TestLayoutRule:
+    """The layout pass gives the same tags whether or not the autotuner runs."""
 
-    @pytest.fixture
-    def moves(self, monkeypatch):
-        """Every move the hill-climb prices, with its full re-walk cost."""
-        monkeypatch.setenv(KERNELS_ENV, "heuristic")
-        pairs = []
-        incremental = passes._LayoutSearch.move_cost
-
-        def checked(search, candidate, flipped):
-            cost = incremental(search, candidate, flipped)
-            pairs.append((cost, search.full_cost(candidate)))
-            return cost
-
-        monkeypatch.setattr(passes._LayoutSearch, "move_cost", checked)
-        return pairs
+    @pytest.fixture(params=["auto", "heuristic"])
+    def kernel_mode(self, request, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, request.param)
+        return request.param
 
     @staticmethod
     def _layout_counts(plan):
@@ -216,7 +207,7 @@ class TestLayoutSearch:
         transposes = sum(1 for step in plan.steps if isinstance(step, TransposeStep))
         return nhwc, len(convs), transposes
 
-    def test_derived_agent_layouts(self, moves):
+    def test_derived_agent_layouts(self, kernel_mode):
         supernet = AgentSuperNet(in_channels=2, input_size=28, feature_dim=64, base_width=8,
                                  rng=np.random.default_rng(0))
         agent = ActorCriticAgent(supernet.derive([4, 5, 6] * 4), num_actions=6,
@@ -226,26 +217,49 @@ class TestLayoutSearch:
         assert self._layout_counts(rollout) == (33, 33, 1)
         agent.train()
         train = compile_plan(agent, (80, 2, 28, 28), dtype=np.float32, train=True)
+        # The dense stem has no channels-last training kernel.
         assert self._layout_counts(train) == (32, 33, 1)
-        assert moves
-        assert all(cost == full for cost, full in moves)
+
+
+class TestLayoutSearch:
+    """The layout pass's conv tags need no transpose a full re-walk would add."""
+
+    @pytest.fixture
+    def rewalk_boundaries(self, monkeypatch):
+        """Reads left in the wrong layout when each finished pass is re-walked."""
+        layout = passes._PASS_FUNCS["layout"]
+        found = []
+
+        def checked(plan, ctx):
+            layout(plan, ctx)
+            tags = {id(step): step.layout for step in plan.steps if isinstance(step, Conv2dStep)}
+            steps = list(plan.steps)
+            boundaries, walked = [], []
+            passes._walk_layouts(plan, ctx, tags,
+                                 lambda step, slot, *_: boundaries.append(slot) or slot, walked)
+            assert walked == steps
+            found.append(boundaries)
+
+        monkeypatch.setitem(passes._PASS_FUNCS, "layout", checked)
+        return found
 
     @pytest.mark.parametrize("train", [False, True])
-    def test_all_candidate_moves_match_full_walk(self, moves, train):
-        agent = _agent()
-        agent.train(train)
-        plan = compile_plan(agent, (4, 2, 16, 16), train=train, gated_paths=ALL_CANDIDATES)
-        assert moves
-        assert all(cost == full for cost, full in moves)
-        # A tagged boundary transpose feeds only its own branch.
-        tagged = [step for step in plan.steps
-                  if isinstance(step, TransposeStep) and step.branch is not None]
-        assert tagged or not train
-        for transpose in tagged:
-            for step in plan.steps:
-                if transpose.out_slot not in passes.step_reads(step):
-                    continue
-                if isinstance(step, GateCombineStep):
-                    assert step.branch_of(transpose.out_slot) == transpose.branch
-                else:
-                    assert step.branch == transpose.branch
+    def test_all_candidate_moves_match_full_walk(self, rewalk_boundaries, monkeypatch, train):
+        for mode in ("auto", "heuristic"):
+            monkeypatch.setenv(KERNELS_ENV, mode)
+            agent = _agent()
+            agent.train(train)
+            plan = compile_plan(agent, (4, 2, 16, 16), train=train, gated_paths=ALL_CANDIDATES)
+            # A tagged boundary transpose feeds only its own branch.
+            tagged = [step for step in plan.steps
+                      if isinstance(step, TransposeStep) and step.branch is not None]
+            assert tagged or not train
+            for transpose in tagged:
+                for step in plan.steps:
+                    if transpose.out_slot not in passes.step_reads(step):
+                        continue
+                    if isinstance(step, GateCombineStep):
+                        assert step.branch_of(transpose.out_slot) == transpose.branch
+                    else:
+                        assert step.branch == transpose.branch
+        assert rewalk_boundaries == [[], []]
