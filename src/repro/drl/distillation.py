@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor
+from ..nn import Tensor, no_grad
 from ..nn import functional as F
+from ..reliability import health
+from ..runtime import RuntimePolicy
+from ..runtime.compiler import CompileError
 
 __all__ = ["DistillationMode", "ACDistiller", "actor_distillation_loss", "critic_distillation_loss"]
 
@@ -50,7 +53,7 @@ def critic_distillation_loss(student_values, teacher_values):
     """Eq. 11: ``E[ 0.5 (V_student(s) - V_teacher(s))^2 ]``, teacher detached."""
     teacher = np.asarray(
         teacher_values.data if isinstance(teacher_values, Tensor) else teacher_values,
-        dtype=np.float64,
+        dtype=student_values.dtype,
     )
     diff = student_values - Tensor(teacher)
     return (diff * diff).mean() * 0.5
@@ -66,11 +69,18 @@ class ACDistiller:
         ResNet-20 teacher).  Its parameters are never updated here.
     mode:
         One of :class:`DistillationMode` (``"none"``, ``"policy"``, ``"ac"``).
+    dtype:
+        Compute dtype of the teacher targets: the training loop passes the
+        dtype its student trains at, so the targets reach the compiled loss
+        head without a cast.  The teacher's own ``runtime_dtype`` is left as
+        it is: the targets run on the distiller's own runtime.
     """
 
-    def __init__(self, teacher, mode=DistillationMode.AC):
+    def __init__(self, teacher, mode=DistillationMode.AC, dtype=np.float32):
         self.teacher = teacher
         self.mode = DistillationMode.validate(mode)
+        self.dtype = np.dtype(dtype)
+        self._runtime = None
         if teacher is not None:
             self.teacher.eval()
 
@@ -83,18 +93,28 @@ class ACDistiller:
         """Run the frozen teacher on a batch of observations.
 
         The teacher is pure inference (its parameters are never updated), so
-        this goes through the tape-free runtime engine via ``policy_value``
-        rather than building an autograd forward.
+        this runs on the distiller's own tape-free runtime policy at
+        :attr:`dtype`; the eager forward serves a teacher built without the
+        runtime, or one the runtime cannot compile.
 
         Returns
         -------
         probs, values:
-            NumPy arrays of the teacher's action distribution and value
-            estimates (no gradients are recorded).
+            NumPy arrays (in :attr:`dtype`) of the teacher's action
+            distribution and value estimates (no gradients are recorded).
         """
         if not self.enabled:
             return None, None
-        return self.teacher.policy_value(observations)
+        if self.teacher.use_runtime:
+            if self._runtime is None:
+                self._runtime = RuntimePolicy(self.teacher, dtype=self.dtype)
+            try:
+                return self._runtime.policy_value(observations)
+            except CompileError:
+                health.record("eager_fallbacks")
+        with no_grad():
+            output = self.teacher.forward(observations)
+        return output.probs.data.astype(self.dtype), output.value.data.astype(self.dtype)
 
     def losses(self, observations, student_output, teacher_probs=None, teacher_values=None):
         """Compute ``(actor_distill_loss, critic_distill_loss)`` tensors.

@@ -62,9 +62,11 @@ class TrainLoopConfig:
     eval_episodes: int = 5
     seed: int = 0
     #: Route updates through the compiled training runtime (eager fallback
-    #: stays available per call); ``compiled_train_dtype=None`` means float64.
+    #: stays available per call).  Its plans and the teacher targets run at
+    #: ``compiled_train_dtype``; master weights and RMSProp state stay
+    #: float64 either way.  ``np.float64`` matches the eager tape to ~1e-12.
     use_compiled_train: bool = True
-    compiled_train_dtype: object = None
+    compiled_train_dtype: object = np.float32
     #: Crash safety: write a full checkpoint to ``autosave_path`` every
     #: ``autosave_interval`` updates (0 disables).  The write is atomic, so a
     #: SIGKILL mid-save leaves the previous autosave intact and resuming from
@@ -133,7 +135,9 @@ class TrainLoop:
         self.env = env
         self.config = config
         self.distiller = ACDistiller(
-            teacher, mode=config.distillation_mode if teacher is not None else DistillationMode.NONE
+            teacher,
+            mode=config.distillation_mode if teacher is not None else DistillationMode.NONE,
+            dtype=config.compiled_train_dtype,
         )
         self.evaluator = evaluator
         self.optimizer = RMSProp(agent.parameters(), lr=learning_rate)
@@ -214,11 +218,8 @@ class TrainLoop:
         if self._train_step is None:
             from ..runtime.train import CompiledTrainStep
 
-            dtype = self.config.compiled_train_dtype
             self._train_step = CompiledTrainStep(
-                self.agent,
-                self.optimizer,
-                dtype=np.float64 if dtype is None else dtype,
+                self.agent, self.optimizer, dtype=self.config.compiled_train_dtype
             )
         return self._train_step
 

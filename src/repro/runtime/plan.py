@@ -1743,31 +1743,6 @@ class Plan:
             return None
         return entry[1]
 
-    def memory_stats(self):
-        """Resident-footprint accounting (drives the peak-memory benchmarks).
-
-        ``allocated_bytes`` counts every byte obtained through :meth:`alloc`
-        — shared arenas once — i.e. the plan's actual peak memory.
-        ``logical_slot_bytes`` is what a one-buffer-per-slot allocation of the
-        same step list would need for the activation (and gradient) slots, so
-        the difference is the aliasing pass's saving on this exact program.
-        """
-        logical = 0
-        for slot, shape in enumerate(self._shapes):
-            if slot in self._view_slots:
-                continue
-            dead = self.storage is not None and slot in self.storage.dead_slots
-            if not dead:
-                logical += int(np.prod(shape)) * self.slot_dtype(slot).itemsize
-        if self.train:
-            logical *= 2
-        return {
-            "allocated_bytes": int(self.alloc_bytes),
-            "logical_slot_bytes": int(logical),
-            "num_steps": len(self.steps),
-            "num_slots": len(self._shapes),
-        }
-
     def __repr__(self):
         return "Plan(steps={}, slots={}, dtype={}{})".format(
             len(self.steps), len(self._shapes), self.dtype.name,

@@ -120,9 +120,10 @@ class CompiledTrainStep:
         Its state is shared with the eager path, so compiled and eager steps
         can be freely interleaved.
     dtype:
-        Compute dtype of the plans.  ``np.float64`` (default) matches the
-        autograd engine's gradients to ~1e-12; ``np.float32`` is the
-        production fast path.
+        Compute dtype of the plans.  ``np.float64`` (this class's default)
+        matches the autograd engine's gradients to ~1e-12; ``np.float32`` is
+        the fast path, and the trainers' default
+        (:attr:`repro.drl.loop.TrainLoopConfig.compiled_train_dtype`).
     max_plans:
         LRU bound on cached ``(shape, K, supernet)`` signatures.  Training
         plans own gradient buffers too, so the bound is deliberately small;

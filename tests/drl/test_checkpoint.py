@@ -73,8 +73,11 @@ class TestCompiledTrainerParity:
                                base_width=4, seed=0)
             env = make_vector_env(GAME, num_envs=2, obs_size=OBS_SIZE, frame_stack=2,
                                   max_episode_steps=60, seed=0)
+            # Pinned float64: the compiled plans then match the eager tape
+            # to far below the tolerance (the float32 default does not).
             config = A2CConfig(total_steps=60, num_envs=2, seed=0,
-                               use_compiled_train=use_compiled)
+                               use_compiled_train=use_compiled,
+                               compiled_train_dtype=np.float64)
             trainer = A2CTrainer(agent, env, config=config)
             trainer.train()
             return trainer

@@ -1,0 +1,91 @@
+"""The training loop's compute dtype: float32 by default, float64 when pinned.
+
+The compiled train plans and the teacher targets run at
+``compiled_train_dtype``; the master weights and the optimiser state stay
+float64 parameters whatever it is.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cosearch import A3CSConfig, A3CSCoSearch
+from repro.drl import A2CConfig, A2CTrainer, ACDistiller, DistillationMode, make_agent
+from repro.envs import make_vector_env
+from repro.nas import DRLArchitectureSearch, SearchConfig
+
+GAME = "Breakout"
+OBS_SIZE = 21
+ENV_KW = {"obs_size": OBS_SIZE, "frame_stack": 2, "max_episode_steps": 60}
+SUPERNET_KW = {"input_size": OBS_SIZE, "in_channels": 2, "feature_dim": 16,
+               "base_width": 4, "num_cells": 6}
+
+
+def _teacher():
+    teacher = make_agent("Vanilla", obs_size=OBS_SIZE, frame_stack=2, feature_dim=16, seed=1)
+    teacher.eval()
+    return teacher
+
+
+def _a2c(**overrides):
+    agent = make_agent("Vanilla", obs_size=OBS_SIZE, frame_stack=2, feature_dim=16, seed=0)
+    env = make_vector_env(GAME, num_envs=2, seed=0, **ENV_KW)
+    config = A2CConfig(total_steps=10, num_envs=2, seed=0,
+                       distillation_mode=DistillationMode.AC, **overrides)
+    return A2CTrainer(agent, env, config=config, teacher=_teacher())
+
+
+def _search(**overrides):
+    config = SearchConfig(total_steps=10, num_envs=2, seed=0, **overrides)
+    return DRLArchitectureSearch(GAME, teacher=_teacher(), config=config,
+                                 env_kwargs=dict(ENV_KW), supernet_kwargs=dict(SUPERNET_KW))
+
+
+def _cosearch():
+    config = A3CSConfig(obs_size=OBS_SIZE, num_envs=2, num_cells=6, base_width=4,
+                        feature_dim=16, max_episode_steps=60, search_steps=10)
+    cosearch = A3CSCoSearch(GAME, config=config, teacher=_teacher())
+    cosearch._build()
+    return cosearch.searcher
+
+
+def _assert_trains_at(loop, dtype):
+    loop._run(loop.total_env_steps + 1)
+    step = loop._train_step
+    assert step is not None and step.dtype == dtype
+    assert step.num_plans > 0
+    assert all(plan.dtype == dtype for plan in step._plans.values())
+    assert loop.distiller.dtype == dtype
+    assert loop.distiller.teacher.runtime_dtype == np.float64
+    # Master weights stay float64 whatever the plans compute in.
+    assert all(param.data.dtype == np.float64 for param in loop.agent.parameters())
+
+
+class TestDefaultTrainDtype:
+    @pytest.mark.parametrize("build", [_a2c, _search, _cosearch], ids=["a2c", "search", "cosearch"])
+    def test_default_is_float32(self, build):
+        _assert_trains_at(build(), np.float32)
+
+    @pytest.mark.parametrize("build", [_a2c, _search], ids=["a2c", "search"])
+    def test_explicit_float64_is_kept(self, build):
+        _assert_trains_at(build(compiled_train_dtype=np.float64), np.float64)
+
+
+class TestTeacherTargetsDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_targets_in_train_dtype_teacher_untouched(self, dtype, rng):
+        teacher = _teacher()
+        distiller = ACDistiller(teacher, mode=DistillationMode.AC, dtype=dtype)
+        obs = rng.standard_normal((3, 2, OBS_SIZE, OBS_SIZE)).astype(np.float32)
+        probs, values = distiller.teacher_targets(obs)
+        assert probs.dtype == dtype and values.dtype == dtype
+        assert teacher.runtime_dtype == np.float64
+        reference_probs, reference_values = teacher.policy_value(obs)
+        np.testing.assert_allclose(probs, reference_probs, atol=1e-5)
+        np.testing.assert_allclose(values, reference_values, atol=1e-5)
+
+    def test_eager_teacher_is_cast(self, rng):
+        teacher = make_agent("Vanilla", obs_size=OBS_SIZE, frame_stack=2, feature_dim=16,
+                             seed=1, use_runtime=False)
+        distiller = ACDistiller(teacher, mode=DistillationMode.AC, dtype=np.float32)
+        probs, values = distiller.teacher_targets(rng.standard_normal((2, 2, OBS_SIZE, OBS_SIZE)))
+        assert probs.dtype == np.float32 and values.dtype == np.float32

@@ -33,21 +33,33 @@ NUM_CHOICES = 9
 class TestSteadyStateHasNoCompiles:
     """Updates 3-8 of a tiny co-search compile nothing and allocate nothing."""
 
-    @pytest.mark.parametrize("grad_samples", [1, 2])
-    def test_no_plan_misses_or_fresh_bytes(self, grad_samples):
+    # The trainers' float32 default, and float64 pinned through the config.
+    @pytest.mark.parametrize(
+        "grad_samples, dtype",
+        [(1, None), (2, None), (1, np.float64), (2, np.float64)],
+        ids=["1", "2", "1-f64", "2-f64"],
+    )
+    def test_no_plan_misses_or_fresh_bytes(self, grad_samples, dtype, monkeypatch):
         teacher = make_agent("ResNet-14", obs_size=14, frame_stack=2, feature_dim=16,
                              base_width=4, seed=1)
         teacher.eval()
         config = A3CSConfig(obs_size=14, frame_stack=2, num_envs=2, base_width=4,
                             feature_dim=16, max_episode_steps=40,
                             grad_samples=grad_samples, seed=0)
+        if dtype is None:
+            dtype = np.float32
+        else:
+            search_config = config.search_config()
+            search_config.compiled_train_dtype = dtype
+            monkeypatch.setattr(config, "search_config", lambda: search_config)
         cosearch = A3CSCoSearch("Breakout", config=config, teacher=teacher)
         cosearch._build()
         searcher = cosearch.searcher
-        assert searcher.config.compiled_train_dtype is None  # float64 plans
+        assert searcher.distiller.dtype == dtype
         for _ in range(8):
             searcher.search(total_steps=searcher.total_env_steps + 1)
         assert searcher.updates == 8
+        assert searcher._train_step.dtype == dtype
         for name in ("train_plan_misses", "rollout_plan_misses", "pool_bytes_fresh"):
             _, values = searcher.logger.series("runtime/" + name)
             assert len(values) == 8
