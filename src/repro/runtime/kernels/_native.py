@@ -1,43 +1,52 @@
-"""Tiny compiled helpers for the depthwise kernels (float and int8).
+"""Tiny compiled helpers for the depthwise and batch-norm steps (float and int8).
 
 NumPy has no fused multiply-accumulate over a convolution window: an
 ``einsum`` over 6-D strided tap windows runs at a fraction of what a plain C
 loop reaches, and an ``int8`` einsum runs through the generic scalar inner
-loop, slower than the f32 path it is meant to replace.  The depthwise
-convolutions therefore ship small C kernels compiled on demand with the
-system C compiler (no new dependency: the toolchain that built CPython is
-already on the host) and loaded through :mod:`ctypes`:
+loop, slower than the f32 path it is meant to replace.  Channels-last batch
+norm reduces over ``(N, H, W)`` with an inner loop only ``C`` long, where
+each NumPy pass pays its per-row overhead.  These steps therefore ship small
+C kernels compiled on demand with the system C compiler (no new dependency:
+the toolchain that built CPython is already on the host) and loaded through
+:mod:`ctypes`:
 
 * ``dw_fwd_{f32,f64}`` / ``dw_bwd_{f32,f64}`` — float NHWC depthwise
   forward and fused VJPs (weight VJP into a tap-major staging buffer, input
   VJP added straight into ``gin``) for
   :class:`~repro.runtime.kernels.depthwise.DepthwiseNativeKernel`;
+* ``bn_stats_*`` / ``bn_apply_*`` / ``bn_vjp_*`` (f32, f64) — NHWC batch
+  norm for the plan steps' ``_BNMixin``: per-channel mean and two-pass
+  variance; ``x*scale + shift (+res)`` with relu fused; and the relu VJP,
+  ``dgamma``/``dbeta`` and input-gradient tail of
+  :func:`repro.nn.vjp.batchnorm2d_vjp`;
 * ``dw_conv_q8`` — int8 depthwise conv, ``int32`` accumulate, fused
   per-channel requantization tail;
 * ``requant_q8`` — the same tail as one pass over a float32 accumulator,
   used by the float-accumulate q8 fallback kernels.
 
-Exactness contract.  The float routines sum the same products as the NumPy
-``depthwise_einsum`` kernel in another order, so the two agree only to
-float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative), like any
-two float kernels the autotuner chooses between.  The q8 routines must be
-*bitwise identical* to the pure NumPy fallbacks in
-:mod:`repro.runtime.kernels.quantized`.  Both sides compute the same integer
-accumulation exactly (the fallbacks upcast to float32, where every product
-and partial sum stays below 2**24, so the float arithmetic is exact integer
-arithmetic), and the requant tail uses the same rounding sequence: one
-multiply round, one add round per term, round-half-even to integer.  The
-build pins ``-ffp-contract=off`` so the compiler cannot fuse the
-multiply/add into an FMA, and ``rintf`` matches ``np.rint`` under the
-default rounding mode.
+Exactness contract.  The float depthwise routines sum the same products as
+the NumPy ``depthwise_einsum`` kernel in another order, so the two agree
+only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative), like
+any two float kernels the autotuner chooses between.  The batch-norm and q8
+routines must be *bitwise identical* to the NumPy code they replace.  Batch
+norm sums in the slot's dtype, row by row from zero: NumPy's order for a
+reduction over outer axes that keeps at least two channels (with one, NumPy
+sums pairwise, so the plan steps route ``C == 1`` to NumPy).  The q8
+fallbacks upcast to float32, where every product and partial sum stays below
+2**24, so both sides compute the same integer accumulation exactly, and the
+requant tail uses the same rounding sequence: one multiply round, one add
+round per term, round-half-even to integer.  Both rely on the build pinning
+``-ffp-contract=off`` (no FMA contraction) and on ``rintf`` matching
+``np.rint`` under the default rounding mode.
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
 (tempfile + rename) so concurrent processes race benignly.  Any failure —
 no compiler, sandboxed filesystem, exotic cc — degrades silently:
 ``available()`` returns ``False`` and the NumPy fallbacks
-(``depthwise_einsum``, ``depthwise_einsum_q8`` and the NumPy requant tail)
-serve the plan.  ``REPRO_NATIVE=0`` disables the path outright.
+(``depthwise_einsum``, the NumPy batch-norm code, ``depthwise_einsum_q8``
+and the NumPy requant tail) serve the plan.  ``REPRO_NATIVE=0`` disables
+the path outright.
 """
 
 from __future__ import annotations
@@ -48,7 +57,12 @@ import os
 import subprocess
 import tempfile
 
-__all__ = ["available", "dw_fwd", "dw_bwd", "dw_conv_q8", "requant_q8"]
+import numpy as np
+
+__all__ = [
+    "available", "dw_fwd", "dw_bwd", "dw_conv_q8", "requant_q8",
+    "bn_stats", "bn_apply", "bn_vjp",
+]
 
 ENV_VAR = "REPRO_NATIVE"
 
@@ -250,14 +264,103 @@ void dw_bwd_SFX(const REAL *restrict x, const REAL *restrict w,
 }
 """
 
+#: Channels-last batch norm over a C-contiguous ``(rows, c)`` view, for
+#: ``float`` and ``double`` like ``_DW_FLOAT``.  Every sum runs in ``REAL``,
+#: row by row from zero, which is NumPy's order for a reduction over outer
+#: axes keeping ``c >= 2`` (``mean``, ``sum``, ``einsum("nhwc,nhwc->c")``);
+#: with one rounding per operation the results equal the NumPy path's bits.
+_BN_FLOAT = r"""
+/* Per-channel mean and two-pass (biased) variance. */
+void bn_stats_SFX(const REAL *restrict x, REAL *restrict mean,
+                  REAL *restrict var, long rows, int c)
+{
+    memset(mean, 0, (size_t)c * sizeof(REAL));
+    memset(var, 0, (size_t)c * sizeof(REAL));
+    for (long i = 0; i < rows * c; i += c) {
+        #pragma omp simd
+        for (int ch = 0; ch < c; ++ch)
+            mean[ch] += x[i + ch];
+    }
+    for (int ch = 0; ch < c; ++ch)
+        mean[ch] /= (REAL)rows;
+    for (long i = 0; i < rows * c; i += c) {
+        #pragma omp simd
+        for (int ch = 0; ch < c; ++ch) {
+            REAL d = x[i + ch] - mean[ch];
+            var[ch] += d * d;
+        }
+    }
+    for (int ch = 0; ch < c; ++ch)
+        var[ch] /= (REAL)rows;
+}
+
+/* out = x*scale + shift (+ res), then relu (np.maximum(v, 0): NaN stays,
+ * -0 becomes +0) when `relu`.  `out` may be `x`. */
+void bn_apply_SFX(const REAL *x, const REAL *restrict res, REAL *out,
+                  const REAL *restrict scale, const REAL *restrict shift,
+                  long rows, int c, int relu)
+{
+    for (long i = 0; i < rows * c; i += c) {
+        #pragma omp simd
+        for (int ch = 0; ch < c; ++ch) {
+            REAL v = x[i + ch] * scale[ch];
+            v = v + shift[ch];
+            if (res)
+                v = v + res[i + ch];
+            out[i + ch] = relu && v <= 0 ? 0 : v;
+        }
+    }
+}
+
+/* The VJP of bn_apply without residual (nn/vjp.batchnorm2d_vjp): when
+ * `relu`, `g` is first masked in place by `y > 0`; `dgamma` and `dbeta`
+ * are overwritten and the input gradient is added into `gin`. */
+void bn_vjp_SFX(REAL *restrict g, const REAL *restrict y,
+                const REAL *restrict x, REAL *restrict gin,
+                const REAL *restrict mean, const REAL *restrict inv_std,
+                const REAL *restrict gamma, REAL *restrict dgamma,
+                REAL *restrict dbeta, long rows, int c, int training, int relu)
+{
+    REAL k1[c], k2[c], scale[c];
+    memset(dgamma, 0, (size_t)c * sizeof(REAL));
+    memset(dbeta, 0, (size_t)c * sizeof(REAL));
+    for (long i = 0; i < rows * c; i += c) {
+        #pragma omp simd
+        for (int ch = 0; ch < c; ++ch) {
+            if (relu)
+                g[i + ch] = g[i + ch] * (REAL)(y[i + ch] > 0);
+            REAL xhat = (x[i + ch] - mean[ch]) * inv_std[ch];
+            dgamma[ch] += g[i + ch] * xhat;
+            dbeta[ch] += g[i + ch];
+        }
+    }
+    for (int ch = 0; ch < c; ++ch) {
+        scale[ch] = gamma[ch] * inv_std[ch];
+        k1[ch] = dgamma[ch] / (REAL)rows;
+        k2[ch] = dbeta[ch] / (REAL)rows;
+    }
+    for (long i = 0; i < rows * c; i += c) {
+        #pragma omp simd
+        for (int ch = 0; ch < c; ++ch) {
+            REAL v = g[i + ch];
+            if (training) {
+                REAL t = (x[i + ch] - mean[ch]) * inv_std[ch] * k1[ch];
+                v = (v - t) - k2[ch];
+            }
+            gin[i + ch] = gin[i + ch] + v * scale[ch];
+        }
+    }
+}
+"""
+
 _SOURCE += "".join(
-    _DW_FLOAT.replace("REAL", ctype).replace("SFX", suffix)
+    (_DW_FLOAT + _BN_FLOAT).replace("REAL", ctype).replace("SFX", suffix)
     for ctype, suffix in (("float", "f32"), ("double", "f64"))
 )
 
 #: ``-ffp-contract=off`` is load-bearing: a fused multiply-add in the requant
-#: tail would round differently from the NumPy fallbacks and break the
-#: bitwise C-vs-NumPy contract.
+#: tail or the batch-norm loops would round differently from the NumPy code
+#: and break the bitwise C-vs-NumPy contract.
 _CFLAGS = (
     "-O3", "-march=native", "-fopenmp-simd", "-fno-math-errno",
     "-ffp-contract=off", "-shared", "-fPIC",
@@ -310,6 +413,11 @@ def _bind(lib):
         fwd.restype = bwd.restype = None
         fwd.argtypes = [ctypes.c_void_p] * 3 + ints
         bwd.argtypes = [ctypes.c_void_p] * 5 + ints
+        # Batch norm: pointers, then the row count, then C and int flags.
+        for name, pointers, flags in (("bn_stats", 3, 0), ("bn_apply", 5, 1), ("bn_vjp", 9, 2)):
+            fn = getattr(lib, name + "_" + suffix)
+            fn.restype = None
+            fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_long] + [ctypes.c_int] * (1 + flags)
     lib.requant_q8.restype = None
     lib.requant_q8.argtypes = [
         f32p, f32p, f32p, i8p, ctypes.c_float, i8p,
@@ -338,7 +446,7 @@ def _load():
 
 
 def available():
-    """Whether the compiled depthwise kernels can be used."""
+    """Whether the compiled library (depthwise, batch-norm, q8) can be used."""
     return _load() is not None
 
 
@@ -346,32 +454,37 @@ def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def _float_call(name, x, w_taps, y, k, stride, padding, *extra):
+def _call(name, operands, *scalars):
     """Validate the operands of a float routine, then call it.
 
     The C loops trust every pointer and extent, so a wrong dtype, a strided
     view or a mis-shaped buffer is rejected here rather than read out of
-    bounds.  ``y`` is the output-shaped operand; ``extra`` are
-    ``(array or None, expected shape)`` pairs.
+    bounds.  ``operands`` are ``(array or None, expected shape)`` pairs in
+    the C argument order; the first one's dtype picks the variant.
     """
+    dtype = operands[0][0].dtype
+    for arr, shape in operands:
+        if arr is None:
+            continue
+        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(
+                "{}: expected a C-contiguous {} array of shape {}, got {} {}".format(
+                    name, dtype, shape, arr.dtype, arr.shape))
+    suffix = {"float32": "_f32", "float64": "_f64"}.get(dtype.name)
+    if suffix is None:
+        raise ValueError("{}: no {} variant".format(name, dtype))
+    getattr(_lib, name + suffix)(
+        *(None if arr is None else arr.ctypes.data for arr, _ in operands), *scalars)
+
+
+def _float_call(name, x, w_taps, y, k, stride, padding, *extra):
+    """Call a depthwise routine; ``y`` is the output-shaped operand and
+    ``extra`` are further ``(array or None, expected shape)`` pairs."""
     n, h, wd, c = x.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
     operands = [(x, x.shape), (w_taps, (k * k, c)), (y, (n, oh, ow, c)), *extra]
-    for arr, shape in operands:
-        if arr is None:
-            continue
-        if arr.dtype != x.dtype or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(
-                "{}: expected a C-contiguous {} array of shape {}, got {} {}".format(
-                    name, x.dtype, shape, arr.dtype, arr.shape))
-    suffix = {"float32": "_f32", "float64": "_f64"}.get(x.dtype.name)
-    if suffix is None:
-        raise ValueError("{}: no {} variant".format(name, x.dtype))
-    getattr(_lib, name + suffix)(
-        *(None if arr is None else arr.ctypes.data for arr, _ in operands),
-        n, h, wd, c, k, stride, padding, oh, ow,
-    )
+    _call(name, operands, n, h, wd, c, k, stride, padding, oh, ow)
 
 
 def dw_fwd(x, w_taps, out, k, stride, padding):
@@ -427,3 +540,31 @@ def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
         ctypes.c_float(res_scale), _ptr(out, ctypes.c_int8),
         acc.size // c, c, ctypes.c_float(lo), ctypes.c_float(hi),
     )
+
+
+# Batch norm: ``x`` is a channels-last activation of any leading shape, seen
+# as ``(rows, C)``; per-channel vectors are ``(C,)`` of the same dtype.
+def bn_stats(x, mean, var):
+    """Per-channel batch mean and two-pass variance of ``x`` into ``mean``/``var``."""
+    c = x.shape[-1]
+    _call("bn_stats", [(x, x.shape), (mean, (c,)), (var, (c,))], x.size // c, c)
+
+
+def bn_apply(x, scale, shift, res, out, relu):
+    """``out = x*scale + shift (+res)``, then relu if ``relu``; ``out`` may be ``x``."""
+    c = x.shape[-1]
+    _call("bn_apply", [(x, x.shape), (res, x.shape), (out, x.shape),
+                       (scale, (c,)), (shift, (c,))], x.size // c, c, int(relu))
+
+
+def bn_vjp(g, y, x, gin, mean, inv_std, gamma, training):
+    """Batch-norm VJP: adds the input gradient into ``gin``, returns ``(dgamma, dbeta)``.
+
+    ``y`` is the relu output that masks ``g`` in place (``None``: no relu)."""
+    c = x.shape[-1]
+    dgamma, dbeta = np.empty(c, x.dtype), np.empty(c, x.dtype)
+    _call("bn_vjp", [(g, x.shape), (y, x.shape), (x, x.shape), (gin, x.shape),
+                     (mean, (c,)), (inv_std, (c,)), (gamma, (c,)),
+                     (dgamma, (c,)), (dbeta, (c,))],
+          x.size // c, c, int(training), int(y is not None))
+    return dgamma, dbeta

@@ -42,7 +42,7 @@ import numpy as np
 from ..nn import vjp
 from ..telemetry import trace
 from . import kernels as conv_kernels
-from .kernels import SCRATCH_GEMM, SCRATCH_MAIN, SCRATCH_PAD
+from .kernels import SCRATCH_GEMM, SCRATCH_MAIN, SCRATCH_PAD, _native
 
 __all__ = [
     "Plan",
@@ -315,60 +315,94 @@ class _ParamCache:
         return buf
 
 
+def _native_bn(layout, *arrays):
+    """Whether the compiled batch-norm routines, bitwise equal to the NumPy code
+    below, serve these operands: C-contiguous float NHWC slots with at least two
+    channels (NumPy reduces a single channel pairwise, not row by row)."""
+    x = arrays[0]
+    return (
+        layout == "NHWC"
+        and x.dtype in (np.float32, np.float64)
+        and x.shape[-1] > 1
+        and _native.available()
+        and all(a is None or (a.dtype == x.dtype and a.flags.c_contiguous) for a in arrays)
+    )
+
+
 class _BNMixin:
     """Shared batch-norm math for fused conv steps and standalone BN steps.
 
     Supports both eval mode (running statistics) and train mode (batch
-    statistics + in-place running-stat updates), mirroring
-    :func:`repro.nn.functional.batch_norm2d`.
+    statistics, per sample group in stacked-path plans, plus in-place
+    running-stat updates), mirroring :func:`repro.nn.functional.batch_norm2d`.
+    Statistics and per-channel vectors are ``(groups, C)``.  NHWC float
+    slots run the compiled ``bn_stats``/``bn_apply``/``bn_vjp`` of
+    :mod:`repro.runtime.kernels._native` (relu fused), one call per sample
+    group; every other slot runs the NumPy code, which gives the same bits.
     """
 
     #: Training plans flip this on so ``_bn_scale_shift`` saves the statistics
     #: its backward needs; inference plans pay nothing for it.
     _capture_stats = False
 
-    def _bn_scale_shift(self, bn, x, params):
-        """Per-channel ``(scale, shift)`` for ``y = x * scale + shift``.
+    def _batch_stats(self, x, groups):
+        """Per-group batch mean and two-pass variance, ``(groups, C)`` each."""
+        layout = self.layout
+        c = x.shape[-1] if layout == "NHWC" else x.shape[1]
+        mean = np.empty((groups, c), dtype=x.dtype)
+        var = np.empty_like(mean)
+        if _native_bn(layout, x):
+            for g, part in enumerate(stacked_view(x, groups)):
+                _native.bn_stats(part, mean[g], var[g])
+            return mean, var
+        # Two-pass variance (same association as the eager engine) via a
+        # lazily-allocated workspace: train-mode BN stays allocation-free
+        # per run without paying the workspace in eval-only plans.
+        ws = getattr(self, "_bn_ws", None)
+        if ws is None or ws.shape != x.shape or ws.dtype != x.dtype:
+            ws = np.empty_like(x)
+            self._bn_ws = ws
+        axes = _channel_axes(layout)
+        for g, (part, wpart) in enumerate(zip(stacked_view(x, groups), stacked_view(ws, groups))):
+            mean[g] = part.mean(axis=axes)
+            np.subtract(part, _per_channel(mean[g], layout), out=wpart)
+            np.square(wpart, out=wpart)
+            var[g] = wpart.mean(axis=axes)
+        return mean, var
+
+    def _bn_scale_shift(self, bn, x, params, groups=1):
+        """Per-group, per-channel ``(scale, shift)`` for ``y = x * scale + shift``.
 
         ``x`` is the activation in the step's physical layout (channels
         second for NCHW, trailing for NHWC); in training mode the batch
-        statistics are computed from it and the module's running buffers are
-        updated in place (exactly like the eager path does during rollout
-        collection).
+        statistics of each of its ``groups`` leading-axis sample groups are
+        computed from it and the module's running buffers are updated in
+        place (exactly like the eager path does during rollout collection).
         """
-        layout = getattr(self, "layout", "NCHW")
         gamma = params.fetch_param("gamma", bn.gamma)
         beta = params.fetch_param("beta", bn.beta)
         if bn.training:
-            axes = _channel_axes(layout)
-            mean = x.mean(axis=axes)
-            # Two-pass variance (same association as the eager engine) via a
-            # lazily-allocated workspace: train-mode BN stays allocation-free
-            # per run without paying the workspace in eval-only plans.
-            ws = getattr(self, "_bn_ws", None)
-            if ws is None or ws.shape != x.shape or ws.dtype != x.dtype:
-                ws = np.empty_like(x)
-                self._bn_ws = ws
-            np.subtract(x, _per_channel(mean, layout), out=ws)
-            np.square(ws, out=ws)
-            var = ws.mean(axis=axes)
-            # Shared-trunk steps of stacked-path plans run once where K
-            # per-path executions (and the eager K-sample fallback) would run
-            # K times on identical batch statistics: repeat the EMA so the
-            # running buffers stay on the per-path trajectory.
-            mean64 = np.asarray(mean, dtype=np.float64)
-            var64 = np.asarray(var, dtype=np.float64)
-            for _ in range(getattr(self, "stat_repeats", 1)):
-                bn.running_mean *= 1.0 - bn.momentum
-                bn.running_mean += bn.momentum * mean64
-                bn.running_var *= 1.0 - bn.momentum
-                bn.running_var += bn.momentum * var64
+            mean, var = self._batch_stats(x, groups)
+            # Sequential running-stat updates in ascending group order mirror
+            # the order K per-path plans would apply them in.  Shared-trunk
+            # steps of stacked-path plans run once where K per-path
+            # executions (and the eager K-sample fallback) would run K times
+            # on identical batch statistics: repeat the EMA so the running
+            # buffers stay on the per-path trajectory.
+            for group_mean, group_var in zip(mean, var):
+                mean64 = np.asarray(group_mean, dtype=np.float64)
+                var64 = np.asarray(group_var, dtype=np.float64)
+                for _ in range(getattr(self, "stat_repeats", 1)):
+                    bn.running_mean *= 1.0 - bn.momentum
+                    bn.running_mean += bn.momentum * mean64
+                    bn.running_var *= 1.0 - bn.momentum
+                    bn.running_var += bn.momentum * var64
             bump = getattr(bn, "bump_stats_version", None)
             if bump is not None:
                 bump()
         else:
-            mean = params.fetch("running_mean", bn.running_mean)
-            var = params.fetch("running_var", bn.running_var)
+            mean = params.fetch("running_mean", bn.running_mean)[None]
+            var = params.fetch("running_var", bn.running_var)[None]
         inv_std = 1.0 / np.sqrt(var + bn.eps)
         if self._capture_stats:
             self._saved_stats = (bool(bn.training), mean, inv_std, gamma)
@@ -376,15 +410,34 @@ class _BNMixin:
         shift = beta - mean * scale
         return scale, shift
 
+    def _bn_apply(self, x, scale, shift, out, res=None):
+        """``out = x*scale + shift (+res)``, then the activation (``out`` may be ``x``).
+
+        A residual only comes with a single group (inference epilogues).
+        """
+        layout = self.layout
+        native = _native_bn(layout, x, out, res)
+        relu = native and self.activation == "relu"
+        groups = len(scale)
+        for xg, og, sc, sh in zip(stacked_view(x, groups), stacked_view(out, groups), scale, shift):
+            if native:
+                _native.bn_apply(xg, sc, sh, res, og, relu)
+                continue
+            np.multiply(xg, _per_channel(sc, layout), out=og)
+            og += _per_channel(sh, layout)
+            if res is not None:
+                og += res
+        if not relu:
+            apply_activation(self.activation, out)
+
     def _apply_bn_bias_act(self, out, bias, params, res=None):
         """Fused bias + batch-norm (+ residual) + activation, in place on ``out``."""
-        layout = getattr(self, "layout", "NCHW")
         if bias is not None:
-            out += _per_channel(params.fetch_param("bias", bias), layout)
+            out += _per_channel(params.fetch_param("bias", bias), self.layout)
         if self.bn is not None:
             scale, shift = self._bn_scale_shift(self.bn, out, params)
-            out *= _per_channel(scale, layout)
-            out += _per_channel(shift, layout)
+            self._bn_apply(out, scale, shift, out, res)
+            return
         if res is not None:
             out += res
         apply_activation(self.activation, out)
@@ -706,12 +759,13 @@ class LinearStep(Step):
 
 
 class BatchNormStep(Step, _BNMixin):
-    """Standalone batch norm over an NCHW slot (for BN not fused into a conv).
+    """Standalone batch norm over a slot of either layout (for BN not fused into a conv).
 
     Training plans route every BN through this step (never fused into the
     conv) so backward can see the pre-normalisation input; the statistics
-    used by the forward pass are captured per run and replayed into
-    :func:`repro.nn.vjp.batchnorm2d_vjp`.
+    used by the forward pass are captured per run and replayed into the
+    compiled ``bn_vjp`` or :func:`repro.nn.vjp.batchnorm2d_vjp` (see
+    :class:`_BNMixin`).
     """
 
     def __init__(self, bn, in_slot, out_slot, activation=None, num_samples=1,
@@ -750,88 +804,35 @@ class BatchNormStep(Step, _BNMixin):
         self._bw_ws = plan.workspace(shape, channel=SCRATCH_MAIN)
         self._bn_ws = plan.workspace(shape, channel=SCRATCH_MAIN)
 
-    def _stacked_view(self, array):
-        return stacked_view(array, self.num_samples)
-
     def run(self, bufs):
+        groups = self.num_samples if self.bn.training else 1
         x = bufs[self.in_slot]
-        out = bufs[self.out_slot]
-        if self.num_samples > 1 and self.bn.training:
-            self._run_stacked(x, out)
-        else:
-            scale, shift = self._bn_scale_shift(self.bn, x, self._params)
-            np.multiply(x, _per_channel(scale, self.layout), out=out)
-            out += _per_channel(shift, self.layout)
-        apply_activation(self.activation, out)
-
-    def _run_stacked(self, x, out):
-        """Per-sample-group batch statistics over a ``(K*N, ...)`` slot."""
-        bn = self.bn
-        params = self._params
-        gamma = params.fetch_param("gamma", bn.gamma)
-        beta = params.fetch_param("beta", bn.beta)
-        k = self.num_samples
-        # Reduction axes / per-channel broadcast shape under the stacked
-        # (K, N, ...) view, for either physical layout.
-        if self.layout == "NHWC":
-            axes, bshape = (1, 2, 3), (k, 1, 1, 1, -1)
-        else:
-            axes, bshape = (1, 3, 4), (k, 1, -1, 1, 1)
-        xv = self._stacked_view(x)
-        mean = xv.mean(axis=axes)  # (K, C)
-        ws = getattr(self, "_bn_ws", None)
-        if ws is None or ws.shape != x.shape or ws.dtype != x.dtype:
-            ws = np.empty_like(x)
-            self._bn_ws = ws
-        wsv = self._stacked_view(ws)
-        np.subtract(xv, mean.reshape(bshape), out=wsv)
-        np.square(wsv, out=wsv)
-        var = wsv.mean(axis=axes)
-        # Sequential running-stat updates in ascending sample order mirror the
-        # order K per-path plans would apply them in.
-        for k in range(self.num_samples):
-            bn.running_mean *= 1.0 - bn.momentum
-            bn.running_mean += bn.momentum * np.asarray(mean[k], dtype=np.float64)
-            bn.running_var *= 1.0 - bn.momentum
-            bn.running_var += bn.momentum * np.asarray(var[k], dtype=np.float64)
-        bump = getattr(bn, "bump_stats_version", None)
-        if bump is not None:
-            bump()
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
-        if self._capture_stats:
-            self._saved_stats = (True, mean, inv_std, gamma)
-        scale = gamma * inv_std  # (K, C)
-        shift = beta - mean * scale
-        outv = self._stacked_view(out)
-        np.multiply(xv, scale.reshape(bshape), out=outv)
-        outv += shift.reshape(bshape)
+        scale, shift = self._bn_scale_shift(self.bn, x, self._params, groups)
+        self._bn_apply(x, scale, shift, bufs[self.out_slot])
 
     def backward(self, bufs, grads):
-        gout = grads[self.out_slot]
-        vjp.activation_vjp(self.activation, bufs[self.out_slot], gout)
+        gout, y = grads[self.out_slot], bufs[self.out_slot]
+        x, gin = bufs[self.in_slot], grads[self.in_slot]
         training, mean, inv_std, gamma = self._saved_stats
+        native = _native_bn(self.layout, x, gout, y, gin)
+        relu = native and self.activation == "relu"
+        if not relu:
+            vjp.activation_vjp(self.activation, y, gout)
         channel_axis = 3 if self.layout == "NHWC" else 1
-        if self.num_samples > 1 and np.ndim(mean) == 2:
-            goutv = self._stacked_view(gout)
-            xv = self._stacked_view(bufs[self.in_slot])
-            ginv = self._stacked_view(grads[self.in_slot])
-            wsv = self._stacked_view(self._bw_ws)
-            for k in range(self.num_samples):
+        groups = len(mean)
+        parts = zip(*(stacked_view(a, groups) for a in (gout, y, x, gin, self._bw_ws)))
+        for g, (gg, yg, xg, ig, wg) in enumerate(parts):
+            if native:
+                dgamma, dbeta = _native.bn_vjp(
+                    gg, yg if relu else None, xg, ig, mean[g], inv_std[g], gamma, training)
+            else:
                 gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
-                    goutv[k], xv[k], mean[k], inv_std[k], gamma, training,
-                    ws=wsv[k], channel_axis=channel_axis,
+                    gg, xg, mean[g], inv_std[g], gamma, training,
+                    ws=wg, channel_axis=channel_axis,
                 )
-                self._pg_gamma += dgamma
-                self._pg_beta += dbeta
-                ginv[k] += gx
-            return
-        gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
-            gout, bufs[self.in_slot], mean, inv_std, gamma, training,
-            ws=self._bw_ws, channel_axis=channel_axis,
-        )
-        self._pg_gamma += dgamma
-        self._pg_beta += dbeta
-        grads[self.in_slot] += gx
+                ig += gx
+            self._pg_gamma += dgamma
+            self._pg_beta += dbeta
 
 
 class ActivationStep(Step):
