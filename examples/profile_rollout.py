@@ -7,15 +7,15 @@ this example turns it into an attribution.  It enables the span tracer
 A3C-S agent, runs one compiled A2C train step, and then:
 
 1. prints the per-span **self-time table** (per-kernel, per-phase — the
-   autotuned depthwise convs, the env stepping, the loss head, ...),
+   depthwise convs, the env stepping, the loss head, ...),
 2. writes ``trace.json`` in Chrome trace-event format — open it at
    https://ui.perfetto.dev (or ``chrome://tracing``) to see the same data
    as a zoomable timeline,
 3. prints the unified ``telemetry.snapshot()`` sources, showing the trace
-   ring, plan caches, autotuner selections and health counters in one view.
+   ring, plan caches, kernel selections and health counters in one view.
 
-The first (untraced) rollout pays compilation and kernel autotuning so the
-traced one measures steady-state execution, the same warm-up discipline
+The first (untraced) rollout pays compilation so the traced one measures
+steady-state execution, the same warm-up discipline
 ``perfbench/run.py`` uses before its measured window.
 
 Run:  python examples/profile_rollout.py
@@ -75,7 +75,7 @@ def main():
         agent, RMSProp(agent.parameters(), lr=1e-3), dtype=np.float32
     )
 
-    # Warm-up pass: compile every plan and run the kernel autotuner now, so
+    # Warm-up pass: compile every plan and select its kernels now, so
     # the traced rollout measures steady-state execution, not compilation.
     buffer = collector.collect(policy, seed=0)
     _, bootstrap = agent.policy_value(collector.observations)
@@ -119,7 +119,7 @@ def main():
     print("  trace ring: {recorded} spans recorded, {dropped} dropped".format(
         **snapshot["trace"]
     ))
-    print("  autotuned signatures: {}".format(len(snapshot["autotuner"])))
+    print("  kernel signatures: {}".format(len(snapshot["plan_cache"]["kernels"])))
     print("  plan caches: {} inference hits, {} train hits".format(
         snapshot["plan_cache"]["inference_plans"]["cache_hits"],
         snapshot["plan_cache"]["train_plans"]["cache_hits"],

@@ -11,7 +11,7 @@ the policy actually visits.  This example walks the full production recipe:
    will compile),
 3. attach the calibrations via ``agent.runtime_quantize`` and compare the
    quantized agent against the float32 baseline: episode scores, batched
-   inference throughput, and which integer kernels the autotuner picked.
+   inference throughput, and which integer kernels the kernel rule picked.
 
 Run:  python examples/quantized_eval.py
 """
@@ -80,7 +80,7 @@ def calibrate(agent, steps=CALIBRATION_STEPS):
 
 
 def batched_throughput(agent, observations, batches=TIMED_BATCHES):
-    agent.policy_value(observations)  # compile + autotune outside the timer
+    agent.policy_value(observations)  # compile outside the timer
     start = time.perf_counter()
     for _ in range(batches):
         agent.policy_value(observations)

@@ -92,7 +92,7 @@ class ActorCriticAgent(Module):
         """Precompile the inference plan for each batch size, ahead of traffic.
 
         The runtime's plan cache keys by input shape, so the first request at
-        a new batch size pays compile + autotune latency inline.  A serving
+        a new batch size pays compile latency inline.  A serving
         tier that promises a p99 cannot pay that on a live request:
         ``warm(obs_shape, policy.buckets)`` runs one throwaway batch of zeros
         per size, leaving every bucket's plan (and its kernel selections and

@@ -2,7 +2,7 @@
 
 Long search runs are only as reliable as their weakest worker: a crashed env
 process, a hung pipe, a NaN gradient, or a kernel that segfault-adjacently
-raises during autotuning must not take down an hour of co-search.  This
+raises at its first bind must not take down an hour of co-search.  This
 package holds the three primitives the env / runtime / training layers wire
 through:
 

@@ -1,14 +1,14 @@
 """Seeded deterministic fault injection, configured via ``REPRO_FAULTS``.
 
 The instrumented layers (async env supervisor, compiled train step, plan
-compiler, kernel autotuner) each consult the process injector at the point
+compiler, kernel dispatcher) each consult the process injector at the point
 where a real fault *would* surface, so every recovery path in the codebase
 can be exercised on demand — in unit tests, in a live run, and by the CI
 fault-injection job.
 
 Spec grammar (comma-separated ``name=value`` entries)::
 
-    REPRO_FAULTS="worker_crash=0.01,step_hang=0.005,nan_grad=1@update:40,kernel_error=im2col_block,seed=7"
+    REPRO_FAULTS="worker_crash=0.01,step_hang=0.005,nan_grad=1@update:40,kernel_error=depthwise_native,seed=7"
 
 Three value forms, selected by shape:
 
@@ -36,8 +36,9 @@ Fault names the codebase instruments:
     :class:`~repro.runtime.compiler.CompileError` raised from ``plan_for``
     (inference engine and compiled train step), driving the eager fallback.
 ``kernel_error``
-    The named autotuner candidate raises during its timing run, exercising
-    quarantine (targeted form only).
+    The named kernel raises in the smoke forward the dispatcher runs at its
+    first bind, exercising quarantine (targeted form only; only a rule
+    choice with a rival, e.g. ``depthwise_native``, is smoke-tested).
 
 With ``REPRO_FAULTS`` unset, :func:`get_injector` returns ``None`` and
 instrumented hot paths pay a single ``is None`` branch.

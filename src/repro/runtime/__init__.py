@@ -37,9 +37,9 @@ always-available reference path, selected per call on
 Convolution steps dispatch their compute through the pluggable kernel
 subsystem in :mod:`repro.runtime.kernels`: named implementations (compiled
 channels-last depthwise, lane-blocked im2col, the general im2col+GEMM fallback) are
-selected per op signature by a registry with a ``REPRO_KERNELS`` override
-and a per-signature autotuner; :func:`cache_stats` reports the chosen
-kernel (and candidate timings) for every signature the process compiled.
+selected per op signature by a static registry rule with a
+``REPRO_KERNELS`` override; :func:`cache_stats` reports the chosen kernel
+for every signature the process compiled.
 
 The quantized inference path rides the same machinery:
 :class:`~repro.runtime.quantize.Calibrator` harvests activation ranges from
@@ -83,8 +83,7 @@ def cache_stats():
     :class:`CompiledTrainStep` the process created, recycled vs
     freshly-allocated bytes over every pool (collected objects included, so
     the counters only grow; ``engines`` / ``executors`` / ``pools`` count the
-    live ones), and reports the conv kernel chosen per op signature
-    (with the autotuner's candidate timings where a timing run decided), so
+    live ones), and reports the conv kernel chosen per op signature, so
     search loops can log how well compilation amortises and which compute
     kernels their plans actually run on.  The ``"health"`` entry mirrors the
     process-wide reliability counters of :mod:`repro.reliability.health`

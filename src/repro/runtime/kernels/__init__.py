@@ -3,18 +3,19 @@
 This package separates *what* a plan step computes from *how* it is
 computed.  :mod:`~repro.runtime.kernels.registry` holds named kernel
 implementations keyed by op signature (shape / groups / kernel / stride /
-dtype / direction) and a dispatcher with a ``REPRO_KERNELS`` environment
-override; :mod:`~repro.runtime.kernels.autotune` times the candidates for
-each distinct signature once per process and caches the winner.
+dtype / direction) and a dispatcher that picks one per signature by a
+static rule — the first supporting kernel in registration order — with a
+``REPRO_KERNELS`` environment override, so every process makes the same
+choices.
 
-Registered kernels (import order puts the general fallback last):
+Registered kernels, in the rule's preference order:
 
 * ``depthwise_native`` — compiled C NHWC depthwise forward and fused
   input/weight VJPs (float32/float64; :mod:`~repro.runtime.kernels._native`);
 * ``depthwise_einsum`` — the same NHWC depthwise conv and VJPs as strided
   tap-view einsums: the float fallback where the C library cannot build;
 * ``im2col_block`` — lane-blocked strided-view im2col keeping the gathered
-  columns L2-resident (inference; NCHW any groups, NHWC ungrouped);
+  columns L2-resident (channels-last ungrouped inference);
 * ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
   flat GEMM over the trailing channel axis (forward + VJPs);
 * ``im2col`` — the original whole-batch im2col + batched GEMM, supporting
@@ -30,7 +31,7 @@ Signatures carry a physical activation layout (``NCHW`` / ``NHWC``); the
 layout-assignment pass in :mod:`repro.runtime.passes` puts a conv
 channels-last only where
 :func:`~repro.runtime.kernels.registry.pinned_candidates` offers an NHWC
-kernel for it, and never consults timings.
+kernel for it.
 
 The same software structure the paper's accelerator templates use in
 hardware — dataflow-specialised conv engines selected per workload shape —
@@ -41,7 +42,6 @@ from . import depthwise as _depthwise  # noqa: F401  (registers the float depthw
 from . import conv as _conv  # noqa: F401  (registers im2col_block, pointwise_nhwc, im2col)
 from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count
-from .autotune import clear_cache as clear_autotune_cache
 from .quantized import RequantEpilogue
 from .registry import (
     ENV_VAR,
@@ -82,7 +82,6 @@ __all__ = [
     "scratch_upper_bound",
     "selection_table",
     "reset_selections",
-    "clear_autotune_cache",
     "SCRATCH_MAIN",
     "SCRATCH_GEMM",
     "SCRATCH_PAD",

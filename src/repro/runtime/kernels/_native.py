@@ -26,8 +26,10 @@ the toolchain that built CPython is already on the host) and loaded through
 
 Exactness contract.  The float depthwise routines sum the same products as
 the NumPy ``depthwise_einsum`` kernel in another order, so the two agree
-only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative), like
-any two float kernels the autotuner chooses between.  The batch-norm and q8
+only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative): the
+kernel rule picks the C one wherever it builds, so runs that must give the
+same bytes on hosts with and without a compiler pin depthwise to
+``depthwise_einsum`` (``REPRO_KERNELS=heuristic``).  The batch-norm and q8
 routines must be *bitwise identical* to the NumPy code they replace.  Batch
 norm sums in the slot's dtype, row by row from zero: NumPy's order for a
 reduction over outer axes that keeps at least two channels (with one, NumPy
@@ -450,6 +452,21 @@ def available():
     return _load() is not None
 
 
+def _routine(name):
+    """The named C routine, loading the library first if need be.
+
+    Raises ``RuntimeError`` when the library is disabled (``REPRO_NATIVE=0``)
+    or cannot be built; callers that have a NumPy path check
+    :func:`available` first.
+    """
+    lib = _load()
+    if lib is None:
+        raise RuntimeError(
+            "{}: the compiled kernel library is unavailable ({}=0 or no working "
+            "C compiler)".format(name, ENV_VAR))
+    return getattr(lib, name)
+
+
 def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
@@ -473,7 +490,7 @@ def _call(name, operands, *scalars):
     suffix = {"float32": "_f32", "float64": "_f64"}.get(dtype.name)
     if suffix is None:
         raise ValueError("{}: no {} variant".format(name, dtype))
-    getattr(_lib, name + suffix)(
+    _routine(name + suffix)(
         *(None if arr is None else arr.ctypes.data for arr, _ in operands), *scalars)
 
 
@@ -515,7 +532,7 @@ def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,
     """
     n, h, wd, c = x.shape
     oh, ow = out.shape[1], out.shape[2]
-    _lib.dw_conv_q8(
+    _routine("dw_conv_q8")(
         _ptr(x, ctypes.c_int8), _ptr(w_taps, ctypes.c_int8),
         _ptr(scale, ctypes.c_float), _ptr(bias, ctypes.c_float),
         _ptr(res, ctypes.c_int8) if res is not None else None,
@@ -533,7 +550,7 @@ def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
     the same leading extent; any leading shape is treated as flat rows.
     """
     c = acc.shape[-1]
-    _lib.requant_q8(
+    _routine("requant_q8")(
         _ptr(acc, ctypes.c_float), _ptr(scale, ctypes.c_float),
         _ptr(bias, ctypes.c_float),
         _ptr(res, ctypes.c_int8) if res is not None else None,

@@ -8,21 +8,19 @@ per groups class writing straight into the NCHW output.  It supports every
 signature in both directions and registers **last**, making it the dispatch
 fallback.
 
-:class:`BlockedIm2colKernel` runs the same math lane-block by lane-block,
-sizing the block so the gathered column matrix stays L2-resident: the GEMM
-then reads cache-warm columns instead of streaming them back from DRAM, and
-the fused epilogue runs on the block while its output tile is still hot.
-On small-batch rollout shapes this is the strided-view gather that serves
-NCHW depthwise/grouped cells (channels-last depthwise cells go to the
-kernels in :mod:`repro.runtime.kernels.depthwise`).
+:class:`BlockedIm2colKernel` runs the same math on channels-last slots,
+lane-block by lane-block, sizing the block so the gathered column matrix
+stays L2-resident: the GEMM then reads cache-warm columns instead of
+streaming them back from DRAM, and the fused epilogue runs on the block
+while its output tile is still hot.  It serves the ungrouped NHWC inference
+convs (the agents' stems); channels-last depthwise cells go to the kernels
+in :mod:`repro.runtime.kernels.depthwise`.
 
 :class:`PointwiseNHWCKernel` serves 1x1 convolutions on channels-last slots:
 with channels trailing, the whole op is a single flat
 ``(N*H*W, C_in) @ (C_in, C_out)`` GEMM with no gather, no reshape copies and
 trivially contiguous VJPs — the payoff the layout-assignment pass chases on
-the GEMM-bound high-resolution cells.  :class:`BlockedIm2colKernel` also
-accepts ungrouped NHWC inference signatures (the gather view permutes to
-``(b, oh, ow, k, k, c)`` so each GEMM row is a contiguous patch).
+the GEMM-bound high-resolution cells.
 """
 
 from __future__ import annotations
@@ -68,79 +66,35 @@ def _patches_view_nhwc(padded, n, c, k, oh, ow, stride):
     )
 
 
-def _grouped_gemm(weight, cols, out, spec, n):
-    """Dispatch the forward GEMM for one (sub-)batch of gathered columns."""
-    c = spec.in_channels
-    cout = spec.out_channels
-    k = spec.kernel
-    groups = spec.groups
-    oh, ow = spec.out_height, spec.out_width
-    if groups == 1:
-        # (C_out, C*k*k) @ (N, C*k*k, oh*ow) -> (N, C_out, oh*ow).
-        np.matmul(
-            weight.reshape(cout, -1),
-            cols.reshape(n, c * k * k, oh * ow),
-            out=out.reshape(n, cout, oh * ow),
-        )
-    elif groups == c == cout:
-        # Depthwise: (C, 1, k*k) @ (N, C, k*k, oh*ow) -> (N, C, 1, oh*ow).
-        np.matmul(
-            weight.reshape(c, 1, k * k),
-            cols.reshape(n, c, k * k, oh * ow),
-            out=out.reshape(n, c, 1, oh * ow),
-        )
-    else:
-        cin_g = c // groups
-        cout_g = cout // groups
-        cols4d = cols.reshape(n, groups, cin_g * k * k, oh * ow)
-        out4d = out.reshape(n, groups, cout_g, oh * ow)
-        w_mats = weight.reshape(groups, cout_g, cin_g * k * k)
-        for g in range(groups):
-            np.matmul(w_mats[g], cols4d[:, g], out=out4d[:, g])
-
-
 @register_kernel
 class BlockedIm2colKernel(ConvKernel):
-    """Lane-blocked im2col + GEMM with an L2-resident column matrix."""
+    """Lane-blocked channels-last im2col + GEMM with an L2-resident column matrix."""
 
     name = "im2col_block"
     trains = False  # training plans keep the full column matrix as saved state
 
     @classmethod
     def _block(cls, spec):
-        """Lanes per block so one block's working set fits the cache target."""
-        if spec.pointwise:
-            # No gather: the working set is the input tile (read by the GEMM)
-            # plus the output tile (GEMM write + epilogue).
-            lane_bytes = (
-                (spec.in_channels + spec.out_channels)
-                * spec.out_height * spec.out_width * spec.itemsize
-            )
-        else:
-            lane_bytes = (
-                spec.in_channels * spec.kernel * spec.kernel
-                * spec.out_height * spec.out_width * spec.itemsize
-            )
+        """Lanes per block so one block's gathered columns fit the cache target."""
+        lane_bytes = (
+            spec.in_channels * spec.kernel * spec.kernel
+            * spec.out_height * spec.out_width * spec.itemsize
+        )
         return max(1, min(spec.batch, BLOCK_TARGET_BYTES // max(lane_bytes, 1)))
 
     @classmethod
     def supports(cls, spec):
-        if spec.train:
-            return False
-        if spec.layout == "NHWC":
-            # The whole-batch im2col fallback is NCHW-only, so serve every
-            # ungrouped non-pointwise NHWC inference signature even when
-            # blocking degenerates to the full batch (pointwise NHWC goes to
-            # the flat-GEMM kernel below).
-            return spec.groups == 1 and not spec.pointwise
-        # Blocking only differs from the whole-batch path when it actually
-        # splits the batch; otherwise skip the duplicate autotune candidate.
-        return cls._block(spec) < spec.batch
+        # The im2col fallback is NCHW-only, so serve every ungrouped
+        # non-pointwise NHWC inference signature, even when blocking
+        # degenerates to the full batch (pointwise NHWC goes to the flat-GEMM
+        # kernel below).
+        return (
+            not spec.train and spec.layout == "NHWC"
+            and spec.groups == 1 and not spec.pointwise
+        )
 
     @classmethod
     def scratch_requests(cls, spec):
-        if spec.pointwise:
-            return ()
         block = cls._block(spec)
         item = spec.itemsize
         cols = (
@@ -167,29 +121,17 @@ class BlockedIm2colKernel(ConvKernel):
         # Padding happens per lane block in a scratch workspace (the pad
         # writes stay cache-resident and no persistent full-batch padded
         # buffer is carried), mirroring the depthwise kernel.
-        if spec.layout == "NHWC":
-            self._padded = (
-                plan.workspace((self._b, h + 2 * p, w + 2 * p, c), channel=SCRATCH_PAD)
-                if p > 0
-                else None
-            )
-            self._cols = plan.workspace((self._b, oh, ow, c, k, k), channel=SCRATCH_MAIN)
-            #: ``(C_out, C*k*k)`` weight matrix in patch order, refreshed from
-            #: the live weight array every call (tiny next to the columns).
-            self._wmat = plan.alloc((spec.out_channels, c * k * k))
-            return
         self._padded = (
-            plan.workspace((self._b, c, h + 2 * p, w + 2 * p), channel=SCRATCH_PAD)
+            plan.workspace((self._b, h + 2 * p, w + 2 * p, c), channel=SCRATCH_PAD)
             if p > 0
             else None
         )
-        self._cols = (
-            None
-            if spec.pointwise
-            else plan.workspace((self._b, c, k, k, oh, ow), channel=SCRATCH_MAIN)
-        )
+        self._cols = plan.workspace((self._b, oh, ow, c, k, k), channel=SCRATCH_MAIN)
+        #: ``(C_out, C*k*k)`` weight matrix in patch order, refreshed from the
+        #: live weight array every call (tiny next to the columns).
+        self._wmat = plan.alloc((spec.out_channels, c * k * k))
 
-    def _forward_nhwc(self, x, weight, out, epilogue):
+    def forward(self, x, weight, out, epilogue):
         spec = self.spec
         n, c = spec.batch, spec.in_channels
         h, w, p, k, s = spec.height, spec.width, spec.padding, spec.kernel, spec.stride
@@ -221,39 +163,6 @@ class BlockedIm2colKernel(ConvKernel):
                 self._wmat.T,
                 out=out[n0:n1].reshape(b * oh * ow, cout),
             )
-            if blockwise:
-                epilogue.apply(out[n0:n1], lanes=slice(n0, n1))
-        if not blockwise:
-            epilogue.apply(out)
-
-    def forward(self, x, weight, out, epilogue):
-        spec = self.spec
-        if spec.layout == "NHWC":
-            return self._forward_nhwc(x, weight, out, epilogue)
-        n, c = spec.batch, spec.in_channels
-        h, w, p, k, s = spec.height, spec.width, spec.padding, spec.kernel, spec.stride
-        oh, ow = spec.out_height, spec.out_width
-        blockwise = epilogue.blockwise
-        for n0 in range(0, n, self._b):
-            n1 = min(n0 + self._b, n)
-            b = n1 - n0
-            if self._cols is None:
-                cols = x[n0:n1]
-            else:
-                src = x[n0:n1]
-                if self._padded is not None:
-                    pad = self._padded[:b]
-                    # The scratch arena is shared with other steps, so the
-                    # padding border must be re-zeroed per block.
-                    pad[:, :, :p] = 0.0
-                    pad[:, :, p + h:] = 0.0
-                    pad[:, :, p:p + h, :p] = 0.0
-                    pad[:, :, p:p + h, p + w:] = 0.0
-                    pad[:, :, p:p + h, p:p + w] = src
-                    src = pad
-                cols = self._cols[:b]
-                np.copyto(cols, _patches_view(src, b, c, k, oh, ow, s))
-            _grouped_gemm(weight, cols, out[n0:n1], spec, b)
             if blockwise:
                 epilogue.apply(out[n0:n1], lanes=slice(n0, n1))
         if not blockwise:
@@ -399,18 +308,39 @@ class GemmIm2colKernel(ConvKernel):
     def forward(self, x, weight, out, epilogue):
         spec = self.spec
         n, c = spec.batch, spec.in_channels
+        cout, groups = spec.out_channels, spec.groups
         h, w, p, k, s = spec.height, spec.width, spec.padding, spec.kernel, spec.stride
+        oh, ow = spec.out_height, spec.out_width
         if spec.pointwise:
             cols = x
         else:
             if self._padded is not None:
                 self._padded[:, :, p:p + h, p:p + w] = x
                 x = self._padded
-            np.copyto(
-                self._cols, _patches_view(x, n, c, k, spec.out_height, spec.out_width, s)
-            )
+            np.copyto(self._cols, _patches_view(x, n, c, k, oh, ow, s))
             cols = self._cols
-        _grouped_gemm(weight, cols, out, spec, n)
+        if groups == 1:
+            # (C_out, C*k*k) @ (N, C*k*k, oh*ow) -> (N, C_out, oh*ow).
+            np.matmul(
+                weight.reshape(cout, -1),
+                cols.reshape(n, c * k * k, oh * ow),
+                out=out.reshape(n, cout, oh * ow),
+            )
+        elif groups == c == cout:
+            # Depthwise: (C, 1, k*k) @ (N, C, k*k, oh*ow) -> (N, C, 1, oh*ow).
+            np.matmul(
+                weight.reshape(c, 1, k * k),
+                cols.reshape(n, c, k * k, oh * ow),
+                out=out.reshape(n, c, 1, oh * ow),
+            )
+        else:
+            cin_g = c // groups
+            cout_g = cout // groups
+            cols4d = cols.reshape(n, groups, cin_g * k * k, oh * ow)
+            out4d = out.reshape(n, groups, cout_g, oh * ow)
+            w_mats = weight.reshape(groups, cout_g, cin_g * k * k)
+            for g in range(groups):
+                np.matmul(w_mats[g], cols4d[:, g], out=out4d[:, g])
         epilogue.apply(out)
 
     def allocate_backward(self, plan, input_grad_needed):

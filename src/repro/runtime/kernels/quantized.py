@@ -14,11 +14,11 @@ below ``2**24``, so float32 arithmetic (einsum, BLAS sgemm, the C kernel's
 int32 loop) computes the same exact integers in any association.  The
 requant tail then performs one multiply round, one add round per term, and
 a round-half-even narrow, in the same order on every path.  This is what
-lets the autotuner pick freely between candidates without perturbing
-trajectories, and what the parity suite pins against an i64 reference.
+lets the kernel rule use the C kernel where it builds and the NumPy one
+elsewhere without perturbing trajectories, and what the parity suite pins
+against an i64 reference.
 
-Candidates (registration order makes the NumPy einsum fallback the
-autotuner's incumbent for depthwise):
+Candidates, in the rule's preference order:
 
 * ``depthwise_native_q8`` — the compiled C kernel
   (:mod:`repro.runtime.kernels._native`): true int32 accumulation, no

@@ -4,30 +4,43 @@ A :class:`ConvSpec` captures the full op signature of one convolution step
 (shape, kernel/stride/padding/groups, dtype, direction); registered
 :class:`ConvKernel` implementations declare which signatures they
 :meth:`~ConvKernel.supports` and how much call-transient scratch they need.
-The dispatcher (:func:`kernel_for`) picks one implementation per signature:
+The dispatcher (:func:`kernel_for`) picks one implementation per signature
+by a static rule, so every process on every host makes the same choices:
 
-* ``REPRO_KERNELS`` unset / ``auto`` — the autotuner times every supporting
-  candidate once per process (warmup + best-of-k on real-sized buffers) and
-  caches the winner per signature (:mod:`repro.runtime.kernels.autotune`);
-* ``REPRO_KERNELS=heuristic`` — static shape rules, no timing;
+* ``REPRO_KERNELS`` unset / ``auto`` — the rule: the first supporting
+  kernel in registration (preference) order.  With the kernels' ``supports``
+  predicates that means ``depthwise_native`` / ``depthwise_native_q8`` for
+  channels-last depthwise convs where the C library builds, else
+  ``depthwise_einsum`` / ``depthwise_einsum_q8``; ``pointwise_nhwc`` /
+  ``pointwise_q8`` for channels-last 1x1 convs; ``im2col_block`` for other
+  channels-last convs; ``im2col`` for every NCHW signature;
+* ``REPRO_KERNELS=heuristic`` — the rule with depthwise pinned to
+  ``depthwise_einsum``, so the float choices, and the numerics, are the same
+  with or without a C compiler;
 * ``REPRO_KERNELS=<name>`` — pin one kernel globally (e.g. ``im2col``);
-  signatures the pinned kernel rejects fall back to the heuristic choice;
+  signatures the pinned kernel rejects fall back to the rule;
 * ``REPRO_KERNELS=<class>=<name>,...`` — pin per op class, where the classes
   are ``pointwise`` / ``depthwise`` / ``grouped`` / ``dense`` (e.g.
   ``depthwise=depthwise_einsum,dense=im2col``).
 
-Every selection is recorded in an in-process table (chosen kernel, how it was
-chosen, candidate timings) surfaced through ``repro.runtime.cache_stats()``.
+No choice is timed: where two kernels compete (channels-last depthwise,
+compiled vs einsum) the compiled one wins every workload signature, so a
+committed rule gets the kernels a per-process timing run would.  The first
+bind of a rule choice that has a rival runs one untimed smoke forward on
+zero buffers; a kernel that raises or returns non-finite output there is
+quarantined and the rule picks again.  Every selection is recorded
+in an in-process table (chosen kernel, how it was chosen, smoke failures)
+surfaced through ``repro.runtime.cache_stats()``.
 
-Survival rule: a registered kernel stays only while (a) the autotuner
-selects it on signatures of the ``perfbench`` workloads (``cosearch``,
+Survival rule: a registered kernel stays only while (a) the rule selects it
+on signatures of the ``perfbench`` workloads (``cosearch``,
 ``derived_train``, ``serve``), or (b) a supported platform needs it as a
 fallback — ``im2col`` for every NCHW signature, and, on hosts where
 :mod:`~repro.runtime.kernels._native` cannot build, ``depthwise_einsum``
 (float depthwise) plus ``depthwise_einsum_q8`` and the NumPy requant tail
 of :class:`~repro.runtime.kernels.quantized.RequantEpilogue` (int8).  A
-kernel that meets neither is deleted, not kept "just in case"; int8
-(``q8``) is the only quantized format for the same reason.
+kernel (or a branch of one) that meets neither is deleted, not kept "just
+in case"; int8 (``q8``) is the only quantized format for the same reason.
 
 Kernels are *bound* per plan step: instantiating a kernel class with
 ``(spec, plan)`` allocates its persistent buffers through ``plan.alloc`` and
@@ -46,7 +59,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ...nn.functional import conv_output_size
-from ...telemetry import trace
 
 __all__ = [
     "ConvSpec",
@@ -208,7 +220,7 @@ class ConvKernel:
     ``alloc(shape, dtype=..., zero=...)`` and
     ``workspace(shape, dtype=..., channel=...)`` — a real
     :class:`~repro.runtime.plan.Plan` in production, a temporary arena during
-    autotuning.
+    the first-bind smoke call.
 
     The contract mirrors the plan-step aliasing rules: ``forward`` may mutate
     only ``out`` and kernel-owned workspaces, never ``x``; ``backward`` may
@@ -276,18 +288,21 @@ class ConvKernel:
         return "{}({})".format(type(self).__name__, self.spec.describe())
 
 
-#: Registered kernel classes, in preference order (earlier wins heuristic
-#: ties; the general fallback registers itself last).
+#: Registered kernel classes, in preference order: the rule binds the first
+#: one that supports a signature (the general fallback registers itself last).
 KERNELS = []
 
-#: signature -> {"kernel": name, "source": how it was chosen}.
+#: signature -> {"kernel": name, "source": how it was chosen, "layout": ...}.
 _SELECTIONS = {}
 
-#: kernel name -> reason, for candidates excluded for the rest of the
-#: session after raising (or producing non-finite output) during an
-#: autotuner timing run.  Dispatch simply never sees a quarantined kernel
-#: again, so one broken implementation degrades to the fallback instead of
-#: crashing every plan that would have picked it.
+#: signature -> {kernel name: smoke failure reason, or None if it passed}.
+_SMOKED = {}
+
+#: kernel name -> reason, for kernels excluded for the rest of the session
+#: after raising (or producing non-finite output) in their first-bind smoke
+#: call.  Dispatch simply never sees a quarantined kernel again, so one
+#: broken implementation degrades to its rival instead of crashing every
+#: plan that would have picked it.
 _QUARANTINED = {}
 
 
@@ -355,17 +370,18 @@ def candidates(spec):
 
 
 def _parse_env():
-    """Resolve ``REPRO_KERNELS`` into ``(mode, per-class pins)``.
+    """Resolve ``REPRO_KERNELS`` into per-class pins.
 
-    ``mode`` is ``"auto"`` or ``"heuristic"``; pins map op classes (or the
-    wildcard ``"*"`` for a bare kernel name) to kernel names.  Unknown kernel
-    or class names raise ``ValueError`` so typos fail loudly.
+    Pins map op classes (or the wildcard ``"*"`` for a bare kernel name) to
+    kernel names; ``auto`` (or unset) pins nothing and ``heuristic`` pins
+    depthwise to ``depthwise_einsum``.  Unknown kernel or class names raise
+    ``ValueError`` so typos fail loudly.
     """
     raw = os.environ.get(ENV_VAR, "auto").strip()
-    if raw == "" or raw.lower() == "auto":
-        return "auto", {}
     if raw.lower() == "heuristic":
-        return "heuristic", {}
+        raw = "depthwise=depthwise_einsum"
+    elif raw.lower() == "auto":
+        raw = ""
     names = set(kernel_names())
     pins = {}
     for part in raw.split(","):
@@ -391,40 +407,12 @@ def _parse_env():
                 )
             )
         pins[op_class] = name
-    return "pinned", pins
+    return pins
 
 
-def _heuristic(spec, cands):
-    """Static shape rules, in lieu of timing.
-
-    The lane-blocked gather for NCHW depthwise maps, the strided einsum for
-    NHWC ones, and the general GEMM path for everything else.  The float
-    rules never pick a kernel that only some hosts can build
-    (``depthwise_native``), so a heuristic-pinned run makes the same float
-    choices, and the same numerics, with or without a C compiler.
-    """
-    by_name = {cls.name: cls for cls in cands}
-    if spec.quant:
-        # Quantized signatures: the compiled depthwise kernel when the host
-        # could build it, the einsum upcast otherwise; pointwise has a single
-        # candidate.
-        for name in ("depthwise_native_q8", "depthwise_einsum_q8"):
-            if name in by_name:
-                return by_name[name]
-        return cands[-1]
-    if spec.depthwise:
-        for name in ("im2col_block", "depthwise_einsum"):
-            if name in by_name:
-                return by_name[name]
-    elif "im2col_block" in by_name and spec.kernel > 1:
-        return by_name["im2col_block"]
-    return cands[0] if len(cands) == 1 else by_name.get("im2col", cands[-1])
-
-
-def _pinned_name(spec, mode, pins):
+def _pinned_name(spec):
     """The kernel ``REPRO_KERNELS`` pins for ``spec``'s op class, or ``None``."""
-    if mode != "pinned":
-        return None
+    pins = _parse_env()
     return pins.get(spec.op_class, pins.get("*"))
 
 
@@ -437,17 +425,105 @@ def pinned_candidates(spec):
     so a pinned run keeps its reproducible kernel choice.
     """
     cands = candidates(spec)
-    name = _pinned_name(spec, *_parse_env())
+    name = _pinned_name(spec)
     if name is None:
         return cands
     return [cls for cls in cands if cls.name == name]
 
 
+class _Arena:
+    """Duck-typed stand-in for a :class:`~repro.runtime.plan.Plan` allocator.
+
+    Kernels draw persistent buffers via ``alloc`` and transient workspaces
+    via ``workspace``; outside a plan both are plain temporary numpy
+    allocations that die with the arena.
+    """
+
+    def __init__(self, spec):
+        self.dtype = np.dtype(spec.dtype)
+        self.train = spec.train
+
+    def alloc(self, shape, dtype=None, zero=False):
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+        if zero:
+            return np.zeros(tuple(int(d) for d in shape), dtype=dtype)
+        return np.empty(tuple(int(d) for d in shape), dtype=dtype)
+
+    def workspace(self, shape, dtype=None, channel=0):
+        return self.alloc(shape, dtype=dtype)
+
+
+class _NullEpilogue:
+    """No-op epilogue for standalone kernel calls (kernels still call it per tile)."""
+
+    blockwise = True
+
+    def apply(self, out, lanes=None):
+        return out
+
+
+NULL_EPILOGUE = _NullEpilogue()
+
+
+def _smoke(spec, cls):
+    """One untimed forward of ``cls`` on zero buffers of ``spec``'s geometry.
+
+    Returns ``None`` when it runs clean, else the failure reason.  Zero
+    inputs must give finite output; the ``kernel_error`` fault makes the
+    named kernel raise here on demand.
+    """
+    from ...reliability.faults import get_injector
+
+    x = np.zeros(spec.in_shape, dtype=spec.act_dtype)
+    weight = np.zeros(
+        (spec.out_channels, spec.in_channels // spec.groups, spec.kernel, spec.kernel),
+        dtype=spec.act_dtype,
+    )
+    out = np.empty(spec.out_shape, dtype=spec.act_dtype)
+    if spec.quant:
+        # The quantized kernels read a real per-channel requant tail.
+        from .quantized import RequantEpilogue
+
+        epilogue = RequantEpilogue(spec.out_channels, spec.acc_dtype, spec.qmax)
+    else:
+        epilogue = NULL_EPILOGUE
+    try:
+        injector = get_injector()
+        if injector is not None and injector.should_fire("kernel_error", target=cls.name):
+            raise RuntimeError("injected kernel_error fault")
+        cls(spec, _Arena(spec)).forward(x, weight, out, epilogue)
+        if not np.all(np.isfinite(np.asarray(out, dtype=np.float64))):
+            raise RuntimeError("kernel produced non-finite output on zero input")
+    except Exception as error:  # noqa: BLE001 — any kernel crash degrades
+        return "{}: {}".format(type(error).__name__, error)
+    return None
+
+
+def _rule(spec, cands):
+    """The first of ``cands`` (preference order) that survives its smoke call.
+
+    Only a non-fallback choice with a rival left behind it is smoke-tested,
+    once per signature; a failure quarantines the kernel and the rule moves
+    on to the next candidate.
+    """
+    for cls in cands[:-1]:
+        if cls.fallback:
+            return cls
+        smoked = _SMOKED.setdefault(spec, {})
+        if cls.name not in smoked:
+            smoked[cls.name] = _smoke(spec, cls)
+            if smoked[cls.name] is not None:
+                quarantine_kernel(cls.name, smoked[cls.name])
+        if smoked[cls.name] is None:
+            return cls
+    return cands[-1]
+
+
 def kernel_for(spec, plan):
     """Select and bind the kernel serving ``spec`` on ``plan``.
 
-    Selection policy (see module docstring): explicit pin > heuristic mode >
-    autotune.  The decision is recorded in the process-wide selection table.
+    Selection policy (see module docstring): explicit pin > the rule.  The
+    decision is recorded in the process-wide selection table.
     """
     cands = candidates(spec)
     if not cands:
@@ -455,20 +531,12 @@ def kernel_for(spec, plan):
             "no registered kernel supports {} (the im2col fallback should be "
             "total; was the registry mutated?)".format(spec.describe())
         )
-    mode, pins = _parse_env()
-    name = _pinned_name(spec, mode, pins)
-    by_name = {c.name: c for c in cands}
-    if name in by_name:
-        cls, source = by_name[name], "pinned"
-    elif name is not None:
-        cls, source = _heuristic(spec, cands), "pin-fallback"
-    elif mode == "heuristic":
-        cls, source = _heuristic(spec, cands), "heuristic"
+    name = _pinned_name(spec)
+    pinned = [cls for cls in cands if cls.name == name]
+    if pinned:
+        cls, source = pinned[0], "pinned"
     else:
-        from .autotune import choose
-
-        with trace.span("autotune/" + spec.describe(), "kernel"):
-            cls, source = choose(spec, cands)
+        cls, source = _rule(spec, cands), ("rule" if name is None else "pin-fallback")
     _SELECTIONS[spec] = {"kernel": cls.name, "source": source, "layout": spec.layout}
     return cls(spec, plan)
 
@@ -498,35 +566,23 @@ def scratch_upper_bound(spec, input_grad_needed=True, layouts=LAYOUTS):
 
 
 def selection_table():
-    """Chosen kernel per signature (with autotuner timings where available).
+    """Chosen kernel per signature, with the source of the choice.
 
-    Candidates that crashed while tuning appear with an ``inf`` timing and a
-    ``"failures"`` entry naming the reason, so a quarantined kernel is
-    visible in the same table as the selection it lost.  Timed rows carry
-    ``timed_blas_threads`` (the BLAS thread count the timings were measured
-    under) next to the host's current ``host_blas_threads``: committed
-    kernel choices whose two numbers disagree were tuned on a differently
-    threaded host — a threaded BLAS favours the GEMM kernels, the depthwise
-    kernels are single-threaded — and deserve a re-tune before serving.
+    A kernel that failed its smoke call for a signature appears in that
+    row's ``"failures"`` entry (``{kernel: reason}``), so a quarantined
+    kernel is visible in the same table as the selection it lost.
     """
-    from .autotune import blas_thread_count, failures_for, threads_for, timings_for
-
-    host_threads = blas_thread_count()
     table = {}
     for spec, entry in _SELECTIONS.items():
         row = dict(entry)
-        row["host_blas_threads"] = host_threads
-        timings = timings_for(spec)
-        if timings is not None:
-            row["timings_ms"] = {name: t * 1e3 for name, t in timings.items()}
-            row["timed_blas_threads"] = threads_for(spec)
-        failures = failures_for(spec)
-        if failures is not None:
+        failures = {k: r for k, r in _SMOKED.get(spec, {}).items() if r is not None}
+        if failures:
             row["failures"] = failures
         table[spec.describe()] = row
     return table
 
 
 def reset_selections():
-    """Clear the selection table (autotimer cache is cleared separately)."""
+    """Clear the selection table and the per-signature smoke results."""
     _SELECTIONS.clear()
+    _SMOKED.clear()

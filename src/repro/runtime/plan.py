@@ -7,7 +7,7 @@ step workspaces are allocated when the plan is finalised; running the plan
 performs no allocations beyond what NumPy's kernels do internally.
 Convolution steps delegate their compute to a
 :mod:`repro.runtime.kernels` implementation selected per op signature at
-finalise time (autotuned by default, pinnable via ``REPRO_KERNELS``).
+finalise time (by a static rule, pinnable via ``REPRO_KERNELS``).
 
 Steps hold references to their source :class:`~repro.nn.modules.Module` and
 fetch parameter arrays (``module.weight.data``) on every run, so optimiser
@@ -493,7 +493,7 @@ class Conv2dStep(Step, _BNMixin):
     reads, the fused bias/BN/residual/activation epilogue and the folded-
     weight machinery — while *how* the convolution itself runs is delegated
     to a :mod:`repro.runtime.kernels` implementation selected per signature
-    by the registry dispatcher (autotuned by default; pin with
+    by the registry dispatcher (a static rule; pin with
     ``REPRO_KERNELS``).  Reverse mode delegates the weight / input VJPs to
     the same bound kernel, which keeps whatever forward state it needs
     (saved im2col columns, tap-major weight staging, ...).

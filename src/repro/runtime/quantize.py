@@ -20,10 +20,10 @@ weights are known exactly).
 Slot-identity contract: the quantize pass appends its new slots/steps
 *after* the shared pass pipeline ran, so slot indices assigned by
 compilation-minus-quantize are identical between the calibration plan and
-the engine's plan.  If they ever diverge (e.g. autotuner timing flips a
-layout decision in another process), the calibration's ``num_slots`` /
-per-slot channel counts stop matching and the quantize pass declines to
-fire rather than apply wrong scales — quantization is an optimisation, so
+the engine's plan.  If they ever diverge (e.g. a ``REPRO_KERNELS`` pin
+changes a layout decision between calibration and serving), the
+calibration's ``num_slots`` / per-slot channel counts stop matching and the
+quantize pass declines to fire rather than apply wrong scales — quantization is an optimisation, so
 the fail-safe is the float path.
 """
 

@@ -1,8 +1,7 @@
 """Dynamic-batching policy: bucket sizes and the coalescing deadline.
 
-The plan cache (and the autotuner behind it) key compiled work by batch
-size, so a server that executed every distinct request count it ever saw
-would compile — and autotune — a plan per count.  A :class:`BucketPolicy`
+The plan cache keys compiled work by batch size, so a server that executed
+every distinct request count it ever saw would compile a plan per count.  A :class:`BucketPolicy`
 restricts execution to a small ladder of batch sizes: waiting requests are
 coalesced, a partial group is padded up to the next bucket (padding rows are
 masked out of the responses, and row independence of eval-mode plans makes

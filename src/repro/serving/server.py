@@ -206,7 +206,7 @@ class PolicyServer:
         validation; with ``warm=True`` it also precompiles the plan for
         every bucket size now (via
         :meth:`~repro.drl.agent.ActorCriticAgent.warm`), so the first live
-        request never pays compile-plus-autotune latency.
+        request never pays compile latency.
         """
         if getattr(agent, "training", False):
             raise ValueError(

@@ -12,7 +12,7 @@ Three pieces, one schema:
 
 :func:`snapshot` is the single entry point observers poll: it merges the
 metrics registry with every pre-existing surface — reliability ``health``
-counters, runtime plan-cache/pool stats, autotuner selection tables, and
+counters, runtime plan-cache/pool stats (kernel selections included), and
 serving stats — into one dict, so dashboards and the training loops'
 reporters never need to know which subsystem owns which number.
 """
@@ -60,10 +60,8 @@ def snapshot():
 
     * ``metrics`` — the telemetry registry (counters/gauges/histograms);
     * ``health`` — reliability counters (guard trips, shed, restarts);
-    * ``plan_cache`` — compiled-plan caches, buffer pools, kernel registry
-      sizes (from :func:`repro.runtime.cache_stats`);
-    * ``autotuner`` — per-signature kernel selections with their timings
-      and the ``host_blas_threads`` staleness signal;
+    * ``plan_cache`` — compiled-plan caches, buffer pools and the
+      per-signature kernel selections (from :func:`repro.runtime.cache_stats`);
     * ``serving`` — live policy-server stats (empty dict when no server
       has been constructed);
     * ``trace`` — ring-buffer occupancy and the enabled flag.
@@ -84,27 +82,8 @@ def snapshot():
             for key in ("inference_plans", "train_plans", "buffer_pools", "kernels")
             if key in stats
         },
-        "autotuner": _autotuner_summary(),
         "serving": stats.get("serving", {}),
         "trace": trace.stats(),
     }
     return snap
 
-
-def _autotuner_summary():
-    """Selection table condensed to what a dashboard needs per signature."""
-    from repro.runtime.kernels import selection_table
-
-    table = selection_table()
-    out = {}
-    for signature, entry in table.items():
-        row = {"kernel": entry.get("kernel"), "source": entry.get("source")}
-        for key in ("timings_ms", "host_blas_threads", "timed_blas_threads",
-                    "failures"):
-            if key in entry:
-                row[key] = entry[key]
-        timed = entry.get("timed_blas_threads")
-        if timed is not None:
-            row["stale"] = timed != entry.get("host_blas_threads")
-        out[signature] = row
-    return out

@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauges, fixed-bucket histograms, exporters.
 
 One uniform vocabulary for every number the system already produces —
-reliability ``health`` counters, plan-cache hit rates, autotuner selections,
+reliability ``health`` counters, plan-cache hit rates, kernel selections,
 serving latencies, trainer loss curves — so dashboards read **one** schema
 instead of four ad-hoc dicts:
 

@@ -1,4 +1,4 @@
-"""Autotuner candidate failures: recorded, excluded, quarantined."""
+"""Kernel smoke-call failures: recorded, excluded, quarantined."""
 
 import numpy as np
 import pytest
@@ -8,53 +8,57 @@ from repro.reliability import health
 from repro.runtime import compile_plan
 from repro.runtime.kernels import (
     ConvSpec,
+    _native,
     candidates,
-    clear_autotune_cache,
     clear_quarantine,
+    kernel_for,
     quarantine_kernel,
     quarantined_kernels,
     selection_table,
 )
-from repro.runtime.kernels.autotune import choose, failures_for
-from repro.runtime.kernels.registry import reset_selections
-from repro.runtime.passes import PASS_NAMES
+from repro.runtime.kernels.registry import _Arena, reset_selections
+
+needs_native = pytest.mark.skipif(
+    not _native.available(),
+    reason="the C library is disabled or cannot be built on this host",
+)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_kernel_state():
+def _fresh_kernel_state(monkeypatch):
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
     reset_selections()
-    clear_autotune_cache()
     clear_quarantine()
     yield
     reset_selections()
-    clear_autotune_cache()
     clear_quarantine()
 
 
 def depthwise_spec(size=24):
-    # Depthwise NCHW inference, large enough that im2col_block splits the
-    # batch: served by both im2col_block and the im2col fallback, so the
-    # autotuner has a real decision to make.
+    # Depthwise channels-last inference: served by depthwise_native (where
+    # the C library builds) and its rival depthwise_einsum, so the rule's
+    # choice gets a smoke call at first bind.
     # batch, cin, cout, h, w, kernel, stride, padding, groups, dtype, direction
-    return ConvSpec(2, 16, 16, size, size, 3, 1, 1, 16, "float64", "infer")
+    return ConvSpec(2, 16, 16, size, size, 3, 1, 1, 16, "float64", "infer", "NHWC")
 
 
 class TestQuarantineRegistry:
+    @needs_native
     def test_quarantine_excludes_from_candidates(self):
         spec = depthwise_spec()
         names = [cls.name for cls in candidates(spec)]
-        assert "im2col_block" in names
+        assert "depthwise_native" in names
         counter = health.get("quarantined_kernels")
-        assert quarantine_kernel("im2col_block", "broken in test")
+        assert quarantine_kernel("depthwise_native", "broken in test")
         assert health.get("quarantined_kernels") == counter + 1
-        assert "im2col_block" not in [cls.name for cls in candidates(spec)]
-        assert quarantined_kernels()["im2col_block"] == "broken in test"
+        assert "depthwise_native" not in [cls.name for cls in candidates(spec)]
+        assert quarantined_kernels()["depthwise_native"] == "broken in test"
 
     def test_requarantine_keeps_first_reason_without_recount(self):
         counter = health.get("quarantined_kernels")
-        quarantine_kernel("im2col_block", "first")
-        quarantine_kernel("im2col_block", "second")
-        assert quarantined_kernels()["im2col_block"] == "first"
+        quarantine_kernel("depthwise_native", "first")
+        quarantine_kernel("depthwise_native", "second")
+        assert quarantined_kernels()["depthwise_native"] == "first"
         assert health.get("quarantined_kernels") == counter + 1
 
     def test_fallback_kernel_refuses_quarantine(self):
@@ -65,43 +69,61 @@ class TestQuarantineRegistry:
         spec = depthwise_spec()
         for cls in candidates(spec):
             quarantine_kernel(cls.name, "sweep")
-        # The fallback refused quarantine, so dispatch still has a candidate.
+        # Excluding every candidate would leave dispatch empty-handed, so the
+        # unfiltered list comes back instead.
         assert candidates(spec)
 
 
+@needs_native
 class TestAutotunerFailures:
+    """A rule choice that fails its first-bind smoke call loses to its rival."""
+
     def test_raising_candidate_is_recorded_and_excluded(self, set_faults):
-        set_faults("kernel_error=im2col_block")
+        set_faults("kernel_error=depthwise_native")
         spec = depthwise_spec()
-        cls, source = choose(spec, candidates(spec))
-        assert cls.name != "im2col_block"
-        failures = failures_for(spec)
-        assert "im2col_block" in failures
-        assert "RuntimeError" in failures["im2col_block"]
-        assert "im2col_block" in quarantined_kernels()
-        # Subsequent signatures never see the broken candidate again.
+        counter = health.get("quarantined_kernels")
+        kernel = kernel_for(spec, _Arena(spec))
+        assert kernel.name == "depthwise_einsum"
+        row = selection_table()[spec.describe()]
+        assert row["kernel"] == "depthwise_einsum"
+        assert "RuntimeError" in row["failures"]["depthwise_native"]
+        assert "depthwise_native" in quarantined_kernels()
+        assert health.get("quarantined_kernels") == counter + 1
+        # Subsequent signatures never see the broken kernel again.
         other = depthwise_spec(size=32)
-        assert "im2col_block" not in [c.name for c in candidates(other)]
+        assert "depthwise_native" not in [c.name for c in candidates(other)]
 
     def test_clean_autotune_records_no_failures(self):
         spec = depthwise_spec()
-        choose(spec, candidates(spec))
-        assert not failures_for(spec)
+        assert kernel_for(spec, _Arena(spec)).name == "depthwise_native"
+        assert "failures" not in selection_table()[spec.describe()]
         assert quarantined_kernels() == {}
 
-    def test_selection_table_reports_failures(self, set_faults, monkeypatch):
-        set_faults("kernel_error=im2col_block")
-        net = Sequential(Conv2d(16, 16, 3, stride=1, padding=1, groups=16,
-                                rng=np.random.default_rng(0)))
-        monkeypatch.setenv("REPRO_KERNELS", "auto")
-        # Without the layout pass the conv stays NCHW, where the broken
-        # candidate competes.
-        shape = depthwise_spec().in_shape
-        plan = compile_plan(net, shape, passes=frozenset(PASS_NAMES) - {"layout"})
+    def test_selection_table_reports_failures(self, set_faults):
+        set_faults("kernel_error=depthwise_native")
+        rng = np.random.default_rng(0)
+        # expand / depthwise / project: the layout pass runs the chain
+        # channels-last, where the depthwise conv has two candidates.
+        net = Sequential(
+            Conv2d(16, 16, 1, rng=rng),
+            Conv2d(16, 16, 3, stride=1, padding=1, groups=16, rng=rng),
+            Conv2d(16, 16, 1, rng=rng),
+        )
+        counter = health.get("quarantined_kernels")
+        shape = (2, 16, 24, 24)
+        plan = compile_plan(net, shape)
         x = np.random.default_rng(1).random(shape)
         out = np.asarray(plan.run(x))
         assert np.all(np.isfinite(out))
-        rows = [row for row in selection_table().values() if row.get("failures")]
-        assert rows, "the autotuned row should carry the candidate failure"
-        assert any("im2col_block" in row["failures"] for row in rows)
-        assert all(row["kernel"] != "im2col_block" for row in rows)
+        rows = {k: v for k, v in selection_table().items() if k.startswith("depthwise:")}
+        assert rows and all(row["layout"] == "NHWC" for row in rows.values())
+        assert all(row["kernel"] == "depthwise_einsum" for row in rows.values())
+        assert any("depthwise_native" in row.get("failures", {}) for row in rows.values())
+        assert health.get("quarantined_kernels") == counter + 1
+        # The plan serves the same answer as an all-im2col compile.
+        reset_selections()
+        clear_quarantine()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_KERNELS", "im2col")
+            reference = np.asarray(compile_plan(net, shape).run(x))
+        np.testing.assert_allclose(out, reference, atol=1e-12)

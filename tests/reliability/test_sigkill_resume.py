@@ -4,11 +4,8 @@ A child process runs the architecture search with periodic autosaves and
 SIGKILLs *itself* between two autosaves (no cleanup, no atexit, no flush —
 the abrupt death the atomic checkpoint writer is designed for).  The parent
 resumes from the autosave and must land bit-identically on an uninterrupted
-reference run.
-
-Kernel selection is pinned to ``im2col`` in both processes: autotune timings
-are machine-noise dependent, so cross-process bitwise comparisons need the
-kernel choice taken out of the equation.
+reference run.  Both processes run the default kernel rule, which picks the
+same kernels in every process, so no pin is needed for the bitwise match.
 """
 
 import os
@@ -18,10 +15,6 @@ import sys
 import textwrap
 
 import numpy as np
-import pytest
-
-from repro.runtime.kernels import clear_autotune_cache
-from repro.runtime.kernels.registry import reset_selections
 
 GAME = "Breakout"
 ENV_KW = {"obs_size": 21, "frame_stack": 2, "max_episode_steps": 60}
@@ -69,23 +62,12 @@ def fresh_env():
     return make_vector_env(GAME, num_envs=2, seed=0, **ENV_KW)
 
 
-@pytest.fixture
-def pinned_kernels(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", "im2col")
-    reset_selections()
-    clear_autotune_cache()
-    yield
-    reset_selections()
-    clear_autotune_cache()
-
-
-def test_sigkill_mid_search_resumes_bit_identically(tmp_path, pinned_kernels):
+def test_sigkill_mid_search_resumes_bit_identically(tmp_path):
     autosave_path = str(tmp_path / "autosave.npz")
     script = CHILD_SCRIPT.format(
         path=autosave_path, game=GAME, env_kw=ENV_KW, supernet_kw=SUPERNET_KW
     )
     env = dict(os.environ)
-    env["REPRO_KERNELS"] = "im2col"
     env.pop("REPRO_FAULTS", None)
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")

@@ -141,6 +141,46 @@ class TestOperandValidation:
             _native.bn_stats(x.astype(np.float16), half, half)
 
 
+#: A fresh process whose first native call is ``bn_stats``: nothing has
+#: called ``available()`` before it.
+FIRST_CALL_SCRIPT = r"""
+import numpy as np
+from repro.runtime.kernels import _native
+
+x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+mean, var = np.empty(4, np.float32), np.empty(4, np.float32)
+try:
+    _native.bn_stats(x, mean, var)
+except RuntimeError as error:
+    print("RuntimeError:", error)
+else:
+    print("ok", np.allclose(mean, x.reshape(-1, 4).mean(axis=0)),
+          np.allclose(var, x.reshape(-1, 4).var(axis=0)))
+"""
+
+
+@pytest.mark.parametrize("native", ["1", "0"])
+def test_first_call_loads_library_or_raises_clearly(native):
+    """A wrapper called before ``available()`` loads the library itself, and
+    with the library off it raises a ``RuntimeError`` naming the cause."""
+    env = dict(os.environ)
+    env.pop("REPRO_FAULTS", None)
+    env["REPRO_NATIVE"] = native
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL_SCRIPT], env=env, timeout=300,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert completed.returncode == 0, completed.stderr.decode()
+    out = completed.stdout.decode().strip()
+    if native == "1" and (out.startswith("ok") or _native.available()):
+        assert out == "ok True True"
+    else:
+        assert out.startswith("RuntimeError: bn_stats_f32: the compiled kernel library "
+                              "is unavailable"), out
+
+
 #: A few A2C updates of the perfbench-shaped derived agent, printing a digest
 #: of weights, BN running statistics and the last update's gradients.
 UPDATE_SCRIPT = r"""

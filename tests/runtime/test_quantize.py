@@ -27,10 +27,15 @@ from repro.networks import AgentSuperNet
 from repro.nn import Conv2d, ReLU, Sequential
 from repro.runtime import Calibrator, QuantCalibration, compile_plan
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
-from repro.runtime.kernels import _native, candidates, clear_autotune_cache
-from repro.runtime.kernels.autotune import _BenchArena, timings_for
+from repro.runtime.kernels import _native, candidates
 from repro.runtime.kernels.quantized import RequantEpilogue
-from repro.runtime.kernels.registry import ConvSpec, kernel_for, reset_selections, selection_table
+from repro.runtime.kernels.registry import (
+    ConvSpec,
+    _Arena,
+    kernel_for,
+    reset_selections,
+    selection_table,
+)
 from repro.runtime.passes import PlanLintError, lint_plan
 from repro.runtime.plan import Conv2dStep, DequantizeStep, QuantInfo, QuantizeStep
 
@@ -138,7 +143,7 @@ class TestQuantKernelParity:
                 expected = _depthwise_reference(spec, x, weight, epi, res)
                 for cls in cands:
                     out = np.empty(spec.out_shape, dtype=spec.act_dtype)
-                    cls(spec, _BenchArena(spec)).forward(x, weight, out, epi)
+                    cls(spec, _Arena(spec)).forward(x, weight, out, epi)
                     assert np.array_equal(out, expected), (
                         "{} diverges (relu={}, res={})".format(cls.name, relu, with_res)
                     )
@@ -159,7 +164,7 @@ class TestQuantKernelParity:
                 expected = _pointwise_reference(spec, x, weight, epi, res)
                 for cls in cands:
                     out = np.empty(spec.out_shape, dtype=spec.act_dtype)
-                    cls(spec, _BenchArena(spec)).forward(x, weight, out, epi)
+                    cls(spec, _Arena(spec)).forward(x, weight, out, epi)
                     assert np.array_equal(out, expected), cls.name
 
     def test_native_kernels_registered_when_available(self):
@@ -413,7 +418,7 @@ class TestQuantLint:
 
 
 # --------------------------------------------------------------------- #
-# Dispatch / autotune hygiene under mixed signatures
+# Dispatch hygiene under mixed signatures
 # --------------------------------------------------------------------- #
 
 class TestQuantDispatch:
@@ -432,7 +437,7 @@ class TestQuantDispatch:
     def test_float_pin_falls_back_on_quant_spec(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "depthwise=depthwise_einsum")
         spec = _dw_spec("q8", 2, 8, 8, 3, 1, 1)
-        kernel = kernel_for(spec, _BenchArena(spec))
+        kernel = kernel_for(spec, _Arena(spec))
         assert kernel.name.endswith("_q8")
         row = selection_table()[spec.describe()]
         assert row["source"] == "pin-fallback"
@@ -440,23 +445,19 @@ class TestQuantDispatch:
     def test_quant_pin_falls_back_on_float_spec(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "depthwise=depthwise_native_q8")
         spec = _dw_spec("", 2, 8, 8, 3, 1, 1)._replace(quant="")
-        kernel = kernel_for(spec, _BenchArena(spec))
+        kernel = kernel_for(spec, _Arena(spec))
         assert not kernel.name.endswith("_q8")
         row = selection_table()[spec.describe()]
         assert row["source"] == "pin-fallback"
 
     def test_autotune_quant_decision_cached_and_complete(self, monkeypatch):
+        """The rule binds the compiled q8 kernel where it builds, the einsum
+        one elsewhere, and the same one on every bind."""
         monkeypatch.delenv(KERNELS_ENV, raising=False)
-        clear_autotune_cache()
         spec = _dw_spec("q8", 2, 8, 10, 3, 1, 1)
-        cands = candidates(spec)
-        first = kernel_for(spec, _BenchArena(spec))
-        second = kernel_for(spec, _BenchArena(spec))
-        assert first.name == second.name
+        first = kernel_for(spec, _Arena(spec))
+        second = kernel_for(spec, _Arena(spec))
+        expected = "depthwise_native_q8" if _native.available() else "depthwise_einsum_q8"
+        assert first.name == second.name == expected
         row = selection_table()[spec.describe()]
-        assert row["source"] in ("cached", "autotuned", "only")
-        if len(cands) > 1:
-            timings = timings_for(spec)
-            # Losing candidates leave timings behind but no other state.
-            assert set(timings) == {cls.name for cls in cands}
-        clear_autotune_cache()
+        assert row == {"kernel": expected, "source": "rule", "layout": "NHWC"}

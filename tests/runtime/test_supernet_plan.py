@@ -5,9 +5,9 @@ its rollout/bootstrap plan once per batch shape.  Each plan holds every
 candidate branch of every cell, and a sample only picks which branches run.
 These tests pin the three promises that rest on: no steady-state recompiles
 or fresh buffers, results identical to a plan compiled with exactly the
-sample's branches, and layout tags that are the same with and without the
-autotuner, need no transpose a full re-walk would add, and keep boundary
-transposes inside their branch.
+sample's branches, and layout tags that are the same in ``auto`` and
+``heuristic`` kernel modes, need no transpose a full re-walk would add, and
+keep boundary transposes inside their branch.
 """
 
 import numpy as np
@@ -205,7 +205,7 @@ class TestAllCandidatePlanParity:
 
 
 class TestLayoutRule:
-    """The layout pass gives the same tags whether or not the autotuner runs."""
+    """The layout pass gives the same tags in ``auto`` and ``heuristic`` mode."""
 
     @pytest.fixture(params=["auto", "heuristic"])
     def kernel_mode(self, request, monkeypatch):

@@ -2,7 +2,8 @@
 
 Serving tests exercise scheduling, routing and shutdown semantics, not
 kernel speed, so they run a small derived agent on the float32 runtime with
-``REPRO_KERNELS=heuristic`` (no autotune timing runs) to stay fast.  The
+``REPRO_KERNELS=heuristic``: depthwise convs on ``depthwise_einsum``, so the
+responses are the same bytes on hosts with and without the C library.  The
 agent fixture is module-scoped: the compiled plans per bucket size are the
 expensive part and every test in a module can share them.
 """
@@ -17,7 +18,7 @@ from serving_helpers import OBS_SHAPE, build_agent  # noqa: F401 — fixture sou
 
 @pytest.fixture(scope="module", autouse=True)
 def _heuristic_kernels():
-    """Pin kernel dispatch to the heuristic (no timing runs) for the module."""
+    """Pin kernel dispatch to the heuristic (host-independent bytes) for the module."""
     previous = os.environ.get("REPRO_KERNELS")
     os.environ["REPRO_KERNELS"] = "heuristic"
     yield

@@ -105,8 +105,8 @@ class TestRegistry:
 class TestSnapshot:
     def test_snapshot_merges_every_surface(self):
         snapshot = telemetry.snapshot()
-        assert set(snapshot) >= {
-            "metrics", "health", "plan_cache", "autotuner", "serving", "trace",
+        assert set(snapshot) == {
+            "metrics", "health", "plan_cache", "serving", "trace",
         }
         # Health counters come from the reliability layer's known set.
         assert "guard_trips" in snapshot["health"]
