@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cost_model import AcceleratorCostModel
 from .fpga import ZC706
 from .predictor import PerformancePredictor
-from .workload import extract_workload
 
 __all__ = ["RooflinePoint", "roofline_analysis", "bottleneck_report", "compare_accelerators", "dataflow_sweep"]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nas.gumbel import TemperatureSchedule, hard_gumbel_softmax
-from ..nn import Adam, Parameter, Tensor
+from ..nn import Adam, Parameter
 from ..nn import functional as F
 from .design_space import AcceleratorDesignSpace
 from .fpga import ZC706

@@ -29,9 +29,8 @@ from ..nn import RMSProp, clip_grad_norm
 from ..nn.serialization import load_state_dict, save_state_dict, validate_state
 from ..reliability import health
 from ..reliability.faults import get_injector
-from ..runtime import cache_stats
 from ..runtime.compiler import CompileError
-from ..telemetry.metrics import Reporter
+from ..telemetry.metrics import registry
 from ..utils.logging import MetricLogger
 from .distillation import ACDistiller, DistillationMode
 from .losses import TaskLossWeights, combine_task_loss, entropy_loss, policy_gradient_loss, value_loss
@@ -76,11 +75,6 @@ class TrainLoopConfig:
     #: After this many *consecutive* non-finite updates (guard trips), roll
     #: back to the last autosave (when one exists; 0 disables).
     guard_rollback_after: int = 3
-    #: Sample ``repro.telemetry.snapshot()`` every this many updates into the
-    #: loop's :class:`~repro.telemetry.metrics.Reporter` (0 disables);
-    #: ``telemetry_path`` appends the snapshots to a JSONL file.
-    telemetry_interval: int = 0
-    telemetry_path: object = None
 
     def loss_weights(self):
         """Bundle the beta coefficients of Eq. 12 into a :class:`TaskLossWeights`."""
@@ -91,16 +85,23 @@ class TrainLoopConfig:
         )
 
 
-def _runtime_counters(stats):
-    """The plan-cache and buffer-pool totals of one ``cache_stats()``."""
-    return {
-        "train_plan_hits": stats["train_plans"]["cache_hits"],
-        "train_plan_misses": stats["train_plans"]["cache_misses"],
-        "rollout_plan_hits": stats["inference_plans"]["cache_hits"],
-        "rollout_plan_misses": stats["inference_plans"]["cache_misses"],
-        "pool_bytes_recycled": stats["buffer_pools"]["bytes_pooled"],
-        "pool_bytes_fresh": stats["buffer_pools"]["bytes_fresh"],
-    }
+#: The registry counters behind each per-update ``runtime/<name>`` log entry.
+_RUNTIME_COUNTERS = {
+    name: registry().counter("runtime/" + key)
+    for name, key in (
+        ("train_plan_hits", "train_plans/cache_hits"),
+        ("train_plan_misses", "train_plans/cache_misses"),
+        ("rollout_plan_hits", "inference_plans/cache_hits"),
+        ("rollout_plan_misses", "inference_plans/cache_misses"),
+        ("pool_bytes_recycled", "buffer_pools/bytes_pooled"),
+        ("pool_bytes_fresh", "buffer_pools/bytes_fresh"),
+    )
+}
+
+
+def _runtime_counters():
+    """The current plan-cache and buffer-pool totals."""
+    return {name: counter.value for name, counter in _RUNTIME_COUNTERS.items()}
 
 
 class TrainLoop:
@@ -142,7 +143,6 @@ class TrainLoop:
         self.evaluator = evaluator
         self.optimizer = RMSProp(agent.parameters(), lr=learning_rate)
         self.logger = MetricLogger()
-        self.reporter = Reporter(interval=config.telemetry_interval, path=config.telemetry_path)
         self.rng = np.random.default_rng(config.seed)
         self.total_env_steps = 0
         self.updates = 0
@@ -154,7 +154,7 @@ class TrainLoop:
         self._train_step = None
         self._guard_streak = 0
         #: Runtime counter totals at the previous update's log.
-        self._runtime_counters = _runtime_counters(cache_stats())
+        self._runtime_counters = _runtime_counters()
 
     # ------------------------------------------------------------------ #
     # Rollout collection
@@ -345,9 +345,9 @@ class TrainLoop:
         """Log one update's losses, runtime deltas and health totals.
 
         The runtime counters (plan-cache hits and misses, recycled and
-        freshly allocated pool bytes, summed over the process's live engines)
-        are logged as per-update deltas, so a steady-state recompile shows as
-        a non-zero value.  The process-wide reliability counters (restarts,
+        freshly allocated pool bytes, read from the metrics registry) are
+        logged as per-update deltas, so a steady-state recompile shows as a
+        non-zero value.  The process-wide reliability counters (restarts,
         guard trips, fallbacks) are logged as totals, so recovery activity
         shows up in the same per-update stream.
         """
@@ -357,14 +357,12 @@ class TrainLoop:
             self.logger.log("loss/" + name, value, step=step)
         for name, value in extras.items():
             self.logger.log(name, value, step=step)
-        stats = cache_stats()
-        for name, value in stats["health"].items():
+        for name, value in health.stats().items():
             self.logger.log("health/" + name, value, step=step)
-        counters = _runtime_counters(stats)
+        counters = _runtime_counters()
         for name, value in counters.items():
             self.logger.log("runtime/" + name, value - self._runtime_counters[name], step=step)
         self._runtime_counters = counters
-        self.reporter.tick(step=step)
 
     # ------------------------------------------------------------------ #
     # Non-finite guard bookkeeping + crash safety

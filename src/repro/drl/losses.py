@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Tensor
-from ..nn import functional as F
 
 __all__ = ["policy_gradient_loss", "value_loss", "entropy_loss", "TaskLossWeights", "combine_task_loss"]
 

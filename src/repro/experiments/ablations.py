@@ -29,7 +29,6 @@ from ..drl import DistillationMode
 from ..nas import DRLArchitectureSearch, SearchConfig
 from ..networks import AgentSuperNet, CANDIDATE_OPERATORS
 from .profiles import get_profile
-from .reporting import format_table
 
 __all__ = [
     "run_topk_ablation",

@@ -18,7 +18,7 @@ environment variable overrides the default everywhere.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["ExperimentProfile", "PROFILES", "get_profile", "default_profile_name"]
 

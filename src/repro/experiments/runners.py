@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..drl import A2CConfig, A2CTrainer, DistillationMode, Evaluator, make_agent, train_teacher
 from ..envs import make_vector_env
 

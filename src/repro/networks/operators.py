@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import ConvBNReLU, InvertedResidual, Module, SkipConnection
+from ..nn import ConvBNReLU, InvertedResidual, SkipConnection
 
 __all__ = ["OperatorSpec", "CANDIDATE_OPERATORS", "build_operator", "operator_macs", "operator_params"]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import BasicResBlock, ConvBNReLU, Flatten, GlobalAvgPool2d, Linear, Module, ReLU, Sequential
+from ..nn import BasicResBlock, ConvBNReLU, GlobalAvgPool2d, Linear, Module, ReLU, Sequential
 
 __all__ = ["ResNet", "resnet14", "resnet20", "resnet38", "resnet74", "RESNET_BLOCKS", "build_backbone"]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import ConvBNReLU, GlobalAvgPool2d, Linear, Module, ModuleList, ReLU, Sequential, Tensor
+from ..nn import ConvBNReLU, GlobalAvgPool2d, Linear, Module, ModuleList, ReLU, Sequential
 from .operators import CANDIDATE_OPERATORS, build_operator, operator_macs, operator_params
 
 __all__ = ["CellConfig", "SearchableCell", "AgentSuperNet", "DerivedAgentNet", "default_cell_configs"]

@@ -8,8 +8,6 @@ and skip connections) are assembled.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .modules import BatchNorm2d, Conv2d, Identity, Module, ReLU, Sequential
 
 __all__ = ["ConvBNReLU", "BasicResBlock", "InvertedResidual", "SkipConnection", "count_conv_flops"]

@@ -1,12 +1,13 @@
 """Process-wide reliability counters.
 
-A flat, dependency-free counter registry: the env supervisor, the runtime
-guards, and the checkpoint layer record events here, and observability
-surfaces read them back — ``repro.runtime.cache_stats()`` exposes them under
-``"health"`` and the search loop logs them per update.  Counters are plain
-ints behind module functions (no locks: the instrumented paths are all
-single-threaded; forked env workers get an independent copy-on-write copy
-that nothing reads).
+The env supervisor, the runtime guards, the checkpoint layer and the policy
+server record events here, and observability surfaces read them back —
+``repro.runtime.cache_stats()`` and ``repro.telemetry.snapshot()`` expose
+them under ``"health"`` and the training loop logs them per update.  Each
+counter is the ``health/<name>`` :class:`~repro.telemetry.metrics.Counter`
+of the process-wide metrics registry; these functions read and write it as
+ints (forked env workers get an independent copy-on-write copy that
+nothing reads).
 
 Well-known counter names (always present in :func:`stats`, so dashboards and
 tests can rely on the keys):
@@ -27,8 +28,8 @@ tests can rely on the keys):
     Compiled-runtime calls (train or inference) that fell back to the eager
     tape on :class:`~repro.runtime.compiler.CompileError`.
 ``quarantined_kernels``
-    Autotuner candidates excluded for the session after raising or
-    producing non-finite output.
+    Kernels excluded for the session after their first-bind smoke call
+    raised or produced non-finite output.
 ``autosaves``
     Periodic checkpoints written by the training / search loops.
 ``faults_injected``
@@ -54,8 +55,10 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["KNOWN_COUNTERS", "record", "get", "stats", "reset", "snapshot", "delta",
-           "Snapshot", "Window"]
+from ..telemetry.metrics import registry
+
+__all__ = ["KNOWN_COUNTERS", "PREFIX", "record", "get", "stats", "reset", "snapshot",
+           "delta", "Snapshot", "Window"]
 
 #: Counter names guaranteed to appear in :func:`stats` (with value 0 when
 #: never recorded), so consumers can key on them unconditionally.
@@ -74,30 +77,35 @@ KNOWN_COUNTERS = (
     "serving_restarts",
 )
 
-_COUNTS = {}
+#: Registry name prefix of the health counters.
+PREFIX = "health/"
+
+for _name in KNOWN_COUNTERS:
+    registry().counter(PREFIX + _name)
 
 
 def record(name, count=1):
     """Add ``count`` to counter ``name`` (created on first use)."""
-    _COUNTS[name] = _COUNTS.get(name, 0) + int(count)
-    return _COUNTS[name]
+    counter = registry().counter(PREFIX + name)
+    counter.inc(int(count))
+    return counter.value
 
 
 def get(name):
     """Current value of counter ``name`` (0 if never recorded)."""
-    return _COUNTS.get(name, 0)
+    counter = registry().get(PREFIX + name)
+    return counter.value if counter is not None else 0
 
 
 def stats():
     """Snapshot of every counter, known names always included."""
-    out = {name: 0 for name in KNOWN_COUNTERS}
-    out.update(_COUNTS)
-    return out
+    return registry().view(PREFIX)
 
 
 def reset():
-    """Zero every counter (tests)."""
-    _COUNTS.clear()
+    """Zero every health counter (tests); other registry instruments stay."""
+    for name in stats():
+        registry().get(PREFIX + name).reset()
 
 
 class Snapshot:

@@ -77,41 +77,27 @@ __all__ = [
 
 
 def cache_stats():
-    """Aggregate plan-cache, :class:`BufferPool` and kernel-dispatch counters.
+    """Process-wide plan-cache, :class:`BufferPool`, kernel and health counters.
 
-    Sums hits / misses / evictions over every :class:`InferenceEngine` and
-    :class:`CompiledTrainStep` the process created, recycled vs
-    freshly-allocated bytes over every pool (collected objects included, so
-    the counters only grow; ``engines`` / ``executors`` / ``pools`` count the
-    live ones), and reports the conv kernel chosen per op signature, so
-    search loops can log how well compilation amortises and which compute
-    kernels their plans actually run on.  The ``"health"`` entry mirrors the
-    process-wide reliability counters of :mod:`repro.reliability.health`
-    (worker restarts, guard trips, eager fallbacks, ...), putting recovery
-    activity next to the cache counters in the same observability surface.
-    The ``"serving"`` entry aggregates every live
-    :class:`repro.serving.PolicyServer` (requests, batches, shed counts,
-    per-bucket dispatch histogram) so batching efficiency shows up beside
-    the plan-cache hit rates it exists to protect.
+    ``inference_plans`` and ``train_plans`` hold the hits / misses /
+    evictions summed over every :class:`InferenceEngine` and
+    :class:`CompiledTrainStep` the process created, ``buffer_pools`` the
+    recycled vs freshly-allocated bytes over every pool.  All three are
+    views of the ``runtime/`` counters of the metrics registry, so they only
+    grow (collected objects keep their counts) and per-update deltas never go
+    negative.  ``kernels`` reports the conv kernel chosen per op signature,
+    and ``health`` the process-wide reliability counters of
+    :mod:`repro.reliability.health` (worker restarts, guard trips, eager
+    fallbacks, ...), putting recovery activity next to the cache counters.
     """
     from ..reliability import health
-    from ..serving.server import serving_stats
-    from .engine import _ENGINES
+    from ..telemetry.metrics import registry
     from .kernels import selection_table
-    from .plan import _POOLS
-    from .train import _TRAIN_STEPS
 
-    inference, engines = _ENGINES.totals()
-    inference["engines"] = engines
-    train, executors = _TRAIN_STEPS.totals()
-    train["executors"] = executors
-    pools, live_pools = _POOLS.totals()
-    pools["pools"] = live_pools
     return {
-        "inference_plans": inference,
-        "train_plans": train,
-        "buffer_pools": pools,
+        "inference_plans": registry().view("runtime/inference_plans/"),
+        "train_plans": registry().view("runtime/train_plans/"),
+        "buffer_pools": registry().view("runtime/buffer_pools/"),
         "kernels": selection_table(),
         "health": health.stats(),
-        "serving": serving_stats(),
     }

@@ -21,13 +21,18 @@ import numpy as np
 
 from ..reliability.faults import get_injector
 from ..telemetry import trace
+from ..telemetry.metrics import registry
 from .compiler import CompileError, compile_plan
-from .plan import BufferPool, CounterTally
+from .plan import BufferPool
 
 __all__ = ["InferenceEngine", "RuntimePolicy"]
 
-#: Engines, for :func:`repro.runtime.cache_stats` aggregation.
-_ENGINES = CounterTally(("cache_hits", "cache_misses", "cache_evictions"))
+#: Plan-cache totals over every engine
+#: (``repro.runtime.cache_stats()["inference_plans"]``).
+_HITS, _MISSES, _EVICTIONS = (
+    registry().counter("runtime/inference_plans/" + key)
+    for key in ("cache_hits", "cache_misses", "cache_evictions")
+)
 
 
 class InferenceEngine:
@@ -64,10 +69,6 @@ class InferenceEngine:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        _ENGINES.add(self)
-
-    def __del__(self):
-        _ENGINES.retire(self)
 
     def plan_for(self, input_shape, path=None):
         """Fetch (or compile) the plan for ``input_shape``, selecting ``path``.
@@ -85,6 +86,7 @@ class InferenceEngine:
         plan = self._plans.get(key)
         if plan is None:
             self.cache_misses += 1
+            _MISSES.inc()
             plan = compile_plan(self.module, key[0], dtype=self.dtype, path=path,
                                 pool=self.pool, quantize=self.quantize)
             self._plans[key] = plan
@@ -92,8 +94,10 @@ class InferenceEngine:
                 _, evicted = self._plans.popitem(last=False)
                 evicted.release()
                 self.cache_evictions += 1
+                _EVICTIONS.inc()
         else:
             self.cache_hits += 1
+            _HITS.inc()
             self._plans.move_to_end(key)
             if path is not None:
                 try:

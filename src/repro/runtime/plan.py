@@ -34,15 +34,15 @@ it in place.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 
 import numpy as np
 
 from ..nn import vjp
 from ..telemetry import trace
+from ..telemetry.metrics import registry
 from . import kernels as conv_kernels
-from .kernels import SCRATCH_GEMM, SCRATCH_MAIN, SCRATCH_PAD, _native
+from .kernels import SCRATCH_GEMM, SCRATCH_MAIN, _native
 
 __all__ = [
     "Plan",
@@ -69,44 +69,15 @@ __all__ = [
     "apply_activation",
 ]
 
-class CounterTally:
-    """Counters of live objects of one kind plus those of collected ones.
+#: Process-wide pool totals (``repro.runtime.cache_stats()["buffer_pools"]``).
+_POOL_TOTALS = {
+    key: registry().counter("runtime/buffer_pools/" + key)
+    for key in ("hits", "misses", "bytes_pooled", "bytes_fresh")
+}
 
-    :func:`repro.runtime.cache_stats` reports :meth:`totals`, so its
-    counters only grow: a collected engine or pool never makes a per-update
-    delta negative.  Tracked classes call :meth:`retire` from ``__del__``.
-    """
-
-    def __init__(self, keys):
-        self.keys = tuple(keys)
-        self._live = weakref.WeakSet()
-        self._retired = dict.fromkeys(self.keys, 0)
-
-    def add(self, obj):
-        self._live.add(obj)
-
-    def retire(self, obj):
-        for key in self.keys:
-            self._retired[key] += getattr(obj, key, 0)
-
-    def totals(self):
-        """``(counter sums over live and retired objects, live count)``."""
-        # Holding the live objects keeps them from retiring mid-sum.
-        live = list(self._live)
-        out = dict(self._retired)
-        for obj in live:
-            for key in self.keys:
-                out[key] += getattr(obj, key)
-        return out, len(live)
-
-
-#: Pools, for :func:`repro.runtime.cache_stats` aggregation.
-_POOLS = CounterTally(("hits", "misses", "bytes_pooled", "bytes_fresh"))
-
-# The shared scratch-arena channel ids (SCRATCH_MAIN / SCRATCH_GEMM /
-# SCRATCH_PAD) are defined in repro.runtime.kernels.registry — the kernel
-# implementations draw from the same arenas — and re-exported here for the
-# plan steps and backwards compatibility.
+# The shared scratch-arena channel ids (SCRATCH_MAIN / SCRATCH_GEMM) are
+# defined in repro.runtime.kernels.registry: the kernel implementations draw
+# from the same arenas as the plan steps.
 
 
 def stacked_view(array, num_samples):
@@ -169,10 +140,6 @@ class BufferPool:
         self.misses = 0
         self.bytes_pooled = 0
         self.bytes_fresh = 0
-        _POOLS.add(self)
-
-    def __del__(self):
-        _POOLS.retire(self)
 
     def take(self, nbytes):
         """A byte block of capacity >= ``nbytes`` (recycled when possible)."""
@@ -189,9 +156,13 @@ class BufferPool:
             block = self._free.pop(best)
             self.hits += 1
             self.bytes_pooled += block.nbytes
+            _POOL_TOTALS["hits"].inc()
+            _POOL_TOTALS["bytes_pooled"].inc(block.nbytes)
             return block
         self.misses += 1
         self.bytes_fresh += nbytes
+        _POOL_TOTALS["misses"].inc()
+        _POOL_TOTALS["bytes_fresh"].inc(nbytes)
         return np.empty(nbytes, dtype=np.uint8)
 
     def give(self, blocks):

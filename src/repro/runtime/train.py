@@ -42,13 +42,18 @@ import numpy as np
 from ..reliability import health
 from ..reliability.faults import get_injector
 from ..telemetry import trace
+from ..telemetry.metrics import registry
 from .compiler import ALL_CANDIDATES, CompileError, compile_plan
-from .plan import BufferPool, CounterTally
+from .plan import BufferPool
 
 __all__ = ["CompiledTrainStep", "TrainStepResult", "DEFAULT_LOSS_WEIGHTS"]
 
-#: Train-step executors, for :func:`repro.runtime.cache_stats`.
-_TRAIN_STEPS = CounterTally(("cache_hits", "cache_misses", "cache_evictions"))
+#: Plan-cache totals over every train step
+#: (``repro.runtime.cache_stats()["train_plans"]``).
+_HITS, _MISSES, _EVICTIONS = (
+    registry().counter("runtime/train_plans/" + key)
+    for key in ("cache_hits", "cache_misses", "cache_evictions")
+)
 
 
 class _LossWeights:
@@ -142,10 +147,6 @@ class CompiledTrainStep:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        _TRAIN_STEPS.add(self)
-
-    def __del__(self):
-        _TRAIN_STEPS.retire(self)
 
     # ------------------------------------------------------------------ #
     # Plan cache
@@ -173,6 +174,7 @@ class CompiledTrainStep:
                     "signature previously failed to compile; using the eager tape"
                 )
             self.cache_misses += 1
+            _MISSES.inc()
             try:
                 plan = compile_plan(
                     self.agent,
@@ -197,8 +199,10 @@ class CompiledTrainStep:
                 _, evicted = self._plans.popitem(last=False)
                 evicted.release()
                 self.cache_evictions += 1
+                _EVICTIONS.inc()
         else:
             self.cache_hits += 1
+            _HITS.inc()
             self._plans.move_to_end(key)
         return plan
 

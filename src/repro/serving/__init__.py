@@ -29,13 +29,12 @@ from .errors import (
     ServingError,
     UnknownModelError,
 )
-from .server import PolicyServer, serving_stats
+from .server import PolicyServer
 
 __all__ = [
     "PolicyServer",
     "BucketPolicy",
     "DEFAULT_BUCKETS",
-    "serving_stats",
     "ServingError",
     "ServerOverloadedError",
     "ServerClosedError",

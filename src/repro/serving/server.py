@@ -34,9 +34,12 @@ Design points, in the order they matter operationally:
   :class:`~repro.serving.errors.ServerClosedError` (or are drained to
   completion with ``finish_backlog=True``), and later submits raise.  A
   client blocked on ``future.result()`` never hangs on server exit.
-* **Observability.**  Per-server counters via :meth:`PolicyServer.stats`,
-  process-wide aggregation via ``repro.runtime.cache_stats()["serving"]``,
-  and per-window rates via :meth:`PolicyServer.health_window` (built on
+* **Observability.**  Per-server counters via :meth:`PolicyServer.stats`;
+  each per-server count also adds to one process-wide counter of the
+  metrics registry (``serving/*``, or ``health/serving_*`` for shed
+  requests, failed batches and restarts), read back through
+  ``repro.telemetry.snapshot()``; per-window rates via
+  :meth:`PolicyServer.health_window` (built on
   ``reliability.health.snapshot()/delta()``).
 
 Numerics contract: within one bucket size, responses are bitwise-identical
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from concurrent.futures import Future, InvalidStateError
 from collections import deque
 
@@ -67,17 +69,15 @@ from ..telemetry import metrics, trace
 from .batching import BucketPolicy
 from .errors import ServerClosedError, ServerOverloadedError, ServingError, UnknownModelError
 
-__all__ = ["PolicyServer", "serving_stats"]
-
-#: Live servers, for ``repro.runtime.cache_stats()["serving"]`` aggregation.
-_SERVERS = weakref.WeakSet()
+__all__ = ["PolicyServer"]
 
 #: Idle poll interval of the worker loop: bounds how stale a close() can be
 #: observed, without busy-waiting an empty queue.
 _IDLE_WAIT = 0.05
 
-# Process-wide serving metrics (shared across servers; per-server percentiles
-# live on the server's private histograms and surface through stats()).
+# Process-wide serving metrics (summed over every server; per-server
+# percentiles live on the server's private histograms and surface through
+# stats()).
 _M_LATENCY = metrics.registry().histogram(
     "serving/request_latency_seconds", help="submit -> future-resolved latency"
 )
@@ -86,14 +86,19 @@ _M_OCCUPANCY = metrics.registry().histogram(
     buckets=metrics.FRACTION_BUCKETS,
     help="valid rows / bucket size per executed batch",
 )
-_M_SHED = metrics.registry().counter(
-    "serving/shed", help="requests rejected by admission control"
-)
-_M_RESTARTS = metrics.registry().counter(
-    "serving/restarts", help="worker-loop restarts after a crash"
-)
 _M_QUEUE_DEPTH = metrics.registry().gauge(
-    "serving/queue_depth", help="waiting requests (all live servers)"
+    "serving/queue_depth", help="waiting requests over every server"
+)
+#: The one process-wide counter each per-server count adds to: shed
+#: requests, failed batches and worker restarts are reliability events
+#: (``health/serving_*``), the rest are ``serving/*`` counters.
+_TOTALS = {
+    key: metrics.registry().counter("serving/" + key)
+    for key in ("requests", "completed", "failed", "batches", "padded_slots")
+}
+_TOTALS.update(
+    (key, metrics.registry().counter(health.PREFIX + "serving_" + key))
+    for key in ("shed", "batch_failures", "restarts")
 )
 
 
@@ -173,14 +178,7 @@ class PolicyServer:
         self._closed = False
         self._degraded = False
         self._thread = None
-        self._accepted = 0
-        self._completed = 0
-        self._failed = 0
-        self._shed = 0
-        self._batches = 0
-        self._padded_slots = 0
-        self._batch_failures = 0
-        self._restarts = 0
+        self._counts = dict.fromkeys(_TOTALS, 0)
         self._bucket_counts = {}
         # Private per-server distributions (the process-wide registry copies
         # aggregate across servers and would blur per-server percentiles).
@@ -189,7 +187,6 @@ class PolicyServer:
             "batch_occupancy", buckets=metrics.FRACTION_BUCKETS
         )
         self._started_at = health.snapshot()
-        _SERVERS.add(self)
         if start:
             self.start()
 
@@ -255,23 +252,26 @@ class PolicyServer:
                     )
                 )
             if len(self._queue) >= self.max_queue:
-                self._shed += 1
-                health.record("serving_shed")
-                _M_SHED.inc()
+                self._count("shed")
                 raise ServerOverloadedError(
                     "intake queue full ({} waiting); request shed".format(self.max_queue)
                 )
             future = Future()
             arrived_ns = time.perf_counter_ns() if trace.enabled else 0
             self._queue.append(_Request(model, obs, future, time.monotonic(), arrived_ns))
-            self._accepted += 1
-            _M_QUEUE_DEPTH.set(len(self._queue))
+            self._count("requests")
+            _M_QUEUE_DEPTH.inc()
             self._ready.notify()
         return future
 
     def policy_value(self, model, observation, timeout=None):
         """Blocking convenience: submit one observation and wait for its row."""
         return self.submit(model, observation).result(timeout=timeout)
+
+    def _count(self, key, amount=1):
+        """Add to a per-server count and its process-wide counter (lock held)."""
+        self._counts[key] += amount
+        _TOTALS[key].inc(amount)
 
     # ------------------------------------------------------------------ #
     # Scheduling and execution
@@ -293,6 +293,7 @@ class PolicyServer:
                 kept.append(request)
         self._queue.clear()
         self._queue.extend(kept)
+        _M_QUEUE_DEPTH.dec(len(taken))
         return taken
 
     def _pending_for(self, model):
@@ -330,10 +331,9 @@ class PolicyServer:
                 trace.end()
         except Exception as error:  # noqa: BLE001 — contained per batch
             trace.end()
-            health.record("serving_batch_failures")
             with self._lock:
-                self._batch_failures += 1
-                self._failed += len(batch)
+                self._count("batch_failures")
+                self._count("failed", len(batch))
             for request in batch:
                 _resolve(request.future, error=error)
             return
@@ -357,12 +357,11 @@ class PolicyServer:
         trace.end()
         with self._lock:
             entry.served += len(batch)
-            self._completed += len(batch)
-            self._batches += 1
-            self._padded_slots += padded.shape[0] - valid
+            self._count("completed", len(batch))
+            self._count("batches")
+            self._count("padded_slots", padded.shape[0] - valid)
             bucket = int(padded.shape[0])
             self._bucket_counts[bucket] = self._bucket_counts.get(bucket, 0) + 1
-            _M_QUEUE_DEPTH.set(len(self._queue))
 
     def step(self):
         """Synchronously process one waiting batch (manual / test mode).
@@ -394,14 +393,12 @@ class PolicyServer:
                 # now (its requests left the queue; nothing retries them).
                 if batch:
                     with self._lock:
-                        self._failed += len(batch)
+                        self._count("failed", len(batch))
                     for request in batch:
                         _resolve(request.future, error=error)
                 consecutive_failures += 1
-                health.record("serving_restarts")
-                _M_RESTARTS.inc()
                 with self._lock:
-                    self._restarts += 1
+                    self._count("restarts")
                 if consecutive_failures >= self.restart.max_attempts:
                     self._abort(
                         ServingError(
@@ -435,12 +432,18 @@ class PolicyServer:
         with self._ready:
             self._closed = True
             self._degraded = True
-            pending = list(self._queue)
-            self._queue.clear()
-            self._failed += len(pending)
+            pending = self._drop_queue()
             self._ready.notify_all()
         for request in pending:
             _resolve(request.future, error=error)
+
+    def _drop_queue(self):
+        """Empty the queue, counting its requests as failed (lock held)."""
+        pending = list(self._queue)
+        self._queue.clear()
+        _M_QUEUE_DEPTH.dec(len(pending))
+        self._count("failed", len(pending))
+        return pending
 
     def close(self, finish_backlog=False, timeout=5.0):
         """Shut down, guaranteeing every accepted future resolves.
@@ -455,12 +458,7 @@ class PolicyServer:
         """
         with self._ready:
             self._closed = True
-            if finish_backlog:
-                pending = []
-            else:
-                pending = list(self._queue)
-                self._queue.clear()
-                self._failed += len(pending)
+            pending = [] if finish_backlog else self._drop_queue()
             self._ready.notify_all()
             thread = self._thread
         shutdown = ServerClosedError("server closed before the request was scheduled")
@@ -497,24 +495,15 @@ class PolicyServer:
         deadline trades against.
         """
         with self._lock:
-            batches = self._batches
-            completed = self._completed
-            out = {
-                "requests": self._accepted,
-                "completed": completed,
-                "failed": self._failed,
-                "shed": self._shed,
-                "batches": batches,
-                "avg_batch": completed / batches if batches else 0.0,
-                "padded_slots": self._padded_slots,
-                "batch_failures": self._batch_failures,
-                "restarts": self._restarts,
+            out = dict(self._counts)
+            out.update({
+                "avg_batch": out["completed"] / out["batches"] if out["batches"] else 0.0,
                 "batch_sizes": dict(self._bucket_counts),
                 "queue_depth": len(self._queue),
                 "models": {name: m.served for name, m in self._models.items()},
                 "closed": self._closed,
                 "degraded": self._degraded,
-            }
+            })
         out["latency"] = self._latency.summary()
         out["occupancy"] = self._occupancy.summary()
         return out
@@ -537,22 +526,3 @@ class PolicyServer:
         return "PolicyServer(models={}, requests={}, queue={}, closed={})".format(
             sorted(stats["models"]), stats["requests"], stats["queue_depth"], stats["closed"]
         )
-
-
-def serving_stats():
-    """Aggregate counters over every live server (``cache_stats()["serving"]``)."""
-    keys = ("requests", "completed", "failed", "shed", "batches", "padded_slots",
-            "batch_failures", "restarts", "queue_depth")
-    out = dict.fromkeys(keys, 0)
-    batch_sizes = {}
-    servers = 0
-    for server in list(_SERVERS):
-        servers += 1
-        stats = server.stats()
-        for key in keys:
-            out[key] += stats[key]
-        for bucket, count in stats["batch_sizes"].items():
-            batch_sizes[bucket] = batch_sizes.get(bucket, 0) + count
-    out["batch_sizes"] = batch_sizes
-    out["servers"] = servers
-    return out

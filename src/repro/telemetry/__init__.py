@@ -1,35 +1,24 @@
-"""Unified telemetry: span tracing, metrics registry, profile reports.
+"""Unified telemetry: span tracing, one metrics registry, profile reports.
 
 Three pieces, one schema:
 
 * :mod:`repro.telemetry.trace` — nested spans into a preallocated ring
   buffer with Chrome trace-event export (``REPRO_TRACE=1`` to opt in);
-* :mod:`repro.telemetry.metrics` — counters / gauges / histograms with
-  percentile summaries, JSONL and Prometheus-text exporters, and the
-  periodic :class:`~repro.telemetry.metrics.Reporter` hook;
+* :mod:`repro.telemetry.metrics` — the process's only counter store:
+  counters, gauges and histograms under ``health/``, ``runtime/`` and
+  ``serving/`` prefixes;
 * :mod:`repro.telemetry.report` — per-span self-time aggregation ("where
   did the milliseconds go").
 
-:func:`snapshot` is the single entry point observers poll: it merges the
-metrics registry with every pre-existing surface — reliability ``health``
-counters, runtime plan-cache/pool stats (kernel selections included), and
-serving stats — into one dict, so dashboards and the training loops'
-reporters never need to know which subsystem owns which number.
+:func:`snapshot` is the single entry point observers poll: every key but
+``trace`` is a view of the metrics registry, so dashboards never need to
+know which subsystem owns which number.
 """
 
 from __future__ import annotations
 
 from . import metrics, report, trace
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    JsonlExporter,
-    MetricsRegistry,
-    Reporter,
-    prometheus_text,
-    registry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, registry
 from .report import ProfileReport, profile
 from .trace import export_chrome, span
 
@@ -42,9 +31,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "registry",
-    "JsonlExporter",
-    "prometheus_text",
-    "Reporter",
     "ProfileReport",
     "profile",
     "span",
@@ -58,32 +44,26 @@ def snapshot():
 
     Keys:
 
-    * ``metrics`` — the telemetry registry (counters/gauges/histograms);
-    * ``health`` — reliability counters (guard trips, shed, restarts);
-    * ``plan_cache`` — compiled-plan caches, buffer pools and the
-      per-signature kernel selections (from :func:`repro.runtime.cache_stats`);
-    * ``serving`` — live policy-server stats (empty dict when no server
-      has been constructed);
+    * ``metrics`` — every registry instrument, histograms included;
+    * ``health`` — the ``health/`` counters (guard trips, shed, restarts);
+    * ``plan_cache`` — the ``runtime/`` plan-cache and buffer-pool counters
+      plus the per-signature kernel selections (everything
+      :func:`repro.runtime.cache_stats` reports but ``health``);
+    * ``serving`` — the ``serving/`` counters and queue-depth gauge, summed
+      over every policy server the process ran;
     * ``trace`` — ring-buffer occupancy and the enabled flag.
 
-    Imports of the runtime/serving layers happen lazily inside the call so
-    ``repro.telemetry`` stays importable from anywhere (including inside
-    those layers) without cycles.
+    The runtime is imported lazily inside the call so ``repro.telemetry``
+    stays importable from anywhere (including inside that layer) without
+    cycles.
     """
-    from repro.reliability import health as _health
-    from repro.runtime import cache_stats as _cache_stats
+    from repro.runtime import cache_stats
 
-    stats = _cache_stats()
-    snap = {
+    plan_cache = cache_stats()
+    return {
         "metrics": registry().collect(),
-        "health": stats.get("health", _health.snapshot()),
-        "plan_cache": {
-            key: stats[key]
-            for key in ("inference_plans", "train_plans", "buffer_pools", "kernels")
-            if key in stats
-        },
-        "serving": stats.get("serving", {}),
+        "health": plan_cache.pop("health"),
+        "plan_cache": plan_cache,
+        "serving": registry().view("serving/"),
         "trace": trace.stats(),
     }
-    return snap
-

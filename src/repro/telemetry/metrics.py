@@ -1,35 +1,41 @@
-"""Metrics registry: counters, gauges, fixed-bucket histograms, exporters.
+"""Metrics registry: the process's one store of counters, gauges and histograms.
 
-One uniform vocabulary for every number the system already produces —
-reliability ``health`` counters, plan-cache hit rates, kernel selections,
-serving latencies, trainer loss curves — so dashboards read **one** schema
-instead of four ad-hoc dicts:
+Every process-wide count lives here, under a ``<layer>/`` prefix:
+
+* ``health/<name>`` — reliability events (guard trips, restarts, shed
+  requests), written through :mod:`repro.reliability.health`;
+* ``runtime/inference_plans/*``, ``runtime/train_plans/*`` and
+  ``runtime/buffer_pools/*`` — plan-cache hits, misses and evictions and
+  recycled vs freshly allocated pool bytes, bumped by the engines, train
+  steps and pools as they count;
+* ``serving/*`` — requests, batches and queue depth over every
+  :class:`~repro.serving.PolicyServer`, plus its latency and occupancy
+  histograms.
+
+The instruments:
 
 * :class:`Counter` — monotonically increasing totals (requests served,
   guard trips);
-* :class:`Gauge` — last-write-wins instantaneous values (queue depth,
-  learning rate);
+* :class:`Gauge` — instantaneous values (queue depth);
 * :class:`Histogram` — fixed-bucket distributions with percentile
   summaries (request latency, batch occupancy).  Buckets are chosen at
   construction and never reallocated, so ``observe`` is an index increment
   — safe on warm paths.
 
-A :class:`MetricsRegistry` names them; :func:`registry` returns the
-process-wide default (get-or-create semantics, so two subsystems recording
-``serving_shed`` share one counter).  :class:`JsonlExporter` appends
-snapshots as JSON lines; :func:`prometheus_text` renders the Prometheus
-text exposition format.  :class:`Reporter` is the periodic hook trainers
-and searchers call once per update to sample
-:func:`repro.telemetry.snapshot` into a JSONL stream.
+:func:`registry` returns the process-wide :class:`MetricsRegistry`
+(get-or-create semantics, so every site naming ``health/guard_trips``
+shares one counter).  Counters are never dropped, so totals only grow and
+per-update deltas never go negative; :meth:`MetricsRegistry.view` reads
+one prefix back as a plain dict, which is how ``health.stats()``,
+``repro.runtime.cache_stats()`` and :func:`repro.telemetry.snapshot` are
+built.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import threading
-import time
 
 __all__ = [
     "Counter",
@@ -39,9 +45,6 @@ __all__ = [
     "registry",
     "DEFAULT_LATENCY_BUCKETS",
     "FRACTION_BUCKETS",
-    "JsonlExporter",
-    "prometheus_text",
-    "Reporter",
 ]
 
 #: Default histogram buckets, tuned for request/step latencies in seconds:
@@ -63,14 +66,19 @@ class Counter:
     def __init__(self, name, help=""):
         self.name = name
         self.help = help
-        self._value = 0.0
+        self._value = 0
         self._lock = threading.Lock()
 
-    def inc(self, amount=1.0):
+    def inc(self, amount=1):
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge for {}".format(amount))
         with self._lock:
             self._value += amount
+
+    def reset(self):
+        """Zero the total (tests)."""
+        with self._lock:
+            self._value = 0
 
     @property
     def value(self):
@@ -81,23 +89,26 @@ class Counter:
 
 
 class Gauge:
-    """An instantaneous value (last write wins)."""
+    """An instantaneous value that moves both ways."""
 
-    __slots__ = ("name", "help", "_value")
+    __slots__ = ("name", "help", "_value", "_lock")
 
     def __init__(self, name, help=""):
         self.name = name
         self.help = help
         self._value = 0.0
+        self._lock = threading.Lock()
 
     def set(self, value):
         self._value = float(value)
 
     def inc(self, amount=1.0):
-        self._value += amount
+        with self._lock:
+            self._value += amount
 
     def dec(self, amount=1.0):
-        self._value -= amount
+        with self._lock:
+            self._value -= amount
 
     @property
     def value(self):
@@ -237,8 +248,7 @@ class MetricsRegistry:
         return self._get_or_create(name, Gauge, help=help)
 
     def histogram(self, name, buckets=DEFAULT_LATENCY_BUCKETS, help=""):
-        metric = self._get_or_create(name, Histogram, buckets=buckets, help=help)
-        return metric
+        return self._get_or_create(name, Histogram, buckets=buckets, help=help)
 
     def get(self, name):
         return self._metrics.get(name)
@@ -253,10 +263,12 @@ class MetricsRegistry:
             metrics = list(self._metrics.items())
         return {name: metric.collect() for name, metric in sorted(metrics)}
 
-    def reset(self):
-        """Drop every instrument (tests)."""
+    def view(self, prefix):
+        """``{name without prefix: value}`` of the counters and gauges under ``prefix``."""
         with self._lock:
-            self._metrics.clear()
+            metrics = [(name, metric) for name, metric in self._metrics.items()
+                       if name.startswith(prefix) and not isinstance(metric, Histogram)]
+        return {name[len(prefix):]: metric.value for name, metric in sorted(metrics)}
 
 
 _REGISTRY = MetricsRegistry()
@@ -265,141 +277,3 @@ _REGISTRY = MetricsRegistry()
 def registry():
     """The process-wide default registry."""
     return _REGISTRY
-
-
-# --------------------------------------------------------------------- #
-# Exporters
-# --------------------------------------------------------------------- #
-class JsonlExporter:
-    """Appends snapshots as JSON lines (one object per line).
-
-    JSONL keeps the export append-only and crash-tolerant: a killed run
-    loses at most the line being written, and consumers stream the file
-    without loading it whole.
-    """
-
-    def __init__(self, path):
-        self.path = str(path)
-        self.lines_written = 0
-
-    def write(self, snapshot):
-        """Append one snapshot; stamps ``time`` if absent.  Returns it."""
-        if "time" not in snapshot:
-            snapshot = dict(snapshot)
-            snapshot["time"] = time.time()
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(snapshot, default=_json_default))
-            handle.write("\n")
-        self.lines_written += 1
-        return snapshot
-
-    @staticmethod
-    def read(path):
-        """Load every snapshot line back (skipping blank lines)."""
-        out = []
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
-
-
-def _json_default(value):
-    """Serialise the NumPy scalars that ride along in stats dicts."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    return str(value)
-
-
-def _sanitize(name):
-    """Prometheus metric names: ``[a-zA-Z_:][a-zA-Z0-9_:]*``."""
-    out = []
-    for index, char in enumerate(name):
-        if char.isalnum() or char in "_:":
-            out.append(char)
-        else:
-            out.append("_")
-        if index == 0 and char.isdigit():
-            out[0] = "_" + char
-    return "".join(out)
-
-
-def prometheus_text(metrics=None):
-    """Render metrics in the Prometheus text exposition format (0.0.4).
-
-    ``metrics`` is a ``{name: collected}`` dict (as returned by
-    :meth:`MetricsRegistry.collect`); ``None`` collects the default
-    registry.  Counters render as ``<name>_total``, histograms as
-    cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
-    """
-    if metrics is None:
-        metrics = _REGISTRY.collect()
-    lines = []
-    for name, data in sorted(metrics.items()):
-        kind = data.get("type")
-        metric_name = _sanitize(name)
-        if kind == "counter":
-            lines.append("# TYPE {} counter".format(metric_name))
-            lines.append("{}_total {}".format(metric_name, _format_value(data["value"])))
-        elif kind == "gauge":
-            lines.append("# TYPE {} gauge".format(metric_name))
-            lines.append("{} {}".format(metric_name, _format_value(data["value"])))
-        elif kind == "histogram":
-            lines.append("# TYPE {} histogram".format(metric_name))
-            cumulative = 0
-            for bound, bucket_count in data["buckets"].items():
-                if bound == "+Inf":
-                    continue
-                cumulative += bucket_count
-                lines.append(
-                    '{}_bucket{{le="{}"}} {}'.format(metric_name, bound, cumulative)
-                )
-            cumulative += data["buckets"].get("+Inf", 0)
-            lines.append('{}_bucket{{le="+Inf"}} {}'.format(metric_name, cumulative))
-            lines.append("{}_sum {}".format(metric_name, _format_value(data["sum"])))
-            lines.append("{}_count {}".format(metric_name, data["count"]))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _format_value(value):
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-# --------------------------------------------------------------------- #
-# Periodic reporting hook
-# --------------------------------------------------------------------- #
-class Reporter:
-    """Samples :func:`repro.telemetry.snapshot` every N ``tick`` calls.
-
-    Trainers and searchers call :meth:`tick` once per update; every
-    ``interval``-th call takes a unified snapshot, optionally appends it to
-    a JSONL file, and returns it (``None`` on the off-ticks), so loops log
-    telemetry at a bounded cadence without owning any schema themselves.
-    """
-
-    def __init__(self, interval=25, path=None):
-        self.interval = int(interval)
-        self.exporter = JsonlExporter(path) if path else None
-        self.ticks = 0
-        self.reports = 0
-
-    def tick(self, step=None, extra=None):
-        """One update happened; report if the interval elapsed."""
-        self.ticks += 1
-        if self.interval <= 0 or self.ticks % self.interval != 0:
-            return None
-        from . import snapshot
-
-        snap = snapshot()
-        if step is not None:
-            snap["step"] = int(step)
-        if extra:
-            snap.update(extra)
-        if self.exporter is not None:
-            self.exporter.write(snap)
-        self.reports += 1
-        return snap

@@ -7,8 +7,6 @@ import os
 import time
 from collections import defaultdict
 
-from ..telemetry.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
-
 __all__ = ["MetricLogger", "RunRecorder"]
 
 
@@ -17,16 +15,11 @@ class MetricLogger:
 
     Trainers call :meth:`log` each iteration; experiments read the series back
     with :meth:`series` or summarise them with :meth:`latest` / :meth:`mean`.
-    Distribution-valued metrics (per-step latencies, gradient norms) go
-    through :meth:`observe` instead, which feeds a fixed-bucket
-    :class:`repro.telemetry.metrics.Histogram` — bounded memory however long
-    the run — and reads back as :meth:`percentile` / :meth:`summary`.
     """
 
     def __init__(self):
         self._series = defaultdict(list)
         self._steps = defaultdict(list)
-        self._histograms = {}
 
     def log(self, name, value, step=None):
         """Append ``value`` for metric ``name`` (optionally tagged with a step)."""
@@ -50,69 +43,16 @@ class MetricLogger:
         window = values[-last:] if last else values
         return sum(window) / len(window)
 
-    def observe(self, name, value, buckets=DEFAULT_LATENCY_BUCKETS):
-        """Record ``value`` into the fixed-bucket histogram ``name``.
-
-        Unlike :meth:`log`, nothing per-observation is retained — only bucket
-        counts — so high-frequency distributions stay O(buckets) in memory.
-        ``buckets`` applies on first use of ``name`` only.
-        """
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, buckets=buckets)
-        histogram.observe(value)
-        return histogram
-
-    def percentile(self, name, q):
-        """Approximate ``q``-th percentile of histogram ``name`` (None if absent)."""
-        histogram = self._histograms.get(name)
-        return histogram.percentile(q) if histogram is not None else None
-
-    def summary(self, name):
-        """count/sum/mean/min/max/p50/p95/p99 of histogram ``name`` (None if absent)."""
-        histogram = self._histograms.get(name)
-        return histogram.summary() if histogram is not None else None
-
-    def histogram_names(self):
-        """All histogram names observed so far."""
-        return sorted(self._histograms)
-
     def names(self):
         """All metric names logged so far."""
         return sorted(self._series.keys())
 
     def as_dict(self):
-        """Serialise all series (and histogram summaries) into plain dicts."""
-        out = {
+        """Serialise all series into plain dicts."""
+        return {
             name: {"steps": self._steps[name], "values": self._series[name]}
             for name in self._series
         }
-        for name, histogram in self._histograms.items():
-            out[name] = {"histogram": histogram.summary()}
-        return out
-
-    def dump_jsonl(self, path):
-        """Append every series and histogram summary to ``path`` as JSON lines.
-
-        One line per metric (``{"name", "steps", "values"}`` for scalar
-        series, ``{"name", "histogram"}`` for distributions), so repeated
-        dumps from long runs accumulate without rewriting the file.
-        """
-        with open(path, "a") as handle:
-            for name in self.names():
-                handle.write(json.dumps({
-                    "name": name,
-                    "steps": self._steps[name],
-                    "values": self._series[name],
-                }))
-                handle.write("\n")
-            for name in self.histogram_names():
-                handle.write(json.dumps({
-                    "name": name,
-                    "histogram": self._histograms[name].summary(),
-                }))
-                handle.write("\n")
-        return path
 
 
 class RunRecorder:

@@ -7,7 +7,6 @@ from repro.accelerator import (
     AcceleratorConfig,
     AcceleratorDesignSpace,
     ChunkConfig,
-    LayerWorkload,
     extract_workload,
     total_macs,
     total_weight_bytes,

@@ -1,6 +1,5 @@
 """Baseline tests: FA3C reference data, random search, manual designs."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (

@@ -5,13 +5,11 @@ import pytest
 
 from repro.drl import (
     ACDistiller,
-    ActorCriticAgent,
     DistillationMode,
     actor_distillation_loss,
     critic_distillation_loss,
     make_agent,
 )
-from repro.networks import VanillaNet
 from repro.nn import Tensor
 from repro.nn import functional as F
 

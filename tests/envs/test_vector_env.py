@@ -9,7 +9,6 @@ from repro.envs import (
     AsyncVectorEnv,
     VectorEnv,
     get_vector_backend,
-    make_env,
     make_vector_env,
     spawn_env_generators,
 )

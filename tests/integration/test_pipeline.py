@@ -6,7 +6,6 @@ co-search -> reporting.
 """
 
 import numpy as np
-import pytest
 
 from repro.accelerator import DASConfig, DNNBuilderAccelerator, DifferentiableAcceleratorSearch
 from repro.cosearch import A3CSCoSearch, A3CSConfig

@@ -1,6 +1,5 @@
 """Backbone tests: Vanilla CNN and the ResNet family."""
 
-import numpy as np
 import pytest
 
 from repro.networks import RESNET_BLOCKS, ResNet, VanillaNet, build_backbone, resnet14, resnet20, resnet38, resnet74

@@ -1,6 +1,5 @@
 """Candidate-operator tests: the 9-way search space of each supernet cell."""
 
-import numpy as np
 import pytest
 
 from repro.networks import CANDIDATE_OPERATORS, build_operator, operator_macs, operator_params

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.reliability import KNOWN_COUNTERS, health
+from repro.telemetry.metrics import registry
 
 
 class TestCounters:
@@ -20,6 +21,25 @@ class TestCounters:
 
     def test_unknown_counter_defaults_to_zero_reads(self):
         assert health.get("never_recorded_counter") == 0
+
+    def test_counters_live_in_the_metrics_registry(self):
+        counter = registry().get("health/guard_trips")
+        before = counter.value
+        health.record("guard_trips")
+        assert counter.value == before + 1
+        assert health.get("guard_trips") == counter.value
+
+    def test_reset_zeroes_only_health_counters(self):
+        other = registry().counter("test/not_a_health_counter")
+        other.inc(2)
+        shed = registry().get("health/serving_shed")
+        health.record("serving_shed")
+        health.reset()
+        assert set(health.stats().values()) == {0}
+        # Instruments stay registered: holders keep counting into them.
+        assert registry().get("health/serving_shed") is shed
+        assert registry().get("test/not_a_health_counter") is other
+        assert other.value >= 2
 
 
 class TestWindows:

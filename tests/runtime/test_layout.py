@@ -16,7 +16,7 @@ import pytest
 from repro.drl import make_agent
 from repro.drl.agent import ActorCriticAgent
 from repro.networks import AgentSuperNet, build_backbone
-from repro.nn import Sequential, no_grad, Tensor
+from repro.nn import Sequential
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
 from repro.runtime.compiler import ALL_CANDIDATES

@@ -12,8 +12,6 @@ import numpy as np
 
 from repro.runtime import RuntimePolicy
 
-from serving_helpers import OBS_SHAPE
-
 
 def run_cycle(policy, observations, sizes):
     for size in sizes:

@@ -1,13 +1,12 @@
 """PolicyServer: registration, routing, admission, supervision, shutdown."""
 
-import gc
 import threading
 
 import numpy as np
 import pytest
 
 from repro.reliability import RetryPolicy, health
-from repro.runtime import Calibrator, cache_stats
+from repro.runtime import Calibrator
 from repro.serving import (
     BucketPolicy,
     PolicyServer,
@@ -15,7 +14,7 @@ from repro.serving import (
     ServerOverloadedError,
     UnknownModelError,
 )
-from repro.serving.server import serving_stats
+from repro.telemetry.metrics import registry
 
 from serving_helpers import NUM_ACTIONS, OBS_SHAPE, build_agent
 
@@ -272,24 +271,80 @@ class TestSupervision:
 
 
 class TestObservability:
-    def test_cache_stats_aggregates_servers(self, agent, observations):
-        # Dead servers from earlier tests sit in reference cycles (worker
-        # thread <-> server) until the cyclic GC runs; flush them now so a
-        # mid-test gen-0 collection cannot deflate the aggregate between
-        # the baseline and final reads.
-        gc.collect()
-        server = manual_server()
-        server.register_model("pilot", agent, obs_shape=OBS_SHAPE)
-        baseline = cache_stats()["serving"]
+    def test_serving_counters_aggregate_servers(self, agent, observations):
+        baseline = registry().view("serving/")
+        first, second = manual_server(), manual_server()
+        for server in (first, second):
+            server.register_model("pilot", agent, obs_shape=OBS_SHAPE)
         for obs in observations[:3]:
-            server.submit("pilot", obs)
-        server.step()
-        stats = cache_stats()["serving"]
-        assert stats["servers"] >= 1
-        assert stats["requests"] == baseline["requests"] + 3
-        assert stats["completed"] == baseline["completed"] + 3
-        assert stats["batch_sizes"].get(4, 0) >= 1
-        assert stats == serving_stats()
+            first.submit("pilot", obs)
+        second.submit("pilot", observations[3])
+        first.step()
+        second.step()
+        totals = registry().view("serving/")
+        assert totals["requests"] == baseline["requests"] + 4
+        assert totals["completed"] == baseline["completed"] + 4
+        assert totals["batches"] == baseline["batches"] + 2
+        # Three requests ride a bucket of 4, the lone one a bucket of 1.
+        assert totals["padded_slots"] == baseline["padded_slots"] + 1
+        assert first.stats()["batch_sizes"] == {4: 1}
+
+    def test_queue_depth_gauge_sums_servers_and_drains_on_close(self, agent, observations):
+        gauge = registry().gauge("serving/queue_depth")
+        baseline = gauge.value
+        first, second = manual_server(), manual_server()
+        for server in (first, second):
+            server.register_model("pilot", agent, obs_shape=OBS_SHAPE)
+        for obs in observations[:3]:
+            first.submit("pilot", obs)
+        second.submit("pilot", observations[3])
+        assert gauge.value == baseline + 4
+        first.step()
+        assert gauge.value == baseline + 1
+        first.close()
+        second.close()
+        assert gauge.value == baseline
+
+    def test_shed_and_restart_each_raise_one_process_counter(self, agent, observations,
+                                                             monkeypatch):
+        server = PolicyServer(
+            BucketPolicy(max_wait=0.0), max_queue=1,
+            restart=RetryPolicy(max_attempts=3, backoff=0.0, sleep=lambda _s: None),
+            start=False,
+        )
+        server.register_model("pilot", agent, obs_shape=OBS_SHAPE)
+        waiting = server.submit("pilot", observations[0])
+        before = registry().view("")
+        with pytest.raises(ServerOverloadedError):
+            server.submit("pilot", observations[1])
+        after = registry().view("")
+        assert {name for name in after if after[name] != before.get(name)} == {
+            "health/serving_shed"
+        }
+        assert after["health/serving_shed"] == before["health/serving_shed"] + 1
+
+        def crash(batch):
+            raise RuntimeError("scheduler bug")
+
+        monkeypatch.setattr(server, "_execute", crash)
+        before = registry().view("")
+        server.start()
+        with pytest.raises(RuntimeError, match="scheduler bug"):
+            waiting.result(timeout=5)
+        server.close()
+        after = registry().view("")
+        # The waiting request leaves the queue and fails with its orphaned
+        # batch; the restart itself is one counter.
+        assert {name for name in after if after[name] != before.get(name)} == {
+            "serving/queue_depth", "serving/failed", "health/serving_restarts",
+        }
+        assert after["health/serving_restarts"] == before["health/serving_restarts"] + 1
+        assert server.stats()["shed"] == 1 and server.stats()["restarts"] == 1
+        serving_names = [name for name in registry().names() if "serving" in name]
+        assert [name for name in serving_names if "shed" in name] == ["health/serving_shed"]
+        assert [name for name in serving_names if "restart" in name] == [
+            "health/serving_restarts"
+        ]
 
     def test_health_window_reports_serving_rates(self, agent, observations):
         server = manual_server(max_queue=1)

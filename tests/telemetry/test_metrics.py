@@ -1,21 +1,48 @@
-"""Metrics registry: instruments, snapshot merge, exporter round-trips."""
+"""Metrics registry: instruments, prefix views and the merged snapshot."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro.serving  # noqa: F401 — registers the serving/ instruments
 from repro import telemetry
+from repro.reliability import KNOWN_COUNTERS
 from repro.telemetry import metrics
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    JsonlExporter,
-    MetricsRegistry,
-    Reporter,
-    prometheus_text,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+
+#: Run in a fresh interpreter, where no other test has recorded anything.
+FRESH_PROCESS_SCRIPT = """
+import json, sys
+from repro import runtime, telemetry
+runtime.cache_stats()
+serving_loaded = "repro.serving" in sys.modules
+snapshot = telemetry.snapshot()
+print(json.dumps({
+    "serving_loaded": serving_loaded,
+    "health": sorted(snapshot["health"]),
+    "plan_cache": {key: sorted(value) for key, value in snapshot["plan_cache"].items()},
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_process():
+    """What a fresh process's ``cache_stats()`` and ``snapshot()`` expose."""
+    env = dict(os.environ)
+    env.pop("REPRO_FAULTS", None)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS_SCRIPT], env=env, timeout=300,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert completed.returncode == 0, completed.stderr.decode()
+    return json.loads(completed.stdout.decode())
 
 
 class TestInstruments:
@@ -35,6 +62,30 @@ class TestInstruments:
         gauge.dec(3)
         assert gauge.value == 5.0
         assert gauge.collect()["type"] == "gauge"
+
+    def test_concurrent_updates_are_not_lost(self):
+        counter, gauge = Counter("requests"), Gauge("queue_depth")
+        rounds = 20000
+
+        def worker():
+            for _ in range(rounds):
+                counter.inc()
+                gauge.inc()
+                gauge.dec()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter.value == 4 * rounds
+        assert gauge.value == 0.0
 
     def test_histogram_counts_and_summary(self):
         histogram = Histogram("latency", buckets=(0.01, 0.1, 1.0))
@@ -90,6 +141,16 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("shed")
 
+    def test_view_strips_prefix_and_skips_histograms(self):
+        registry = MetricsRegistry()
+        registry.counter("serving/requests").inc(3)
+        registry.gauge("serving/queue_depth").set(2)
+        registry.histogram("serving/latency").observe(0.01)
+        registry.counter("health/guard_trips").inc()
+        assert registry.view("serving/") == {"queue_depth": 2.0, "requests": 3}
+        assert registry.view("health/") == {"guard_trips": 1}
+        assert registry.view("runtime/") == {}
+
     def test_collect_is_sorted_and_typed(self):
         registry = MetricsRegistry()
         registry.gauge("b").set(2)
@@ -103,20 +164,33 @@ class TestRegistry:
 
 
 class TestSnapshot:
-    def test_snapshot_merges_every_surface(self):
+    def test_snapshot_merges_every_surface(self, fresh_process):
         snapshot = telemetry.snapshot()
         assert set(snapshot) == {
             "metrics", "health", "plan_cache", "serving", "trace",
         }
-        # Health counters come from the reliability layer's known set.
-        assert "guard_trips" in snapshot["health"]
-        assert "serving_shed" in snapshot["health"]
-        # Plan-cache stats keep the runtime aggregation's sub-keys.
-        assert set(snapshot["plan_cache"]) >= {
-            "inference_plans", "train_plans", "buffer_pools",
+        assert set(snapshot["serving"]) == {
+            "requests", "completed", "failed", "batches", "padded_slots", "queue_depth",
         }
-        assert "queue_depth" in snapshot["serving"]
         assert "capacity" in snapshot["trace"]
+        # In a fresh process the health view is exactly the known counters
+        # and the plan cache has exactly the runtime counters (no kernel
+        # signature compiled yet).
+        assert fresh_process["health"] == sorted(KNOWN_COUNTERS)
+        plan_counters = ["cache_evictions", "cache_hits", "cache_misses"]
+        assert fresh_process["plan_cache"] == {
+            "inference_plans": plan_counters,
+            "train_plans": plan_counters,
+            "buffer_pools": ["bytes_fresh", "bytes_pooled", "hits", "misses"],
+            "kernels": [],
+        }
+
+    def test_snapshot_is_json_ready(self):
+        snapshot = telemetry.snapshot()
+        assert json.loads(json.dumps(snapshot)).keys() == snapshot.keys()
+
+    def test_cache_stats_does_not_load_serving(self, fresh_process):
+        assert fresh_process["serving_loaded"] is False
 
     def test_snapshot_includes_live_serving_counters(self):
         import numpy as np
@@ -151,77 +225,6 @@ class TestSnapshot:
         health.record("guard_trips")
         after = telemetry.snapshot()["health"]["guard_trips"]
         assert after == before + 1
-
-
-class TestExporters:
-    def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "metrics.jsonl")
-        exporter = JsonlExporter(path)
-        exporter.write({"step": 1, "loss": 0.5})
-        exporter.write({"step": 2, "loss": 0.25, "time": 123.0})
-        rows = JsonlExporter.read(path)
-        assert len(rows) == 2
-        assert rows[0]["step"] == 1 and "time" in rows[0]
-        assert rows[1]["time"] == 123.0
-        assert exporter.lines_written == 2
-
-    def test_jsonl_serialises_numpy_scalars(self, tmp_path):
-        import numpy as np
-
-        path = str(tmp_path / "np.jsonl")
-        JsonlExporter(path).write({"value": np.float32(1.5), "count": np.int64(3)})
-        (row,) = JsonlExporter.read(path)
-        assert row["value"] == 1.5 and row["count"] == 3
-
-    def test_snapshot_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "snap.jsonl")
-        JsonlExporter(path).write(telemetry.snapshot())
-        (row,) = JsonlExporter.read(path)
-        assert set(row) >= {"metrics", "health", "plan_cache", "serving", "trace"}
-
-    def test_prometheus_text_format(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_served").inc(5)
-        registry.gauge("queue depth").set(2)  # space must be sanitised
-        histogram = registry.histogram("latency", buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(0.5)
-        histogram.observe(5.0)
-        text = prometheus_text(registry.collect())
-        lines = text.strip().splitlines()
-        assert "# TYPE requests_served counter" in lines
-        assert "requests_served_total 5" in lines
-        assert "queue_depth 2" in lines
-        # Histogram buckets are cumulative and end at +Inf == count.
-        assert 'latency_bucket{le="0.1"} 1' in lines
-        assert 'latency_bucket{le="1.0"} 2' in lines
-        assert 'latency_bucket{le="+Inf"} 3' in lines
-        assert "latency_count 3" in lines
-        assert text.endswith("\n")
-
-
-class TestReporter:
-    def test_reporter_samples_on_interval(self, tmp_path):
-        path = str(tmp_path / "telemetry.jsonl")
-        reporter = Reporter(interval=3, path=path)
-        snaps = [reporter.tick(step=step) for step in range(1, 8)]
-        assert [snap is not None for snap in snaps] == [
-            False, False, True, False, False, True, False,
-        ]
-        assert reporter.reports == 2
-        rows = JsonlExporter.read(path)
-        assert [row["step"] for row in rows] == [3, 6]
-        assert all("health" in row for row in rows)
-
-    def test_reporter_disabled_interval_never_reports(self):
-        reporter = Reporter(interval=0)
-        assert reporter.tick() is None
-        assert reporter.reports == 0
-
-    def test_reporter_extra_fields_merge(self):
-        reporter = Reporter(interval=1)
-        snap = reporter.tick(step=10, extra={"loss": 0.5})
-        assert snap["step"] == 10 and snap["loss"] == 0.5
 
 
 def test_module_registry_is_process_wide():
