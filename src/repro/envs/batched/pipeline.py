@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import Box, Env
+from ..wrappers import resize_square
 from .core import BatchedUnsupportedError
 from .duel import BatchedDuelEngine
 from .maze import BatchedMazeEngine
@@ -253,15 +254,7 @@ class BatchedVectorEnv(Env):
     # ------------------------------------------------------------------ #
     def _resize(self, raw):
         """Block-average (or strided-gather) resize of the whole batch."""
-        source = raw.shape[1]
-        size = self.obs_size
-        if source == size:
-            return raw
-        if source % size == 0:
-            factor = source // size
-            return raw.reshape(self.num_envs, size, factor, size, factor).mean(axis=(2, 4))
-        indices = (np.arange(size) * source / size).astype(int)
-        return raw[:, indices[:, None], indices[None, :]]
+        return resize_square(raw, self.obs_size)
 
     def _output_obs(self):
         if self.frame_stack > 1:

@@ -79,6 +79,34 @@ class FrameSkip(Wrapper):
         return obs, total_reward, done, info
 
 
+def resize_square(frames, size):
+    """Block-average the trailing square axes of ``frames`` down to ``size``
+    (nearest-neighbour sampling when ``size`` does not divide them).
+
+    Float blocks of ``f < 8`` are summed as ``mean`` does (each block row left
+    to right, then the rows, then one division), with the same bits and
+    several times faster; NumPy sums rows of 8 or more pairwise.
+    """
+    source = frames.shape[-1]
+    if source == size:
+        return frames
+    if source % size:
+        indices = (np.arange(size) * source / size).astype(int)
+        return frames[..., indices[:, None], indices[None, :]]
+    f = source // size
+    blocks = frames.reshape(frames.shape[:-2] + (size, f, size, f))
+    if f >= 8 or frames.dtype.kind != "f":
+        return blocks.mean(axis=(-3, -1))
+    rows = [blocks[..., i, :, 0].copy() for i in range(f)]
+    for i, row in enumerate(rows):
+        for j in range(1, f):
+            row += blocks[..., i, :, j]
+    for row in rows[1:]:
+        rows[0] += row
+    rows[0] /= f * f
+    return rows[0]
+
+
 class ResizeObservation(Wrapper):
     """Downsample the square observation to ``size`` x ``size`` by block averaging."""
 
@@ -88,15 +116,7 @@ class ResizeObservation(Wrapper):
         self.observation_space = Box(0.0, 1.0, (self.size, self.size))
 
     def _resize(self, obs):
-        source = obs.shape[0]
-        if source == self.size:
-            return obs
-        if source % self.size == 0:
-            factor = source // self.size
-            return obs.reshape(self.size, factor, self.size, factor).mean(axis=(1, 3))
-        # General path: nearest-neighbour sampling on a uniform grid.
-        indices = (np.arange(self.size) * source / self.size).astype(int)
-        return obs[np.ix_(indices, indices)]
+        return resize_square(obs, self.size)
 
     def reset(self, seed=None):
         return self._resize(self.env.reset(seed=seed))

@@ -14,11 +14,13 @@ the toolchain that built CPython is already on the host) and loaded through
   forward and fused VJPs (weight VJP into a tap-major staging buffer, input
   VJP added straight into ``gin``) for
   :class:`~repro.runtime.kernels.depthwise.DepthwiseNativeKernel`;
-* ``bn_stats_*`` / ``bn_apply_*`` / ``bn_vjp_*`` (f32, f64) — NHWC batch
-  norm for the plan steps' ``_BNMixin``: per-channel mean and two-pass
-  variance; ``x*scale + shift (+res)`` with relu fused; and the relu VJP,
-  ``dgamma``/``dbeta`` and input-gradient tail of
-  :func:`repro.nn.vjp.batchnorm2d_vjp`;
+* ``bn_train_*`` / ``bn_vjp_*`` (f32, f64) — NHWC batch norm for the plan
+  steps' ``_BNMixin``: a whole train-mode forward per sample group
+  (per-channel mean and two-pass variance, the running-stat EMA,
+  ``inv_std``/scale/shift, then ``x*scale + shift (+res)`` with relu fused);
+  and the relu VJP, the input-gradient tail of
+  :func:`repro.nn.vjp.batchnorm2d_vjp` and ``dgamma``/``dbeta`` added into
+  the plan's gradient accumulators;
 * ``dw_conv_q8`` — int8 depthwise conv, ``int32`` accumulate, fused
   per-channel requantization tail;
 * ``requant_q8`` — the same tail as one pass over a float32 accumulator,
@@ -33,13 +35,19 @@ same bytes on hosts with and without a compiler pin depthwise to
 routines must be *bitwise identical* to the NumPy code they replace.  Batch
 norm sums in the slot's dtype, row by row from zero: NumPy's order for a
 reduction over outer axes that keeps at least two channels (with one, NumPy
-sums pairwise, so the plan steps route ``C == 1`` to NumPy).  The q8
+sums pairwise, so the plan steps route ``C == 1`` to NumPy); the running-stat
+EMA runs in double (``r *= 1 - m; r += m * stat``) and ``inv_std``, scale and
+shift in the slot's dtype, NumPy's rounding sequence for both.  The q8
 fallbacks upcast to float32, where every product and partial sum stays below
 2**24, so both sides compute the same integer accumulation exactly, and the
 requant tail uses the same rounding sequence: one multiply round, one add
 round per term, round-half-even to integer.  Both rely on the build pinning
 ``-ffp-contract=off`` (no FMA contraction) and on ``rintf`` matching
 ``np.rint`` under the default rounding mode.
+
+Binding rule.  :func:`bind` validates every operand once and captures the
+addresses; a caller reuses them only while it holds the very same array
+objects, and binds again (re-validating all) when any operand is replaced.
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
@@ -62,8 +70,8 @@ import tempfile
 import numpy as np
 
 __all__ = [
-    "available", "dw_fwd", "dw_bwd", "dw_conv_q8", "requant_q8",
-    "bn_stats", "bn_apply", "bn_vjp",
+    "available", "bind", "dw_fwd", "dw_bwd", "dw_conv_q8", "requant_q8",
+    "bn_train_bind", "bn_vjp_bind",
 ]
 
 ENV_VAR = "REPRO_NATIVE"
@@ -272,10 +280,35 @@ void dw_bwd_SFX(const REAL *restrict x, const REAL *restrict w,
 #: axes keeping ``c >= 2`` (``mean``, ``sum``, ``einsum("nhwc,nhwc->c")``);
 #: with one rounding per operation the results equal the NumPy path's bits.
 _BN_FLOAT = r"""
-/* Per-channel mean and two-pass (biased) variance. */
-void bn_stats_SFX(const REAL *restrict x, REAL *restrict mean,
-                  REAL *restrict var, long rows, int c)
+/* out = x*scale + shift (+ res), then relu (np.maximum(v, 0): NaN stays,
+ * -0 becomes +0) when `relu`.  `out` may be `x`. */
+static void bn_apply_SFX(const REAL *x, const REAL *restrict res, REAL *out,
+                  const REAL *restrict scale, const REAL *restrict shift,
+                  long rows, int c, int relu)
 {
+    for (long i = 0; i < rows * c; i += c) {
+        #pragma omp simd
+        for (int ch = 0; ch < c; ++ch) {
+            REAL v = x[i + ch] * scale[ch];
+            v = v + shift[ch];
+            if (res)
+                v = v + res[i + ch];
+            out[i + ch] = relu && v <= 0 ? 0 : v;
+        }
+    }
+}
+
+/* Train-mode batch norm of one sample group in the NumPy path's order: mean
+ * and two-pass variance, `repeats` running-stat EMAs in double, inv_std,
+ * scale and shift in REAL, then bn_apply (`out` may be `x`). */
+void bn_train_SFX(const REAL *x, const REAL *restrict res, REAL *out,
+                  const REAL *restrict gamma, const REAL *restrict beta,
+                  double *restrict run_mean, double *restrict run_var,
+                  REAL *restrict mean, REAL *restrict inv_std,
+                  long rows, int c, double momentum, double eps,
+                  int repeats, int relu)
+{
+    REAL var[c], scale[c], shift[c];
     memset(mean, 0, (size_t)c * sizeof(REAL));
     memset(var, 0, (size_t)c * sizeof(REAL));
     for (long i = 0; i < rows * c; i += c) {
@@ -294,36 +327,32 @@ void bn_stats_SFX(const REAL *restrict x, REAL *restrict mean,
     }
     for (int ch = 0; ch < c; ++ch)
         var[ch] /= (REAL)rows;
-}
-
-/* out = x*scale + shift (+ res), then relu (np.maximum(v, 0): NaN stays,
- * -0 becomes +0) when `relu`.  `out` may be `x`. */
-void bn_apply_SFX(const REAL *x, const REAL *restrict res, REAL *out,
-                  const REAL *restrict scale, const REAL *restrict shift,
-                  long rows, int c, int relu)
-{
-    for (long i = 0; i < rows * c; i += c) {
-        #pragma omp simd
+    for (int r = 0; r < repeats; ++r) {
         for (int ch = 0; ch < c; ++ch) {
-            REAL v = x[i + ch] * scale[ch];
-            v = v + shift[ch];
-            if (res)
-                v = v + res[i + ch];
-            out[i + ch] = relu && v <= 0 ? 0 : v;
+            run_mean[ch] = run_mean[ch] * (1.0 - momentum);
+            run_mean[ch] = run_mean[ch] + momentum * (double)mean[ch];
+            run_var[ch] = run_var[ch] * (1.0 - momentum);
+            run_var[ch] = run_var[ch] + momentum * (double)var[ch];
         }
     }
+    for (int ch = 0; ch < c; ++ch) {
+        inv_std[ch] = (REAL)1 / SQRT(var[ch] + (REAL)eps);
+        scale[ch] = gamma[ch] * inv_std[ch];
+        shift[ch] = beta[ch] - mean[ch] * scale[ch];
+    }
+    bn_apply_SFX(x, res, out, scale, shift, rows, c, relu);
 }
 
 /* The VJP of bn_apply without residual (nn/vjp.batchnorm2d_vjp): when
- * `relu`, `g` is first masked in place by `y > 0`; `dgamma` and `dbeta`
- * are overwritten and the input gradient is added into `gin`. */
+ * `relu`, `g` is first masked in place by `y > 0`; `dgamma`/`dbeta` are added
+ * into `pg_gamma`/`pg_beta` and the input gradient into `gin`. */
 void bn_vjp_SFX(REAL *restrict g, const REAL *restrict y,
                 const REAL *restrict x, REAL *restrict gin,
                 const REAL *restrict mean, const REAL *restrict inv_std,
-                const REAL *restrict gamma, REAL *restrict dgamma,
-                REAL *restrict dbeta, long rows, int c, int training, int relu)
+                const REAL *restrict gamma, REAL *restrict pg_gamma,
+                REAL *restrict pg_beta, long rows, int c, int training, int relu)
 {
-    REAL k1[c], k2[c], scale[c];
+    REAL dgamma[c], dbeta[c], k1[c], k2[c], scale[c];
     memset(dgamma, 0, (size_t)c * sizeof(REAL));
     memset(dbeta, 0, (size_t)c * sizeof(REAL));
     for (long i = 0; i < rows * c; i += c) {
@@ -340,6 +369,8 @@ void bn_vjp_SFX(REAL *restrict g, const REAL *restrict y,
         scale[ch] = gamma[ch] * inv_std[ch];
         k1[ch] = dgamma[ch] / (REAL)rows;
         k2[ch] = dbeta[ch] / (REAL)rows;
+        pg_gamma[ch] = pg_gamma[ch] + dgamma[ch];
+        pg_beta[ch] = pg_beta[ch] + dbeta[ch];
     }
     for (long i = 0; i < rows * c; i += c) {
         #pragma omp simd
@@ -356,8 +387,8 @@ void bn_vjp_SFX(REAL *restrict g, const REAL *restrict y,
 """
 
 _SOURCE += "".join(
-    (_DW_FLOAT + _BN_FLOAT).replace("REAL", ctype).replace("SFX", suffix)
-    for ctype, suffix in (("float", "f32"), ("double", "f64"))
+    (_DW_FLOAT + _BN_FLOAT).replace("REAL", ctype).replace("SFX", suffix).replace("SQRT", sqrt)
+    for ctype, suffix, sqrt in (("float", "f32", "sqrtf"), ("double", "f64", "sqrt"))
 )
 
 #: ``-ffp-contract=off`` is load-bearing: a fused multiply-add in the requant
@@ -415,11 +446,13 @@ def _bind(lib):
         fwd.restype = bwd.restype = None
         fwd.argtypes = [ctypes.c_void_p] * 3 + ints
         bwd.argtypes = [ctypes.c_void_p] * 5 + ints
-        # Batch norm: pointers, then the row count, then C and int flags.
-        for name, pointers, flags in (("bn_stats", 3, 0), ("bn_apply", 5, 1), ("bn_vjp", 9, 2)):
+        # Batch norm: pointers, the row count, C, then the scalar arguments.
+        for name, pointers, scalars in (
+                ("bn_train", 9, [ctypes.c_double] * 2 + [ctypes.c_int] * 2),
+                ("bn_vjp", 9, [ctypes.c_int] * 2)):
             fn = getattr(lib, name + "_" + suffix)
             fn.restype = None
-            fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_long] + [ctypes.c_int] * (1 + flags)
+            fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_long, ctypes.c_int] + scalars
     lib.requant_q8.restype = None
     lib.requant_q8.argtypes = [
         f32p, f32p, f32p, i8p, ctypes.c_float, i8p,
@@ -471,37 +504,57 @@ def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def _call(name, operands, *scalars):
-    """Validate the operands of a float routine, then call it.
+_SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}
+_F64 = np.dtype(np.float64)
+
+
+def bind(name, operands, groups=1, *extents):
+    """Validate a float routine's operands once; returns ``run(*scalars)``.
 
     The C loops trust every pointer and extent, so a wrong dtype, a strided
-    view or a mis-shaped buffer is rejected here rather than read out of
-    bounds.  ``operands`` are ``(array or None, expected shape)`` pairs in
-    the C argument order; the first one's dtype picks the variant.
+    view or a mis-shaped buffer is rejected here (``ValueError``) rather than
+    read out of bounds.  ``operands`` are ``(array or None, expected shape,
+    per_group[, dtype])`` in C argument order; the first one's dtype picks
+    the variant and is the others' default.  ``run`` calls the routine once
+    per sample group with the pointers, ``extents`` and ``scalars``: a
+    ``per_group`` operand is split into ``groups`` leading-axis blocks.
     """
     dtype = operands[0][0].dtype
-    for arr, shape in operands:
-        if arr is None:
-            continue
-        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(
-                "{}: expected a C-contiguous {} array of shape {}, got {} {}".format(
-                    name, dtype, shape, arr.dtype, arr.shape))
-    suffix = {"float32": "_f32", "float64": "_f64"}.get(dtype.name)
+    suffix = _SUFFIX.get(dtype)
     if suffix is None:
         raise ValueError("{}: no {} variant".format(name, dtype))
-    _routine(name + suffix)(
-        *(None if arr is None else arr.ctypes.data for arr, _ in operands), *scalars)
+    columns = []
+    for arr, shape, per_group, *own in operands:
+        want = own[0] if own else dtype
+        if arr is None:
+            columns.append([None] * groups)
+            continue
+        if (arr.dtype != want or arr.shape != shape or not arr.flags.c_contiguous
+                or (per_group and shape[0] % groups)):
+            raise ValueError(
+                "{}: expected a C-contiguous {} array of shape {}, got {} {}".format(
+                    name, want, shape, arr.dtype, arr.shape))
+        step = arr.nbytes // groups if per_group else 0
+        columns.append([arr.ctypes.data + g * step for g in range(groups)])
+    routine = _routine(name + suffix)
+    calls = [pointers + extents for pointers in zip(*columns)]
+
+    def run(*scalars):
+        for args in calls:
+            routine(*args, *scalars)
+
+    return run
 
 
 def _float_call(name, x, w_taps, y, k, stride, padding, *extra):
     """Call a depthwise routine; ``y`` is the output-shaped operand and
-    ``extra`` are further ``(array or None, expected shape)`` pairs."""
+    ``extra`` are further :func:`bind` operands."""
     n, h, wd, c = x.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
-    operands = [(x, x.shape), (w_taps, (k * k, c)), (y, (n, oh, ow, c)), *extra]
-    _call(name, operands, n, h, wd, c, k, stride, padding, oh, ow)
+    operands = [(x, x.shape, False), (w_taps, (k * k, c), False), (y, (n, oh, ow, c), False),
+                *extra]
+    bind(name, operands)(n, h, wd, c, k, stride, padding, oh, ow)
 
 
 def dw_fwd(x, w_taps, out, k, stride, padding):
@@ -520,7 +573,7 @@ def dw_bwd(x, w_taps, gout, gw_taps, gin, k, stride, padding):
     ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
     """
     _float_call("dw_bwd", x, w_taps, gout, k, stride, padding,
-                (gw_taps, w_taps.shape), (gin, x.shape))
+                (gw_taps, w_taps.shape, False), (gin, x.shape, False))
 
 
 def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,
@@ -559,29 +612,29 @@ def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
     )
 
 
-# Batch norm: ``x`` is a channels-last activation of any leading shape, seen
-# as ``(rows, C)``; per-channel vectors are ``(C,)`` of the same dtype.
-def bn_stats(x, mean, var):
-    """Per-channel batch mean and two-pass variance of ``x`` into ``mean``/``var``."""
-    c = x.shape[-1]
-    _call("bn_stats", [(x, x.shape), (mean, (c,)), (var, (c,))], x.size // c, c)
+# Batch norm: activations hold ``len(mean)`` stacked channels-last sample
+# groups; ``mean``/``inv_std`` are ``(groups, C)``, other vectors ``(C,)``.
+def bn_train_bind(x, res, out, gamma, beta, running_mean, running_var, mean, inv_std):
+    """Bound ``bn_train``: ``run(momentum, eps, repeats, relu)`` normalises
+    every sample group into ``out`` (``out`` may be ``x``), updates the
+    running buffers in place and writes ``mean``/``inv_std``."""
+    groups, c = mean.shape
+    vec, act = (c,), x.shape
+    return bind("bn_train", [
+        (x, act, True), (res, act, True), (out, act, True), (gamma, vec, False),
+        (beta, vec, False), (running_mean, vec, False, _F64),
+        (running_var, vec, False, _F64), (mean, mean.shape, True), (inv_std, mean.shape, True),
+    ], groups, x.size // (groups * c), c)
 
 
-def bn_apply(x, scale, shift, res, out, relu):
-    """``out = x*scale + shift (+res)``, then relu if ``relu``; ``out`` may be ``x``."""
-    c = x.shape[-1]
-    _call("bn_apply", [(x, x.shape), (res, x.shape), (out, x.shape),
-                       (scale, (c,)), (shift, (c,))], x.size // c, c, int(relu))
-
-
-def bn_vjp(g, y, x, gin, mean, inv_std, gamma, training):
-    """Batch-norm VJP: adds the input gradient into ``gin``, returns ``(dgamma, dbeta)``.
-
+def bn_vjp_bind(g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
+    """Bound ``bn_vjp``: ``run(training, relu)`` adds each group's input
+    gradient into ``gin`` and ``dgamma``/``dbeta`` into ``pg_gamma``/``pg_beta``;
     ``y`` is the relu output that masks ``g`` in place (``None``: no relu)."""
-    c = x.shape[-1]
-    dgamma, dbeta = np.empty(c, x.dtype), np.empty(c, x.dtype)
-    _call("bn_vjp", [(g, x.shape), (y, x.shape), (x, x.shape), (gin, x.shape),
-                     (mean, (c,)), (inv_std, (c,)), (gamma, (c,)),
-                     (dgamma, (c,)), (dbeta, (c,))],
-          x.size // c, c, int(training), int(y is not None))
-    return dgamma, dbeta
+    groups, c = mean.shape
+    vec, act = (c,), x.shape
+    return bind("bn_vjp", [
+        (g, act, True), (y, act, True), (x, act, True), (gin, act, True),
+        (mean, mean.shape, True), (inv_std, mean.shape, True), (gamma, vec, False),
+        (pg_gamma, vec, False), (pg_beta, vec, False),
+    ], groups, x.size // (groups * c), c)

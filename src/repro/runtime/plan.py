@@ -306,15 +306,103 @@ class _BNMixin:
     Supports both eval mode (running statistics) and train mode (batch
     statistics, per sample group in stacked-path plans, plus in-place
     running-stat updates), mirroring :func:`repro.nn.functional.batch_norm2d`.
-    Statistics and per-channel vectors are ``(groups, C)``.  NHWC float
-    slots run the compiled ``bn_stats``/``bn_apply``/``bn_vjp`` of
-    :mod:`repro.runtime.kernels._native` (relu fused), one call per sample
-    group; every other slot runs the NumPy code, which gives the same bits.
+    Statistics and per-channel vectors are ``(groups, C)``.  On NHWC float
+    slots a train-mode forward is one compiled ``bn_train`` call per sample
+    group (statistics, running-stat EMA, scale/shift, normalise, relu) and
+    the backward one ``bn_vjp`` call, from :mod:`repro.runtime.kernels._native`;
+    every other slot, and eval mode, runs the NumPy code, which gives the
+    same bits.  Both routines are bound once: the validated addresses are
+    reused while the same array objects come back (slots, parameter data from
+    ``fetch_param``, running buffers) and re-validated when one is replaced.
     """
 
-    #: Training plans flip this on so ``_bn_scale_shift`` saves the statistics
-    #: its backward needs; inference plans pay nothing for it.
+    #: Training plans flip this on so the forward saves the statistics its
+    #: backward needs; inference plans pay nothing for it.
     _capture_stats = False
+    #: Sample groups and EMA repeats (set per ``BatchNormStep``).
+    num_samples = stat_repeats = 1
+    #: ``(operand ids, operands, binding)`` of the last bound ``bn_train`` /
+    #: ``bn_vjp``; holding the operands keeps their ids unique.
+    _train_bound = _vjp_bound = None
+
+    def _bound(self, attr, bind, *operands):
+        """``bind(*operands)``, cached under ``attr`` while the same arrays come back."""
+        key = tuple(map(id, operands))
+        bound = getattr(self, attr)
+        if bound is None or bound[0] != key:
+            bound = (key, operands, bind(*operands))
+            setattr(self, attr, bound)
+        return bound[2]
+
+    def _bind_bn_train(self, x, res, out, gamma, beta, running_mean, running_var):
+        """Bound ``bn_train`` plus its ``(mean, inv_std)`` outputs, or ``None``
+        when these operands stay on NumPy (the running buffers must be
+        C-contiguous float64: ``bind`` rejects anything else)."""
+        if not _native_bn(self.layout, x, res, out, gamma, beta):
+            return None
+        mean, inv_std = np.empty((2, self.num_samples, x.shape[-1]), x.dtype)
+        return _native.bn_train_bind(x, res, out, gamma, beta, running_mean, running_var,
+                                     mean, inv_std), mean, inv_std
+
+    def _bn_forward(self, x, out, params, res=None):
+        """``out = bn(x) (+res)``, then the activation (``out`` may be ``x``).
+
+        ``x`` is the activation in the step's physical layout (channels
+        second for NCHW, trailing for NHWC); in training mode the batch
+        statistics of each of its ``num_samples`` leading-axis sample groups
+        are computed from it and the module's running buffers are updated in
+        place (exactly like the eager path does during rollout collection).
+        A residual only comes with a single group (inference epilogues).
+        """
+        bn, layout = self.bn, self.layout
+        gamma = params.fetch_param("gamma", bn.gamma)
+        beta = params.fetch_param("beta", bn.beta)
+        bound = None
+        if bn.training:
+            bn.bump_stats_version()  # the running buffers change in place
+            if _native.available():
+                bound = self._bound("_train_bound", self._bind_bn_train, x, res, out,
+                                    gamma, beta, bn.running_mean, bn.running_var)
+        if bound is not None:
+            run, mean, inv_std = bound
+            relu = self.activation == "relu"
+            run(float(bn.momentum), float(bn.eps), self.stat_repeats, relu)
+            if self._capture_stats:
+                self._saved_stats = (True, mean, inv_std, gamma)
+            if not relu:
+                apply_activation(self.activation, out)
+            return
+        if bn.training:
+            mean, var = self._batch_stats(x, self.num_samples)
+            # Sequential running-stat updates in ascending group order mirror
+            # the order K per-path plans would apply them in.  Shared-trunk
+            # steps of stacked-path plans run once where K per-path
+            # executions (and the eager K-sample fallback) would run K times
+            # on identical batch statistics: repeat the EMA so the running
+            # buffers stay on the per-path trajectory.
+            for group_mean, group_var in zip(mean, var):
+                mean64 = np.asarray(group_mean, dtype=np.float64)
+                var64 = np.asarray(group_var, dtype=np.float64)
+                for _ in range(self.stat_repeats):
+                    bn.running_mean *= 1.0 - bn.momentum
+                    bn.running_mean += bn.momentum * mean64
+                    bn.running_var *= 1.0 - bn.momentum
+                    bn.running_var += bn.momentum * var64
+        else:
+            mean = params.fetch("running_mean", bn.running_mean)[None]
+            var = params.fetch("running_var", bn.running_var)[None]
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        if self._capture_stats:
+            self._saved_stats = (bool(bn.training), mean, inv_std, gamma)
+        scale = gamma * inv_std
+        shift = beta - mean * scale
+        groups = len(scale)
+        for xg, og, sc, sh in zip(stacked_view(x, groups), stacked_view(out, groups), scale, shift):
+            np.multiply(xg, _per_channel(sc, layout), out=og)
+            og += _per_channel(sh, layout)
+            if res is not None:
+                og += res
+        apply_activation(self.activation, out)
 
     def _batch_stats(self, x, groups):
         """Per-group batch mean and two-pass variance, ``(groups, C)`` each."""
@@ -322,10 +410,6 @@ class _BNMixin:
         c = x.shape[-1] if layout == "NHWC" else x.shape[1]
         mean = np.empty((groups, c), dtype=x.dtype)
         var = np.empty_like(mean)
-        if _native_bn(layout, x):
-            for g, part in enumerate(stacked_view(x, groups)):
-                _native.bn_stats(part, mean[g], var[g])
-            return mean, var
         # Two-pass variance (same association as the eager engine) via a
         # lazily-allocated workspace: train-mode BN stays allocation-free
         # per run without paying the workspace in eval-only plans.
@@ -341,73 +425,12 @@ class _BNMixin:
             var[g] = wpart.mean(axis=axes)
         return mean, var
 
-    def _bn_scale_shift(self, bn, x, params, groups=1):
-        """Per-group, per-channel ``(scale, shift)`` for ``y = x * scale + shift``.
-
-        ``x`` is the activation in the step's physical layout (channels
-        second for NCHW, trailing for NHWC); in training mode the batch
-        statistics of each of its ``groups`` leading-axis sample groups are
-        computed from it and the module's running buffers are updated in
-        place (exactly like the eager path does during rollout collection).
-        """
-        gamma = params.fetch_param("gamma", bn.gamma)
-        beta = params.fetch_param("beta", bn.beta)
-        if bn.training:
-            mean, var = self._batch_stats(x, groups)
-            # Sequential running-stat updates in ascending group order mirror
-            # the order K per-path plans would apply them in.  Shared-trunk
-            # steps of stacked-path plans run once where K per-path
-            # executions (and the eager K-sample fallback) would run K times
-            # on identical batch statistics: repeat the EMA so the running
-            # buffers stay on the per-path trajectory.
-            for group_mean, group_var in zip(mean, var):
-                mean64 = np.asarray(group_mean, dtype=np.float64)
-                var64 = np.asarray(group_var, dtype=np.float64)
-                for _ in range(getattr(self, "stat_repeats", 1)):
-                    bn.running_mean *= 1.0 - bn.momentum
-                    bn.running_mean += bn.momentum * mean64
-                    bn.running_var *= 1.0 - bn.momentum
-                    bn.running_var += bn.momentum * var64
-            bump = getattr(bn, "bump_stats_version", None)
-            if bump is not None:
-                bump()
-        else:
-            mean = params.fetch("running_mean", bn.running_mean)[None]
-            var = params.fetch("running_var", bn.running_var)[None]
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
-        if self._capture_stats:
-            self._saved_stats = (bool(bn.training), mean, inv_std, gamma)
-        scale = gamma * inv_std
-        shift = beta - mean * scale
-        return scale, shift
-
-    def _bn_apply(self, x, scale, shift, out, res=None):
-        """``out = x*scale + shift (+res)``, then the activation (``out`` may be ``x``).
-
-        A residual only comes with a single group (inference epilogues).
-        """
-        layout = self.layout
-        native = _native_bn(layout, x, out, res)
-        relu = native and self.activation == "relu"
-        groups = len(scale)
-        for xg, og, sc, sh in zip(stacked_view(x, groups), stacked_view(out, groups), scale, shift):
-            if native:
-                _native.bn_apply(xg, sc, sh, res, og, relu)
-                continue
-            np.multiply(xg, _per_channel(sc, layout), out=og)
-            og += _per_channel(sh, layout)
-            if res is not None:
-                og += res
-        if not relu:
-            apply_activation(self.activation, out)
-
     def _apply_bn_bias_act(self, out, bias, params, res=None):
         """Fused bias + batch-norm (+ residual) + activation, in place on ``out``."""
         if bias is not None:
             out += _per_channel(params.fetch_param("bias", bias), self.layout)
         if self.bn is not None:
-            scale, shift = self._bn_scale_shift(self.bn, out, params)
-            self._bn_apply(out, scale, shift, out, res)
+            self._bn_forward(out, out, params, res)
             return
         if res is not None:
             out += res
@@ -751,7 +774,7 @@ class BatchNormStep(Step, _BNMixin):
         self.num_samples = int(num_samples)
         #: Extra running-stat EMA applications per run: shared-trunk BN of a
         #: stacked-path plan runs once for what per-path execution would run
-        #: K times (see ``_bn_scale_shift``).
+        #: K times (see ``_BNMixin._bn_forward``).
         self.stat_repeats = int(stat_repeats)
         #: Physical activation layout of both slots (layout-assignment pass).
         self.layout = "NCHW"
@@ -776,32 +799,37 @@ class BatchNormStep(Step, _BNMixin):
         self._bn_ws = plan.workspace(shape, channel=SCRATCH_MAIN)
 
     def run(self, bufs):
-        groups = self.num_samples if self.bn.training else 1
-        x = bufs[self.in_slot]
-        scale, shift = self._bn_scale_shift(self.bn, x, self._params, groups)
-        self._bn_apply(x, scale, shift, bufs[self.out_slot])
+        self._bn_forward(bufs[self.in_slot], bufs[self.out_slot], self._params)
+
+    def _bind_bn_vjp(self, g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
+        """Bound ``bn_vjp``, or ``None`` when these operands stay on NumPy."""
+        if not _native_bn(self.layout, x, g, y, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
+            return None
+        return _native.bn_vjp_bind(g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta)
 
     def backward(self, bufs, grads):
         gout, y = grads[self.out_slot], bufs[self.out_slot]
         x, gin = bufs[self.in_slot], grads[self.in_slot]
         training, mean, inv_std, gamma = self._saved_stats
-        native = _native_bn(self.layout, x, gout, y, gin)
-        relu = native and self.activation == "relu"
-        if not relu:
+        relu = self.activation == "relu"
+        bound = None
+        if _native.available():
+            bound = self._bound("_vjp_bound", self._bind_bn_vjp, gout, y if relu else None, x,
+                                gin, mean, inv_std, gamma, self._pg_gamma, self._pg_beta)
+        if bound is None or not relu:
             vjp.activation_vjp(self.activation, y, gout)
+        if bound is not None:
+            bound(training, relu)
+            return
         channel_axis = 3 if self.layout == "NHWC" else 1
         groups = len(mean)
-        parts = zip(*(stacked_view(a, groups) for a in (gout, y, x, gin, self._bw_ws)))
-        for g, (gg, yg, xg, ig, wg) in enumerate(parts):
-            if native:
-                dgamma, dbeta = _native.bn_vjp(
-                    gg, yg if relu else None, xg, ig, mean[g], inv_std[g], gamma, training)
-            else:
-                gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
-                    gg, xg, mean[g], inv_std[g], gamma, training,
-                    ws=wg, channel_axis=channel_axis,
-                )
-                ig += gx
+        parts = zip(*(stacked_view(a, groups) for a in (gout, x, gin, self._bw_ws)))
+        for g, (gg, xg, ig, wg) in enumerate(parts):
+            gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
+                gg, xg, mean[g], inv_std[g], gamma, training,
+                ws=wg, channel_axis=channel_axis,
+            )
+            ig += gx
             self._pg_gamma += dgamma
             self._pg_beta += dbeta
 

@@ -453,8 +453,10 @@ class PolicyServer:
         normally.  Queued-but-unscheduled requests resolve with
         :class:`~repro.serving.errors.ServerClosedError` — or, with
         ``finish_backlog=True``, are executed to completion before the
-        worker exits (the coalescing deadline is skipped while draining).
-        Submits after ``close`` raise.  Idempotent.
+        worker exits (the coalescing deadline is skipped while draining);
+        a server without a worker thread (``start=False``) drains them
+        through :meth:`step` on the calling thread.  Submits after
+        ``close`` raise.  Idempotent.
         """
         with self._ready:
             self._closed = True
@@ -464,7 +466,10 @@ class PolicyServer:
         shutdown = ServerClosedError("server closed before the request was scheduled")
         for request in pending:
             _resolve(request.future, error=shutdown)
-        if thread is not None and thread is not threading.current_thread():
+        if thread is None:
+            while finish_backlog and self.step():
+                pass
+        elif thread is not threading.current_thread():
             thread.join(timeout)
         return self
 

@@ -15,6 +15,7 @@ from repro.envs import (
     make_env,
     make_game,
 )
+from repro.envs.wrappers import resize_square
 
 
 class _CountingEnv(Wrapper):
@@ -69,6 +70,28 @@ class TestResize:
     def test_identity_when_same_size(self):
         env = ResizeObservation(make_game("Breakout", render_size=42, seed=0), size=42)
         assert env.reset(seed=0).shape == (42, 42)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("factor", range(2, 13))
+    def test_block_average_bitwise_equals_mean(self, dtype, factor):
+        """The block sums give ``mean``'s bits for every factor, single frames
+        and batches alike (``mean`` itself serves ``factor >= 8``)."""
+        rng = np.random.default_rng(factor)
+        for lead in ((), (16,), (3, 2)):
+            for size in (7, 28):
+                scale = rng.choice([1e-3, 1.0, 1e3])
+                frames = (rng.random(lead + (size * factor,) * 2) * scale).astype(dtype)
+                ref = frames.reshape(lead + (size, factor, size, factor)).mean(axis=(-3, -1))
+                got = resize_square(frames, size)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (lead, size)
+
+    def test_sampling_and_identity_paths(self):
+        frames = np.arange(2 * 84 * 84, dtype=np.float64).reshape(2, 84, 84)
+        assert resize_square(frames, 84) is frames
+        indices = (np.arange(30) * 84 / 30).astype(int)
+        np.testing.assert_array_equal(resize_square(frames, 30),
+                                      frames[:, indices][:, :, indices])
 
 
 class TestFrameStack:

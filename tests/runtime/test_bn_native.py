@@ -1,10 +1,12 @@
 """Compiled channels-last batch norm is bitwise equal to the NumPy path.
 
-``bn_stats``, ``bn_apply`` and ``bn_vjp`` of :mod:`repro.runtime.kernels._native`
-replace NumPy passes over NHWC float slots in the plan steps.  They must give
+``bn_train`` (train-mode forward) and ``bn_vjp`` of
+:mod:`repro.runtime.kernels._native` replace NumPy passes over NHWC float
+slots in the plan steps (eval mode stays on NumPy).  They must give
 the same bits, so a training run does not depend on whether the library was
 built.  Every check runs the same step twice, once routed to the library and
-once with the library reported unavailable, and compares bytes.
+once with the library reported unavailable, and compares bytes (outputs,
+gradients, running statistics and ``stats_version``).
 """
 
 import os
@@ -55,11 +57,16 @@ def digest(*items):
     return [np.ascontiguousarray(item).tobytes() for item in items]
 
 
-def batchnorm_step(shape, dtype, training, activation, groups):
+def bn_state(bn):
+    return digest(bn.running_mean, bn.running_var) + [bn.stats_version]
+
+
+def batchnorm_step(shape, dtype, training, activation, groups, repeats=1):
     """Forward and backward of a standalone NHWC ``BatchNormStep``."""
     c = shape[-1]
     bn = make_bn(c, training, seed=1)
-    step = BatchNormStep(bn, 0, 1, activation=activation, num_samples=groups)
+    step = BatchNormStep(bn, 0, 1, activation=activation, num_samples=groups,
+                         stat_repeats=repeats)
     step.layout = "NHWC"
     step._params = _ParamCache(np.dtype(dtype))
     step._capture_stats = True
@@ -71,7 +78,7 @@ def batchnorm_step(shape, dtype, training, activation, groups):
     step.run(bufs)
     out = bufs[1].copy()
     step.backward(bufs, [gin, gout])
-    return digest(out, gin, gout, step._pg_gamma, step._pg_beta, bn.running_mean, bn.running_var)
+    return digest(out, gin, gout, step._pg_gamma, step._pg_beta) + bn_state(bn)
 
 
 def conv_epilogue(shape, dtype, training, activation, bias, residual):
@@ -84,7 +91,7 @@ def conv_epilogue(shape, dtype, training, activation, bias, residual):
     out, res = arrays(shape, dtype, seed=5, count=2)
     step._apply_bn_bias_act(out, conv.bias, _ParamCache(np.dtype(dtype)),
                             res=res if residual else None)
-    return digest(out, bn.running_mean, bn.running_var)
+    return digest(out) + bn_state(bn)
 
 
 @needs_library
@@ -106,12 +113,13 @@ def test_routing(dtype):
 class TestBitwiseContract:
     def test_batchnorm_step(self, monkeypatch, dtype, training, activation):
         for shape in SHAPES:
-            groups = [1, 2] if training else [1]
-            for k in groups:
+            # Stacked sample groups and repeated EMAs only change train mode.
+            variants = [(1, 1), (2, 1), (1, 2), (2, 2)] if training else [(1, 1)]
+            for k, repeats in variants:
                 stacked = (shape[0] * k,) + shape[1:]
-                native, fallback = run_both(
-                    monkeypatch, lambda: batchnorm_step(stacked, dtype, training, activation, k))
-                assert native == fallback, (stacked, k)
+                native, fallback = run_both(monkeypatch, lambda: batchnorm_step(
+                    stacked, dtype, training, activation, k, repeats))
+                assert native == fallback, (stacked, k, repeats)
 
     def test_conv_epilogue(self, monkeypatch, dtype, training, activation):
         for shape in SHAPES:
@@ -127,35 +135,137 @@ class TestBitwiseContract:
 class TestOperandValidation:
     def test_rejects_bad_operands(self):
         x = np.ones((2, 3, 3, 4), np.float32)
-        vec = np.empty(4, np.float32)
+        vec, stats = np.ones(4, np.float32), np.zeros((1, 4), np.float32)
+        running = [np.zeros(4), np.ones(4)]
+
+        def train(x=x, res=None, out=x, gamma=vec, running=running, mean=stats):
+            _native.bn_train_bind(x, res, out, gamma, vec, *running, mean,
+                                  np.empty_like(mean))(0.1, 1e-5, 1, 0)
+
         with pytest.raises(ValueError):
-            _native.bn_stats(x, vec, np.empty(4, np.float64))
+            train(gamma=np.ones(4, np.float64))
         with pytest.raises(ValueError):
-            _native.bn_stats(x, vec, np.empty(5, np.float32))
+            train(gamma=np.ones(5, np.float32))
+        with pytest.raises(ValueError):  # the running buffers are float64
+            train(running=[np.zeros(4, np.float32), np.ones(4, np.float32)])
+        with pytest.raises(ValueError):  # three rows do not split into two groups
+            train(x=np.ones((3, 3, 3, 4), np.float32), out=np.ones((3, 3, 3, 4), np.float32),
+                  mean=np.empty((2, 4), np.float32))
         with pytest.raises(ValueError):
-            _native.bn_apply(np.ones((2, 3, 3, 8), np.float32)[..., ::2], vec, vec, None, x, True)
+            train(res=np.ones((2, 3, 3, 5), np.float32))
         with pytest.raises(ValueError):
-            _native.bn_apply(x, vec, vec, np.ones((2, 3, 3, 5), np.float32), x, False)
-        with pytest.raises(ValueError):
-            half = np.zeros(4, np.float16)
-            _native.bn_stats(x.astype(np.float16), half, half)
+            half = x.astype(np.float16)
+            train(x=half, out=half, gamma=vec.astype(np.float16), mean=stats.astype(np.float16))
+
+    def test_rejects_non_contiguous_operand(self):
+        """A strided view is rejected before the C loops could read past it."""
+        wide = np.ones((2, 3, 3, 8), np.float32)
+        stats = np.empty((1, 4), np.float32)
+        for x, out, mean in (
+                (wide[..., ::2], np.empty((2, 3, 3, 4), np.float32), stats),
+                (wide[..., :4], wide[..., 4:], stats),
+                (np.ones((2, 3, 3, 4), np.float32), np.ones((2, 3, 3, 4), np.float32),
+                 np.empty((1, 8), np.float32)[:, ::2])):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _native.bn_train_bind(x, None, out, np.ones(4, np.float32),
+                                      np.zeros(4, np.float32), np.zeros(4), np.ones(4), mean,
+                                      np.empty((1, 4), np.float32))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            x = np.ones((2, 3, 3, 4), np.float32)
+            _native.bn_vjp_bind(x, None, x, x.copy(), stats, stats, np.ones(4, np.float32),
+                                np.zeros(8, np.float32)[::2], np.zeros(4, np.float32))
 
 
-#: A fresh process whose first native call is ``bn_stats``: nothing has
+def count_binds(monkeypatch):
+    """Count :func:`_native.bn_train_bind` calls (the full operand validations)."""
+    calls = []
+    real = _native.bn_train_bind
+
+    def counted(*operands):
+        calls.append(1)
+        return real(*operands)
+
+    monkeypatch.setattr(_native, "bn_train_bind", counted)
+    return calls
+
+
+@needs_library
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestBinding:
+    """The fused forward is bound once and re-validated when an operand is replaced."""
+
+    def forward_twice(self, dtype, change):
+        """Run a train-mode ``BatchNormStep`` twice with ``change(bn)`` in between."""
+        bn = make_bn(8, True, seed=1)
+        step = BatchNormStep(bn, 0, 1, activation="relu")
+        step.layout = "NHWC"
+        step._params = _ParamCache(np.dtype(dtype))
+        x, out = arrays((2, 3, 3, 8), dtype, seed=2, count=2)
+        outs = []
+        for run in range(2):
+            if run:
+                change(bn)
+            step.run([x, out])
+            outs.append(out.copy())
+        return digest(*outs) + bn_state(bn)
+
+    def check(self, monkeypatch, dtype, change, binds):
+        calls = count_binds(monkeypatch)
+        native, fallback = run_both(monkeypatch, lambda: self.forward_twice(dtype, change))
+        assert native == fallback
+        assert len(calls) == binds
+
+    def test_steady_state_binds_once(self, monkeypatch, dtype):
+        self.check(monkeypatch, dtype, lambda bn: None, binds=1)
+
+    def test_replaced_parameter_data(self, monkeypatch, dtype):
+        def replace(bn):
+            bn.gamma.data = bn.gamma.data * 2.0 - 0.5
+        # float64 plans read ``gamma.data`` itself, a new array here; float32
+        # plans refill their cast buffer in place.
+        self.check(monkeypatch, dtype, replace, binds=2 if dtype == np.float64 else 1)
+
+    def test_load_state_dict(self, monkeypatch, dtype):
+        def load(bn):
+            state = bn.state_dict()
+            state["beta"] = state["beta"] + 1.0
+            state["buffer.running_var"] = state["buffer.running_var"] * 3.0
+            bn.load_state_dict(state)
+        self.check(monkeypatch, dtype, load, binds=1)  # copies in place
+
+    def test_replaced_running_buffer(self, monkeypatch, dtype):
+        def replace(bn):
+            bn.running_mean = bn.running_mean + 1.0
+        self.check(monkeypatch, dtype, replace, binds=2)
+
+    def test_non_contiguous_running_buffer_is_rejected(self, dtype):
+        """The C loops would read a strided buffer out of bounds: re-validation
+        raises instead."""
+        def replace(bn):
+            wide = np.zeros(16)
+            wide[::2] = bn.running_var
+            bn.running_var = wide[::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            self.forward_twice(dtype, replace)
+
+
+#: A fresh process whose first native call is ``bn_train``: nothing has
 #: called ``available()`` before it.
 FIRST_CALL_SCRIPT = r"""
 import numpy as np
 from repro.runtime.kernels import _native
 
 x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-mean, var = np.empty(4, np.float32), np.empty(4, np.float32)
+ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
+mean, inv_std = np.empty((1, 4), np.float32), np.empty((1, 4), np.float32)
 try:
-    _native.bn_stats(x, mean, var)
+    _native.bn_train_bind(x, None, np.empty_like(x), ones, zeros, np.zeros(4), np.ones(4),
+                          mean, inv_std)(0.1, 0.0, 1, 0)
 except RuntimeError as error:
     print("RuntimeError:", error)
 else:
-    print("ok", np.allclose(mean, x.reshape(-1, 4).mean(axis=0)),
-          np.allclose(var, x.reshape(-1, 4).var(axis=0)))
+    print("ok", np.allclose(mean[0], x.reshape(-1, 4).mean(axis=0)),
+          np.allclose(inv_std[0], 1 / x.reshape(-1, 4).std(axis=0)))
 """
 
 
@@ -177,7 +287,7 @@ def test_first_call_loads_library_or_raises_clearly(native):
     if native == "1" and (out.startswith("ok") or _native.available()):
         assert out == "ok True True"
     else:
-        assert out.startswith("RuntimeError: bn_stats_f32: the compiled kernel library "
+        assert out.startswith("RuntimeError: bn_train_f32: the compiled kernel library "
                               "is unavailable"), out
 
 
@@ -214,7 +324,40 @@ print(_native.available(), sum(grad is not None for grad in grads), digest.hexdi
 """
 
 
-def run_update(native):
+#: A gated co-search update with K = 2 Gumbel samples: stacked-path train
+#: plans whose batch norm runs per sample group, plus the alpha update;
+#: prints a digest of weights, BN running statistics, ``stats_version`` and
+#: alphas.
+COSEARCH_SCRIPT = r"""
+import hashlib
+import numpy as np
+from repro.runtime.kernels import _native
+from repro.cosearch import A3CSConfig, A3CSCoSearch
+from repro.drl import make_agent
+from repro.nn import BatchNorm2d
+
+teacher = make_agent("ResNet-20", obs_size=28, frame_stack=2, feature_dim=32, base_width=4,
+                     seed=5)
+teacher.eval()
+config = A3CSConfig(obs_size=28, frame_stack=2, num_envs=2, feature_dim=32, base_width=4,
+                    grad_samples=2, seed=3)
+cosearch = A3CSCoSearch("Breakout", config=config, teacher=teacher)
+cosearch._build()
+searcher = cosearch.searcher
+searcher.search(total_steps=3 * config.num_envs * searcher.config.rollout_length)
+digest = hashlib.sha256()
+for name, value in sorted(searcher.agent.state_dict().items()):
+    digest.update(name.encode() + np.ascontiguousarray(value).tobytes())
+for name, module in searcher.agent.named_modules():
+    if isinstance(module, BatchNorm2d):
+        digest.update("{}:{}".format(name, module.stats_version).encode())
+for alpha in searcher.arch.alphas:
+    digest.update(np.ascontiguousarray(alpha.data).tobytes())
+print(_native.available(), searcher.total_env_steps, digest.hexdigest())
+"""
+
+
+def run_update(native, script=UPDATE_SCRIPT):
     env = dict(os.environ)
     env.pop("REPRO_FAULTS", None)
     env["REPRO_NATIVE"] = "1" if native else "0"
@@ -224,7 +367,7 @@ def run_update(native):
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
-        [sys.executable, "-c", UPDATE_SCRIPT], env=env, timeout=600,
+        [sys.executable, "-c", script], env=env, timeout=600,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert completed.returncode == 0, completed.stderr.decode()
@@ -237,4 +380,8 @@ def test_whole_update_identical_with_and_without_library():
         pytest.skip("compiled library unavailable")
     fallback = run_update(native=False)
     assert fallback[0] == "False" and int(native[1]) > 0
+    assert native[1:] == fallback[1:]
+    native = run_update(native=True, script=COSEARCH_SCRIPT)
+    fallback = run_update(native=False, script=COSEARCH_SCRIPT)
+    assert native[0] == "True" and fallback[0] == "False" and int(native[1]) > 0
     assert native[1:] == fallback[1:]

@@ -178,6 +178,21 @@ class TestShutdown:
             assert probs.shape == (NUM_ACTIONS,)
         assert not server._thread.is_alive()
 
+    def test_finish_backlog_drains_manual_server(self, agent, observations):
+        """Without a worker thread the backlog drains on the closing thread."""
+        gauge = registry().gauge("serving/queue_depth")
+        baseline = gauge.value
+        server = manual_server()
+        server.register_model("pilot", agent, obs_shape=OBS_SHAPE)
+        future = server.submit("pilot", observations[0])
+        server.close(finish_backlog=True)
+        assert future.done()
+        probs, _ = future.result(timeout=0)
+        assert probs.shape == (NUM_ACTIONS,)
+        assert server.stats()["queue_depth"] == 0
+        assert server.stats()["completed"] == 1
+        assert gauge.value == baseline
+
     def test_close_is_idempotent_and_context_managed(self, agent):
         with PolicyServer(start=True) as server:
             server.register_model("pilot", agent)
