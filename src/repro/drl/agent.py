@@ -50,6 +50,14 @@ class ActorCriticAgent(Module):
         Size of the discrete action space.
     feature_dim:
         Backbone output dimensionality (defaults to ``backbone.feature_dim``).
+    use_runtime:
+        Serve inference on the tape-free :mod:`repro.runtime` engine (the
+        eager forward stays the per-call fallback).
+    runtime_dtype:
+        Compute dtype of :attr:`runtime`, which serves evaluation, serving
+        and direct ``act``/``policy_value`` calls (float64 by default).
+        Training rollouts do not use it: the training loop infers on its own
+        runtime at ``compiled_train_dtype``.
     """
 
     def __init__(self, backbone, num_actions, feature_dim=None, rng=None, use_runtime=True,
@@ -119,7 +127,7 @@ class ActorCriticAgent(Module):
         value = self.value_head(features).reshape(-1)
         return PolicyOutput(logits, log_probs, probs, value)
 
-    def policy_value(self, observations, **backbone_kwargs):
+    def policy_value(self, observations, runtime=None, **backbone_kwargs):
         """Convenience wrapper returning ``(probs, value)`` NumPy arrays without grads.
 
         This is the inference chokepoint (``act``, evaluation, teacher
@@ -127,13 +135,17 @@ class ActorCriticAgent(Module):
         set it executes on the tape-free :mod:`repro.runtime` engine instead
         of the autograd graph, falling back to the eager path for forward
         arguments the runtime cannot compile (e.g. gated supernet forwards).
+        ``runtime`` is the :class:`~repro.runtime.RuntimePolicy` that serves
+        the call, :attr:`runtime` (at ``runtime_dtype``) by default; the
+        training loop passes its own, at the dtype it trains in.
         """
         if self.use_runtime:
             from ..reliability import health
             from ..runtime.compiler import CompileError
 
             try:
-                return self.runtime.policy_value(observations, **backbone_kwargs)
+                runtime = runtime if runtime is not None else self.runtime
+                return runtime.policy_value(observations, **backbone_kwargs)
             except CompileError:
                 health.record("eager_fallbacks")
         with no_grad():
@@ -143,7 +155,7 @@ class ActorCriticAgent(Module):
     # ------------------------------------------------------------------ #
     # Acting
     # ------------------------------------------------------------------ #
-    def act(self, observations, rng, greedy=False, **backbone_kwargs):
+    def act(self, observations, rng, greedy=False, runtime=None, **backbone_kwargs):
         """Sample actions from the current policy.
 
         Parameters
@@ -155,13 +167,15 @@ class ActorCriticAgent(Module):
         greedy:
             If true, take the arg-max action instead of sampling (evaluation
             still samples in the paper's protocol, so the default is False).
+        runtime:
+            The runtime policy serving the forward (see :meth:`policy_value`).
 
         Returns
         -------
         actions, values:
             Integer actions ``(batch,)`` and value estimates ``(batch,)``.
         """
-        probs, values = self.policy_value(observations, **backbone_kwargs)
+        probs, values = self.policy_value(observations, runtime=runtime, **backbone_kwargs)
         if greedy:
             actions = probs.argmax(axis=-1)
         else:

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from ..nn import functional as F
-from ..reliability import health
 from ..runtime import RuntimePolicy
-from ..runtime.compiler import CompileError
 
 __all__ = ["DistillationMode", "ACDistiller", "actor_distillation_loss", "critic_distillation_loss"]
 
@@ -105,16 +103,10 @@ class ACDistiller:
         """
         if not self.enabled:
             return None, None
-        if self.teacher.use_runtime:
-            if self._runtime is None:
-                self._runtime = RuntimePolicy(self.teacher, dtype=self.dtype)
-            try:
-                return self._runtime.policy_value(observations)
-            except CompileError:
-                health.record("eager_fallbacks")
-        with no_grad():
-            output = self.teacher.forward(observations)
-        return output.probs.data.astype(self.dtype), output.value.data.astype(self.dtype)
+        if self._runtime is None and self.teacher.use_runtime:
+            self._runtime = RuntimePolicy(self.teacher, dtype=self.dtype)
+        probs, values = self.teacher.policy_value(observations, runtime=self._runtime)
+        return probs.astype(self.dtype, copy=False), values.astype(self.dtype, copy=False)
 
     def losses(self, observations, student_output, teacher_probs=None, teacher_values=None):
         """Compute ``(actor_distill_loss, critic_distill_loss)`` tensors.

@@ -29,6 +29,7 @@ from ..nn import RMSProp, clip_grad_norm
 from ..nn.serialization import load_state_dict, save_state_dict, validate_state
 from ..reliability import health
 from ..reliability.faults import get_injector
+from ..runtime import RuntimePolicy
 from ..runtime.compiler import CompileError
 from ..telemetry.metrics import registry
 from ..utils.logging import MetricLogger
@@ -61,9 +62,11 @@ class TrainLoopConfig:
     eval_episodes: int = 5
     seed: int = 0
     #: Route updates through the compiled training runtime (eager fallback
-    #: stays available per call).  Its plans and the teacher targets run at
-    #: ``compiled_train_dtype``; master weights and RMSProp state stay
-    #: float64 either way.  ``np.float64`` matches the eager tape to ~1e-12.
+    #: stays available per call).  Its plans, the teacher targets and the
+    #: rollouts' act and bootstrap inference run at ``compiled_train_dtype``;
+    #: master weights and RMSProp state stay float64 either way, and so does
+    #: the agent's own ``runtime_dtype`` (evaluation, serving).
+    #: ``np.float64`` matches the eager tape to ~1e-12.
     use_compiled_train: bool = True
     compiled_train_dtype: object = np.float32
     #: Crash safety: write a full checkpoint to ``autosave_path`` every
@@ -151,6 +154,7 @@ class TrainLoop:
         self.checkpoint_parts = {}
         self._recent_returns = []
         self._collector = None
+        self._rollout_runtime = None
         self._train_step = None
         self._guard_streak = 0
         #: Runtime counter totals at the previous update's log.
@@ -170,9 +174,15 @@ class TrainLoop:
         """Collect one rollout and return its batch with Eq. 12 targets.
 
         ``policy_kwargs`` go to every policy call (the search passes its
-        sampled path as ``op_indices``).
+        sampled path as ``op_indices``).  The act steps and the bootstrap
+        run on the loop's own runtime policy at ``compiled_train_dtype``,
+        built on first use as the distiller builds the teacher's; the
+        agent's eager fallback serves what it cannot compile.
         """
         collector = self.collector()
+        if self._rollout_runtime is None and self.agent.use_runtime:
+            self._rollout_runtime = RuntimePolicy(self.agent, dtype=self.config.compiled_train_dtype)
+        runtime = self._rollout_runtime
 
         def on_step(infos):
             self.total_env_steps += self.env.num_envs
@@ -182,13 +192,17 @@ class TrainLoop:
                     self.logger.log("episode_return", info["episode_return"], step=self.total_env_steps)
 
         buffer = collector.collect(
-            lambda observations: self.agent.act(observations, self.rng, **policy_kwargs),
+            lambda observations: self.agent.act(
+                observations, self.rng, runtime=runtime, **policy_kwargs
+            ),
             seed=self.config.seed,
             on_step=on_step,
         )
-        # Bootstrap values are pure inference: the runtime engine serves
+        # Bootstrap values are pure inference: the loop's runtime serves
         # them from the rollout's cached plan.
-        _, bootstrap = self.agent.policy_value(collector.observations, **policy_kwargs)
+        _, bootstrap = self.agent.policy_value(
+            collector.observations, runtime=runtime, **policy_kwargs
+        )
         return buffer.compute_targets(bootstrap, self.config.gamma)
 
     # ------------------------------------------------------------------ #

@@ -36,8 +36,9 @@ def make_agent(backbone_name, num_actions=6, obs_size=42, frame_stack=2, feature
         First-stage channel width for the ResNet family.
     use_runtime / runtime_dtype:
         No-grad inference configuration (see
-        :class:`~repro.runtime.RuntimePolicy`); as a teacher, the training
-        loop's distiller serves targets at the loop's train dtype instead.
+        :class:`~repro.runtime.RuntimePolicy`).  A training loop infers at
+        its own train dtype instead: the rollouts of the agent it trains and
+        the targets of its teacher.
     """
     rng = np.random.default_rng(seed)
     kwargs = {"in_channels": frame_stack, "input_size": obs_size, "feature_dim": feature_dim, "rng": rng}

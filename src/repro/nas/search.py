@@ -199,9 +199,15 @@ class DRLArchitectureSearch(TrainLoop):
         return total, value
 
     def _extras(self, hw_value):
-        """The search's own per-update metrics."""
+        """The search's own per-update metrics.
+
+        ``alpha/entropy_deficit`` is ln(#candidates) minus the mean cell
+        entropy of alpha: 0 while alpha is uniform, growing as the search
+        commits to operators.
+        """
         extras = {"loss/hw_penalty": hw_value} if hw_value else {}
-        extras["alpha_entropy"] = self.arch.entropy()
+        extras["alpha_entropy"] = entropy = self.arch.entropy()
+        extras["alpha/entropy_deficit"] = float(np.log(self.arch.num_choices)) - entropy
         return extras
 
     # ------------------------------------------------------------------ #

@@ -47,7 +47,9 @@ round per term, round-half-even to integer.  Both rely on the build pinning
 
 Binding rule.  :func:`bind` validates every operand once and captures the
 addresses; a caller reuses them only while it holds the very same array
-objects, and binds again (re-validating all) when any operand is replaced.
+objects, and binds again (re-validating all) when any operand is replaced
+(:func:`bound` keeps that cache for the depthwise kernel and the
+batch-norm steps).
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
@@ -70,7 +72,7 @@ import tempfile
 import numpy as np
 
 __all__ = [
-    "available", "bind", "dw_fwd", "dw_bwd", "dw_conv_q8", "requant_q8",
+    "available", "bind", "bound", "dw_fwd_bind", "dw_bwd_bind", "dw_conv_q8", "requant_q8",
     "bn_train_bind", "bn_vjp_bind",
 ]
 
@@ -546,34 +548,48 @@ def bind(name, operands, groups=1, *extents):
     return run
 
 
-def _float_call(name, x, w_taps, y, k, stride, padding, *extra):
-    """Call a depthwise routine; ``y`` is the output-shaped operand and
+def bound(owner, attr, bind, *operands):
+    """``bind(*operands)``, cached on ``owner.attr`` while the same arrays come back.
+
+    The cache is keyed on the operands' ids and holds the operands, so no id
+    is reused while it stands; a replaced operand binds (and validates) again.
+    """
+    key = tuple(map(id, operands))
+    cached = getattr(owner, attr, None)
+    if cached is None or cached[0] != key:
+        cached = (key, operands, bind(*operands))
+        setattr(owner, attr, cached)
+    return cached[2]
+
+
+def _dw_bind(name, x, w_taps, y, k, stride, padding, *extra):
+    """Bind a depthwise routine; ``y`` is the output-shaped operand and
     ``extra`` are further :func:`bind` operands."""
     n, h, wd, c = x.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
     operands = [(x, x.shape, False), (w_taps, (k * k, c), False), (y, (n, oh, ow, c), False),
                 *extra]
-    bind(name, operands)(n, h, wd, c, k, stride, padding, oh, ow)
+    return bind(name, operands, 1, n, h, wd, c, k, stride, padding, oh, ow)
 
 
-def dw_fwd(x, w_taps, out, k, stride, padding):
-    """Float NHWC depthwise forward into ``out`` (see the C source).
+def dw_fwd_bind(x, w_taps, out, k, stride, padding):
+    """Bound float NHWC depthwise forward: ``run()`` overwrites ``out``.
 
     ``x``/``out`` are C-contiguous NHWC float32 or float64; ``w_taps`` is the
     tap-major ``(k*k, C)`` weight of the same dtype.
     """
-    _float_call("dw_fwd", x, w_taps, out, k, stride, padding)
+    return _dw_bind("dw_fwd", x, w_taps, out, k, stride, padding)
 
 
-def dw_bwd(x, w_taps, gout, gw_taps, gin, k, stride, padding):
-    """Float depthwise VJPs: ``gw_taps`` overwritten, ``gin`` accumulated.
+def dw_bwd_bind(x, w_taps, gout, gw_taps, gin, k, stride, padding):
+    """Bound float depthwise VJPs: ``run()`` overwrites ``gw_taps`` and adds to ``gin``.
 
-    Same layouts as :func:`dw_fwd`; ``gw_taps`` is ``(k*k, C)`` staging and
-    ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
+    Same layouts as :func:`dw_fwd_bind`; ``gw_taps`` is ``(k*k, C)`` staging
+    and ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
     """
-    _float_call("dw_bwd", x, w_taps, gout, k, stride, padding,
-                (gw_taps, w_taps.shape, False), (gin, x.shape, False))
+    return _dw_bind("dw_bwd", x, w_taps, gout, k, stride, padding,
+                    (gw_taps, w_taps.shape, False), (gin, x.shape, False))
 
 
 def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,

@@ -13,6 +13,8 @@ contiguous multiply along the channel axis::
   :mod:`~repro.runtime.kernels._native` (``dw_fwd`` / ``dw_bwd``): implicit
   zero padding with per-tap clipped bounds, so there is no padded copy and
   no scratch, and one pass over ``(n, y, i, j, x)`` produces both VJPs.
+  Each routine is bound once per kernel and reused while the plan hands
+  back the same buffers.
 * ``depthwise_einsum`` — the NumPy formulation, the float depthwise
   fallback where the C library cannot be built (``REPRO_NATIVE=0``, no
   compiler).  See :class:`DepthwiseEinsumKernel`.
@@ -98,18 +100,24 @@ class DepthwiseNativeKernel(_DepthwiseKernel):
         #: Weight-VJP staging in the C routine's tap-major order.
         self._gwt = plan.alloc(self._wt.shape)
 
-    def forward(self, x, weight, out, epilogue):
+    def _bind_fwd(self, x, out):
         spec = self.spec
-        _native.dw_fwd(x, self._load_taps(weight), out, spec.kernel, spec.stride, spec.padding)
+        return _native.dw_fwd_bind(x, self._wt, out, spec.kernel, spec.stride, spec.padding)
+
+    def _bind_bwd(self, x, gout, gin):
+        spec = self.spec
+        return _native.dw_bwd_bind(x, self._wt, gout, self._gwt, gin,
+                                   spec.kernel, spec.stride, spec.padding)
+
+    def forward(self, x, weight, out, epilogue):
+        self._load_taps(weight)
+        _native.bound(self, "_fwd_bound", self._bind_fwd, x, out)()
         epilogue.apply(out)
 
     def backward(self, gout, x, weight, gw, gin):
-        spec = self.spec
-        _native.dw_bwd(
-            x, self._load_taps(weight), gout, self._gwt, gin,
-            spec.kernel, spec.stride, spec.padding,
-        )
-        k = spec.kernel
+        self._load_taps(weight)
+        _native.bound(self, "_bwd_bound", self._bind_bwd, x, gout, gin)()
+        k = self.spec.kernel
         gw[:, 0] += self._gwt.reshape(k, k, -1).transpose(2, 0, 1)
 
 

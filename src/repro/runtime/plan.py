@@ -313,7 +313,8 @@ class _BNMixin:
     every other slot, and eval mode, runs the NumPy code, which gives the
     same bits.  Both routines are bound once: the validated addresses are
     reused while the same array objects come back (slots, parameter data from
-    ``fetch_param``, running buffers) and re-validated when one is replaced.
+    ``fetch_param``, running buffers, the step-owned eval-mode statistics)
+    and re-validated when one is replaced.
     """
 
     #: Training plans flip this on so the forward saves the statistics its
@@ -321,18 +322,8 @@ class _BNMixin:
     _capture_stats = False
     #: Sample groups and EMA repeats (set per ``BatchNormStep``).
     num_samples = stat_repeats = 1
-    #: ``(operand ids, operands, binding)`` of the last bound ``bn_train`` /
-    #: ``bn_vjp``; holding the operands keeps their ids unique.
-    _train_bound = _vjp_bound = None
-
-    def _bound(self, attr, bind, *operands):
-        """``bind(*operands)``, cached under ``attr`` while the same arrays come back."""
-        key = tuple(map(id, operands))
-        bound = getattr(self, attr)
-        if bound is None or bound[0] != key:
-            bound = (key, operands, bind(*operands))
-            setattr(self, attr, bound)
-        return bound[2]
+    #: Eval-mode ``(mean, inv_std)``, each ``(1, C)`` in the plan dtype.
+    _eval_stats = None
 
     def _bind_bn_train(self, x, res, out, gamma, beta, running_mean, running_var):
         """Bound ``bn_train`` plus its ``(mean, inv_std)`` outputs, or ``None``
@@ -361,8 +352,8 @@ class _BNMixin:
         if bn.training:
             bn.bump_stats_version()  # the running buffers change in place
             if _native.available():
-                bound = self._bound("_train_bound", self._bind_bn_train, x, res, out,
-                                    gamma, beta, bn.running_mean, bn.running_var)
+                bound = _native.bound(self, "_train_bound", self._bind_bn_train, x, res, out,
+                                      gamma, beta, bn.running_mean, bn.running_var)
         if bound is not None:
             run, mean, inv_std = bound
             relu = self.activation == "relu"
@@ -388,10 +379,17 @@ class _BNMixin:
                     bn.running_mean += bn.momentum * mean64
                     bn.running_var *= 1.0 - bn.momentum
                     bn.running_var += bn.momentum * var64
+            inv_std = 1.0 / np.sqrt(var + bn.eps)
         else:
-            mean = params.fetch("running_mean", bn.running_mean)[None]
-            var = params.fetch("running_var", bn.running_var)[None]
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
+            # Step-owned (1, C) statistics refreshed in place, so a bound
+            # ``bn_vjp`` sees the same arrays on every call.
+            if self._eval_stats is None or self._eval_stats[0].dtype != params.dtype:
+                self._eval_stats = tuple(np.empty((2, 1, len(bn.running_mean)), params.dtype))
+            mean, inv_std = self._eval_stats
+            np.copyto(mean[0], bn.running_mean, casting="same_kind")
+            np.copyto(inv_std[0], bn.running_var, casting="same_kind")
+            inv_std += bn.eps
+            np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
         if self._capture_stats:
             self._saved_stats = (bool(bn.training), mean, inv_std, gamma)
         scale = gamma * inv_std
@@ -814,8 +812,9 @@ class BatchNormStep(Step, _BNMixin):
         relu = self.activation == "relu"
         bound = None
         if _native.available():
-            bound = self._bound("_vjp_bound", self._bind_bn_vjp, gout, y if relu else None, x,
-                                gin, mean, inv_std, gamma, self._pg_gamma, self._pg_beta)
+            bound = _native.bound(self, "_vjp_bound", self._bind_bn_vjp, gout,
+                                  y if relu else None, x, gin, mean, inv_std, gamma,
+                                  self._pg_gamma, self._pg_beta)
         if bound is None or not relu:
             vjp.activation_vjp(self.activation, y, gout)
         if bound is not None:

@@ -1,17 +1,20 @@
 """The training loop's compute dtype: float32 by default, float64 when pinned.
 
-The compiled train plans and the teacher targets run at
-``compiled_train_dtype``; the master weights and the optimiser state stay
-float64 parameters whatever it is.
+The compiled train plans, the teacher targets and the rollouts' act and
+bootstrap inference run at ``compiled_train_dtype``; the master weights, the
+optimiser state and the agent's own ``runtime_dtype`` (evaluation, serving)
+stay float64 whatever it is.
 """
 
 import numpy as np
 import pytest
 
 from repro.cosearch import A3CSConfig, A3CSCoSearch
-from repro.drl import A2CConfig, A2CTrainer, ACDistiller, DistillationMode, make_agent
+from repro.drl import (A2CConfig, A2CTrainer, ACDistiller, DistillationMode, evaluate_agent,
+                       make_agent)
 from repro.envs import make_vector_env
 from repro.nas import DRLArchitectureSearch, SearchConfig
+from repro.reliability import faults, health
 
 GAME = "Breakout"
 OBS_SIZE = 21
@@ -68,6 +71,69 @@ class TestDefaultTrainDtype:
     @pytest.mark.parametrize("build", [_a2c, _search], ids=["a2c", "search"])
     def test_explicit_float64_is_kept(self, build):
         _assert_trains_at(build(compiled_train_dtype=np.float64), np.float64)
+
+
+class TestRolloutDtype:
+    @pytest.mark.parametrize("build", [_a2c, _search, _cosearch], ids=["a2c", "search", "cosearch"])
+    def test_rollouts_infer_at_loop_dtype(self, build):
+        loop = build()
+        loop._run(loop.total_env_steps + 1)
+        engine = loop._rollout_runtime.engine
+        assert engine.dtype == np.float32 and engine.num_plans > 0
+        assert all(plan.dtype == np.float32 for plan in engine._plans.values())
+        # The agent's own runtime is untouched by training and stays float64.
+        agent = loop.agent
+        assert agent.runtime_dtype == np.float64 and agent._runtime is None
+        evaluate_agent(agent, GAME, episodes=1, env_kwargs=dict(ENV_KW),
+                       max_steps_per_episode=10, backbone_kwargs=self._path(loop))
+        assert agent.runtime.dtype == np.float64 and agent.runtime.engine.num_plans > 0
+        assert all(plan.dtype == np.float64 for plan in agent.runtime.engine._plans.values())
+
+    @staticmethod
+    def _path(loop):
+        arch = getattr(loop, "arch", None)
+        return {"op_indices": arch.derive()} if arch is not None else None
+
+    def test_rollout_compile_error_falls_back_once(self, monkeypatch):
+        loop = _a2c()
+        loop._run(loop.total_env_steps + 1)
+        hits = loop._rollout_runtime.engine.cache_hits
+        before = health.get("eager_fallbacks")
+        monkeypatch.setenv(faults.ENV_VAR, "compile_error=1@rollout:1")
+        faults.reset_injector()
+        try:
+            batch = loop._collect_rollout()
+        finally:
+            monkeypatch.delenv(faults.ENV_VAR)
+            faults.reset_injector()
+        assert health.get("eager_fallbacks") == before + 1
+        # The other four act steps and the bootstrap stayed on the runtime.
+        assert loop._rollout_runtime.engine.cache_hits == hits + 5
+        assert np.all(np.isfinite(batch["returns"]))
+
+    def test_eager_agent_has_no_rollout_runtime(self):
+        agent = make_agent("Vanilla", obs_size=OBS_SIZE, frame_stack=2, feature_dim=16, seed=0,
+                           use_runtime=False)
+        env = make_vector_env(GAME, num_envs=2, seed=0, **ENV_KW)
+        trainer = A2CTrainer(agent, env, config=A2CConfig(total_steps=10, num_envs=2, seed=0))
+        trainer.train()
+        assert trainer.updates > 0 and trainer._rollout_runtime is None
+
+    @pytest.mark.parametrize("build", [_a2c, _search], ids=["a2c", "search"])
+    def test_float64_loop_matches_agent_runtime_rollouts(self, build):
+        """At ``compiled_train_dtype=np.float64`` the loop's own runtime gives
+        the bytes of rollouts served by the agent's (float64) runtime."""
+        digests = []
+        for shared in (False, True):
+            loop = build(compiled_train_dtype=np.float64)
+            if shared:
+                loop._rollout_runtime = loop.agent.runtime
+            while loop.updates < 10:
+                loop._run(loop.total_env_steps + 1)
+            # Weights, BN running statistics, optimiser states, alphas, counters.
+            state = loop._checkpoint_state()
+            digests.append({key: np.asarray(value).tobytes() for key, value in state.items()})
+        assert digests[0] == digests[1]
 
 
 class TestTeacherTargetsDtype:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cosearch import A3CSConfig, A3CSCoSearch
 from repro.drl import DistillationMode, train_teacher
 from repro.nas import DRLArchitectureSearch, OptimizationScheme, SearchConfig
 from repro.networks import CANDIDATE_OPERATORS
@@ -67,6 +68,27 @@ class TestOneLevelSearch:
         for name in ("loss/total", "loss/policy", "loss/value", "alpha_entropy"):
             steps, values = result.logger.series(name)
             assert values, name
+
+    @pytest.mark.parametrize("kind", ["search", "cosearch"])
+    def test_entropy_deficit_logged_per_update(self, kind):
+        """``alpha/entropy_deficit`` = ln(#candidates) - mean cell entropy, per update."""
+        if kind == "search":
+            searcher = make_searcher(total_steps=20)
+        else:
+            config = A3CSConfig(obs_size=21, num_envs=2, num_cells=6, base_width=4,
+                                feature_dim=32, max_episode_steps=60,
+                                distillation_mode=DistillationMode.NONE, seed=0)
+            cosearch = A3CSCoSearch("Breakout", config=config)
+            cosearch._build()
+            searcher = cosearch.searcher
+        searcher.search(total_steps=20)
+        _, deficits = searcher.logger.series("alpha/entropy_deficit")
+        _, entropies = searcher.logger.series("alpha_entropy")
+        assert len(deficits) == len(entropies) == searcher.updates > 1
+        np.testing.assert_allclose(
+            deficits, np.log(searcher.arch.num_choices) - np.asarray(entropies), rtol=0, atol=1e-15)
+        assert deficits[-1] == pytest.approx(np.log(9) - searcher.arch.entropy(), abs=1e-15)
+        assert min(deficits) > -1e-12
 
     def test_operator_names_resolve(self):
         result = make_searcher(total_steps=40).search()

@@ -61,8 +61,8 @@ def bn_state(bn):
     return digest(bn.running_mean, bn.running_var) + [bn.stats_version]
 
 
-def batchnorm_step(shape, dtype, training, activation, groups, repeats=1):
-    """Forward and backward of a standalone NHWC ``BatchNormStep``."""
+def batchnorm_step(shape, dtype, training, activation, groups, repeats=1, passes=1):
+    """``passes`` forwards and backwards of a standalone NHWC ``BatchNormStep``."""
     c = shape[-1]
     bn = make_bn(c, training, seed=1)
     step = BatchNormStep(bn, 0, 1, activation=activation, num_samples=groups,
@@ -75,10 +75,12 @@ def batchnorm_step(shape, dtype, training, activation, groups, repeats=1):
     step._bw_ws = np.empty(shape, dtype)
     x, gout, gin = arrays(shape, dtype, seed=2, count=3)
     bufs = [x, np.empty_like(x)]
-    step.run(bufs)
-    out = bufs[1].copy()
-    step.backward(bufs, [gin, gout])
-    return digest(out, gin, gout, step._pg_gamma, step._pg_beta) + bn_state(bn)
+    outs = []
+    for _ in range(passes):
+        step.run(bufs)
+        outs.append(bufs[1].copy())
+        step.backward(bufs, [gin, gout])
+    return digest(*outs, gin, gout, step._pg_gamma, step._pg_beta) + bn_state(bn)
 
 
 def conv_epilogue(shape, dtype, training, activation, bias, residual):
@@ -176,16 +178,16 @@ class TestOperandValidation:
                                 np.zeros(8, np.float32)[::2], np.zeros(4, np.float32))
 
 
-def count_binds(monkeypatch):
-    """Count :func:`_native.bn_train_bind` calls (the full operand validations)."""
+def count_binds(monkeypatch, routine="bn_train_bind"):
+    """Count ``_native.<routine>`` calls (the full operand validations)."""
     calls = []
-    real = _native.bn_train_bind
+    real = getattr(_native, routine)
 
     def counted(*operands):
         calls.append(1)
         return real(*operands)
 
-    monkeypatch.setattr(_native, "bn_train_bind", counted)
+    monkeypatch.setattr(_native, routine, counted)
     return calls
 
 
@@ -237,6 +239,15 @@ class TestBinding:
         def replace(bn):
             bn.running_mean = bn.running_mean + 1.0
         self.check(monkeypatch, dtype, replace, binds=2)
+
+    def test_eval_mode_backward_binds_once(self, monkeypatch, dtype):
+        """Eval-mode statistics live in step-owned buffers refreshed in place,
+        so ``bn_vjp`` keeps its binding across passes."""
+        calls = count_binds(monkeypatch, "bn_vjp_bind")
+        native, fallback = run_both(monkeypatch, lambda: batchnorm_step(
+            (2, 3, 3, 8), dtype, False, "relu", 1, passes=3))
+        assert native == fallback
+        assert len(calls) == 1
 
     def test_non_contiguous_running_buffer_is_rejected(self, dtype):
         """The C loops would read a strided buffer out of bounds: re-validation

@@ -265,7 +265,7 @@ class TestDispatch:
         x = np.zeros((2, 6, 6, 4))
         w = np.zeros((9, 4))
         out = np.zeros((2, 6, 6, 4))
-        _native.dw_fwd(x, w, out, 3, 1, 1)
+        _native.dw_fwd_bind(x, w, out, 3, 1, 1)()
         for bad_x, bad_w, bad_out in (
             (x[:, :, ::-1], w, out),            # strided view
             (x, w.astype(np.float32), out),     # mixed dtypes
@@ -273,9 +273,9 @@ class TestDispatch:
             (x.astype(np.int64), w, out),       # no integer variant
         ):
             with pytest.raises(ValueError):
-                _native.dw_fwd(bad_x, bad_w, bad_out, 3, 1, 1)
+                _native.dw_fwd_bind(bad_x, bad_w, bad_out, 3, 1, 1)
         with pytest.raises(ValueError):
-            _native.dw_bwd(x, w, out, np.zeros((9, 4)), x[:1], 3, 1, 1)
+            _native.dw_bwd_bind(x, w, out, np.zeros((9, 4)), x[:1], 3, 1, 1)
 
     def test_without_native_library_depthwise_falls_back_to_einsum(self, monkeypatch):
         """With no C library, an f64 NHWC depthwise train signature has one
@@ -532,6 +532,68 @@ class TestDepthwiseVJPReference:
                     _assert_close_rel(gw, gw0 + ref_gw, tol, label + " weight VJP")
                     if input_grad:
                         _assert_close_rel(gin, phys(gin0 + ref_gin), tol, label + " input VJP")
+
+
+@pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
+class TestDepthwiseNativeBinding:
+    """``depthwise_native`` binds each C routine once and reuses it while the
+    plan hands back the same buffers; a replaced buffer binds again."""
+
+    SPEC = ConvSpec(2, 8, 8, 6, 6, 3, 2, 1, 8, "float32", "train", "NHWC")
+
+    def count_binds(self, monkeypatch):
+        calls = []
+        real = _native.bind
+
+        def counted(name, *args):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(_native, "bind", counted)
+        return calls
+
+    def run(self, kernel, x, out, gout, gin, seeds=(0, 1, 2)):
+        """One forward+backward pass per seed, each with new weight values."""
+        results = []
+        for seed in seeds:
+            weight = np.random.default_rng(seed).standard_normal((8, 1, 3, 3)).astype(np.float32)
+            gw = np.zeros_like(weight)
+            kernel.forward(x, weight, out, NULL_EPILOGUE)
+            gin[...] = 1.0
+            kernel.backward(gout, x, weight, gw, gin)
+            results.append([a.tobytes() for a in (out, gw, gin)])
+        return results
+
+    def buffers(self):
+        rng = np.random.default_rng(7)
+        spec = self.SPEC
+        x = rng.standard_normal(spec.in_shape).astype(np.float32)
+        gout = rng.standard_normal(spec.out_shape).astype(np.float32)
+        return x, np.empty(spec.out_shape, np.float32), gout, np.empty_like(x)
+
+    def kernel(self):
+        arena = _Arena(self.SPEC)
+        kernel = DepthwiseNativeKernel(self.SPEC, arena)
+        kernel.allocate_backward(arena, True)
+        return kernel
+
+    def test_steady_state_binds_once_per_routine(self, monkeypatch):
+        x, out, gout, gin = self.buffers()
+        calls = self.count_binds(monkeypatch)
+        bound = self.run(self.kernel(), x, out, gout, gin)
+        assert sorted(calls) == ["dw_bwd", "dw_fwd"]
+        # Bitwise the same as a kernel bound afresh for every pass.
+        fresh = [self.run(self.kernel(), x, out, gout, gin, seeds=(seed,))[0] for seed in range(3)]
+        assert bound == fresh
+
+    def test_replaced_buffer_binds_again(self, monkeypatch):
+        x, out, gout, gin = self.buffers()
+        kernel = self.kernel()
+        calls = self.count_binds(monkeypatch)
+        self.run(kernel, x, out, gout, gin, seeds=(0, 1))
+        replaced = self.run(kernel, x, np.empty_like(out), gout, gin, seeds=(2,))
+        assert calls == ["dw_fwd", "dw_bwd", "dw_fwd"]
+        assert replaced == self.run(self.kernel(), x, out, gout, gin, seeds=(2,))
 
 
 class TestBlasThreadRecording:
