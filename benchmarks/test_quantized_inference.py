@@ -99,7 +99,7 @@ def _calibrate(agent, game, batch, steps=CALIBRATION_STEPS):
 
 def _plan_structure(agent):
     """Quantized/float conv counts and boundary steps of the batched plan."""
-    plan = agent.runtime.engine.plan_for((NUM_ENVS,) + OBS_SHAPE)
+    plan = agent.runtime.plan_for((NUM_ENVS,) + OBS_SHAPE)
     convs = [s for s in plan.steps if isinstance(s, Conv2dStep)]
     return {
         "convs_quantized": sum(1 for s in convs if s.quant is not None),

@@ -255,7 +255,7 @@ class A3CSCoSearch:
         # geometry so downstream scoring (Fig. 3 / Table III consumers) hits
         # the tape-free runtime immediately instead of paying a first-call
         # compile inside a timed region.
-        agent.runtime.engine.plan_for((1, cfg.frame_stack, cfg.obs_size, cfg.obs_size))
+        agent.runtime.plan_for((1, cfg.frame_stack, cfg.obs_size, cfg.obs_size))
 
         # Final accelerator search on the derived network at layer granularity,
         # warm-started from scratch (the unit-level phi guided the co-search;

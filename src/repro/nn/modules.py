@@ -8,6 +8,7 @@ activations, pooling, Sequential).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -36,12 +37,15 @@ __all__ = [
     "Dropout",
 ]
 
+#: Serialises :meth:`Parameter.cast` refreshes (hits take no lock).
+_CAST_LOCK = threading.Lock()
+
 
 class Parameter(Tensor):
     """A :class:`Tensor` that is registered as a learnable parameter.
 
     Parameters additionally carry a monotonically increasing :attr:`version`
-    counter used by the compiled runtime's caches (cast-parameter buffers,
+    counter used by the compiled runtime's caches (the :meth:`cast` mirrors,
     folded conv-BN weights) to detect live updates without comparing array
     contents.  Any assignment to :attr:`data` — including augmented
     assignments like ``param.data -= update``, which is how the optimisers
@@ -50,10 +54,12 @@ class Parameter(Tensor):
     :meth:`bump_version` afterwards; :meth:`Module.load_state_dict` does.
     """
 
-    __slots__ = ("_version",)
+    __slots__ = ("_version", "_casts")
 
     def __init__(self, data):
         self._version = 0
+        #: ``{dtype: [mirror, version it holds]}`` (see :meth:`cast`).
+        self._casts = {}
         super().__init__(data, requires_grad=True)
 
     @property
@@ -73,6 +79,40 @@ class Parameter(Tensor):
     def bump_version(self):
         """Mark ``data`` as mutated in place (invalidates runtime caches)."""
         self._version += 1
+
+    def cast(self, dtype):
+        """``data`` in ``dtype``, for the compiled runtime's plans to read.
+
+        Returns ``data`` itself when the dtype already matches.  Otherwise it
+        returns this parameter's one mirror for ``dtype``, shared by every
+        plan that reads the parameter, and re-copies ``data`` into it only
+        when :attr:`version` has moved since the last copy.  The mirror keeps
+        its identity across refreshes (bound native operands stay valid) and
+        is never part of :meth:`Module.state_dict`.
+
+        A serving thread may read the mirror while the training thread
+        refreshes it.  So the version is read before ``data`` (a concurrent
+        update then only causes one more copy), the refresh runs under a
+        lock, and the version is recorded only after the copy.
+        """
+        version = self._version
+        data = self.data
+        if data.dtype == dtype:
+            return data
+        entry = self._casts.get(dtype)
+        if entry is not None and entry[1] == version:
+            return entry[0]
+        with _CAST_LOCK:
+            version = self._version
+            data = self.data
+            entry = self._casts.get(dtype)
+            if entry is None or entry[0].shape != data.shape:
+                entry = self._casts[dtype] = [np.empty(data.shape, dtype), None]
+            elif entry[1] == version:
+                return entry[0]
+            np.copyto(entry[0], data)
+            entry[1] = version
+            return entry[0]
 
 
 class Module:

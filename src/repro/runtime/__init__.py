@@ -13,15 +13,23 @@ all pure inference, so this subsystem executes them on a different engine:
 * :class:`~repro.runtime.engine.InferenceEngine` executes the plan with
   pre-allocated activation buffers and cached im2col workspaces — zero
   per-call allocations on the hot path and no ``Tensor`` wrapping;
-* :class:`~repro.runtime.engine.RuntimePolicy` wraps an
+* :class:`~repro.runtime.engine.RuntimePolicy` is the engine for an
   :class:`~repro.drl.agent.ActorCriticAgent` and serves ``(probs, values)``
   batches for rollout collection, including sampled supernet paths (one plan
-  per batch shape holds every candidate; each call selects its path).
+  per batch shape holds every candidate; each call selects its path);
+* :class:`~repro.runtime.engine.PlanCache` is the one plan cache every
+  engine and train step owns: an LRU with its :class:`BufferPool`, a
+  negative compile cache and the registry counters :func:`cache_stats`
+  reads.
 
 The engine reads parameters live from the source module on every run, so a
 module can keep training between rollouts without invalidating its plans.
 ``dtype=np.float64`` (the default) reproduces the eager math to a few ulps;
 ``dtype=np.float32`` is the production fast path (~2-3x on BLAS-bound nets).
+A float32 plan reads each float64 parameter through
+:meth:`~repro.nn.modules.Parameter.cast`: one mirror per parameter and
+dtype, shared by every plan and re-copied once per parameter version, so a
+training loop's rollout and train plans cast each weight once per update.
 
 Since the compiled-training extension, the same compiler also emits
 **reverse-mode plans**: ``compile_plan(..., train=True)`` adds per-slot
@@ -51,7 +59,7 @@ and bitwise-reproducible across kernel candidates.
 """
 
 from .compiler import CompileError, compile_plan, register_expander, supported_module_types
-from .engine import InferenceEngine, RuntimePolicy
+from .engine import InferenceEngine, PlanCache, RuntimePolicy
 from .passes import PASS_NAMES, enabled_passes
 from .plan import BufferPool, Plan
 from .quantize import Calibrator, QuantCalibration
@@ -65,6 +73,7 @@ __all__ = [
     "supported_module_types",
     "CompileError",
     "InferenceEngine",
+    "PlanCache",
     "RuntimePolicy",
     "CompiledTrainStep",
     "TrainStepResult",
@@ -80,10 +89,11 @@ def cache_stats():
     """Process-wide plan-cache, :class:`BufferPool`, kernel and health counters.
 
     ``inference_plans`` and ``train_plans`` hold the hits / misses /
-    evictions summed over every :class:`InferenceEngine` and
-    :class:`CompiledTrainStep` the process created, ``buffer_pools`` the
-    recycled vs freshly-allocated bytes over every pool.  All three are
-    views of the ``runtime/`` counters of the metrics registry, so they only
+    evictions summed over the :class:`PlanCache` of every
+    :class:`InferenceEngine` and :class:`CompiledTrainStep` the process
+    created, ``buffer_pools`` the recycled vs freshly-allocated bytes over
+    every pool.  All three are views of the ``runtime/`` counters of the
+    metrics registry (the only place these counts live), so they only
     grow (collected objects keep their counts) and per-update deltas never go
     negative.  ``kernels`` reports the conv kernel chosen per op signature,
     and ``health`` the process-wide reliability counters of

@@ -1,4 +1,10 @@
-"""Inference engines: plan caching, buffer reuse, and the policy fast path.
+"""Plan caches, inference engines and the policy fast path.
+
+:class:`PlanCache` is the one LRU of compiled plans that every engine owns:
+:class:`InferenceEngine` and :class:`~repro.runtime.train.CompiledTrainStep`
+each key it by their own signature.  It recycles evicted plans' buffers
+through its :class:`BufferPool`, remembers signatures that failed to compile,
+and counts hits, misses and evictions in the metrics registry only.
 
 :class:`InferenceEngine` wraps one module and lazily compiles a :class:`Plan`
 per input shape, so changing the rollout batch size transparently triggers
@@ -25,14 +31,79 @@ from ..telemetry.metrics import registry
 from .compiler import CompileError, compile_plan
 from .plan import BufferPool
 
-__all__ = ["InferenceEngine", "RuntimePolicy"]
+__all__ = ["PlanCache", "InferenceEngine", "RuntimePolicy"]
 
-#: Plan-cache totals over every engine
-#: (``repro.runtime.cache_stats()["inference_plans"]``).
-_HITS, _MISSES, _EVICTIONS = (
-    registry().counter("runtime/inference_plans/" + key)
-    for key in ("cache_hits", "cache_misses", "cache_evictions")
-)
+#: ``(hits, misses, evictions)`` registry counters per plan-cache kind,
+#: registered at import so ``repro.runtime.cache_stats()`` always lists them.
+_COUNTERS = {
+    kind: tuple(
+        registry().counter("runtime/{}/{}".format(kind, key))
+        for key in ("cache_hits", "cache_misses", "cache_evictions")
+    )
+    for kind in ("inference_plans", "train_plans")
+}
+
+
+class PlanCache:
+    """LRU of compiled plans keyed by signature, for one engine.
+
+    Evicted plans hand their buffers back to :attr:`pool`, so later compiles
+    reuse warm pages.  A signature whose compile raised
+    :class:`CompileError` raises again at once, without another graph walk,
+    until :meth:`invalidate`.  Hits, misses and evictions are counted only
+    in the registry's ``runtime/<kind>/cache_*`` counters, which
+    ``repro.runtime.cache_stats()[kind]`` reads; ``kind`` is
+    ``"inference_plans"`` or ``"train_plans"``.
+    """
+
+    def __init__(self, kind, max_plans):
+        self.max_plans = int(max_plans)
+        self.pool = BufferPool()
+        self._plans = OrderedDict()
+        self._failed = set()
+        self._hits, self._misses, self._evictions = _COUNTERS[kind]
+
+    def get(self, key, build):
+        """The plan cached under ``key``, else ``build()``'s, now cached."""
+        injector = get_injector()
+        if injector is not None and injector.should_fire("compile_error"):
+            # Injected before the lookup so a fault neither shadows a good
+            # cached plan nor enters the negative cache: the next call
+            # compiles normally.
+            raise CompileError("injected compile_error fault")
+        plan = self._plans.get(key)
+        if plan is not None:
+            self._hits.inc()
+            self._plans.move_to_end(key)
+            return plan
+        if key in self._failed:
+            raise CompileError("signature previously failed to compile; using the eager tape")
+        self._misses.inc()
+        try:
+            plan = build()
+        except CompileError:
+            self._failed.add(key)
+            raise
+        self._plans[key] = plan
+        while len(self._plans) > self.max_plans:
+            self._plans.popitem(last=False)[1].release()
+            self._evictions.inc()
+        return plan
+
+    def invalidate(self):
+        """Release every plan and forget failed signatures."""
+        for plan in self._plans.values():
+            plan.release()
+        self._plans.clear()
+        self._failed.clear()
+        self.pool.clear()
+
+    def __len__(self):
+        return len(self._plans)
+
+    def __iter__(self):
+        """The cached plans, least recently used first."""
+        return iter(self._plans.values())
 
 
 class InferenceEngine:
@@ -60,15 +131,8 @@ class InferenceEngine:
     def __init__(self, module, dtype=np.float64, max_plans=32, quantize=None):
         self.module = module
         self.dtype = np.dtype(dtype)
-        self.max_plans = int(max_plans)
         self.quantize = quantize
-        self._plans = OrderedDict()
-        #: Evicted plans hand their buffers back here, so later compiles reuse
-        #: warm pages.
-        self.pool = BufferPool()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
+        self.plans = PlanCache("inference_plans", max_plans)
 
     def plan_for(self, input_shape, path=None):
         """Fetch (or compile) the plan for ``input_shape``, selecting ``path``.
@@ -76,45 +140,18 @@ class InferenceEngine:
         Every supernet path shares one plan per input shape; the returned
         plan runs ``path``'s branches until the next selection.
         """
-        injector = get_injector()
-        if injector is not None and injector.should_fire("compile_error"):
-            # Injected before the cache lookup so a fault never replaces (or
-            # shadows) a good cached plan — the next call compiles normally.
-            raise CompileError("injected compile_error fault")
         path = tuple(int(i) for i in path) if path is not None else None
         key = (tuple(input_shape), path is not None)
-        plan = self._plans.get(key)
-        if plan is None:
-            self.cache_misses += 1
-            _MISSES.inc()
-            plan = compile_plan(self.module, key[0], dtype=self.dtype, path=path,
-                                pool=self.pool, quantize=self.quantize)
-            self._plans[key] = plan
-            while len(self._plans) > self.max_plans:
-                _, evicted = self._plans.popitem(last=False)
-                evicted.release()
-                self.cache_evictions += 1
-                _EVICTIONS.inc()
-        else:
-            self.cache_hits += 1
-            _HITS.inc()
-            self._plans.move_to_end(key)
-            if path is not None:
-                try:
-                    plan.set_path(path)
-                except ValueError as exc:
-                    raise CompileError(str(exc)) from None
+        plan = self.plans.get(key, lambda: compile_plan(
+            self.module, key[0], dtype=self.dtype, path=path, pool=self.plans.pool,
+            quantize=self.quantize,
+        ))
+        if path is not None:
+            try:
+                plan.set_path(path)
+            except ValueError as exc:
+                raise CompileError(str(exc)) from None
         return plan
-
-    def cache_stats(self):
-        """Plan-cache and buffer-pool counters for observability."""
-        return {
-            "plans": len(self._plans),
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "pool": self.pool.stats(),
-        }
 
     def run(self, x, path=None):
         """Execute the module on ``x``.
@@ -134,23 +171,20 @@ class InferenceEngine:
 
     def invalidate(self):
         """Drop every compiled plan (e.g. after structural module surgery)."""
-        for plan in self._plans.values():
-            plan.release()
-        self._plans.clear()
-        self.pool.clear()
+        self.plans.invalidate()
 
     @property
     def num_plans(self):
         """Number of currently cached compiled plans."""
-        return len(self._plans)
+        return len(self.plans)
 
     def __repr__(self):
-        return "InferenceEngine({}, dtype={}, plans={})".format(
-            type(self.module).__name__, self.dtype.name, len(self._plans)
+        return "{}({}, dtype={}, plans={})".format(
+            type(self).__name__, type(self.module).__name__, self.dtype.name, len(self.plans)
         )
 
 
-class RuntimePolicy:
+class RuntimePolicy(InferenceEngine):
     """Batched ``(probs, values)`` inference for an actor-critic agent.
 
     This is what rollout collection, evaluation and teacher-target queries
@@ -159,20 +193,6 @@ class RuntimePolicy:
     (which need gradients anyway) are rejected with :class:`CompileError` so
     callers can fall back to the eager engine.
     """
-
-    def __init__(self, agent, dtype=np.float64, max_plans=32, quantize=None):
-        self.agent = agent
-        self.engine = InferenceEngine(
-            agent, dtype=dtype, max_plans=max_plans, quantize=quantize
-        )
-
-    @property
-    def dtype(self):
-        return self.engine.dtype
-
-    @property
-    def quantize(self):
-        return self.engine.quantize
 
     def policy_value(self, observations, op_indices=None, **unsupported):
         """Mirror ``ActorCriticAgent.policy_value`` on the runtime engine.
@@ -185,14 +205,5 @@ class RuntimePolicy:
             raise CompileError(
                 "runtime policy cannot serve forward kwargs {}".format(sorted(unsupported))
             )
-        probs, values = self.engine.run(observations, path=op_indices)
+        probs, values = self.run(observations, path=op_indices)
         return probs.copy(), values.copy()
-
-    def invalidate(self):
-        """Drop compiled plans (e.g. after loading a different state dict)."""
-        self.engine.invalidate()
-
-    def __repr__(self):
-        return "RuntimePolicy(dtype={}, plans={})".format(
-            self.engine.dtype.name, self.engine.num_plans
-        )

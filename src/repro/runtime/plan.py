@@ -12,8 +12,9 @@ finalise time (by a static rule, pinnable via ``REPRO_KERNELS``).
 Steps hold references to their source :class:`~repro.nn.modules.Module` and
 fetch parameter arrays (``module.weight.data``) on every run, so optimiser
 updates between rollouts are always visible without recompiling.  In float32
-mode each step keeps a cast buffer per parameter and refreshes it with
-``np.copyto`` each run (cheap: parameters are small next to activations).
+mode steps read :meth:`Parameter.cast <repro.nn.modules.Parameter.cast>`:
+one float32 mirror per parameter, shared by every plan, re-copied only after
+the parameter's version moved.
 
 Training plans (``Plan(train=True)``) additionally carry a *reverse-mode
 program*: per-slot gradient buffers, per-parameter gradient accumulators, and
@@ -123,23 +124,24 @@ class BufferPool:
 
     Page-faulting freshly ``mmap``-ed buffers is expensive (hundreds of ms
     per GB on typical virtualised hosts).  Plans allocated against a pool
-    return their blocks on :meth:`Plan.release` (engines release the plans
-    their caches evict), so the next compile re-uses warm, already-faulted
-    pages instead of paying the fault storm again.
+    return their blocks on :meth:`Plan.release` (plan caches release the
+    plans they evict), so the next compile re-uses warm, already-faulted
+    pages instead of paying the fault storm again.  Recycled and fresh
+    bytes are counted only in the registry's ``runtime/buffer_pools/*``
+    counters (``repro.runtime.cache_stats()["buffer_pools"]``).
 
     Blocks are raw byte arrays handed out best-fit (never more than
     ``max_waste`` times the requested size, so odd-sized requests don't pin
-    huge blocks).  The pool performs no locking: plans sharing a pool must be
-    compiled and released from one thread, which is how the engines use it.
+    huge blocks).  The pool is single-threaded: it performs no locking, so
+    plans sharing a pool must be compiled and released from one thread,
+    which is how the plan caches use it.  What *is* shared across threads is
+    a parameter's cast mirror (:meth:`repro.nn.modules.Parameter.cast`),
+    which a serving worker and the training thread may both read.
     """
 
     def __init__(self, max_waste=2.0):
         self.max_waste = float(max_waste)
         self._free = []
-        self.hits = 0
-        self.misses = 0
-        self.bytes_pooled = 0
-        self.bytes_fresh = 0
 
     def take(self, nbytes):
         """A byte block of capacity >= ``nbytes`` (recycled when possible)."""
@@ -154,13 +156,9 @@ class BufferPool:
             int(nbytes * self.max_waste), nbytes + (1 << 16)
         ):
             block = self._free.pop(best)
-            self.hits += 1
-            self.bytes_pooled += block.nbytes
             _POOL_TOTALS["hits"].inc()
             _POOL_TOTALS["bytes_pooled"].inc(block.nbytes)
             return block
-        self.misses += 1
-        self.bytes_fresh += nbytes
         _POOL_TOTALS["misses"].inc()
         _POOL_TOTALS["bytes_fresh"].inc(nbytes)
         return np.empty(nbytes, dtype=np.uint8)
@@ -168,21 +166,6 @@ class BufferPool:
     def give(self, blocks):
         """Return released blocks to the free list."""
         self._free.extend(blocks)
-
-    def stats(self):
-        """Counters for observability: recycled vs freshly-faulted bytes."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_pooled": self.bytes_pooled,
-            "bytes_fresh": self.bytes_fresh,
-            "free_bytes": self.free_bytes,
-        }
-
-    @property
-    def free_bytes(self):
-        """Total capacity currently sitting in the free list."""
-        return sum(block.nbytes for block in self._free)
 
     def clear(self):
         """Drop every pooled block (returning the memory to the allocator)."""
@@ -240,52 +223,6 @@ class Step:
         return type(self).__name__
 
 
-class _ParamCache:
-    """Live, dtype-correct views of a module's parameter arrays.
-
-    ``fetch`` returns the source array untouched when the dtype already
-    matches (float64 path: zero copies) and otherwise refreshes a reusable
-    cast buffer via ``np.copyto``.  ``fetch_param`` is the
-    :class:`~repro.nn.modules.Parameter`-aware variant: the cast buffer is
-    only refreshed when the parameter's version counter moved, so steady-state
-    float32 rollouts skip the per-run re-cast of every weight entirely while
-    optimiser updates (which bump the version) still show up immediately.
-    """
-
-    def __init__(self, dtype):
-        self.dtype = np.dtype(dtype)
-        self._buffers = {}
-        self._versions = {}
-
-    def fetch(self, key, source):
-        source = np.asarray(source)
-        if source.dtype == self.dtype:
-            return source
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != source.shape:
-            buf = np.empty(source.shape, dtype=self.dtype)
-            self._buffers[key] = buf
-        np.copyto(buf, source)
-        return buf
-
-    def fetch_param(self, key, param):
-        source = param.data
-        if source.dtype == self.dtype:
-            return source
-        version = getattr(param, "version", None)
-        if version is None:
-            return self.fetch(key, source)
-        buf = self._buffers.get(key)
-        if buf is not None and buf.shape == source.shape and self._versions.get(key) == version:
-            return buf
-        if buf is None or buf.shape != source.shape:
-            buf = np.empty(source.shape, dtype=self.dtype)
-            self._buffers[key] = buf
-        np.copyto(buf, source)
-        self._versions[key] = version
-        return buf
-
-
 def _native_bn(layout, *arrays):
     """Whether the compiled batch-norm routines, bitwise equal to the NumPy code
     below, serve these operands: C-contiguous float NHWC slots with at least two
@@ -312,8 +249,8 @@ class _BNMixin:
     the backward one ``bn_vjp`` call, from :mod:`repro.runtime.kernels._native`;
     every other slot, and eval mode, runs the NumPy code, which gives the
     same bits.  Both routines are bound once: the validated addresses are
-    reused while the same array objects come back (slots, parameter data from
-    ``fetch_param``, running buffers, the step-owned eval-mode statistics)
+    reused while the same array objects come back (slots, the parameters'
+    :meth:`cast` mirrors, running buffers, the step-owned eval-mode statistics)
     and re-validated when one is replaced.
     """
 
@@ -335,7 +272,7 @@ class _BNMixin:
         return _native.bn_train_bind(x, res, out, gamma, beta, running_mean, running_var,
                                      mean, inv_std), mean, inv_std
 
-    def _bn_forward(self, x, out, params, res=None):
+    def _bn_forward(self, x, out, res=None):
         """``out = bn(x) (+res)``, then the activation (``out`` may be ``x``).
 
         ``x`` is the activation in the step's physical layout (channels
@@ -346,8 +283,8 @@ class _BNMixin:
         A residual only comes with a single group (inference epilogues).
         """
         bn, layout = self.bn, self.layout
-        gamma = params.fetch_param("gamma", bn.gamma)
-        beta = params.fetch_param("beta", bn.beta)
+        gamma = bn.gamma.cast(self._dtype)
+        beta = bn.beta.cast(self._dtype)
         bound = None
         if bn.training:
             bn.bump_stats_version()  # the running buffers change in place
@@ -383,8 +320,8 @@ class _BNMixin:
         else:
             # Step-owned (1, C) statistics refreshed in place, so a bound
             # ``bn_vjp`` sees the same arrays on every call.
-            if self._eval_stats is None or self._eval_stats[0].dtype != params.dtype:
-                self._eval_stats = tuple(np.empty((2, 1, len(bn.running_mean)), params.dtype))
+            if self._eval_stats is None or self._eval_stats[0].dtype != self._dtype:
+                self._eval_stats = tuple(np.empty((2, 1, len(bn.running_mean)), self._dtype))
             mean, inv_std = self._eval_stats
             np.copyto(mean[0], bn.running_mean, casting="same_kind")
             np.copyto(inv_std[0], bn.running_var, casting="same_kind")
@@ -423,12 +360,12 @@ class _BNMixin:
             var[g] = wpart.mean(axis=axes)
         return mean, var
 
-    def _apply_bn_bias_act(self, out, bias, params, res=None):
+    def _apply_bn_bias_act(self, out, bias, res=None):
         """Fused bias + batch-norm (+ residual) + activation, in place on ``out``."""
         if bias is not None:
-            out += _per_channel(params.fetch_param("bias", bias), self.layout)
+            out += _per_channel(bias.cast(self._dtype), self.layout)
         if self.bn is not None:
-            self._bn_forward(out, out, params, res)
+            self._bn_forward(out, out, res)
             return
         if res is not None:
             out += res
@@ -474,7 +411,7 @@ class _ConvEpilogue:
                 out += res
             apply_activation(step.activation, out)
         else:
-            step._apply_bn_bias_act(out, step.conv.bias, step._params, res=res)
+            step._apply_bn_bias_act(out, step.conv.bias, res=res)
         return out
 
 
@@ -557,12 +494,11 @@ class Conv2dStep(Step, _BNMixin):
         )
 
     def allocate(self, plan):
-        self._params = _ParamCache(plan.dtype)
+        self._dtype = plan.dtype
         if self.fold_bn:
             self._fw = plan.alloc(self.conv.weight.data.shape)
             self._fb = plan.alloc((self.conv.out_channels,))
             self._fold_key = None
-            self._fold_stats = None
             self._fold_serial = 0
         self._epilogue = _ConvEpilogue(self)
         if self.quant is not None:
@@ -585,28 +521,19 @@ class Conv2dStep(Step, _BNMixin):
 
         Invalidation is driven by the :class:`~repro.nn.modules.Parameter`
         version counters (optimiser updates, ``load_state_dict``, direct
-        ``param.data`` assignment all bump them) plus a content check on the
-        BN running buffers, which are plain arrays mutated in place by
-        train-mode forwards.
+        ``param.data`` assignment all bump them) and the BN module's
+        ``stats_version``, which train-mode forwards and ``load_state_dict``
+        bump when they change the running buffers.
         """
         conv, bn = self.conv, self.bn
-        stats_version = getattr(bn, "stats_version", None)
         key = (
             conv.weight.version,
             conv.bias.version if conv.bias is not None else -1,
             bn.gamma.version,
             bn.beta.version,
-            stats_version,
+            bn.stats_version,
         )
-        stats = self._fold_stats
-        if key != self._fold_key or (
-            stats_version is None
-            and (
-                stats is None
-                or not np.array_equal(bn.running_mean, stats[0])
-                or not np.array_equal(bn.running_var, stats[1])
-            )
-        ):
+        if key != self._fold_key:
             inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
             scale = bn.gamma.data * inv_std
             shift = bn.beta.data - bn.running_mean * scale
@@ -615,7 +542,6 @@ class Conv2dStep(Step, _BNMixin):
             self._fw[...] = conv.weight.data * scale[:, None, None, None]
             self._fb[...] = shift
             self._fold_key = key
-            self._fold_stats = (bn.running_mean.copy(), bn.running_var.copy())
             self._fold_serial += 1
         return self._fw, self._fb
 
@@ -681,7 +607,7 @@ class Conv2dStep(Step, _BNMixin):
         if self.fold_bn and not self.bn.training:
             weight, epilogue.folded_bias = self._folded()
         else:
-            weight = self._params.fetch_param("weight", conv.weight)
+            weight = conv.weight.cast(self._dtype)
             epilogue.folded_bias = None
         epilogue.res = bufs[self.res_slot] if self.res_slot is not None else None
         self._kernel.forward(bufs[self.in_slot], weight, bufs[self.out_slot], epilogue)
@@ -691,7 +617,7 @@ class Conv2dStep(Step, _BNMixin):
         vjp.activation_vjp(self.activation, bufs[self.out_slot], gout)
         if self._pg_b is not None:
             self._pg_b += gout.sum(axis=_channel_axes(self.layout))
-        weight = self._params.fetch_param("weight", self.conv.weight)
+        weight = self.conv.weight.cast(self._dtype)
         gin = grads[self.in_slot] if self._input_grad_needed else None
         self._kernel.backward(gout, bufs[self.in_slot], weight, self._pg_w, gin)
 
@@ -706,7 +632,7 @@ class LinearStep(Step):
         self.out_slot = out_slot
 
     def allocate(self, plan):
-        self._params = _ParamCache(plan.dtype)
+        self._dtype = plan.dtype
 
     def scratch_requests(self, plan):
         if not plan.train:
@@ -730,17 +656,17 @@ class LinearStep(Step):
         )
 
     def run(self, bufs):
-        weight = self._params.fetch_param("weight", self.linear.weight)
+        weight = self.linear.weight.cast(self._dtype)
         out = bufs[self.out_slot]
         np.matmul(bufs[self.in_slot], weight.T, out=out)
         if self.linear.bias is not None:
-            out += self._params.fetch_param("bias", self.linear.bias)
+            out += self.linear.bias.cast(self._dtype)
         apply_activation(self.activation, out)
 
     def backward(self, bufs, grads):
         gout = grads[self.out_slot]
         vjp.activation_vjp(self.activation, bufs[self.out_slot], gout)
-        weight = self._params.fetch_param("weight", self.linear.weight)
+        weight = self.linear.weight.cast(self._dtype)
         _, _, gb = vjp.linear_vjp(
             gout, bufs[self.in_slot], weight, gx_out=self._gx_ws, gw_out=self._gw_ws
         )
@@ -778,7 +704,7 @@ class BatchNormStep(Step, _BNMixin):
         self.layout = "NCHW"
 
     def allocate(self, plan):
-        self._params = _ParamCache(plan.dtype)
+        self._dtype = plan.dtype
 
     def scratch_requests(self, plan):
         if not plan.train:
@@ -797,7 +723,7 @@ class BatchNormStep(Step, _BNMixin):
         self._bn_ws = plan.workspace(shape, channel=SCRATCH_MAIN)
 
     def run(self, bufs):
-        self._bn_forward(bufs[self.in_slot], bufs[self.out_slot], self._params)
+        self._bn_forward(bufs[self.in_slot], bufs[self.out_slot])
 
     def _bind_bn_vjp(self, g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
         """Bound ``bn_vjp``, or ``None`` when these operands stay on NumPy."""

@@ -35,25 +35,15 @@ the eager tape as the always-available reference path.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ..reliability import health
 from ..reliability.faults import get_injector
 from ..telemetry import trace
-from ..telemetry.metrics import registry
 from .compiler import ALL_CANDIDATES, CompileError, compile_plan
-from .plan import BufferPool
+from .engine import PlanCache
 
 __all__ = ["CompiledTrainStep", "TrainStepResult", "DEFAULT_LOSS_WEIGHTS"]
-
-#: Plan-cache totals over every train step
-#: (``repro.runtime.cache_stats()["train_plans"]``).
-_HITS, _MISSES, _EVICTIONS = (
-    registry().counter("runtime/train_plans/" + key)
-    for key in ("cache_hits", "cache_misses", "cache_evictions")
-)
 
 
 class _LossWeights:
@@ -132,21 +122,16 @@ class CompiledTrainStep:
     max_plans:
         LRU bound on cached ``(shape, K, supernet)`` signatures.  Training
         plans own gradient buffers too, so the bound is deliberately small;
-        evicted plans release their buffers into a shared
-        :class:`~repro.runtime.plan.BufferPool` that later compiles reuse.
+        evicted plans release their buffers into the
+        :class:`~repro.runtime.engine.PlanCache`'s pool, which later
+        compiles reuse.
     """
 
     def __init__(self, agent, optimizer=None, dtype=np.float64, max_plans=2):
         self.agent = agent
         self.optimizer = optimizer
         self.dtype = np.dtype(dtype)
-        self.max_plans = int(max_plans)
-        self._plans = OrderedDict()
-        self._failed = set()
-        self._pool = BufferPool()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
+        self.plans = PlanCache("train_plans", max_plans)
 
     # ------------------------------------------------------------------ #
     # Plan cache
@@ -158,76 +143,37 @@ class CompiledTrainStep:
         supernet: every path shares one plan holding all candidate branches,
         and :meth:`compute_gradients` selects the branches per call.
         """
-        injector = get_injector()
-        if injector is not None and injector.should_fire("compile_error"):
-            # Injected before the negative cache on purpose: a fault must not
-            # poison ``_failed`` and permanently disable the compiled path.
-            raise CompileError("injected compile_error fault")
         supernet = path is not None or gated_paths is not None
         key = (tuple(input_shape), int(num_samples), supernet)
-        plan = self._plans.get(key)
-        if plan is None:
-            # Negative cache: an uncompilable agent raises once per signature
-            # instead of paying a full graph walk on every update.
-            if key in self._failed:
-                raise CompileError(
-                    "signature previously failed to compile; using the eager tape"
-                )
-            self.cache_misses += 1
-            _MISSES.inc()
-            try:
-                plan = compile_plan(
-                    self.agent,
-                    key[0],
-                    dtype=self.dtype,
-                    train=True,
-                    gated_paths=ALL_CANDIDATES if supernet else None,
-                    pool=self._pool,
-                    num_samples=num_samples,
-                )
-                if "logits" not in plan.named_slots:
-                    plan.release()
-                    raise CompileError(
-                        "compiled module exposes no policy/value heads; "
-                        "CompiledTrainStep requires an actor-critic agent"
-                    )
-            except CompileError:
-                self._failed.add(key)
-                raise
-            self._plans[key] = plan
-            while len(self._plans) > self.max_plans:
-                _, evicted = self._plans.popitem(last=False)
-                evicted.release()
-                self.cache_evictions += 1
-                _EVICTIONS.inc()
-        else:
-            self.cache_hits += 1
-            _HITS.inc()
-            self._plans.move_to_end(key)
-        return plan
+        return self.plans.get(key, lambda: self._compile(key))
 
-    def cache_stats(self):
-        """Plan-cache and buffer-pool counters for observability."""
-        return {
-            "plans": len(self._plans),
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "pool": self._pool.stats(),
-        }
+    def _compile(self, key):
+        shape, num_samples, supernet = key
+        plan = compile_plan(
+            self.agent,
+            shape,
+            dtype=self.dtype,
+            train=True,
+            gated_paths=ALL_CANDIDATES if supernet else None,
+            pool=self.plans.pool,
+            num_samples=num_samples,
+        )
+        if "logits" not in plan.named_slots:
+            plan.release()
+            raise CompileError(
+                "compiled module exposes no policy/value heads; "
+                "CompiledTrainStep requires an actor-critic agent"
+            )
+        return plan
 
     def invalidate(self):
         """Drop every compiled plan (e.g. after structural module surgery)."""
-        for plan in self._plans.values():
-            plan.release()
-        self._plans.clear()
-        self._failed.clear()
-        self._pool.clear()
+        self.plans.invalidate()
 
     @property
     def num_plans(self):
         """Number of currently cached compiled training plans."""
-        return len(self._plans)
+        return len(self.plans)
 
     # ------------------------------------------------------------------ #
     # Forward + loss head + backward
@@ -424,5 +370,5 @@ class CompiledTrainStep:
 
     def __repr__(self):
         return "CompiledTrainStep({}, dtype={}, plans={})".format(
-            type(self.agent).__name__, self.dtype.name, len(self._plans)
+            type(self.agent).__name__, self.dtype.name, len(self.plans)
         )

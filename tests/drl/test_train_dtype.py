@@ -6,6 +6,8 @@ optimiser state and the agent's own ``runtime_dtype`` (evaluation, serving)
 stay float64 whatever it is.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.drl import (A2CConfig, A2CTrainer, ACDistiller, DistillationMode, eva
 from repro.envs import make_vector_env
 from repro.nas import DRLArchitectureSearch, SearchConfig
 from repro.reliability import faults, health
+from repro.runtime import cache_stats
 
 GAME = "Breakout"
 OBS_SIZE = 21
@@ -56,7 +59,7 @@ def _assert_trains_at(loop, dtype):
     step = loop._train_step
     assert step is not None and step.dtype == dtype
     assert step.num_plans > 0
-    assert all(plan.dtype == dtype for plan in step._plans.values())
+    assert all(plan.dtype == dtype for plan in step.plans)
     assert loop.distiller.dtype == dtype
     assert loop.distiller.teacher.runtime_dtype == np.float64
     # Master weights stay float64 whatever the plans compute in.
@@ -78,16 +81,16 @@ class TestRolloutDtype:
     def test_rollouts_infer_at_loop_dtype(self, build):
         loop = build()
         loop._run(loop.total_env_steps + 1)
-        engine = loop._rollout_runtime.engine
-        assert engine.dtype == np.float32 and engine.num_plans > 0
-        assert all(plan.dtype == np.float32 for plan in engine._plans.values())
+        runtime = loop._rollout_runtime
+        assert runtime.dtype == np.float32 and runtime.num_plans > 0
+        assert all(plan.dtype == np.float32 for plan in runtime.plans)
         # The agent's own runtime is untouched by training and stays float64.
         agent = loop.agent
         assert agent.runtime_dtype == np.float64 and agent._runtime is None
         evaluate_agent(agent, GAME, episodes=1, env_kwargs=dict(ENV_KW),
                        max_steps_per_episode=10, backbone_kwargs=self._path(loop))
-        assert agent.runtime.dtype == np.float64 and agent.runtime.engine.num_plans > 0
-        assert all(plan.dtype == np.float64 for plan in agent.runtime.engine._plans.values())
+        assert agent.runtime.dtype == np.float64 and agent.runtime.num_plans > 0
+        assert all(plan.dtype == np.float64 for plan in agent.runtime.plans)
 
     @staticmethod
     def _path(loop):
@@ -97,7 +100,7 @@ class TestRolloutDtype:
     def test_rollout_compile_error_falls_back_once(self, monkeypatch):
         loop = _a2c()
         loop._run(loop.total_env_steps + 1)
-        hits = loop._rollout_runtime.engine.cache_hits
+        hits = cache_stats()["inference_plans"]["cache_hits"]
         before = health.get("eager_fallbacks")
         monkeypatch.setenv(faults.ENV_VAR, "compile_error=1@rollout:1")
         faults.reset_injector()
@@ -108,7 +111,7 @@ class TestRolloutDtype:
             faults.reset_injector()
         assert health.get("eager_fallbacks") == before + 1
         # The other four act steps and the bootstrap stayed on the runtime.
-        assert loop._rollout_runtime.engine.cache_hits == hits + 5
+        assert cache_stats()["inference_plans"]["cache_hits"] == hits + 5
         assert np.all(np.isfinite(batch["returns"]))
 
     def test_eager_agent_has_no_rollout_runtime(self):
@@ -134,6 +137,34 @@ class TestRolloutDtype:
             state = loop._checkpoint_state()
             digests.append({key: np.asarray(value).tobytes() for key, value in state.items()})
         assert digests[0] == digests[1]
+
+
+class TestParameterCasts:
+    def test_update_casts_each_parameter_once(self, monkeypatch):
+        """The rollout and train plans read one float32 mirror per parameter.
+
+        After a float32 update's optimiser step, the next update's first act
+        step re-casts every float64 parameter and its train forward reads the
+        same mirrors, so an update casts each parameter exactly once.
+        """
+        agent = make_agent("Vanilla", obs_size=OBS_SIZE, frame_stack=2, feature_dim=16, seed=0)
+        env = make_vector_env(GAME, num_envs=2, seed=0, **ENV_KW)
+        trainer = A2CTrainer(agent, env, config=A2CConfig(total_steps=10, num_envs=2, seed=0))
+        trainer._run(trainer.total_env_steps + 1)  # compiles both plans
+        names = {id(param.data): name for name, param in agent.named_parameters()}
+        casts = Counter()
+        copyto = np.copyto
+
+        def counting_copyto(dst, src, *args, **kwargs):
+            if dst.dtype == np.float32 and id(src) in names:
+                casts[names[id(src)]] += 1
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting_copyto)
+        updates = trainer.updates
+        trainer._run(trainer.total_env_steps + 1)
+        assert trainer.updates == updates + 1
+        assert dict(casts) == {name: 1 for name in names.values()}
 
 
 class TestTeacherTargetsDtype:

@@ -19,7 +19,7 @@ import pytest
 from repro.nn import BatchNorm2d, Conv2d
 from repro.runtime import plan as plan_mod
 from repro.runtime.kernels import _native
-from repro.runtime.plan import BatchNormStep, Conv2dStep, _ParamCache
+from repro.runtime.plan import BatchNormStep, Conv2dStep
 
 needs_library = pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
 
@@ -68,7 +68,7 @@ def batchnorm_step(shape, dtype, training, activation, groups, repeats=1, passes
     step = BatchNormStep(bn, 0, 1, activation=activation, num_samples=groups,
                          stat_repeats=repeats)
     step.layout = "NHWC"
-    step._params = _ParamCache(np.dtype(dtype))
+    step._dtype = np.dtype(dtype)
     step._capture_stats = True
     step._pg_gamma = np.zeros(c, dtype)
     step._pg_beta = np.zeros(c, dtype)
@@ -90,9 +90,9 @@ def conv_epilogue(shape, dtype, training, activation, bias, residual):
     bn = make_bn(c, training, seed=4)
     step = Conv2dStep(conv, 0, 1, bn=bn, activation=activation)
     step.layout = "NHWC"
+    step._dtype = np.dtype(dtype)
     out, res = arrays(shape, dtype, seed=5, count=2)
-    step._apply_bn_bias_act(out, conv.bias, _ParamCache(np.dtype(dtype)),
-                            res=res if residual else None)
+    step._apply_bn_bias_act(out, conv.bias, res=res if residual else None)
     return digest(out) + bn_state(bn)
 
 
@@ -201,7 +201,7 @@ class TestBinding:
         bn = make_bn(8, True, seed=1)
         step = BatchNormStep(bn, 0, 1, activation="relu")
         step.layout = "NHWC"
-        step._params = _ParamCache(np.dtype(dtype))
+        step._dtype = np.dtype(dtype)
         x, out = arrays((2, 3, 3, 8), dtype, seed=2, count=2)
         outs = []
         for run in range(2):

@@ -6,7 +6,7 @@ import pytest
 from repro.drl.agent import ActorCriticAgent
 from repro.nas.search import DRLArchitectureSearch, SearchConfig
 from repro.networks import AgentSuperNet
-from repro.runtime import CompileError, CompiledTrainStep, compile_plan
+from repro.runtime import CompileError, CompiledTrainStep, cache_stats, compile_plan
 
 ATOL = 1e-12
 
@@ -176,14 +176,15 @@ class TestStackedSearchIntegration:
         return search, search.search()
 
     def test_compiled_stacked_search_runs(self):
+        before = cache_stats()
         search, result = self._run_search(use_compiled=True)
+        after = cache_stats()
         assert search.updates > 0
         assert len(result.op_indices) == 12
         assert np.isfinite(result.final_entropy)
         # One stacked compile per new union signature; cache stats observable.
-        stats = search._train_step.cache_stats()
-        assert stats["misses"] >= 1
-        assert stats["pool"]["bytes_fresh"] > 0
+        assert after["train_plans"]["cache_misses"] - before["train_plans"]["cache_misses"] >= 1
+        assert after["buffer_pools"]["bytes_fresh"] > before["buffer_pools"]["bytes_fresh"]
 
     def test_eager_fallback_stacked_search_runs(self):
         search, result = self._run_search(use_compiled=False)

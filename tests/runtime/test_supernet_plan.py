@@ -19,7 +19,7 @@ from repro.drl.agent import ActorCriticAgent
 from repro.nas.gumbel import hard_gumbel_softmax, top_k_active
 from repro.networks import AgentSuperNet
 from repro.nn import RMSProp, Tensor
-from repro.runtime import CompiledTrainStep, compile_plan
+from repro.runtime import CompiledTrainStep, cache_stats, compile_plan
 from repro.runtime import passes
 from repro.runtime.compiler import ALL_CANDIDATES
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
@@ -132,6 +132,7 @@ class TestAllCandidatePlanParity:
         optimizer = RMSProp(agent.parameters(), lr=1e-3)
         ref_optimizer = RMSProp(reference.parameters(), lr=1e-3)
         step = CompiledTrainStep(agent, optimizer)
+        misses = 0
         names = [name for name, _ in agent.named_parameters()]
         samples = [[_sample(rng)] for _ in range(5)] + [[_sample(rng), _sample(rng)]]
         for group in samples:
@@ -146,11 +147,13 @@ class TestAllCandidatePlanParity:
             before = [s.copy() for s in optimizer._state_buffers()]
 
             ref_step = CompiledTrainStep(reference, ref_optimizer)
-            ref_step._plans[(batch[0].shape, num_samples, True)] = compile_plan(
+            ref_step.plans.get((batch[0].shape, num_samples, True), lambda: compile_plan(
                 reference, batch[0].shape, train=True, gated_paths=gated,
                 num_samples=num_samples,
-            )
+            ))
+            compiled = cache_stats()["train_plans"]["cache_misses"]
             result, grads = self._update(step, optimizer, batch, gated, values, num_samples)
+            misses += cache_stats()["train_plans"]["cache_misses"] - compiled
             ref_result, ref_grads = self._update(
                 ref_step, ref_optimizer, batch, gated, values, num_samples
             )
@@ -178,7 +181,7 @@ class TestAllCandidatePlanParity:
                 if grad is None:
                     np.testing.assert_array_equal(got, old, err_msg=name)
         assert step.num_plans == 2  # one per K
-        assert step.cache_misses == 2
+        assert misses == 2
 
     def test_path_selection_matches_path_compile(self, rng):
         """``op_indices`` steps reuse the gated plan at gate 1.0."""
@@ -194,7 +197,7 @@ class TestAllCandidatePlanParity:
         exact = compile_plan(reference, batch[0].shape, train=True,
                              gated_paths=[(i,) for i in path])
         ref_step = CompiledTrainStep(reference)
-        ref_step._plans[(batch[0].shape, 1, True)] = exact
+        ref_step.plans.get((batch[0].shape, 1, True), lambda: exact)
         ref_plan, ref_result = ref_step.compute_gradients(*batch, op_indices=path)
         assert abs(result.total - ref_result.total) <= TOL
         for param, ref_param in zip(agent.parameters(), reference.parameters()):

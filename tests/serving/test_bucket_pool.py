@@ -5,12 +5,13 @@ and recompiles plans constantly; the engine's :class:`BufferPool` is what
 keeps that from allocating fresh activation memory every cycle.  This pins
 the steady state: after the first full cycle has populated the pool,
 further 1 -> 8 -> 32 -> 8 -> ... recompiles draw every buffer from the pool
-(``bytes_fresh`` stops growing).
+(``bytes_fresh`` stops growing).  The pools count into the registry's
+``runtime/buffer_pools/*`` counters, so the checks read their deltas.
 """
 
 import numpy as np
 
-from repro.runtime import RuntimePolicy
+from repro.runtime import RuntimePolicy, cache_stats
 
 
 def run_cycle(policy, observations, sizes):
@@ -24,16 +25,19 @@ class TestBucketRecompilePooling:
         sizes = (1, 8, 32, 8)
         # With room for only 2 plans, every cycle over 3 distinct bucket
         # sizes evicts and recompiles at least one plan.
-        evictions_before = policy.engine.cache_evictions
+        before = cache_stats()
         run_cycle(policy, observations, sizes)
         run_cycle(policy, observations, sizes)
-        assert policy.engine.cache_evictions > evictions_before
+        warm = cache_stats()
+        assert (warm["inference_plans"]["cache_evictions"]
+                > before["inference_plans"]["cache_evictions"])
 
-        steady = policy.engine.pool.stats()
-        assert steady["bytes_fresh"] > 0  # the warmup actually allocated
+        steady = warm["buffer_pools"]
+        # the warmup actually allocated
+        assert steady["bytes_fresh"] > before["buffer_pools"]["bytes_fresh"]
         for _ in range(3):
             run_cycle(policy, observations, sizes)
-        after = policy.engine.pool.stats()
+        after = cache_stats()["buffer_pools"]
         assert after["bytes_fresh"] == steady["bytes_fresh"], (
             "recompiles kept allocating fresh buffers: {} -> {}".format(
                 steady["bytes_fresh"], after["bytes_fresh"]
@@ -44,10 +48,10 @@ class TestBucketRecompilePooling:
 
     def test_pool_survives_interleaved_bucket_traffic(self, agent, observations):
         policy = RuntimePolicy(agent, dtype=np.float32, max_plans=2)
+        hits = cache_stats()["buffer_pools"]["hits"]
         # Irregular serving-like traffic over the ladder.
         for size in (1, 8, 32, 8, 1, 32, 8, 32, 1, 8):
             probs, values = policy.policy_value(observations[:size])
             assert probs.shape[0] == size
             assert values.shape[0] == size
-        stats = policy.engine.pool.stats()
-        assert stats["hits"] > 0
+        assert cache_stats()["buffer_pools"]["hits"] > hits
