@@ -1,12 +1,5 @@
 """Accelerator substrate: design space, cost model, DAS engine, baselines."""
 
-from .analysis import (
-    RooflinePoint,
-    bottleneck_report,
-    compare_accelerators,
-    dataflow_sweep,
-    roofline_analysis,
-)
 from .cost_model import AcceleratorCostModel, AcceleratorMetrics, LayerCost
 from .das import DASConfig, DASResult, DifferentiableAcceleratorSearch
 from .dataflow import TrafficEstimate, estimate_layer_traffic, noc_efficiency, pe_utilization, tile_counts
@@ -31,11 +24,6 @@ from .template import ChunkPipelineAccelerator, balanced_layer_assignment
 from .workload import LayerWorkload, extract_workload, total_macs, total_weight_bytes
 
 __all__ = [
-    "RooflinePoint",
-    "roofline_analysis",
-    "bottleneck_report",
-    "compare_accelerators",
-    "dataflow_sweep",
     "AcceleratorCostModel",
     "AcceleratorMetrics",
     "LayerCost",

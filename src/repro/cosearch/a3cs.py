@@ -61,8 +61,8 @@ class A3CSConfig:
     hw_penalty_weight: float = 0.1
     distillation_mode: str = DistillationMode.AC
     scheme: str = OptimizationScheme.ONE_LEVEL
-    #: Gumbel samples per one-level update (stacked-path compilation when
-    #: > 1): see :attr:`repro.nas.search.SearchConfig.grad_samples`.
+    #: Gumbel samples per one-level update (at least 1; ``K > 1`` runs the
+    #: eager update): see :attr:`repro.nas.search.SearchConfig.grad_samples`.
     grad_samples: int = 1
 
     # Hardware target.

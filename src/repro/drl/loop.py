@@ -237,7 +237,7 @@ class TrainLoop:
             )
         return self._train_step
 
-    def _compiled_step(self, batch, gated_paths=None, gate_values=None, num_samples=1):
+    def _compiled_step(self, batch, gated_paths=None, gate_values=None):
         """One fused train step on the compiled runtime (raises CompileError to fall back).
 
         The gated arguments select the searcher's sampled supernet branches.
@@ -245,11 +245,7 @@ class TrainLoop:
         step = self._compiled_train_step()
         # Compile (or fetch) the plan before the teacher forward, so an
         # uncompilable agent falls back without a wasted teacher inference.
-        step.plan_for(
-            np.asarray(batch["observations"]).shape,
-            gated_paths=gated_paths,
-            num_samples=num_samples,
-        )
+        step.plan_for(np.asarray(batch["observations"]).shape, gated_paths=gated_paths)
         teacher_probs = teacher_values = None
         if self.distiller.enabled:
             teacher_probs, values = self.distiller.teacher_targets(batch["observations"])
@@ -266,7 +262,6 @@ class TrainLoop:
             teacher_values=teacher_values,
             gated_paths=gated_paths,
             gate_values=gate_values,
-            num_samples=num_samples,
         )
 
     def _task_loss(self, batch, **forward_kwargs):

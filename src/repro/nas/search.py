@@ -73,12 +73,10 @@ class SearchConfig(TrainLoopConfig):
     temperature_interval: int = 1000
     hw_penalty_weight: float = 0.0
     eval_episodes: int = 3
-    #: Gumbel samples per one-level update.  With ``K > 1`` the compiled
-    #: runtime stacks all K sampled paths into one batched plan (one compile
-    #: + one GEMM sweep over a leading sample axis) and the update applies
-    #: the mean of the K per-sample losses — a variance-reduced alpha
-    #: gradient at far less than K compiled updates' cost.  The rollout is
-    #: still collected along the first sample's hard path.
+    #: Gumbel samples per one-level update (at least 1).  One sample runs
+    #: the compiled update; ``K > 1`` runs the eager update on the mean of
+    #: the K per-sample losses (a variance-reduced alpha gradient).  The
+    #: rollout is collected along the first sample's hard path either way.
     grad_samples: int = 1
 
 
@@ -151,6 +149,8 @@ class DRLArchitectureSearch(TrainLoop):
         self.game = game
         config = config if config is not None else SearchConfig()
         OptimizationScheme.validate(config.scheme)
+        if config.grad_samples < 1:
+            raise ValueError("grad_samples must be at least 1, got {}".format(config.grad_samples))
         self.env_kwargs = dict(env_kwargs or {})
         self.env_kwargs.setdefault("obs_size", 42)
         self.env_kwargs.setdefault("frame_stack", 2)
@@ -221,9 +221,10 @@ class DRLArchitectureSearch(TrainLoop):
     def _one_level_update(self):
         """One-level: weights and alpha updated from the same rollout loss.
 
-        The loss is the mean over ``config.grad_samples`` Gumbel samples
-        (one sample is the plain one-level update); the rollout follows the
-        first sample's hard path.
+        The loss is the mean over ``config.grad_samples`` Gumbel samples; the
+        rollout follows the first sample's hard path.  One sample is the
+        plain one-level update, compiled when the agent compiles; ``K > 1``
+        samples run the eager update.
         """
         cfg = self.config
         temperature = self.temperature.value(self.total_env_steps)
@@ -232,36 +233,22 @@ class DRLArchitectureSearch(TrainLoop):
             for _ in range(cfg.grad_samples)
         ]
         batch = self._collect_rollout(op_indices=samples[0][2])
+        if len(samples) > 1:
+            return self._eager_update(batch, samples)
         return self._compiled_or_eager(batch, samples)
 
     def _compiled_update(self, batch, samples):
         """One-level update on the compiled runtime (Eq. 6-8, tape-free weights).
 
-        The supernet weights take the gated multi-path reverse plan plus the
-        fused RMSProp step.  The plan runs the union of the K samples'
-        active candidates; per-sample gate values select each sample's paths
-        (zero for branches a sample did not activate), and alpha receives
-        each sample's gate gradients masked to *its own* active set, chained
+        The supernet weights take the gated multi-path reverse plan of the
+        one sample in ``samples`` plus the fused RMSProp step, and alpha
+        receives the gate gradients of its active candidates, chained
         through the (tiny, eager) Gumbel relaxation together with the
-        hardware penalty of Eq. 8 — exactly the mean of K per-path compiled
-        updates, for one plan run.
+        hardware penalty of Eq. 8.
         """
-        num_samples = len(samples)
-        num_cells = self.supernet.num_cells
-        union = tuple(
-            tuple(sorted(set().union(*[set(sample[1][c]) for sample in samples])))
-            for c in range(num_cells)
-        )
-        gate_values = []
-        for c in range(num_cells):
-            values = np.zeros((num_samples, len(union[c])))
-            for k, (gates, active, _) in enumerate(samples):
-                for i in active[c]:
-                    values[k, union[c].index(i)] = gates[c].data[i]
-            gate_values.append(values)
-        result = self._compiled_step(
-            batch, gated_paths=union, gate_values=gate_values, num_samples=num_samples
-        )
+        (gates, active, sampled), = samples
+        gate_values = [[gates[c].data[i] for i in cell] for c, cell in enumerate(active)]
+        result = self._compiled_step(batch, gated_paths=active, gate_values=gate_values)
         components = _zero_filled(result.components)
         if result.skipped:
             # The non-finite guard suppressed the weight update; the gate
@@ -270,17 +257,12 @@ class DRLArchitectureSearch(TrainLoop):
         # Alpha update: seed the gate gradients back through the Gumbel graph.
         self.alpha_optimizer.zero_grad()
         seed = None
-        for k, (gates, active, _) in enumerate(samples):
-            for c, cell in enumerate(union):
-                gate_grad = np.reshape(result.gate_grads[c], (num_samples, len(cell)))[k]
-                full = np.zeros(gates[c].data.shape)
-                for pos, i in enumerate(cell):
-                    if i in active[c]:
-                        full[i] = gate_grad[pos]
-                term = (gates[c] * Tensor(full)).sum()
-                seed = term if seed is None else seed + term
-        gates0, _, sampled0 = samples[0]
-        seed, hw_value = self._add_hardware_penalty(seed, sampled0, gates0)
+        for gate, gate_grad, cell in zip(gates, result.gate_grads, active):
+            full = np.zeros(gate.data.shape)
+            full[list(cell)] = gate_grad
+            term = (gate * Tensor(full)).sum()
+            seed = term if seed is None else seed + term
+        seed, hw_value = self._add_hardware_penalty(seed, sampled, gates)
         seed.backward()
         self.alpha_optimizer.step()
         total = result.total + hw_value * self.config.hw_penalty_weight

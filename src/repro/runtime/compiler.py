@@ -37,7 +37,6 @@ from .plan import (
     Pool2dStep,
     ReshapeStep,
     SoftmaxStep,
-    TileStep,
 )
 
 __all__ = [
@@ -81,13 +80,6 @@ class CompileContext:
         self.path_consumed = False
         self.gated = gated
         self.gated_consumed = False
-        #: Sample-group count of the region currently being expanded: 1 on the
-        #: shared trunk, ``plan.num_samples`` past the stacked-path TileStep.
-        #: Train-mode batch-norm steps read it to group their statistics.
-        self.stack_k = 1
-        #: Running-stat EMA repeats for shared-trunk BN of stacked plans (the
-        #: trunk runs once for what per-path execution would run K times).
-        self.stat_repeats = 1
 
     @property
     def train(self):
@@ -175,12 +167,7 @@ def _emit_conv(conv, ctx, in_slot, bn=None, activation=None):
         conv_slot = ctx.slot((n, conv.out_channels, oh, ow))
         ctx.add(Conv2dStep(conv, in_slot, conv_slot))
         out_slot = ctx.slot((n, conv.out_channels, oh, ow))
-        ctx.add(
-            BatchNormStep(
-                bn, conv_slot, out_slot, activation=activation,
-                num_samples=ctx.stack_k, stat_repeats=ctx.stat_repeats,
-            )
-        )
+        ctx.add(BatchNormStep(bn, conv_slot, out_slot, activation=activation))
         return out_slot
     out_slot = ctx.slot((n, conv.out_channels, oh, ow))
     ctx.add(Conv2dStep(conv, in_slot, out_slot, bn=bn, activation=activation))
@@ -203,12 +190,7 @@ def _expand_linear(module, ctx, in_slot):
 @_expander(nn_modules.BatchNorm2d)
 def _expand_batchnorm(module, ctx, in_slot):
     out_slot = ctx.slot(ctx.shape(in_slot))
-    ctx.add(
-        BatchNormStep(
-            module, in_slot, out_slot,
-            num_samples=ctx.stack_k, stat_repeats=ctx.stat_repeats,
-        )
-    )
+    ctx.add(BatchNormStep(module, in_slot, out_slot))
     return out_slot
 
 
@@ -412,31 +394,13 @@ def _register_network_expanders():
         :class:`GateCombineStep` sums the branches a run selects with per-run
         gate values, in the same left-to-right order as the eager gated
         forward.
-
-        In stacked-path mode (``num_samples = K > 1``) the stem runs once on
-        the real batch, a :class:`TileStep` replicates its output into ``K``
-        sample groups folded into the batch axis, and every gated cell
-        combines its branches with per-sample gate values — one compile and
-        one GEMM sweep serve all ``K`` sampled architectures.
         """
         if len(gated) != module.num_cells:
             raise CompileError(
                 "expected {} active-path tuples, got {}".format(module.num_cells, len(gated))
             )
         ctx.plan.set_gate_layout(gated)
-        k = ctx.plan.num_samples
-        if k > 1:
-            # Shared trunk: repeat the BN running-stat EMA K times per run so
-            # the buffers track K per-path executions of the same batch.
-            ctx.stat_repeats = k
         slot = ctx.emit(module.stem, in_slot)
-        if k > 1:
-            ctx.stat_repeats = 1
-            shape = ctx.shape(slot)
-            stacked = ctx.slot((shape[0] * k,) + shape[1:])
-            ctx.add(TileStep(slot, stacked, k))
-            slot = stacked
-            ctx.stack_k = k
         steps = ctx.plan.steps
         for cell_index, (cell, active) in enumerate(zip(module.cells, gated)):
             if not active:
@@ -448,7 +412,7 @@ def _register_network_expanders():
                 for step in steps[first:]:
                     step.branch = (cell_index, int(i))
             out_slot = ctx.slot(ctx.shape(branches[0]))
-            ctx.add(GateCombineStep(cell_index, branches, out_slot, active, num_samples=k))
+            ctx.add(GateCombineStep(cell_index, branches, out_slot, active))
             slot = out_slot
         slot = ctx.emit(module.pool, slot)
         out_slot = ctx.slot((ctx.shape(slot)[0], module.fc.out_features))
@@ -479,7 +443,7 @@ def _register_network_expanders():
 
 
 def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, gated_paths=None,
-                 pool=None, passes=None, num_samples=1, quantize=None):
+                 pool=None, passes=None, quantize=None):
     """Compile ``module`` for a concrete ``input_shape`` into a ready :class:`Plan`.
 
     Parameters
@@ -504,8 +468,9 @@ def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, 
     gated_paths:
         Per-cell tuples of the candidate indices to compile for a gated
         (multi-path backward) supernet expansion, or :data:`ALL_CANDIDATES`
-        for every candidate of every cell.  Gate *values*, and the subset of
-        compiled branches each run executes, are provided per run via
+        for every candidate of every cell.  Gate *values* (one Gumbel
+        sample's, one per selected candidate), and the subset of compiled
+        branches each run executes, are provided per run via
         :meth:`Plan.set_gates`.
     pool:
         Optional :class:`~repro.runtime.plan.BufferPool` the plan draws its
@@ -515,10 +480,6 @@ def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, 
         Optimisation-pass selection forwarded to
         :func:`repro.runtime.passes.enabled_passes` (``None`` reads the
         ``REPRO_RUNTIME_PASSES`` environment variable; default: all passes).
-    num_samples:
-        Stacked-path mode: compile ``K`` sampled architectures into one plan
-        with a leading sample axis folded into the batch (requires
-        ``gated_paths``).  Gate values/gradients have a leading ``K`` axis.
     quantize:
         A :class:`~repro.runtime.quantize.QuantCalibration` (or an iterable
         of them) enabling the ``quantize`` pass for inference plans.  The
@@ -535,11 +496,8 @@ def compile_plan(module, input_shape, dtype=np.float64, path=None, train=False, 
         ``features / logits / probs / value_col / value`` to their slots.
     """
     _register_network_expanders()
-    num_samples = int(num_samples)
-    if num_samples > 1 and gated_paths is None:
-        raise CompileError("stacked-path compilation (num_samples > 1) requires gated_paths")
     enabled = enabled_passes(passes)
-    plan = Plan(dtype=dtype, train=train, pool=pool, num_samples=num_samples)
+    plan = Plan(dtype=dtype, train=train, pool=pool)
     plan.trace_name = "plan/{}[{},{},n{}]".format(
         type(module).__name__,
         np.dtype(dtype).name,

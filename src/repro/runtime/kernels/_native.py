@@ -15,9 +15,9 @@ the toolchain that built CPython is already on the host) and loaded through
   VJP added straight into ``gin``) for
   :class:`~repro.runtime.kernels.depthwise.DepthwiseNativeKernel`;
 * ``bn_train_*`` / ``bn_vjp_*`` (f32, f64) — NHWC batch norm for the plan
-  steps' ``_BNMixin``: a whole train-mode forward per sample group
-  (per-channel mean and two-pass variance, the running-stat EMA,
-  ``inv_std``/scale/shift, then ``x*scale + shift (+res)`` with relu fused);
+  steps' ``_BNMixin``: a whole train-mode forward (per-channel mean and
+  two-pass variance, the running-stat EMA, ``inv_std``/scale/shift, then
+  ``x*scale + shift (+res)`` with relu fused);
   and the relu VJP, the input-gradient tail of
   :func:`repro.nn.vjp.batchnorm2d_vjp` and ``dgamma``/``dbeta`` added into
   the plan's gradient accumulators;
@@ -300,15 +300,14 @@ static void bn_apply_SFX(const REAL *x, const REAL *restrict res, REAL *out,
     }
 }
 
-/* Train-mode batch norm of one sample group in the NumPy path's order: mean
- * and two-pass variance, `repeats` running-stat EMAs in double, inv_std,
- * scale and shift in REAL, then bn_apply (`out` may be `x`). */
+/* Train-mode batch norm in the NumPy path's order: mean and two-pass
+ * variance, the running-stat EMA in double, inv_std, scale and shift in
+ * REAL, then bn_apply (`out` may be `x`). */
 void bn_train_SFX(const REAL *x, const REAL *restrict res, REAL *out,
                   const REAL *restrict gamma, const REAL *restrict beta,
                   double *restrict run_mean, double *restrict run_var,
                   REAL *restrict mean, REAL *restrict inv_std,
-                  long rows, int c, double momentum, double eps,
-                  int repeats, int relu)
+                  long rows, int c, double momentum, double eps, int relu)
 {
     REAL var[c], scale[c], shift[c];
     memset(mean, 0, (size_t)c * sizeof(REAL));
@@ -329,13 +328,11 @@ void bn_train_SFX(const REAL *x, const REAL *restrict res, REAL *out,
     }
     for (int ch = 0; ch < c; ++ch)
         var[ch] /= (REAL)rows;
-    for (int r = 0; r < repeats; ++r) {
-        for (int ch = 0; ch < c; ++ch) {
-            run_mean[ch] = run_mean[ch] * (1.0 - momentum);
-            run_mean[ch] = run_mean[ch] + momentum * (double)mean[ch];
-            run_var[ch] = run_var[ch] * (1.0 - momentum);
-            run_var[ch] = run_var[ch] + momentum * (double)var[ch];
-        }
+    for (int ch = 0; ch < c; ++ch) {
+        run_mean[ch] = run_mean[ch] * (1.0 - momentum);
+        run_mean[ch] = run_mean[ch] + momentum * (double)mean[ch];
+        run_var[ch] = run_var[ch] * (1.0 - momentum);
+        run_var[ch] = run_var[ch] + momentum * (double)var[ch];
     }
     for (int ch = 0; ch < c; ++ch) {
         inv_std[ch] = (REAL)1 / SQRT(var[ch] + (REAL)eps);
@@ -449,12 +446,11 @@ def _bind(lib):
         fwd.argtypes = [ctypes.c_void_p] * 3 + ints
         bwd.argtypes = [ctypes.c_void_p] * 5 + ints
         # Batch norm: pointers, the row count, C, then the scalar arguments.
-        for name, pointers, scalars in (
-                ("bn_train", 9, [ctypes.c_double] * 2 + [ctypes.c_int] * 2),
-                ("bn_vjp", 9, [ctypes.c_int] * 2)):
+        for name, scalars in (("bn_train", [ctypes.c_double] * 2 + [ctypes.c_int]),
+                              ("bn_vjp", [ctypes.c_int] * 2)):
             fn = getattr(lib, name + "_" + suffix)
             fn.restype = None
-            fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_long, ctypes.c_int] + scalars
+            fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long, ctypes.c_int] + scalars
     lib.requant_q8.restype = None
     lib.requant_q8.argtypes = [
         f32p, f32p, f32p, i8p, ctypes.c_float, i8p,
@@ -510,40 +506,36 @@ _SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}
 _F64 = np.dtype(np.float64)
 
 
-def bind(name, operands, groups=1, *extents):
+def bind(name, operands, *extents):
     """Validate a float routine's operands once; returns ``run(*scalars)``.
 
     The C loops trust every pointer and extent, so a wrong dtype, a strided
     view or a mis-shaped buffer is rejected here (``ValueError``) rather than
-    read out of bounds.  ``operands`` are ``(array or None, expected shape,
-    per_group[, dtype])`` in C argument order; the first one's dtype picks
-    the variant and is the others' default.  ``run`` calls the routine once
-    per sample group with the pointers, ``extents`` and ``scalars``: a
-    ``per_group`` operand is split into ``groups`` leading-axis blocks.
+    read out of bounds.  ``operands`` are ``(array or None, expected
+    shape[, dtype])`` in C argument order; the first one's dtype picks the
+    variant and is the others' default.  ``run`` calls the routine with the
+    pointers, ``extents`` and ``scalars``.
     """
     dtype = operands[0][0].dtype
     suffix = _SUFFIX.get(dtype)
     if suffix is None:
         raise ValueError("{}: no {} variant".format(name, dtype))
-    columns = []
-    for arr, shape, per_group, *own in operands:
+    pointers = []
+    for arr, shape, *own in operands:
         want = own[0] if own else dtype
         if arr is None:
-            columns.append([None] * groups)
+            pointers.append(None)
             continue
-        if (arr.dtype != want or arr.shape != shape or not arr.flags.c_contiguous
-                or (per_group and shape[0] % groups)):
+        if arr.dtype != want or arr.shape != shape or not arr.flags.c_contiguous:
             raise ValueError(
                 "{}: expected a C-contiguous {} array of shape {}, got {} {}".format(
                     name, want, shape, arr.dtype, arr.shape))
-        step = arr.nbytes // groups if per_group else 0
-        columns.append([arr.ctypes.data + g * step for g in range(groups)])
+        pointers.append(arr.ctypes.data)
     routine = _routine(name + suffix)
-    calls = [pointers + extents for pointers in zip(*columns)]
+    args = (*pointers, *extents)
 
     def run(*scalars):
-        for args in calls:
-            routine(*args, *scalars)
+        routine(*args, *scalars)
 
     return run
 
@@ -568,9 +560,8 @@ def _dw_bind(name, x, w_taps, y, k, stride, padding, *extra):
     n, h, wd, c = x.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
-    operands = [(x, x.shape, False), (w_taps, (k * k, c), False), (y, (n, oh, ow, c), False),
-                *extra]
-    return bind(name, operands, 1, n, h, wd, c, k, stride, padding, oh, ow)
+    operands = [(x, x.shape), (w_taps, (k * k, c)), (y, (n, oh, ow, c)), *extra]
+    return bind(name, operands, n, h, wd, c, k, stride, padding, oh, ow)
 
 
 def dw_fwd_bind(x, w_taps, out, k, stride, padding):
@@ -589,7 +580,7 @@ def dw_bwd_bind(x, w_taps, gout, gw_taps, gin, k, stride, padding):
     and ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
     """
     return _dw_bind("dw_bwd", x, w_taps, gout, k, stride, padding,
-                    (gw_taps, w_taps.shape, False), (gin, x.shape, False))
+                    (gw_taps, w_taps.shape), (gin, x.shape))
 
 
 def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,
@@ -628,29 +619,26 @@ def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
     )
 
 
-# Batch norm: activations hold ``len(mean)`` stacked channels-last sample
-# groups; ``mean``/``inv_std`` are ``(groups, C)``, other vectors ``(C,)``.
+# Batch norm: activations are channels-last; every vector is ``(C,)``.
 def bn_train_bind(x, res, out, gamma, beta, running_mean, running_var, mean, inv_std):
-    """Bound ``bn_train``: ``run(momentum, eps, repeats, relu)`` normalises
-    every sample group into ``out`` (``out`` may be ``x``), updates the
-    running buffers in place and writes ``mean``/``inv_std``."""
-    groups, c = mean.shape
+    """Bound ``bn_train``: ``run(momentum, eps, relu)`` normalises ``x`` into
+    ``out`` (``out`` may be ``x``), updates the running buffers in place and
+    writes ``mean``/``inv_std``."""
+    c = x.shape[-1]
     vec, act = (c,), x.shape
     return bind("bn_train", [
-        (x, act, True), (res, act, True), (out, act, True), (gamma, vec, False),
-        (beta, vec, False), (running_mean, vec, False, _F64),
-        (running_var, vec, False, _F64), (mean, mean.shape, True), (inv_std, mean.shape, True),
-    ], groups, x.size // (groups * c), c)
+        (x, act), (res, act), (out, act), (gamma, vec), (beta, vec),
+        (running_mean, vec, _F64), (running_var, vec, _F64), (mean, vec), (inv_std, vec),
+    ], x.size // c, c)
 
 
 def bn_vjp_bind(g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
-    """Bound ``bn_vjp``: ``run(training, relu)`` adds each group's input
-    gradient into ``gin`` and ``dgamma``/``dbeta`` into ``pg_gamma``/``pg_beta``;
-    ``y`` is the relu output that masks ``g`` in place (``None``: no relu)."""
-    groups, c = mean.shape
+    """Bound ``bn_vjp``: ``run(training, relu)`` adds the input gradient into
+    ``gin`` and ``dgamma``/``dbeta`` into ``pg_gamma``/``pg_beta``; ``y`` is
+    the relu output that masks ``g`` in place (``None``: no relu)."""
+    c = x.shape[-1]
     vec, act = (c,), x.shape
     return bind("bn_vjp", [
-        (g, act, True), (y, act, True), (x, act, True), (gin, act, True),
-        (mean, mean.shape, True), (inv_std, mean.shape, True), (gamma, vec, False),
-        (pg_gamma, vec, False), (pg_beta, vec, False),
-    ], groups, x.size // (groups * c), c)
+        (g, act), (y, act), (x, act), (gin, act), (mean, vec), (inv_std, vec), (gamma, vec),
+        (pg_gamma, vec), (pg_beta, vec),
+    ], x.size // c, c)

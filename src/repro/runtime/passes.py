@@ -97,7 +97,6 @@ from .plan import (
     ReshapeStep,
     SoftmaxStep,
     StoragePlan,
-    TileStep,
     TransposeStep,
 )
 
@@ -142,7 +141,6 @@ _KNOWN_STEPS = frozenset(
         DequantizeStep,
         ReshapeStep,
         SoftmaxStep,
-        TileStep,
         TransposeStep,
     }
 )
@@ -287,7 +285,7 @@ def fuse_epilogue(plan, ctx):
         for index, step in enumerate(plan.steps):
             # Standalone BN into its producing conv (mirrors what composite
             # expanders emit for ConvBNReLU, for hand-rolled Sequentials).
-            if isinstance(step, BatchNormStep) and step.num_samples == 1:
+            if isinstance(step, BatchNormStep):
                 _, prod = producer_of(step.in_slot)
                 if (
                     isinstance(prod, Conv2dStep)
@@ -400,7 +398,7 @@ def _step_layout_plan(step, lay, conv_layout, zero_slots):
         if step.res_slot is not None:
             requires[step.res_slot] = layout
         return layout, requires, {step.out_slot: layout}
-    if isinstance(step, (BatchNormStep, TileStep)):
+    if isinstance(step, BatchNormStep):
         layout = lay(step.in_slot) or "NCHW"
         return layout, {}, {step.out_slot: layout}
     if isinstance(step, ActivationStep):
@@ -529,7 +527,7 @@ def _conv_components(plan, convs):
             slots = [step.in_slot, step.out_slot] + (
                 [step.res_slot] if step.res_slot is not None else []
             )
-        elif isinstance(step, (BatchNormStep, TileStep)):
+        elif isinstance(step, BatchNormStep):
             slots = [step.in_slot, step.out_slot]
         elif isinstance(step, AddStep):
             slots = [step.a_slot, step.b_slot, step.out_slot]
@@ -934,9 +932,6 @@ def _expected_layouts(step, lay):
     if isinstance(step, GateCombineStep):
         layout = lay(step.out_slot)
         return {} if layout is None else {slot: layout for slot in step.in_slots}
-    if isinstance(step, TileStep):
-        layout = lay(step.out_slot)
-        return {} if layout is None else {step.in_slot: layout}
     if isinstance(step, TransposeStep):
         return {
             step.in_slot: step.from_layout,

@@ -61,7 +61,6 @@ __all__ = [
     "Pool2dStep",
     "SoftmaxStep",
     "GateCombineStep",
-    "TileStep",
     "TransposeStep",
     "QuantInfo",
     "QuantizeStep",
@@ -79,11 +78,6 @@ _POOL_TOTALS = {
 # The shared scratch-arena channel ids (SCRATCH_MAIN / SCRATCH_GEMM) are
 # defined in repro.runtime.kernels.registry: the kernel implementations draw
 # from the same arenas as the plan steps.
-
-
-def stacked_view(array, num_samples):
-    """View a ``(K*N, ...)`` stacked-batch array as ``(K, N, ...)``."""
-    return array.reshape((num_samples, array.shape[0] // num_samples) + array.shape[1:])
 
 
 def _channel_axes(layout):
@@ -241,25 +235,23 @@ class _BNMixin:
     """Shared batch-norm math for fused conv steps and standalone BN steps.
 
     Supports both eval mode (running statistics) and train mode (batch
-    statistics, per sample group in stacked-path plans, plus in-place
-    running-stat updates), mirroring :func:`repro.nn.functional.batch_norm2d`.
-    Statistics and per-channel vectors are ``(groups, C)``.  On NHWC float
-    slots a train-mode forward is one compiled ``bn_train`` call per sample
-    group (statistics, running-stat EMA, scale/shift, normalise, relu) and
-    the backward one ``bn_vjp`` call, from :mod:`repro.runtime.kernels._native`;
-    every other slot, and eval mode, runs the NumPy code, which gives the
-    same bits.  Both routines are bound once: the validated addresses are
-    reused while the same array objects come back (slots, the parameters'
-    :meth:`cast` mirrors, running buffers, the step-owned eval-mode statistics)
-    and re-validated when one is replaced.
+    statistics plus in-place running-stat updates), mirroring
+    :func:`repro.nn.functional.batch_norm2d`.  Statistics and per-channel
+    vectors are ``(C,)``.  On NHWC float slots a train-mode forward is one
+    compiled ``bn_train`` call (statistics, running-stat EMA, scale/shift,
+    normalise, relu) and the backward one ``bn_vjp`` call, from
+    :mod:`repro.runtime.kernels._native`; every other slot, and eval mode,
+    runs the NumPy code, which gives the same bits.  Both routines are bound
+    once: the validated addresses are reused while the same array objects
+    come back (slots, the parameters' :meth:`cast` mirrors, running buffers,
+    the step-owned eval-mode statistics) and re-validated when one is
+    replaced.
     """
 
     #: Training plans flip this on so the forward saves the statistics its
     #: backward needs; inference plans pay nothing for it.
     _capture_stats = False
-    #: Sample groups and EMA repeats (set per ``BatchNormStep``).
-    num_samples = stat_repeats = 1
-    #: Eval-mode ``(mean, inv_std)``, each ``(1, C)`` in the plan dtype.
+    #: Eval-mode ``(mean, inv_std)``, each ``(C,)`` in the plan dtype.
     _eval_stats = None
 
     def _bind_bn_train(self, x, res, out, gamma, beta, running_mean, running_var):
@@ -268,7 +260,7 @@ class _BNMixin:
         C-contiguous float64: ``bind`` rejects anything else)."""
         if not _native_bn(self.layout, x, res, out, gamma, beta):
             return None
-        mean, inv_std = np.empty((2, self.num_samples, x.shape[-1]), x.dtype)
+        mean, inv_std = np.empty((2, x.shape[-1]), x.dtype)
         return _native.bn_train_bind(x, res, out, gamma, beta, running_mean, running_var,
                                      mean, inv_std), mean, inv_std
 
@@ -277,10 +269,9 @@ class _BNMixin:
 
         ``x`` is the activation in the step's physical layout (channels
         second for NCHW, trailing for NHWC); in training mode the batch
-        statistics of each of its ``num_samples`` leading-axis sample groups
-        are computed from it and the module's running buffers are updated in
-        place (exactly like the eager path does during rollout collection).
-        A residual only comes with a single group (inference epilogues).
+        statistics are computed from it and the module's running buffers
+        are updated in place (exactly like the eager path does during
+        rollout collection).
         """
         bn, layout = self.bn, self.layout
         gamma = bn.gamma.cast(self._dtype)
@@ -294,57 +285,44 @@ class _BNMixin:
         if bound is not None:
             run, mean, inv_std = bound
             relu = self.activation == "relu"
-            run(float(bn.momentum), float(bn.eps), self.stat_repeats, relu)
+            run(float(bn.momentum), float(bn.eps), relu)
             if self._capture_stats:
                 self._saved_stats = (True, mean, inv_std, gamma)
             if not relu:
                 apply_activation(self.activation, out)
             return
         if bn.training:
-            mean, var = self._batch_stats(x, self.num_samples)
-            # Sequential running-stat updates in ascending group order mirror
-            # the order K per-path plans would apply them in.  Shared-trunk
-            # steps of stacked-path plans run once where K per-path
-            # executions (and the eager K-sample fallback) would run K times
-            # on identical batch statistics: repeat the EMA so the running
-            # buffers stay on the per-path trajectory.
-            for group_mean, group_var in zip(mean, var):
-                mean64 = np.asarray(group_mean, dtype=np.float64)
-                var64 = np.asarray(group_var, dtype=np.float64)
-                for _ in range(self.stat_repeats):
-                    bn.running_mean *= 1.0 - bn.momentum
-                    bn.running_mean += bn.momentum * mean64
-                    bn.running_var *= 1.0 - bn.momentum
-                    bn.running_var += bn.momentum * var64
+            mean, var = self._batch_stats(x)
+            mean64 = np.asarray(mean, dtype=np.float64)
+            var64 = np.asarray(var, dtype=np.float64)
+            bn.running_mean *= 1.0 - bn.momentum
+            bn.running_mean += bn.momentum * mean64
+            bn.running_var *= 1.0 - bn.momentum
+            bn.running_var += bn.momentum * var64
             inv_std = 1.0 / np.sqrt(var + bn.eps)
         else:
-            # Step-owned (1, C) statistics refreshed in place, so a bound
+            # Step-owned statistics refreshed in place, so a bound
             # ``bn_vjp`` sees the same arrays on every call.
             if self._eval_stats is None or self._eval_stats[0].dtype != self._dtype:
-                self._eval_stats = tuple(np.empty((2, 1, len(bn.running_mean)), self._dtype))
+                self._eval_stats = tuple(np.empty((2, len(bn.running_mean)), self._dtype))
             mean, inv_std = self._eval_stats
-            np.copyto(mean[0], bn.running_mean, casting="same_kind")
-            np.copyto(inv_std[0], bn.running_var, casting="same_kind")
+            np.copyto(mean, bn.running_mean, casting="same_kind")
+            np.copyto(inv_std, bn.running_var, casting="same_kind")
             inv_std += bn.eps
             np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
         if self._capture_stats:
             self._saved_stats = (bool(bn.training), mean, inv_std, gamma)
         scale = gamma * inv_std
         shift = beta - mean * scale
-        groups = len(scale)
-        for xg, og, sc, sh in zip(stacked_view(x, groups), stacked_view(out, groups), scale, shift):
-            np.multiply(xg, _per_channel(sc, layout), out=og)
-            og += _per_channel(sh, layout)
-            if res is not None:
-                og += res
+        np.multiply(x, _per_channel(scale, layout), out=out)
+        out += _per_channel(shift, layout)
+        if res is not None:
+            out += res
         apply_activation(self.activation, out)
 
-    def _batch_stats(self, x, groups):
-        """Per-group batch mean and two-pass variance, ``(groups, C)`` each."""
+    def _batch_stats(self, x):
+        """Batch mean and two-pass variance, ``(C,)`` each."""
         layout = self.layout
-        c = x.shape[-1] if layout == "NHWC" else x.shape[1]
-        mean = np.empty((groups, c), dtype=x.dtype)
-        var = np.empty_like(mean)
         # Two-pass variance (same association as the eager engine) via a
         # lazily-allocated workspace: train-mode BN stays allocation-free
         # per run without paying the workspace in eval-only plans.
@@ -353,12 +331,10 @@ class _BNMixin:
             ws = np.empty_like(x)
             self._bn_ws = ws
         axes = _channel_axes(layout)
-        for g, (part, wpart) in enumerate(zip(stacked_view(x, groups), stacked_view(ws, groups))):
-            mean[g] = part.mean(axis=axes)
-            np.subtract(part, _per_channel(mean[g], layout), out=wpart)
-            np.square(wpart, out=wpart)
-            var[g] = wpart.mean(axis=axes)
-        return mean, var
+        mean = x.mean(axis=axes)
+        np.subtract(x, _per_channel(mean, layout), out=ws)
+        np.square(ws, out=ws)
+        return mean, ws.mean(axis=axes)
 
     def _apply_bn_bias_act(self, out, bias, res=None):
         """Fused bias + batch-norm (+ residual) + activation, in place on ``out``."""
@@ -686,20 +662,11 @@ class BatchNormStep(Step, _BNMixin):
     :class:`_BNMixin`).
     """
 
-    def __init__(self, bn, in_slot, out_slot, activation=None, num_samples=1,
-                 stat_repeats=1):
+    def __init__(self, bn, in_slot, out_slot, activation=None):
         self.bn = bn
         self.activation = activation
         self.in_slot = in_slot
         self.out_slot = out_slot
-        #: In stacked-path plans the batch axis is ``num_samples`` independent
-        #: sample groups; train-mode statistics are computed per group so each
-        #: group reproduces the per-path compilation exactly.
-        self.num_samples = int(num_samples)
-        #: Extra running-stat EMA applications per run: shared-trunk BN of a
-        #: stacked-path plan runs once for what per-path execution would run
-        #: K times (see ``_BNMixin._bn_forward``).
-        self.stat_repeats = int(stat_repeats)
         #: Physical activation layout of both slots (layout-assignment pass).
         self.layout = "NCHW"
 
@@ -746,17 +713,13 @@ class BatchNormStep(Step, _BNMixin):
         if bound is not None:
             bound(training, relu)
             return
-        channel_axis = 3 if self.layout == "NHWC" else 1
-        groups = len(mean)
-        parts = zip(*(stacked_view(a, groups) for a in (gout, x, gin, self._bw_ws)))
-        for g, (gg, xg, ig, wg) in enumerate(parts):
-            gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
-                gg, xg, mean[g], inv_std[g], gamma, training,
-                ws=wg, channel_axis=channel_axis,
-            )
-            ig += gx
-            self._pg_gamma += dgamma
-            self._pg_beta += dbeta
+        gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
+            gout, x, mean, inv_std, gamma, training, ws=self._bw_ws,
+            channel_axis=3 if self.layout == "NHWC" else 1,
+        )
+        gin += gx
+        self._pg_gamma += dgamma
+        self._pg_beta += dbeta
 
 
 class ActivationStep(Step):
@@ -961,20 +924,17 @@ class GateCombineStep(Step):
     ``in_slots`` holds one slot per compiled candidate (``candidates``).  Each
     run sums only the branches the plan's active set selects, in the order
     of that set, weighted by per-run gate values read from the plan's
-    ``gate_values`` table.  Gate values and gradients have shape
-    ``(K, num_candidates)``: stacked-path plans fold a leading sample axis
-    of ``K`` groups into the batch, and every other plan has ``K = 1``.
-    Backward writes the active branches' per-gate scalar gradients into
-    ``gate_grads`` so the caller can propagate them through the (eager,
-    tiny) Gumbel relaxation onto alpha.
+    ``gate_values`` table (one value per candidate).  Backward writes the
+    active branches' per-gate scalar gradients into ``gate_grads`` so the
+    caller can propagate them through the (eager, tiny) Gumbel relaxation
+    onto alpha.
     """
 
-    def __init__(self, cell_index, in_slots, out_slot, candidates, num_samples=1):
+    def __init__(self, cell_index, in_slots, out_slot, candidates):
         self.cell_index = int(cell_index)
         self.in_slots = tuple(in_slots)
         self.out_slot = out_slot
         self.candidates = tuple(int(i) for i in candidates)
-        self.num_samples = int(num_samples)
 
     def branch_of(self, slot):
         """The ``(cell, candidate)`` branch whose output ``slot`` carries here."""
@@ -988,69 +948,30 @@ class GateCombineStep(Step):
         self._plan = plan
         self._ws = plan.workspace(plan.physical_shape(self.out_slot), channel=SCRATCH_MAIN)
 
-    def _views(self, array):
-        return stacked_view(array, self.num_samples)
-
-    def _gate_shape(self, ndim):
-        return (self.num_samples,) + (1,) * (ndim - 1)
-
     def run(self, bufs):
         gate = self._plan.gate_values[self.cell_index]
         positions = self._plan.active_positions[self.cell_index]
-        outv = self._views(bufs[self.out_slot])
-        wsv = self._views(self._ws)
-        gshape = self._gate_shape(outv.ndim)
+        out, ws = bufs[self.out_slot], self._ws
         first = positions[0]
-        np.multiply(self._views(bufs[self.in_slots[first]]), gate[:, first].reshape(gshape), out=outv)
+        np.multiply(bufs[self.in_slots[first]], gate[first], out=out)
         for i in positions[1:]:
-            np.multiply(self._views(bufs[self.in_slots[i]]), gate[:, i].reshape(gshape), out=wsv)
-            outv += wsv
+            np.multiply(bufs[self.in_slots[i]], gate[i], out=ws)
+            out += ws
 
     def backward(self, bufs, grads):
         gate = self._plan.gate_values[self.cell_index]
         gate_grad = self._plan.gate_grads[self.cell_index]
-        k = self.num_samples
-        goutv = self._views(grads[self.out_slot])
-        wsv = self._views(self._ws)
-        gshape = self._gate_shape(goutv.ndim)
+        gout, ws = grads[self.out_slot], self._ws
         for i in self._plan.active_positions[self.cell_index]:
             slot = self.in_slots[i]
-            np.multiply(goutv, self._views(bufs[slot]), out=wsv)
-            gate_grad[:, i] = wsv.reshape(k, -1).sum(axis=1)
-            np.multiply(goutv, gate[:, i].reshape(gshape), out=wsv)
-            self._views(grads[slot])[...] += wsv
+            np.multiply(gout, bufs[slot], out=ws)
+            # Summed as one contiguous row: a fixed pairwise-summation order.
+            gate_grad[i] = ws.reshape(1, -1).sum(axis=1)[0]
+            np.multiply(gout, gate[i], out=ws)
+            grads[slot] += ws
 
     def __repr__(self):
-        return "GateCombineStep(cell={}, paths={}{})".format(
-            self.cell_index, len(self.in_slots),
-            ", K={}".format(self.num_samples) if self.num_samples > 1 else "",
-        )
-
-
-class TileStep(Step):
-    """Replicate an ``(N, ...)`` slot into a ``(K*N, ...)`` stacked slot.
-
-    This is the bridge between the shared trunk (run once on the real batch)
-    and the per-sample gated region of a stacked-path plan.  Backward sums
-    the sample-group gradients back onto the trunk slot.
-    """
-
-    def __init__(self, in_slot, out_slot, num_samples):
-        self.in_slot = in_slot
-        self.out_slot = out_slot
-        self.num_samples = int(num_samples)
-
-    def run(self, bufs):
-        bufs[self.out_slot].reshape(
-            (self.num_samples,) + bufs[self.in_slot].shape
-        )[...] = bufs[self.in_slot]
-
-    def backward(self, bufs, grads):
-        gin = grads[self.in_slot]
-        gin += stacked_view(grads[self.out_slot], self.num_samples).sum(axis=0)
-
-    def __repr__(self):
-        return "TileStep(K={})".format(self.num_samples)
+        return "GateCombineStep(cell={}, paths={})".format(self.cell_index, len(self.in_slots))
 
 
 class TransposeStep(Step):
@@ -1247,11 +1168,7 @@ class Plan:
     gradient buffers (views alias their source buffer), per-parameter
     gradient accumulators keyed by parameter identity, and — for gated
     supernet plans — per-cell gate value/gradient tables of shape
-    ``(num_samples, num_candidates)``.
-
-    ``num_samples > 1`` marks a *stacked-path* plan: past the
-    :class:`TileStep` the batch axis holds ``num_samples`` independent
-    sample groups.
+    ``(num_candidates,)``.
 
     Gated supernet plans tag every step of a candidate branch with its
     ``(cell, candidate)`` (:attr:`Step.branch`).  :meth:`set_gates` picks
@@ -1260,10 +1177,9 @@ class Plan:
     ``None`` for their parameters, so one compiled plan serves every sample.
     """
 
-    def __init__(self, dtype=np.float64, train=False, pool=None, num_samples=1):
+    def __init__(self, dtype=np.float64, train=False, pool=None):
         self.dtype = np.dtype(dtype)
         self.train = bool(train)
-        self.num_samples = int(num_samples)
         self.steps = []
         self._shapes = []
         self._layouts = []
@@ -1471,14 +1387,8 @@ class Plan:
         for step in self.steps:
             step.allocate(self)
         if self.gate_layout is not None:
-            self.gate_values = [
-                np.zeros((self.num_samples, len(cell)), dtype=self.dtype)
-                for cell in self.gate_layout
-            ]
-            self.gate_grads = [
-                np.zeros((self.num_samples, len(cell)), dtype=np.float64)
-                for cell in self.gate_layout
-            ]
+            self.gate_values = [np.zeros(len(cell), dtype=self.dtype) for cell in self.gate_layout]
+            self.gate_grads = [np.zeros(len(cell), dtype=np.float64) for cell in self.gate_layout]
         if self.train:
             # No zeroing here: zero_grads() runs before every backward pass
             # (interval-start zeroing for schedule-covered slots happens
@@ -1543,21 +1453,17 @@ class Plan:
         ``active`` holds per-cell candidate indices, each a subset of the
         cell's :attr:`gate_layout` entry; ``None`` selects every compiled
         branch.  ``values`` holds per-cell gate values aligned with the
-        selection: shape ``(n,)`` or ``(num_samples, n)``.  Combines sum the
-        selected branches in the order given.
+        selection, shape ``(n,)``.  Combines sum the selected branches in the
+        order given.
         """
         self._select(active)
         for buf, positions, cell_values in zip(self.gate_values, self.active_positions, values):
-            buf[:, list(positions)] = np.reshape(
-                np.asarray(cell_values), (self.num_samples, len(positions))
-            )
+            buf[list(positions)] = cell_values
 
     def set_path(self, path):
         """Run exactly one branch per cell, ``path[c]``, at gate value 1."""
         path = tuple(int(i) for i in path)
-        self.set_gates(
-            [np.ones((self.num_samples, 1))] * len(path), active=[(i,) for i in path]
-        )
+        self.set_gates([np.ones(1)] * len(path), active=[(i,) for i in path])
 
     def _select(self, active):
         """Rebuild the run and reverse programs for a per-cell active set."""

@@ -22,11 +22,11 @@ Eq. 12 without ever touching the autograd tape:
    parameter arrays, reusing one scratch buffer instead of materialising
    intermediate tensors.
 
-Plans are cached per ``(batch shape, K samples, supernet or not)``
-signature, so steady-state A2C training compiles exactly once, and so does
-supernet co-search: its plan holds every candidate branch of every cell, and
-each update's sampled path or gated active set only selects which branches
-run (:meth:`~repro.runtime.plan.Plan.set_gates`).
+Plans are cached per ``(batch shape, supernet or not)`` signature, so
+steady-state A2C training compiles exactly once, and so does supernet
+co-search: its plan holds every candidate branch of every cell, and each
+update's sampled path or gated active set (one Gumbel sample) only selects
+which branches run (:meth:`~repro.runtime.plan.Plan.set_gates`).
 
 Anything the compiler cannot differentiate (opaque modules, active dropout)
 raises :class:`~repro.runtime.compiler.CompileError`, and every caller keeps
@@ -77,9 +77,9 @@ class TrainStepResult:
         stage ran).
     gate_grads:
         For gated supernet steps: per-cell arrays of ``dL/d gate`` aligned
-        with :attr:`gate_layout` (shape ``(num_active,)``, or
-        ``(K, num_active)`` for stacked-path steps), for the caller to chain
-        through the Gumbel relaxation onto alpha.  ``None`` otherwise.
+        with :attr:`gate_layout` (shape ``(num_active,)``), for the caller
+        to chain through the Gumbel relaxation onto alpha.  ``None``
+        otherwise.
     gate_layout:
         The per-cell active-candidate tuples of the step (the requested
         ``gated_paths``).
@@ -105,6 +105,11 @@ class TrainStepResult:
 class CompiledTrainStep:
     """Tape-free train-step executor for one actor-critic agent.
 
+    A gated supernet step runs one Gumbel sample: one active set and one
+    gate value per active candidate and cell.  Searches that average K > 1
+    samples per update run them on the eager tape
+    (:meth:`repro.nas.search.DRLArchitectureSearch._eager_update`).
+
     Parameters
     ----------
     agent:
@@ -120,7 +125,7 @@ class CompiledTrainStep:
         the fast path, and the trainers' default
         (:attr:`repro.drl.loop.TrainLoopConfig.compiled_train_dtype`).
     max_plans:
-        LRU bound on cached ``(shape, K, supernet)`` signatures.  Training
+        LRU bound on cached ``(shape, supernet)`` signatures.  Training
         plans own gradient buffers too, so the bound is deliberately small;
         evicted plans release their buffers into the
         :class:`~repro.runtime.engine.PlanCache`'s pool, which later
@@ -136,7 +141,7 @@ class CompiledTrainStep:
     # ------------------------------------------------------------------ #
     # Plan cache
     # ------------------------------------------------------------------ #
-    def plan_for(self, input_shape, path=None, gated_paths=None, num_samples=1):
+    def plan_for(self, input_shape, path=None, gated_paths=None):
         """Fetch (or compile) the training plan for one signature.
 
         A sampled ``path`` or ``gated_paths`` only marks the agent as a
@@ -144,11 +149,11 @@ class CompiledTrainStep:
         and :meth:`compute_gradients` selects the branches per call.
         """
         supernet = path is not None or gated_paths is not None
-        key = (tuple(input_shape), int(num_samples), supernet)
+        key = (tuple(input_shape), supernet)
         return self.plans.get(key, lambda: self._compile(key))
 
     def _compile(self, key):
-        shape, num_samples, supernet = key
+        shape, supernet = key
         plan = compile_plan(
             self.agent,
             shape,
@@ -156,7 +161,6 @@ class CompiledTrainStep:
             train=True,
             gated_paths=ALL_CANDIDATES if supernet else None,
             pool=self.plans.pool,
-            num_samples=num_samples,
         )
         if "logits" not in plan.named_slots:
             plan.release()
@@ -190,7 +194,6 @@ class CompiledTrainStep:
         op_indices=None,
         gated_paths=None,
         gate_values=None,
-        num_samples=1,
     ):
         """Run forward, evaluate the loss head, and fill the gradient buffers.
 
@@ -199,32 +202,23 @@ class CompiledTrainStep:
         KL term and ``teacher_values`` the critic-distillation MSE term
         (pass ``None`` to disable either).  ``op_indices`` selects a sampled
         supernet path; ``gated_paths`` (per-cell active candidates) +
-        ``gate_values`` (aligned with them) select a gated
-        multi-path-backward expansion.  Either way the plan runs only the
-        selected branches, and their parameters alone get gradients.
-
-        ``num_samples = K > 1`` selects stacked-path mode: ``gated_paths``
-        holds the per-cell *union* of K sampled active sets, ``gate_values``
-        per-cell ``(K, num_active)`` arrays, and the loss is the mean of the
-        K per-sample losses (each per-sample gradient contribution matches
-        the plan a per-path compilation of that sample would produce).  The
-        rollout targets are tiled across the sample axis internally.
+        ``gate_values`` (one Gumbel sample's, a ``(num_active,)`` array per
+        cell) select a gated multi-path-backward expansion.  Either way the
+        plan runs only the selected branches, and their parameters alone get
+        gradients.
 
         Returns ``(plan, result)``: ``plan.param_grad(param)`` holds each
         parameter's gradient (``None`` for unselected branches), the result
         the scalar losses (and gate grads, aligned with ``gated_paths``).
         """
         obs = np.asarray(observations)
-        num_samples = int(num_samples)
         path = tuple(int(i) for i in op_indices) if op_indices is not None else None
         gated = (
             tuple(tuple(int(i) for i in cell) for cell in gated_paths)
             if gated_paths is not None
             else None
         )
-        plan = self.plan_for(
-            obs.shape, path=path, gated_paths=gated, num_samples=num_samples,
-        )
+        plan = self.plan_for(obs.shape, path=path, gated_paths=gated)
         if gated is not None:
             plan.set_gates(gate_values, active=gated)
         elif path is not None:
@@ -243,16 +237,6 @@ class CompiledTrainStep:
         actions = np.asarray(actions, dtype=np.int64)
         adv = np.asarray(advantages, dtype=dtype)
         ret = np.asarray(returns, dtype=dtype)
-        if num_samples > 1:
-            # One loss head over all K sample groups: tiling the targets and
-            # averaging over K*N rows equals the mean of per-sample losses.
-            actions = np.tile(actions, num_samples)
-            adv = np.tile(adv, num_samples)
-            ret = np.tile(ret, num_samples)
-            if teacher_probs is not None:
-                teacher_probs = np.tile(np.asarray(teacher_probs), (num_samples, 1))
-            if teacher_values is not None:
-                teacher_values = np.tile(np.asarray(teacher_values), num_samples)
         batch = logits.shape[0]
         idx = np.arange(batch)
 
@@ -311,11 +295,9 @@ class CompiledTrainStep:
         gate_grads = None
         if gated is not None:
             gate_grads = [
-                grads[:, list(positions)]
+                grads[list(positions)]
                 for grads, positions in zip(plan.gate_grads, plan.active_positions)
             ]
-            if num_samples == 1:
-                gate_grads = [grads[0] for grads in gate_grads]
         return plan, TrainStepResult(
             float(total), components, gate_grads=gate_grads, gate_layout=gated
         )

@@ -44,6 +44,16 @@ class TestSchemeValidation:
             make_searcher(scheme="tri-level")
 
 
+class TestGradSamplesValidation:
+    @pytest.mark.parametrize("grad_samples", [0, -1])
+    def test_fewer_than_one_sample_raises_at_construction(self, grad_samples):
+        for config in (SearchConfig(num_envs=2, grad_samples=grad_samples),
+                       A3CSConfig(num_envs=2, grad_samples=grad_samples).search_config()):
+            with pytest.raises(ValueError, match="grad_samples"):
+                DRLArchitectureSearch("Breakout", config=config, env_kwargs=ENV_KW,
+                                      supernet_kwargs=SUPERNET_KW)
+
+
 class TestOneLevelSearch:
     def test_search_produces_architecture(self):
         searcher = make_searcher(total_steps=60)

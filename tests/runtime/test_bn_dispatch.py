@@ -1,8 +1,8 @@
-"""A train-mode forward makes one compiled batch-norm call per BN step and sample group.
+"""A train-mode forward makes one compiled batch-norm call per BN step.
 
 Channels-last float batch norm in train mode is one fused ``bn_train`` call
-per sample group (statistics, running-stat EMA, scale/shift, normalise and
-relu) and no other batch-norm routine.  The checks count the routines a
+(statistics, running-stat EMA, scale/shift, normalise and relu) and no other
+batch-norm routine.  The checks count the routines a
 forward calls through a counting stand-in for the loaded library, so they
 assert structure only, never time.  With the library off
 (``REPRO_NATIVE=0``, or reported unavailable) the same forward takes the
@@ -57,14 +57,13 @@ def rollout_plan():
     return compile_plan(agent, (16, 2, 28, 28), dtype=DTYPE)
 
 
-def stacked_train_plan():
-    """A K = 2 stacked-path train plan: branch BN runs per sample group."""
+def gated_train_plan():
+    """A gated supernet train plan running two branches per cell."""
     agent = supernet_agent()
     agent.train()
     paths = [[0, 4], [4, 7]] * 6
-    plan = compile_plan(agent, (8, 2, 28, 28), dtype=DTYPE, train=True,
-                        gated_paths=paths, num_samples=2)
-    plan.set_gates([np.full((2, 2), 0.5)] * len(paths))
+    plan = compile_plan(agent, (8, 2, 28, 28), dtype=DTYPE, train=True, gated_paths=paths)
+    plan.set_gates([np.full(2, 0.5)] * len(paths))
     return plan
 
 
@@ -79,7 +78,7 @@ def routed(step):
     return step.layout == "NHWC" and step.bn.num_features > 1
 
 
-PLANS = {"rollout": rollout_plan, "stacked_train": stacked_train_plan}
+PLANS = {"rollout": rollout_plan, "gated_train": gated_train_plan}
 
 
 @pytest.mark.parametrize("build", list(PLANS.values()), ids=list(PLANS))
@@ -92,7 +91,6 @@ def test_one_call_per_bn_step_and_sample_group(monkeypatch, build, library):
     plan = build()
     steps = bn_steps(plan)
     assert any(routed(step) for step in steps)
-    assert any(step.num_samples == 2 for step in steps) == (build is stacked_train_plan)
     x = np.random.default_rng(2).random(plan.shape(plan.input_slot)).astype(DTYPE)
     numpy_stats = Counter()
     real_stats = _BNMixin._batch_stats
@@ -109,7 +107,7 @@ def test_one_call_per_bn_step_and_sample_group(monkeypatch, build, library):
 
     calls = Counter({name: n for name, n in library_stub.calls.items() if name.startswith("bn_")})
     if library:
-        expected = sum(step.num_samples for step in steps if routed(step))
+        expected = sum(1 for step in steps if routed(step))
         assert calls == Counter({"bn_train_f32": expected})
         assert set(numpy_stats) == {id(step) for step in steps if not routed(step)}
     else:

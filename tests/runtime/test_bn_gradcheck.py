@@ -2,9 +2,9 @@
 
 The reference is a direct NumPy forward of batch norm, differentiated by
 central differences; it shares no code with :func:`repro.nn.vjp.batchnorm2d_vjp`
-or the compiled ``bn_vjp``.  Train mode normalises with the batch statistics
-of each sample group; eval mode with the module's running statistics, which
-the forwards under test leave unchanged.
+or the compiled ``bn_vjp``.  Train mode normalises with the batch
+statistics; eval mode with the module's running statistics, which the
+forwards under test leave unchanged.
 """
 
 import numpy as np
@@ -132,8 +132,8 @@ def test_compiled_batchnorm_step(layout, training, relu):
     check_plan(plan, checks, x, seed=2)
 
 
-def test_compiled_stacked_plan():
-    """K=2 sample groups with their own batch statistics in one plan."""
+def test_compiled_gated_plan():
+    """Batch norm inside a gated supernet cell, both layouts and activations."""
     rng = np.random.default_rng(3)
     net = AgentSuperNet(in_channels=1, input_size=8, feature_dim=4, num_cells=1,
                         base_width=4, num_stages=1, rng=rng)
@@ -142,9 +142,9 @@ def test_compiled_stacked_plan():
             module.gamma.data = rng.standard_normal(module.gamma.data.shape)
             module.beta.data = rng.standard_normal(module.beta.data.shape)
     net.train()
-    plan = compile_plan(net, (2, 1, 8, 8), train=True, gated_paths=[(1, 4)], num_samples=2)
-    plan.set_gates([np.array([[0.3, 0.7], [0.6, 0.4]])])
-    steps = [s for s in plan.steps if isinstance(s, BatchNormStep) and s.num_samples == 2]
+    plan = compile_plan(net, (2, 1, 8, 8), train=True, gated_paths=[(1, 4)])
+    plan.set_gates([np.array([0.3, 0.7])])
+    steps = [s for s in plan.steps if isinstance(s, BatchNormStep)]
     assert {s.layout for s in steps} == {"NCHW", "NHWC"}
     assert {s.activation for s in steps} == {"relu", None}
     checks = [(p, np.arange(p.data.size)) for s in steps for p in (s.bn.gamma, s.bn.beta)]

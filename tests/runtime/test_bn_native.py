@@ -61,12 +61,11 @@ def bn_state(bn):
     return digest(bn.running_mean, bn.running_var) + [bn.stats_version]
 
 
-def batchnorm_step(shape, dtype, training, activation, groups, repeats=1, passes=1):
+def batchnorm_step(shape, dtype, training, activation, passes=1):
     """``passes`` forwards and backwards of a standalone NHWC ``BatchNormStep``."""
     c = shape[-1]
     bn = make_bn(c, training, seed=1)
-    step = BatchNormStep(bn, 0, 1, activation=activation, num_samples=groups,
-                         stat_repeats=repeats)
+    step = BatchNormStep(bn, 0, 1, activation=activation)
     step.layout = "NHWC"
     step._dtype = np.dtype(dtype)
     step._capture_stats = True
@@ -115,13 +114,9 @@ def test_routing(dtype):
 class TestBitwiseContract:
     def test_batchnorm_step(self, monkeypatch, dtype, training, activation):
         for shape in SHAPES:
-            # Stacked sample groups and repeated EMAs only change train mode.
-            variants = [(1, 1), (2, 1), (1, 2), (2, 2)] if training else [(1, 1)]
-            for k, repeats in variants:
-                stacked = (shape[0] * k,) + shape[1:]
-                native, fallback = run_both(monkeypatch, lambda: batchnorm_step(
-                    stacked, dtype, training, activation, k, repeats))
-                assert native == fallback, (stacked, k, repeats)
+            native, fallback = run_both(monkeypatch, lambda: batchnorm_step(
+                shape, dtype, training, activation))
+            assert native == fallback, shape
 
     def test_conv_epilogue(self, monkeypatch, dtype, training, activation):
         for shape in SHAPES:
@@ -137,12 +132,12 @@ class TestBitwiseContract:
 class TestOperandValidation:
     def test_rejects_bad_operands(self):
         x = np.ones((2, 3, 3, 4), np.float32)
-        vec, stats = np.ones(4, np.float32), np.zeros((1, 4), np.float32)
+        vec, stats = np.ones(4, np.float32), np.zeros(4, np.float32)
         running = [np.zeros(4), np.ones(4)]
 
         def train(x=x, res=None, out=x, gamma=vec, running=running, mean=stats):
             _native.bn_train_bind(x, res, out, gamma, vec, *running, mean,
-                                  np.empty_like(mean))(0.1, 1e-5, 1, 0)
+                                  np.empty_like(mean))(0.1, 1e-5, 0)
 
         with pytest.raises(ValueError):
             train(gamma=np.ones(4, np.float64))
@@ -150,9 +145,8 @@ class TestOperandValidation:
             train(gamma=np.ones(5, np.float32))
         with pytest.raises(ValueError):  # the running buffers are float64
             train(running=[np.zeros(4, np.float32), np.ones(4, np.float32)])
-        with pytest.raises(ValueError):  # three rows do not split into two groups
-            train(x=np.ones((3, 3, 3, 4), np.float32), out=np.ones((3, 3, 3, 4), np.float32),
-                  mean=np.empty((2, 4), np.float32))
+        with pytest.raises(ValueError):  # statistics are one (C,) vector
+            train(mean=np.empty((1, 4), np.float32))
         with pytest.raises(ValueError):
             train(res=np.ones((2, 3, 3, 5), np.float32))
         with pytest.raises(ValueError):
@@ -162,16 +156,16 @@ class TestOperandValidation:
     def test_rejects_non_contiguous_operand(self):
         """A strided view is rejected before the C loops could read past it."""
         wide = np.ones((2, 3, 3, 8), np.float32)
-        stats = np.empty((1, 4), np.float32)
+        stats = np.empty(4, np.float32)
         for x, out, mean in (
                 (wide[..., ::2], np.empty((2, 3, 3, 4), np.float32), stats),
                 (wide[..., :4], wide[..., 4:], stats),
                 (np.ones((2, 3, 3, 4), np.float32), np.ones((2, 3, 3, 4), np.float32),
-                 np.empty((1, 8), np.float32)[:, ::2])):
+                 np.empty(8, np.float32)[::2])):
             with pytest.raises(ValueError, match="C-contiguous"):
                 _native.bn_train_bind(x, None, out, np.ones(4, np.float32),
                                       np.zeros(4, np.float32), np.zeros(4), np.ones(4), mean,
-                                      np.empty((1, 4), np.float32))
+                                      np.empty(4, np.float32))
         with pytest.raises(ValueError, match="C-contiguous"):
             x = np.ones((2, 3, 3, 4), np.float32)
             _native.bn_vjp_bind(x, None, x, x.copy(), stats, stats, np.ones(4, np.float32),
@@ -245,7 +239,7 @@ class TestBinding:
         so ``bn_vjp`` keeps its binding across passes."""
         calls = count_binds(monkeypatch, "bn_vjp_bind")
         native, fallback = run_both(monkeypatch, lambda: batchnorm_step(
-            (2, 3, 3, 8), dtype, False, "relu", 1, passes=3))
+            (2, 3, 3, 8), dtype, False, "relu", passes=3))
         assert native == fallback
         assert len(calls) == 1
 
@@ -268,15 +262,15 @@ from repro.runtime.kernels import _native
 
 x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
 ones, zeros = np.ones(4, np.float32), np.zeros(4, np.float32)
-mean, inv_std = np.empty((1, 4), np.float32), np.empty((1, 4), np.float32)
+mean, inv_std = np.empty(4, np.float32), np.empty(4, np.float32)
 try:
     _native.bn_train_bind(x, None, np.empty_like(x), ones, zeros, np.zeros(4), np.ones(4),
-                          mean, inv_std)(0.1, 0.0, 1, 0)
+                          mean, inv_std)(0.1, 0.0, 0)
 except RuntimeError as error:
     print("RuntimeError:", error)
 else:
-    print("ok", np.allclose(mean[0], x.reshape(-1, 4).mean(axis=0)),
-          np.allclose(inv_std[0], 1 / x.reshape(-1, 4).std(axis=0)))
+    print("ok", np.allclose(mean, x.reshape(-1, 4).mean(axis=0)),
+          np.allclose(inv_std, 1 / x.reshape(-1, 4).std(axis=0)))
 """
 
 
@@ -335,10 +329,9 @@ print(_native.available(), sum(grad is not None for grad in grads), digest.hexdi
 """
 
 
-#: A gated co-search update with K = 2 Gumbel samples: stacked-path train
-#: plans whose batch norm runs per sample group, plus the alpha update;
-#: prints a digest of weights, BN running statistics, ``stats_version`` and
-#: alphas.
+#: Gated co-search updates (one Gumbel sample each): the all-candidate
+#: supernet train plan plus the alpha update; prints a digest of weights, BN
+#: running statistics, ``stats_version`` and alphas.
 COSEARCH_SCRIPT = r"""
 import hashlib
 import numpy as np
@@ -351,7 +344,7 @@ teacher = make_agent("ResNet-20", obs_size=28, frame_stack=2, feature_dim=32, ba
                      seed=5)
 teacher.eval()
 config = A3CSConfig(obs_size=28, frame_stack=2, num_envs=2, feature_dim=32, base_width=4,
-                    grad_samples=2, seed=3)
+                    grad_samples=1, seed=3)
 cosearch = A3CSCoSearch("Breakout", config=config, teacher=teacher)
 cosearch._build()
 searcher = cosearch.searcher

@@ -2,8 +2,8 @@
 
 Every registered kernel must reproduce the im2col reference bit-tightly
 (f64 <= 1e-12, f32 <= 1e-6) in both directions, across depthwise / grouped /
-dense / pointwise signatures, strides and paddings — including stacked-path
-and train-mode plans.  Dispatch must honour ``REPRO_KERNELS`` pinning, fall
+dense / pointwise signatures, strides and paddings — including gated
+supernet train plans.  Dispatch must honour ``REPRO_KERNELS`` pinning, fall
 back cleanly when a pinned kernel rejects a signature, and the static rule
 must make one deterministic decision per signature, smoke-testing a choice
 with a rival once per process.
@@ -156,8 +156,8 @@ class TestKernelParity:
         np.testing.assert_allclose(produced, reference, atol=F32_TOL)
 
 
-class TestStackedAndTrainPlans:
-    def _grads(self, monkeypatch, pin, dtype=np.float64, num_samples=2):
+class TestGatedTrainPlans:
+    def _grads(self, monkeypatch, pin, dtype=np.float64):
         monkeypatch.setenv(ENV_VAR, pin)
         supernet = AgentSuperNet(in_channels=2, input_size=16, feature_dim=32,
                                  base_width=8, num_cells=3,
@@ -167,19 +167,17 @@ class TestStackedAndTrainPlans:
         agent.train()
         gated = tuple((2, 4) for _ in range(supernet.num_cells))
         x = np.random.default_rng(5).random((3, 2, 16, 16))
-        plan = compile_plan(agent, x.shape, dtype=dtype, train=True,
-                            gated_paths=gated, num_samples=num_samples)
-        values = [np.full((num_samples, len(cell)), 0.5) for cell in plan.gate_layout]
-        plan.set_gates(values)
+        plan = compile_plan(agent, x.shape, dtype=dtype, train=True, gated_paths=gated)
+        plan.set_gates([np.full(len(cell), 0.5) for cell in plan.gate_layout])
         probs, _ = plan.run(x)
         plan.zero_grads()
-        plan.seed_grad(plan.named_slots["logits"], np.ones((3 * num_samples, 4)))
-        plan.seed_grad(plan.named_slots["value_col"], np.ones((3 * num_samples, 1)))
+        plan.seed_grad(plan.named_slots["logits"], np.ones((3, 4)))
+        plan.seed_grad(plan.named_slots["value_col"], np.ones((3, 1)))
         plan.run_backward()
         return np.asarray(probs).copy(), [g.copy() for _, g in plan.param_grads.values()]
 
-    def test_stacked_gated_train_plan_parity(self, monkeypatch):
-        """Stacked-path supernet training: all kernels agree on alpha-path grads."""
+    def test_gated_train_plan_parity(self, monkeypatch):
+        """Gated supernet training: all kernels agree on alpha-path grads."""
         ref_probs, ref_grads = self._grads(monkeypatch, "im2col")
         probs, grads = self._grads(monkeypatch, "depthwise=depthwise_native")
         np.testing.assert_allclose(probs, ref_probs, atol=F64_TOL)

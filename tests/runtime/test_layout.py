@@ -183,30 +183,14 @@ class TestTrainingParity:
     def test_train_gradients(self, rng, monkeypatch):
         self._compare(monkeypatch, rng)
 
-    def test_stacked_path_gradients(self, rng, monkeypatch):
-        """The K-sample stacked mode keeps gradient parity under layouts."""
-        num_samples, num_cells, num_choices = 2, 12, 9
-        actives = []
-        for k in range(num_samples):
-            r = np.random.default_rng(100 + k)
-            actives.append(
-                [sorted(int(i) for i in r.choice(num_choices, size=2, replace=False))
-                 for _ in range(num_cells)]
-            )
-        union = [
-            tuple(sorted(set(actives[0][c]) | set(actives[1][c])))
-            for c in range(num_cells)
-        ]
-        stacked = []
-        for c in range(num_cells):
-            values = np.zeros((num_samples, len(union[c])))
-            for k in range(num_samples):
-                r = np.random.default_rng(200 + k)
-                for j, i in enumerate(actives[k][c]):
-                    values[k, union[c].index(i)] = r.random()
-            stacked.append(values)
-        self._compare(monkeypatch, rng, derive=False, gated_paths=union,
-                      gate_values=stacked, num_samples=num_samples)
+    def test_gated_path_gradients(self, rng, monkeypatch):
+        """A gated supernet sample keeps gradient parity under layouts."""
+        r = np.random.default_rng(100)
+        gated = [tuple(sorted(int(i) for i in r.choice(9, size=2, replace=False)))
+                 for _ in range(12)]
+        gate_values = [r.random(2) for _ in gated]
+        self._compare(monkeypatch, rng, derive=False, gated_paths=gated,
+                      gate_values=gate_values)
 
 
 class TestOptOut:

@@ -228,7 +228,7 @@ class TestBufferAliasing:
             shape = obs.shape
             plan = compile_plan(fresh, shape, train=True, passes=passes)
             step = CompiledTrainStep(fresh)
-            step.plans.get((tuple(shape), 1, False), lambda: plan)
+            step.plans.get((tuple(shape), False), lambda: plan)
             plan_out, _ = step.compute_gradients(obs, actions, returns, advantages)
             return plan_out, {
                 name: plan_out.param_grad(p)

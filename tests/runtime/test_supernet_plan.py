@@ -1,7 +1,7 @@
 """One compiled supernet plan per signature; each Gumbel sample selects branches.
 
-The co-search compiles its train plan once per (batch shape, K samples) and
-its rollout/bootstrap plan once per batch shape.  Each plan holds every
+The co-search compiles its train plan and its rollout/bootstrap plan once
+per batch shape.  Each plan holds every
 candidate branch of every cell, and a sample only picks which branches run.
 These tests pin the three promises that rest on: no steady-state recompiles
 or fresh buffers, results identical to a plan compiled with exactly the
@@ -33,19 +33,15 @@ NUM_CHOICES = 9
 class TestSteadyStateHasNoCompiles:
     """Updates 3-8 of a tiny co-search compile nothing and allocate nothing."""
 
-    # The trainers' float32 default, and float64 pinned through the config.
-    @pytest.mark.parametrize(
-        "grad_samples, dtype",
-        [(1, None), (2, None), (1, np.float64), (2, np.float64)],
-        ids=["1", "2", "1-f64", "2-f64"],
-    )
-    def test_no_plan_misses_or_fresh_bytes(self, grad_samples, dtype, monkeypatch):
+    # The trainers' float32 default, and float64 pinned through the config
+    # (the ids name one Gumbel sample per update).
+    @pytest.mark.parametrize("dtype", [None, np.float64], ids=["1", "1-f64"])
+    def test_no_plan_misses_or_fresh_bytes(self, dtype, monkeypatch):
         teacher = make_agent("ResNet-14", obs_size=14, frame_stack=2, feature_dim=16,
                              base_width=4, seed=1)
         teacher.eval()
         config = A3CSConfig(obs_size=14, frame_stack=2, num_envs=2, base_width=4,
-                            feature_dim=16, max_episode_steps=40,
-                            grad_samples=grad_samples, seed=0)
+                            feature_dim=16, max_episode_steps=40, seed=0)
         if dtype is None:
             dtype = np.float32
         else:
@@ -79,30 +75,15 @@ def _agent(seed=0):
 
 
 def _sample(rng):
-    """Per-cell Gumbel gates and their two-path active sets (Eq. 6-7)."""
-    gates, active = [], []
+    """Per-cell two-path active sets (Eq. 6-7) and their Gumbel gate values."""
+    active, values = [], []
     for _ in range(NUM_CELLS):
         alpha = Tensor(rng.standard_normal(NUM_CHOICES) * 0.5, requires_grad=True)
         gate, soft, index = hard_gumbel_softmax(alpha, 1.0, rng)
-        gates.append(soft.data)
-        active.append(tuple(top_k_active(soft, 2, always_include=index)))
-    return gates, active
-
-
-def _stacked(samples):
-    """The union active set and ``(K, n)`` gate values of K samples."""
-    union = tuple(
-        tuple(sorted(set().union(*[set(active[c]) for _, active in samples])))
-        for c in range(NUM_CELLS)
-    )
-    values = []
-    for c in range(NUM_CELLS):
-        cell = np.zeros((len(samples), len(union[c])))
-        for k, (gates, active) in enumerate(samples):
-            for i in active[c]:
-                cell[k, union[c].index(i)] = gates[c][i]
-        values.append(cell)
-    return union, values
+        cell = tuple(top_k_active(soft, 2, always_include=index))
+        active.append(cell)
+        values.append(soft.data[list(cell)])
+    return tuple(active), values
 
 
 class TestAllCandidatePlanParity:
@@ -118,10 +99,8 @@ class TestAllCandidatePlanParity:
             rng.standard_normal(self.BATCH),
         )
 
-    def _update(self, step, optimizer, batch, gated, values, num_samples):
-        plan, result = step.compute_gradients(
-            *batch, gated_paths=gated, gate_values=values, num_samples=num_samples
-        )
+    def _update(self, step, optimizer, batch, gated, values):
+        plan, result = step.compute_gradients(*batch, gated_paths=gated, gate_values=values)
         grads = [plan.param_grad(p) for p in optimizer.parameters]
         snapshot = [None if g is None else g.copy() for g in grads]
         optimizer.apply_gradients(grads, max_norm=0.5)
@@ -134,12 +113,8 @@ class TestAllCandidatePlanParity:
         step = CompiledTrainStep(agent, optimizer)
         misses = 0
         names = [name for name, _ in agent.named_parameters()]
-        samples = [[_sample(rng)] for _ in range(5)] + [[_sample(rng), _sample(rng)]]
-        for group in samples:
-            num_samples = len(group)
-            gated, values = _stacked(group)
-            if num_samples == 1:
-                values = [v[0] for v in values]
+        for _ in range(5):
+            gated, values = _sample(rng)
             batch = self._batch(rng)
             # Both agents start every update from the same state.
             reference.load_state_dict(agent.state_dict())
@@ -147,22 +122,17 @@ class TestAllCandidatePlanParity:
             before = [s.copy() for s in optimizer._state_buffers()]
 
             ref_step = CompiledTrainStep(reference, ref_optimizer)
-            ref_step.plans.get((batch[0].shape, num_samples, True), lambda: compile_plan(
+            ref_step.plans.get((batch[0].shape, True), lambda: compile_plan(
                 reference, batch[0].shape, train=True, gated_paths=gated,
-                num_samples=num_samples,
             ))
             compiled = cache_stats()["train_plans"]["cache_misses"]
-            result, grads = self._update(step, optimizer, batch, gated, values, num_samples)
+            result, grads = self._update(step, optimizer, batch, gated, values)
             misses += cache_stats()["train_plans"]["cache_misses"] - compiled
-            ref_result, ref_grads = self._update(
-                ref_step, ref_optimizer, batch, gated, values, num_samples
-            )
+            ref_result, ref_grads = self._update(ref_step, ref_optimizer, batch, gated, values)
 
             assert abs(result.total - ref_result.total) <= TOL
             for cell, got, want in zip(gated, result.gate_grads, ref_result.gate_grads):
-                # K = 1 keeps the per-cell ``(num_active,)`` shape.
-                shape = (len(cell),) if num_samples == 1 else (num_samples, len(cell))
-                assert got.shape == want.shape == shape
+                assert got.shape == want.shape == (len(cell),)
                 np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
             assert any(grad is None for grad in grads)  # inactive branches exist
             for name, got, want in zip(names, grads, ref_grads):
@@ -180,8 +150,8 @@ class TestAllCandidatePlanParity:
                 np.testing.assert_allclose(got, want, rtol=0, atol=TOL, err_msg=name)
                 if grad is None:
                     np.testing.assert_array_equal(got, old, err_msg=name)
-        assert step.num_plans == 2  # one per K
-        assert misses == 2
+        assert step.num_plans == 1
+        assert misses == 1
 
     def test_path_selection_matches_path_compile(self, rng):
         """``op_indices`` steps reuse the gated plan at gate 1.0."""
@@ -197,7 +167,7 @@ class TestAllCandidatePlanParity:
         exact = compile_plan(reference, batch[0].shape, train=True,
                              gated_paths=[(i,) for i in path])
         ref_step = CompiledTrainStep(reference)
-        ref_step.plans.get((batch[0].shape, 1, True), lambda: exact)
+        ref_step.plans.get((batch[0].shape, True), lambda: exact)
         ref_plan, ref_result = ref_step.compute_gradients(*batch, op_indices=path)
         assert abs(result.total - ref_result.total) <= TOL
         for param, ref_param in zip(agent.parameters(), reference.parameters()):
