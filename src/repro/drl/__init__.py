@@ -3,7 +3,7 @@
 from .a2c import A2CConfig, A2CTrainer
 from .agent import ActorCriticAgent, PolicyOutput
 from .distillation import ACDistiller, DistillationMode, actor_distillation_loss, critic_distillation_loss
-from .evaluation import Evaluator, evaluate_agent, greedy_policy_score
+from .evaluation import Evaluator, evaluate_agent
 from .losses import (
     TaskLossWeights,
     combine_task_loss,
@@ -25,7 +25,6 @@ __all__ = [
     "critic_distillation_loss",
     "Evaluator",
     "evaluate_agent",
-    "greedy_policy_score",
     "TaskLossWeights",
     "combine_task_loss",
     "entropy_loss",

@@ -13,7 +13,7 @@ import numpy as np
 from ..envs import make_env
 from ..nn import no_grad
 
-__all__ = ["evaluate_agent", "Evaluator", "greedy_policy_score"]
+__all__ = ["evaluate_agent", "Evaluator"]
 
 
 def evaluate_agent(agent, game, episodes=30, null_op_max=30, seed=0, env_kwargs=None, greedy=False,
@@ -80,11 +80,6 @@ def evaluate_agent(agent, game, episodes=30, null_op_max=30, seed=0, env_kwargs=
         if was_training:
             agent.train()
     return float(np.mean(scores))
-
-
-def greedy_policy_score(agent, game, episodes=5, seed=0, env_kwargs=None):
-    """Shorthand for a quick greedy evaluation (used by tests)."""
-    return evaluate_agent(agent, game, episodes=episodes, seed=seed, env_kwargs=env_kwargs, greedy=True)
 
 
 class Evaluator:

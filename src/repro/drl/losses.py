@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Tensor
+from ..runtime.train import TaskLossWeights
 
 __all__ = ["policy_gradient_loss", "value_loss", "entropy_loss", "TaskLossWeights", "combine_task_loss"]
 
@@ -36,20 +37,6 @@ def value_loss(values, returns):
 def entropy_loss(probs, log_probs):
     """Eq. 15: ``E[ sum_a pi log pi ]`` (the negative entropy)."""
     return (probs * log_probs).sum(axis=-1).mean()
-
-
-class TaskLossWeights:
-    """Weights ``beta1, beta2, beta3`` of Eq. 12 (paper defaults from Sec. V-A)."""
-
-    def __init__(self, entropy=1e-2, actor_distill=1e-1, critic_distill=1e-3):
-        self.entropy = float(entropy)
-        self.actor_distill = float(actor_distill)
-        self.critic_distill = float(critic_distill)
-
-    def __repr__(self):
-        return "TaskLossWeights(entropy={}, actor_distill={}, critic_distill={})".format(
-            self.entropy, self.actor_distill, self.critic_distill
-        )
 
 
 def combine_task_loss(policy, value, entropy, actor_distill=None, critic_distill=None, weights=None):

@@ -14,8 +14,6 @@ Registered kernels, in the rule's preference order:
   input/weight VJPs (float32/float64; :mod:`~repro.runtime.kernels._native`);
 * ``depthwise_einsum`` — the same NHWC depthwise conv and VJPs as strided
   tap-view einsums: the float fallback where the C library cannot build;
-* ``im2col_block`` — lane-blocked strided-view im2col keeping the gathered
-  columns L2-resident (channels-last ungrouped inference);
 * ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
   flat GEMM over the trailing channel axis (forward + VJPs);
 * ``im2col`` — the original whole-batch im2col + batched GEMM, supporting
@@ -31,7 +29,9 @@ Signatures carry a physical activation layout (``NCHW`` / ``NHWC``); the
 layout-assignment pass in :mod:`repro.runtime.passes` puts a conv
 channels-last only where
 :func:`~repro.runtime.kernels.registry.pinned_candidates` offers an NHWC
-kernel for it.
+kernel for it.  Dense (ungrouped, non-1x1) convs have none, so they run on
+``im2col`` in inference plans as in training plans, and one plan structure
+serves both directions.
 
 The same software structure the paper's accelerator templates use in
 hardware — dataflow-specialised conv engines selected per workload shape —
@@ -39,7 +39,7 @@ applied to the NumPy runtime.
 """
 
 from . import depthwise as _depthwise  # noqa: F401  (registers the float depthwise kernels)
-from . import conv as _conv  # noqa: F401  (registers im2col_block, pointwise_nhwc, im2col)
+from . import conv as _conv  # noqa: F401  (registers pointwise_nhwc, im2col)
 from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count
 from .quantized import RequantEpilogue

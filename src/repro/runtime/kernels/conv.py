@@ -1,26 +1,22 @@
-"""GEMM-backed convolution kernels: the general fallback and a blocked variant.
+"""GEMM-backed convolution kernels: the general fallback and pointwise NHWC.
 
 :class:`GemmIm2colKernel` is the runtime's original convolution path, moved
 out of the plan step so it competes in the registry like everything else:
 copy the input into a persistent zero-padded buffer, gather patches into an
 im2col workspace laid out ``(N, C, kh, kw, oh, ow)``, then one batched GEMM
 per groups class writing straight into the NCHW output.  It supports every
-signature in both directions and registers **last**, making it the dispatch
-fallback.
-
-:class:`BlockedIm2colKernel` runs the same math on channels-last slots,
-lane-block by lane-block, sizing the block so the gathered column matrix
-stays L2-resident: the GEMM then reads cache-warm columns instead of
-streaming them back from DRAM, and the fused epilogue runs on the block
-while its output tile is still hot.  It serves the ungrouped NHWC inference
-convs (the agents' stems); channels-last depthwise cells go to the kernels
-in :mod:`repro.runtime.kernels.depthwise`.
+NCHW signature in both directions and registers **last**, making it the
+dispatch fallback.  Dense (ungrouped, non-1x1) convs have no channels-last
+kernel, so they run here in inference plans as in training plans: inside a
+channels-last component the layout pass leaves them NCHW behind boundary
+transposes.
 
 :class:`PointwiseNHWCKernel` serves 1x1 convolutions on channels-last slots:
 with channels trailing, the whole op is a single flat
 ``(N*H*W, C_in) @ (C_in, C_out)`` GEMM with no gather, no reshape copies and
 trivially contiguous VJPs — the payoff the layout-assignment pass chases on
-the GEMM-bound high-resolution cells.
+the GEMM-bound high-resolution cells.  Channels-last depthwise convs go to
+the kernels in :mod:`repro.runtime.kernels.depthwise`.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import numpy as np
 
 from ...nn import vjp
 from .registry import (
-    BLOCK_TARGET_BYTES,
     SCRATCH_GEMM,
     SCRATCH_MAIN,
     SCRATCH_PAD,
@@ -37,7 +32,7 @@ from .registry import (
     register_kernel,
 )
 
-__all__ = ["GemmIm2colKernel", "BlockedIm2colKernel", "PointwiseNHWCKernel"]
+__all__ = ["GemmIm2colKernel", "PointwiseNHWCKernel"]
 
 
 def _patches_view(padded, n, c, k, oh, ow, stride):
@@ -48,125 +43,6 @@ def _patches_view(padded, n, c, k, oh, ow, stride):
         shape=(n, c, k, k, oh, ow),
         strides=(st[0], st[1], st[2], st[3], st[2] * stride, st[3] * stride),
     )
-
-
-def _patches_view_nhwc(padded, n, c, k, oh, ow, stride):
-    """The ``(n, oh, ow, c, k, k)`` gather view of a padded NHWC buffer.
-
-    The patch axes are ordered channel-major — the same ``(C, kh, kw)``
-    reduction order as the NCHW im2col GEMM — so the channels-last GEMM
-    accumulates in the identical sequence and matches the reference kernels
-    to rounding, not just to summation-reorder noise.
-    """
-    st = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, oh, ow, c, k, k),
-        strides=(st[0], st[1] * stride, st[2] * stride, st[3], st[1], st[2]),
-    )
-
-
-@register_kernel
-class BlockedIm2colKernel(ConvKernel):
-    """Lane-blocked channels-last im2col + GEMM with an L2-resident column matrix."""
-
-    name = "im2col_block"
-    trains = False  # training plans keep the full column matrix as saved state
-
-    @classmethod
-    def _block(cls, spec):
-        """Lanes per block so one block's gathered columns fit the cache target."""
-        lane_bytes = (
-            spec.in_channels * spec.kernel * spec.kernel
-            * spec.out_height * spec.out_width * spec.itemsize
-        )
-        return max(1, min(spec.batch, BLOCK_TARGET_BYTES // max(lane_bytes, 1)))
-
-    @classmethod
-    def supports(cls, spec):
-        # The im2col fallback is NCHW-only, so serve every ungrouped
-        # non-pointwise NHWC inference signature, even when blocking
-        # degenerates to the full batch (pointwise NHWC goes to the flat-GEMM
-        # kernel below).
-        return (
-            not spec.train and spec.layout == "NHWC"
-            and spec.groups == 1 and not spec.pointwise
-        )
-
-    @classmethod
-    def scratch_requests(cls, spec):
-        block = cls._block(spec)
-        item = spec.itemsize
-        cols = (
-            block * spec.in_channels * spec.kernel * spec.kernel
-            * spec.out_height * spec.out_width * item
-        )
-        requests = [(SCRATCH_MAIN, cols)]
-        if spec.padding > 0:
-            padded = (
-                block * spec.in_channels
-                * (spec.height + 2 * spec.padding)
-                * (spec.width + 2 * spec.padding) * item
-            )
-            requests.append((SCRATCH_PAD, padded))
-        return tuple(requests)
-
-    def __init__(self, spec, plan):
-        super().__init__(spec, plan)
-        c = spec.in_channels
-        h, w, p = spec.height, spec.width, spec.padding
-        k = spec.kernel
-        oh, ow = spec.out_height, spec.out_width
-        self._b = self._block(spec)
-        # Padding happens per lane block in a scratch workspace (the pad
-        # writes stay cache-resident and no persistent full-batch padded
-        # buffer is carried), mirroring the depthwise kernel.
-        self._padded = (
-            plan.workspace((self._b, h + 2 * p, w + 2 * p, c), channel=SCRATCH_PAD)
-            if p > 0
-            else None
-        )
-        self._cols = plan.workspace((self._b, oh, ow, c, k, k), channel=SCRATCH_MAIN)
-        #: ``(C_out, C*k*k)`` weight matrix in patch order, refreshed from the
-        #: live weight array every call (tiny next to the columns).
-        self._wmat = plan.alloc((spec.out_channels, c * k * k))
-
-    def forward(self, x, weight, out, epilogue):
-        spec = self.spec
-        n, c = spec.batch, spec.in_channels
-        h, w, p, k, s = spec.height, spec.width, spec.padding, spec.kernel, spec.stride
-        oh, ow = spec.out_height, spec.out_width
-        cout = spec.out_channels
-        self._wmat[...] = weight.reshape(cout, -1)
-        blockwise = epilogue.blockwise
-        for n0 in range(0, n, self._b):
-            n1 = min(n0 + self._b, n)
-            b = n1 - n0
-            src = x[n0:n1]
-            if self._padded is not None:
-                pad = self._padded[:b]
-                # The scratch arena is shared with other steps, so the
-                # padding border must be re-zeroed per block.
-                pad[:, :p] = 0.0
-                pad[:, p + h:] = 0.0
-                pad[:, p:p + h, :p] = 0.0
-                pad[:, p:p + h, p + w:] = 0.0
-                pad[:, p:p + h, p:p + w, :] = src
-                src = pad
-            cols = self._cols[:b]
-            np.copyto(cols, _patches_view_nhwc(src, b, c, k, oh, ow, s))
-            # One flat GEMM per block straight into the NHWC output tile; the
-            # channel-major patch order keeps the reduction sequence identical
-            # to the NCHW reference GEMM.
-            np.matmul(
-                cols.reshape(b * oh * ow, c * k * k),
-                self._wmat.T,
-                out=out[n0:n1].reshape(b * oh * ow, cout),
-            )
-            if blockwise:
-                epilogue.apply(out[n0:n1], lanes=slice(n0, n1))
-        if not blockwise:
-            epilogue.apply(out)
 
 
 @register_kernel
@@ -180,7 +56,6 @@ class PointwiseNHWCKernel(ConvKernel):
     """
 
     name = "pointwise_nhwc"
-    trains = True
 
     @classmethod
     def supports(cls, spec):
@@ -234,7 +109,6 @@ class GemmIm2colKernel(ConvKernel):
     """
 
     name = "im2col"
-    trains = True
     fallback = True
 
     @classmethod

@@ -68,8 +68,6 @@ def _windows(buf, oh, ow, k, s):
 class _DepthwiseKernel(ConvKernel):
     """Shared binding: the tap-major ``(k*k, C)`` weight rows."""
 
-    trains = True
-
     def __init__(self, spec, plan):
         super().__init__(spec, plan)
         #: Tap-major weight rows, refreshed from the live weight array every

@@ -77,8 +77,6 @@ class RequantEpilogue:
 
     __slots__ = ("scale", "bias", "lo", "hi", "res", "res_scale", "version")
 
-    blockwise = True
-
     def __init__(self, channels, acc_dtype, qmax, relu=False):
         acc_dtype = np.dtype(acc_dtype)
         self.scale = np.zeros(int(channels), dtype=acc_dtype)

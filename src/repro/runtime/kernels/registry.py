@@ -12,8 +12,9 @@ by a static rule, so every process on every host makes the same choices:
   predicates that means ``depthwise_native`` / ``depthwise_native_q8`` for
   channels-last depthwise convs where the C library builds, else
   ``depthwise_einsum`` / ``depthwise_einsum_q8``; ``pointwise_nhwc`` /
-  ``pointwise_q8`` for channels-last 1x1 convs; ``im2col_block`` for other
-  channels-last convs; ``im2col`` for every NCHW signature;
+  ``pointwise_q8`` for channels-last 1x1 convs; ``im2col`` for every NCHW
+  signature.  No kernel serves other channels-last convs, so the layout
+  pass keeps dense convs NCHW;
 * ``REPRO_KERNELS=heuristic`` — the rule with depthwise pinned to
   ``depthwise_einsum``, so the float choices, and the numerics, are the same
   with or without a C compiler;
@@ -34,8 +35,11 @@ surfaced through ``repro.runtime.cache_stats()``.
 
 Survival rule: a registered kernel stays only while (a) the rule selects it
 on signatures of the ``perfbench`` workloads (``cosearch``,
-``derived_train``, ``serve``), or (b) a supported platform needs it as a
-fallback — ``im2col`` for every NCHW signature, and, on hosts where
+``derived_train``, ``serve``) *and* it beats the path that would serve
+those signatures without it (the next candidate, or the NCHW fallback plus
+its boundary transposes), in a one-off census timing of the rivals in one
+process; or (b) a supported platform needs it as a fallback — ``im2col``
+for every NCHW signature, and, on hosts where
 :mod:`~repro.runtime.kernels._native` cannot build, ``depthwise_einsum``
 (float depthwise) plus ``depthwise_einsum_q8`` and the NumPy requant tail
 of :class:`~repro.runtime.kernels.quantized.RequantEpilogue` (int8).  A
@@ -230,8 +234,6 @@ class ConvKernel:
 
     #: Registry name (stable; used by ``REPRO_KERNELS`` and stats tables).
     name = None
-    #: Whether the kernel implements the reverse-mode VJPs.
-    trains = False
     #: Quantization mode the kernel serves ("" = float).  Dispatch only
     #: considers kernels whose mode matches the spec's ``quant`` field, so
     #: float kernels never see int8 buffers and vice versa.
@@ -263,9 +265,8 @@ class ConvKernel:
         """Compute the convolution into ``out`` and apply ``epilogue``.
 
         ``epilogue`` is the step's fused bias/BN/residual/activation
-        descriptor: kernels call ``epilogue.apply(block, lanes=...)`` on each
-        freshly computed output tile when ``epilogue.blockwise`` is true
-        (cache-friendly), or once on the whole output otherwise.
+        descriptor: kernels call ``epilogue.apply(out)`` once, on the whole
+        freshly computed output.
         """
         raise NotImplementedError
 
@@ -349,7 +350,11 @@ def kernel_names():
 
 
 def candidates(spec):
-    """Registered kernels that support ``spec`` (training needs VJPs too).
+    """Registered kernels that support ``spec``.
+
+    Every float kernel implements the VJPs and no int8 kernel serves a
+    training signature, so the ``quant`` tier alone separates inference-only
+    kernels from training ones.
 
     Quarantined kernels are excluded — unless exclusion would leave no
     candidate at all (a registry stripped down in a test), in which case the
@@ -358,9 +363,7 @@ def candidates(spec):
     supporting = [
         cls
         for cls in KERNELS
-        if cls.quant == spec.quant
-        and (not spec.train or cls.trains)
-        and cls.supports(spec)
+        if cls.quant == spec.quant and cls.supports(spec)
     ]
     if _QUARANTINED:
         healthy = [cls for cls in supporting if cls.name not in _QUARANTINED]
@@ -454,11 +457,9 @@ class _Arena:
 
 
 class _NullEpilogue:
-    """No-op epilogue for standalone kernel calls (kernels still call it per tile)."""
+    """No-op epilogue for standalone kernel calls."""
 
-    blockwise = True
-
-    def apply(self, out, lanes=None):
+    def apply(self, out):
         return out
 
 

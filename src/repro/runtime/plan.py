@@ -351,11 +351,8 @@ class _BNMixin:
 class _ConvEpilogue:
     """Fused-epilogue descriptor handed to the selected conv kernel.
 
-    Wraps the step's bias / batch-norm / residual / activation tail so the
-    kernel decides *when* to apply it: blocked kernels call
-    ``apply(out_block, lanes=...)`` on each output tile while it is still
-    cache-hot, whole-batch kernels call it once.  ``blockwise`` is false
-    exactly when train-mode batch-norm statistics need the full batch.
+    Wraps the step's bias / batch-norm / residual / activation tail; the
+    kernel calls ``apply(out)`` once on its whole output.
 
     One descriptor is allocated per step at plan finalise; the per-run
     fields (folded bias, residual buffer) are refreshed in place so the
@@ -369,18 +366,9 @@ class _ConvEpilogue:
         self.folded_bias = folded_bias
         self.res = res
 
-    @property
-    def blockwise(self):
-        step = self.step
-        if self.folded_bias is not None or step.bn is None:
-            return True
-        return not step.bn.training
-
-    def apply(self, out, lanes=None):
+    def apply(self, out):
         step = self.step
         res = self.res
-        if res is not None and lanes is not None:
-            res = res[lanes]
         if self.folded_bias is not None:
             out += _per_channel(self.folded_bias, step.layout)
             if res is not None:

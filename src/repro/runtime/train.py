@@ -43,14 +43,15 @@ from ..telemetry import trace
 from .compiler import ALL_CANDIDATES, CompileError, compile_plan
 from .engine import PlanCache
 
-__all__ = ["CompiledTrainStep", "TrainStepResult", "DEFAULT_LOSS_WEIGHTS"]
+__all__ = ["CompiledTrainStep", "TrainStepResult", "TaskLossWeights", "DEFAULT_LOSS_WEIGHTS"]
 
 
-class _LossWeights:
-    """Duck-typed stand-in for :class:`repro.drl.losses.TaskLossWeights`.
+class TaskLossWeights:
+    """Weights ``beta1, beta2, beta3`` of Eq. 12 (paper defaults from Sec. V-A).
 
-    Defined here so the runtime never imports the drl layer (which imports
-    the runtime); any object with these three attributes is accepted.
+    Defined in the runtime, whose closed-form loss head reads them, so the
+    runtime never imports the drl layer (which imports the runtime);
+    :mod:`repro.drl.losses` re-exports it.
     """
 
     def __init__(self, entropy=1e-2, actor_distill=1e-1, critic_distill=1e-3):
@@ -58,8 +59,13 @@ class _LossWeights:
         self.actor_distill = float(actor_distill)
         self.critic_distill = float(critic_distill)
 
+    def __repr__(self):
+        return "TaskLossWeights(entropy={}, actor_distill={}, critic_distill={})".format(
+            self.entropy, self.actor_distill, self.critic_distill
+        )
 
-DEFAULT_LOSS_WEIGHTS = _LossWeights()
+
+DEFAULT_LOSS_WEIGHTS = TaskLossWeights()
 
 
 class TrainStepResult:

@@ -49,7 +49,6 @@ __all__ = [
     "clear",
     "stats",
     "export_chrome",
-    "get_tracer",
 ]
 
 ENV_VAR = "REPRO_TRACE"
@@ -138,11 +137,6 @@ _TRACER = Tracer(DEFAULT_CAPACITY)
 
 #: Thread-local frame stacks for nested begin/end pairs.
 _TLS = threading.local()
-
-
-def get_tracer():
-    """The process-wide :class:`Tracer` instance."""
-    return _TRACER
 
 
 def _frames():

@@ -29,8 +29,8 @@ class TestSpecGrammar:
         assert faults["nan_grad"].start == 5
 
     def test_target_entry(self):
-        faults, _ = parse_spec("kernel_error=im2col_block")
-        assert faults["kernel_error"].token == "im2col_block"
+        faults, _ = parse_spec("kernel_error=depthwise_native")
+        assert faults["kernel_error"].token == "depthwise_native"
 
     def test_empty_parts_skipped(self):
         faults, _ = parse_spec("worker_crash=0.1, ,")
@@ -75,11 +75,11 @@ class TestInjector:
         assert fires == [False, False, True, True, False, False]
 
     def test_target_fires_only_on_match(self):
-        injector = FaultInjector("kernel_error=im2col_block")
+        injector = FaultInjector("kernel_error=depthwise_native")
         assert not injector.should_fire("kernel_error", target="im2col")
-        assert injector.should_fire("kernel_error", target="im2col_block")
+        assert injector.should_fire("kernel_error", target="depthwise_native")
         assert not injector.should_fire("kernel_error")
-        assert injector.target("kernel_error") == "im2col_block"
+        assert injector.target("kernel_error") == "depthwise_native"
 
     def test_unconfigured_name_consumes_nothing(self):
         injector = FaultInjector("nan_grad=1@update:2")

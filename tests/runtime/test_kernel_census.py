@@ -3,8 +3,8 @@
 Kernel selection is a static rule, so the same plans select the same kernels
 in every process on every host.  This pins the rule's choices for the plans
 the workloads compile: the derived agent's float32 inference, train and int8
-inference plans, the all-candidate supernet train plan of the co-search, and
-the ResNet-20 teacher.  Every signature must match.  Hosts without the C
+inference plans, the all-candidate supernet's rollout (a ``path=`` inference
+compile) and train plans of the co-search, and the ResNet-20 teacher.  Every signature must match.  Hosts without the C
 library (``REPRO_NATIVE=0`` or no compiler) expect the einsum depthwise
 kernels wherever the census names the compiled ones.
 
@@ -68,6 +68,7 @@ def census():
     searched = ActorCriticAgent(supernet, num_actions=4, feature_dim=16,
                                 rng=np.random.default_rng(0))
     searched.train()
+    compile_plan(searched, (4, 2, 16, 16), dtype=np.float32, path=[0] * supernet.num_cells)
     compile_plan(searched, (4, 2, 16, 16), dtype=np.float32, train=True,
                  gated_paths=ALL_CANDIDATES)
 

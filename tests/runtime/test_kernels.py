@@ -27,7 +27,6 @@ from repro.runtime.kernels import (
     selection_table,
 )
 from repro.runtime.kernels import registry
-from repro.runtime.kernels.conv import BlockedIm2colKernel, GemmIm2colKernel
 from repro.runtime.kernels.depthwise import DepthwiseEinsumKernel, DepthwiseNativeKernel
 from repro.runtime.kernels.registry import NULL_EPILOGUE, _Arena, reset_selections
 
@@ -127,26 +126,6 @@ class TestKernelParity:
             for got, expected in zip(grads, ref_grads):
                 np.testing.assert_allclose(got, expected, atol=F64_TOL, err_msg=name)
 
-    def test_blocked_kernel_splits_batch(self):
-        """A channels-last signature big enough to block must still match the
-        whole-batch NCHW reference."""
-        spec = ConvSpec(4, 32, 8, 16, 16, 5, 1, 2, 1, "float32", "infer", "NHWC")
-        assert BlockedIm2colKernel.supports(spec)
-        assert BlockedIm2colKernel._block(spec) < spec.batch
-        # The blocked kernel serves channels-last only; NCHW goes to im2col.
-        assert not BlockedIm2colKernel.supports(spec._replace(layout="NCHW"))
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 32, 16, 16)).astype(np.float32)
-        w = rng.standard_normal((8, 32, 5, 5)).astype(np.float32)
-        ref_spec = spec._replace(layout="NCHW")
-        reference = np.empty(ref_spec.out_shape, np.float32)
-        GemmIm2colKernel(ref_spec, _Arena(ref_spec)).forward(x, w, reference, NULL_EPILOGUE)
-        out = np.empty(spec.out_shape, np.float32)
-        BlockedIm2colKernel(spec, _Arena(spec)).forward(
-            np.ascontiguousarray(x.transpose(0, 2, 3, 1)), w, out, NULL_EPILOGUE
-        )
-        _assert_close_rel(out.transpose(0, 3, 1, 2), reference, F32_TOL, "im2col_block")
-
     def test_f32_fast_path_depthwise_native(self, monkeypatch):
         shape = (6, 6, 3, 1, 1, 6, 9)
         reference, _ = run_pinned(monkeypatch, "im2col", shape, np.float32)
@@ -240,13 +219,15 @@ class TestDispatch:
         assert dense["kernel"] == "im2col"
         assert depthwise["kernel"] == "depthwise_einsum"
 
-    def test_candidates_respect_training(self):
-        infer = spec_for(4, 4, 3, 1, 1, 4, 6, direction="infer")
-        train = spec_for(4, 4, 3, 1, 1, 4, 6, direction="train")
-        assert {cls.name for cls in candidates(train)} <= {
-            cls.name for cls in candidates(infer)
-        }
-        assert all(cls.trains for cls in candidates(train))
+    @pytest.mark.parametrize("layout", ["NCHW", "NHWC"])
+    def test_float_candidates_ignore_direction(self, layout):
+        """Every float kernel trains: a float signature has the same candidates
+        in both directions, so inference and train plans bind alike."""
+        for shape in SHAPES + ((3, 7, 3, 1, 1, 1, 9), (4, 8, 1, 2, 0, 1, 8)):
+            for dtype in ("float32", "float64"):
+                infer = spec_for(*shape, dtype=dtype)._replace(layout=layout)
+                train = infer._replace(direction="train")
+                assert candidates(train) == candidates(infer), infer.describe()
 
     def test_depthwise_kernels_serve_nhwc_depthwise_only(self):
         for cls in (DepthwiseNativeKernel, DepthwiseEinsumKernel):

@@ -273,13 +273,18 @@ def resnet20_plan():
     return compile_plan(agent, (4, 2, 28, 28))
 
 
-def supernet_train_plan():
+def supernet_agent():
     supernet = AgentSuperNet(in_channels=2, input_size=16, feature_dim=16, base_width=4,
                              rng=np.random.default_rng(0))
     agent = ActorCriticAgent(supernet, num_actions=4, feature_dim=16,
                              rng=np.random.default_rng(0))
     agent.train()
-    return compile_plan(agent, (4, 2, 16, 16), train=True, gated_paths=ALL_CANDIDATES)
+    return agent
+
+
+def supernet_train_plan():
+    return compile_plan(supernet_agent(), (4, 2, 16, 16), train=True,
+                        gated_paths=ALL_CANDIDATES)
 
 
 class TestStaticRule:
@@ -296,6 +301,22 @@ class TestStaticRule:
             monkeypatch.setenv(KERNELS_ENV, mode)
             tags[mode] = conv_tags(build())
         assert tags["auto"] == tags["heuristic"]
+
+    def test_inference_and_train_plans_agree(self, monkeypatch):
+        """Every NHWC float kernel trains, so the rollout (inference) plan and
+        the train plan of one network give each conv the same layout tag."""
+        monkeypatch.delenv(KERNELS_ENV, raising=False)
+        agent = derived_agent()
+        infer = conv_tags(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32))
+        agent.train()
+        train = conv_tags(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32, train=True))
+        assert infer == train == ["NCHW"] + ["NHWC"] * 32
+
+        agent = supernet_agent()
+        path = [0] * agent.backbone.num_cells
+        infer = conv_tags(compile_plan(agent, (4, 2, 16, 16), dtype=np.float32, path=path))
+        assert infer == conv_tags(supernet_train_plan())
+        assert "NHWC" in infer
 
     def test_dense_only_chains_stay_nchw(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "heuristic")
