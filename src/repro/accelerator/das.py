@@ -13,7 +13,9 @@ so the gradient w.r.t. ``phi_m`` pushes probability away from choices that
 participated in expensive accelerators and towards choices seen in cheap ones.
 A moving-average cost baseline is subtracted to reduce the variance of this
 estimator (the standard trick for score-function-style updates), which keeps
-the search stable without changing its fixed points.
+the search stable without changing its fixed points.  All knobs are sampled as
+one :class:`~repro.nas.gumbel.GumbelFamily` and ``L``'s gradient is taken in
+closed form, with the bytes the per-knob autograd graph gave.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nas.gumbel import TemperatureSchedule, hard_gumbel_softmax
+from ..nas.gumbel import GumbelFamily, TemperatureSchedule, softmax
 from ..nn import Adam, Parameter
-from ..nn import functional as F
 from .design_space import AcceleratorDesignSpace
 from .fpga import ZC706
 from .predictor import PerformancePredictor
@@ -99,6 +100,7 @@ class DifferentiableAcceleratorSearch:
             decay_interval=self.config.temperature_interval,
         )
         self._baseline = None
+        self._family = None
         self.steps_taken = 0
 
     # ------------------------------------------------------------------ #
@@ -152,17 +154,13 @@ class DifferentiableAcceleratorSearch:
         -------
         indices:
             ``{dimension: sampled index}``.
-        gate_terms:
-            ``{dimension: Tensor}`` of the soft probability of the sampled
-            choice (the differentiable relaxation used in the loss).
+        draw:
+            The :class:`~repro.nas.gumbel.GumbelDraw` of every dimension.
         """
-        indices = {}
-        gate_terms = {}
-        for name, logits in self.phi.items():
-            gates, soft, index = hard_gumbel_softmax(logits, temperature, self.rng)
-            indices[name] = index
-            gate_terms[name] = soft[index]
-        return indices, gate_terms
+        if self._family is None:
+            self._family = GumbelFamily(self.phi.values())
+        draw = self._family.sample(temperature, self.rng)
+        return {name: int(i) for name, i in zip(self.phi, draw.index)}, draw
 
     def evaluate_indices(self, indices):
         """Decode ``indices`` into a configuration and run the predictor."""
@@ -185,10 +183,9 @@ class DifferentiableAcceleratorSearch:
         step, so the caller (the co-search loop) can use it as ``hw(phi*)``.
         """
         temperature = self.temperature.value(self.steps_taken)
-        indices, gate_terms = self.sample(temperature)
-        return self._apply_update(indices, gate_terms)
+        return self._apply_update(*self.sample(temperature))
 
-    def _apply_update(self, indices, gate_terms):
+    def _apply_update(self, indices, draw):
         """Evaluate the sampled design and apply the relaxed-penalty update."""
         config, metrics, cost = self.evaluate_indices(indices)
 
@@ -201,13 +198,11 @@ class DifferentiableAcceleratorSearch:
             + (1.0 - self.config.baseline_momentum) * cost
         )
 
-        relaxation = None
-        for term in gate_terms.values():
-            relaxation = term if relaxation is None else relaxation + term
-        loss = relaxation * float(advantage)
-
+        # The loss is advantage * sum of the sampled choices' soft probabilities.
+        grad = np.zeros_like(draw.soft)
+        grad[draw.sampled_at] += float(advantage)
         self.optimizer.zero_grad()
-        loss.backward()
+        draw.backward(grad)
         self.optimizer.step()
         self.steps_taken += 1
         return config, metrics, cost
@@ -239,8 +234,8 @@ class DifferentiableAcceleratorSearch:
                     best_indices = dict(indices)
         for _ in range(steps):
             temperature = self.temperature.value(self.steps_taken)
-            indices, gate_terms = self.sample(temperature)
-            config, metrics, cost = self._apply_update(indices, gate_terms)
+            indices, draw = self.sample(temperature)
+            config, metrics, cost = self._apply_update(indices, draw)
             history.append(cost)
             if track_best and metrics.feasible and cost < best_cost:
                 best_cost, best_config, best_metrics = cost, config, metrics
@@ -358,4 +353,4 @@ class DifferentiableAcceleratorSearch:
 
     def probabilities(self):
         """Softmax probabilities per dimension (for inspection / tests)."""
-        return {name: F.softmax(logits, axis=-1).data for name, logits in self.phi.items()}
+        return {name: np.divide(*softmax(logits.data)) for name, logits in self.phi.items()}

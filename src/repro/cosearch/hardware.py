@@ -13,8 +13,8 @@ Two pieces live here:
 
 * :class:`HardwarePenalty` — the Eq. 8 layer-wise hardware-cost penalty: the
   activated operator of every cell is charged the latency its layers incur on
-  the current optimal accelerator ``hw(phi*)``, differentiably weighted by the
-  cell's Gumbel gate so the gradient reaches the architecture parameters.
+  the current optimal accelerator ``hw(phi*)``; the searcher weights these
+  per-cell costs by the cell's Gumbel gate so the gradient reaches alpha.
 """
 
 from __future__ import annotations
@@ -165,15 +165,18 @@ class HardwarePenalty:
         self.history.append(cost)
         return config, metrics
 
-    def cell_latencies(self, op_indices, config):
+    def cell_latencies(self, op_indices, config, metrics=None):
         """Per-cell latency on ``config``, in accelerator cost-model cycles.
 
-        With ``normalize`` (the default) each cell's cycles are a fraction
-        of the whole network's.
+        ``metrics`` is ``config``'s evaluation on this path if the caller has
+        it (the DAS step's).  With ``normalize`` (the default) each cell's
+        cycles are a fraction of the whole network's.
         """
         specs = self.supernet.layer_specs(op_indices)
         units = unit_of_layer_map(specs, self.supernet.num_cells)
-        table = self.das.predictor.cost_model.layer_latency_table(specs, config)
+        if metrics is None:
+            metrics = self.das.predictor.cost_model.evaluate(specs, config)
+        table = {cost.name: cost.latency_cycles for cost in metrics.layer_costs}
         per_unit = np.zeros(self.supernet.num_cells + 2)
         for spec, unit in zip(specs, units):
             per_unit[unit] += table[spec["name"]]
@@ -182,12 +185,8 @@ class HardwarePenalty:
             cell_latency = cell_latency / per_unit.sum()
         return cell_latency
 
-    def __call__(self, sampled_indices, gates):
-        """Return the differentiable penalty tensor for the sampled architecture."""
-        config, _ = self.update_accelerator(sampled_indices)
-        cell_latency = self.cell_latencies(sampled_indices, config)
-        penalty = None
-        for cell_index, (gate, op_index) in enumerate(zip(gates, sampled_indices)):
-            term = gate[int(op_index)] * float(cell_latency[cell_index])
-            penalty = term if penalty is None else penalty + term
-        return penalty
+    def __call__(self, sampled_indices):
+        """Eq. 8 cost of each cell on ``hw(phi*)`` after this iteration's DAS
+        step; the searcher's penalty is ``sum_c cost_c * gate_c[sampled_c]``."""
+        config, metrics = self.update_accelerator(sampled_indices)
+        return self.cell_latencies(sampled_indices, config, metrics)

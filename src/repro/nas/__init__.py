@@ -1,14 +1,13 @@
 """Differentiable NAS machinery: Gumbel sampling, architecture parameters, search loops."""
 
 from .arch_params import ArchitectureParameters
-from .gumbel import TemperatureSchedule, gumbel_softmax, hard_gumbel_softmax, sample_gumbel, top_k_active
+from .gumbel import GumbelFamily, TemperatureSchedule, sample_gumbel, top_k_active
 from .search import DRLArchitectureSearch, OptimizationScheme, SearchConfig, SearchResult
 
 __all__ = [
     "ArchitectureParameters",
+    "GumbelFamily",
     "TemperatureSchedule",
-    "gumbel_softmax",
-    "hard_gumbel_softmax",
     "sample_gumbel",
     "top_k_active",
     "DRLArchitectureSearch",

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..nn import Parameter, Tensor
 from ..nn import functional as F
-from .gumbel import hard_gumbel_softmax, top_k_active
+from .gumbel import GumbelFamily, softmax, top_k_active
 
 __all__ = ["ArchitectureParameters"]
 
@@ -38,6 +38,7 @@ class ArchitectureParameters:
         self.alphas = [
             Parameter(rng.normal(0.0, init_scale, size=num_choices)) for _ in range(num_cells)
         ]
+        self._family = GumbelFamily(self.alphas)
 
     # ------------------------------------------------------------------ #
     # Optimiser plumbing
@@ -60,28 +61,29 @@ class ArchitectureParameters:
         Returns
         -------
         gates:
-            List of per-cell straight-through gate tensors (one-hot data).
+            A :class:`~repro.nas.gumbel.GumbelDraw`; ``gates[c]`` is cell ``c``'s
+            straight-through gate tensor (one-hot data).
         active_indices:
             List of per-cell activated path index lists (top-K probabilities,
             always containing the sampled path).
         sampled_indices:
             The hard-sampled operator index per cell.
         """
-        gates, active_indices, sampled_indices = [], [], []
-        for alpha in self.alphas:
-            gate, soft, index = hard_gumbel_softmax(alpha, temperature, rng)
-            active = top_k_active(soft, num_backward_paths, always_include=index)
-            gates.append(gate)
-            active_indices.append(active)
-            sampled_indices.append(index)
-        return gates, active_indices, sampled_indices
+        gates = self._family.sample(temperature, rng)
+        sampled = [int(i) for i in gates.index]
+        active = [
+            top_k_active(soft, num_backward_paths, always_include=index)
+            for soft, index in zip(gates.split(gates.soft), sampled)
+        ]
+        return gates, active, sampled
 
     # ------------------------------------------------------------------ #
     # Inspection / derivation
     # ------------------------------------------------------------------ #
     def probabilities(self):
         """Softmax probabilities per cell, shape ``(num_cells, num_choices)``."""
-        return np.stack([F.softmax(alpha, axis=-1).data for alpha in self.alphas])
+        exp, total = softmax(np.stack([alpha.data for alpha in self.alphas]))
+        return exp / total
 
     def derive(self):
         """Arg-max operator index per cell (the final derived architecture)."""

@@ -27,7 +27,7 @@ from ..drl.distillation import DistillationMode
 from ..drl.loop import TrainLoop, TrainLoopConfig
 from ..envs import make_vector_env
 from ..networks.supernet import AgentSuperNet
-from ..nn import Adam, Tensor, clip_grad_norm
+from ..nn import Adam, clip_grad_norm
 from ..reliability import health
 from .arch_params import ArchitectureParameters
 from .gumbel import TemperatureSchedule
@@ -121,11 +121,11 @@ class DRLArchitectureSearch(TrainLoop):
     config:
         A :class:`SearchConfig`.
     hardware_penalty:
-        Optional callable ``(sampled_indices, gates) -> Tensor`` implementing
-        the layer-wise hardware-cost penalty of Eq. 8; its output is added to
-        the architecture-parameter objective weighted by
-        ``config.hw_penalty_weight`` (this is how the co-search injects
-        ``lambda * L_cost``).
+        Optional callable ``sampled_indices -> per-cell costs`` (or ``None``)
+        for the layer-wise hardware-cost penalty of Eq. 8: the penalty
+        ``sum_c cost_c * gate_c[sampled_c]``, weighted by
+        ``config.hw_penalty_weight``, is added to the architecture-parameter
+        objective (this is how the co-search injects ``lambda * L_cost``).
     evaluator:
         Optional callable ``evaluator(agent, op_indices) -> float`` used
         every ``config.eval_interval`` environment steps.
@@ -187,16 +187,23 @@ class DRLArchitectureSearch(TrainLoop):
             "arch": self.arch,
         }
 
-    def _add_hardware_penalty(self, total_loss, sampled_indices, gates):
-        """Add ``lambda * L_cost`` (Eq. 4 / Eq. 8) when a penalty hook is set."""
+    def _hardware_costs(self, sampled_indices):
+        """Per-cell Eq. 8 costs of the sampled path (``None``: no penalty)."""
         if self.hardware_penalty is None or self.config.hw_penalty_weight <= 0.0:
+            return None
+        costs = self.hardware_penalty(sampled_indices)
+        return None if costs is None else np.asarray(costs, dtype=np.float64)
+
+    def _add_hardware_penalty(self, total_loss, sampled_indices, gates):
+        """Add ``lambda * L_cost`` (Eq. 4 / Eq. 8) to an eager loss when a penalty hook is set."""
+        costs = self._hardware_costs(sampled_indices)
+        if costs is None:
             return total_loss, 0.0
-        penalty = self.hardware_penalty(sampled_indices, gates)
-        if penalty is None:
-            return total_loss, 0.0
-        total = total_loss + penalty * self.config.hw_penalty_weight
-        value = penalty.item() if isinstance(penalty, Tensor) else float(penalty)
-        return total, value
+        penalty = None
+        for gate, index, cost in zip(gates, sampled_indices, costs):
+            term = gate[int(index)] * float(cost)
+            penalty = term if penalty is None else penalty + term
+        return total_loss + penalty * self.config.hw_penalty_weight, penalty.item()
 
     def _extras(self, hw_value):
         """The search's own per-update metrics.
@@ -242,28 +249,31 @@ class DRLArchitectureSearch(TrainLoop):
 
         The supernet weights take the gated multi-path reverse plan of the
         one sample in ``samples`` plus the fused RMSProp step, and alpha
-        receives the gate gradients of its active candidates, chained
-        through the (tiny, eager) Gumbel relaxation together with the
-        hardware penalty of Eq. 8.
+        receives the gate gradients of its active candidates plus those of
+        the hardware penalty of Eq. 8, chained through the closed-form Gumbel
+        VJP: the eager loss's gradient bytes, without building a tape.
         """
         (gates, active, sampled), = samples
-        gate_values = [[gates[c].data[i] for i in cell] for c, cell in enumerate(active)]
+        gate_values = [row[list(cell)] for row, cell in zip(gates.split(gates.data), active)]
         result = self._compiled_step(batch, gated_paths=active, gate_values=gate_values)
         components = _zero_filled(result.components)
         if result.skipped:
             # The non-finite guard suppressed the weight update; the gate
             # gradients came from the same poisoned backward, so alpha skips too.
             return result.total, components, self._extras(0.0), True
-        # Alpha update: seed the gate gradients back through the Gumbel graph.
+        grad = np.zeros_like(gates.data)
+        for start, cell, gate_grad in zip(gates.family.offsets, active, result.gate_grads):
+            grad[start + np.asarray(cell)] = gate_grad
+        hw_value = 0.0
+        costs = self._hardware_costs(sampled)
+        if costs is not None:
+            # The eager penalty's left-to-right sum of gate * cost, and its gradient.
+            hw_value = float(np.add.accumulate(gates.data[gates.sampled_at] * costs)[-1])
+            penalty = np.zeros_like(grad)
+            penalty[gates.sampled_at] += self.config.hw_penalty_weight * costs
+            grad = grad + penalty
         self.alpha_optimizer.zero_grad()
-        seed = None
-        for gate, gate_grad, cell in zip(gates, result.gate_grads, active):
-            full = np.zeros(gate.data.shape)
-            full[list(cell)] = gate_grad
-            term = (gate * Tensor(full)).sum()
-            seed = term if seed is None else seed + term
-        seed, hw_value = self._add_hardware_penalty(seed, sampled, gates)
-        seed.backward()
+        gates.backward(grad)
         self.alpha_optimizer.step()
         total = result.total + hw_value * self.config.hw_penalty_weight
         return total, components, self._extras(hw_value), False

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...nn import vjp
+from . import _native
 from .registry import (
     SCRATCH_GEMM,
     SCRATCH_MAIN,
@@ -104,8 +105,8 @@ class GemmIm2colKernel(ConvKernel):
     buffer itself is the column matrix).  In training plans the column
     workspace is plan-persistent — it doubles as the saved input patches the
     weight VJP contracts against; the input VJP is a GEMM into a column-
-    gradient workspace followed by the ``col2im`` scatter of
-    :func:`repro.nn.vjp.col2im_nchw_accumulate`.
+    gradient workspace followed by the compiled ``col2im`` scatter (without
+    the library, its NumPy twin :func:`repro.nn.vjp.col2im_nchw_accumulate`).
     """
 
     name = "im2col"
@@ -275,5 +276,8 @@ class GemmIm2colKernel(ConvKernel):
                 if gin is not None:
                     np.matmul(w_mats[g].T, gout4[:, g], out=gcols4[:, g])
             gw.reshape(groups, cout_g, cin_g * k * k)[...] += self._gw_ws.sum(axis=0)
-        if gin is not None:
+        if gin is not None and _native.available():
+            _native.bound(self, "_col2im", lambda *ops: _native.col2im_bind(*ops, k, s, p),
+                          self._gcols, gin, self._gpad)()
+        elif gin is not None:
             vjp.col2im_nchw_accumulate(self._gcols, gin, s, p, pad_ws=self._gpad)

@@ -5,9 +5,8 @@ import pytest
 
 from repro.nas import (
     ArchitectureParameters,
+    GumbelFamily,
     TemperatureSchedule,
-    gumbel_softmax,
-    hard_gumbel_softmax,
     sample_gumbel,
     top_k_active,
 )
@@ -20,42 +19,40 @@ class TestGumbelSampling:
 
     def test_soft_sample_is_distribution(self, rng):
         logits = Tensor(rng.standard_normal(9))
-        soft = gumbel_softmax(logits, temperature=1.0, rng=rng)
-        assert soft.data.sum() == pytest.approx(1.0)
-        assert (soft.data >= 0).all()
+        soft = GumbelFamily([logits]).sample(1.0, rng).soft
+        assert soft.sum() == pytest.approx(1.0)
+        assert (soft >= 0).all()
 
-    def test_low_temperature_concentrates(self, rng):
-        logits = Tensor(np.array([5.0, 0.0, -5.0]))
-        noise = np.zeros(3)
-        hot = gumbel_softmax(logits, 10.0, rng, noise=noise)
-        cold = gumbel_softmax(logits, 0.1, rng, noise=noise)
-        assert cold.data.max() > hot.data.max()
+    def test_low_temperature_concentrates(self):
+        family = GumbelFamily([Tensor(np.array([5.0, 0.0, -5.0]))])
+        # The same seed draws the same noise at both temperatures.
+        hot = family.sample(10.0, np.random.default_rng(0)).soft
+        cold = family.sample(0.1, np.random.default_rng(0)).soft
+        assert cold.max() > hot.max()
 
     def test_hard_sample_is_one_hot(self, rng):
-        logits = Parameter(rng.standard_normal(9))
-        gates, soft, index = hard_gumbel_softmax(logits, 1.0, rng)
-        assert gates.data.sum() == pytest.approx(1.0)
-        assert gates.data[index] == pytest.approx(1.0)
-        assert np.count_nonzero(gates.data) == 1
+        draw = GumbelFamily([Parameter(rng.standard_normal(9))]).sample(1.0, rng)
+        gate, index = draw[0], draw.index[0]
+        assert gate.data.sum() == pytest.approx(1.0)
+        assert gate.data[index] == pytest.approx(1.0)
+        assert np.count_nonzero(gate.data) == 1
 
     def test_hard_sample_index_matches_soft_argmax(self, rng):
-        logits = Parameter(rng.standard_normal(9))
-        gates, soft, index = hard_gumbel_softmax(logits, 1.0, rng)
-        assert index == int(np.argmax(soft.data))
+        draw = GumbelFamily([Parameter(rng.standard_normal(9))]).sample(1.0, rng)
+        assert draw.index[0] == int(np.argmax(draw.soft))
 
     def test_straight_through_gradient_flows_to_logits(self, rng):
         logits = Parameter(np.zeros(5))
-        gates, _, index = hard_gumbel_softmax(logits, 1.0, rng)
-        (gates * Tensor(np.arange(5.0))).sum().backward()
+        gate = GumbelFamily([logits]).sample(1.0, rng)[0]
+        (gate * Tensor(np.arange(5.0))).sum().backward()
         assert logits.grad is not None
         assert np.any(logits.grad != 0)
 
     def test_strong_logit_dominates_sampling(self, rng):
-        logits = Parameter(np.array([10.0, -10.0, -10.0]))
+        family = GumbelFamily([Parameter(np.array([10.0, -10.0, -10.0]))])
         counts = np.zeros(3)
         for _ in range(50):
-            _, _, index = hard_gumbel_softmax(logits, 0.5, rng)
-            counts[index] += 1
+            counts[family.sample(0.5, rng).index[0]] += 1
         assert counts[0] > 40
 
 

@@ -143,13 +143,9 @@ class TestHardwarePenaltyHook:
     def test_hook_called_and_logged(self):
         calls = []
 
-        def penalty(sampled_indices, gates):
+        def penalty(sampled_indices):
             calls.append(sampled_indices)
-            total = None
-            for gate, index in zip(gates, sampled_indices):
-                term = gate[int(index)] * 0.5
-                total = term if total is None else total + term
-            return total
+            return [0.5] * len(sampled_indices)
 
         searcher = make_searcher(total_steps=60, hw_penalty=penalty, hw_weight=0.5)
         result = searcher.search()
@@ -160,7 +156,7 @@ class TestHardwarePenaltyHook:
     def test_zero_weight_skips_hook(self):
         calls = []
 
-        def penalty(sampled_indices, gates):
+        def penalty(sampled_indices):
             calls.append(1)
             return None
 
@@ -172,13 +168,8 @@ class TestHardwarePenaltyHook:
         """With a huge penalty on non-skip operators, alpha should drift toward skip."""
         skip_index = [i for i, s in enumerate(CANDIDATE_OPERATORS) if s.name == "skip"][0]
 
-        def penalty(sampled_indices, gates):
-            total = None
-            for gate, index in zip(gates, sampled_indices):
-                cost = 0.0 if int(index) == skip_index else 1.0
-                term = gate[int(index)] * cost
-                total = term if total is None else total + term
-            return total
+        def penalty(sampled_indices):
+            return [0.0 if int(index) == skip_index else 1.0 for index in sampled_indices]
 
         searcher = make_searcher(total_steps=150, hw_penalty=penalty, hw_weight=50.0, seed=3)
         before_prob = searcher.arch.probabilities()[:, skip_index].mean()

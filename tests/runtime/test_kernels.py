@@ -27,6 +27,7 @@ from repro.runtime.kernels import (
     selection_table,
 )
 from repro.runtime.kernels import registry
+from repro.runtime.kernels.conv import GemmIm2colKernel
 from repro.runtime.kernels.depthwise import DepthwiseEinsumKernel, DepthwiseNativeKernel
 from repro.runtime.kernels.registry import NULL_EPILOGUE, _Arena, reset_selections
 
@@ -573,6 +574,81 @@ class TestDepthwiseNativeBinding:
         replaced = self.run(kernel, x, np.empty_like(out), gout, gin, seeds=(2,))
         assert calls == ["dw_fwd", "dw_bwd", "dw_fwd"]
         assert replaced == self.run(self.kernel(), x, out, gout, gin, seeds=(2,))
+
+
+def _supernet_dense_geometries():
+    """``(in channels, k, stride, padding, size)`` of every dense conv the
+    co-search supernet can sample at the benchmark geometry, the stem and
+    the strided 1x1 shortcuts included."""
+    net = AgentSuperNet(in_channels=2, input_size=28, feature_dim=64, base_width=8,
+                        rng=np.random.default_rng(0))
+    geometries = set()
+    for op in range(net.num_choices_per_cell):
+        for spec in net.layer_specs([op] * net.num_cells):
+            if spec["type"] != "conv" or spec["groups"] != 1:
+                continue
+            k, s = spec["kernel_size"], spec["stride"]
+            if k > 1 or s > 1:
+                geometries.add((spec["in_channels"], k, s, k // 2, spec["input_size"]))
+    return sorted(geometries)
+
+
+@pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
+class TestCol2imNative:
+    """The ``im2col`` kernel's input VJP runs the C ``col2im`` with the bytes of
+    its NumPy reference, and binds it once per kernel."""
+
+    GEOMETRIES = _supernet_dense_geometries()
+
+    def test_geometries_cover_every_kernel_stride_and_padding(self):
+        assert {(k, s, p) for _, k, s, p, _ in self.GEOMETRIES} == {
+            (1, 2, 0), (3, 1, 1), (3, 2, 1), (5, 1, 2), (5, 2, 2)}
+
+    @staticmethod
+    def backward(monkeypatch, native, spec, seeds=(0,)):
+        """``gin`` bytes after one forward+backward per seed, ``gin`` pre-filled."""
+        monkeypatch.setattr(_native, "available", lambda: native)
+        arena = _Arena(spec)
+        kernel = GemmIm2colKernel(spec, arena)
+        kernel.allocate_backward(arena, True)
+        dtype = np.dtype(spec.dtype)
+        gin = np.empty(spec.in_shape, dtype)  # one buffer, as a plan hands back
+        results = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(spec.in_shape).astype(dtype)
+            weight = rng.standard_normal(
+                (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)).astype(dtype)
+            gout = rng.standard_normal(spec.out_shape).astype(dtype)
+            gin[...] = rng.standard_normal(spec.in_shape)
+            if kernel._gpad is not None:
+                kernel._gpad.fill(np.nan)  # a stale workspace must not leak
+            kernel.forward(x, weight, np.empty(spec.out_shape, dtype), NULL_EPILOGUE)
+            kernel.backward(gout, x, weight, np.zeros_like(weight), gin)
+            results.append(gin.tobytes())
+        return results
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_library_on_and_off_give_the_same_bytes(self, monkeypatch, geometry, dtype):
+        cin, k, s, p, h = geometry
+        spec = ConvSpec(4, cin, 8, h, h, k, s, p, 1, dtype, "train", "NCHW")
+        native = self.backward(monkeypatch, True, spec)
+        assert native == self.backward(monkeypatch, False, spec)
+
+    def test_binds_once_over_three_backward_passes(self, monkeypatch):
+        calls = []
+        real = _native.bind
+
+        def counted(name, *args):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(_native, "bind", counted)
+        spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train", "NCHW")
+        bound = self.backward(monkeypatch, True, spec, seeds=(0, 1, 2))
+        assert calls == ["col2im"]
+        assert bound == [self.backward(monkeypatch, False, spec, seeds=(seed,))[0] for seed in range(3)]
 
 
 class TestBlasThreadRecording:

@@ -16,7 +16,7 @@ import pytest
 from repro.cosearch import A3CSConfig, A3CSCoSearch
 from repro.drl import make_agent
 from repro.drl.agent import ActorCriticAgent
-from repro.nas.gumbel import hard_gumbel_softmax, top_k_active
+from repro.nas.gumbel import GumbelFamily, top_k_active
 from repro.networks import AgentSuperNet
 from repro.nn import RMSProp, Tensor
 from repro.runtime import CompiledTrainStep, cache_stats, compile_plan
@@ -79,10 +79,10 @@ def _sample(rng):
     active, values = [], []
     for _ in range(NUM_CELLS):
         alpha = Tensor(rng.standard_normal(NUM_CHOICES) * 0.5, requires_grad=True)
-        gate, soft, index = hard_gumbel_softmax(alpha, 1.0, rng)
-        cell = tuple(top_k_active(soft, 2, always_include=index))
+        draw = GumbelFamily([alpha]).sample(1.0, rng)
+        cell = tuple(top_k_active(draw.soft, 2, always_include=int(draw.index[0])))
         active.append(cell)
-        values.append(soft.data[list(cell)])
+        values.append(draw.soft[list(cell)])
     return tuple(active), values
 
 
