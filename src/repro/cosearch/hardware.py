@@ -152,11 +152,17 @@ class HardwarePenalty:
         self.last_config = None
         self.history = []
 
-    def update_accelerator(self, op_indices):
-        """Run the DAS updates for the current single-path network (phi step of Alg. 1)."""
+    def layer_path(self, op_indices):
+        """``(layer specs, unit of each layer)`` of the single-path network."""
         specs = self.supernet.layer_specs(op_indices)
-        units = unit_of_layer_map(specs, self.supernet.num_cells)
-        self.das.set_network(specs, units)
+        return specs, unit_of_layer_map(specs, self.supernet.num_cells)
+
+    def update_accelerator(self, op_indices, path=None):
+        """Run the DAS updates for the current single-path network (phi step of Alg. 1).
+
+        ``path`` is ``layer_path(op_indices)`` if the caller has built it.
+        """
+        self.das.set_network(*(path or self.layer_path(op_indices)))
         config, metrics, cost = None, None, None
         for _ in range(max(1, self.das_steps_per_call)):
             config, metrics, cost = self.das.step()
@@ -165,15 +171,15 @@ class HardwarePenalty:
         self.history.append(cost)
         return config, metrics
 
-    def cell_latencies(self, op_indices, config, metrics=None):
+    def cell_latencies(self, op_indices, config, metrics=None, path=None):
         """Per-cell latency on ``config``, in accelerator cost-model cycles.
 
         ``metrics`` is ``config``'s evaluation on this path if the caller has
-        it (the DAS step's).  With ``normalize`` (the default) each cell's
-        cycles are a fraction of the whole network's.
+        it (the DAS step's), and ``path`` its :meth:`layer_path`.  With
+        ``normalize`` (the default) each cell's cycles are a fraction of the
+        whole network's.
         """
-        specs = self.supernet.layer_specs(op_indices)
-        units = unit_of_layer_map(specs, self.supernet.num_cells)
+        specs, units = path or self.layer_path(op_indices)
         if metrics is None:
             metrics = self.das.predictor.cost_model.evaluate(specs, config)
         table = {cost.name: cost.latency_cycles for cost in metrics.layer_costs}
@@ -188,5 +194,6 @@ class HardwarePenalty:
     def __call__(self, sampled_indices):
         """Eq. 8 cost of each cell on ``hw(phi*)`` after this iteration's DAS
         step; the searcher's penalty is ``sum_c cost_c * gate_c[sampled_c]``."""
-        config, metrics = self.update_accelerator(sampled_indices)
-        return self.cell_latencies(sampled_indices, config, metrics)
+        path = self.layer_path(sampled_indices)
+        config, metrics = self.update_accelerator(sampled_indices, path)
+        return self.cell_latencies(sampled_indices, config, metrics, path)

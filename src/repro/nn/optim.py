@@ -260,33 +260,51 @@ class RMSProp(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser; used for the architecture parameters alpha (Sec. V-A)."""
+    """Adam optimiser; used for the architecture parameters alpha (Sec. V-A).
+
+    The moments live in two flat buffers (``_m``/``_v`` are per-parameter
+    views, the checkpoint layout), so :meth:`step` is one elementwise pass.
+    """
 
     def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.parameters])
+        dtype = np.result_type(*[p.data for p in self.parameters]) if self.parameters else None
+        self._flat_m, self._flat_v = (np.zeros(self._offsets[-1], dtype) for _ in range(2))
+        self._m, self._v = (
+            [flat[a:b].reshape(p.data.shape)
+             for p, a, b in zip(self.parameters, self._offsets, self._offsets[1:])]
+            for flat in (self._flat_m, self._flat_v))
 
     def step(self):
         self.steps += 1
         bias1 = 1.0 - self.beta1 ** self.steps
         bias2 = 1.0 - self.beta2 ** self.steps
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        live = [i for i, param in enumerate(self.parameters) if param.grad is not None]
+        if not live:
+            return
+        # The live parameters' segments of the flat buffers (all of them: a view).
+        at = slice(None) if len(live) == len(self.parameters) else np.concatenate(
+            [np.arange(self._offsets[i], self._offsets[i + 1]) for i in live])
+        grad = np.concatenate([np.ravel(self.parameters[i].grad) for i in live])
+        if self.weight_decay:
+            data = np.concatenate([np.ravel(self.parameters[i].data) for i in live])
+            grad = grad + self.weight_decay * data
+        m, v = self._flat_m[at], self._flat_v[at]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        self._flat_m[at], self._flat_v[at] = m, v
+        update = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        start = 0
+        for i in live:
+            param = self.parameters[i]
+            param.data -= update[start:start + param.data.size].reshape(param.data.shape)
+            start += param.data.size
 
     def _apply(self, grads):
         self.steps += 1

@@ -16,6 +16,9 @@ Registered kernels, in the rule's preference order:
   tap-view einsums: the float fallback where the C library cannot build;
 * ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
   flat GEMM over the trailing channel axis (forward + VJPs);
+* ``im2col_nhwc`` — dense convs on channels-last activations: a compiled
+  tap-major column gather plus one flat GEMM, the input VJP scattered back
+  in C (float32/float64, only where the C library builds);
 * ``im2col`` — the original whole-batch im2col + batched GEMM, supporting
   every NCHW signature in both directions (the total fallback for that
   layout);
@@ -27,11 +30,11 @@ Registered kernels, in the rule's preference order:
 
 Signatures carry a physical activation layout (``NCHW`` / ``NHWC``); the
 layout-assignment pass in :mod:`repro.runtime.passes` puts a conv
-channels-last only where
+channels-last wherever
 :func:`~repro.runtime.kernels.registry.pinned_candidates` offers an NHWC
-kernel for it.  Dense (ungrouped, non-1x1) convs have none, so they run on
-``im2col`` in inference plans as in training plans, and one plan structure
-serves both directions.
+kernel for it.  Every NHWC float kernel trains, so one plan structure serves
+both directions.  Without the C library dense convs have no NHWC kernel and
+run on ``im2col``.
 
 The same software structure the paper's accelerator templates use in
 hardware — dataflow-specialised conv engines selected per workload shape —
@@ -39,7 +42,7 @@ applied to the NumPy runtime.
 """
 
 from . import depthwise as _depthwise  # noqa: F401  (registers the float depthwise kernels)
-from . import conv as _conv  # noqa: F401  (registers pointwise_nhwc, im2col)
+from . import conv as _conv  # noqa: F401  (registers pointwise_nhwc, im2col_nhwc, im2col)
 from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count
 from .quantized import RequantEpilogue

@@ -1,4 +1,4 @@
-"""Tiny compiled helpers for the depthwise, batch-norm and col2im steps (float, int8).
+"""Tiny compiled helpers for the depthwise, batch-norm and im2col steps (float, int8).
 
 NumPy has no fused multiply-accumulate over a convolution window: an
 ``einsum`` over 6-D strided tap windows runs at a fraction of what a plain C
@@ -23,6 +23,9 @@ the toolchain that built CPython is already on the host) and loaded through
   the plan's gradient accumulators;
 * ``col2im_{f32,f64}`` — the NCHW ``im2col`` kernel's input-VJP scatter
   (:func:`repro.nn.vjp.col2im_nchw_accumulate`, one strided add per tap);
+* ``im2col_nhwc_*`` / ``col2im_nhwc_*`` (f32, f64) — the tap-major column
+  gather of an unpadded NHWC input and its adjoint scatter, for
+  :class:`~repro.runtime.kernels.conv.Im2colNHWCKernel`;
 * ``dw_conv_q8`` — int8 depthwise conv, ``int32`` accumulate, fused
   per-channel requantization tail;
 * ``requant_q8`` — the same tail as one pass over a float32 accumulator,
@@ -30,12 +33,14 @@ the toolchain that built CPython is already on the host) and loaded through
 
 Exactness contract.  The float depthwise routines sum the same products as
 the NumPy ``depthwise_einsum`` kernel in another order, so the two agree
-only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative): the
-kernel rule picks the C one wherever it builds, so runs that must give the
-same bytes on hosts with and without a compiler pin depthwise to
-``depthwise_einsum`` (``REPRO_KERNELS=heuristic``).  The batch-norm, ``col2im``
-and q8 routines must be *bitwise identical* to the NumPy code they replace
-(``col2im`` adds each tap in the NumPy order, one rounding per add).  Batch
+only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative), and
+so do ``im2col_nhwc``'s GEMMs and NCHW ``im2col``'s: the kernel rule picks
+the C-backed kernels wherever the library builds, so runs that must give
+the same bytes on hosts with and without a compiler pin depthwise to
+``depthwise_einsum`` and dense to ``im2col`` (``REPRO_KERNELS=heuristic``).
+The batch-norm, ``col2im`` and q8 routines must be *bitwise identical* to
+the NumPy code they replace (``col2im`` adds each tap in the NumPy order,
+one rounding per add).  Batch
 norm sums in the slot's dtype, row by row from zero: NumPy's order for a
 reduction over outer axes that keeps at least two channels (with one, NumPy
 sums pairwise, so the plan steps route ``C == 1`` to NumPy); the running-stat
@@ -52,7 +57,7 @@ Binding rule.  :func:`bind` validates every operand once and captures the
 addresses; a caller reuses them only while it holds the very same array
 objects, and binds again (re-validating all) when any operand is replaced
 (:func:`bound` keeps that cache for the depthwise kernel, the
-batch-norm steps and the ``im2col`` kernel's ``col2im``).
+batch-norm steps and the ``im2col`` kernels' gathers and scatters).
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
@@ -76,7 +81,7 @@ import numpy as np
 
 __all__ = [
     "available", "bind", "bound", "dw_fwd_bind", "dw_bwd_bind", "dw_conv_q8", "requant_q8",
-    "bn_train_bind", "bn_vjp_bind", "col2im_bind",
+    "bn_train_bind", "bn_vjp_bind", "col2im_bind", "nhwc_cols_bind",
 ]
 
 ENV_VAR = "REPRO_NATIVE"
@@ -413,6 +418,61 @@ void col2im_SFX(const REAL *restrict g, REAL *restrict gin, REAL *restrict pad,
                 gin[(long)y * wd + x] += t[(long)(y + p) * tw + x + p];
     }
 }
+
+/* Tap-major columns of the unpadded NHWC `x`: row (b, y, xo) of `cols`
+ * holds, kernel row i after kernel row i, the k*C input values
+ * x[b, y*s+i-p, xo*s-p+j, :] over j, one contiguous run in both arrays;
+ * the run is clipped to [lo, hi) inside the image and taps in the padding
+ * are zeros.  Needs p < k. */
+void im2col_nhwc_SFX(const REAL *restrict x, REAL *restrict cols,
+                     int n, int h, int wd, int c, int k, int s, int p, int oh, int ow)
+{
+    const long kc = (long)k * c;
+    for (long r = 0; r < (long)n * oh; ++r) {
+        const int y = r % oh, b = r / oh;
+        for (int xo = 0; xo < ow; ++xo) {
+            const int x0 = xo * s - p;
+            const long lo = (x0 < 0 ? -x0 : 0) * (long)c, hi = (x0 + k > wd ? wd - x0 : k) * (long)c;
+            for (int i = 0; i < k; ++i, cols += kc) {
+                const int yi = y * s + i - p;
+                const int in = yi >= 0 && yi < h;
+                const REAL *xr = in ? x + (((long)b * h + yi) * wd + x0) * c + lo : x;
+                const long a = in ? lo : kc, z = in ? hi : kc;
+                for (long e = 0; e < a; ++e)
+                    cols[e] = 0;
+                #pragma omp simd
+                for (long e = a; e < z; ++e)
+                    cols[e] = xr[e - a];
+                for (long e = z; e < kc; ++e)
+                    cols[e] = 0;
+            }
+        }
+    }
+}
+
+/* Adjoint of im2col_nhwc: each in-image run of `g`'s column rows is added
+ * into `gin` (NHWC), in (b, y, xo, i, j, C) order. */
+void col2im_nhwc_SFX(REAL *restrict gin, const REAL *restrict g,
+                     int n, int h, int wd, int c, int k, int s, int p, int oh, int ow)
+{
+    const long kc = (long)k * c;
+    for (long r = 0; r < (long)n * oh; ++r) {
+        const int y = r % oh, b = r / oh;
+        for (int xo = 0; xo < ow; ++xo) {
+            const int x0 = xo * s - p;
+            const long lo = (x0 < 0 ? -x0 : 0) * (long)c, hi = (x0 + k > wd ? wd - x0 : k) * (long)c;
+            for (int i = 0; i < k; ++i, g += kc) {
+                const int yi = y * s + i - p;
+                if (yi < 0 || yi >= h)
+                    continue;
+                REAL *gr = gin + (((long)b * h + yi) * wd + x0) * c + lo;
+                #pragma omp simd
+                for (long e = 0; e < hi - lo; ++e)
+                    gr[e] += g[lo + e];
+            }
+        }
+    }
+}
 """
 
 _SOURCE += "".join(
@@ -478,6 +538,10 @@ def _bind(lib):
         col2im = getattr(lib, "col2im_" + suffix)
         col2im.restype = None
         col2im.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] + ints[:7]
+        for name in ("im2col_nhwc", "col2im_nhwc"):
+            fn = getattr(lib, name + "_" + suffix)
+            fn.restype = None
+            fn.argtypes = [ctypes.c_void_p] * 2 + ints
         # Batch norm: pointers, the row count, C, then the scalar arguments.
         for name, scalars in (("bn_train", [ctypes.c_double] * 2 + [ctypes.c_int]),
                               ("bn_vjp", [ctypes.c_int] * 2)):
@@ -512,7 +576,7 @@ def _load():
 
 
 def available():
-    """Whether the compiled library (depthwise, batch-norm, col2im, q8) can be used."""
+    """Whether the compiled library (depthwise, batch-norm, im2col, q8) can be used."""
     return _load() is not None
 
 
@@ -627,6 +691,17 @@ def col2im_bind(gcols, gin, pad, k, stride, padding):
     return bind("col2im", [(gcols, (n, c, k, k, oh, ow)), (gin, gin.shape),
                            (pad, (n, c, h + 2 * padding, w + 2 * padding))],
                 n * c, h, w, k, stride, padding, oh, ow)
+
+
+def nhwc_cols_bind(name, image, cols, k, stride, padding):
+    """Bound ``im2col_nhwc`` (``run()`` overwrites the tap-major
+    ``(N*oh*ow, k*k*C)`` columns ``cols`` of the NHWC ``image``) or
+    ``col2im_nhwc`` (``run()`` adds ``cols`` back into ``image``, taps in the
+    padding dropped)."""
+    n, h, w, c = image.shape
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    return bind(name, [(image, image.shape), (cols, (n * oh * ow, k * k * c))],
+                n, h, w, c, k, stride, padding, oh, ow)
 
 
 def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,

@@ -1,25 +1,28 @@
-"""GEMM-backed convolution kernels: the general fallback and pointwise NHWC.
+"""GEMM-backed convolution kernels: dense and pointwise NHWC, and the NCHW fallback.
 
-:class:`GemmIm2colKernel` is the runtime's original convolution path, moved
-out of the plan step so it competes in the registry like everything else:
-copy the input into a persistent zero-padded buffer, gather patches into an
-im2col workspace laid out ``(N, C, kh, kw, oh, ow)``, then one batched GEMM
-per groups class writing straight into the NCHW output.  It supports every
-NCHW signature in both directions and registers **last**, making it the
-dispatch fallback.  Dense (ungrouped, non-1x1) convs have no channels-last
-kernel, so they run here in inference plans as in training plans: inside a
-channels-last component the layout pass leaves them NCHW behind boundary
-transposes.
+:class:`Im2colNHWCKernel` serves dense (ungrouped, non-1x1) convs on
+channels-last slots: the compiled C gather writes tap-major columns straight
+from the unpadded input, and one flat GEMM writes the NHWC output, in
+inference plans as in training plans.  It exists only where the C library
+builds; without it (``REPRO_NATIVE=0``) dense convs stay NCHW.
 
 :class:`PointwiseNHWCKernel` serves 1x1 convolutions on channels-last slots:
 with channels trailing, the whole op is a single flat
 ``(N*H*W, C_in) @ (C_in, C_out)`` GEMM with no gather, no reshape copies and
-trivially contiguous VJPs — the payoff the layout-assignment pass chases on
-the GEMM-bound high-resolution cells.  Channels-last depthwise convs go to
-the kernels in :mod:`repro.runtime.kernels.depthwise`.
+trivially contiguous VJPs.  Channels-last depthwise convs go to the kernels
+in :mod:`repro.runtime.kernels.depthwise`.
+
+:class:`GemmIm2colKernel` is the runtime's original convolution path:
+copy the input into a persistent zero-padded buffer, gather patches into an
+im2col workspace laid out ``(N, C, kh, kw, oh, ow)``, then one batched GEMM
+per groups class writing straight into the NCHW output.  It supports every
+NCHW signature in both directions and registers **last**, making it the
+dispatch fallback.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .registry import (
     register_kernel,
 )
 
-__all__ = ["GemmIm2colKernel", "PointwiseNHWCKernel"]
+__all__ = ["GemmIm2colKernel", "Im2colNHWCKernel", "PointwiseNHWCKernel"]
 
 
 def _patches_view(padded, n, c, k, oh, ow, stride):
@@ -95,6 +98,86 @@ class PointwiseNHWCKernel(ConvKernel):
         if gin is not None:
             np.matmul(g2, weight.reshape(cout, c), out=self._gx_ws)
             gin.reshape(-1, c)[...] += self._gx_ws
+
+
+@register_kernel
+class Im2colNHWCKernel(ConvKernel):
+    """Dense convolution over a channels-last slot: C gather + one flat GEMM (+ VJPs).
+
+    The compiled ``im2col_nhwc`` gathers tap-major columns ``(N*oh*ow,
+    k*k*C)`` straight from the unpadded input (taps in the padding read as
+    zeros, so no padded copy is made), and one GEMM against the tap-major
+    ``(k*k*C, C_out)`` weight writes the NHWC output.  The weight VJP is
+    ``cols.T @ gout``; the input VJP is ``gout @ W.T`` scattered back by the
+    compiled ``col2im_nhwc``.  Training plans keep the columns as the saved
+    state, as ``im2col`` does.
+    """
+
+    name = "im2col_nhwc"
+
+    @classmethod
+    def supports(cls, spec):
+        return (
+            spec.layout == "NHWC"
+            and spec.op_class == "dense"
+            and spec.padding < spec.kernel
+            and spec.dtype in ("float32", "float64")
+            and _native.available()
+        )
+
+    @staticmethod
+    def _cols_shape(spec):
+        return spec.batch * spec.out_height * spec.out_width, spec.kernel ** 2 * spec.in_channels
+
+    @classmethod
+    def scratch_requests(cls, spec):
+        m, kc = cls._cols_shape(spec)
+        return () if spec.train else ((SCRATCH_MAIN, m * kc * spec.itemsize),)
+
+    @classmethod
+    def backward_scratch_requests(cls, spec, input_grad_needed):
+        m, kc = cls._cols_shape(spec)
+        requests = [(SCRATCH_GEMM, kc * spec.out_channels * spec.itemsize)]
+        if input_grad_needed:
+            requests.append((SCRATCH_MAIN, m * kc * spec.itemsize))
+        return tuple(requests)
+
+    def __init__(self, spec, plan):
+        super().__init__(spec, plan)
+        shape = self._cols_shape(spec)
+        # Persistent in training plans: the saved input patches of backward.
+        self._cols = plan.alloc(shape) if spec.train else plan.workspace(shape, channel=SCRATCH_MAIN)
+        self._wt = plan.alloc((shape[1], spec.out_channels))
+
+    def _bind(self, name, image, cols):
+        spec = self.spec
+        return _native.nhwc_cols_bind(name, image, cols, spec.kernel, spec.stride, spec.padding)
+
+    def _load_weight(self, weight):
+        """The live ``(C_out, C, k, k)`` weight in tap-major ``(k*k*C, C_out)`` order."""
+        k, c = self.spec.kernel, self.spec.in_channels
+        self._wt.reshape(k, k, c, -1)[...] = weight.transpose(2, 3, 1, 0)
+        return self._wt
+
+    def forward(self, x, weight, out, epilogue):
+        _native.bound(self, "_gather", partial(self._bind, "im2col_nhwc"), x, self._cols)()
+        np.matmul(self._cols, self._load_weight(weight), out=out.reshape(self._cols.shape[0], -1))
+        epilogue.apply(out)
+
+    def allocate_backward(self, plan, input_grad_needed):
+        m, kc = self._cols.shape
+        self._gwt = plan.workspace((kc, self.spec.out_channels), channel=SCRATCH_GEMM)
+        self._gcols = plan.workspace((m, kc), channel=SCRATCH_MAIN) if input_grad_needed else None
+
+    def backward(self, gout, x, weight, gw, gin):
+        spec = self.spec
+        k, c = spec.kernel, spec.in_channels
+        g2 = gout.reshape(self._cols.shape[0], -1)
+        np.matmul(self._cols.T, g2, out=self._gwt)
+        gw += self._gwt.reshape(k, k, c, -1).transpose(3, 2, 0, 1)
+        if gin is not None:
+            np.matmul(g2, self._load_weight(weight).T, out=self._gcols)
+            _native.bound(self, "_scatter", partial(self._bind, "col2im_nhwc"), gin, self._gcols)()
 
 
 @register_kernel

@@ -12,12 +12,13 @@ by a static rule, so every process on every host makes the same choices:
   predicates that means ``depthwise_native`` / ``depthwise_native_q8`` for
   channels-last depthwise convs where the C library builds, else
   ``depthwise_einsum`` / ``depthwise_einsum_q8``; ``pointwise_nhwc`` /
-  ``pointwise_q8`` for channels-last 1x1 convs; ``im2col`` for every NCHW
-  signature.  No kernel serves other channels-last convs, so the layout
-  pass keeps dense convs NCHW;
+  ``pointwise_q8`` for channels-last 1x1 convs; ``im2col_nhwc`` for
+  channels-last dense convs where the C library builds; ``im2col`` for every
+  NCHW signature.  Without the library no kernel serves channels-last dense
+  convs, so the layout pass keeps them NCHW;
 * ``REPRO_KERNELS=heuristic`` — the rule with depthwise pinned to
-  ``depthwise_einsum``, so the float choices, and the numerics, are the same
-  with or without a C compiler;
+  ``depthwise_einsum`` and dense to ``im2col``, so the float choices, and
+  the numerics, are the same with or without a C compiler;
 * ``REPRO_KERNELS=<name>`` — pin one kernel globally (e.g. ``im2col``);
   signatures the pinned kernel rejects fall back to the rule;
 * ``REPRO_KERNELS=<class>=<name>,...`` — pin per op class, where the classes
@@ -38,8 +39,10 @@ on signatures of the ``perfbench`` workloads (``cosearch``,
 ``derived_train``, ``serve``) *and* it beats the path that would serve
 those signatures without it (the next candidate, or the NCHW fallback plus
 its boundary transposes), in a one-off census timing of the rivals in one
-process; or (b) a supported platform needs it as a fallback — ``im2col``
-for every NCHW signature, and, on hosts where
+process (CHANGES.md holds ``im2col_nhwc``'s, against ``im2col`` with and
+without both transposes, on every dense workload signature); or (b) a
+supported platform needs it as a fallback — ``im2col`` for every NCHW
+signature, and, on hosts where
 :mod:`~repro.runtime.kernels._native` cannot build, ``depthwise_einsum``
 (float depthwise) plus ``depthwise_einsum_q8`` and the NumPy requant tail
 of :class:`~repro.runtime.kernels.quantized.RequantEpilogue` (int8).  A
@@ -377,12 +380,12 @@ def _parse_env():
 
     Pins map op classes (or the wildcard ``"*"`` for a bare kernel name) to
     kernel names; ``auto`` (or unset) pins nothing and ``heuristic`` pins
-    depthwise to ``depthwise_einsum``.  Unknown kernel or class names raise
-    ``ValueError`` so typos fail loudly.
+    depthwise to ``depthwise_einsum`` and dense to ``im2col``.  Unknown
+    kernel or class names raise ``ValueError`` so typos fail loudly.
     """
     raw = os.environ.get(ENV_VAR, "auto").strip()
     if raw.lower() == "heuristic":
-        raw = "depthwise=depthwise_einsum"
+        raw = "depthwise=depthwise_einsum,dense=im2col"
     elif raw.lower() == "auto":
         raw = ""
     names = set(kernel_names())

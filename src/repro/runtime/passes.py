@@ -504,44 +504,6 @@ def _rewire_reads(step, remap):
         step.in_slot = remap.get(step.in_slot, step.in_slot)
 
 
-def _conv_components(plan, convs):
-    """Group convs whose 4-D slots connect through layout-agnostic steps.
-
-    A component takes one layout decision (an inverted-residual chain is only
-    worth NHWC end-to-end); anchor steps break the connectivity.
-    """
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for step in plan.steps:
-        slots = None
-        if isinstance(step, Conv2dStep):
-            slots = [step.in_slot, step.out_slot] + (
-                [step.res_slot] if step.res_slot is not None else []
-            )
-        elif isinstance(step, BatchNormStep):
-            slots = [step.in_slot, step.out_slot]
-        elif isinstance(step, AddStep):
-            slots = [step.a_slot, step.b_slot, step.out_slot]
-        elif isinstance(step, GateCombineStep):
-            slots = list(step.in_slots) + [step.out_slot]
-        if slots:
-            for slot in slots[1:]:
-                union(slots[0], slot)
-    groups = {}
-    for step in convs:
-        groups.setdefault(find(step.in_slot), []).append(step)
-    return list(groups.values())
-
-
 def _feed_branch(step, slot):
     """Branch tag of a boundary step inserted to feed ``slot`` into ``step``.
 
@@ -566,31 +528,23 @@ def _share_boundary(boundary, step, slot):
 def assign_layouts(plan, ctx):
     """Tag each conv NCHW or NHWC by a static rule, then materialise transposes.
 
-    The rule works per connected conv component (:func:`_conv_components`).
-    A component runs channels-last when one of its depthwise or pointwise
-    convs has an NHWC kernel; inside it, every conv with an NHWC kernel
-    (under the ``REPRO_KERNELS`` pins, see
-    :func:`repro.runtime.kernels.pinned_candidates`) and an unprotected
-    output runs NHWC and the rest stay NCHW.  Dense-only components stay
-    NCHW.  No timing is involved, so the same plan structure, registry and
-    pins give the same tags in every process.  Boundary transposes inserted
-    for a gated-supernet branch take that branch's tag.
+    A conv runs channels-last when its output is unprotected and it has an
+    NHWC kernel under the ``REPRO_KERNELS`` pins (see
+    :func:`repro.runtime.kernels.pinned_candidates`); where the C library
+    builds every float conv of the networks has one, so plans run NHWC end
+    to end behind one transpose of their input.  Without the library
+    (``REPRO_NATIVE=0``) or under an ``im2col`` pin, dense convs have none
+    and stay NCHW behind boundary transposes.  No timing is involved, so the
+    same plan structure, registry and pins give the same tags in every
+    process.  Boundary transposes inserted for a gated-supernet branch take
+    that branch's tag.
     """
-    convs = [step for step in plan.steps if isinstance(step, Conv2dStep)]
     assign = {}
-    for comp in _conv_components(plan, convs):
-        specs = [step._spec(plan)._replace(layout="NHWC") for step in comp]
-        fits = [
-            step.out_slot not in ctx.protected_slots
-            and bool(conv_kernels.pinned_candidates(spec))
-            for step, spec in zip(comp, specs)
-        ]
-        channels_last = any(
-            fit and spec.op_class in ("depthwise", "pointwise")
-            for fit, spec in zip(fits, specs)
-        )
-        for step, fit in zip(comp, fits):
-            assign[id(step)] = "NHWC" if channels_last and fit else "NCHW"
+    for step in plan.steps:
+        if isinstance(step, Conv2dStep):
+            fit = step.out_slot not in ctx.protected_slots and bool(
+                conv_kernels.pinned_candidates(step._spec(plan)._replace(layout="NHWC")))
+            assign[id(step)] = "NHWC" if fit else "NCHW"
     if "NHWC" not in assign.values():
         return
 

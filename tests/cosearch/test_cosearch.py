@@ -75,6 +75,15 @@ class TestHardwarePenalty:
         assert penalty.last_metrics is not None
         assert len(penalty.history) == 1
 
+    def test_one_layer_specs_build_per_update(self, supernet, monkeypatch):
+        das = UnitGranularityDAS(num_units=supernet.num_cells + 2, config=DASConfig(seed=0))
+        penalty = HardwarePenalty(supernet, das)
+        real, calls = supernet.layer_specs, []
+        monkeypatch.setattr(supernet, "layer_specs", lambda ops: calls.append(ops) or real(ops))
+        for sampled in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]):
+            penalty(sampled)
+        assert calls == [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]]
+
     def test_cell_latencies_normalised(self, supernet):
         das = UnitGranularityDAS(num_units=supernet.num_cells + 2, config=DASConfig(seed=0))
         penalty = HardwarePenalty(supernet, das)

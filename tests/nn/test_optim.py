@@ -235,3 +235,72 @@ class TestOptimizerStateDict:
         optimizer.step()
         fresh.step()
         np.testing.assert_array_equal(fresh.parameters[0].data, params[0].data)
+
+
+def per_parameter_adam_step(optimizer):
+    """``Adam.step`` as one update per parameter: the flat pass's reference."""
+    optimizer.steps += 1
+    bias1 = 1.0 - optimizer.beta1 ** optimizer.steps
+    bias2 = 1.0 - optimizer.beta2 ** optimizer.steps
+    for param, m, v in zip(optimizer.parameters, optimizer._m, optimizer._v):
+        if param.grad is None:
+            continue
+        grad = param.grad
+        if optimizer.weight_decay:
+            grad = grad + optimizer.weight_decay * param.data
+        m *= optimizer.beta1
+        m += (1.0 - optimizer.beta1) * grad
+        v *= optimizer.beta2
+        v += (1.0 - optimizer.beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        param.data -= optimizer.lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)
+
+
+class TestAdamFlatStep:
+    """``Adam.step`` runs one pass over flat moments with the per-parameter bytes."""
+
+    @staticmethod
+    def das():
+        from repro.accelerator.das import DASConfig
+        from repro.cosearch.hardware import UnitGranularityDAS, unit_of_layer_map
+        from repro.networks import AgentSuperNet
+
+        supernet = AgentSuperNet(in_channels=2, input_size=16, feature_dim=16, base_width=4,
+                                 rng=np.random.default_rng(0))
+        das = UnitGranularityDAS(num_units=supernet.num_cells + 2, config=DASConfig(seed=0))
+        specs = supernet.layer_specs([0] * supernet.num_cells)
+        return das.set_network(specs, unit_of_layer_map(specs, supernet.num_cells))
+
+    def test_five_das_steps_match_the_per_parameter_reference(self, monkeypatch):
+        flat, reference = self.das(), self.das()
+        versions = [param.version for param in flat.phi.values()]
+        for _ in range(5):
+            flat.step()
+        monkeypatch.setattr(Adam, "step", per_parameter_adam_step)
+        for _ in range(5):
+            reference.step()
+        state = {key: np.asarray(value).tobytes() for key, value in flat.state_dict().items()}
+        assert state == {key: np.asarray(value).tobytes()
+                         for key, value in reference.state_dict().items()}
+        assert len(flat.phi) == 51
+        # Every phi vector's data was written once per step.
+        assert [param.version for param in flat.phi.values()] == [v + 5 for v in versions]
+
+    def test_skipped_parameters_and_weight_decay_match_the_reference(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        shapes = [(3,), (2, 2), (5,), (1,)]
+
+        def run(step):
+            params = [Parameter(np.random.default_rng(1).standard_normal(s)) for s in shapes]
+            optimizer = Adam(params, lr=0.01, weight_decay=0.1)
+            for i in range(4):
+                for j, param in enumerate(params):
+                    # A parameter the loss did not reach keeps grad None.
+                    param.grad = None if (i + j) % 3 == 0 else grads[i][j]
+                step(optimizer)
+            return [p.data.tobytes() for p in params] + [
+                np.asarray(v).tobytes() for v in optimizer.state_dict().values()]
+
+        grads = [[rng.standard_normal(s) for s in shapes] for _ in range(4)]
+        assert run(Adam.step) == run(per_parameter_adam_step)

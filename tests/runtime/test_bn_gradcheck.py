@@ -13,6 +13,7 @@ import pytest
 from repro.networks import AgentSuperNet
 from repro.nn import BatchNorm2d, ConvBNReLU, vjp
 from repro.runtime import compile_plan
+from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
 from repro.runtime.passes import PASS_NAMES
 from repro.runtime.plan import BatchNormStep
 
@@ -132,8 +133,10 @@ def test_compiled_batchnorm_step(layout, training, relu):
     check_plan(plan, checks, x, seed=2)
 
 
-def test_compiled_gated_plan():
+def test_compiled_gated_plan(monkeypatch):
     """Batch norm inside a gated supernet cell, both layouts and activations."""
+    # The dense conv_k5 branch stays NCHW only with dense convs on im2col.
+    monkeypatch.setenv(KERNELS_ENV, "heuristic")
     rng = np.random.default_rng(3)
     net = AgentSuperNet(in_channels=1, input_size=8, feature_dim=4, num_cells=1,
                         base_width=4, num_stages=1, rng=rng)

@@ -365,9 +365,9 @@ def run_update(native, script=UPDATE_SCRIPT):
     env = dict(os.environ)
     env.pop("REPRO_FAULTS", None)
     env["REPRO_NATIVE"] = "1" if native else "0"
-    # Both runs use the NumPy depthwise kernel, so the batch norm is the
-    # only part the library changes.
-    env["REPRO_KERNELS"] = "depthwise=depthwise_einsum"
+    # Both runs use the NumPy depthwise kernel and the NCHW im2col, so the
+    # batch norm is the only part the library changes.
+    env["REPRO_KERNELS"] = "heuristic"
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(

@@ -6,7 +6,8 @@ the workloads compile: the derived agent's float32 inference, train and int8
 inference plans, the all-candidate supernet's rollout (a ``path=`` inference
 compile) and train plans of the co-search, and the ResNet-20 teacher.  Every signature must match.  Hosts without the C
 library (``REPRO_NATIVE=0`` or no compiler) expect the einsum depthwise
-kernels wherever the census names the compiled ones.
+kernels wherever the census names the compiled ones, and run dense convs
+NCHW on ``im2col`` where it names ``im2col_nhwc``.
 
 Regenerate the census (on a host where the C library builds) with
 ``PYTHONPATH=src python tests/runtime/test_kernel_census.py``.
@@ -38,7 +39,19 @@ CENSUS_PATH = os.path.join(os.path.dirname(__file__), "data", "kernel_census.jso
 WITHOUT_LIBRARY = {
     "depthwise_native": "depthwise_einsum",
     "depthwise_native_q8": "depthwise_einsum_q8",
+    "im2col_nhwc": "im2col",
 }
+
+
+def without_library(expected):
+    """The census where the C library is unavailable: the fallback kernels,
+    and dense convs NCHW, since only the library serves them channels-last."""
+    table = {}
+    for signature, name in expected.items():
+        if name == "im2col_nhwc":
+            signature = signature[:-len("nhwc")] + "nchw"
+        table[signature] = WITHOUT_LIBRARY.get(name, name)
+    return table
 
 
 def _derived_agent():
@@ -86,7 +99,7 @@ def test_rule_matches_committed_census(monkeypatch):
     with open(CENSUS_PATH) as handle:
         expected = json.load(handle)
     if not _native.available():
-        expected = {sig: WITHOUT_LIBRARY.get(name, name) for sig, name in expected.items()}
+        expected = without_library(expected)
     assert census() == expected
     # No rule choice failed its smoke call and fell back to a rival.
     assert quarantined_kernels() == {}

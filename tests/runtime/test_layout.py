@@ -1,8 +1,8 @@
 """Layout-aware plan IR: propagation parity, opt-out, and plan lint.
 
 The ``layout`` pass re-tags slots channels-last (NHWC) by a static rule —
-conv chains holding a depthwise or pointwise conv with an NHWC kernel —
-inserting explicit transposes only at boundaries.  Different layouts
+every conv with an NHWC kernel — inserting explicit transposes only at
+boundaries.  Different layouts
 legitimately dispatch different kernels (e.g. the NHWC einsum depthwise vs
 the NCHW im2col path), which agree only up to float reassociation — so
 parity here is checked against the same plan compiled with the layout pass
@@ -20,7 +20,7 @@ from repro.nn import Sequential
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
 from repro.runtime.compiler import ALL_CANDIDATES
-from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
+from repro.runtime.kernels import ENV_VAR as KERNELS_ENV, _native, selection_table
 from repro.runtime.kernels.registry import reset_selections, scratch_upper_bound, ConvSpec
 from repro.runtime.passes import (
     ENV_VAR as PASSES_ENV,
@@ -295,12 +295,18 @@ class TestStaticRule:
         resnet20_plan,
         supernet_train_plan,
     ], ids=["derived_agent", "resnet20", "supernet_train"])
-    def test_auto_and_heuristic_agree(self, monkeypatch, build):
+    def test_heuristic_keeps_only_dense_convs_nchw(self, monkeypatch, build):
+        """``heuristic`` pins dense convs to ``im2col``, so they stay NCHW; every
+        other conv gets the tag the rule gives it."""
         tags = {}
         for mode in ("auto", "heuristic"):
             monkeypatch.setenv(KERNELS_ENV, mode)
-            tags[mode] = conv_tags(build())
-        assert tags["auto"] == tags["heuristic"]
+            plan = build()
+            tags[mode] = conv_tags(plan)
+            dense = [step._spec(plan).op_class == "dense"
+                     for step in plan.steps if isinstance(step, Conv2dStep)]
+        expected = ["NCHW" if is_dense else auto for auto, is_dense in zip(tags["auto"], dense)]
+        assert tags["heuristic"] == expected
 
     def test_inference_and_train_plans_agree(self, monkeypatch):
         """Every NHWC float kernel trains, so the rollout (inference) plan and
@@ -310,7 +316,8 @@ class TestStaticRule:
         infer = conv_tags(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32))
         agent.train()
         train = conv_tags(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32, train=True))
-        assert infer == train == ["NCHW"] + ["NHWC"] * 32
+        stem = "NHWC" if _native.available() else "NCHW"  # im2col_nhwc needs the library
+        assert infer == train == [stem] + ["NHWC"] * 32
 
         agent = supernet_agent()
         path = [0] * agent.backbone.num_cells
@@ -318,11 +325,23 @@ class TestStaticRule:
         assert infer == conv_tags(supernet_train_plan())
         assert "NHWC" in infer
 
-    def test_dense_only_chains_stay_nchw(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "heuristic")
+    @pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
+    def test_dense_only_chains_run_nhwc_with_the_library(self, monkeypatch):
+        monkeypatch.delenv(KERNELS_ENV, raising=False)
+        plan = resnet20_plan()
+        assert set(conv_tags(plan)) == {"NHWC"}
+        assert num_transposes(plan) == 1  # the plan input
+        assert {row["kernel"] for row in selection_table().values()} == {"im2col_nhwc"}
+
+    @pytest.mark.parametrize("mode", ["im2col", "heuristic", "no_library"])
+    def test_dense_only_chains_stay_nchw_on_im2col(self, monkeypatch, mode):
+        monkeypatch.setenv(KERNELS_ENV, "auto" if mode == "no_library" else mode)
+        if mode == "no_library":
+            monkeypatch.setattr(_native, "available", lambda: False)
         plan = resnet20_plan()
         assert set(conv_tags(plan)) == {"NCHW"}
         assert num_transposes(plan) == 0
+        assert {row["kernel"] for row in selection_table().values()} == {"im2col"}
 
     def test_im2col_pin_keeps_every_conv_nchw(self, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "im2col")
