@@ -24,8 +24,14 @@ def heuristic_kernels(monkeypatch):
     The kernel rule runs depthwise convs on the compiled C kernel where the
     host can build it and on ``depthwise_einsum`` elsewhere, and the two
     agree only to float reassociation.  The heuristic pins depthwise to
-    ``depthwise_einsum``, so every run on every host rewrites the committed
-    result files with identical numbers.
+    ``depthwise_einsum``; every other conv runs channels-last on the kernel
+    the rule picks, which gives the same bytes with and without the C
+    library (dense convs on ``im2col_nhwc``, whose C gather and scatter
+    match their NumPy twins byte for byte).  So every run on every host
+    rewrites the committed result files with identical numbers; only the
+    records of host-dependent choices differ without the C library (the q8
+    kernel names, and the pass-free plan bytes that include the NumPy
+    gather's padded scratch).
     """
     monkeypatch.setenv(KERNELS_ENV_VAR, "heuristic")
 

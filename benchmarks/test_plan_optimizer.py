@@ -14,10 +14,9 @@ Each plan is compiled with the passes off (``"none"``) and on (``"all"``).
 Acceptance: the passes preserve output parity (<= 1e-6 f32 / 1e-12 f64),
 remove steps from the rollout plan, and cut peak plan memory by >= 30%.
 
-Conv dispatch is pinned to the whole-batch ``im2col`` kernel so the
-comparison sees the passes alone: the other kernels shrink the pass-free
-plans' workspaces too.  Every value recorded here is a deterministic count
-or a parity bound; the speed of the compiled plans is measured by
+Conv dispatch follows the benchmarks' ``heuristic`` pin (``conftest.py``),
+so both plans of a pair bind the same kernels.  Every value recorded here is
+a deterministic count or a parity bound; the speed of the compiled plans is measured by
 ``perfbench`` (see ``perfbench/README.md``), not here.
 """
 
@@ -26,7 +25,6 @@ import numpy as np
 from repro.drl.agent import ActorCriticAgent
 from repro.networks import AgentSuperNet
 from repro.runtime import compile_plan
-from repro.runtime.kernels import ENV_VAR as KERNELS_ENV_VAR
 
 from conftest import run_once
 
@@ -98,8 +96,7 @@ def measure():
     }
 
 
-def test_plan_optimizer(benchmark, save_result, monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV_VAR, "im2col")
+def test_plan_optimizer(benchmark, save_result):
     payload = run_once(benchmark, measure)
     save_result("plan_optimizer", payload)
 

@@ -33,11 +33,9 @@ __all__ = [
     "matmul_vjp",
     "linear_vjp",
     "conv2d_cols_vjp",
-    "col2im_nchw_accumulate",
     "batchnorm2d_vjp",
     "softmax_vjp",
     "max_pool_cols_vjp",
-    "global_avg_pool_vjp",
 ]
 
 #: Name -> VJP function, so engines (and tests) can enumerate the supported rules.
@@ -160,32 +158,6 @@ def conv2d_cols_vjp(grad_mat, w_mat):
     return grad_mat @ w_mat
 
 
-@register_vjp("col2im_nchw")
-def col2im_nchw_accumulate(gcols, out, stride, padding, pad_ws=None):
-    """Adjoint of the runtime's ``(N, C, kh, kw, oh, ow)`` patch gather.
-
-    Scatter-adds the column gradients back onto the image gradient ``out``
-    (accumulating: ``out`` may already hold contributions from other
-    consumers).  ``pad_ws`` is a caller-owned ``(N, C, H+2p, W+2p)`` workspace
-    required when ``padding > 0``.
-    """
-    n, c, kh, kw, oh, ow = gcols.shape
-    if padding > 0:
-        pad_ws.fill(0.0)
-        target = pad_ws
-    else:
-        target = out
-    for i in range(kh):
-        for j in range(kw):
-            target[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[
-                :, :, i, j
-            ]
-    if padding > 0:
-        h, w = out.shape[2], out.shape[3]
-        out += target[:, :, padding : padding + h, padding : padding + w]
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # Normalisation / softmax / pooling
 # --------------------------------------------------------------------------- #
@@ -212,7 +184,7 @@ def batchnorm2d_vjp(grad, x, mean, inv_std, gamma, training, ws=None, channel_ax
         Optional workspace of ``grad``'s shape; ``gx`` is written into it.
     channel_axis:
         Which axis carries channels: ``1`` (NCHW, the default) or ``3``
-        (NHWC, used by layout-propagated compiled plans).
+        (NHWC, the layout of every compiled batch-norm step).
 
     Returns
     -------
@@ -272,9 +244,3 @@ def max_pool_cols_vjp(grad, argmax, window):
     gcols.reshape(-1, window)[np.arange(flat_idx.size), flat_idx] = grad.reshape(-1)
     return gcols
 
-
-@register_vjp("global_avg_pool2d")
-def global_avg_pool_vjp(grad, spatial_shape):
-    """Gradient of a spatial mean: evenly spread over ``spatial_shape``."""
-    h, w = spatial_shape
-    return (grad / (h * w))[:, :, None, None]

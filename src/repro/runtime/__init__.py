@@ -43,11 +43,11 @@ always-available reference path, selected per call on
 :class:`~repro.runtime.compiler.CompileError`.
 
 Convolution steps dispatch their compute through the pluggable kernel
-subsystem in :mod:`repro.runtime.kernels`: named implementations (compiled
-channels-last depthwise, lane-blocked im2col, the general im2col+GEMM fallback) are
-selected per op signature by a static registry rule with a
-``REPRO_KERNELS`` override; :func:`cache_stats` reports the chosen kernel
-for every signature the process compiled.
+subsystem in :mod:`repro.runtime.kernels`: named channels-last
+implementations (compiled and einsum depthwise, flat-GEMM pointwise, and the
+im2col gather + GEMM for dense convs) are selected per op signature by a
+static registry rule with a ``REPRO_KERNELS`` override; :func:`cache_stats`
+reports the chosen kernel for every signature the process compiled.
 
 The quantized inference path rides the same machinery:
 :class:`~repro.runtime.quantize.Calibrator` harvests activation ranges from

@@ -8,6 +8,17 @@ blocks, whole backbones) fuse what the eager path computes as separate tensor
 ops — conv + bias + batch-norm + activation become one GEMM plus in-place
 channel-wise arithmetic on a staging buffer.
 
+Layouts are decided here, as each step is emitted: conv, batch-norm, join
+(add, gate combine) and global-pool steps read and write channels-last
+(NHWC) slots; pooling windows, flatten, reshape and opaque steps read NCHW,
+and so does a 4-D plan output.  Where a read needs the layout its slot does
+not carry, :meth:`CompileContext.read` emits a :class:`TransposeStep` into a
+twin slot, reused by later readers until the slot is written again (and
+never across gated-supernet branches).  So a network of convs runs
+channels-last behind one transpose of its NCHW input.  A conv no registered
+kernel serves (grouped non-depthwise, or padded by a whole kernel) raises
+:class:`CompileError`, and callers stay on the eager tape.
+
 Modules without a registered expander fall back to an :class:`OpaqueStep`
 that runs their eager ``forward`` under ``no_grad``, so the engine stays
 total over custom user modules (just slower for that one node).
@@ -23,7 +34,8 @@ from ..nn import blocks as nn_blocks
 from ..nn import modules as nn_modules
 from ..nn.functional import conv_output_size
 from ..telemetry import trace
-from .passes import PassContext, enabled_passes, run_passes
+from . import kernels as conv_kernels
+from .passes import PassContext, enabled_passes, run_passes, step_writes
 from .plan import (
     AddStep,
     BatchNormStep,
@@ -37,6 +49,7 @@ from .plan import (
     Pool2dStep,
     ReshapeStep,
     SoftmaxStep,
+    TransposeStep,
 )
 
 __all__ = [
@@ -47,6 +60,12 @@ _EXPANDERS = {}
 
 #: ``gated_paths`` value compiling every candidate branch of every cell.
 ALL_CANDIDATES = "all"
+
+#: The layout of every conv, batch-norm, join and global-pool step.
+NHWC = "NHWC"
+#: The layout of the plan input, pooling windows, flatten / reshape / opaque
+#: inputs and 4-D plan outputs.
+NCHW = "NCHW"
 
 
 class CompileError(RuntimeError):
@@ -80,6 +99,12 @@ class CompileContext:
         self.path_consumed = False
         self.gated = gated
         self.gated_consumed = False
+        #: ``(cell, candidate)`` of the gated-supernet branch being emitted;
+        #: :meth:`add` tags every step with it.
+        self.branch = None
+        #: ``(slot, layout, branch)`` -> transposed twin of the slot's
+        #: current contents.
+        self._twins = {}
 
     @property
     def train(self):
@@ -94,15 +119,45 @@ class CompileContext:
                 return expander(module, self, in_slot)
         return _emit_opaque(module, self, in_slot)
 
-    # Convenience wrappers -------------------------------------------------
-    def slot(self, shape, view=False):
-        return self.plan.new_slot(shape, view=view)
+    def slot(self, shape, view=False, layout=NHWC):
+        """A new slot; ``layout`` tags it only if it is 4-D."""
+        return self.plan.new_slot(shape, view=view, layout=layout if len(shape) == 4 else None)
 
     def shape(self, slot):
         return self.plan.shape(slot)
 
     def add(self, step):
+        """Append ``step`` to the current branch; its writes stale their twins."""
+        step.branch = self.branch
+        written = set(step_writes(step))
+        self._twins = {
+            key: twin for key, twin in self._twins.items()
+            if key[0] not in written and twin not in written
+        }
         return self.plan.add(step)
+
+    def read(self, slot, layout):
+        """``slot`` as a step reading it in ``layout`` sees it.
+
+        That is ``slot`` itself when it carries ``layout`` (or is not 4-D),
+        else a twin slot a :class:`TransposeStep` fills: emitted on first
+        need, then reused until ``slot`` is written again, by readers of the
+        same branch or of the trunk.
+        """
+        current = self.plan.layout(slot)
+        if current is None or current == layout:
+            return slot
+        for branch in (self.branch, None):
+            twin = self._twins.get((slot, layout, branch))
+            if twin is not None:
+                return twin
+        plan = self.plan
+        twin = plan.new_slot(plan.shape(slot), layout=layout)
+        if slot == plan.input_slot or slot in plan._no_grad_slots:
+            plan._no_grad_slots.add(twin)
+        self.add(TransposeStep(slot, twin, current, layout))
+        self._twins[(slot, layout, self.branch)] = twin
+        return twin
 
 
 def _emit_opaque(module, ctx, in_slot):
@@ -121,6 +176,7 @@ def _emit_opaque(module, ctx, in_slot):
                 type(module).__name__
             )
         )
+    in_slot = ctx.read(in_slot, NCHW)
     probe = np.zeros(ctx.shape(in_slot), dtype=np.float64)
     was_training = bool(getattr(module, "training", False))
     if was_training:
@@ -131,7 +187,7 @@ def _emit_opaque(module, ctx, in_slot):
     finally:
         if was_training:
             module.train()
-    out_slot = ctx.slot(out.shape)
+    out_slot = ctx.slot(out.shape, layout=NCHW)
     ctx.add(OpaqueStep(module, in_slot, out_slot))
     return out_slot
 
@@ -160,18 +216,23 @@ def _emit_conv(conv, ctx, in_slot, bn=None, activation=None):
     activation still fuses into the last step of the pair (its VJP only needs
     the post-activation output).
     """
+    in_slot = ctx.read(in_slot, NHWC)
     n, _, h, w = ctx.shape(in_slot)
     oh = conv_output_size(h, conv.kernel_size, conv.stride, conv.padding)
     ow = conv_output_size(w, conv.kernel_size, conv.stride, conv.padding)
-    if bn is not None and ctx.train:
-        conv_slot = ctx.slot((n, conv.out_channels, oh, ow))
-        ctx.add(Conv2dStep(conv, in_slot, conv_slot))
-        out_slot = ctx.slot((n, conv.out_channels, oh, ow))
-        ctx.add(BatchNormStep(bn, conv_slot, out_slot, activation=activation))
-        return out_slot
+    fused = bn is not None and not ctx.train
     out_slot = ctx.slot((n, conv.out_channels, oh, ow))
-    ctx.add(Conv2dStep(conv, in_slot, out_slot, bn=bn, activation=activation))
-    return out_slot
+    step = Conv2dStep(conv, in_slot, out_slot, bn=bn if fused else None,
+                      activation=activation if fused or bn is None else None)
+    spec = step._spec(ctx.plan)
+    if not conv_kernels.candidates(spec):
+        raise CompileError("no conv kernel serves {}".format(spec.describe()))
+    ctx.add(step)
+    if fused or bn is None:
+        return out_slot
+    bn_slot = ctx.slot(ctx.shape(out_slot))
+    ctx.add(BatchNormStep(bn, out_slot, bn_slot, activation=activation))
+    return bn_slot
 
 
 @_expander(nn_modules.Conv2d)
@@ -181,6 +242,7 @@ def _expand_conv2d(module, ctx, in_slot):
 
 @_expander(nn_modules.Linear)
 def _expand_linear(module, ctx, in_slot):
+    in_slot = ctx.read(in_slot, NCHW)
     n = ctx.shape(in_slot)[0]
     out_slot = ctx.slot((n, module.out_features))
     ctx.add(LinearStep(module, in_slot, out_slot))
@@ -189,6 +251,7 @@ def _expand_linear(module, ctx, in_slot):
 
 @_expander(nn_modules.BatchNorm2d)
 def _expand_batchnorm(module, ctx, in_slot):
+    in_slot = ctx.read(in_slot, NHWC)
     out_slot = ctx.slot(ctx.shape(in_slot))
     ctx.add(BatchNormStep(module, in_slot, out_slot))
     return out_slot
@@ -199,6 +262,7 @@ def _expand_activation(module, ctx, in_slot):
     # prove single-consumer ownership of an arbitrary input slot, and the copy
     # is cheap next to any surrounding GEMM.  Composite expanders fuse
     # activations in place instead.
+    in_slot = ctx.read(in_slot, NHWC)
     out_slot = ctx.slot(ctx.shape(in_slot))
     kind = _activation_kind(module)
     ctx.add(AddStep(in_slot, _zero_like(ctx, in_slot), out_slot, activation=kind))
@@ -209,15 +273,16 @@ _ZERO_SLOTS = "_zero_slots"
 
 
 def _zero_like(ctx, slot):
-    """A shared all-zero slot matching ``slot`` (used to copy-then-activate)."""
+    """A shared all-zero slot matching ``slot``'s shape and layout (used to
+    copy-then-activate)."""
     cache = getattr(ctx, _ZERO_SLOTS, None)
     if cache is None:
         cache = {}
         setattr(ctx, _ZERO_SLOTS, cache)
-    shape = ctx.shape(slot)
-    if shape not in cache:
-        cache[shape] = ctx.slot(shape)  # plan buffers start uninitialised...
-    return cache[shape]
+    shape, layout = key = (ctx.shape(slot), ctx.plan.layout(slot))
+    if key not in cache:
+        cache[key] = ctx.slot(shape, layout=layout)  # plan buffers start uninitialised...
+    return cache[key]
 
 
 for _act_type in (nn_modules.ReLU, nn_modules.LeakyReLU, nn_modules.Tanh, nn_modules.Sigmoid):
@@ -231,6 +296,7 @@ def _expand_identity(module, ctx, in_slot):
 
 @_expander(nn_modules.Flatten)
 def _expand_flatten(module, ctx, in_slot):
+    in_slot = ctx.read(in_slot, NCHW)
     shape = ctx.shape(in_slot)
     flat = int(np.prod(shape[1:]))
     out_slot = ctx.slot((shape[0], flat), view=True)
@@ -260,16 +326,18 @@ def _expand_avgpool(module, ctx, in_slot):
 
 
 def _emit_pool(mode, kernel, stride, ctx, in_slot):
+    in_slot = ctx.read(in_slot, NCHW)
     n, c, h, w = ctx.shape(in_slot)
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
-    out_slot = ctx.slot((n, c, oh, ow))
+    out_slot = ctx.slot((n, c, oh, ow), layout=NCHW)
     ctx.add(Pool2dStep(mode, kernel, stride, in_slot, out_slot))
     return out_slot
 
 
 @_expander(nn_modules.GlobalAvgPool2d)
 def _expand_gap(module, ctx, in_slot):
+    in_slot = ctx.read(in_slot, NHWC)
     n, c = ctx.shape(in_slot)[:2]
     out_slot = ctx.slot((n, c))
     ctx.add(GlobalAvgPoolStep(in_slot, out_slot))
@@ -298,21 +366,30 @@ def _expand_conv_bn_relu(module, ctx, in_slot):
     )
 
 
+def _emit_join(ctx, body, shortcut, activation=None):
+    """``body += shortcut`` (then ``activation``), in place on the body slot.
+
+    The body slot is owned by the calling block, so the join can write into
+    it (or into its channels-last twin, which no later reader then reuses).
+    """
+    body = ctx.read(body, NHWC)
+    ctx.add(AddStep(body, ctx.read(shortcut, NHWC), body, activation=activation))
+    return body
+
+
 @_expander(nn_blocks.BasicResBlock)
 def _expand_basic_res_block(module, ctx, in_slot):
     body = ctx.emit(module.conv1, in_slot)
     body = ctx.emit(module.conv2, body)
     shortcut = ctx.emit(module.shortcut, in_slot)
-    # The body slot is owned by this block, so the join can write into it.
-    ctx.add(AddStep(body, shortcut, body, activation=_activation_kind(module.act)))
-    return body
+    return _emit_join(ctx, body, shortcut, _activation_kind(module.act))
 
 
 @_expander(nn_blocks.InvertedResidual)
 def _expand_inverted_residual(module, ctx, in_slot):
     body = ctx.emit(module.body, in_slot)
     if module.use_residual:
-        ctx.add(AddStep(body, in_slot, body))
+        body = _emit_join(ctx, body, in_slot)
     return body
 
 
@@ -389,11 +466,11 @@ def _register_network_expanders():
     def _expand_supernet_gated(module, ctx, in_slot, gated):
         """Multi-path (gate-weighted) expansion of the listed candidates.
 
-        Each candidate expands into its own branch slots, and every step it
-        emits is tagged with its ``(cell, candidate)`` branch; a
-        :class:`GateCombineStep` sums the branches a run selects with per-run
-        gate values, in the same left-to-right order as the eager gated
-        forward.
+        Each candidate expands into its own channels-last branch slots, and
+        every step it emits is tagged with its ``(cell, candidate)`` branch;
+        a :class:`GateCombineStep` sums the branches a run selects with
+        per-run gate values, in the same left-to-right order as the eager
+        gated forward.
         """
         if len(gated) != module.num_cells:
             raise CompileError(
@@ -401,16 +478,14 @@ def _register_network_expanders():
             )
         ctx.plan.set_gate_layout(gated)
         slot = ctx.emit(module.stem, in_slot)
-        steps = ctx.plan.steps
         for cell_index, (cell, active) in enumerate(zip(module.cells, gated)):
             if not active:
                 raise CompileError("at least one path must be active per cell")
             branches = []
             for i in active:
-                first = len(steps)
-                branches.append(ctx.emit(cell.candidates[int(i)], slot))
-                for step in steps[first:]:
-                    step.branch = (cell_index, int(i))
+                ctx.branch = (cell_index, int(i))
+                branches.append(ctx.read(ctx.emit(cell.candidates[int(i)], slot), NHWC))
+            ctx.branch = None
             out_slot = ctx.slot(ctx.shape(branches[0]))
             ctx.add(GateCombineStep(cell_index, branches, out_slot, active))
             slot = out_slot
@@ -524,7 +599,8 @@ def _compile_plan_body(module, input_shape, dtype, path, gated_paths, plan, quan
         gated=gated_paths,
     )
     input_slot = plan.new_slot(input_shape)
-    out_slot = ctx.emit(module, input_slot)
+    plan.input_slot = input_slot  # its transposed twins need no gradient
+    out_slot = ctx.read(ctx.emit(module, input_slot), NCHW)
     if ctx.path is not None and not ctx.path_consumed:
         # Mirror the eager path, where forwarding op_indices to a module that
         # does not take them raises: silently ignoring the path would serve
@@ -538,7 +614,6 @@ def _compile_plan_body(module, input_shape, dtype, path, gated_paths, plan, quan
         )
     outputs = getattr(ctx, "agent_outputs", None) or (out_slot,)
     plan.named_slots = dict(getattr(ctx, "agent_slots", {}))
-    plan.input_slot = input_slot  # liveness analysis needs it pre-finalize
     zero_slots = tuple(getattr(ctx, _ZERO_SLOTS, {}).values())
     protected = {input_slot}
     protected.update(outputs)

@@ -13,28 +13,25 @@ Registered kernels, in the rule's preference order:
 * ``depthwise_native`` — compiled C NHWC depthwise forward and fused
   input/weight VJPs (float32/float64; :mod:`~repro.runtime.kernels._native`);
 * ``depthwise_einsum`` — the same NHWC depthwise conv and VJPs as strided
-  tap-view einsums: the float fallback where the C library cannot build;
-* ``pointwise_nhwc`` — 1x1 convolutions on channels-last activations as one
-  flat GEMM over the trailing channel axis (forward + VJPs);
-* ``im2col_nhwc`` — dense convs on channels-last activations: a compiled
-  tap-major column gather plus one flat GEMM, the input VJP scattered back
-  in C (float32/float64, only where the C library builds);
-* ``im2col`` — the original whole-batch im2col + batched GEMM, supporting
-  every NCHW signature in both directions (the total fallback for that
-  layout);
+  tap-view einsums: the depthwise fallback, and the only depthwise kernel
+  where the C library cannot build;
+* ``pointwise_nhwc`` — 1x1 convolutions as one flat GEMM over the trailing
+  channel axis (forward + VJPs);
+* ``im2col_nhwc`` — dense convs: a tap-major column gather plus one flat
+  GEMM, the input VJP scattered back; the gather and scatter run in C where
+  the library builds and as their byte-equal NumPy twins elsewhere;
 * ``depthwise_native_q8``, ``depthwise_einsum_q8``, ``pointwise_q8`` — the
   int8 inference kernels (:mod:`~repro.runtime.kernels.quantized`): int8
   activations, exact wide accumulation, fused per-channel requant tail.
   They serve only signatures whose ``quant`` field is ``"q8"``, so the
   float paths are untouched.
 
-Signatures carry a physical activation layout (``NCHW`` / ``NHWC``); the
-layout-assignment pass in :mod:`repro.runtime.passes` puts a conv
-channels-last wherever
-:func:`~repro.runtime.kernels.registry.pinned_candidates` offers an NHWC
-kernel for it.  Every NHWC float kernel trains, so one plan structure serves
-both directions.  Without the C library dense convs have no NHWC kernel and
-run on ``im2col``.
+Every conv step the compiler emits runs channels-last (``NHWC``), so every
+kernel serves that layout only, and every float kernel trains: one plan
+structure serves both directions.  Each float op class ends in a fallback
+kernel (``pointwise_nhwc``, ``depthwise_einsum``, ``im2col_nhwc``) that no
+smoke failure can quarantine.  Grouped non-depthwise convs have no kernel;
+the compiler rejects them and callers stay on the eager tape.
 
 The same software structure the paper's accelerator templates use in
 hardware — dataflow-specialised conv engines selected per workload shape —
@@ -42,13 +39,12 @@ applied to the NumPy runtime.
 """
 
 from . import depthwise as _depthwise  # noqa: F401  (registers the float depthwise kernels)
-from . import conv as _conv  # noqa: F401  (registers pointwise_nhwc, im2col_nhwc, im2col)
+from . import conv as _conv  # noqa: F401  (registers pointwise_nhwc, im2col_nhwc)
 from . import quantized as _quantized  # noqa: F401  (registers the q8 kernels)
 from .autotune import blas_thread_count
 from .quantized import RequantEpilogue
 from .registry import (
     ENV_VAR,
-    LAYOUTS,
     SCRATCH_GEMM,
     SCRATCH_MAIN,
     SCRATCH_PAD,
@@ -58,7 +54,6 @@ from .registry import (
     clear_quarantine,
     kernel_for,
     kernel_names,
-    pinned_candidates,
     quarantine_kernel,
     quarantined_kernels,
     register_kernel,
@@ -72,7 +67,6 @@ __all__ = [
     "ConvKernel",
     "RequantEpilogue",
     "ENV_VAR",
-    "LAYOUTS",
     "register_kernel",
     "kernel_names",
     "candidates",
@@ -80,7 +74,6 @@ __all__ = [
     "quarantined_kernels",
     "clear_quarantine",
     "kernel_for",
-    "pinned_candidates",
     "blas_thread_count",
     "scratch_upper_bound",
     "selection_table",

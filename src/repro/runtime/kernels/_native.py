@@ -21,8 +21,6 @@ the toolchain that built CPython is already on the host) and loaded through
   and the relu VJP, the input-gradient tail of
   :func:`repro.nn.vjp.batchnorm2d_vjp` and ``dgamma``/``dbeta`` added into
   the plan's gradient accumulators;
-* ``col2im_{f32,f64}`` — the NCHW ``im2col`` kernel's input-VJP scatter
-  (:func:`repro.nn.vjp.col2im_nchw_accumulate`, one strided add per tap);
 * ``im2col_nhwc_*`` / ``col2im_nhwc_*`` (f32, f64) — the tap-major column
   gather of an unpadded NHWC input and its adjoint scatter, for
   :class:`~repro.runtime.kernels.conv.Im2colNHWCKernel`;
@@ -33,14 +31,14 @@ the toolchain that built CPython is already on the host) and loaded through
 
 Exactness contract.  The float depthwise routines sum the same products as
 the NumPy ``depthwise_einsum`` kernel in another order, so the two agree
-only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative), and
-so do ``im2col_nhwc``'s GEMMs and NCHW ``im2col``'s: the kernel rule picks
-the C-backed kernels wherever the library builds, so runs that must give
-the same bytes on hosts with and without a compiler pin depthwise to
-``depthwise_einsum`` and dense to ``im2col`` (``REPRO_KERNELS=heuristic``).
-The batch-norm, ``col2im`` and q8 routines must be *bitwise identical* to
-the NumPy code they replace (``col2im`` adds each tap in the NumPy order,
-one rounding per add).  Batch
+only to float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative): the
+kernel rule picks the C kernel wherever the library builds, so runs that
+must give the same bytes on hosts with and without a compiler pin
+depthwise to ``depthwise_einsum`` (``REPRO_KERNELS=heuristic``).  The
+batch-norm, ``im2col_nhwc`` / ``col2im_nhwc`` and q8 routines must be
+*bitwise identical* to the NumPy code they replace (the gather only
+copies; ``col2im_nhwc`` adds into each element in the order of its NumPy
+twin, one rounding per add).  Batch
 norm sums in the slot's dtype, row by row from zero: NumPy's order for a
 reduction over outer axes that keeps at least two channels (with one, NumPy
 sums pairwise, so the plan steps route ``C == 1`` to NumPy); the running-stat
@@ -57,15 +55,16 @@ Binding rule.  :func:`bind` validates every operand once and captures the
 addresses; a caller reuses them only while it holds the very same array
 objects, and binds again (re-validating all) when any operand is replaced
 (:func:`bound` keeps that cache for the depthwise kernel, the
-batch-norm steps and the ``im2col`` kernels' gathers and scatters).
+batch-norm steps and the ``im2col_nhwc`` kernel's gather and scatter).
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
 (tempfile + rename) so concurrent processes race benignly.  Any failure —
 no compiler, sandboxed filesystem, exotic cc — degrades silently:
 ``available()`` returns ``False`` and the NumPy fallbacks
-(``depthwise_einsum``, the NumPy batch-norm code, ``col2im_nchw_accumulate``,
-``depthwise_einsum_q8`` and the NumPy requant tail) serve the plan.
+(``depthwise_einsum``, the NumPy batch-norm code, ``im2col_nhwc``'s NumPy
+gather and scatter, ``depthwise_einsum_q8`` and the NumPy requant tail)
+serve the plan.
 ``REPRO_NATIVE=0`` disables the path outright.
 """
 
@@ -81,7 +80,7 @@ import numpy as np
 
 __all__ = [
     "available", "bind", "bound", "dw_fwd_bind", "dw_bwd_bind", "dw_conv_q8", "requant_q8",
-    "bn_train_bind", "bn_vjp_bind", "col2im_bind", "nhwc_cols_bind",
+    "bn_train_bind", "bn_vjp_bind", "nhwc_cols_bind",
 ]
 
 ENV_VAR = "REPRO_NATIVE"
@@ -393,32 +392,8 @@ void bn_vjp_SFX(REAL *restrict g, const REAL *restrict y,
 }
 """
 
-#: The NCHW ``im2col`` kernel's input VJP, for ``float`` and ``double``.
-_COL2IM = r"""
-/* Adjoint of the (N, C, k, k, oh, ow) patch gather, one (n, c) plane at a
- * time, in nn/vjp.col2im_nchw_accumulate's order: taps added in (i, j) order
- * into `gin` if p == 0, else into the zeroed padded plane `pad`, whose
- * interior is then added into `gin`. */
-void col2im_SFX(const REAL *restrict g, REAL *restrict gin, REAL *restrict pad,
-                long planes, int h, int wd, int k, int s, int p, int oh, int ow)
-{
-    const int tw = wd + 2 * p, th = h + 2 * p;
-    for (long q = 0; q < planes; ++q, g += (long)k * k * oh * ow, gin += (long)h * wd) {
-        REAL *t = p ? memset(pad + q * th * tw, 0, (size_t)th * tw * sizeof(REAL)) : gin;
-        for (int i = 0; i < k; ++i)
-            for (int j = 0; j < k; ++j)
-                for (int y = 0; y < oh; ++y) {
-                    REAL *row = t + (long)(i + y * s) * tw + j;
-                    const REAL *gr = g + (((long)i * k + j) * oh + y) * ow;
-                    for (int x = 0; x < ow; ++x)
-                        row[(long)x * s] += gr[x];
-                }
-        for (int y = 0; p && y < h; ++y)
-            for (int x = 0; x < wd; ++x)
-                gin[(long)y * wd + x] += t[(long)(y + p) * tw + x + p];
-    }
-}
-
+#: ``im2col_nhwc``'s gather and scatter, for ``float`` and ``double``.
+_IM2COL_NHWC = r"""
 /* Tap-major columns of the unpadded NHWC `x`: row (b, y, xo) of `cols`
  * holds, kernel row i after kernel row i, the k*C input values
  * x[b, y*s+i-p, xo*s-p+j, :] over j, one contiguous run in both arrays;
@@ -476,7 +451,7 @@ void col2im_nhwc_SFX(REAL *restrict gin, const REAL *restrict g,
 """
 
 _SOURCE += "".join(
-    (_DW_FLOAT + _BN_FLOAT + _COL2IM).replace("REAL", ctype).replace("SFX", suffix).replace("SQRT", sqrt)
+    (_DW_FLOAT + _BN_FLOAT + _IM2COL_NHWC).replace("REAL", ctype).replace("SFX", suffix).replace("SQRT", sqrt)
     for ctype, suffix, sqrt in (("float", "f32", "sqrtf"), ("double", "f64", "sqrt"))
 )
 
@@ -535,9 +510,6 @@ def _bind(lib):
         fwd.restype = bwd.restype = None
         fwd.argtypes = [ctypes.c_void_p] * 3 + ints
         bwd.argtypes = [ctypes.c_void_p] * 5 + ints
-        col2im = getattr(lib, "col2im_" + suffix)
-        col2im.restype = None
-        col2im.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] + ints[:7]
         for name in ("im2col_nhwc", "col2im_nhwc"):
             fn = getattr(lib, name + "_" + suffix)
             fn.restype = None
@@ -678,19 +650,6 @@ def dw_bwd_bind(x, w_taps, gout, gw_taps, gin, k, stride, padding):
     """
     return _dw_bind("dw_bwd", x, w_taps, gout, k, stride, padding,
                     (gw_taps, w_taps.shape), (gin, x.shape))
-
-
-def col2im_bind(gcols, gin, pad, k, stride, padding):
-    """Bound NCHW ``col2im``: ``run()`` adds the ``(N, C, k, k, oh, ow)``
-    column gradient into ``gin`` like :func:`repro.nn.vjp.col2im_nchw_accumulate`;
-    ``pad`` is its ``(N, C, H+2p, W+2p)`` workspace (``None`` if ``padding == 0``)."""
-    n, c, h, w = gin.shape
-    if padding and pad is None:
-        raise ValueError("col2im: padding needs a pad workspace")
-    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    return bind("col2im", [(gcols, (n, c, k, k, oh, ow)), (gin, gin.shape),
-                           (pad, (n, c, h + 2 * padding, w + 2 * padding))],
-                n * c, h, w, k, stride, padding, oh, ow)
 
 
 def nhwc_cols_bind(name, image, cols, k, stride, padding):

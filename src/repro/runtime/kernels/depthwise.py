@@ -1,11 +1,11 @@
 """Channels-last depthwise convolution kernels (forward + VJPs).
 
 Depthwise convolutions dominate the runtime's plans (the searched agents
-are inverted-residual-heavy), and the im2col path serves them badly: the
-patch gather copies ``k*k`` shifted images through tiny strided runs, and
-the "GEMM" that follows is ``N*C`` degenerate ``(1, k^2) @ (k^2, L)`` dot
-products.  Both kernels here work on NHWC activations, where each tap is a
-contiguous multiply along the channel axis::
+are inverted-residual-heavy), and an im2col gather serves them badly: it
+copies ``k*k`` shifted images, and the "GEMM" that follows is ``N*C``
+degenerate ``(1, k^2) @ (k^2, L)`` dot products.  Both kernels here work on
+NHWC activations, where each tap is a contiguous multiply along the channel
+axis::
 
     out[n, y, x, c] = sum_ij xpad[n, y*s + i, x*s + j, c] * w[c, 0, i, j]
 
@@ -15,9 +15,10 @@ contiguous multiply along the channel axis::
   no scratch, and one pass over ``(n, y, i, j, x)`` produces both VJPs.
   Each routine is bound once per kernel and reused while the plan hands
   back the same buffers.
-* ``depthwise_einsum`` — the NumPy formulation, the float depthwise
-  fallback where the C library cannot be built (``REPRO_NATIVE=0``, no
-  compiler).  See :class:`DepthwiseEinsumKernel`.
+* ``depthwise_einsum`` — the NumPy formulation: the depthwise fallback
+  (never quarantined), and the only depthwise kernel where the C library
+  cannot be built (``REPRO_NATIVE=0``, no compiler).  See
+  :class:`DepthwiseEinsumKernel`.
 
 The two sum the same products in different orders, so they agree to the
 usual float-reassociation tolerance (1e-12 f64 / 1e-6 f32 relative).
@@ -140,6 +141,7 @@ class DepthwiseEinsumKernel(_DepthwiseKernel):
     """
 
     name = "depthwise_einsum"
+    fallback = True
 
     @classmethod
     def supports(cls, spec):

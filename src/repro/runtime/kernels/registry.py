@@ -4,50 +4,52 @@ A :class:`ConvSpec` captures the full op signature of one convolution step
 (shape, kernel/stride/padding/groups, dtype, direction); registered
 :class:`ConvKernel` implementations declare which signatures they
 :meth:`~ConvKernel.supports` and how much call-transient scratch they need.
+Every signature is channels-last: the compiler emits NHWC conv steps only.
 The dispatcher (:func:`kernel_for`) picks one implementation per signature
 by a static rule, so every process on every host makes the same choices:
 
 * ``REPRO_KERNELS`` unset / ``auto`` — the rule: the first supporting
   kernel in registration (preference) order.  With the kernels' ``supports``
   predicates that means ``depthwise_native`` / ``depthwise_native_q8`` for
-  channels-last depthwise convs where the C library builds, else
-  ``depthwise_einsum`` / ``depthwise_einsum_q8``; ``pointwise_nhwc`` /
-  ``pointwise_q8`` for channels-last 1x1 convs; ``im2col_nhwc`` for
-  channels-last dense convs where the C library builds; ``im2col`` for every
-  NCHW signature.  Without the library no kernel serves channels-last dense
-  convs, so the layout pass keeps them NCHW;
+  depthwise convs where the C library builds, else ``depthwise_einsum`` /
+  ``depthwise_einsum_q8``; ``pointwise_nhwc`` / ``pointwise_q8`` for 1x1
+  convs; ``im2col_nhwc`` for dense convs (C gather and scatter where the
+  library builds, their byte-equal NumPy twins elsewhere).  Grouped
+  non-depthwise convs, and convs padded by a whole kernel or more, have no
+  kernel: :func:`~repro.runtime.compiler.compile_plan` rejects them;
 * ``REPRO_KERNELS=heuristic`` — the rule with depthwise pinned to
-  ``depthwise_einsum`` and dense to ``im2col``, so the float choices, and
-  the numerics, are the same with or without a C compiler;
-* ``REPRO_KERNELS=<name>`` — pin one kernel globally (e.g. ``im2col``);
-  signatures the pinned kernel rejects fall back to the rule;
+  ``depthwise_einsum``, so the float choices, and the numerics, are the
+  same with or without a C compiler;
+* ``REPRO_KERNELS=<name>`` — pin one kernel globally (e.g.
+  ``depthwise_einsum``); signatures the pinned kernel rejects fall back to
+  the rule;
 * ``REPRO_KERNELS=<class>=<name>,...`` — pin per op class, where the classes
   are ``pointwise`` / ``depthwise`` / ``grouped`` / ``dense`` (e.g.
-  ``depthwise=depthwise_einsum,dense=im2col``).
+  ``depthwise=depthwise_einsum``).
 
-No choice is timed: where two kernels compete (channels-last depthwise,
-compiled vs einsum) the compiled one wins every workload signature, so a
-committed rule gets the kernels a per-process timing run would.  The first
-bind of a rule choice that has a rival runs one untimed smoke forward on
-zero buffers; a kernel that raises or returns non-finite output there is
-quarantined and the rule picks again.  Every selection is recorded
-in an in-process table (chosen kernel, how it was chosen, smoke failures)
-surfaced through ``repro.runtime.cache_stats()``.
+No choice is timed: where two kernels compete (depthwise, compiled vs
+einsum) the compiled one wins every workload signature, so a committed rule
+gets the kernels a per-process timing run would.  The first bind of a rule
+choice that has a rival runs one untimed smoke forward on zero buffers; a
+kernel that raises or returns non-finite output there is quarantined and the
+rule picks again.  Every selection is recorded in an in-process table
+(chosen kernel, how it was chosen, smoke failures) surfaced through
+``repro.runtime.cache_stats()``.
 
 Survival rule: a registered kernel stays only while (a) the rule selects it
 on signatures of the ``perfbench`` workloads (``cosearch``,
 ``derived_train``, ``serve``) *and* it beats the path that would serve
-those signatures without it (the next candidate, or the NCHW fallback plus
-its boundary transposes), in a one-off census timing of the rivals in one
-process (CHANGES.md holds ``im2col_nhwc``'s, against ``im2col`` with and
-without both transposes, on every dense workload signature); or (b) a
-supported platform needs it as a fallback — ``im2col`` for every NCHW
-signature, and, on hosts where
-:mod:`~repro.runtime.kernels._native` cannot build, ``depthwise_einsum``
-(float depthwise) plus ``depthwise_einsum_q8`` and the NumPy requant tail
-of :class:`~repro.runtime.kernels.quantized.RequantEpilogue` (int8).  A
-kernel (or a branch of one) that meets neither is deleted, not kept "just
-in case"; int8 (``q8``) is the only quantized format for the same reason.
+those signatures without it (the next candidate), in a one-off census
+timing of the rivals in one process; or (b) it is the fallback of its op
+class — the last float kernel serving it, exempt from quarantine:
+``pointwise_nhwc`` (1x1), ``depthwise_einsum`` (depthwise, and the only
+depthwise kernel on hosts where :mod:`~repro.runtime.kernels._native`
+cannot build) and ``im2col_nhwc`` (dense) — or a supported platform needs
+it, as hosts without the C library need ``depthwise_einsum_q8`` and the
+NumPy requant tail of
+:class:`~repro.runtime.kernels.quantized.RequantEpilogue` (int8).  A kernel
+(or a branch of one) that meets neither is deleted, not kept "just in
+case"; int8 (``q8``) is the only quantized format for the same reason.
 
 Kernels are *bound* per plan step: instantiating a kernel class with
 ``(spec, plan)`` allocates its persistent buffers through ``plan.alloc`` and
@@ -72,7 +74,6 @@ __all__ = [
     "ConvKernel",
     "ENV_VAR",
     "KERNELS",
-    "LAYOUTS",
     "register_kernel",
     "kernel_names",
     "candidates",
@@ -80,7 +81,6 @@ __all__ = [
     "quarantined_kernels",
     "clear_quarantine",
     "kernel_for",
-    "pinned_candidates",
     "scratch_upper_bound",
     "selection_table",
     "reset_selections",
@@ -101,11 +101,6 @@ SCRATCH_PAD = 2    # padded buffers / padded scatter targets
 
 #: Op classes a signature can be pinned by (``REPRO_KERNELS=<class>=<name>``).
 OP_CLASSES = ("pointwise", "depthwise", "grouped", "dense")
-
-#: Memory layouts a plan slot (and hence a conv signature) may carry.  The
-#: layout describes the *physical* axis order of the activation buffers; the
-#: logical shape stays NCHW everywhere (weights included).
-LAYOUTS = ("NCHW", "NHWC")
 
 #: Per-lane-block working-set target of the blocked kernels — roughly half
 #: the L2 of the small cores this runtime targets, leaving room for the
@@ -128,7 +123,7 @@ class ConvSpec(NamedTuple):
     groups: int
     dtype: str      # numpy dtype name, e.g. "float32"
     direction: str  # "infer" (forward only) or "train" (forward + VJPs)
-    layout: str = "NCHW"  # physical activation layout ("NCHW" or "NHWC")
+    layout: str = "NHWC"  # physical activation layout: conv steps run channels-last
     quant: str = ""  # quantization mode: "" (float) or "q8" (int8)
 
     # Derived geometry ---------------------------------------------------- #
@@ -241,9 +236,10 @@ class ConvKernel:
     #: considers kernels whose mode matches the spec's ``quant`` field, so
     #: float kernels never see int8 buffers and vice versa.
     quant = ""
-    #: Whether this kernel is the total fallback every signature (of its
-    #: quant tier) can degrade to.  Fallback kernels are exempt from
-    #: quarantine: with them gone there is nothing left to dispatch to.
+    #: Whether this kernel is the last float kernel of its op class, the one
+    #: every signature of that class degrades to.  Fallback kernels are
+    #: exempt from quarantine: with them gone there is nothing left to
+    #: dispatch to.
     fallback = False
 
     @classmethod
@@ -293,7 +289,7 @@ class ConvKernel:
 
 
 #: Registered kernel classes, in preference order: the rule binds the first
-#: one that supports a signature (the general fallback registers itself last).
+#: one that supports a signature (each op class's fallback comes last).
 KERNELS = []
 
 #: signature -> {"kernel": name, "source": how it was chosen, "layout": ...}.
@@ -380,12 +376,12 @@ def _parse_env():
 
     Pins map op classes (or the wildcard ``"*"`` for a bare kernel name) to
     kernel names; ``auto`` (or unset) pins nothing and ``heuristic`` pins
-    depthwise to ``depthwise_einsum`` and dense to ``im2col``.  Unknown
+    depthwise to ``depthwise_einsum``.  Unknown
     kernel or class names raise ``ValueError`` so typos fail loudly.
     """
     raw = os.environ.get(ENV_VAR, "auto").strip()
     if raw.lower() == "heuristic":
-        raw = "depthwise=depthwise_einsum,dense=im2col"
+        raw = "depthwise=depthwise_einsum"
     elif raw.lower() == "auto":
         raw = ""
     names = set(kernel_names())
@@ -420,21 +416,6 @@ def _pinned_name(spec):
     """The kernel ``REPRO_KERNELS`` pins for ``spec``'s op class, or ``None``."""
     pins = _parse_env()
     return pins.get(spec.op_class, pins.get("*"))
-
-
-def pinned_candidates(spec):
-    """The candidates of ``spec`` that dispatch may serve it with.
-
-    That is :func:`candidates` narrowed to the ``REPRO_KERNELS`` pin of the
-    signature's op class, if it has one.  The layout pass puts a conv
-    channels-last only when this list is non-empty for its NHWC signature,
-    so a pinned run keeps its reproducible kernel choice.
-    """
-    cands = candidates(spec)
-    name = _pinned_name(spec)
-    if name is None:
-        return cands
-    return [cls for cls in cands if cls.name == name]
 
 
 class _Arena:
@@ -532,8 +513,9 @@ def kernel_for(spec, plan):
     cands = candidates(spec)
     if not cands:
         raise RuntimeError(
-            "no registered kernel supports {} (the im2col fallback should be "
-            "total; was the registry mutated?)".format(spec.describe())
+            "no registered kernel supports {} (compile_plan rejects such convs, and "
+            "pointwise_nhwc / depthwise_einsum / im2col_nhwc are never quarantined; "
+            "was the registry mutated?)".format(spec.describe())
         )
     name = _pinned_name(spec)
     pinned = [cls for cls in cands if cls.name == name]
@@ -545,27 +527,20 @@ def kernel_for(spec, plan):
     return cls(spec, plan)
 
 
-def scratch_upper_bound(spec, input_grad_needed=True, layouts=LAYOUTS):
-    """Per-channel scratch maxima over every candidate kernel and layout.
+def scratch_upper_bound(spec, input_grad_needed=True):
+    """Per-channel scratch maxima over every candidate kernel of ``spec``.
 
     The aliasing pass sizes the shared scratch arenas *before* the kernel is
-    selected, so the bound covers every candidate.  It also covers both
-    layouts by default — the per-channel maxima in *bytes*, not one NCHW
-    geometry — which over-provisions a little but keeps the arena sizes
-    independent of the ``layout`` pass's tags.  Returns ``(channel, nbytes)``
-    pairs.
+    selected, so the bound covers every candidate.  Returns ``(channel,
+    nbytes)`` pairs.
     """
     channels = {}
-    for layout in layouts:
-        variant = spec._replace(layout=layout)
-        for cls in candidates(variant):
-            requests = list(cls.scratch_requests(variant))
-            if variant.train:
-                requests += list(
-                    cls.backward_scratch_requests(variant, input_grad_needed)
-                )
-            for channel, nbytes in requests:
-                channels[channel] = max(channels.get(channel, 0), int(nbytes))
+    for cls in candidates(spec):
+        requests = list(cls.scratch_requests(spec))
+        if spec.train:
+            requests += list(cls.backward_scratch_requests(spec, input_grad_needed))
+        for channel, nbytes in requests:
+            channels[channel] = max(channels.get(channel, 0), int(nbytes))
     return tuple(sorted(channels.items()))
 
 

@@ -1,8 +1,11 @@
 """Graph-level optimisation passes over compiled :class:`~repro.runtime.plan.Plan`s.
 
-The structural compiler emits a faithful one-op-per-node program; this module
-rewrites that program *between emission and finalisation* — the classic
-deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
+The structural compiler emits a faithful one-op-per-node program, its
+layouts already decided (channels-last conv, batch-norm, join and global-pool
+steps, with an explicit :class:`~repro.runtime.plan.TransposeStep` wherever
+a read needs the other layout); this module rewrites that program *between
+emission and finalisation* — the classic deep-learning-compiler pipeline,
+specialised to the runtime's flat slot IR:
 
 ``fuse_epilogue``
     Epilogue fusion for inference plans: standalone batch-norm, activation
@@ -22,22 +25,6 @@ deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
     content checks), so training between rollouts refreshes them
     automatically; train-mode BN falls back to the unfolded math at run time.
 
-``layout``
-    Static layout assignment: every 4-D slot carries a physical layout tag
-    (NCHW / NHWC).  Convs connected through the layout-agnostic follow steps
-    (BN / activation / residual-add / gate combine / tile) form a component;
-    a component that holds a depthwise or pointwise conv with an NHWC kernel
-    runs channels-last (each of its convs that has an NHWC kernel under the
-    ``REPRO_KERNELS`` pins), and dense-only components stay NCHW.  So
-    inverted-residual expand -> depthwise -> project chains run end-to-end
-    NHWC: the pointwise convs become single flat GEMMs over trailing
-    channels with fused trailing-axis epilogues and the depthwise convs run
-    on the channels-last depthwise kernels.  Explicit
-    :class:`~repro.runtime.plan.TransposeStep`\\ s are materialised only at
-    the boundaries (anchor steps, the plan input, protected outputs).  The
-    rule reads no timings, so the tags depend only on the plan structure,
-    the registered kernels and the pins.
-
 ``quantize``
     Opt-in int8 lowering for inference plans (requires a
     :class:`~repro.runtime.quantize.QuantCalibration` in the pass context):
@@ -45,7 +32,7 @@ deep-learning-compiler pipeline, specialised to the runtime's flat slot IR:
     integer arithmetic with per-tensor activation scales from calibration,
     and explicit :class:`~repro.runtime.plan.QuantizeStep` /
     :class:`~repro.runtime.plan.DequantizeStep` boundary steps bracket the
-    quantized regions the way transpose steps bracket NHWC regions.  Heads,
+    quantized regions the way transpose steps bracket layout changes.  Heads,
     the dense stem and anything without a quantized kernel stay float; when
     the calibration does not match the compiled plan (slot drift across
     processes) the pass declines to fire rather than apply wrong scales.
@@ -111,11 +98,10 @@ __all__ = [
 ]
 
 #: Pipeline order matters: structural fusion first, then weight folding,
-#: then layout assignment (which may insert transpose steps), then
-#: quantization (whose slot-identity contract with calibration depends on
-#: all earlier passes having run identically), then the liveness analysis
+#: then quantization (whose slot-identity contract with calibration depends
+#: on all earlier passes having run identically), then the liveness analysis
 #: over the final step list.
-PASS_NAMES = ("fuse_epilogue", "fold_bn", "layout", "quantize", "alias_slots")
+PASS_NAMES = ("fuse_epilogue", "fold_bn", "quantize", "alias_slots")
 
 ENV_VAR = "REPRO_RUNTIME_PASSES"
 
@@ -381,116 +367,10 @@ def fold_bn(plan, ctx):
 
 
 # --------------------------------------------------------------------------- #
-# layout: static NCHW/NHWC assignment + transpose materialisation
+# Boundary-step helpers (quantize pass)
 # --------------------------------------------------------------------------- #
-def _step_layout_plan(step, lay, conv_layout, zero_slots):
-    """Decide the layout a step runs in and what it needs from its inputs.
-
-    ``lay`` maps a slot to its current layout tag (``None`` for non-4-D
-    slots).  Returns ``(step_layout, requires, out_layouts)``: ``requires``
-    maps read slots to the layout the step must observe them in (zero slots
-    are wildcards, satisfied by re-tagging instead of transposing) and
-    ``out_layouts`` maps (re)defined slots to their tags after the step.
-    """
-    if isinstance(step, Conv2dStep):
-        layout = conv_layout.get(id(step), "NCHW")
-        requires = {step.in_slot: layout}
-        if step.res_slot is not None:
-            requires[step.res_slot] = layout
-        return layout, requires, {step.out_slot: layout}
-    if isinstance(step, BatchNormStep):
-        layout = lay(step.in_slot) or "NCHW"
-        return layout, {}, {step.out_slot: layout}
-    if isinstance(step, ActivationStep):
-        # Elementwise in place: runs in whatever layout the slot carries, but
-        # redefines the slot (any transposed twin of it goes stale).
-        return lay(step.slot), {}, {step.slot: lay(step.slot)}
-    if isinstance(step, AddStep):
-        if step.out_slot in (step.a_slot, step.b_slot):
-            # In-place join: the aliased operand cannot be transposed away.
-            layout = lay(step.out_slot) or "NCHW"
-        else:
-            prefs = [
-                lay(slot)
-                for slot in (step.a_slot, step.b_slot)
-                if slot not in zero_slots and lay(slot) is not None
-            ]
-            layout = prefs[0] if prefs else "NCHW"
-        requires = {
-            slot: layout
-            for slot in (step.a_slot, step.b_slot)
-            if slot != step.out_slot
-        }
-        return layout, requires, {step.out_slot: layout}
-    if isinstance(step, GateCombineStep):
-        prefs = [
-            lay(slot)
-            for slot in step.in_slots
-            if slot not in zero_slots and lay(slot) is not None
-        ]
-        nhwc = sum(1 for pref in prefs if pref == "NHWC")
-        if not prefs:
-            layout = "NCHW"
-        elif nhwc * 2 > len(prefs):
-            layout = "NHWC"
-        elif nhwc * 2 < len(prefs):
-            layout = "NCHW"
-        else:
-            layout = prefs[0]
-        return layout, {slot: layout for slot in step.in_slots}, {step.out_slot: layout}
-    if isinstance(step, GlobalAvgPoolStep):
-        # Reduces over whatever layout its input carries; output is 2-D.
-        return lay(step.in_slot) or "NCHW", {}, {}
-    if isinstance(step, TransposeStep):
-        return step.to_layout, {step.in_slot: step.from_layout}, {
-            step.out_slot: step.to_layout
-        }
-    # Anchors: pooling / flatten / reshape / opaque (and anything else that
-    # indexes spatial axes logically) require physical NCHW on 4-D slots.
-    requires = {slot: "NCHW" for slot in step_reads(step) if lay(slot) is not None}
-    return "NCHW", requires, {}
-
-
-def _walk_layouts(plan, ctx, conv_layout, on_boundary, materialize):
-    """Propagate ``conv_layout`` through the program and re-wire its reads.
-
-    Walks the program in order tracking per-slot layout tags (the plan's
-    own, updated in place), slot write versions and first-claim re-tagging
-    of all-zero wildcard slots; calls ``on_boundary(step, slot, version,
-    current, needed)`` for every read whose tag mismatches, reads the
-    returned twin slot instead, and appends each step to ``materialize``.
-    """
-    layouts = plan._layouts
-    versions = {}
-    claimed_zero = set()
-    for step in plan.steps:
-        layout, requires, outs = _step_layout_plan(
-            step, lambda s: layouts[s], conv_layout, ctx.zero_slots
-        )
-        remap = {}
-        for slot, needed in requires.items():
-            current = layouts[slot]
-            if current is None or current == needed:
-                continue
-            if slot in ctx.zero_slots and slot not in claimed_zero:
-                # All-zero contents are layout-invariant: re-tag for free.
-                claimed_zero.add(slot)
-                layouts[slot] = needed
-                continue
-            remap[slot] = on_boundary(step, slot, versions.get(slot, 0), current, needed)
-        if remap:
-            _rewire_reads(step, remap)
-        if isinstance(step, (Conv2dStep, BatchNormStep, GlobalAvgPoolStep)):
-            step.layout = layout
-        materialize.append(step)
-        for slot, new_layout in outs.items():
-            if new_layout is not None:
-                layouts[slot] = new_layout
-            versions[slot] = versions.get(slot, 0) + 1
-
-
 def _rewire_reads(step, remap):
-    """Point a step's reads at transposed twin slots."""
+    """Point a step's reads at twin slots (``remap``: slot -> twin)."""
     if isinstance(step, Conv2dStep):
         step.in_slot = remap.get(step.in_slot, step.in_slot)
         if step.res_slot is not None:
@@ -525,53 +405,6 @@ def _share_boundary(boundary, step, slot):
         boundary.branch = None
 
 
-def assign_layouts(plan, ctx):
-    """Tag each conv NCHW or NHWC by a static rule, then materialise transposes.
-
-    A conv runs channels-last when its output is unprotected and it has an
-    NHWC kernel under the ``REPRO_KERNELS`` pins (see
-    :func:`repro.runtime.kernels.pinned_candidates`); where the C library
-    builds every float conv of the networks has one, so plans run NHWC end
-    to end behind one transpose of their input.  Without the library
-    (``REPRO_NATIVE=0``) or under an ``im2col`` pin, dense convs have none
-    and stay NCHW behind boundary transposes.  No timing is involved, so the
-    same plan structure, registry and pins give the same tags in every
-    process.  Boundary transposes inserted for a gated-supernet branch take
-    that branch's tag.
-    """
-    assign = {}
-    for step in plan.steps:
-        if isinstance(step, Conv2dStep):
-            fit = step.out_slot not in ctx.protected_slots and bool(
-                conv_kernels.pinned_candidates(step._spec(plan)._replace(layout="NHWC")))
-            assign[id(step)] = "NHWC" if fit else "NCHW"
-    if "NHWC" not in assign.values():
-        return
-
-    # Materialise: insert transpose steps at the boundaries, re-tag
-    # slots and steps, rewire reads through versioned twin slots.
-    twins = {}
-    new_steps = []
-
-    def on_boundary(step, slot, version, current, needed):
-        key = (slot, version, needed)
-        if key in twins:
-            twin, transpose = twins[key]
-            _share_boundary(transpose, step, slot)
-            return twin
-        twin = plan.new_slot(plan.shape(slot), layout=needed)
-        transpose = TransposeStep(slot, twin, current, needed)
-        transpose.branch = _feed_branch(step, slot)
-        new_steps.append(transpose)
-        twins[key] = (twin, transpose)
-        if slot == plan.input_slot or slot in plan._no_grad_slots:
-            plan._no_grad_slots.add(twin)
-        return twin
-
-    _walk_layouts(plan, ctx, assign, on_boundary, materialize=new_steps)
-    plan.steps = new_steps
-
-
 # --------------------------------------------------------------------------- #
 # quantize: calibrated int8 lowering of eligible convolutions
 # --------------------------------------------------------------------------- #
@@ -585,7 +418,7 @@ def quantize_plan(plan, ctx):
     the pass decline entirely — quantization is an optimisation, never a
     correctness requirement).
 
-    A conv is eligible when it is NHWC depthwise or pointwise, inference
+    A conv is eligible when it is depthwise or pointwise, inference
     direction, outside any gated-supernet branch (a calibration observes one
     path, and the plan serves every path), its activation quantizes losslessly into the requant clip
     (``None`` / ``relu``), its BN (if any) is folded into the weights, its
@@ -595,7 +428,7 @@ def quantize_plan(plan, ctx):
     eligible chains: a quantized conv reading a float slot gets a
     :class:`~repro.runtime.plan.QuantizeStep` twin, a float step reading a
     quantized slot gets a :class:`~repro.runtime.plan.DequantizeStep` twin
-    (memoised per slot, like the layout pass's transpose twins), and
+    (memoised per slot, like the compiler's transpose twins), and
     conv-to-conv edges inside a chain stay integer with matching scales by
     construction.  Value / policy heads stay float automatically: their
     first read of a quantized slot dequantizes it.
@@ -623,8 +456,7 @@ def quantize_plan(plan, ctx):
             continue
         spec = step._spec(plan)
         if (
-            step.layout != "NHWC"
-            or step.branch is not None
+            step.branch is not None
             or step.activation not in (None, "relu")
             or spec.op_class not in ("pointwise", "depthwise")
             or (step.bn is not None and not step.fold_bn)
@@ -1041,7 +873,6 @@ def lint_plan(plan, ctx=None):
 _PASS_FUNCS = {
     "fuse_epilogue": fuse_epilogue,
     "fold_bn": fold_bn,
-    "layout": assign_layouts,
     "quantize": quantize_plan,
     "alias_slots": alias_slots,
 }

@@ -80,16 +80,8 @@ _POOL_TOTALS = {
 # from the same arenas as the plan steps.
 
 
-def _channel_axes(layout):
-    """Reduction axes collapsing everything but channels under ``layout``."""
-    return (0, 1, 2) if layout == "NHWC" else (0, 2, 3)
-
-
-def _per_channel(v, layout):
-    """Broadcast a per-channel vector across a 4-D activation of ``layout``."""
-    if layout == "NHWC":
-        return v  # channels trail: natural broadcast
-    return v[None, :, None, None]
+#: Reduction axes of a channels-last activation that keep only channels.
+_SPATIAL_AXES = (0, 1, 2)
 
 
 def apply_activation(kind, array):
@@ -217,14 +209,13 @@ class Step:
         return type(self).__name__
 
 
-def _native_bn(layout, *arrays):
+def _native_bn(*arrays):
     """Whether the compiled batch-norm routines, bitwise equal to the NumPy code
-    below, serve these operands: C-contiguous float NHWC slots with at least two
+    below, serve these operands: C-contiguous float slots with at least two
     channels (NumPy reduces a single channel pairwise, not row by row)."""
     x = arrays[0]
     return (
-        layout == "NHWC"
-        and x.dtype in (np.float32, np.float64)
+        x.dtype in (np.float32, np.float64)
         and x.shape[-1] > 1
         and _native.available()
         and all(a is None or (a.dtype == x.dtype and a.flags.c_contiguous) for a in arrays)
@@ -236,8 +227,9 @@ class _BNMixin:
 
     Supports both eval mode (running statistics) and train mode (batch
     statistics plus in-place running-stat updates), mirroring
-    :func:`repro.nn.functional.batch_norm2d`.  Statistics and per-channel
-    vectors are ``(C,)``.  On NHWC float slots a train-mode forward is one
+    :func:`repro.nn.functional.batch_norm2d`.  Activations are channels-last;
+    statistics and per-channel vectors are ``(C,)`` and broadcast along the
+    trailing axis.  On float slots a train-mode forward is one
     compiled ``bn_train`` call (statistics, running-stat EMA, scale/shift,
     normalise, relu) and the backward one ``bn_vjp`` call, from
     :mod:`repro.runtime.kernels._native`; every other slot, and eval mode,
@@ -258,7 +250,7 @@ class _BNMixin:
         """Bound ``bn_train`` plus its ``(mean, inv_std)`` outputs, or ``None``
         when these operands stay on NumPy (the running buffers must be
         C-contiguous float64: ``bind`` rejects anything else)."""
-        if not _native_bn(self.layout, x, res, out, gamma, beta):
+        if not _native_bn(x, res, out, gamma, beta):
             return None
         mean, inv_std = np.empty((2, x.shape[-1]), x.dtype)
         return _native.bn_train_bind(x, res, out, gamma, beta, running_mean, running_var,
@@ -267,13 +259,12 @@ class _BNMixin:
     def _bn_forward(self, x, out, res=None):
         """``out = bn(x) (+res)``, then the activation (``out`` may be ``x``).
 
-        ``x`` is the activation in the step's physical layout (channels
-        second for NCHW, trailing for NHWC); in training mode the batch
+        ``x`` is the channels-last activation; in training mode the batch
         statistics are computed from it and the module's running buffers
         are updated in place (exactly like the eager path does during
         rollout collection).
         """
-        bn, layout = self.bn, self.layout
+        bn = self.bn
         gamma = bn.gamma.cast(self._dtype)
         beta = bn.beta.cast(self._dtype)
         bound = None
@@ -314,15 +305,14 @@ class _BNMixin:
             self._saved_stats = (bool(bn.training), mean, inv_std, gamma)
         scale = gamma * inv_std
         shift = beta - mean * scale
-        np.multiply(x, _per_channel(scale, layout), out=out)
-        out += _per_channel(shift, layout)
+        np.multiply(x, scale, out=out)
+        out += shift
         if res is not None:
             out += res
         apply_activation(self.activation, out)
 
     def _batch_stats(self, x):
         """Batch mean and two-pass variance, ``(C,)`` each."""
-        layout = self.layout
         # Two-pass variance (same association as the eager engine) via a
         # lazily-allocated workspace: train-mode BN stays allocation-free
         # per run without paying the workspace in eval-only plans.
@@ -330,16 +320,15 @@ class _BNMixin:
         if ws is None or ws.shape != x.shape or ws.dtype != x.dtype:
             ws = np.empty_like(x)
             self._bn_ws = ws
-        axes = _channel_axes(layout)
-        mean = x.mean(axis=axes)
-        np.subtract(x, _per_channel(mean, layout), out=ws)
+        mean = x.mean(axis=_SPATIAL_AXES)
+        np.subtract(x, mean, out=ws)
         np.square(ws, out=ws)
-        return mean, ws.mean(axis=axes)
+        return mean, ws.mean(axis=_SPATIAL_AXES)
 
     def _apply_bn_bias_act(self, out, bias, res=None):
         """Fused bias + batch-norm (+ residual) + activation, in place on ``out``."""
         if bias is not None:
-            out += _per_channel(bias.cast(self._dtype), self.layout)
+            out += bias.cast(self._dtype)
         if self.bn is not None:
             self._bn_forward(out, out, res)
             return
@@ -370,7 +359,7 @@ class _ConvEpilogue:
         step = self.step
         res = self.res
         if self.folded_bias is not None:
-            out += _per_channel(self.folded_bias, step.layout)
+            out += self.folded_bias
             if res is not None:
                 out += res
             apply_activation(step.activation, out)
@@ -395,6 +384,9 @@ class Conv2dStep(Step, _BNMixin):
     :class:`BatchNormStep` so the pre-normalisation activations survive).
     """
 
+    #: Physical activation layout of both slots: conv steps run channels-last.
+    layout = "NHWC"
+
     def __init__(self, conv, in_slot, out_slot, bn=None, activation=None):
         self.conv = conv
         self.bn = bn
@@ -408,9 +400,6 @@ class Conv2dStep(Step, _BNMixin):
         #: per-run channel-wise passes over the output map disappear (fold-BN
         #: pass, inference plans only).  Train-mode BN falls back at run time.
         self.fold_bn = False
-        #: Physical activation layout of both slots (layout-assignment pass
-        #: re-tags this; the emitter always starts from NCHW).
-        self.layout = "NCHW"
         #: :class:`QuantInfo` when the quantize pass converted this step to
         #: integer arithmetic (inference plans only); ``None`` = float.
         self.quant = None
@@ -443,7 +432,7 @@ class Conv2dStep(Step, _BNMixin):
 
     def _format_trace_label(self):
         # Per-signature attribution: the bound kernel's name plus the op
-        # signature string, e.g. "conv:im2col:n16c2->16@32x32/k3s1p1/...".
+        # signature string, e.g. "conv:im2col_nhwc:dense:n16c2->16@32x32/...".
         kernel = getattr(self, "_kernel", None)
         if kernel is None:
             return type(self).__name__
@@ -451,8 +440,7 @@ class Conv2dStep(Step, _BNMixin):
 
     def scratch_requests(self, plan):
         # The shared scratch arenas are sized before the kernel is selected,
-        # so provision the per-channel maxima over every candidate (and over
-        # both layouts, so arena sizes do not depend on the layout tags).
+        # so provision the per-channel maxima over every candidate.
         return conv_kernels.scratch_upper_bound(
             self._spec(plan), input_grad_needed=self._input_grad(plan)
         )
@@ -516,8 +504,8 @@ class Conv2dStep(Step, _BNMixin):
             raise RuntimeError("optimisation-pass epilogues are inference-only")
         self._pg_w = plan.grad_for(self.conv.weight)
         self._pg_b = plan.grad_for(self.conv.bias) if self.conv.bias is not None else None
-        # The plan input has no producer (and neither does a layout twin of
-        # it), so nothing ever reads its gradient: skip the input VJP
+        # The plan input has no producer (and neither does its channels-last
+        # twin), so nothing ever reads its gradient: skip the input VJP
         # entirely for stem convs (the single most expensive VJP in the net,
         # at full input resolution).
         self._input_grad_needed = self._input_grad(plan)
@@ -580,7 +568,7 @@ class Conv2dStep(Step, _BNMixin):
         gout = grads[self.out_slot]
         vjp.activation_vjp(self.activation, bufs[self.out_slot], gout)
         if self._pg_b is not None:
-            self._pg_b += gout.sum(axis=_channel_axes(self.layout))
+            self._pg_b += gout.sum(axis=_SPATIAL_AXES)
         weight = self.conv.weight.cast(self._dtype)
         gin = grads[self.in_slot] if self._input_grad_needed else None
         self._kernel.backward(gout, bufs[self.in_slot], weight, self._pg_w, gin)
@@ -641,7 +629,7 @@ class LinearStep(Step):
 
 
 class BatchNormStep(Step, _BNMixin):
-    """Standalone batch norm over a slot of either layout (for BN not fused into a conv).
+    """Standalone channels-last batch norm (for BN not fused into a conv).
 
     Training plans route every BN through this step (never fused into the
     conv) so backward can see the pre-normalisation input; the statistics
@@ -650,13 +638,14 @@ class BatchNormStep(Step, _BNMixin):
     :class:`_BNMixin`).
     """
 
+    #: Physical activation layout of both slots.
+    layout = "NHWC"
+
     def __init__(self, bn, in_slot, out_slot, activation=None):
         self.bn = bn
         self.activation = activation
         self.in_slot = in_slot
         self.out_slot = out_slot
-        #: Physical activation layout of both slots (layout-assignment pass).
-        self.layout = "NCHW"
 
     def allocate(self, plan):
         self._dtype = plan.dtype
@@ -682,7 +671,7 @@ class BatchNormStep(Step, _BNMixin):
 
     def _bind_bn_vjp(self, g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
         """Bound ``bn_vjp``, or ``None`` when these operands stay on NumPy."""
-        if not _native_bn(self.layout, x, g, y, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
+        if not _native_bn(x, g, y, gin, mean, inv_std, gamma, pg_gamma, pg_beta):
             return None
         return _native.bn_vjp_bind(g, y, x, gin, mean, inv_std, gamma, pg_gamma, pg_beta)
 
@@ -702,8 +691,7 @@ class BatchNormStep(Step, _BNMixin):
             bound(training, relu)
             return
         gx, dgamma, dbeta = vjp.batchnorm2d_vjp(
-            gout, x, mean, inv_std, gamma, training, ws=self._bw_ws,
-            channel_axis=3 if self.layout == "NHWC" else 1,
+            gout, x, mean, inv_std, gamma, training, ws=self._bw_ws, channel_axis=3,
         )
         gin += gx
         self._pg_gamma += dgamma
@@ -796,31 +784,22 @@ class ReshapeStep(Step):
 
 
 class GlobalAvgPoolStep(Step):
-    """Mean over the spatial extent of a 4-D slot -> ``(N, C)``.
+    """Mean over the spatial extent of a channels-last 4-D slot -> ``(N, C)``."""
 
-    Accepts either physical layout — the output is layout-free ``(N, C)``,
-    so the layout pass never needs a transpose in front of it.
-    """
+    #: Physical layout of the input slot.
+    layout = "NHWC"
 
     def __init__(self, in_slot, out_slot):
         self.in_slot = in_slot
         self.out_slot = out_slot
-        self.layout = "NCHW"
 
     def run(self, bufs):
-        axes = (1, 2) if self.layout == "NHWC" else (2, 3)
-        bufs[self.in_slot].mean(axis=axes, out=bufs[self.out_slot])
+        bufs[self.in_slot].mean(axis=(1, 2), out=bufs[self.out_slot])
 
     def backward(self, bufs, grads):
         x = bufs[self.in_slot]
-        if self.layout == "NHWC":
-            h, w = x.shape[1], x.shape[2]
-            scaled = grads[self.out_slot] * (1.0 / (h * w))
-            grads[self.in_slot] += scaled[:, None, None, :]
-            return
-        grads[self.in_slot] += vjp.global_avg_pool_vjp(
-            grads[self.out_slot], x.shape[2:]
-        )
+        scaled = grads[self.out_slot] * (1.0 / (x.shape[1] * x.shape[2]))
+        grads[self.in_slot] += scaled[:, None, None, :]
 
 
 class Pool2dStep(Step):
@@ -965,7 +944,10 @@ class GateCombineStep(Step):
 class TransposeStep(Step):
     """Materialised NCHW <-> NHWC conversion at a layout boundary.
 
-    Inserted only by the layout-assignment pass.  Both slots describe the
+    Emitted by the compiler where a step reads a slot in the other layout
+    (channels-last conv / batch-norm / join / pooling steps versus the NCHW
+    plan input, pooling windows, flatten, opaque modules and 4-D plan
+    outputs), and by nothing else.  Both slots describe the
     same logical NCHW tensor; only the physical axis order differs, so the
     VJP is the opposite transpose.  A transpose of the plan input (or of
     another no-grad twin) skips its backward entirely — nothing reads the
@@ -1177,8 +1159,8 @@ class Plan:
         self._layouts = []
         self._dtypes = []
         self._view_slots = set()
-        #: Slots whose gradient nothing ever reads (layout twins of the plan
-        #: input): their producers and consumers skip the input VJP.
+        #: Slots whose gradient nothing ever reads (transposed twins of the
+        #: plan input): their producers and consumers skip the input VJP.
         self._no_grad_slots = set()
         self.bufs = None
         self.input_slot = None
@@ -1296,10 +1278,6 @@ class Plan:
     def layout(self, slot):
         """Physical layout tag of ``slot`` (``None`` for non-4-D slots)."""
         return self._layouts[slot]
-
-    def set_layout(self, slot, layout):
-        """Re-tag ``slot``'s physical layout (layout-assignment pass only)."""
-        self._layouts[slot] = layout
 
     def slot_dtype(self, slot):
         """Buffer dtype of ``slot`` (the plan dtype unless overridden)."""

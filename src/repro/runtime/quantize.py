@@ -3,8 +3,8 @@
 Quantizing activations needs their dynamic ranges, and the ranges that
 matter are the ones the policy actually visits — so calibration *runs the
 plan*: a :class:`Calibrator` compiles the module exactly as the inference
-engine would (same passes, same layout assignment, minus the quantize pass
-itself) and observes every activation slot over a short rollout's worth of
+engine would (same emission, same passes minus the quantize pass itself)
+and observes every activation slot over a short rollout's worth of
 batches.  The harvested per-channel amax profile is packaged as a
 :class:`QuantCalibration`, keyed like the engine's plan cache
 (``(input shape, gate path, dtype)``) so an engine holding several
@@ -20,8 +20,8 @@ weights are known exactly).
 Slot-identity contract: the quantize pass appends its new slots/steps
 *after* the shared pass pipeline ran, so slot indices assigned by
 compilation-minus-quantize are identical between the calibration plan and
-the engine's plan.  If they ever diverge (e.g. a ``REPRO_KERNELS`` pin
-changes a layout decision between calibration and serving), the
+the engine's plan.  If they ever diverge (e.g. a calibration saved by a
+revision that emitted its plans differently), the
 calibration's ``num_slots`` / per-slot channel counts stop matching and the
 quantize pass declines to fire rather than apply wrong scales — quantization is an optimisation, so
 the fail-safe is the float path.

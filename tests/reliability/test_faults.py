@@ -76,7 +76,7 @@ class TestInjector:
 
     def test_target_fires_only_on_match(self):
         injector = FaultInjector("kernel_error=depthwise_native")
-        assert not injector.should_fire("kernel_error", target="im2col")
+        assert not injector.should_fire("kernel_error", target="im2col_nhwc")
         assert injector.should_fire("kernel_error", target="depthwise_native")
         assert not injector.should_fire("kernel_error")
         assert injector.target("kernel_error") == "depthwise_native"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Sequential
+from repro.nn import Conv2d, Sequential, Tensor, no_grad
 from repro.reliability import health
 from repro.runtime import compile_plan
 from repro.runtime.kernels import (
@@ -61,17 +61,19 @@ class TestQuarantineRegistry:
         assert quarantined_kernels()["depthwise_native"] == "first"
         assert health.get("quarantined_kernels") == counter + 1
 
-    def test_fallback_kernel_refuses_quarantine(self):
-        assert not quarantine_kernel("im2col", "must never be excluded")
-        assert "im2col" not in quarantined_kernels()
+    @pytest.mark.parametrize("name", ["pointwise_nhwc", "depthwise_einsum", "im2col_nhwc"])
+    def test_fallback_kernel_refuses_quarantine(self, name):
+        """The last float kernel of each op class is never excluded."""
+        assert not quarantine_kernel(name, "must never be excluded")
+        assert name not in quarantined_kernels()
 
     def test_candidates_never_go_empty(self):
         spec = depthwise_spec()
         for cls in candidates(spec):
             quarantine_kernel(cls.name, "sweep")
-        # Excluding every candidate would leave dispatch empty-handed, so the
-        # unfiltered list comes back instead.
-        assert candidates(spec)
+        # The class's fallback refuses quarantine, so dispatch is never left
+        # empty-handed.
+        assert [cls.name for cls in candidates(spec)] == ["depthwise_einsum"]
 
 
 @needs_native
@@ -102,8 +104,8 @@ class TestAutotunerFailures:
     def test_selection_table_reports_failures(self, set_faults):
         set_faults("kernel_error=depthwise_native")
         rng = np.random.default_rng(0)
-        # expand / depthwise / project: the layout pass runs the chain
-        # channels-last, where the depthwise conv has two candidates.
+        # expand / depthwise / project, channels-last like every plan, where
+        # the depthwise conv has two candidates.
         net = Sequential(
             Conv2d(16, 16, 1, rng=rng),
             Conv2d(16, 16, 3, stride=1, padding=1, groups=16, rng=rng),
@@ -120,10 +122,7 @@ class TestAutotunerFailures:
         assert all(row["kernel"] == "depthwise_einsum" for row in rows.values())
         assert any("depthwise_native" in row.get("failures", {}) for row in rows.values())
         assert health.get("quarantined_kernels") == counter + 1
-        # The plan serves the same answer as an all-im2col compile.
-        reset_selections()
-        clear_quarantine()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_KERNELS", "im2col")
-            reference = np.asarray(compile_plan(net, shape).run(x))
+        # The plan serves the eager module's answer.
+        with no_grad():
+            reference = net(Tensor(x)).data
         np.testing.assert_allclose(out, reference, atol=1e-12)

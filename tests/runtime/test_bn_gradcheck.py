@@ -13,15 +13,12 @@ import pytest
 from repro.networks import AgentSuperNet
 from repro.nn import BatchNorm2d, ConvBNReLU, vjp
 from repro.runtime import compile_plan
-from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
-from repro.runtime.passes import PASS_NAMES
 from repro.runtime.plan import BatchNormStep
 
 STEP = 1e-5
 #: Relative error bound; gradients below ``FLOOR`` are compared absolutely.
 RTOL = 1e-6
 FLOOR = 1e-3
-NO_LAYOUT = frozenset(PASS_NAMES) - {"layout"}
 
 
 def assert_close(numeric, analytic, label):
@@ -113,10 +110,9 @@ def check_plan(plan, checks, x, seed):
         assert_close(np.array(numeric), expected, "{} {}".format(param.shape, indices))
 
 
-@pytest.mark.parametrize("layout", ["NCHW", "NHWC"])
 @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
 @pytest.mark.parametrize("relu", [False, True], ids=["none", "relu"])
-def test_compiled_batchnorm_step(layout, training, relu):
+def test_compiled_batchnorm_step(training, relu):
     rng = np.random.default_rng(1)
     block = ConvBNReLU(3, 6, kernel_size=1, rng=rng, use_relu=relu)
     block.bn.gamma.data = rng.standard_normal(6)
@@ -125,18 +121,16 @@ def test_compiled_batchnorm_step(layout, training, relu):
     block.bn.running_var[...] = rng.random(6) + 0.5
     block.train(training)
     x = rng.random((4, 3, 5, 5))
-    plan = compile_plan(block, x.shape, train=True,
-                        passes=None if layout == "NHWC" else NO_LAYOUT)
+    plan = compile_plan(block, x.shape, train=True)
     [step] = [s for s in plan.steps if isinstance(s, BatchNormStep)]
-    assert step.layout == layout
+    assert step.layout == "NHWC"
     checks = [(p, np.arange(p.data.size)) for p in block.parameters()]
     check_plan(plan, checks, x, seed=2)
 
 
-def test_compiled_gated_plan(monkeypatch):
-    """Batch norm inside a gated supernet cell, both layouts and activations."""
-    # The dense conv_k5 branch stays NCHW only with dense convs on im2col.
-    monkeypatch.setenv(KERNELS_ENV, "heuristic")
+def test_compiled_gated_plan():
+    """Batch norm inside a gated supernet cell (a dense conv_k5 and an
+    inverted-residual branch), with and without a fused relu."""
     rng = np.random.default_rng(3)
     net = AgentSuperNet(in_channels=1, input_size=8, feature_dim=4, num_cells=1,
                         base_width=4, num_stages=1, rng=rng)
@@ -148,7 +142,7 @@ def test_compiled_gated_plan(monkeypatch):
     plan = compile_plan(net, (2, 1, 8, 8), train=True, gated_paths=[(1, 4)])
     plan.set_gates([np.array([0.3, 0.7])])
     steps = [s for s in plan.steps if isinstance(s, BatchNormStep)]
-    assert {s.layout for s in steps} == {"NCHW", "NHWC"}
+    assert {s.layout for s in steps} == {"NHWC"}
     assert {s.activation for s in steps} == {"relu", None}
     checks = [(p, np.arange(p.data.size)) for s in steps for p in (s.bn.gamma, s.bn.beta)]
     # A few weights of every conv in the plan: their gradients flow through

@@ -66,7 +66,6 @@ def batchnorm_step(shape, dtype, training, activation, passes=1):
     c = shape[-1]
     bn = make_bn(c, training, seed=1)
     step = BatchNormStep(bn, 0, 1, activation=activation)
-    step.layout = "NHWC"
     step._dtype = np.dtype(dtype)
     step._capture_stats = True
     step._pg_gamma = np.zeros(c, dtype)
@@ -88,7 +87,6 @@ def conv_epilogue(shape, dtype, training, activation, bias, residual):
     conv = Conv2d(c, c, 1, bias=bias, rng=np.random.default_rng(3))
     bn = make_bn(c, training, seed=4)
     step = Conv2dStep(conv, 0, 1, bn=bn, activation=activation)
-    step.layout = "NHWC"
     step._dtype = np.dtype(dtype)
     out, res = arrays(shape, dtype, seed=5, count=2)
     step._apply_bn_bias_act(out, conv.bias, res=res if residual else None)
@@ -100,11 +98,10 @@ def conv_epilogue(shape, dtype, training, activation, bias, residual):
 def test_routing(dtype):
     for shape in SHAPES:
         x = np.zeros(shape, dtype)
-        assert plan_mod._native_bn("NHWC", x) == (shape[-1] > 1)
-        assert not plan_mod._native_bn("NCHW", x)
-        assert not plan_mod._native_bn("NHWC", x.astype(np.float16))
+        assert plan_mod._native_bn(x) == (shape[-1] > 1)
+        assert not plan_mod._native_bn(x.astype(np.float16))
     strided = np.zeros((2, 3, 3, 8), dtype)[..., ::2]
-    assert not plan_mod._native_bn("NHWC", strided)
+    assert not plan_mod._native_bn(strided)
 
 
 @needs_library
@@ -194,7 +191,6 @@ class TestBinding:
         """Run a train-mode ``BatchNormStep`` twice with ``change(bn)`` in between."""
         bn = make_bn(8, True, seed=1)
         step = BatchNormStep(bn, 0, 1, activation="relu")
-        step.layout = "NHWC"
         step._dtype = np.dtype(dtype)
         x, out = arrays((2, 3, 3, 8), dtype, seed=2, count=2)
         outs = []
@@ -365,8 +361,9 @@ def run_update(native, script=UPDATE_SCRIPT):
     env = dict(os.environ)
     env.pop("REPRO_FAULTS", None)
     env["REPRO_NATIVE"] = "1" if native else "0"
-    # Both runs use the NumPy depthwise kernel and the NCHW im2col, so the
-    # batch norm is the only part the library changes.
+    # Both runs use the NumPy depthwise kernel, and im2col_nhwc's C gather
+    # and scatter give the bytes of their NumPy twins, so the batch norm is
+    # the only part the library changes.
     env["REPRO_KERNELS"] = "heuristic"
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")

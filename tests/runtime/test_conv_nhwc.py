@@ -1,12 +1,14 @@
 """The channels-last dense conv kernel (``im2col_nhwc``) against nested loops.
 
 The reference walks output pixels and kernel taps one at a time, in float64,
-and shares no code with the kernel (its C gather and scatter, its GEMMs) or
+and shares no code with the kernel (its gather and scatter, its GEMMs) or
 with :mod:`repro.nn.vjp`.  It checks the forward and both VJPs on every
 dense conv geometry the co-search samples (the stem, ``conv_k3``/``conv_k5``
 cells at 8-32 channels, strides 1 and 2, and the strided 1x1 shortcuts) and
-on the ResNet-20 teacher's convs.  Without the C library the kernel serves
-nothing and dense convs stay NCHW on ``im2col``; only that case runs there.
+on the ResNet-20 teacher's convs.  The kernel gathers and scatters in C where
+the library builds and with NumPy twins elsewhere; the twins must give the C
+routines' bytes (that comparison needs the library, the nested-loop checks
+run on either side).
 """
 
 import numpy as np
@@ -91,14 +93,12 @@ def operands(spec, seed):
     return x, w, gout
 
 
-@needs_library
 def test_geometries_cover_the_stem_every_kernel_and_stride():
     assert {(k, s) for _, _, k, s, _ in GEOMETRIES} == {(1, 2), (3, 1), (3, 2), (5, 1), (5, 2)}
     assert (2, 8, 3, 2, 28) in GEOMETRIES  # the stem
     assert {c for c, *_ in GEOMETRIES} >= {8, 16, 32}
 
 
-@needs_library
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_forward_and_vjps_match_nested_loops(geometry, dtype):
@@ -119,7 +119,6 @@ def test_forward_and_vjps_match_nested_loops(geometry, dtype):
         assert np.all(np.abs(gin - prefill - want_gin) <= tol * (abs_gin + np.abs(prefill)) + 1e-30)
 
 
-@needs_library
 def test_inference_forward_matches_training_forward():
     spec = ConvSpec(4, 8, 16, 14, 14, 5, 2, 2, 1, "float32", "infer", "NHWC")
     x, w, gout = operands(spec, seed=3)
@@ -154,11 +153,69 @@ def test_binds_each_routine_once_over_three_backward_passes(monkeypatch):
     assert len({out.tobytes() for out, _ in results}) == 3
 
 
-def test_dense_convs_stay_nchw_on_im2col_without_the_library(monkeypatch):
+@needs_library
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_numpy_twins_give_the_c_bytes(monkeypatch, geometry, dtype):
+    """The NumPy gather and scatter against C ``im2col_nhwc`` / ``col2im_nhwc``:
+    the forward and both VJPs byte for byte, ``gin`` pre-filled."""
+    cin, cout, k, s, size = geometry
+    spec = ConvSpec(3, cin, cout, size, size, k, s, k // 2, 1, dtype, "train", "NHWC")
+    x, w, gout = operands(spec, seed=sum(geometry))
+    prefill = np.random.default_rng(1).standard_normal(spec.in_shape).astype(dtype)
+    results = []
+    for native in (True, False):
+        monkeypatch.setattr(_native, "available", lambda native=native: native)
+        gin = prefill.copy()
+        results.append([a.tobytes() for a in (*run_kernel(spec, x, w, gout, gin), gin)])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("direction", ["infer", "train"])
+def test_numpy_twins_rewrite_stale_workspaces(monkeypatch, direction, dtype):
+    """Plans share scratch arenas between steps, so the NumPy gather must
+    rewrite its padded buffer's border and every column on each pass: NaN
+    left in the workspaces by another step never reaches the results."""
+    monkeypatch.setattr(_native, "available", lambda: False)
+    spec = ConvSpec(3, 4, 6, 9, 9, 5, 2, 2, 1, dtype, direction, "NHWC")
+    x, w, gout = operands(spec, seed=5)
+    prefill = np.random.default_rng(1).standard_normal(spec.in_shape).astype(dtype)
+
+    def passes(stale):
+        arena = _Arena(spec)
+        kernel = Im2colNHWCKernel(spec, arena)
+        workspaces = [kernel._xpad, kernel._cols]
+        if spec.train:
+            kernel.allocate_backward(arena, True)
+            workspaces += [kernel._gcols, kernel._gwt]
+        assert kernel._xpad is not None
+        results = []
+        for shift in range(3):
+            if stale:
+                for buf in workspaces:
+                    buf.fill(np.nan)
+            if spec.train:
+                gin = prefill.copy()
+                out, gw = run_kernel(spec, x + shift, w, gout, gin, kernel)
+                results.append([a.tobytes() for a in (out, gw, gin)])
+            else:
+                out = np.empty(spec.out_shape, spec.dtype)
+                kernel.forward(x + shift, w, out, NULL_EPILOGUE)
+                results.append([out.tobytes()])
+        assert not np.isnan(np.frombuffer(b"".join(sum(results, [])), spec.dtype)).any()
+        return results
+
+    assert passes(stale=True) == passes(stale=False)
+
+
+def test_dense_convs_run_nhwc_without_the_library(monkeypatch):
+    """Without the library dense convs still run channels-last on
+    ``im2col_nhwc``, on its NumPy gather and scatter."""
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
     monkeypatch.setattr(_native, "available", lambda: False)
     spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train", "NHWC")
-    assert not Im2colNHWCKernel.supports(spec)
+    assert Im2colNHWCKernel.supports(spec)
     teacher = make_agent("ResNet-20", obs_size=28, frame_stack=2, feature_dim=32,
                          base_width=4, seed=0)
     teacher.train()
@@ -166,5 +223,5 @@ def test_dense_convs_stay_nchw_on_im2col_without_the_library(monkeypatch):
     compile_plan(teacher, (4, 2, 28, 28), dtype=np.float32, train=True)
     table = selection_table()
     reset_selections()
-    assert {row["kernel"] for row in table.values()} == {"im2col"}
-    assert {row["layout"] for row in table.values()} == {"NCHW"}
+    assert {row["kernel"] for row in table.values()} == {"im2col_nhwc"}
+    assert {row["layout"] for row in table.values()} == {"NHWC"}

@@ -4,10 +4,10 @@ Kernel selection is a static rule, so the same plans select the same kernels
 in every process on every host.  This pins the rule's choices for the plans
 the workloads compile: the derived agent's float32 inference, train and int8
 inference plans, the all-candidate supernet's rollout (a ``path=`` inference
-compile) and train plans of the co-search, and the ResNet-20 teacher.  Every signature must match.  Hosts without the C
-library (``REPRO_NATIVE=0`` or no compiler) expect the einsum depthwise
-kernels wherever the census names the compiled ones, and run dense convs
-NCHW on ``im2col`` where it names ``im2col_nhwc``.
+compile) and train plans of the co-search, and the ResNet-20 teacher.  Every
+signature must match.  Hosts without the C library (``REPRO_NATIVE=0`` or no
+compiler) expect the einsum depthwise kernels wherever the census names the
+compiled ones; every other choice, ``im2col_nhwc`` included, is the same.
 
 Regenerate the census (on a host where the C library builds) with
 ``PYTHONPATH=src python tests/runtime/test_kernel_census.py``.
@@ -39,19 +39,12 @@ CENSUS_PATH = os.path.join(os.path.dirname(__file__), "data", "kernel_census.jso
 WITHOUT_LIBRARY = {
     "depthwise_native": "depthwise_einsum",
     "depthwise_native_q8": "depthwise_einsum_q8",
-    "im2col_nhwc": "im2col",
 }
 
 
 def without_library(expected):
-    """The census where the C library is unavailable: the fallback kernels,
-    and dense convs NCHW, since only the library serves them channels-last."""
-    table = {}
-    for signature, name in expected.items():
-        if name == "im2col_nhwc":
-            signature = signature[:-len("nhwc")] + "nchw"
-        table[signature] = WITHOUT_LIBRARY.get(name, name)
-    return table
+    """The census where the C library is unavailable: the fallback kernels."""
+    return {signature: WITHOUT_LIBRARY.get(name, name) for signature, name in expected.items()}
 
 
 def _derived_agent():

@@ -1,9 +1,9 @@
 """Conv kernel registry: parity across implementations and dispatch.
 
-Every registered kernel must reproduce the im2col reference bit-tightly
-(f64 <= 1e-12, f32 <= 1e-6) in both directions, across depthwise / grouped /
-dense / pointwise signatures, strides and paddings — including gated
-supernet train plans.  Dispatch must honour ``REPRO_KERNELS`` pinning, fall
+Every registered kernel must reproduce the eager module — its float64
+forward and autograd backward — bit-tightly (f64 <= 1e-12, f32 <= 1e-6) in
+both directions, across depthwise / dense / pointwise signatures, strides
+and paddings — including gated supernet train plans.  Dispatch must honour ``REPRO_KERNELS`` pinning, fall
 back cleanly when a pinned kernel rejects a signature, and the static rule
 must make one deterministic decision per signature, smoke-testing a choice
 with a rival once per process.
@@ -15,7 +15,7 @@ import pytest
 from repro import runtime
 from repro.drl.agent import ActorCriticAgent
 from repro.networks import AgentSuperNet
-from repro.nn import Conv2d, Sequential
+from repro.nn import Conv2d, Sequential, Tensor
 from repro.runtime import compile_plan
 from repro.runtime.kernels import (
     ENV_VAR,
@@ -27,7 +27,6 @@ from repro.runtime.kernels import (
     selection_table,
 )
 from repro.runtime.kernels import registry
-from repro.runtime.kernels.conv import GemmIm2colKernel
 from repro.runtime.kernels.depthwise import DepthwiseEinsumKernel, DepthwiseNativeKernel
 from repro.runtime.kernels.registry import NULL_EPILOGUE, _Arena, reset_selections
 
@@ -48,18 +47,18 @@ SHAPES = (
     (5, 5, 5, 2, 2, 5, 8),     # depthwise k5 s2
     (4, 4, 5, 1, 2, 4, 7),     # depthwise k5 s1
     (4, 4, 3, 1, 0, 4, 6),     # depthwise, no padding
-    (6, 8, 3, 1, 1, 2, 7),     # grouped (non-depthwise)
     (3, 7, 3, 2, 1, 1, 9),     # dense strided
     (5, 9, 1, 1, 0, 1, 6),     # pointwise
+    (4, 6, 3, 1, 1, 1, 8),     # dense k3 s1
+    (3, 5, 5, 1, 2, 1, 7),     # dense k5 s1
 )
 
 
 def conv_net(cin, cout, k, s, p, g, seed=3):
     """Producer conv + conv-under-test + pointwise consumer.
 
-    The producer exercises the input VJP path; the consumer keeps the conv
-    under test off the plan's protected output, which must stay NCHW, so the
-    layout pass may run it on a channels-last kernel.
+    The producer exercises the conv under test's input VJP path; the
+    consumer reads its output like any mid-plan conv.
     """
     rng = np.random.default_rng(seed)
     return Sequential(
@@ -73,12 +72,19 @@ def spec_for(cin, cout, k, s, p, g, h, batch=4, dtype="float64", direction="infe
     return ConvSpec(batch, cin, cout, h, h, k, s, p, g, dtype, direction)
 
 
+def conv_input(shape, dtype=np.float64):
+    cin, h = shape[0], shape[-1]
+    return np.random.default_rng(11).random((4, cin, h, h)).astype(dtype)
+
+
 def run_pinned(monkeypatch, pin, shape, dtype, train=False):
-    """Compile + run (and backward) the two-conv net under one kernel pin."""
-    cin, cout, k, s, p, g, h = shape
+    """Compile + run (and backward) the three-conv net under one kernel pin.
+
+    The gradients are the parameters', in the net's parameter order.
+    """
     monkeypatch.setenv(ENV_VAR, pin)
-    net = conv_net(cin, cout, k, s, p, g)
-    x = np.random.default_rng(11).random((4, cin, h, h)).astype(dtype)
+    net = conv_net(*shape[:-1])
+    x = conv_input(shape, dtype)
     plan = compile_plan(net, x.shape, dtype=dtype, train=train)
     out = np.asarray(plan.run(x)).copy()
     grads = None
@@ -86,16 +92,25 @@ def run_pinned(monkeypatch, pin, shape, dtype, train=False):
         plan.zero_grads()
         plan.seed_grad(plan.output_slots[0], np.ones_like(out))
         plan.run_backward()
-        grads = [g.copy() for _, g in plan.param_grads.values()]
+        grads = [plan.param_grad(p).copy() for p in net.parameters()]
     return out, grads
+
+
+def eager_reference(shape):
+    """The eager net's float64 forward and autograd parameter gradients, the
+    output gradient all ones (the reference of :func:`run_pinned`)."""
+    net = conv_net(*shape[:-1])
+    out = net(Tensor(conv_input(shape)))
+    net.zero_grad()
+    out.backward(np.ones(out.shape))
+    return out.data, [p.grad for p in net.parameters()]
 
 
 def class_pin(shape, name):
     """Pin ``name`` for the op class of the conv under test only.
 
-    A bare pin would make every other conv of the net infeasible in both
-    layouts, and with them the whole NHWC assignment: the channels-last
-    kernels would never run.
+    A bare pin would also pin every other conv of the net, where it falls
+    back to the rule.
     """
     return "{}={}".format(spec_for(*shape).op_class, name)
 
@@ -104,10 +119,8 @@ class TestKernelParity:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL), (np.float32, F32_TOL)])
     def test_forward_parity_all_kernels(self, monkeypatch, shape, dtype, tol):
-        reference, _ = run_pinned(monkeypatch, "im2col", shape, dtype)
+        reference, _ = eager_reference(shape)
         for name in kernel_names():
-            if name == "im2col":
-                continue
             # Pinning a kernel that rejects the signature falls back — the
             # result must be correct either way.
             produced, _ = run_pinned(monkeypatch, class_pin(shape, name), shape, dtype)
@@ -115,10 +128,8 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_backward_parity_all_kernels(self, monkeypatch, shape):
-        reference, ref_grads = run_pinned(monkeypatch, "im2col", shape, np.float64, train=True)
+        reference, ref_grads = eager_reference(shape)
         for name in kernel_names():
-            if name == "im2col":
-                continue
             produced, grads = run_pinned(
                 monkeypatch, class_pin(shape, name), shape, np.float64, train=True
             )
@@ -129,7 +140,7 @@ class TestKernelParity:
 
     def test_f32_fast_path_depthwise_native(self, monkeypatch):
         shape = (6, 6, 3, 1, 1, 6, 9)
-        reference, _ = run_pinned(monkeypatch, "im2col", shape, np.float32)
+        reference, _ = eager_reference(shape)
         produced, _ = run_pinned(monkeypatch, class_pin(shape, "depthwise_native"), shape,
                                  np.float32)
         assert produced.dtype == np.float32
@@ -137,38 +148,67 @@ class TestKernelParity:
 
 
 class TestGatedTrainPlans:
-    def _grads(self, monkeypatch, pin, dtype=np.float64):
-        monkeypatch.setenv(ENV_VAR, pin)
+    GATED = tuple((2, 4) for _ in range(3))
+
+    def _agent(self):
         supernet = AgentSuperNet(in_channels=2, input_size=16, feature_dim=32,
                                  base_width=8, num_cells=3,
                                  rng=np.random.default_rng(0))
         agent = ActorCriticAgent(supernet, num_actions=4, feature_dim=32,
                                  rng=np.random.default_rng(0))
         agent.train()
-        gated = tuple((2, 4) for _ in range(supernet.num_cells))
-        x = np.random.default_rng(5).random((3, 2, 16, 16))
-        plan = compile_plan(agent, x.shape, dtype=dtype, train=True, gated_paths=gated)
+        return agent
+
+    def _input(self):
+        return np.random.default_rng(5).random((3, 2, 16, 16))
+
+    def _grads(self, monkeypatch, pin, dtype=np.float64):
+        monkeypatch.setenv(ENV_VAR, pin)
+        agent = self._agent()
+        x = self._input()
+        plan = compile_plan(agent, x.shape, dtype=dtype, train=True, gated_paths=self.GATED)
         plan.set_gates([np.full(len(cell), 0.5) for cell in plan.gate_layout])
         probs, _ = plan.run(x)
         plan.zero_grads()
         plan.seed_grad(plan.named_slots["logits"], np.ones((3, 4)))
         plan.seed_grad(plan.named_slots["value_col"], np.ones((3, 1)))
         plan.run_backward()
-        return np.asarray(probs).copy(), [g.copy() for _, g in plan.param_grads.values()]
+        return np.asarray(probs).copy(), {
+            name: plan.param_grad(p).copy() for name, p in agent.named_parameters()
+            if plan.param_grad(p) is not None
+        }
 
-    def test_gated_train_plan_parity(self, monkeypatch):
-        """Gated supernet training: all kernels agree on alpha-path grads."""
-        ref_probs, ref_grads = self._grads(monkeypatch, "im2col")
-        probs, grads = self._grads(monkeypatch, "depthwise=depthwise_native")
+    def _eager(self):
+        """Probabilities and autograd gradients of ``sum(logits) + sum(values)``."""
+        agent = self._agent()
+        gates = []
+        for cell in self.GATED:
+            full = np.zeros(agent.backbone.num_choices_per_cell)
+            full[list(cell)] = 0.5
+            gates.append(Tensor(full))
+        output = agent.forward(self._input(), gates=gates, active_indices=self.GATED)
+        agent.zero_grad()
+        (output.logits.sum() + output.value.sum()).backward()
+        return output.probs.data, {
+            name: p.grad for name, p in agent.named_parameters() if p.grad is not None
+        }
+
+    @pytest.mark.parametrize("pin", ["auto", "depthwise=depthwise_einsum"])
+    def test_gated_train_plan_parity(self, monkeypatch, pin):
+        """Gated supernet training: every kernel agrees with the eager tape on
+        alpha-path grads."""
+        ref_probs, ref_grads = self._eager()
+        probs, grads = self._grads(monkeypatch, pin)
         np.testing.assert_allclose(probs, ref_probs, atol=F64_TOL)
-        for got, expected in zip(grads, ref_grads):
-            np.testing.assert_allclose(got, expected, atol=1e-11)
+        assert set(grads) == set(ref_grads)
+        for name, expected in ref_grads.items():
+            np.testing.assert_allclose(grads[name], expected, atol=1e-11, err_msg=name)
 
 
 class TestDispatch:
     # A pin naming a deleted kernel fails loudly like a typo, never silently.
     @pytest.mark.parametrize(
-        "name", ["no_such_kernel", "depthwise_direct_q8", "depthwise_direct"]
+        "name", ["no_such_kernel", "depthwise_direct_q8", "depthwise_direct", "im2col"]
     )
     def test_unknown_kernel_name_raises(self, monkeypatch, name):
         monkeypatch.setenv(ENV_VAR, name)
@@ -177,18 +217,18 @@ class TestDispatch:
             compile_plan(net, (2, 4, 6, 6))
 
     def test_unknown_op_class_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "bogus_class=im2col")
+        monkeypatch.setenv(ENV_VAR, "bogus_class=im2col_nhwc")
         net = conv_net(4, 4, 3, 1, 1, 4)
         with pytest.raises(ValueError, match="bogus_class"):
             compile_plan(net, (2, 4, 6, 6))
 
     def test_pin_is_recorded_per_signature(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "im2col")
+        monkeypatch.setenv(ENV_VAR, "depthwise_einsum")
         net = conv_net(4, 4, 3, 1, 1, 4)
         compile_plan(net, (2, 4, 6, 6))
         table = selection_table()
         row = next(v for k, v in table.items() if k.startswith("depthwise:n2c4"))
-        assert row["kernel"] == "im2col"
+        assert row["kernel"] == "depthwise_einsum"
         assert row["source"] == "pinned"
 
     def test_pin_falls_back_when_unsupported(self, monkeypatch):
@@ -201,40 +241,42 @@ class TestDispatch:
         row = next(
             v for k, v in selection_table().items() if k.startswith("dense:n2c3")
         )
-        assert row["kernel"] != "depthwise_einsum"
+        assert row["kernel"] == "im2col_nhwc"
         assert row["source"] == "pin-fallback"
-        monkeypatch.setenv(ENV_VAR, "im2col")
-        reference = compile_plan(
-            Sequential(Conv2d(3, 5, 3, stride=1, padding=1, rng=np.random.default_rng(0))),
-            x.shape,
-        )
-        np.testing.assert_allclose(plan.run(x), reference.run(x), atol=F64_TOL)
+        np.testing.assert_allclose(plan.run(x), net(Tensor(x)).data, atol=F64_TOL)
 
     def test_per_op_class_pins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "depthwise=depthwise_einsum,dense=im2col")
+        monkeypatch.setenv(ENV_VAR, "depthwise=depthwise_einsum,dense=im2col_nhwc")
         net = conv_net(4, 4, 5, 2, 2, 4)  # producer dense k3 + depthwise k5 s2
         compile_plan(net, (2, 4, 9, 9))
         table = selection_table()
         dense = next(v for k, v in table.items() if k.startswith("dense:n2c4"))
         depthwise = next(v for k, v in table.items() if k.startswith("depthwise:n2c4"))
-        assert dense["kernel"] == "im2col"
+        assert dense["kernel"] == "im2col_nhwc"
+        assert dense["source"] == "pinned"
         assert depthwise["kernel"] == "depthwise_einsum"
 
     @pytest.mark.parametrize("layout", ["NCHW", "NHWC"])
     def test_float_candidates_ignore_direction(self, layout):
         """Every float kernel trains: a float signature has the same candidates
-        in both directions, so inference and train plans bind alike."""
+        in both directions, so inference and train plans bind alike.  Every
+        NHWC signature ends in a fallback; no kernel serves an NCHW one (the
+        compiler never emits an NCHW conv)."""
         for shape in SHAPES + ((3, 7, 3, 1, 1, 1, 9), (4, 8, 1, 2, 0, 1, 8)):
             for dtype in ("float32", "float64"):
                 infer = spec_for(*shape, dtype=dtype)._replace(layout=layout)
                 train = infer._replace(direction="train")
                 assert candidates(train) == candidates(infer), infer.describe()
+                if layout == "NHWC":
+                    assert candidates(infer)[-1].fallback, infer.describe()
+                else:
+                    assert candidates(infer) == [], infer.describe()
 
     def test_depthwise_kernels_serve_nhwc_depthwise_only(self):
         for cls in (DepthwiseNativeKernel, DepthwiseEinsumKernel):
-            assert not cls.supports(spec_for(3, 5, 3, 1, 1, 1, 8)._replace(layout="NHWC"))
-            assert not cls.supports(spec_for(4, 4, 3, 1, 1, 4, 8))  # NCHW
-        nhwc = spec_for(4, 4, 3, 1, 1, 4, 8)._replace(layout="NHWC")
+            assert not cls.supports(spec_for(3, 5, 3, 1, 1, 1, 8))
+            assert not cls.supports(spec_for(4, 4, 3, 1, 1, 4, 8)._replace(layout="NCHW"))
+        nhwc = spec_for(4, 4, 3, 1, 1, 4, 8)
         assert DepthwiseEinsumKernel.supports(nhwc)
         assert DepthwiseNativeKernel.supports(nhwc) == _native.available()
 
@@ -262,7 +304,7 @@ class TestDispatch:
         candidate left, the NumPy einsum kernel, and dispatch binds it."""
         monkeypatch.delenv(ENV_VAR, raising=False)
         monkeypatch.setattr(_native, "available", lambda: False)
-        spec = spec_for(8, 8, 3, 1, 1, 8, 9, direction="train")._replace(layout="NHWC")
+        spec = spec_for(8, 8, 3, 1, 1, 8, 9, direction="train")
         assert [cls.name for cls in candidates(spec)] == ["depthwise_einsum"]
         assert isinstance(kernel_for(spec, _Arena(spec)), DepthwiseEinsumKernel)
         assert selection_table()[spec.describe()]["kernel"] == "depthwise_einsum"
@@ -299,7 +341,7 @@ class TestAutotuner:
         np.testing.assert_array_equal(out1, out2)
 
     def test_cache_stats_reports_kernel_table(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "im2col")
+        monkeypatch.delenv(ENV_VAR, raising=False)
         net = conv_net(4, 4, 3, 1, 1, 4)
         compile_plan(net, (2, 4, 6, 6))
         stats = runtime.cache_stats()
@@ -334,6 +376,59 @@ class TestScratchArenas:
         for kernel in kernels:
             assert kernel._xpad is not None
             assert np.shares_memory(kernel._xpad, pad_block)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["library", "no_library"])
+    def test_dense_pad_copy_is_arena_backed(self, monkeypatch, native):
+        """``im2col_nhwc``'s NumPy gather pads through the shared pad arena;
+        the C gather reads the unpadded input and takes no pad block."""
+        from repro.runtime.kernels.conv import Im2colNHWCKernel
+        from repro.runtime.kernels.registry import SCRATCH_PAD
+        from repro.runtime.plan import Conv2dStep
+
+        if native and not _native.available():
+            pytest.skip("the C library is disabled or cannot be built on this host")
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.setattr(_native, "available", lambda: native)
+        rng = np.random.default_rng(0)
+        net = Sequential(
+            Conv2d(3, 6, 5, stride=2, padding=2, rng=rng),
+            Conv2d(6, 4, 3, stride=1, padding=1, rng=rng),
+        )
+        for train in (False, True):
+            plan = compile_plan(net, (2, 3, 11, 11), dtype=np.float32, train=train)
+            kernels = [step._kernel for step in plan.steps if isinstance(step, Conv2dStep)]
+            assert [type(k) for k in kernels] == [Im2colNHWCKernel] * 2
+            pad_block = plan._scratch_blocks.get(SCRATCH_PAD)
+            if native:
+                assert pad_block is None
+                assert all(k._xpad is None for k in kernels)
+                continue
+            assert pad_block is not None, "aliasing pass provisioned no pad arena"
+            for kernel in kernels:
+                assert np.shares_memory(kernel._xpad, pad_block)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["library", "no_library"])
+    def test_upper_bound_covers_every_candidate(self, monkeypatch, native):
+        """The arenas are sized before a kernel is chosen, so the bound covers
+        every candidate's forward and backward requests; a dense conv asks for
+        a pad block only where its gather runs in NumPy."""
+        from repro.runtime.kernels import scratch_upper_bound
+        from repro.runtime.kernels.registry import SCRATCH_PAD
+
+        monkeypatch.setattr(_native, "available", lambda: native)
+        for shape in SHAPES:
+            for direction in ("infer", "train"):
+                spec = spec_for(*shape, dtype="float32", direction=direction)
+                bound = dict(scratch_upper_bound(spec))
+                for cls in candidates(spec):
+                    requests = list(cls.scratch_requests(spec))
+                    if spec.train:
+                        requests += list(cls.backward_scratch_requests(spec, True))
+                    for channel, nbytes in requests:
+                        assert bound.get(channel, 0) >= int(nbytes), (
+                            spec.describe(), cls.name, channel)
+                if spec.op_class == "dense" and spec.padding > 0:
+                    assert (SCRATCH_PAD in bound) == (not native), spec.describe()
 
     @pytest.mark.parametrize("pin", ["depthwise=depthwise_einsum"])
     def test_backward_workspaces_are_arena_backed(self, monkeypatch, pin):
@@ -489,7 +584,7 @@ class TestDepthwiseVJPReference:
                     plan._scratch_blocks = {
                         channel: plan.alloc((nbytes,), dtype=np.uint8)
                         for channel, nbytes in scratch_upper_bound(
-                            spec, input_grad_needed=input_grad, layouts=("NHWC",)
+                            spec, input_grad_needed=input_grad
                         )
                     }
                     kernel = cls(spec, plan)
@@ -574,81 +669,6 @@ class TestDepthwiseNativeBinding:
         replaced = self.run(kernel, x, np.empty_like(out), gout, gin, seeds=(2,))
         assert calls == ["dw_fwd", "dw_bwd", "dw_fwd"]
         assert replaced == self.run(self.kernel(), x, out, gout, gin, seeds=(2,))
-
-
-def _supernet_dense_geometries():
-    """``(in channels, k, stride, padding, size)`` of every dense conv the
-    co-search supernet can sample at the benchmark geometry, the stem and
-    the strided 1x1 shortcuts included."""
-    net = AgentSuperNet(in_channels=2, input_size=28, feature_dim=64, base_width=8,
-                        rng=np.random.default_rng(0))
-    geometries = set()
-    for op in range(net.num_choices_per_cell):
-        for spec in net.layer_specs([op] * net.num_cells):
-            if spec["type"] != "conv" or spec["groups"] != 1:
-                continue
-            k, s = spec["kernel_size"], spec["stride"]
-            if k > 1 or s > 1:
-                geometries.add((spec["in_channels"], k, s, k // 2, spec["input_size"]))
-    return sorted(geometries)
-
-
-@pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
-class TestCol2imNative:
-    """The ``im2col`` kernel's input VJP runs the C ``col2im`` with the bytes of
-    its NumPy reference, and binds it once per kernel."""
-
-    GEOMETRIES = _supernet_dense_geometries()
-
-    def test_geometries_cover_every_kernel_stride_and_padding(self):
-        assert {(k, s, p) for _, k, s, p, _ in self.GEOMETRIES} == {
-            (1, 2, 0), (3, 1, 1), (3, 2, 1), (5, 1, 2), (5, 2, 2)}
-
-    @staticmethod
-    def backward(monkeypatch, native, spec, seeds=(0,)):
-        """``gin`` bytes after one forward+backward per seed, ``gin`` pre-filled."""
-        monkeypatch.setattr(_native, "available", lambda: native)
-        arena = _Arena(spec)
-        kernel = GemmIm2colKernel(spec, arena)
-        kernel.allocate_backward(arena, True)
-        dtype = np.dtype(spec.dtype)
-        gin = np.empty(spec.in_shape, dtype)  # one buffer, as a plan hands back
-        results = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal(spec.in_shape).astype(dtype)
-            weight = rng.standard_normal(
-                (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)).astype(dtype)
-            gout = rng.standard_normal(spec.out_shape).astype(dtype)
-            gin[...] = rng.standard_normal(spec.in_shape)
-            if kernel._gpad is not None:
-                kernel._gpad.fill(np.nan)  # a stale workspace must not leak
-            kernel.forward(x, weight, np.empty(spec.out_shape, dtype), NULL_EPILOGUE)
-            kernel.backward(gout, x, weight, np.zeros_like(weight), gin)
-            results.append(gin.tobytes())
-        return results
-
-    @pytest.mark.parametrize("geometry", GEOMETRIES)
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_library_on_and_off_give_the_same_bytes(self, monkeypatch, geometry, dtype):
-        cin, k, s, p, h = geometry
-        spec = ConvSpec(4, cin, 8, h, h, k, s, p, 1, dtype, "train", "NCHW")
-        native = self.backward(monkeypatch, True, spec)
-        assert native == self.backward(monkeypatch, False, spec)
-
-    def test_binds_once_over_three_backward_passes(self, monkeypatch):
-        calls = []
-        real = _native.bind
-
-        def counted(name, *args):
-            calls.append(name)
-            return real(name, *args)
-
-        monkeypatch.setattr(_native, "bind", counted)
-        spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train", "NCHW")
-        bound = self.backward(monkeypatch, True, spec, seeds=(0, 1, 2))
-        assert calls == ["col2im"]
-        assert bound == [self.backward(monkeypatch, False, spec, seeds=(seed,))[0] for seed in range(3)]
 
 
 class TestBlasThreadRecording:

@@ -1,13 +1,13 @@
-"""Layout-aware plan IR: propagation parity, opt-out, and plan lint.
+"""Channels-last plans: parity with the eager modules, emitted layouts, plan lint.
 
-The ``layout`` pass re-tags slots channels-last (NHWC) by a static rule —
-every conv with an NHWC kernel — inserting explicit transposes only at
-boundaries.  Different layouts
-legitimately dispatch different kernels (e.g. the NHWC einsum depthwise vs
-the NCHW im2col path), which agree only up to float reassociation — so
-parity here is checked against the same plan compiled with the layout pass
-disabled, at the reassociation tolerances the kernel suite already enforces
-(1e-12 f64 / 1e-6 f32, relative to the output scale).
+The compiler decides each step's layout as it emits it: conv, batch-norm,
+join and global-pool steps run channels-last (NHWC); pooling windows,
+flatten, opaque modules and 4-D plan outputs read NCHW; an explicit
+transpose sits only where a read needs the other layout.  Parity is checked
+against the eager module (NCHW, the reference) at float64 — its forward, and
+its autograd gradients of the A2C loss — at the reassociation tolerances
+the kernel suite enforces (1e-12 f64 / 1e-6 f32, relative to the output
+scale).
 """
 
 import numpy as np
@@ -15,18 +15,24 @@ import pytest
 
 from repro.drl import make_agent
 from repro.drl.agent import ActorCriticAgent
+from repro.drl.losses import (
+    TaskLossWeights,
+    combine_task_loss,
+    entropy_loss,
+    policy_gradient_loss,
+    value_loss,
+)
 from repro.networks import AgentSuperNet, build_backbone
-from repro.nn import Sequential
-from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
+from repro.nn import BasicResBlock, Sequential, Tensor, no_grad
+from repro.nn.modules import BatchNorm2d, Conv2d, MaxPool2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
 from repro.runtime.compiler import ALL_CANDIDATES
 from repro.runtime.kernels import ENV_VAR as KERNELS_ENV, _native, selection_table
-from repro.runtime.kernels.registry import reset_selections, scratch_upper_bound, ConvSpec
+from repro.runtime.kernels.registry import reset_selections
 from repro.runtime.passes import (
-    ENV_VAR as PASSES_ENV,
     LINT_ENV_VAR,
-    PASS_NAMES,
     PlanLintError,
+    enabled_passes,
     lint_enabled,
     lint_plan,
 )
@@ -34,9 +40,6 @@ from repro.runtime.plan import Conv2dStep, TransposeStep
 
 F64_TOL = 1e-12
 F32_TOL = 1e-6
-
-#: Every pass except the layout assignment: the control plans below.
-NO_LAYOUT = frozenset(PASS_NAMES) - {"layout"}
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +57,12 @@ def assert_parity(result, reference, tol):
     for got, want in zip(results, references):
         scale = max(1.0, float(np.abs(want).max()))
         np.testing.assert_allclose(got, want, atol=tol * scale, rtol=0.0)
+
+
+def eager_forward(module, x, **kwargs):
+    """The eager module's float64 forward: the reference of every plan."""
+    with no_grad():
+        return module(Tensor(np.asarray(x, dtype=np.float64)), **kwargs).data
 
 
 def derived_supernet(seed=0, input_size=28):
@@ -80,7 +89,7 @@ def depthwise_stack(cin=6, k=5, stride=2, seed=3):
 
 
 class TestInferenceParity:
-    """Layout-propagated plans match layout-disabled plans numerically."""
+    """Channels-last plans match the eager modules numerically."""
 
     @pytest.mark.parametrize("name", ["Vanilla", "ResNet-14"])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL), (np.float32, F32_TOL)])
@@ -92,16 +101,14 @@ class TestInferenceParity:
         backbone.eval()
         x = rng.random((3, 2, 28, 28)).astype(dtype)
         plan = compile_plan(backbone, x.shape, dtype=dtype)
-        control = compile_plan(backbone, x.shape, dtype=dtype, passes=NO_LAYOUT)
-        assert_parity(plan.run(x), control.run(x), tol)
+        assert_parity(plan.run(x), eager_forward(backbone, x), tol)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL), (np.float32, F32_TOL)])
     def test_derived_supernet(self, rng, dtype, tol):
         net = derived_supernet()
         x = rng.random((3, 2, 28, 28)).astype(dtype)
         plan = compile_plan(net, x.shape, dtype=dtype)
-        control = compile_plan(net, x.shape, dtype=dtype, passes=NO_LAYOUT)
-        assert_parity(plan.run(x), control.run(x), tol)
+        assert_parity(plan.run(x), eager_forward(net, x), tol)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL), (np.float32, F32_TOL)])
     def test_heuristic_mode(self, rng, monkeypatch, dtype, tol):
@@ -110,8 +117,7 @@ class TestInferenceParity:
         net = derived_supernet()
         x = rng.random((3, 2, 28, 28)).astype(dtype)
         plan = compile_plan(net, x.shape, dtype=dtype)
-        control = compile_plan(net, x.shape, dtype=dtype, passes=NO_LAYOUT)
-        assert_parity(plan.run(x), control.run(x), tol)
+        assert_parity(plan.run(x), eager_forward(net, x), tol)
 
     @pytest.mark.parametrize("size,stride", [(13, 1), (13, 2), (9, 2)])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL), (np.float32, F32_TOL)])
@@ -122,8 +128,7 @@ class TestInferenceParity:
         net.eval()
         x = rng.random((4, 6, size, size)).astype(dtype)
         plan = compile_plan(net, x.shape, dtype=dtype)
-        control = compile_plan(net, x.shape, dtype=dtype, passes=NO_LAYOUT)
-        assert_parity(plan.run(x), control.run(x), tol)
+        assert_parity(plan.run(x), eager_forward(net, x), tol)
 
     def test_supernet_path_argument(self, rng):
         supernet = AgentSuperNet(in_channels=2, input_size=28, feature_dim=32,
@@ -132,12 +137,13 @@ class TestInferenceParity:
         x = rng.random((3, 2, 28, 28))
         path = [4, 5, 6] * 4
         plan = compile_plan(supernet, x.shape, path=path)
-        control = compile_plan(supernet, x.shape, path=path, passes=NO_LAYOUT)
-        assert_parity(plan.run(x), control.run(x), F64_TOL)
+        assert_parity(plan.run(x), eager_forward(supernet, x, op_indices=path), F64_TOL)
 
 
 class TestTrainingParity:
-    """Gradients of layout-propagated training plans match layout-off plans."""
+    """Gradients of channels-last training plans match the eager tape's."""
+
+    WEIGHTS = TaskLossWeights()
 
     def _agent(self, seed=0, derive=True):
         supernet = AgentSuperNet(in_channels=2, input_size=28, feature_dim=32,
@@ -159,18 +165,33 @@ class TestTrainingParity:
 
     def _grads(self, agent, args, **kwargs):
         step = CompiledTrainStep(agent)
-        plan, result = step.compute_gradients(*args, **kwargs)
+        plan, result = step.compute_gradients(*args, weights=self.WEIGHTS, **kwargs)
         return result.total, {
             name: np.array(plan.param_grad(p))
             for name, p in agent.named_parameters()
             if plan.param_grad(p) is not None
         }
 
-    def _compare(self, monkeypatch, rng, derive=True, **kwargs):
+    def _eager_grads(self, agent, args, **kwargs):
+        """The A2C loss on the eager tape at float64, and its autograd gradients."""
+        obs, actions, returns, advantages = args
+        chosen, _, values, output = agent.evaluate_actions(obs, actions, **kwargs)
+        total = combine_task_loss(
+            policy_gradient_loss(chosen, advantages),
+            value_loss(values, returns),
+            entropy_loss(output.probs, output.log_probs),
+            weights=self.WEIGHTS,
+        )
+        agent.zero_grad()
+        total.backward()
+        return float(total.item()), {
+            name: p.grad for name, p in agent.named_parameters() if p.grad is not None
+        }
+
+    def _compare(self, rng, derive=True, eager_kwargs=None, **kwargs):
         args = self._batch(rng)
-        monkeypatch.setenv(PASSES_ENV, ",".join(sorted(NO_LAYOUT)))
-        control_total, control = self._grads(self._agent(derive=derive), args, **kwargs)
-        monkeypatch.delenv(PASSES_ENV)
+        control_total, control = self._eager_grads(self._agent(derive=derive), args,
+                                                   **(eager_kwargs or {}))
         total, grads = self._grads(self._agent(derive=derive), args, **kwargs)
         assert abs(total - control_total) <= F64_TOL * max(1.0, abs(control_total))
         assert set(grads) == set(control)
@@ -180,72 +201,22 @@ class TestTrainingParity:
                                        atol=F64_TOL * scale, rtol=0.0,
                                        err_msg=name)
 
-    def test_train_gradients(self, rng, monkeypatch):
-        self._compare(monkeypatch, rng)
+    def test_train_gradients(self, rng):
+        self._compare(rng)
 
-    def test_gated_path_gradients(self, rng, monkeypatch):
-        """A gated supernet sample keeps gradient parity under layouts."""
+    def test_gated_path_gradients(self, rng):
+        """A gated supernet sample keeps gradient parity."""
         r = np.random.default_rng(100)
         gated = [tuple(sorted(int(i) for i in r.choice(9, size=2, replace=False)))
                  for _ in range(12)]
         gate_values = [r.random(2) for _ in gated]
-        self._compare(monkeypatch, rng, derive=False, gated_paths=gated,
-                      gate_values=gate_values)
-
-
-class TestOptOut:
-    """Disabling the layout pass restores the all-NCHW program bit-exactly."""
-
-    def test_env_var_opt_out_matches_explicit_disable(self, rng, monkeypatch):
-        net = derived_supernet()
-        x = rng.random((3, 2, 28, 28))
-        control = compile_plan(net, x.shape, passes=NO_LAYOUT)
-        monkeypatch.setenv(PASSES_ENV, ",".join(sorted(NO_LAYOUT)))
-        plan = compile_plan(net, x.shape)
-        assert not any(isinstance(s, TransposeStep) for s in plan.steps)
-        for step in plan.steps:
-            if isinstance(step, Conv2dStep):
-                assert step.layout == "NCHW"
-                assert plan.layout(step.out_slot) in (None, "NCHW")
-        np.testing.assert_allclose(plan.run(x), control.run(x), atol=0.0)
-
-
-class TestPropagationStructure:
-    """Deterministic (heuristic-mode) structural expectations."""
-
-    def test_channels_last_propagates_through_cells(self, rng, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "heuristic")
-        net = derived_supernet()
-        x = rng.random((3, 2, 28, 28))
-        plan = compile_plan(net, x.shape)
-        convs = [s for s in plan.steps if isinstance(s, Conv2dStep)]
-        nhwc = [s for s in convs if s.layout == "NHWC"]
-        transposes = [s for s in plan.steps if isinstance(s, TransposeStep)]
-        # Every depthwise / pointwise chain runs channels-last; propagation
-        # through whole inverted-residual chains needs only a boundary
-        # transpose or two, never one per conv.
-        assert len(nhwc) >= len(convs) // 2
-        assert len(transposes) <= 3
-        assert plan.layout(plan.input_slot) in (None, "NCHW")
-        # Logical shapes stay NCHW; the physical view follows the tag.
-        for step in nhwc:
-            n, c, h, w = plan.shape(step.out_slot)
-            assert plan.physical_shape(step.out_slot) == (n, h, w, c)
-        assert_parity(plan.run(x),
-                      compile_plan(net, x.shape, passes=NO_LAYOUT).run(x),
-                      F64_TOL)
-
-    def test_no_adjacent_transpose_pairs(self, rng, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "heuristic")
-        net = derived_supernet()
-        plan = compile_plan(net, (3, 2, 28, 28))
-        producer_is_transpose = {}
-        for step in plan.steps:
-            if isinstance(step, TransposeStep):
-                assert not producer_is_transpose.get(step.in_slot, False)
-            for slot in (getattr(step, "out_slot", None),):
-                if slot is not None:
-                    producer_is_transpose[slot] = isinstance(step, TransposeStep)
+        gates = []
+        for cell, values in zip(gated, gate_values):
+            full = np.zeros(9)
+            full[list(cell)] = values
+            gates.append(Tensor(full))
+        self._compare(rng, derive=False, gated_paths=gated, gate_values=gate_values,
+                      eager_kwargs={"gates": gates, "active_indices": gated})
 
 
 def derived_agent():
@@ -262,8 +233,8 @@ def conv_tags(plan):
     return [step.layout for step in plan.steps if isinstance(step, Conv2dStep)]
 
 
-def num_transposes(plan):
-    return sum(1 for step in plan.steps if isinstance(step, TransposeStep))
+def transposes(plan):
+    return [step for step in plan.steps if isinstance(step, TransposeStep)]
 
 
 def resnet20_plan():
@@ -282,96 +253,84 @@ def supernet_agent():
     return agent
 
 
-def supernet_train_plan():
-    return compile_plan(supernet_agent(), (4, 2, 16, 16), train=True,
-                        gated_paths=ALL_CANDIDATES)
+#: Kernel modes: the rule, the einsum depthwise pin, and the rule on a host
+#: without the C library.
+MODES = ["auto", "heuristic", "no_library"]
 
 
-class TestStaticRule:
-    """Layout tags depend on plan structure, registered kernels and pins only."""
+def set_mode(monkeypatch, mode):
+    monkeypatch.setenv(KERNELS_ENV, "auto" if mode == "no_library" else mode)
+    if mode == "no_library":
+        monkeypatch.setattr(_native, "available", lambda: False)
 
-    @pytest.mark.parametrize("build", [
-        lambda: compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32),
-        resnet20_plan,
-        supernet_train_plan,
-    ], ids=["derived_agent", "resnet20", "supernet_train"])
-    def test_heuristic_keeps_only_dense_convs_nchw(self, monkeypatch, build):
-        """``heuristic`` pins dense convs to ``im2col``, so they stay NCHW; every
-        other conv gets the tag the rule gives it."""
-        tags = {}
-        for mode in ("auto", "heuristic"):
-            monkeypatch.setenv(KERNELS_ENV, mode)
-            plan = build()
-            tags[mode] = conv_tags(plan)
-            dense = [step._spec(plan).op_class == "dense"
-                     for step in plan.steps if isinstance(step, Conv2dStep)]
-        expected = ["NCHW" if is_dense else auto for auto, is_dense in zip(tags["auto"], dense)]
-        assert tags["heuristic"] == expected
 
-    def test_inference_and_train_plans_agree(self, monkeypatch):
-        """Every NHWC float kernel trains, so the rollout (inference) plan and
-        the train plan of one network give each conv the same layout tag."""
-        monkeypatch.delenv(KERNELS_ENV, raising=False)
+class TestEmittedLayouts:
+    """Every conv runs channels-last, behind transposes only where a read
+    needs NCHW, in every kernel mode and both directions."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_agent_plans_transpose_only_their_input(self, monkeypatch, mode):
+        set_mode(monkeypatch, mode)
         agent = derived_agent()
-        infer = conv_tags(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32))
+        plans = [compile_plan(agent, (16, 2, 28, 28), dtype=np.float32)]
         agent.train()
-        train = conv_tags(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32, train=True))
-        stem = "NHWC" if _native.available() else "NCHW"  # im2col_nhwc needs the library
-        assert infer == train == [stem] + ["NHWC"] * 32
-
+        plans.append(compile_plan(agent, (16, 2, 28, 28), dtype=np.float32, train=True))
+        plans.append(resnet20_plan())
         agent = supernet_agent()
-        path = [0] * agent.backbone.num_cells
-        infer = conv_tags(compile_plan(agent, (4, 2, 16, 16), dtype=np.float32, path=path))
-        assert infer == conv_tags(supernet_train_plan())
-        assert "NHWC" in infer
+        plans.append(compile_plan(agent, (4, 2, 16, 16), dtype=np.float32,
+                                  path=[0] * agent.backbone.num_cells))
+        plans.append(compile_plan(agent, (4, 2, 16, 16), train=True, gated_paths=ALL_CANDIDATES))
+        assert conv_tags(plans[0]) == conv_tags(plans[1]) == ["NHWC"] * 33
+        for plan in plans:
+            assert set(conv_tags(plan)) == {"NHWC"}
+            [transpose] = transposes(plan)
+            assert transpose.in_slot == plan.input_slot and transpose.branch is None
+            assert (transpose.from_layout, transpose.to_layout) == ("NCHW", "NHWC")
+        dense = {row["kernel"] for key, row in selection_table().items()
+                 if key.startswith("dense:")}
+        assert dense == {"im2col_nhwc"}
+        assert {row["layout"] for row in selection_table().values()} == {"NHWC"}
 
-    @pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
-    def test_dense_only_chains_run_nhwc_with_the_library(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV, raising=False)
-        plan = resnet20_plan()
-        assert set(conv_tags(plan)) == {"NHWC"}
-        assert num_transposes(plan) == 1  # the plan input
-        assert {row["kernel"] for row in selection_table().values()} == {"im2col_nhwc"}
+    def test_logical_shapes_stay_nchw(self, rng):
+        net = derived_supernet()
+        x = rng.random((3, 2, 28, 28))
+        plan = compile_plan(net, x.shape)
+        assert plan.layout(plan.input_slot) == "NCHW"
+        for step in plan.steps:
+            if isinstance(step, Conv2dStep):
+                n, c, h, w = plan.shape(step.out_slot)
+                assert plan.physical_shape(step.out_slot) == (n, h, w, c)
 
-    @pytest.mark.parametrize("mode", ["im2col", "heuristic", "no_library"])
-    def test_dense_only_chains_stay_nchw_on_im2col(self, monkeypatch, mode):
-        monkeypatch.setenv(KERNELS_ENV, "auto" if mode == "no_library" else mode)
-        if mode == "no_library":
-            monkeypatch.setattr(_native, "available", lambda: False)
-        plan = resnet20_plan()
-        assert set(conv_tags(plan)) == {"NCHW"}
-        assert num_transposes(plan) == 0
-        assert {row["kernel"] for row in selection_table().values()} == {"im2col"}
+    def test_nchw_reads_get_transposes(self, rng):
+        """Pooling windows and the 4-D plan output read NCHW; one transpose of
+        the pooled slot feeds both the block's conv and its shortcut join."""
+        r = np.random.default_rng(0)
+        net = Sequential(Conv2d(2, 4, 3, padding=1, rng=r), MaxPool2d(2),
+                         BasicResBlock(4, 4, rng=r))
+        net.eval()
+        x = rng.random((2, 2, 12, 12))
+        plan = compile_plan(net, x.shape)
+        pairs = [(t.from_layout, t.to_layout) for t in transposes(plan)]
+        # Input -> stem conv, conv -> pool, pool -> block, block -> output.
+        assert pairs == [("NCHW", "NHWC"), ("NHWC", "NCHW"), ("NCHW", "NHWC"), ("NHWC", "NCHW")]
+        assert plan.layout(plan.output_slots[0]) == "NCHW"
+        assert_parity(plan.run(x), eager_forward(net, x), F64_TOL)
 
-    def test_im2col_pin_keeps_every_conv_nchw(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "im2col")
-        plan = compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32)
-        assert conv_tags(plan) == ["NCHW"] * 33
-        assert num_transposes(plan) == 0
+    def test_no_adjacent_transpose_pairs(self, rng, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, "heuristic")
+        net = derived_supernet()
+        plan = compile_plan(net, (3, 2, 28, 28))
+        producer_is_transpose = {}
+        for step in plan.steps:
+            if isinstance(step, TransposeStep):
+                assert not producer_is_transpose.get(step.in_slot, False)
+            for slot in (getattr(step, "out_slot", None),):
+                if slot is not None:
+                    producer_is_transpose[slot] = isinstance(step, TransposeStep)
 
-    def test_dense_pin_keeps_the_stem_nchw(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "dense=im2col")
-        plan = compile_plan(derived_agent(), (16, 2, 28, 28), dtype=np.float32)
-        assert conv_tags(plan) == ["NCHW"] + ["NHWC"] * 32
-        assert num_transposes(plan) == 1
-
-
-class TestScratchBounds:
-    """Shared arenas are sized in bytes over every (candidate, layout) pair."""
-
-    def test_upper_bound_covers_both_layouts(self):
-        from repro.runtime.kernels.registry import candidates
-
-        spec = ConvSpec(4, 8, 8, 9, 9, 5, 2, 2, 8, "float32", "train", "NCHW")
-        bound = dict(scratch_upper_bound(spec))
-        for layout in ("NCHW", "NHWC"):
-            variant = spec._replace(layout=layout)
-            for cls in candidates(variant):
-                requests = list(cls.scratch_requests(variant))
-                requests += list(cls.backward_scratch_requests(variant, True))
-                for channel, nbytes in requests:
-                    assert bound.get(channel, 0) >= int(nbytes), (
-                        layout, cls.name, channel)
+    def test_layout_is_no_pass(self):
+        with pytest.raises(ValueError, match="unknown runtime passes"):
+            enabled_passes("fold_bn,layout")
 
 
 class TestPlanLint:
@@ -396,7 +355,7 @@ class TestPlanLint:
         plan = self._nhwc_plan(monkeypatch)
         conv = next(s for s in plan.steps
                     if isinstance(s, Conv2dStep) and s.layout == "NHWC")
-        plan.set_layout(conv.out_slot, "NCHW")
+        plan._layouts[conv.out_slot] = "NCHW"
         with pytest.raises(PlanLintError, match="tagged NCHW but step expects NHWC"):
             lint_plan(plan)
 

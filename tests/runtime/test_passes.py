@@ -9,7 +9,6 @@ from repro.networks import AgentSuperNet, build_backbone
 from repro.nn import SGD, Sequential, Tensor, no_grad
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
-from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
 from repro.runtime.passes import ENV_VAR, PASS_NAMES, enabled_passes
 from repro.runtime.plan import BatchNormStep
 
@@ -244,13 +243,8 @@ class TestBufferAliasing:
             np.testing.assert_allclose(aliased_grads[name], plain_grads[name],
                                        atol=0.0, err_msg=name)
 
-    def test_derived_agent_plans_shrink(self, monkeypatch):
-        """The passes cut >= 30% of the derived agent's rollout and search plans.
-
-        Conv dispatch is pinned to whole-batch im2col so the comparison sees
-        the passes alone: other kernels shrink the pass-free workspaces too.
-        """
-        monkeypatch.setenv(KERNELS_ENV, "im2col")
+    def test_derived_agent_plans_shrink(self):
+        """The passes cut >= 30% of the derived agent's rollout and search plans."""
 
         def agent(derived):
             supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,

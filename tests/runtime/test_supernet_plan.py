@@ -5,9 +5,8 @@ per batch shape.  Each plan holds every
 candidate branch of every cell, and a sample only picks which branches run.
 These tests pin the three promises that rest on: no steady-state recompiles
 or fresh buffers, results identical to a plan compiled with exactly the
-sample's branches, and layout tags that follow the kernel rule in ``auto``
-and ``heuristic`` kernel modes, need no transpose a full re-walk would add,
-and keep boundary transposes inside their branch.
+sample's branches, and every conv channels-last behind one transpose of
+the plan input, in ``auto`` and ``heuristic`` kernel modes.
 """
 
 import numpy as np
@@ -20,10 +19,9 @@ from repro.nas.gumbel import GumbelFamily, top_k_active
 from repro.networks import AgentSuperNet
 from repro.nn import RMSProp, Tensor
 from repro.runtime import CompiledTrainStep, cache_stats, compile_plan
-from repro.runtime import passes
 from repro.runtime.compiler import ALL_CANDIDATES
-from repro.runtime.kernels import ENV_VAR as KERNELS_ENV, _native
-from repro.runtime.plan import Conv2dStep, GateCombineStep, TransposeStep
+from repro.runtime.kernels import ENV_VAR as KERNELS_ENV
+from repro.runtime.plan import Conv2dStep, TransposeStep
 
 TOL = 1e-12
 NUM_CELLS = 12
@@ -178,7 +176,7 @@ class TestAllCandidatePlanParity:
 
 
 class TestLayoutRule:
-    """The layout pass's tags in ``auto`` and ``heuristic`` mode."""
+    """Every conv runs channels-last in ``auto`` and ``heuristic`` mode."""
 
     @pytest.fixture(params=["auto", "heuristic"])
     def kernel_mode(self, request, monkeypatch):
@@ -199,55 +197,18 @@ class TestLayoutRule:
                                  feature_dim=64, rng=np.random.default_rng(0))
         agent.eval()
         rollout = compile_plan(agent, (16, 2, 28, 28), dtype=np.float32)
-        # The dense stem runs channels-last on im2col_nhwc, in either
-        # direction; pinned to im2col (heuristic) it stays NCHW.
-        expected = (33, 33, 1) if kernel_mode == "auto" and _native.available() else (32, 33, 1)
-        assert self._layout_counts(rollout) == expected
+        # The dense stem runs channels-last on im2col_nhwc too, in either
+        # direction: only the plan input is transposed.
+        assert self._layout_counts(rollout) == (33, 33, 1)
         agent.train()
         train = compile_plan(agent, (80, 2, 28, 28), dtype=np.float32, train=True)
-        assert self._layout_counts(train) == expected
-
-
-class TestLayoutSearch:
-    """The layout pass's conv tags need no transpose a full re-walk would add."""
-
-    @pytest.fixture
-    def rewalk_boundaries(self, monkeypatch):
-        """Reads left in the wrong layout when each finished pass is re-walked."""
-        layout = passes._PASS_FUNCS["layout"]
-        found = []
-
-        def checked(plan, ctx):
-            layout(plan, ctx)
-            tags = {id(step): step.layout for step in plan.steps if isinstance(step, Conv2dStep)}
-            steps = list(plan.steps)
-            boundaries, walked = [], []
-            passes._walk_layouts(plan, ctx, tags,
-                                 lambda step, slot, *_: boundaries.append(slot) or slot, walked)
-            assert walked == steps
-            found.append(boundaries)
-
-        monkeypatch.setitem(passes._PASS_FUNCS, "layout", checked)
-        return found
+        assert self._layout_counts(train) == (33, 33, 1)
 
     @pytest.mark.parametrize("train", [False, True])
-    def test_all_candidate_moves_match_full_walk(self, rewalk_boundaries, monkeypatch, train):
-        for mode in ("auto", "heuristic"):
-            monkeypatch.setenv(KERNELS_ENV, mode)
-            agent = _agent()
-            agent.train(train)
-            plan = compile_plan(agent, (4, 2, 16, 16), train=train, gated_paths=ALL_CANDIDATES)
-            # A tagged boundary transpose feeds only its own branch.  They
-            # exist where the dense conv_k* branches stay NCHW (on im2col).
-            tagged = [step for step in plan.steps
-                      if isinstance(step, TransposeStep) and step.branch is not None]
-            assert tagged or not train or (mode == "auto" and _native.available())
-            for transpose in tagged:
-                for step in plan.steps:
-                    if transpose.out_slot not in passes.step_reads(step):
-                        continue
-                    if isinstance(step, GateCombineStep):
-                        assert step.branch_of(transpose.out_slot) == transpose.branch
-                    else:
-                        assert step.branch == transpose.branch
-        assert rewalk_boundaries == [[], []]
+    def test_all_candidate_plans_transpose_only_their_input(self, kernel_mode, train):
+        agent = _agent()
+        agent.train(train)
+        plan = compile_plan(agent, (4, 2, 16, 16), train=train, gated_paths=ALL_CANDIDATES)
+        [transpose] = [step for step in plan.steps if isinstance(step, TransposeStep)]
+        assert transpose.in_slot == plan.input_slot and transpose.branch is None
+        assert {step.layout for step in plan.steps if isinstance(step, Conv2dStep)} == {"NHWC"}

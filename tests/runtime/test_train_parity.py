@@ -255,36 +255,21 @@ class TestPoolingBackward:
                                        atol=ATOL_F64, err_msg=name)
 
 
-class TestGroupedConvBackward:
-    def test_grouped_stem_conv_backward(self, rng):
-        """A grouped (non-depthwise) conv as the first layer must not crash.
-
-        The stem's input gradient is skipped (nothing consumes it), which
-        leaves the column-gradient workspace unallocated — the grouped branch
-        must honour that like the groups==1 and depthwise branches do.
-        """
-        from repro.nn import Conv2d, Tensor
-
-        conv = Conv2d(4, 8, 3, padding=1, groups=2, rng=np.random.default_rng(0))
-        x = rng.random((2, 4, 8, 8))
-        seed = rng.standard_normal((2, 8, 8, 8))
-
-        out = conv(Tensor(x))
-        conv.zero_grad()
-        out.backward(seed)
-        eager_grads = {name: p.grad for name, p in conv.named_parameters()}
-
-        plan = compile_plan(conv, x.shape, train=True)
-        plan.run(x)
-        plan.zero_grads()
-        plan.seed_grad(plan.output_slots[0], seed)
-        plan.run_backward()
-        for name, param in conv.named_parameters():
-            np.testing.assert_allclose(plan.param_grad(param), eager_grads[name],
-                                       atol=ATOL_F64, err_msg=name)
-
-
 class TestTrainCompileErrors:
+    @pytest.mark.parametrize("train", [False, True], ids=["infer", "train"])
+    @pytest.mark.parametrize("conv", [
+        dict(in_channels=4, out_channels=8, kernel_size=3, padding=1, groups=2),
+        dict(in_channels=4, out_channels=8, kernel_size=1, padding=1),
+    ], ids=["grouped", "padded_by_a_whole_kernel"])
+    def test_conv_without_a_kernel_raises_compile_error(self, conv, train):
+        """Grouped non-depthwise convs, and convs padded by a whole kernel,
+        have no kernel: the compile fails, so callers stay on the eager tape."""
+        from repro.nn import Conv2d
+
+        module = Conv2d(rng=np.random.default_rng(0), **conv)
+        with pytest.raises(CompileError, match="no conv kernel serves"):
+            compile_plan(module, (2, 4, 8, 8), train=train)
+
     def test_dropout_rejected_in_training_plans(self):
         from repro.nn import Dropout, Linear, Sequential
 
