@@ -1,8 +1,8 @@
 """Plan-optimizer passes: output parity, plan steps and peak plan memory.
 
-Records what the graph-level optimisation pipeline (conv-BN folding,
-epilogue fusion, slot/workspace aliasing — see ``repro.runtime.passes``)
-buys on the two plan classes the co-search loop lives on:
+Records what the graph-level optimisation passes (slot/workspace aliasing
+— see ``repro.runtime.passes``) buy on the two plan classes the co-search
+loop lives on:
 
 * the **no-grad rollout plan** of a derived A3C-S agent (batch 16, float32
   and float64);
@@ -11,8 +11,11 @@ buys on the two plan classes the co-search loop lives on:
   buffers.
 
 Each plan is compiled with the passes off (``"none"``) and on (``"all"``).
-Acceptance: the passes preserve output parity (<= 1e-6 f32 / 1e-12 f64),
-remove steps from the rollout plan, and cut peak plan memory by >= 30%.
+Conv-BN folding and epilogue fusion are the compiler's, so both plans of a
+pair run the same steps.  Acceptance: the passes preserve output parity
+(<= 1e-6 f32 / 1e-12 f64), the rollout plan holds no residual-add or
+batch-norm step (every join and BN rides its conv), and the passes cut peak
+plan memory by >= 30%.
 
 Conv dispatch follows the benchmarks' ``heuristic`` pin (``conftest.py``),
 so both plans of a pair bind the same kernels.  Every value recorded here is
@@ -25,6 +28,7 @@ import numpy as np
 from repro.drl.agent import ActorCriticAgent
 from repro.networks import AgentSuperNet
 from repro.runtime import compile_plan
+from repro.runtime.plan import AddStep, BatchNormStep
 
 from conftest import run_once
 
@@ -93,6 +97,9 @@ def measure():
             "rollout_passes_off": len(rollout["none"].steps),
             "rollout_passes_on": len(rollout["all"].steps),
         },
+        "rollout_unfused_steps": sum(
+            isinstance(step, (AddStep, BatchNormStep)) for step in rollout["none"].steps
+        ),
     }
 
 
@@ -102,7 +109,7 @@ def test_plan_optimizer(benchmark, save_result):
 
     assert payload["parity"]["rollout_f32"] <= PARITY_F32
     assert payload["parity"]["rollout_f64"] <= PARITY_F64
-    assert payload["plan_steps"]["rollout_passes_on"] < payload["plan_steps"]["rollout_passes_off"]
+    assert payload["rollout_unfused_steps"] == 0
     for key, reduction in payload["memory_reduction"].items():
         assert reduction >= REQUIRED_MEMORY_REDUCTION, (
             "{} peak plan memory only shrank {:.0%} (required {:.0%})".format(

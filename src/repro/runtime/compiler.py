@@ -3,10 +3,26 @@
 The module zoo of this repository is small and closed, so instead of tracing
 an example forward pass the compiler walks the module structure directly: a
 registry maps module types to *expanders* that append steps to the plan and
-return the output slot.  Composite expanders (``ConvBNReLU``, residual
-blocks, whole backbones) fuse what the eager path computes as separate tensor
-ops — conv + bias + batch-norm + activation become one GEMM plus in-place
-channel-wise arithmetic on a staging buffer.
+return the output slot.
+
+Inference epilogues are fused as the steps are emitted, the way
+lowering-time operator fusion works in deep-learning compilers: a conv
+step carries its batch norm (folded into the weights while the BN is in
+eval mode), its activation and its residual join, so each feature map is
+written once.  Every decision is local to the emitting expander:
+
+* ``ConvBNReLU`` emits one conv step with BN and activation;
+* in a ``Sequential``, a ``BatchNorm2d`` folds into a bare conv the
+  previous layer emitted last, and an activation into a conv, linear or
+  batch-norm step the previous layer emitted last (:func:`_fold_into`);
+  an activation that cannot fuse runs on an :class:`ActivationStep`;
+* a residual join (:func:`_emit_join`) becomes the residual epilogue of
+  the body's conv when that conv is the step emitted last, so the shortcut
+  is materialised before the conv runs; otherwise it is an in-place
+  :class:`AddStep`.
+
+Training plans keep BN and joins as their own steps (the reverse program
+needs the pre-normalisation and pre-join values).
 
 Layouts are decided here, as each step is emitted: conv, batch-norm, join
 (add, gate combine) and global-pool steps read and write channels-last
@@ -37,6 +53,7 @@ from ..telemetry import trace
 from . import kernels as conv_kernels
 from .passes import PassContext, enabled_passes, run_passes, step_writes
 from .plan import (
+    ActivationStep,
     AddStep,
     BatchNormStep,
     Conv2dStep,
@@ -258,31 +275,14 @@ def _expand_batchnorm(module, ctx, in_slot):
 
 
 def _expand_activation(module, ctx, in_slot):
-    # Standalone activation modules write to a fresh slot: the compiler cannot
-    # prove single-consumer ownership of an arbitrary input slot, and the copy
-    # is cheap next to any surrounding GEMM.  Composite expanders fuse
-    # activations in place instead.
+    # A fresh output slot: the compiler cannot prove single-consumer
+    # ownership of an arbitrary input slot, and the copy is cheap next to any
+    # surrounding GEMM.  Sequentials fold activations into their producer
+    # where they can (:func:`_fold_into`).
     in_slot = ctx.read(in_slot, NHWC)
     out_slot = ctx.slot(ctx.shape(in_slot))
-    kind = _activation_kind(module)
-    ctx.add(AddStep(in_slot, _zero_like(ctx, in_slot), out_slot, activation=kind))
+    ctx.add(ActivationStep(_activation_kind(module), in_slot, out_slot))
     return out_slot
-
-
-_ZERO_SLOTS = "_zero_slots"
-
-
-def _zero_like(ctx, slot):
-    """A shared all-zero slot matching ``slot``'s shape and layout (used to
-    copy-then-activate)."""
-    cache = getattr(ctx, _ZERO_SLOTS, None)
-    if cache is None:
-        cache = {}
-        setattr(ctx, _ZERO_SLOTS, cache)
-    shape, layout = key = (ctx.shape(slot), ctx.plan.layout(slot))
-    if key not in cache:
-        cache[key] = ctx.slot(shape, layout=layout)  # plan buffers start uninitialised...
-    return cache[key]
 
 
 for _act_type in (nn_modules.ReLU, nn_modules.LeakyReLU, nn_modules.Tanh, nn_modules.Sigmoid):
@@ -344,11 +344,46 @@ def _expand_gap(module, ctx, in_slot):
     return out_slot
 
 
+def _fold_into(step, layer, ctx):
+    """Fold ``layer`` into ``step``, the inference step that wrote its input.
+
+    A ``BatchNorm2d`` folds into a bare conv, an activation into a conv,
+    linear or batch-norm step that has none yet.  Returns whether it did.
+    """
+    if ctx.train:
+        return False
+    if isinstance(layer, nn_modules.BatchNorm2d):
+        fits = (
+            isinstance(step, Conv2dStep)
+            and step.bn is None
+            and step.activation is None
+            and step.res_slot is None
+        )
+        if fits:
+            step.bn = layer
+        return fits
+    kind = _activation_kind(layer)
+    fits = (
+        kind is not None
+        and isinstance(step, (Conv2dStep, LinearStep, BatchNormStep))
+        and step.activation is None
+    )
+    if fits:
+        step.activation = kind
+    return fits
+
+
 @_expander(nn_modules.Sequential)
 def _expand_sequential(module, ctx, in_slot):
     slot = in_slot
+    last = None  # the step the previous layer emitted last, if it wrote `slot`
     for layer in module:
+        if last is not None and _fold_into(last, layer, ctx):
+            continue
+        count = len(ctx.plan.steps)
         slot = ctx.emit(layer, slot)
+        steps = ctx.plan.steps
+        last = steps[-1] if len(steps) > count and step_writes(steps[-1]) == [slot] else None
     return slot
 
 
@@ -371,9 +406,27 @@ def _emit_join(ctx, body, shortcut, activation=None):
 
     The body slot is owned by the calling block, so the join can write into
     it (or into its channels-last twin, which no later reader then reuses).
+    In an inference plan, when the step emitted last is the bare conv that
+    wrote the body, the join becomes that conv's residual epilogue: the
+    shortcut was written before the conv runs, and nothing read the
+    pre-join body.
     """
     body = ctx.read(body, NHWC)
-    ctx.add(AddStep(body, ctx.read(shortcut, NHWC), body, activation=activation))
+    shortcut = ctx.read(shortcut, NHWC)
+    steps = ctx.plan.steps
+    conv = steps[-1] if steps else None
+    if (
+        not ctx.train
+        and isinstance(conv, Conv2dStep)
+        and conv.out_slot == body != shortcut
+        and conv.branch == ctx.branch
+        and conv.activation is None
+        and conv.res_slot is None
+    ):
+        conv.res_slot = shortcut
+        conv.activation = activation
+        return body
+    ctx.add(AddStep(body, shortcut, body, activation=activation))
     return body
 
 
@@ -614,7 +667,6 @@ def _compile_plan_body(module, input_shape, dtype, path, gated_paths, plan, quan
         )
     outputs = getattr(ctx, "agent_outputs", None) or (out_slot,)
     plan.named_slots = dict(getattr(ctx, "agent_slots", {}))
-    zero_slots = tuple(getattr(ctx, _ZERO_SLOTS, {}).values())
     protected = {input_slot}
     protected.update(outputs)
     protected.update(plan.named_slots.values())
@@ -631,19 +683,10 @@ def _compile_plan_body(module, input_shape, dtype, path, gated_paths, plan, quan
                 break
     run_passes(
         plan,
-        PassContext(
-            protected_slots=protected,
-            zero_slots=zero_slots,
-            quantize=calibration,
-        ),
+        PassContext(protected_slots=protected, quantize=calibration),
         enabled=enabled,
     )
     plan.finalize(input_slot, outputs)
-    # Zero-filled helper slots (copy-then-activate) must actually be zero.
-    # Fusion may have orphaned some of them (their buffer is then None).
-    for slot in zero_slots:
-        if plan.bufs[slot] is not None:
-            plan.bufs[slot][...] = 0.0
     if ctx.path_consumed:
         plan.set_path(ctx.path)
     return plan

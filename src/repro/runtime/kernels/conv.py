@@ -47,7 +47,7 @@ class PointwiseNHWCKernel(ConvKernel):
 
     @classmethod
     def supports(cls, spec):
-        return spec.layout == "NHWC" and spec.pointwise
+        return spec.pointwise
 
     @classmethod
     def backward_scratch_requests(cls, spec, input_grad_needed):
@@ -115,8 +115,7 @@ class Im2colNHWCKernel(ConvKernel):
     @classmethod
     def supports(cls, spec):
         return (
-            spec.layout == "NHWC"
-            and spec.op_class == "dense"
+            spec.op_class == "dense"
             and spec.padding < spec.kernel
             and spec.dtype in ("float32", "float64")
         )

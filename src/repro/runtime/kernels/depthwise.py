@@ -90,7 +90,6 @@ class DepthwiseNativeKernel(_DepthwiseKernel):
     def supports(cls, spec):
         return (
             spec.depthwise
-            and spec.layout == "NHWC"
             and spec.dtype in ("float32", "float64")
             and _native.available()
         )
@@ -147,7 +146,7 @@ class DepthwiseEinsumKernel(_DepthwiseKernel):
     def supports(cls, spec):
         # The input VJP pads the dilated gout by ``k-1-p``, which must not
         # be negative (no real network pads by a whole kernel or more).
-        return spec.depthwise and spec.layout == "NHWC" and spec.padding < spec.kernel
+        return spec.depthwise and spec.padding < spec.kernel
 
     @classmethod
     def _pad_bytes(cls, spec):

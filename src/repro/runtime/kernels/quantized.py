@@ -122,11 +122,7 @@ class _QuantKernel(ConvKernel):
 
     @classmethod
     def supports(cls, spec):
-        return (
-            not spec.train
-            and spec.layout == "NHWC"
-            and cls._shape_ok(spec)
-        )
+        return not spec.train and cls._shape_ok(spec)
 
     @classmethod
     def _shape_ok(cls, spec):

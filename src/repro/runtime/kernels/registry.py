@@ -123,7 +123,6 @@ class ConvSpec(NamedTuple):
     groups: int
     dtype: str      # numpy dtype name, e.g. "float32"
     direction: str  # "infer" (forward only) or "train" (forward + VJPs)
-    layout: str = "NHWC"  # physical activation layout: conv steps run channels-last
     quant: str = ""  # quantization mode: "" (float) or "q8" (int8)
 
     # Derived geometry ---------------------------------------------------- #
@@ -186,26 +185,22 @@ class ConvSpec(NamedTuple):
 
     @property
     def in_shape(self):
-        """Physical input-array shape under this spec's layout."""
-        if self.layout == "NHWC":
-            return (self.batch, self.height, self.width, self.in_channels)
-        return (self.batch, self.in_channels, self.height, self.width)
+        """Physical (channels-last) input-array shape."""
+        return (self.batch, self.height, self.width, self.in_channels)
 
     @property
     def out_shape(self):
-        """Physical output-array shape under this spec's layout."""
-        if self.layout == "NHWC":
-            return (self.batch, self.out_height, self.out_width, self.out_channels)
-        return (self.batch, self.out_channels, self.out_height, self.out_width)
+        """Physical (channels-last) output-array shape."""
+        return (self.batch, self.out_height, self.out_width, self.out_channels)
 
     def describe(self):
         """Compact human-readable signature key for stats tables."""
         base = (
-            "{op}:n{n}c{c}->{o}@{h}x{w}/k{k}s{s}p{p}g{g}/{dt}/{dir}/{lay}".format(
+            "{op}:n{n}c{c}->{o}@{h}x{w}/k{k}s{s}p{p}g{g}/{dt}/{dir}/nhwc".format(
                 op=self.op_class, n=self.batch, c=self.in_channels,
                 o=self.out_channels, h=self.height, w=self.width, k=self.kernel,
                 s=self.stride, p=self.padding, g=self.groups, dt=self.dtype,
-                dir=self.direction, lay=self.layout.lower(),
+                dir=self.direction,
             )
         )
         if self.quant:
@@ -292,7 +287,7 @@ class ConvKernel:
 #: one that supports a signature (each op class's fallback comes last).
 KERNELS = []
 
-#: signature -> {"kernel": name, "source": how it was chosen, "layout": ...}.
+#: signature -> {"kernel": name, "source": how it was chosen, "layout": "NHWC"}.
 _SELECTIONS = {}
 
 #: signature -> {kernel name: smoke failure reason, or None if it passed}.
@@ -523,7 +518,7 @@ def kernel_for(spec, plan):
         cls, source = pinned[0], "pinned"
     else:
         cls, source = _rule(spec, cands), ("rule" if name is None else "pin-fallback")
-    _SELECTIONS[spec] = {"kernel": cls.name, "source": source, "layout": spec.layout}
+    _SELECTIONS[spec] = {"kernel": cls.name, "source": source, "layout": "NHWC"}
     return cls(spec, plan)
 
 

@@ -1,29 +1,8 @@
 """Graph-level optimisation passes over compiled :class:`~repro.runtime.plan.Plan`s.
 
-The structural compiler emits a faithful one-op-per-node program, its
-layouts already decided (channels-last conv, batch-norm, join and global-pool
-steps, with an explicit :class:`~repro.runtime.plan.TransposeStep` wherever
-a read needs the other layout); this module rewrites that program *between
-emission and finalisation* — the classic deep-learning-compiler pipeline,
-specialised to the runtime's flat slot IR:
-
-``fuse_epilogue``
-    Epilogue fusion for inference plans: standalone batch-norm, activation
-    and residual-add steps are folded into the producing compute step
-    (:class:`Conv2dStep` / :class:`LinearStep`), so each intermediate feature
-    map is written once instead of being re-traversed per elementwise op.
-    Conv steps hand the fused tail to their dispatched
-    :mod:`repro.runtime.kernels` implementation as an epilogue descriptor —
-    blocked kernels apply it per output tile while the tile is cache-hot
-    rather than assuming a whole-batch GEMM follows.
-
-``fold_bn``
-    Inference-mode conv-BN weight folding: the (eval-mode) BN scale/shift is
-    pre-multiplied into the convolution kernel and bias, removing the two
-    per-run channel-wise passes over the output map.  Folded weights carry
-    live-parameter invalidation (parameter version counters + running-stat
-    content checks), so training between rollouts refreshes them
-    automatically; train-mode BN falls back to the unfolded math at run time.
+The compiler emits a plan whose layouts are decided and whose inference
+epilogues are already fused and folded (see :mod:`repro.runtime.compiler`);
+this module rewrites that program *between emission and finalisation*:
 
 ``quantize``
     Opt-in int8 lowering for inference plans (requires a
@@ -34,8 +13,9 @@ specialised to the runtime's flat slot IR:
     :class:`~repro.runtime.plan.DequantizeStep` boundary steps bracket the
     quantized regions the way transpose steps bracket layout changes.  Heads,
     the dense stem and anything without a quantized kernel stay float; when
-    the calibration does not match the compiled plan (slot drift across
-    processes) the pass declines to fire rather than apply wrong scales.
+    the calibration was observed on a different plan (its
+    :func:`plan_digest` differs) the pass declines to fire rather than apply
+    wrong scales.
 
 ``alias_slots``
     Slot-liveness buffer aliasing: a last-use analysis over the forward
@@ -54,13 +34,14 @@ default under pytest and controllable via ``REPRO_RUNTIME_LINT=1/0``.
 
 Pass selection: every pass runs by default; the ``REPRO_RUNTIME_PASSES``
 environment variable (``all`` | ``none`` | comma-list, e.g.
-``fold_bn,alias_slots``) or the ``passes=`` argument of
+``quantize,alias_slots``) or the ``passes=`` argument of
 :func:`~repro.runtime.compiler.compile_plan` disables individual passes for
 bisection, mirroring the ``use_compiled_train`` fallback style.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -97,11 +78,10 @@ __all__ = [
     "lint_enabled",
 ]
 
-#: Pipeline order matters: structural fusion first, then weight folding,
-#: then quantization (whose slot-identity contract with calibration depends
-#: on all earlier passes having run identically), then the liveness analysis
-#: over the final step list.
-PASS_NAMES = ("fuse_epilogue", "fold_bn", "quantize", "alias_slots")
+#: Pipeline order matters: quantization first (its calibration was observed
+#: on the bare compiler output), then the liveness analysis over the final
+#: step list.
+PASS_NAMES = ("quantize", "alias_slots")
 
 ENV_VAR = "REPRO_RUNTIME_PASSES"
 
@@ -109,8 +89,8 @@ ENV_VAR = "REPRO_RUNTIME_PASSES"
 LINT_ENV_VAR = "REPRO_RUNTIME_LINT"
 
 #: Step types the analyses understand.  A plan containing anything else
-#: (custom :class:`Step` subclasses from third-party expanders) only receives
-#: the passes that need no graph analysis.
+#: (custom :class:`Step` subclasses from third-party expanders) receives no
+#: pass.
 _KNOWN_STEPS = frozenset(
     {
         ActivationStep,
@@ -164,13 +144,10 @@ def enabled_passes(spec=None):
 class PassContext:
     """Compile-time facts the passes need beyond the plan itself."""
 
-    def __init__(self, protected_slots=(), zero_slots=(), quantize=None):
+    def __init__(self, protected_slots=(), quantize=None):
         #: Slots with externally visible contents (plan input/outputs, named
         #: slots): never re-routed, never storage-shared, never dead.
         self.protected_slots = frozenset(protected_slots)
-        #: Shared all-zero helper slots: contents persist across runs, so
-        #: they may go dead but never share storage.
-        self.zero_slots = frozenset(zero_slots)
         #: :class:`~repro.runtime.quantize.QuantCalibration` matching this
         #: compile, or ``None``; enables the ``quantize`` pass.
         self.quantize = quantize
@@ -188,8 +165,6 @@ def step_reads(step):
         return reads
     if isinstance(step, AddStep):
         return [step.a_slot, step.b_slot]
-    if isinstance(step, ActivationStep):
-        return [step.slot]
     if isinstance(step, GateCombineStep):
         return list(step.in_slots)
     return [step.in_slot]
@@ -197,21 +172,16 @@ def step_reads(step):
 
 def step_writes(step):
     """Slots the step's ``run`` (re)defines."""
-    if isinstance(step, ActivationStep):
-        return [step.slot]
     return [step.out_slot]
 
 
-def _analyze(plan):
-    """Per-slot consumer/producer tables over the current step list."""
-    readers = {}
+def _writers(plan):
+    """Slot -> indices of the steps that (re)define it."""
     writers = {}
     for index, step in enumerate(plan.steps):
-        for slot in step_reads(step):
-            readers.setdefault(slot, []).append(index)
         for slot in step_writes(step):
             writers.setdefault(slot, []).append(index)
-    return readers, writers
+    return writers
 
 
 def _view_roots(plan):
@@ -235,135 +205,18 @@ def _ensure_storage(plan):
     return plan.storage
 
 
-# --------------------------------------------------------------------------- #
-# fuse_epilogue: BN / activation / residual-add into the producing GEMM
-# --------------------------------------------------------------------------- #
-def _single_consumer(slot, readers, ctx):
-    return (
-        slot not in ctx.protected_slots
-        and slot not in ctx.zero_slots
-        and len(readers.get(slot, ())) == 1
-    )
+def plan_digest(plan):
+    """sha256 of the plan's dataflow: every step's type, reads, writes and
+    branch, and every slot's shape.
 
-
-def fuse_epilogue(plan, ctx):
-    """Fold elementwise epilogues into the preceding GEMM step (inference only).
-
-    Fusion never crosses a gated-supernet branch boundary: the fused step
-    must run exactly when both originals would.
+    A calibration records the digest of the plan it observed; the quantize
+    pass applies it only to a plan with the same digest.
     """
-    if plan.train:
-        return
-    changed = True
-    while changed:
-        changed = False
-        readers, writers = _analyze(plan)
-
-        def producer_of(slot, before=None):
-            """Latest step (re)defining ``slot``, optionally before ``before``."""
-            indices = [
-                i for i in writers.get(slot, ()) if before is None or i < before
-            ]
-            if not indices or (before is None and len(indices) != 1):
-                return None, None
-            return indices[-1], plan.steps[indices[-1]]
-
-        for index, step in enumerate(plan.steps):
-            # Standalone BN into its producing conv (mirrors what composite
-            # expanders emit for ConvBNReLU, for hand-rolled Sequentials).
-            if isinstance(step, BatchNormStep):
-                _, prod = producer_of(step.in_slot)
-                if (
-                    isinstance(prod, Conv2dStep)
-                    and prod.branch == step.branch
-                    and prod.bn is None
-                    and prod.activation is None
-                    and prod.res_slot is None
-                    and not prod.fold_bn
-                    and _single_consumer(step.in_slot, readers, ctx)
-                ):
-                    prod.bn = step.bn
-                    prod.activation = step.activation
-                    prod.out_slot = step.out_slot
-                    del plan.steps[index]
-                    changed = True
-                    break
-            if not isinstance(step, AddStep):
-                continue
-            zero_operand = None
-            if step.b_slot in ctx.zero_slots:
-                zero_operand, source = step.b_slot, step.a_slot
-            elif step.a_slot in ctx.zero_slots:
-                zero_operand, source = step.a_slot, step.b_slot
-            if zero_operand is not None:
-                # Copy-then-activate helper: retarget the producer instead.
-                _, prod = producer_of(source)
-                if (
-                    isinstance(prod, (Conv2dStep, LinearStep, BatchNormStep, AddStep))
-                    and prod.branch == step.branch
-                    and prod.activation is None
-                    and _single_consumer(source, readers, ctx)
-                ):
-                    prod.activation = step.activation
-                    prod.out_slot = step.out_slot
-                    del plan.steps[index]
-                    changed = True
-                    break
-                continue
-            # Residual join: fuse into the conv producing one operand when the
-            # other operand is already materialised by then.  In-place joins
-            # (``out == body``, the compiler's block-owned form) conflate the
-            # pre- and post-join values under one slot id, so readers after
-            # the join are fine — only reads *between* the conv and the join
-            # (other than the join itself) block the fusion.
-            fused = False
-            for body, shortcut in ((step.a_slot, step.b_slot), (step.b_slot, step.a_slot)):
-                prod_index, prod = producer_of(body, before=index)
-                if (
-                    not isinstance(prod, Conv2dStep)
-                    or prod.branch != step.branch
-                    or prod.activation is not None
-                    or prod.res_slot is not None
-                ):
-                    continue
-                if any(
-                    body in step_reads(plan.steps[i])
-                    for i in range(prod_index + 1, index)
-                ):
-                    continue  # pre-join value consumed elsewhere
-                in_place = step.out_slot == body
-                if not in_place:
-                    # Rewiring the conv's output requires the pre-join value
-                    # to be invisible elsewhere: the join is its only reader.
-                    if not _single_consumer(body, readers, ctx):
-                        continue
-                elif body in ctx.zero_slots:
-                    continue
-                shortcut_def = max(writers.get(shortcut, (-1,)))
-                if shortcut_def >= prod_index:
-                    continue  # shortcut not materialised before the conv runs
-                prod.res_slot = shortcut
-                prod.activation = step.activation
-                if not in_place:
-                    prod.out_slot = step.out_slot
-                del plan.steps[index]
-                changed = True
-                fused = True
-                break
-            if fused:
-                break
-
-
-# --------------------------------------------------------------------------- #
-# fold_bn: eval-mode BN scale/shift folded into conv weights
-# --------------------------------------------------------------------------- #
-def fold_bn(plan, ctx):
-    """Mark every BN-fused conv step for weight folding (inference only)."""
-    if plan.train:
-        return
-    for step in plan.steps:
-        if isinstance(step, Conv2dStep) and step.bn is not None:
-            step.fold_bn = True
+    steps = [
+        (type(step).__name__, step_reads(step), step_writes(step), step.branch)
+        for step in plan.steps
+    ]
+    return hashlib.sha256(repr((steps, plan._shapes)).encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------- #
@@ -412,17 +265,16 @@ def quantize_plan(plan, ctx):
     """Convert eligible convs to int8 arithmetic (inference, opt-in).
 
     Runs only when the pass context carries a
-    :class:`~repro.runtime.quantize.QuantCalibration` whose slot identity
-    matches this plan (the calibration was taken on a plan compiled with the
-    same passes minus ``quantize``, so slot indices line up; any drift makes
-    the pass decline entirely — quantization is an optimisation, never a
-    correctness requirement).
+    :class:`~repro.runtime.quantize.QuantCalibration` observed on this very
+    plan: the calibration ran the bare compiler output, so its
+    :func:`plan_digest` must equal this plan's before the rewrite.  Any
+    drift makes the pass decline entirely — quantization is an
+    optimisation, never a correctness requirement.
 
     A conv is eligible when it is depthwise or pointwise, inference
     direction, outside any gated-supernet branch (a calibration observes one
     path, and the plan serves every path), its activation quantizes losslessly into the requant clip
-    (``None`` / ``relu``), its BN (if any) is folded into the weights, its
-    output slot is unprotected and single-writer, a registered kernel serves
+    (``None`` / ``relu``), its output slot is unprotected and single-writer, a registered kernel serves
     the quantized signature, and calibration observed all its slots with the
     right channel counts.  The walk then threads integer data through
     eligible chains: a quantized conv reading a float slot gets a
@@ -436,13 +288,13 @@ def quantize_plan(plan, ctx):
     calib = ctx.quantize
     if calib is None or plan.train:
         return
-    if calib.num_slots != len(plan._shapes):
-        return  # slot identity drifted from calibration: fail safe to float
+    if calib.digest != plan_digest(plan):
+        return  # observed on another plan: fail safe to float
     mode = calib.mode
     act_dtype = np.dtype(np.int8)
     qmax = 127
 
-    _, writers = _analyze(plan)
+    writers = _writers(plan)
 
     def slot_scale(slot):
         channels = calib.channels(slot)
@@ -459,7 +311,6 @@ def quantize_plan(plan, ctx):
             step.branch is not None
             or step.activation not in (None, "relu")
             or spec.op_class not in ("pointwise", "depthwise")
-            or (step.bn is not None and not step.fold_bn)
             or step.out_slot in ctx.protected_slots
             or len(writers.get(step.out_slot, ())) != 1
             or not conv_kernels.candidates(spec._replace(quant=mode))
@@ -603,7 +454,6 @@ def alias_slots(plan, ctx):
         return int(np.prod(plan.shape(slot))) * plan.slot_dtype(slot).itemsize
 
     protected_roots = {find(slot) for slot in ctx.protected_slots}
-    protected_roots |= {find(slot) for slot in ctx.zero_slots}
 
     if not plan.train:
         # Forward liveness: def index of each storage root and its last read.
@@ -709,12 +559,9 @@ def _expected_layouts(step, lay):
         return {step.in_slot: step.layout, step.out_slot: step.layout}
     if isinstance(step, GlobalAvgPoolStep):
         return {step.in_slot: step.layout}
-    if isinstance(step, AddStep):
+    if isinstance(step, (AddStep, ActivationStep)):
         layout = lay(step.out_slot)
-        return {} if layout is None else {
-            step.a_slot: layout,
-            step.b_slot: layout,
-        }
+        return {} if layout is None else {slot: layout for slot in step_reads(step)}
     if isinstance(step, GateCombineStep):
         layout = lay(step.out_slot)
         return {} if layout is None else {slot: layout for slot in step.in_slots}
@@ -730,8 +577,6 @@ def _expected_layouts(step, lay):
             step.in_slot: layout,
             step.out_slot: layout,
         }
-    if isinstance(step, ActivationStep):
-        return {}
     # Anchors (pooling / flatten / reshape / opaque / ...): logical NCHW.
     return {slot: "NCHW" for slot in step_reads(step) if lay(slot) is not None}
 
@@ -871,32 +716,21 @@ def lint_plan(plan, ctx=None):
 
 
 _PASS_FUNCS = {
-    "fuse_epilogue": fuse_epilogue,
-    "fold_bn": fold_bn,
     "quantize": quantize_plan,
     "alias_slots": alias_slots,
 }
-
-#: Passes that are pure per-step rewrites and stay safe in the presence of
-#: unknown (third-party) step types.
-_ANALYSIS_FREE = frozenset({"fold_bn"})
 
 
 def run_passes(plan, ctx, enabled=None):
     """Run the enabled passes, in pipeline order, on an un-finalised plan."""
     enabled = enabled if isinstance(enabled, frozenset) else enabled_passes(enabled)
-    if not enabled:
+    if not enabled or any(type(step) not in _KNOWN_STEPS for step in plan.steps):
         return plan
-    analyzable = all(type(step) in _KNOWN_STEPS for step in plan.steps)
     for name in PASS_NAMES:
-        if name not in enabled:
-            continue
-        if not analyzable and name not in _ANALYSIS_FREE:
-            continue
-        with trace.span("pass/" + name, "compile"):
-            _PASS_FUNCS[name](plan, ctx)
-    if analyzable:
-        mark_dead_slots(plan, ctx)
-        if lint_enabled():
-            lint_plan(plan, ctx)
+        if name in enabled:
+            with trace.span("pass/" + name, "compile"):
+                _PASS_FUNCS[name](plan, ctx)
+    mark_dead_slots(plan, ctx)
+    if lint_enabled():
+        lint_plan(plan, ctx)
     return plan

@@ -25,9 +25,9 @@ intermediates, and the im2col workspaces are reused for the column
 gradients' geometry.
 
 Aliasing contract: a step may mutate only buffers it owns (its output slot
-and workspaces), never its input slot.  In-place activation steps are the one
-exception; the compiler only emits them when the input slot has a single
-consumer.  The mirrored contract holds in reverse mode: once backward
+and workspaces), never its input slot.  Residual joins are the one exception:
+the compiler emits them in place on the body slot, which the joining block
+owns.  The mirrored contract holds in reverse mode: once backward
 reaches the step that *produced* a slot, every consumer has already added its
 contribution, so the producer owns the slot's gradient buffer and may mutate
 it in place.
@@ -380,8 +380,15 @@ class Conv2dStep(Step, _BNMixin):
     the same bound kernel, which keeps whatever forward state it needs
     (saved im2col columns, tap-major weight staging, ...).
 
-    Training plans never fuse BN into the conv (the compiler emits a separate
-    :class:`BatchNormStep` so the pre-normalisation activations survive).
+    In inference plans the compiler fuses the epilogue as it emits the step:
+    a BN (``ConvBNReLU``, or a ``BatchNorm2d`` following the conv in a
+    ``Sequential``), a following activation, and a residual join whose
+    shortcut is materialised before the conv runs (``res_slot``).  An
+    eval-mode BN is folded into the weight and bias (:meth:`_folded`);
+    a train-mode BN runs unfolded at run time.  Training plans fuse only
+    the activation, never BN (the compiler emits a separate
+    :class:`BatchNormStep` so the pre-normalisation activations survive)
+    and never a join.
     """
 
     #: Physical activation layout of both slots: conv steps run channels-last.
@@ -393,13 +400,9 @@ class Conv2dStep(Step, _BNMixin):
         self.activation = activation
         self.in_slot = in_slot
         self.out_slot = out_slot
-        #: Optional residual slot added before the activation (epilogue-fusion
-        #: pass, inference plans only).
+        #: Optional residual slot added before the activation (a fused
+        #: residual join, inference plans only).
         self.res_slot = None
-        #: Fold the (eval-mode) BN scale/shift into the kernel/bias so the
-        #: per-run channel-wise passes over the output map disappear (fold-BN
-        #: pass, inference plans only).  Train-mode BN falls back at run time.
-        self.fold_bn = False
         #: :class:`QuantInfo` when the quantize pass converted this step to
         #: integer arithmetic (inference plans only); ``None`` = float.
         self.quant = None
@@ -420,7 +423,6 @@ class Conv2dStep(Step, _BNMixin):
             groups=conv.groups,
             dtype=plan.dtype.name,
             direction="train" if plan.train else "infer",
-            layout=self.layout,
             quant=self.quant.mode if self.quant is not None else "",
         )
 
@@ -447,7 +449,7 @@ class Conv2dStep(Step, _BNMixin):
 
     def allocate(self, plan):
         self._dtype = plan.dtype
-        if self.fold_bn:
+        if self.bn is not None:
             self._fw = plan.alloc(self.conv.weight.data.shape)
             self._fb = plan.alloc((self.conv.out_channels,))
             self._fold_key = None
@@ -500,8 +502,8 @@ class Conv2dStep(Step, _BNMixin):
     def allocate_backward(self, plan):
         if self.bn is not None:
             raise RuntimeError("training plans must not fuse BN into conv steps")
-        if self.fold_bn or self.res_slot is not None:
-            raise RuntimeError("optimisation-pass epilogues are inference-only")
+        if self.res_slot is not None:
+            raise RuntimeError("residual epilogues are inference-only")
         self._pg_w = plan.grad_for(self.conv.weight)
         self._pg_b = plan.grad_for(self.conv.bias) if self.conv.bias is not None else None
         # The plan input has no producer (and neither does its channels-last
@@ -535,7 +537,7 @@ class Conv2dStep(Step, _BNMixin):
 
     def _run_quantized(self, bufs):
         conv = self.conv
-        if self.fold_bn:
+        if self.bn is not None:
             weight, bias = self._folded()
             key = self._fold_serial
         else:
@@ -556,7 +558,7 @@ class Conv2dStep(Step, _BNMixin):
             return
         conv = self.conv
         epilogue = self._epilogue
-        if self.fold_bn and not self.bn.training:
+        if self.bn is not None and not self.bn.training:
             weight, epilogue.folded_bias = self._folded()
         else:
             weight = conv.weight.cast(self._dtype)
@@ -699,17 +701,28 @@ class BatchNormStep(Step, _BNMixin):
 
 
 class ActivationStep(Step):
-    """In-place activation on a slot (compiler guarantees single-consumer)."""
+    """``out = activation(x)``: an activation layer no step could absorb.
 
-    def __init__(self, kind, slot):
-        self.kind = kind
-        self.slot = slot
+    The compiler emits it for an activation module whose input was not
+    written by a fusable step (the first layer of a ``Sequential``, any
+    activation of a training plan).  It copies the input, so it never
+    mutates a slot another step may read.
+    """
+
+    def __init__(self, activation, in_slot, out_slot):
+        self.activation = activation
+        self.in_slot = in_slot
+        self.out_slot = out_slot
 
     def run(self, bufs):
-        apply_activation(self.kind, bufs[self.slot])
+        out = bufs[self.out_slot]
+        np.copyto(out, bufs[self.in_slot])
+        apply_activation(self.activation, out)
 
     def backward(self, bufs, grads):
-        vjp.activation_vjp(self.kind, bufs[self.slot], grads[self.slot])
+        gout = grads[self.out_slot]
+        vjp.activation_vjp(self.activation, bufs[self.out_slot], gout)
+        grads[self.in_slot] += gout
 
 
 class AddStep(Step):

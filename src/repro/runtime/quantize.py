@@ -3,9 +3,9 @@
 Quantizing activations needs their dynamic ranges, and the ranges that
 matter are the ones the policy actually visits — so calibration *runs the
 plan*: a :class:`Calibrator` compiles the module exactly as the inference
-engine would (same emission, same passes minus the quantize pass itself)
-and observes every activation slot over a short rollout's worth of
-batches.  The harvested per-channel amax profile is packaged as a
+engine would, without any pass (the bare compiler output the quantize
+pass rewrites), and observes every activation slot over a short rollout's
+worth of batches.  The harvested per-channel amax profile is packaged as a
 :class:`QuantCalibration`, keyed like the engine's plan cache
 (``(input shape, gate path, dtype)``) so an engine holding several
 calibrations can pick the right one per compiled signature.
@@ -17,14 +17,15 @@ re-verifies it anyway.  Per-*channel* weight scales are derived from the
 live weights at run time by the conv step itself (no calibration needed:
 weights are known exactly).
 
-Slot-identity contract: the quantize pass appends its new slots/steps
-*after* the shared pass pipeline ran, so slot indices assigned by
-compilation-minus-quantize are identical between the calibration plan and
-the engine's plan.  If they ever diverge (e.g. a calibration saved by a
-revision that emitted its plans differently), the
-calibration's ``num_slots`` / per-slot channel counts stop matching and the
-quantize pass declines to fire rather than apply wrong scales — quantization is an optimisation, so
-the fail-safe is the float path.
+Plan-identity contract: the quantize pass is the first pass and appends its
+new slots/steps, so the plan it rewrites is the bare compiler output the
+calibration observed.  A calibration records that plan's
+:func:`~repro.runtime.passes.plan_digest` (every step's type, reads, writes
+and branch, and every slot's shape); if the engine's plan has another
+digest (e.g. a calibration saved by a revision that emitted its plans
+differently), the quantize pass declines to fire rather than apply wrong
+scales — quantization is an optimisation, so the fail-safe is the float
+path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 import numpy as np
 
 from .compiler import compile_plan
-from .passes import enabled_passes
+from .passes import plan_digest
 
 __all__ = ["Calibrator", "QuantCalibration"]
 
@@ -57,30 +58,24 @@ class Calibrator:
             cal.observe(obs)
         calibration = cal.result(mode="q8")
 
-    ``observe`` runs the internally compiled plan (float, full pass pipeline
-    minus ``quantize`` and ``alias_slots``) and folds each written 4-D slot's
-    per-channel max |x| into the running profile.
+    ``observe`` runs the internally compiled plan (float, no pass) and
+    folds each written 4-D slot's per-channel max |x| into the running
+    profile.
     """
 
-    def __init__(self, module, input_shape, dtype=np.float64, path=None,
-                 passes=None, pool=None):
+    def __init__(self, module, input_shape, dtype=np.float64, path=None, pool=None):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.path = _norm_path(path)
         self.dtype = np.dtype(dtype)
-        # The profile plan must disable ``alias_slots`` as well as
-        # ``quantize``: aliasing lets later steps reuse a dead slot's arena
+        # No pass: ``quantize`` rewrites exactly this bare compiler output,
+        # and ``alias_slots`` would let later steps reuse a dead slot's arena
         # region, so reading every slot buffer *after* the run would observe
-        # overwritten garbage for early activations.  Dropping the aliasing
-        # pass only costs memory; it appends no slots, so slot indices still
-        # line up with the quantized plan (whose own appended quantize-twin
-        # slots come after every calibrated index).
-        enabled = tuple(
-            p for p in enabled_passes(passes) if p not in ("quantize", "alias_slots")
-        )
+        # overwritten garbage for early activations.
         self._plan = compile_plan(
             module, self.input_shape, dtype=self.dtype, path=path,
-            passes=enabled, pool=pool,
+            passes="none", pool=pool,
         )
+        self._digest = plan_digest(self._plan)
         self._amax = {}
         self.num_batches = 0
 
@@ -113,17 +108,25 @@ class Calibrator:
             mode=mode,
             num_slots=self.num_slots,
             amax={slot: stat.copy() for slot, stat in self._amax.items()},
+            digest=self._digest,
         )
 
 
 class QuantCalibration:
-    """Serializable per-slot activation ranges of one compiled signature."""
+    """Serializable per-slot activation ranges of one compiled signature.
 
-    __slots__ = ("input_shape", "path", "dtype", "mode", "num_slots", "amax")
+    ``digest`` is the :func:`~repro.runtime.passes.plan_digest` of the plan
+    the ranges were observed on; the quantize pass applies them to that
+    plan only.
+    """
 
-    def __init__(self, input_shape, path, dtype, mode, num_slots, amax):
+    __slots__ = ("input_shape", "path", "dtype", "mode", "num_slots", "amax", "digest")
+
+    def __init__(self, input_shape, path, dtype, mode, num_slots, amax, digest):
         if mode != "q8":
             raise ValueError("unknown quant mode {!r}; only 'q8'".format(mode))
+        if not isinstance(digest, str):
+            raise ValueError("a calibration needs the digest of the plan it observed")
         self.input_shape = tuple(int(d) for d in input_shape)
         self.path = _norm_path(path)
         self.dtype = str(np.dtype(dtype).name)
@@ -133,6 +136,7 @@ class QuantCalibration:
             int(slot): np.asarray(stat, dtype=np.float64)
             for slot, stat in amax.items()
         }
+        self.digest = digest
 
     def matches(self, input_shape, path, dtype):
         """Whether this calibration was taken for the given plan signature."""
@@ -173,11 +177,16 @@ class QuantCalibration:
             "mode": self.mode,
             "num_slots": self.num_slots,
             "amax": {str(slot): stat.tolist() for slot, stat in self.amax.items()},
+            "digest": self.digest,
         })
 
     @classmethod
     def from_json(cls, text):
-        """Inverse of :meth:`to_json` (a stale ``policy`` key is ignored)."""
+        """Inverse of :meth:`to_json` (a stale ``policy`` key is ignored).
+
+        A JSON without a plan digest (written by an older version) raises
+        ``ValueError``: nothing could tell which plan its slots belong to.
+        """
         payload = json.loads(text)
         return cls(
             input_shape=payload["input_shape"],
@@ -186,6 +195,7 @@ class QuantCalibration:
             mode=payload["mode"],
             num_slots=payload["num_slots"],
             amax={int(slot): stat for slot, stat in payload["amax"].items()},
+            digest=payload.get("digest"),
         )
 
     def __repr__(self):

@@ -39,7 +39,7 @@ def depthwise_spec(size=24):
     # the C library builds) and its rival depthwise_einsum, so the rule's
     # choice gets a smoke call at first bind.
     # batch, cin, cout, h, w, kernel, stride, padding, groups, dtype, direction
-    return ConvSpec(2, 16, 16, size, size, 3, 1, 1, 16, "float64", "infer", "NHWC")
+    return ConvSpec(2, 16, 16, size, size, 3, 1, 1, 16, "float64", "infer")
 
 
 class TestQuarantineRegistry:

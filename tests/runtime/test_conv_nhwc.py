@@ -103,7 +103,7 @@ def test_geometries_cover_the_stem_every_kernel_and_stride():
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_forward_and_vjps_match_nested_loops(geometry, dtype):
     cin, cout, k, s, size = geometry
-    spec = ConvSpec(3, cin, cout, size, size, k, s, k // 2, 1, dtype, "train", "NHWC")
+    spec = ConvSpec(3, cin, cout, size, size, k, s, k // 2, 1, dtype, "train")
     x, w, gout = operands(spec, seed=sum(geometry))
     stem = cin == 2  # the stem reads the plan input: no input gradient
     prefill = np.random.default_rng(1).standard_normal(spec.in_shape).astype(dtype)
@@ -120,7 +120,7 @@ def test_forward_and_vjps_match_nested_loops(geometry, dtype):
 
 
 def test_inference_forward_matches_training_forward():
-    spec = ConvSpec(4, 8, 16, 14, 14, 5, 2, 2, 1, "float32", "infer", "NHWC")
+    spec = ConvSpec(4, 8, 16, 14, 14, 5, 2, 2, 1, "float32", "infer")
     x, w, gout = operands(spec, seed=3)
     out = np.empty(spec.out_shape, spec.dtype)
     Im2colNHWCKernel(spec, _Arena(spec)).forward(x, w, out, NULL_EPILOGUE)
@@ -138,7 +138,7 @@ def test_binds_each_routine_once_over_three_backward_passes(monkeypatch):
         return real(name, *args)
 
     monkeypatch.setattr(_native, "bind", counted)
-    spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train", "NHWC")
+    spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train")
     arena = _Arena(spec)
     kernel = Im2colNHWCKernel(spec, arena)
     kernel.allocate_backward(arena, True)
@@ -160,7 +160,7 @@ def test_numpy_twins_give_the_c_bytes(monkeypatch, geometry, dtype):
     """The NumPy gather and scatter against C ``im2col_nhwc`` / ``col2im_nhwc``:
     the forward and both VJPs byte for byte, ``gin`` pre-filled."""
     cin, cout, k, s, size = geometry
-    spec = ConvSpec(3, cin, cout, size, size, k, s, k // 2, 1, dtype, "train", "NHWC")
+    spec = ConvSpec(3, cin, cout, size, size, k, s, k // 2, 1, dtype, "train")
     x, w, gout = operands(spec, seed=sum(geometry))
     prefill = np.random.default_rng(1).standard_normal(spec.in_shape).astype(dtype)
     results = []
@@ -178,7 +178,7 @@ def test_numpy_twins_rewrite_stale_workspaces(monkeypatch, direction, dtype):
     rewrite its padded buffer's border and every column on each pass: NaN
     left in the workspaces by another step never reaches the results."""
     monkeypatch.setattr(_native, "available", lambda: False)
-    spec = ConvSpec(3, 4, 6, 9, 9, 5, 2, 2, 1, dtype, direction, "NHWC")
+    spec = ConvSpec(3, 4, 6, 9, 9, 5, 2, 2, 1, dtype, direction)
     x, w, gout = operands(spec, seed=5)
     prefill = np.random.default_rng(1).standard_normal(spec.in_shape).astype(dtype)
 
@@ -214,7 +214,7 @@ def test_dense_convs_run_nhwc_without_the_library(monkeypatch):
     ``im2col_nhwc``, on its NumPy gather and scatter."""
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
     monkeypatch.setattr(_native, "available", lambda: False)
-    spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train", "NHWC")
+    spec = ConvSpec(4, 8, 8, 14, 14, 3, 1, 1, 1, "float32", "train")
     assert Im2colNHWCKernel.supports(spec)
     teacher = make_agent("ResNet-20", obs_size=28, frame_stack=2, feature_dim=32,
                          base_width=4, seed=0)

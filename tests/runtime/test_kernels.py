@@ -256,26 +256,20 @@ class TestDispatch:
         assert dense["source"] == "pinned"
         assert depthwise["kernel"] == "depthwise_einsum"
 
-    @pytest.mark.parametrize("layout", ["NCHW", "NHWC"])
-    def test_float_candidates_ignore_direction(self, layout):
+    def test_float_candidates_ignore_direction(self):
         """Every float kernel trains: a float signature has the same candidates
         in both directions, so inference and train plans bind alike.  Every
-        NHWC signature ends in a fallback; no kernel serves an NCHW one (the
-        compiler never emits an NCHW conv)."""
+        signature ends in a fallback."""
         for shape in SHAPES + ((3, 7, 3, 1, 1, 1, 9), (4, 8, 1, 2, 0, 1, 8)):
             for dtype in ("float32", "float64"):
-                infer = spec_for(*shape, dtype=dtype)._replace(layout=layout)
+                infer = spec_for(*shape, dtype=dtype)
                 train = infer._replace(direction="train")
                 assert candidates(train) == candidates(infer), infer.describe()
-                if layout == "NHWC":
-                    assert candidates(infer)[-1].fallback, infer.describe()
-                else:
-                    assert candidates(infer) == [], infer.describe()
+                assert candidates(infer)[-1].fallback, infer.describe()
 
     def test_depthwise_kernels_serve_nhwc_depthwise_only(self):
         for cls in (DepthwiseNativeKernel, DepthwiseEinsumKernel):
             assert not cls.supports(spec_for(3, 5, 3, 1, 1, 1, 8))
-            assert not cls.supports(spec_for(4, 4, 3, 1, 1, 4, 8)._replace(layout="NCHW"))
         nhwc = spec_for(4, 4, 3, 1, 1, 4, 8)
         assert DepthwiseEinsumKernel.supports(nhwc)
         assert DepthwiseNativeKernel.supports(nhwc) == _native.available()
@@ -448,7 +442,7 @@ class TestScratchArenas:
             step._kernel for step in plan.steps
             if isinstance(step, Conv2dStep) and isinstance(step._kernel, DepthwiseEinsumKernel)
         ]
-        assert kernels and all(k.spec.layout == "NHWC" for k in kernels)
+        assert kernels
         blocks = list(plan._scratch_blocks.values())
         for kernel in kernels:
             for name in ("_gdil", "_ginh", "_xpad"):
@@ -578,7 +572,7 @@ class TestDepthwiseVJPReference:
             for dtype, tol in ((np.float64, F64_TOL), (np.float32, F32_TOL)):
                 for input_grad in (True, False):
                     spec = ConvSpec(n, c, c, h, wd, k, s, p, c, np.dtype(dtype).name,
-                                    "train", "NHWC")
+                                    "train")
                     assert cls.supports(spec)
                     plan = Plan(dtype=dtype, train=True)
                     plan._scratch_blocks = {
@@ -614,7 +608,7 @@ class TestDepthwiseNativeBinding:
     """``depthwise_native`` binds each C routine once and reuses it while the
     plan hands back the same buffers; a replaced buffer binds again."""
 
-    SPEC = ConvSpec(2, 8, 8, 6, 6, 3, 2, 1, 8, "float32", "train", "NHWC")
+    SPEC = ConvSpec(2, 8, 8, 6, 6, 3, 2, 1, 8, "float32", "train")
 
     def count_binds(self, monkeypatch):
         calls = []

@@ -329,8 +329,10 @@ class TestEmittedLayouts:
                     producer_is_transpose[slot] = isinstance(step, TransposeStep)
 
     def test_layout_is_no_pass(self):
-        with pytest.raises(ValueError, match="unknown runtime passes"):
-            enabled_passes("fold_bn,layout")
+        """Layouts, epilogue fusion and BN folding are the compiler's."""
+        for name in ("layout", "fuse_epilogue", "fold_bn"):
+            with pytest.raises(ValueError, match="unknown runtime passes"):
+                enabled_passes("alias_slots," + name)
 
 
 class TestPlanLint:

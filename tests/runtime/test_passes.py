@@ -1,4 +1,5 @@
-"""Plan-optimizer passes: parity, invalidation, pruning, and memory wins."""
+"""Compiler-emitted fusion and the plan-optimizer passes: parity,
+invalidation, pruning, and memory wins."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.nn import SGD, Sequential, Tensor, no_grad
 from repro.nn.modules import BatchNorm2d, Conv2d, ReLU
 from repro.runtime import CompiledTrainStep, compile_plan
 from repro.runtime.passes import ENV_VAR, PASS_NAMES, enabled_passes
-from repro.runtime.plan import BatchNormStep
+from repro.runtime.plan import ActivationStep, AddStep, BatchNormStep, Conv2dStep, TransposeStep
 
 ATOL_F64 = 1e-12
 ATOL_F32 = 1e-6
@@ -35,12 +36,12 @@ class TestPassSelection:
     def test_env_var_controls_selection(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "none")
         assert enabled_passes() == frozenset()
-        monkeypatch.setenv(ENV_VAR, "fold_bn,alias_slots")
-        assert enabled_passes() == frozenset({"fold_bn", "alias_slots"})
+        monkeypatch.setenv(ENV_VAR, "quantize,alias_slots")
+        assert enabled_passes() == frozenset({"quantize", "alias_slots"})
 
     def test_unknown_pass_name_raises(self):
         with pytest.raises(ValueError):
-            enabled_passes("fold_bn,warp_drive")
+            enabled_passes("alias_slots,warp_drive")
 
     def test_single_pass_disable_via_compile(self, rng):
         """Any single pass can be dropped for bisection."""
@@ -108,27 +109,23 @@ class TestFoldingAndFusionParity:
         np.testing.assert_allclose(values_o, values_p, atol=ATOL_F64)
 
     def test_fusion_removes_steps_and_standalone_bn(self, rng):
-        """Residual joins + standalone BN/activations collapse into the GEMMs."""
-        backbone = build_backbone("ResNet-14", in_channels=2, input_size=28,
-                                  feature_dim=32, base_width=4,
-                                  rng=np.random.default_rng(3))
-        backbone.eval()
-        x = rng.random((2, 2, 28, 28))
-        plain = compile_plan(backbone, x.shape, passes="none")
-        optimized = compile_plan(backbone, x.shape, passes="all")
-        assert len(optimized.steps) < len(plain.steps)
-        # Sequential(conv -> BN -> ReLU) written by hand: the BN step vanishes.
-        seq = Sequential(
-            Conv2d(2, 8, 3, padding=1, rng=np.random.default_rng(0)),
-            BatchNorm2d(8),
-            ReLU(),
-        )
+        """A hand-rolled Sequential(conv, BN, ReLU) compiles to one conv step
+        carrying the BN and the ReLU, with or without passes."""
+        r = np.random.default_rng(0)
+        bn = BatchNorm2d(8)
+        bn.gamma.data = r.standard_normal(8)
+        bn.beta.data = r.standard_normal(8)
+        bn.running_mean[...] = r.standard_normal(8)
+        bn.running_var[...] = r.random(8) + 0.5
+        seq = Sequential(Conv2d(2, 8, 3, padding=1, rng=r), bn, ReLU())
         seq.eval()
-        plan = compile_plan(seq, (2, 2, 12, 12), passes="all")
-        assert not any(isinstance(step, BatchNormStep) for step in plan.steps)
-        reference = compile_plan(seq, (2, 2, 12, 12), passes="none")
         y = rng.random((2, 2, 12, 12))
-        np.testing.assert_allclose(plan.run(y), reference.run(y), atol=ATOL_F64)
+        for passes in ("none", "all"):
+            plan = compile_plan(seq, y.shape, passes=passes)
+            [conv] = [s for s in plan.steps if not isinstance(s, TransposeStep)]
+            assert isinstance(conv, Conv2dStep)
+            assert conv.bn is bn and conv.activation == "relu"
+            np.testing.assert_allclose(plan.run(y), eager_forward(seq, y), atol=ATOL_F64)
 
     def test_train_mode_bn_falls_back_at_run_time(self, rng):
         """A folded plan serves train-mode BN (batch stats) without recompiling."""
@@ -146,6 +143,66 @@ class TestFoldingAndFusionParity:
         backbone.train()
         reference.train()
         np.testing.assert_allclose(plan.run(x), eager_forward(reference, x), atol=ATOL_F64)
+
+
+def joins(plan):
+    """``(fused, total)`` residual joins of a plan: fused ones ride a conv."""
+    fused = sum(isinstance(s, Conv2dStep) and s.res_slot is not None for s in plan.steps)
+    return fused, fused + sum(isinstance(s, AddStep) for s in plan.steps)
+
+
+class TestCompilerFusion:
+    @pytest.mark.parametrize("name, fused, total", [
+        ("Vanilla", 0, 0), ("ResNet-14", 4, 6), ("ResNet-20", 7, 9),
+    ])
+    def test_backbone_joins_fuse(self, name, fused, total):
+        """A join fuses into the body conv unless a projection shortcut runs
+        after it; training plans keep every join."""
+        kwargs = {"in_channels": 2, "input_size": 28, "feature_dim": 32,
+                  "rng": np.random.default_rng(3)}
+        if name != "Vanilla":
+            kwargs["base_width"] = 4
+        backbone = build_backbone(name, **kwargs)
+        shape = (2, 2, 28, 28)
+        assert joins(compile_plan(backbone.eval(), shape)) == (fused, total)
+        assert joins(compile_plan(backbone.train(), shape, train=True)) == (0, total)
+
+    def test_supernet_joins_fuse(self):
+        supernet = build_supernet()
+        shape = (2, 2, 28, 28)
+        derived = supernet.derive([4, 5, 6] * 4)
+        assert joins(compile_plan(derived.eval(), shape)) == (10, 10)
+        assert joins(compile_plan(derived.train(), shape, train=True)) == (0, 10)
+        assert joins(compile_plan(supernet.eval(), shape, gated_paths="all")) == (60, 60)
+        assert joins(compile_plan(supernet.train(), shape, train=True,
+                                  gated_paths="all")) == (0, 60)
+
+    def test_unfusable_activation_runs_on_activation_step(self, rng):
+        """An activation with no producer to ride copies into a slot of its
+        own: inference and the VJP match the eager tape."""
+        r = np.random.default_rng(0)
+        net = Sequential(ReLU(), Conv2d(2, 4, 3, padding=1, rng=r),
+                         ReLU(), Conv2d(4, 3, 3, padding=1, rng=r))
+        x = rng.standard_normal((2, 2, 8, 8))
+        plan = compile_plan(net, x.shape)
+        # The first ReLU reads the plan input; the second rides its conv.
+        assert sum(isinstance(s, ActivationStep) for s in plan.steps) == 1
+        np.testing.assert_allclose(plan.run(x), eager_forward(net, x), atol=ATOL_F64)
+
+        seed = rng.standard_normal((2, 3, 8, 8))
+        out = net(Tensor(x))
+        net.zero_grad()
+        out.backward(seed)
+        eager_grads = {name: p.grad for name, p in net.named_parameters()}
+        train = compile_plan(net, x.shape, train=True)
+        assert sum(isinstance(s, ActivationStep) for s in train.steps) == 2
+        np.testing.assert_allclose(train.run(x), out.data, atol=ATOL_F64)
+        train.zero_grads()
+        train.seed_grad(train.output_slots[0], seed)
+        train.run_backward()
+        for name, param in net.named_parameters():
+            np.testing.assert_allclose(train.param_grad(param), eager_grads[name],
+                                       atol=ATOL_F64, err_msg=name)
 
 
 class TestFoldInvalidation:
@@ -244,7 +301,8 @@ class TestBufferAliasing:
                                        atol=0.0, err_msg=name)
 
     def test_derived_agent_plans_shrink(self):
-        """The passes cut >= 30% of the derived agent's rollout and search plans."""
+        """The passes cut >= 30% of the derived agent's rollout and search
+        plans, whose joins and BNs the compiler already fused."""
 
         def agent(derived):
             supernet = AgentSuperNet(in_channels=2, input_size=32, feature_dim=128,
@@ -267,7 +325,8 @@ class TestBufferAliasing:
         }
         for plans in (rollout, train):
             assert plans["all"].alloc_bytes <= 0.7 * plans["none"].alloc_bytes
-        assert len(rollout["all"].steps) < len(rollout["none"].steps)
+        for step in rollout["none"].steps:
+            assert not isinstance(step, (AddStep, BatchNormStep)), step
 
     def test_repeated_runs_are_stable(self, rng):
         """Aliased buffers must not leak state between runs."""

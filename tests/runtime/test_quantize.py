@@ -70,11 +70,11 @@ DW_SHAPES = (
 
 
 def _dw_spec(mode, n, c, h, k, s, p):
-    return ConvSpec(n, c, c, h, h, k, s, p, c, "float32", "infer", "NHWC", mode)
+    return ConvSpec(n, c, c, h, h, k, s, p, c, "float32", "infer", mode)
 
 
 def _pw_spec(mode, n, cin, cout, h):
-    return ConvSpec(n, cin, cout, h, h, 1, 1, 0, 1, "float32", "infer", "NHWC", mode)
+    return ConvSpec(n, cin, cout, h, h, 1, 1, 0, 1, "float32", "infer", mode)
 
 
 def _random_epilogue(spec, rng, relu, with_res):
@@ -245,13 +245,13 @@ class TestCalibration:
     def test_scale_is_amax_over_qmax(self):
         calib = QuantCalibration(
             input_shape=SHAPE, path=None, dtype="float32", mode="q8",
-            num_slots=2, amax={0: np.array([2.0, 254.0])},
+            num_slots=2, amax={0: np.array([2.0, 254.0])}, digest="",
         )
         assert calib.scale(0, 127) == pytest.approx(2.0)
         assert calib.scale(1, 127) is None
         degenerate = QuantCalibration(
             input_shape=SHAPE, path=None, dtype="float32", mode="q8",
-            num_slots=1, amax={0: np.array([0.0, 0.0])},
+            num_slots=1, amax={0: np.array([0.0, 0.0])}, digest="",
         )
         assert degenerate.scale(0, 127) == pytest.approx(1.0 / 127)
 
@@ -278,6 +278,13 @@ class TestCalibration:
         payload = json.loads(cal.result(mode="q8").to_json())
         payload["mode"] = "q16"
         with pytest.raises(ValueError, match="quant mode"):
+            QuantCalibration.from_json(json.dumps(payload))
+
+    def test_from_json_rejects_missing_digest(self):
+        """A calibration that cannot name the plan it observed is refused."""
+        payload = json.loads(_calibrate(quantizable_net(), _batches()).result().to_json())
+        del payload["digest"]
+        with pytest.raises(ValueError, match="digest"):
             QuantCalibration.from_json(json.dumps(payload))
 
     def test_matches_keys_on_shape_path_dtype(self):
@@ -334,13 +341,39 @@ class TestQuantizedPlans:
         net, batches, calib = _quantized_setup(monkeypatch)
         stale = QuantCalibration(
             input_shape=calib.input_shape, path=calib.path, dtype=calib.dtype,
-            mode="q8", num_slots=3, amax={0: np.array([1.0])},
+            mode="q8", num_slots=3, amax={0: np.array([1.0])}, digest=calib.digest,
         )
         ref_plan = compile_plan(net, SHAPE, dtype=np.float32)
         plan = compile_plan(net, SHAPE, dtype=np.float32, quantize=stale)
         assert not any(isinstance(s, QuantizeStep) for s in plan.steps)
         x = batches[0]
         assert np.array_equal(np.asarray(plan.run(x)), np.asarray(ref_plan.run(x)))
+
+    def test_calibration_of_another_plan_declines(self, monkeypatch):
+        """Same signature and slot count, other plan: the digest refuses it.
+
+        Swapping the two pointwise widths keeps every slot id and the slot
+        count, so only the digest tells the plans apart.
+        """
+        net, batches, _ = _quantized_setup(monkeypatch)
+        rng = np.random.default_rng(7)
+        other = Sequential(
+            Conv2d(8, 8, 3, stride=1, padding=1, groups=8, rng=rng),
+            ReLU(),
+            Conv2d(8, 24, 1, rng=rng),
+            ReLU(),
+            Conv2d(24, 24, 5, stride=1, padding=2, groups=24, rng=rng),
+            Conv2d(24, 8, 3, stride=1, padding=1, rng=rng),
+        )
+        foreign = _calibrate(other, batches).result(mode="q8")
+        own = _calibrate(net, batches).result(mode="q8")
+        assert foreign.num_slots == own.num_slots and foreign.digest != own.digest
+        plan = compile_plan(net, SHAPE, dtype=np.float32, quantize=foreign)
+        assert not any(isinstance(s, QuantizeStep) for s in plan.steps)
+        assert any(
+            isinstance(s, QuantizeStep)
+            for s in compile_plan(net, SHAPE, dtype=np.float32, quantize=own).steps
+        )
 
     def test_train_plans_never_quantize(self, monkeypatch):
         net, _, calib = _quantized_setup(monkeypatch)
@@ -429,9 +462,7 @@ class TestQuantDispatch:
         quant_names = {cls.name for cls in candidates(q_spec)}
         assert not any(n.endswith("_q8") for n in float_names)
         assert all(n.endswith("_q8") for n in quant_names)
-        # Quantized kernels are NHWC-only: the NCHW variant has no candidates.
-        assert not candidates(q_spec._replace(layout="NCHW"))
-        # And inference-only.
+        # Quantized kernels are inference-only.
         assert not candidates(q_spec._replace(direction="train"))
 
     def test_float_pin_falls_back_on_quant_spec(self, monkeypatch):
