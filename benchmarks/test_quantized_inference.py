@@ -15,7 +15,9 @@ Three views are recorded:
   per-family batch-1 calibration, asserting the quantized policy's mean
   score drifts by at most two standard deviations;
 * **plan structure**: how many convs lowered to int8, how many boundary
-  steps the pass paid, and which kernel serves each q8 signature;
+  steps the pass paid, and the op class of each q8 signature (not the
+  kernel serving it, which depends on whether the host builds the C
+  library);
 * **numerics**: the worst-case policy/value deviation on a live batch.
 
 The speed of q8 rollouts and serving is measured by ``perfbench`` (see
@@ -166,9 +168,9 @@ def measure(episodes):
     }
     structure = _plan_structure(agents["q8"])
 
-    kernels = {
-        signature: row["kernel"]
-        for signature, row in sorted(selection_table().items())
+    op_classes = {
+        signature: signature.partition(":")[0]
+        for signature in sorted(selection_table())
         if "/q8" in signature
     }
 
@@ -188,7 +190,7 @@ def measure(episodes):
         "plan_structure": structure,
         "numeric_parity": numeric,
         "score_parity": scores,
-        "quantized_kernels": kernels,
+        "quantized_op_classes": op_classes,
     }
 
 

@@ -27,7 +27,20 @@ the toolchain that built CPython is already on the host) and loaded through
 * ``dw_conv_q8`` — int8 depthwise conv, ``int32`` accumulate, fused
   per-channel requantization tail;
 * ``requant_q8`` — the same tail as one pass over a float32 accumulator,
-  used by the float-accumulate q8 fallback kernels.
+  used by the float-accumulate q8 kernels (``pointwise_q8``).
+
+Loop shape.  The agents' convs have ``C`` = 8 to 160 channels, fewer than
+one 64-byte vector holds of int8 (and often of float32), so a loop over one
+pixel's channels runs mostly as its scalar remainder.  The stride-1
+depthwise forwards (``dw_fwd``, ``dw_conv_q8``) therefore flatten each
+output row: tap ``(i, j)`` reads one contiguous input run and adds into one
+contiguous output run, ``(xo_hi - xo_lo) * C`` long, against that tap's
+weights replicated over the ``ow`` output columns (:func:`tap_row`), in one
+SIMD loop.  The requant tail likewise runs over whole rows against scale
+and bias replicated over the row (``dw_conv_q8``) or over a span of channel
+rows (``requant_q8``).  The replicated rows are caller-owned plan buffers,
+refreshed with the weights.  Strided forwards keep the per-pixel channel
+loop, and ``dw_bwd`` the plain ``(k*k, C)`` taps.
 
 Exactness contract.  The float depthwise routines sum the same products as
 the NumPy ``depthwise_einsum`` kernel in another order, so the two agree
@@ -49,13 +62,19 @@ fallbacks upcast to float32, where every product and partial sum stays below
 requant tail uses the same rounding sequence: one multiply round, one add
 round per term, round-half-even to integer.  Both rely on the build pinning
 ``-ffp-contract=off`` (no FMA contraction) and on ``rintf`` matching
-``np.rint`` under the default rounding mode.
+``np.rint`` under the default rounding mode.  Flattening the loops keeps
+every byte: int8 products are at most ``127**2`` and their sums exact in
+int32 in any order, the requant keeps its per-element operation sequence,
+and the float forward still adds each output's taps in ``(i, j)`` order
+from +0 with one rounding per operation (only which loop runs outermost
+changed).
 
 Binding rule.  :func:`bind` validates every operand once and captures the
 addresses; a caller reuses them only while it holds the very same array
 objects, and binds again (re-validating all) when any operand is replaced
-(:func:`bound` keeps that cache for the depthwise kernel, the
-batch-norm steps and the ``im2col_nhwc`` kernel's gather and scatter).
+(:func:`bound` keeps that cache for the float and q8 depthwise kernels, the
+q8 requant tail, the batch-norm steps and the ``im2col_nhwc`` kernel's
+gather and scatter).
 
 The shared object is cached inside the package (``_ccache/``, keyed by a
 hash of the source and flags, ignored by git).  Builds are atomic
@@ -79,8 +98,8 @@ import tempfile
 import numpy as np
 
 __all__ = [
-    "available", "bind", "bound", "dw_fwd_bind", "dw_bwd_bind", "dw_conv_q8", "requant_q8",
-    "bn_train_bind", "bn_vjp_bind", "nhwc_cols_bind",
+    "available", "bind", "bound", "tap_row", "dw_fwd_bind", "dw_bwd_bind", "dw_conv_q8_bind",
+    "requant_q8_bind", "bn_train_bind", "bn_vjp_bind", "nhwc_cols_bind",
 ]
 
 ENV_VAR = "REPRO_NATIVE"
@@ -98,123 +117,107 @@ static inline void tap_cols(int j, int s, int p, int wd, int ow, int *lo, int *h
     *lo = j < p ? (p - j + s - 1) / s : 0;
     *hi = last < 0 ? 0 : (last / s + 1 < ow ? last / s + 1 : ow);
 }
+"""
 
-/* Depthwise NHWC convolution with implicit zero padding, int32 accumulate,
- * fused per-channel requantization (scale, bias, optional residual, clip,
- * round-half-even, narrow).  `acc` is caller scratch of ow*c int32.
- * Bounds are clipped per (row, tap) so the channel loop stays branch-free
- * and vectorisable. */
-void dw_conv_q8(const int8_t *restrict x, const int8_t *restrict w,
-                const float *restrict scale, const float *restrict bias,
-                const int8_t *restrict res, float res_scale,
-                int8_t *restrict out, int32_t *restrict acc,
-                int n, int h, int wd, int c, int k, int s, int p,
-                int oh, int ow, float lo, float hi)
+#: The q8 requant tail over a flat run of ``m`` accumulators, against scale
+#: and bias rows replicated over the run (so one SIMD loop covers it however
+#: short C is): one multiply round, one add round per term, clip,
+#: round-half-even, narrow.  Instantiated for the int32 and float32
+#: accumulators by substituting ``ACC``.
+_REQUANT = r"""
+static inline void requant_ACC(const ACC *restrict a, const float *restrict sc,
+                               const float *restrict bi, const int8_t *restrict r,
+                               float rs, int8_t *restrict o, long m, float lo, float hi)
 {
-    const long in_row = (long)wd * c;
-    const long out_img = (long)oh * ow * c;
-    for (int b = 0; b < n; ++b) {
-        const int8_t *xb = x + (long)b * h * in_row;
-        int8_t *ob = out + (long)b * out_img;
-        const int8_t *rb = res ? res + (long)b * out_img : 0;
-        for (int y = 0; y < oh; ++y) {
-            memset(acc, 0, (size_t)ow * c * sizeof(int32_t));
-            for (int i = 0; i < k; ++i) {
-                int yi = y * s + i - p;
-                if (yi < 0 || yi >= h) continue;
-                const int8_t *xrow = xb + (long)yi * in_row;
-                for (int j = 0; j < k; ++j) {
-                    int xo_lo, xo_hi;
-                    tap_cols(j, s, p, wd, ow, &xo_lo, &xo_hi);
-                    const int8_t *wp = w + ((long)i * k + j) * c;
-                    for (int xo = xo_lo; xo < xo_hi; ++xo) {
-                        const int8_t *xp = xrow + (long)(xo * s + j - p) * c;
-                        int32_t *ap = acc + (long)xo * c;
-                        #pragma omp simd
-                        for (int ch = 0; ch < c; ++ch)
-                            ap[ch] += (int32_t)xp[ch] * (int32_t)wp[ch];
-                    }
-                }
-            }
-            int8_t *op = ob + (long)y * ow * c;
-            const int8_t *rp = rb ? rb + (long)y * ow * c : 0;
-            for (int xo = 0; xo < ow; ++xo) {
-                const int32_t *ap = acc + (long)xo * c;
-                int8_t *o = op + (long)xo * c;
-                if (rp) {
-                    const int8_t *r = rp + (long)xo * c;
-                    #pragma omp simd
-                    for (int ch = 0; ch < c; ++ch) {
-                        float v = (float)ap[ch] * scale[ch];
-                        v = v + bias[ch];
-                        float t = (float)r[ch] * res_scale;
-                        v = v + t;
-                        v = v < lo ? lo : (v > hi ? hi : v);
-                        o[ch] = (int8_t)rintf(v);
-                    }
-                } else {
-                    #pragma omp simd
-                    for (int ch = 0; ch < c; ++ch) {
-                        float v = (float)ap[ch] * scale[ch];
-                        v = v + bias[ch];
-                        v = v < lo ? lo : (v > hi ? hi : v);
-                        o[ch] = (int8_t)rintf(v);
-                    }
-                }
-            }
+    if (r) {
+        #pragma omp simd
+        for (long e = 0; e < m; ++e) {
+            float v = (float)a[e] * sc[e] + bi[e] + (float)r[e] * rs;
+            o[e] = (int8_t)rintf(v < lo ? lo : (v > hi ? hi : v));
+        }
+    } else {
+        #pragma omp simd
+        for (long e = 0; e < m; ++e) {
+            float v = (float)a[e] * sc[e] + bi[e];
+            o[e] = (int8_t)rintf(v < lo ? lo : (v > hi ? hi : v));
         }
     }
 }
+"""
 
-/* Standalone requant tail for the float-accumulate fallback kernels: one
- * fused pass over a flat (rows, channels) accumulator instead of NumPy's
- * five (scale, bias, clip, round, narrow).  `acc` holds exact integer
- * values in float, so the sequence below is bitwise identical to the NumPy
- * epilogue (same per-op rounding, -ffp-contract=off). */
+_Q8 = r"""
+/* Depthwise NHWC convolution with implicit zero padding, int32 accumulate
+ * into the ow*c scratch row `acc`, then the requant tail over the row.  `w`
+ * holds a (k*k, wl) tap-major row per tap: replicated over the ow output
+ * columns (wl = ow*c) at stride 1, where a tap adds one contiguous input run
+ * into one contiguous accumulator run, and plain (wl = c) otherwise;
+ * `scale`/`bias` are replicated over ow*c. */
+void dw_conv_q8(const int8_t *restrict x, const int8_t *restrict w, int8_t *restrict out,
+                const float *restrict scale, const float *restrict bias,
+                const int8_t *restrict res, int32_t *restrict acc,
+                int n, int h, int wd, int c, int k, int s, int p, int oh, int ow,
+                float res_scale, float lo, float hi)
+{
+    const long in_row = (long)wd * c, out_row = (long)ow * c, wl = s == 1 ? out_row : c;
+    for (long r = 0; r < (long)n * oh; ++r) {
+        const int y = r % oh, b = r / oh;
+        memset(acc, 0, (size_t)out_row * sizeof(int32_t));
+        for (int i = 0; i < k; ++i) {
+            int yi = y * s + i - p;
+            if (yi < 0 || yi >= h) continue;
+            const int8_t *xrow = x + ((long)b * h + yi) * in_row;
+            for (int j = 0; j < k; ++j) {
+                int xo_lo, xo_hi;
+                tap_cols(j, s, p, wd, ow, &xo_lo, &xo_hi);
+                const int8_t *wp = w + ((long)i * k + j) * wl;
+                if (s == 1) {
+                    const long a = (long)xo_lo * c, z = (long)xo_hi * c, d = (long)(j - p) * c;
+                    #pragma omp simd
+                    for (long e = a; e < z; ++e)
+                        acc[e] += (int32_t)xrow[e + d] * (int32_t)wp[e];
+                    continue;
+                }
+                for (int xo = xo_lo; xo < xo_hi; ++xo) {
+                    const int8_t *xp = xrow + (long)(xo * s + j - p) * c;
+                    int32_t *ap = acc + (long)xo * c;
+                    #pragma omp simd
+                    for (int ch = 0; ch < c; ++ch)
+                        ap[ch] += (int32_t)xp[ch] * (int32_t)wp[ch];
+                }
+            }
+        }
+        requant_int32_t(acc, scale, bias, res ? res + r * out_row : 0, res_scale,
+                        out + r * out_row, out_row, lo, hi);
+    }
+}
+
+/* The requant tail alone, for the float-accumulate kernels: the m exact
+ * integers of `acc` land in out[e0, e0 + m) (residual res[e0, e0 + m)), in
+ * runs of `span` against `scale`/`bias` replicated over span elements. */
 void requant_q8(const float *restrict acc, const float *restrict scale,
                 const float *restrict bias, const int8_t *restrict res,
-                float res_scale, int8_t *restrict out,
-                long rows, int c, float lo, float hi)
+                int8_t *restrict out, long span, long e0, long m,
+                float res_scale, float lo, float hi)
 {
-    for (long m = 0; m < rows; ++m) {
-        const float *ap = acc + m * c;
-        int8_t *o = out + m * c;
-        if (res) {
-            const int8_t *r = res + m * c;
-            #pragma omp simd
-            for (int ch = 0; ch < c; ++ch) {
-                float v = ap[ch] * scale[ch];
-                v = v + bias[ch];
-                float t = (float)r[ch] * res_scale;
-                v = v + t;
-                v = v < lo ? lo : (v > hi ? hi : v);
-                o[ch] = (int8_t)rintf(v);
-            }
-        } else {
-            #pragma omp simd
-            for (int ch = 0; ch < c; ++ch) {
-                float v = ap[ch] * scale[ch];
-                v = v + bias[ch];
-                v = v < lo ? lo : (v > hi ? hi : v);
-                o[ch] = (int8_t)rintf(v);
-            }
-        }
-    }
+    for (long a = 0; a < m; a += span)
+        requant_float(acc + a, scale, bias, res ? res + e0 + a : 0, res_scale,
+                      out + e0 + a, m - a < span ? m - a : span, lo, hi);
 }
-
 """
 
 #: Float NHWC depthwise forward and fused VJPs, instantiated for ``float``
 #: and ``double`` by substituting ``REAL`` and ``SFX`` below.  The loop nest
 #: is ``dw_conv_q8``'s: implicit zero padding, per-tap clipped column range,
-#: contiguous channel loop innermost.
+#: contiguous channel loop (or, in the stride-1 forward, the whole
+#: row-flattened run) innermost.
 _DW_FLOAT = r"""
-/* Depthwise forward: `out` (NHWC) is overwritten. */
+/* Depthwise forward: `out` (NHWC) is overwritten.  `w` is laid out as in
+ * dw_conv_q8: replicated over ow at stride 1 (wl = ow*c), plain otherwise. */
 void dw_fwd_SFX(const REAL *restrict x, const REAL *restrict w,
                 REAL *restrict out, int n, int h, int wd, int c,
                 int k, int s, int p, int oh, int ow)
 {
-    const long in_row = (long)wd * c, out_row = (long)ow * c;
+    const long in_row = (long)wd * c, out_row = (long)ow * c, wl = s == 1 ? out_row : c;
     memset(out, 0, (size_t)n * oh * out_row * sizeof(REAL));
     for (int b = 0; b < n; ++b) {
         for (int y = 0; y < oh; ++y) {
@@ -226,7 +229,14 @@ void dw_fwd_SFX(const REAL *restrict x, const REAL *restrict w,
                 for (int j = 0; j < k; ++j) {
                     int xo_lo, xo_hi;
                     tap_cols(j, s, p, wd, ow, &xo_lo, &xo_hi);
-                    const REAL *wp = w + ((long)i * k + j) * c;
+                    const REAL *wp = w + ((long)i * k + j) * wl;
+                    if (s == 1) {
+                        const long a = (long)xo_lo * c, z = (long)xo_hi * c, d = (long)(j - p) * c;
+                        #pragma omp simd
+                        for (long e = a; e < z; ++e)
+                            orow[e] += xrow[e + d] * wp[e];
+                        continue;
+                    }
                     for (int xo = xo_lo; xo < xo_hi; ++xo) {
                         const REAL *xp = xrow + (long)(xo * s + j - p) * c;
                         REAL *op = orow + (long)xo * c;
@@ -450,6 +460,7 @@ void col2im_nhwc_SFX(REAL *restrict gin, const REAL *restrict g,
 }
 """
 
+_SOURCE += "".join(_REQUANT.replace("ACC", ctype) for ctype in ("int32_t", "float")) + _Q8
 _SOURCE += "".join(
     (_DW_FLOAT + _BN_FLOAT + _IM2COL_NHWC).replace("REAL", ctype).replace("SFX", suffix).replace("SQRT", sqrt)
     for ctype, suffix, sqrt in (("float", "f32", "sqrtf"), ("double", "f64", "sqrt"))
@@ -496,15 +507,11 @@ def _build(so_path):
 
 
 def _bind(lib):
-    i8p = ctypes.POINTER(ctypes.c_int8)
-    f32p = ctypes.POINTER(ctypes.c_float)
-    i32p = ctypes.POINTER(ctypes.c_int32)
     ints = [ctypes.c_int] * 9
-    lib.dw_conv_q8.restype = None
-    lib.dw_conv_q8.argtypes = [
-        i8p, i8p, f32p, f32p, i8p, ctypes.c_float, i8p, i32p,
-        *ints, ctypes.c_float, ctypes.c_float,
-    ]
+    floats = [ctypes.c_float] * 3
+    lib.dw_conv_q8.restype = lib.requant_q8.restype = None
+    lib.dw_conv_q8.argtypes = [ctypes.c_void_p] * 7 + ints + floats
+    lib.requant_q8.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_long] * 3 + floats
     for suffix in ("f32", "f64"):
         fwd, bwd = getattr(lib, "dw_fwd_" + suffix), getattr(lib, "dw_bwd_" + suffix)
         fwd.restype = bwd.restype = None
@@ -520,11 +527,6 @@ def _bind(lib):
             fn = getattr(lib, name + "_" + suffix)
             fn.restype = None
             fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long, ctypes.c_int] + scalars
-    lib.requant_q8.restype = None
-    lib.requant_q8.argtypes = [
-        f32p, f32p, f32p, i8p, ctypes.c_float, i8p,
-        ctypes.c_long, ctypes.c_int, ctypes.c_float, ctypes.c_float,
-    ]
 
 
 def _load():
@@ -567,26 +569,24 @@ def _routine(name):
     return getattr(lib, name)
 
 
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctypes.POINTER(ctype))
-
-
 _SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}
 _F64 = np.dtype(np.float64)
+_F32, _I8, _I32 = np.dtype(np.float32), np.dtype(np.int8), np.dtype(np.int32)
 
 
 def bind(name, operands, *extents):
-    """Validate a float routine's operands once; returns ``run(*scalars)``.
+    """Validate a routine's operands once; returns ``run(*scalars)``.
 
     The C loops trust every pointer and extent, so a wrong dtype, a strided
     view or a mis-shaped buffer is rejected here (``ValueError``) rather than
     read out of bounds.  ``operands`` are ``(array or None, expected
-    shape[, dtype])`` in C argument order; the first one's dtype picks the
-    variant and is the others' default.  ``run`` calls the routine with the
-    pointers, ``extents`` and ``scalars``.
+    shape[, dtype])`` in C argument order; the first one's dtype is the
+    others' default and, for a float routine, picks the variant (a ``_q8``
+    routine has one).  ``run`` calls the routine with the pointers,
+    ``extents`` and ``scalars``.
     """
     dtype = operands[0][0].dtype
-    suffix = _SUFFIX.get(dtype)
+    suffix = "" if name.endswith("_q8") else _SUFFIX.get(dtype)
     if suffix is None:
         raise ValueError("{}: no {} variant".format(name, dtype))
     pointers = []
@@ -623,13 +623,21 @@ def bound(owner, attr, bind, *operands):
     return cached[2]
 
 
+def tap_row(ow, c, stride):
+    """Length of a depthwise forward's weight row per tap: the ``C`` taps
+    replicated over the ``ow`` output columns at stride 1, plain otherwise."""
+    return ow * c if stride == 1 else c
+
+
 def _dw_bind(name, x, w_taps, y, k, stride, padding, *extra):
     """Bind a depthwise routine; ``y`` is the output-shaped operand and
-    ``extra`` are further :func:`bind` operands."""
+    ``extra`` are further :func:`bind` operands.  The forwards read
+    :func:`tap_row`-long weight rows, ``dw_bwd`` plain ``(k*k, C)`` taps."""
     n, h, wd, c = x.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
-    operands = [(x, x.shape), (w_taps, (k * k, c)), (y, (n, oh, ow, c)), *extra]
+    row = c if name == "dw_bwd" else tap_row(ow, c, stride)
+    operands = [(x, x.shape), (w_taps, (k * k, row)), (y, (n, oh, ow, c)), *extra]
     return bind(name, operands, n, h, wd, c, k, stride, padding, oh, ow)
 
 
@@ -637,7 +645,7 @@ def dw_fwd_bind(x, w_taps, out, k, stride, padding):
     """Bound float NHWC depthwise forward: ``run()`` overwrites ``out``.
 
     ``x``/``out`` are C-contiguous NHWC float32 or float64; ``w_taps`` is the
-    tap-major ``(k*k, C)`` weight of the same dtype.
+    tap-major ``(k*k, tap_row(ow, C, stride))`` weight of the same dtype.
     """
     return _dw_bind("dw_fwd", x, w_taps, out, k, stride, padding)
 
@@ -645,8 +653,8 @@ def dw_fwd_bind(x, w_taps, out, k, stride, padding):
 def dw_bwd_bind(x, w_taps, gout, gw_taps, gin, k, stride, padding):
     """Bound float depthwise VJPs: ``run()`` overwrites ``gw_taps`` and adds to ``gin``.
 
-    Same layouts as :func:`dw_fwd_bind`; ``gw_taps`` is ``(k*k, C)`` staging
-    and ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
+    ``x``/``gout`` as in :func:`dw_fwd_bind`; ``w_taps`` is the plain
+    ``(k*k, C)`` weight, ``gw_taps`` the same-shaped staging, and ``gin`` (input-shaped, or ``None`` to skip the input VJP) is added to.
     """
     return _dw_bind("dw_bwd", x, w_taps, gout, k, stride, padding,
                     (gw_taps, w_taps.shape), (gin, x.shape))
@@ -663,40 +671,31 @@ def nhwc_cols_bind(name, image, cols, k, stride, padding):
                 n, h, w, c, k, stride, padding, oh, ow)
 
 
-def dw_conv_q8(x, w_taps, scale, bias, res, res_scale, out, acc,
-               k, stride, padding, lo, hi):
-    """int8 NHWC depthwise conv + fused requant (see the C source).
+def dw_conv_q8_bind(x, w_taps, out, scale, bias, res, acc, k, stride, padding):
+    """Bound int8 depthwise conv + requant: ``run(res_scale, lo, hi)`` overwrites ``out``.
 
-    ``x``/``out``/``res`` are contiguous NHWC int8; ``w_taps`` is the
-    tap-major ``(k*k, C)`` int8 weight; ``acc`` is ``ow*C`` int32 scratch.
+    ``x``/``out``/``res`` (or ``None``) are NHWC int8 and ``w_taps`` the
+    ``(k*k, tap_row(ow, C, stride))`` int8 weight rows; ``scale``/``bias``
+    are float32 replicated over a whole output row (``ow*C``) and ``acc`` is
+    ``ow*C`` int32 scratch.
     """
-    n, h, wd, c = x.shape
-    oh, ow = out.shape[1], out.shape[2]
-    _routine("dw_conv_q8")(
-        _ptr(x, ctypes.c_int8), _ptr(w_taps, ctypes.c_int8),
-        _ptr(scale, ctypes.c_float), _ptr(bias, ctypes.c_float),
-        _ptr(res, ctypes.c_int8) if res is not None else None,
-        ctypes.c_float(res_scale),
-        _ptr(out, ctypes.c_int8), _ptr(acc, ctypes.c_int32),
-        n, h, wd, c, k, stride, padding, oh, ow,
-        ctypes.c_float(lo), ctypes.c_float(hi),
-    )
+    row = (out.shape[2] * x.shape[3],)
+    return _dw_bind("dw_conv_q8", x, w_taps, out, k, stride, padding,
+                    (scale, row, _F32), (bias, row, _F32), (res, out.shape), (acc, row, _I32))
 
 
-def requant_q8(acc, scale, bias, res, res_scale, out, lo, hi):
-    """Fused requant pass over a contiguous float32 accumulator.
+def requant_q8_bind(acc, scale, bias, res, out):
+    """Bound standalone requant tail: ``run(e0, m, res_scale, lo, hi)``.
 
-    ``acc``/``out``/``res`` are C-contiguous with ``channels`` innermost and
-    the same leading extent; any leading shape is treated as flat rows.
+    Narrows the first ``m`` float32 accumulators of ``acc`` into ``out``'s
+    flat elements ``[e0, e0 + m)`` (residual: the same elements of ``res``,
+    or ``None``).  ``scale``/``bias`` are float32 rows replicated over a span
+    of whole channel rows; ``e0`` must start a channel row, and ``e0 + m``
+    must stay inside ``out`` and ``m`` inside ``acc``.
     """
-    c = acc.shape[-1]
-    _routine("requant_q8")(
-        _ptr(acc, ctypes.c_float), _ptr(scale, ctypes.c_float),
-        _ptr(bias, ctypes.c_float),
-        _ptr(res, ctypes.c_int8) if res is not None else None,
-        ctypes.c_float(res_scale), _ptr(out, ctypes.c_int8),
-        acc.size // c, c, ctypes.c_float(lo), ctypes.c_float(hi),
-    )
+    span = scale.shape
+    return bind("requant_q8", [(acc, acc.shape), (scale, span), (bias, span),
+                               (res, out.shape, _I8), (out, out.shape, _I8)], span[0])
 
 
 # Batch norm: activations are channels-last; every vector is ``(C,)``.

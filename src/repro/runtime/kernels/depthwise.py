@@ -94,13 +94,20 @@ class DepthwiseNativeKernel(_DepthwiseKernel):
             and _native.available()
         )
 
+    def __init__(self, spec, plan):
+        super().__init__(spec, plan)
+        #: The forward's weight rows (``_native.tap_row``): at stride 1 the
+        #: taps replicated over a whole output row, else the taps themselves.
+        row = _native.tap_row(spec.out_width, spec.in_channels, spec.stride)
+        self._wrows = self._wt if row == spec.in_channels else plan.alloc((len(self._wt), row))
+
     def allocate_backward(self, plan, input_grad_needed):
         #: Weight-VJP staging in the C routine's tap-major order.
         self._gwt = plan.alloc(self._wt.shape)
 
     def _bind_fwd(self, x, out):
         spec = self.spec
-        return _native.dw_fwd_bind(x, self._wt, out, spec.kernel, spec.stride, spec.padding)
+        return _native.dw_fwd_bind(x, self._wrows, out, spec.kernel, spec.stride, spec.padding)
 
     def _bind_bwd(self, x, gout, gin):
         spec = self.spec
@@ -108,7 +115,9 @@ class DepthwiseNativeKernel(_DepthwiseKernel):
                                    spec.kernel, spec.stride, spec.padding)
 
     def forward(self, x, weight, out, epilogue):
-        self._load_taps(weight)
+        wt = self._load_taps(weight)
+        if self._wrows is not wt:
+            self._wrows.reshape(len(wt), -1, wt.shape[1])[...] = wt[:, None]
         _native.bound(self, "_fwd_bound", self._bind_fwd, x, out)()
         epilogue.apply(out)
 

@@ -22,12 +22,18 @@ Candidates, in the rule's preference order:
 
 * ``depthwise_native_q8`` — the compiled C kernel
   (:mod:`repro.runtime.kernels._native`): true int32 accumulation, no
-  upcast copies, requant fused into the row loop.  Absent when the host
-  cannot build it.
+  upcast copies, requant fused into the row loop.  At stride 1 each tap is
+  one flat SIMD loop over a whole output row against tap weights
+  replicated over the row; the requant runs over the row too, against
+  replicated scale and bias.  Int32 sums of int8 products are exact in any
+  order, and the tail keeps its per-element sequence, so the bytes do not
+  depend on the loop shape.  Absent when the host cannot build it.
 * ``depthwise_einsum_q8`` — single strided-view einsum contraction over an
   upcast padded copy; the always-available depthwise fallback.
 * ``pointwise_q8`` — 1x1 conv as a row-blocked flat BLAS GEMM on upcast
-  activations (the GEMM's integer partial sums are exact, see above).
+  activations (the GEMM's integer partial sums are exact, see above), then
+  the C ``requant_q8`` tail in flat runs of :data:`REQUANT_SPAN` elements
+  against replicated scale and bias (the NumPy tail without the library).
 
 All quantized kernels are NHWC, inference-only; float kernels never see
 these signatures (dispatch filters on the kernel's ``quant`` attribute).
@@ -72,7 +78,8 @@ class RequantEpilogue:
 
     The owning step refreshes ``scale``/``bias`` in place when the live
     weights change and bumps ``version`` so kernels re-derive their private
-    weight forms (tap-major int copies, upcast GEMM matrices).
+    weight forms (tap-major int rows, upcast GEMM matrices) and replicated
+    scale/bias rows.
     """
 
     __slots__ = ("scale", "bias", "lo", "hi", "res", "res_scale", "version")
@@ -91,23 +98,8 @@ class RequantEpilogue:
         self.version = 0
 
     def requant(self, acc, out, res=None):
-        """Requantize ``acc`` (in place) and narrow into ``out``.
-
-        When the compiled helpers are available and every operand is
-        C-contiguous, the whole tail runs as one fused native pass instead
-        of five NumPy passes — bitwise identical by the module contract.
-        """
-        if (
-            _native.available()
-            and acc.flags.c_contiguous
-            and out.flags.c_contiguous
-            and (res is None or res.flags.c_contiguous)
-        ):
-            _native.requant_q8(
-                acc, self.scale, self.bias, res, float(self.res_scale),
-                out, float(self.lo), float(self.hi),
-            )
-            return
+        """Requantize ``acc`` (in place) and narrow into ``out``: the NumPy
+        tail, and the reference the C tail matches bit for bit."""
         np.multiply(acc, self.scale, out=acc)
         acc += self.bias
         if res is not None:
@@ -117,8 +109,20 @@ class RequantEpilogue:
         np.copyto(out, acc, casting="unsafe")
 
 
+#: Elements the standalone requant's replicated scale and bias rows span (in
+#: whole channel rows): long enough for full SIMD vectors, short enough to
+#: stay in L1.
+REQUANT_SPAN = 1024
+
+
 class _QuantKernel(ConvKernel):
-    """Shared geometry/eligibility for the quantized NHWC kernels."""
+    """Shared geometry/eligibility and requant tail for the quantized NHWC kernels.
+
+    Each kernel keeps a private weight form (``_load``) and, where the C
+    library builds, float32 scale and bias rows replicated over ``rows``
+    output rows (plan-owned, so the hot loop allocates nothing); both are
+    re-derived when the epilogue version moves.
+    """
 
     @classmethod
     def supports(cls, spec):
@@ -128,9 +132,31 @@ class _QuantKernel(ConvKernel):
     def _shape_ok(cls, spec):
         raise NotImplementedError
 
-    def _res_block(self, epilogue, lanes):
-        res = epilogue.res
-        return res[lanes] if res is not None else None
+    def _replicate(self, plan, rows):
+        shape = (rows * self.spec.out_channels,)
+        native = _native.available()
+        self._rows = (plan.alloc(shape, np.float32), plan.alloc(shape, np.float32)) if native else ()
+        self._version = None
+
+    def _refresh(self, weight, epilogue):
+        if self._version != epilogue.version:
+            self._load(weight)
+            for rows, row in zip(self._rows, (epilogue.scale, epilogue.bias)):
+                rows.reshape(-1, row.size)[...] = row
+            self._version = epilogue.version
+
+    def _requant(self, acc, out, epilogue, e0, m):
+        """Narrow the first ``m`` accumulators of the workspace ``acc`` into
+        ``out``'s flat elements ``[e0, e0 + m)``: the bound C tail, else NumPy's."""
+        if self._rows:
+            run = _native.bound(self, "_requant_bound", _native.requant_q8_bind,
+                                acc, *self._rows, epilogue.res, out)
+            run(e0, m, epilogue.res_scale, epilogue.lo, epilogue.hi)
+            return
+        c, res = self.spec.out_channels, epilogue.res
+        rows = slice(e0 // c, (e0 + m) // c)
+        epilogue.requant(acc.reshape(-1, c)[: m // c], out.reshape(-1, c)[rows],
+                         res=None if res is None else res.reshape(-1, c)[rows])
 
 
 # --------------------------------------------------------------------------- #
@@ -153,27 +179,27 @@ class DepthwiseNativeQ8Kernel(_QuantKernel):
 
     def __init__(self, spec, plan):
         super().__init__(spec, plan)
-        c, k = spec.in_channels, spec.kernel
-        self._acc = plan.workspace(
-            (spec.out_width * c,), dtype=np.int32, channel=SCRATCH_GEMM
+        c, k, ow = spec.in_channels, spec.kernel, spec.out_width
+        self._acc = plan.workspace((ow * c,), dtype=np.int32, channel=SCRATCH_GEMM)
+        #: Tap-major int weight rows, ``_native.tap_row`` long per tap.
+        self._wt = plan.alloc((k * k, _native.tap_row(ow, c, spec.stride)), dtype=spec.act_dtype)
+        self._replicate(plan, ow)
+
+    def _load(self, weight):
+        c = self.spec.in_channels
+        self._wt.reshape(len(self._wt), -1, c)[...] = weight.reshape(c, -1).T[:, None]
+
+    def _bind(self, x, out, res):
+        spec = self.spec
+        return _native.dw_conv_q8_bind(
+            x, self._wt, out, *self._rows, res, self._acc,
+            spec.kernel, spec.stride, spec.padding,
         )
-        #: Tap-major ``(k*k, C)`` integer weight, re-derived when the step
-        #: requantizes (signalled by the epilogue version counter).
-        self._wt = plan.alloc((k * k, c), dtype=spec.act_dtype)
-        self._wt_version = None
 
     def forward(self, x, weight, out, epilogue):
-        spec = self.spec
-        assert x.flags["C_CONTIGUOUS"] and out.flags["C_CONTIGUOUS"]
-        if self._wt_version != epilogue.version:
-            self._wt[...] = weight.reshape(spec.in_channels, -1).T
-            self._wt_version = epilogue.version
-        _native.dw_conv_q8(
-            x, self._wt, epilogue.scale, epilogue.bias,
-            epilogue.res, float(epilogue.res_scale), out, self._acc,
-            spec.kernel, spec.stride, spec.padding,
-            float(epilogue.lo), float(epilogue.hi),
-        )
+        self._refresh(weight, epilogue)
+        run = _native.bound(self, "_bound", self._bind, x, out, epilogue.res)
+        run(epilogue.res_scale, epilogue.lo, epilogue.hi)
 
 
 # --------------------------------------------------------------------------- #
@@ -237,7 +263,10 @@ class DepthwiseEinsumQ8Kernel(_QuantKernel):
         #: Tap-major ``(k*k, C)`` float weight, upcast from the step's
         #: integer weights when the epilogue version moves.
         self._wt = plan.alloc((spec.kernel * spec.kernel, c), dtype=acc_dtype)
-        self._wt_version = None
+        self._replicate(plan, max(1, REQUANT_SPAN // c))
+
+    def _load(self, weight):
+        np.copyto(self._wt, weight.reshape(self.spec.in_channels, -1).T)
 
     def _fill_block(self, x, n0, n1):
         """Upcast (and zero-pad) one batch block into the float workspace."""
@@ -259,9 +288,7 @@ class DepthwiseEinsumQ8Kernel(_QuantKernel):
         n, c = spec.batch, spec.in_channels
         k, s = spec.kernel, spec.stride
         oh, ow = spec.out_height, spec.out_width
-        if self._wt_version != epilogue.version:
-            np.copyto(self._wt, weight.reshape(c, -1).T)
-            self._wt_version = epilogue.version
+        self._refresh(weight, epilogue)
         wv = self._wt.reshape(k, k, c)
         for n0 in range(0, n, self._b):
             n1 = min(n0 + self._b, n)
@@ -273,11 +300,8 @@ class DepthwiseEinsumQ8Kernel(_QuantKernel):
                 (b, oh, ow, k, k, c),
                 (st[0], st[1] * s, st[2] * s, st[1], st[2], st[3]),
             )
-            acc = self._acch[:b]
-            np.einsum("nhwijc,ijc->nhwc", xv, wv, out=acc)
-            epilogue.requant(
-                acc, out[n0:n1], res=self._res_block(epilogue, slice(n0, n1))
-            )
+            np.einsum("nhwijc,ijc->nhwc", xv, wv, out=self._acch[:b])
+            self._requant(self._acch, out, epilogue, n0 * oh * ow * c, b * oh * ow * c)
 
 
 # --------------------------------------------------------------------------- #
@@ -331,25 +355,20 @@ class PointwiseQ8Kernel(_QuantKernel):
         self._wmat = plan.alloc(
             (spec.in_channels, spec.out_channels), dtype=acc_dtype
         )
-        self._wt_version = None
+        self._replicate(plan, max(1, REQUANT_SPAN // spec.out_channels))
+
+    def _load(self, weight):
+        spec = self.spec
+        np.copyto(self._wmat, weight.reshape(spec.out_channels, spec.in_channels).T)
 
     def forward(self, x, weight, out, epilogue):
-        spec = self.spec
-        c, cout = spec.in_channels, spec.out_channels
-        if self._wt_version != epilogue.version:
-            np.copyto(self._wmat, weight.reshape(cout, c).T)
-            self._wt_version = epilogue.version
-        x2 = x.reshape(-1, c)
-        out2 = out.reshape(-1, cout)
-        res2 = epilogue.res.reshape(-1, cout) if epilogue.res is not None else None
+        cout = self.spec.out_channels
+        self._refresh(weight, epilogue)
+        x2 = x.reshape(-1, self.spec.in_channels)
         rows = x2.shape[0]
         for r0 in range(0, rows, self._rb):
             r1 = min(r0 + self._rb, rows)
             xf = self._xf[: r1 - r0]
             np.copyto(xf, x2[r0:r1])
-            acc = self._acch[: r1 - r0]
-            np.matmul(xf, self._wmat, out=acc)
-            epilogue.requant(
-                acc, out2[r0:r1],
-                res=res2[r0:r1] if res2 is not None else None,
-            )
+            np.matmul(xf, self._wmat, out=self._acch[: r1 - r0])
+            self._requant(self._acch, out, epilogue, r0 * cout, (r1 - r0) * cout)

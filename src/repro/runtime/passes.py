@@ -722,9 +722,11 @@ _PASS_FUNCS = {
 
 
 def run_passes(plan, ctx, enabled=None):
-    """Run the enabled passes, in pipeline order, on an un-finalised plan."""
+    """Run the enabled passes, in pipeline order, on an un-finalised plan,
+    then mark its dead slots and lint it (:func:`lint_enabled`), with or
+    without a pass; a plan holding a step no pass knows is left as compiled."""
     enabled = enabled if isinstance(enabled, frozenset) else enabled_passes(enabled)
-    if not enabled or any(type(step) not in _KNOWN_STEPS for step in plan.steps):
+    if any(type(step) not in _KNOWN_STEPS for step in plan.steps):
         return plan
     for name in PASS_NAMES:
         if name in enabled:

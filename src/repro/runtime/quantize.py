@@ -79,10 +79,6 @@ class Calibrator:
         self._amax = {}
         self.num_batches = 0
 
-    @property
-    def num_slots(self):
-        return len(self._plan._shapes)
-
     def observe(self, x):
         """Run one batch through the plan and update the range profile."""
         plan = self._plan
@@ -106,7 +102,6 @@ class Calibrator:
             path=self.path,
             dtype=self.dtype.name,
             mode=mode,
-            num_slots=self.num_slots,
             amax={slot: stat.copy() for slot, stat in self._amax.items()},
             digest=self._digest,
         )
@@ -120,9 +115,9 @@ class QuantCalibration:
     plan only.
     """
 
-    __slots__ = ("input_shape", "path", "dtype", "mode", "num_slots", "amax", "digest")
+    __slots__ = ("input_shape", "path", "dtype", "mode", "amax", "digest")
 
-    def __init__(self, input_shape, path, dtype, mode, num_slots, amax, digest):
+    def __init__(self, input_shape, path, dtype, mode, amax, digest):
         if mode != "q8":
             raise ValueError("unknown quant mode {!r}; only 'q8'".format(mode))
         if not isinstance(digest, str):
@@ -131,7 +126,6 @@ class QuantCalibration:
         self.path = _norm_path(path)
         self.dtype = str(np.dtype(dtype).name)
         self.mode = mode
-        self.num_slots = int(num_slots)
         self.amax = {
             int(slot): np.asarray(stat, dtype=np.float64)
             for slot, stat in amax.items()
@@ -175,14 +169,14 @@ class QuantCalibration:
             "path": None if self.path is None else list(self.path),
             "dtype": self.dtype,
             "mode": self.mode,
-            "num_slots": self.num_slots,
             "amax": {str(slot): stat.tolist() for slot, stat in self.amax.items()},
             "digest": self.digest,
         })
 
     @classmethod
     def from_json(cls, text):
-        """Inverse of :meth:`to_json` (a stale ``policy`` key is ignored).
+        """Inverse of :meth:`to_json` (stale ``policy`` and ``num_slots`` keys
+        are ignored).
 
         A JSON without a plan digest (written by an older version) raises
         ``ValueError``: nothing could tell which plan its slots belong to.
@@ -193,7 +187,6 @@ class QuantCalibration:
             path=payload["path"],
             dtype=payload["dtype"],
             mode=payload["mode"],
-            num_slots=payload["num_slots"],
             amax={int(slot): stat for slot, stat in payload["amax"].items()},
             digest=payload.get("digest"),
         )

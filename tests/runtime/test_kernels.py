@@ -279,7 +279,8 @@ class TestDispatch:
         if not _native.available():
             pytest.skip("the C library is disabled or cannot be built on this host")
         x = np.zeros((2, 6, 6, 4))
-        w = np.zeros((9, 4))
+        taps = np.zeros((9, 4))
+        w = np.zeros((9, _native.tap_row(6, 4, 1)))  # stride 1: taps replicated over a row
         out = np.zeros((2, 6, 6, 4))
         _native.dw_fwd_bind(x, w, out, 3, 1, 1)()
         for bad_x, bad_w, bad_out in (
@@ -290,8 +291,11 @@ class TestDispatch:
         ):
             with pytest.raises(ValueError):
                 _native.dw_fwd_bind(bad_x, bad_w, bad_out, 3, 1, 1)
+        with pytest.raises(ValueError):  # plain taps where stride 1 reads replicated rows
+            _native.dw_fwd_bind(x, taps, out, 3, 1, 1)
+        _native.dw_bwd_bind(x, taps, out, np.zeros((9, 4)), x, 3, 1, 1)()
         with pytest.raises(ValueError):
-            _native.dw_bwd_bind(x, w, out, np.zeros((9, 4)), x[:1], 3, 1, 1)
+            _native.dw_bwd_bind(x, taps, out, np.zeros((9, 4)), x[:1], 3, 1, 1)
 
     def test_without_native_library_depthwise_falls_back_to_einsum(self, monkeypatch):
         """With no C library, an f64 NHWC depthwise train signature has one
@@ -601,6 +605,43 @@ class TestDepthwiseVJPReference:
                     _assert_close_rel(gw, gw0 + ref_gw, tol, label + " weight VJP")
                     if input_grad:
                         _assert_close_rel(gin, phys(gin0 + ref_gin), tol, label + " input VJP")
+
+
+def _tap_order_forward(x, wt, k, s, p):
+    """Float NHWC depthwise forward summed in tap order: from +0, taps
+    ``(i, j)`` ascending, one rounding per multiply and per add."""
+    n, h, w, c = x.shape
+    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x
+    out = np.zeros((n, oh, ow, c), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            out = out + xp[:, i:i + (oh - 1) * s + 1:s, j:j + (ow - 1) * s + 1:s] * wt[i * k + j]
+    return out
+
+
+@pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
+class TestDepthwiseNativeBytes:
+    """The C forward adds each output's taps in ``(i, j)`` order from +0 with
+    one rounding per operation, whatever its loop shape (the stride-1 rows
+    run as one flat loop per tap), so it gives the tap-order sum's bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,c,h,k,s", [
+        (2, 24, 14, 3, 1), (2, 40, 7, 5, 1), (3, 80, 4, 5, 1), (2, 160, 7, 3, 2),
+        (2, 48, 14, 5, 2), (1, 8, 9, 3, 1), (2, 6, 5, 5, 1),
+    ])
+    def test_forward_is_the_tap_order_sum(self, dtype, n, c, h, k, s):
+        p = k // 2
+        spec = ConvSpec(n, c, c, h, h, k, s, p, c, np.dtype(dtype).name, "infer")
+        rng = np.random.default_rng(c * 7 + h)
+        x = rng.standard_normal(spec.in_shape).astype(dtype)
+        weight = rng.standard_normal((c, 1, k, k)).astype(dtype)
+        out = np.empty(spec.out_shape, dtype=dtype)
+        DepthwiseNativeKernel(spec, _Arena(spec)).forward(x, weight, out, NULL_EPILOGUE)
+        expected = _tap_order_forward(x, weight.reshape(c, -1).T, k, s, p)
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")

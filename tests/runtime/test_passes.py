@@ -57,6 +57,29 @@ class TestPassSelection:
             np.testing.assert_allclose(plan.run(x), reference, atol=ATOL_F64)
 
 
+class TestLintEveryPlan:
+    def test_pass_free_and_calibration_plans_are_linted(self, monkeypatch):
+        """Lint runs after the passes whether or not any pass is enabled, so
+        ``passes="none"`` compiles and the calibrator's plans are checked too."""
+        from repro.runtime import Calibrator, passes
+
+        linted = []
+        real = passes.lint_plan
+
+        def counted(plan, ctx=None):
+            linted.append(plan)
+            return real(plan, ctx)
+
+        monkeypatch.setattr(passes, "lint_plan", counted)
+        backbone = build_backbone("ResNet-14", in_channels=2, input_size=28,
+                                  feature_dim=32, base_width=4, rng=np.random.default_rng(3))
+        backbone.eval()
+        plan = compile_plan(backbone, (2, 2, 28, 28), passes="none")
+        assert linted == [plan]
+        calibrator = Calibrator(backbone, (2, 2, 28, 28), dtype=np.float32)
+        assert linted == [plan, calibrator._plan]
+
+
 class TestFoldingAndFusionParity:
     @pytest.mark.parametrize("name", ["Vanilla", "ResNet-14", "ResNet-20"])
     def test_backbone_parity_f64(self, name, rng):

@@ -126,10 +126,26 @@ def _pointwise_reference(spec, x, weight, epi, res):
     return _requant_reference(acc, epi, res, spec.acc_dtype)
 
 
+#: Serve-sized depthwise geometries: the derived agent's channel counts at
+#: its feature-map sizes, k 3/5, stride 1 and 2 (``C`` not a SIMD width).
+SERVE_DW_SHAPES = tuple(
+    (2, c, h, k, s, k // 2)
+    for c in (24, 40, 48, 80, 160) for h in (14, 7, 4) for k in (3, 5) for s in (1, 2)
+)
+
+
 class TestQuantKernelParity:
     @pytest.mark.parametrize("mode", sorted(QMODES))
     @pytest.mark.parametrize("shape", DW_SHAPES)
     def test_depthwise_bitwise_vs_i64_reference(self, mode, shape):
+        self.check_depthwise(mode, shape)
+
+    @pytest.mark.parametrize("shape", SERVE_DW_SHAPES)
+    def test_serve_sized_depthwise_bitwise_vs_i64_reference(self, shape):
+        self.check_depthwise("q8", shape)
+
+    @staticmethod
+    def check_depthwise(mode, shape):
         spec = _dw_spec(mode, *shape)
         cands = candidates(spec)
         assert cands, "no quant depthwise candidates registered"
@@ -149,7 +165,12 @@ class TestQuantKernelParity:
                     )
 
     @pytest.mark.parametrize("mode", sorted(QMODES))
-    @pytest.mark.parametrize("cin,cout,h", ((8, 16, 6), (16, 8, 5), (7, 9, 4)))
+    @pytest.mark.parametrize("cin,cout,h", (
+        (8, 16, 6), (16, 8, 5), (7, 9, 4),
+        # Serve-sized: 3*7*7 rows of C=24 against the 42-row replicated
+        # span (1008 elements) and 3*14*14 rows of C=80 against 12 rows.
+        (40, 24, 7), (24, 80, 14), (160, 48, 4),
+    ))
     def test_pointwise_bitwise_vs_i64_reference(self, mode, cin, cout, h):
         spec = _pw_spec(mode, 3, cin, cout, h)
         cands = candidates(spec)
@@ -173,25 +194,28 @@ class TestQuantKernelParity:
             assert "depthwise_native_q8" in names
         assert "depthwise_einsum_q8" in names  # always-available fallback
 
-    def test_requant_native_matches_numpy_fallback(self, monkeypatch):
-        """The fused C requant pass and the 5-pass NumPy tail agree bitwise."""
+    @pytest.mark.skipif(not _native.available(), reason="compiled library unavailable")
+    def test_requant_native_matches_numpy_fallback(self):
+        """The C requant tail, run in spans of replicated scale/bias rows from
+        an offset row, and the 5-pass NumPy tail agree bitwise: 10 rows of
+        C=6 from row 3, against a 4-row span (neither divides the other)."""
         rng = np.random.default_rng(0)
         act_dtype, acc_dtype, qmax = QMODES["q8"]
-        epi = RequantEpilogue(6, acc_dtype, qmax, relu=False)
-        epi.scale[...] = rng.uniform(1e-3, 2e-2, 6)
-        epi.bias[...] = rng.uniform(-2, 2, 6)
-        epi.res_scale = 0.7
-        acc = rng.integers(-qmax * 20, qmax * 20, (10, 6)).astype(acc_dtype)
-        res = rng.integers(-qmax, qmax + 1, (10, 6)).astype(act_dtype)
-        native_out = np.empty((10, 6), dtype=act_dtype)
-        epi.requant(acc.copy(), native_out, res=res)
-        monkeypatch.setattr(_native, "_lib", None)
-        monkeypatch.setattr(_native, "_load_attempted", True)
-        assert not _native.available()
-        numpy_out = np.empty((10, 6), dtype=act_dtype)
-        epi.requant(acc.copy(), numpy_out, res=res)
-        monkeypatch.undo()
-        assert np.array_equal(native_out, numpy_out)
+        for relu in (False, True):
+            epi = RequantEpilogue(6, acc_dtype, qmax, relu=relu)
+            epi.scale[...] = rng.uniform(1e-3, 2e-2, 6)
+            epi.bias[...] = rng.uniform(-2, 2, 6)
+            epi.res_scale = 0.7
+            acc = rng.integers(-qmax * 20, qmax * 20, (10, 6)).astype(acc_dtype)
+            res = rng.integers(-qmax, qmax + 1, (16, 6)).astype(act_dtype)
+            scale, bias = np.tile(epi.scale, 4), np.tile(epi.bias, 4)
+            for r in (None, res):
+                native_out = np.zeros((16, 6), dtype=act_dtype)
+                run = _native.requant_q8_bind(acc.copy(), scale, bias, r, native_out)
+                run(3 * 6, acc.size, epi.res_scale, epi.lo, epi.hi)
+                numpy_out = np.zeros((16, 6), dtype=act_dtype)
+                epi.requant(acc.copy(), numpy_out[3:13], res=None if r is None else r[3:13])
+                assert np.array_equal(native_out, numpy_out), (relu, r is None)
 
 
 # --------------------------------------------------------------------- #
@@ -235,9 +259,8 @@ class TestCalibration:
         net = quantizable_net()
         cal = _calibrate(net, _batches())
         calib = cal.result(mode="q8")
-        assert calib.num_slots == cal.num_slots
         # Every conv in/out slot must have per-channel stats with positive scale.
-        observed = [s for s in range(calib.num_slots) if calib.scale(s, 127) is not None]
+        observed = [s for s in range(len(cal._plan._shapes)) if calib.scale(s, 127) is not None]
         assert len(observed) >= 5
         for slot in observed:
             assert calib.scale(slot, 127) > 0
@@ -245,26 +268,28 @@ class TestCalibration:
     def test_scale_is_amax_over_qmax(self):
         calib = QuantCalibration(
             input_shape=SHAPE, path=None, dtype="float32", mode="q8",
-            num_slots=2, amax={0: np.array([2.0, 254.0])}, digest="",
+            amax={0: np.array([2.0, 254.0])}, digest="",
         )
         assert calib.scale(0, 127) == pytest.approx(2.0)
         assert calib.scale(1, 127) is None
         degenerate = QuantCalibration(
             input_shape=SHAPE, path=None, dtype="float32", mode="q8",
-            num_slots=1, amax={0: np.array([0.0, 0.0])}, digest="",
+            amax={0: np.array([0.0, 0.0])}, digest="",
         )
         assert degenerate.scale(0, 127) == pytest.approx(1.0 / 127)
 
     def test_json_round_trip(self):
-        calib = _calibrate(quantizable_net(), _batches()).result(mode="q8")
+        cal = _calibrate(quantizable_net(), _batches())
+        calib = cal.result(mode="q8")
         payload = json.loads(calib.to_json())
+        assert "num_slots" not in payload  # the plan digest covers every slot
         payload["policy"] = "minmax"  # written by older versions; ignored
+        payload["num_slots"] = 99  # likewise
         clone = QuantCalibration.from_json(json.dumps(payload))
         assert clone.mode == calib.mode
-        assert clone.num_slots == calib.num_slots
         assert clone.input_shape == calib.input_shape
         assert clone.matches(SHAPE, None, np.dtype(np.float32))
-        for slot in range(calib.num_slots):
+        for slot in range(len(cal._plan._shapes)):
             ours, theirs = calib.scale(slot, 127), clone.scale(slot, 127)
             assert (ours is None) == (theirs is None)
             if ours is not None:
@@ -341,7 +366,7 @@ class TestQuantizedPlans:
         net, batches, calib = _quantized_setup(monkeypatch)
         stale = QuantCalibration(
             input_shape=calib.input_shape, path=calib.path, dtype=calib.dtype,
-            mode="q8", num_slots=3, amax={0: np.array([1.0])}, digest=calib.digest,
+            mode="q8", amax={0: np.array([1.0])}, digest=calib.digest,
         )
         ref_plan = compile_plan(net, SHAPE, dtype=np.float32)
         plan = compile_plan(net, SHAPE, dtype=np.float32, quantize=stale)
@@ -365,9 +390,10 @@ class TestQuantizedPlans:
             Conv2d(24, 24, 5, stride=1, padding=2, groups=24, rng=rng),
             Conv2d(24, 8, 3, stride=1, padding=1, rng=rng),
         )
-        foreign = _calibrate(other, batches).result(mode="q8")
-        own = _calibrate(net, batches).result(mode="q8")
-        assert foreign.num_slots == own.num_slots and foreign.digest != own.digest
+        foreign_cal, own_cal = _calibrate(other, batches), _calibrate(net, batches)
+        foreign, own = foreign_cal.result(mode="q8"), own_cal.result(mode="q8")
+        assert len(foreign_cal._plan._shapes) == len(own_cal._plan._shapes)
+        assert foreign.digest != own.digest
         plan = compile_plan(net, SHAPE, dtype=np.float32, quantize=foreign)
         assert not any(isinstance(s, QuantizeStep) for s in plan.steps)
         assert any(
